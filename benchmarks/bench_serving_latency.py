@@ -106,9 +106,7 @@ def run_scenario(
 ) -> Dict[str, object]:
     """Serve every batch through HTTP under ``n_clients`` concurrent threads."""
     tmp = tempfile.mkdtemp(prefix="bench_serving_")
-    supervisor = EngineSupervisor(engine, workers=workers,
-                                  chunk_queries=chunk_queries,
-                                  backoff_base=0.01, backoff_max=0.1)
+    supervisor = EngineSupervisor(engine, workers=workers, chunk_queries=chunk_queries)
     ledger = BudgetLedger(os.path.join(tmp, "wal.jsonl"), default_cap=1e9)
     service = QueryService(supervisor, ledger, charge_epsilon=CHARGE_EPSILON,
                            max_inflight=max(64, 4 * n_clients),

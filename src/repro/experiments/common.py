@@ -411,7 +411,7 @@ def run_sweep(
     :func:`repro.privacy.rng.spawn_generators`).  Because a case's stream no
     longer depends on what earlier cases drew, case execution order is
     irrelevant to the released bits: ``workers=N`` (cases fanned across a
-    ``ProcessPoolExecutor`` by :mod:`repro.parallel.sweep`, large inputs
+    process pool by :mod:`repro.parallel.sweep`, large inputs
     shared via ``multiprocessing.shared_memory``) is **bitwise identical** to
     ``workers=1`` (the in-process loop) for every N.
 

@@ -8,17 +8,21 @@ allows.  This package scales *across* cores without touching those kernels:
   (points, structure geometry, compiled query-matrix CSR buffers) are placed
   in ``multiprocessing.shared_memory`` segments once and every worker maps
   the same pages, instead of re-pickling megabytes per task;
-* :mod:`repro.parallel.sweep` — the process-parallel sweep executor behind
+* :mod:`repro.parallel.pool` — the one process pool: ``ResilientPool``
+  ships the worker state once per start, keeps finished results when a
+  worker dies, rebuilds under one bounded exponential backoff, retries an
+  overdue task once and runs whatever is left in the parent;
+* :mod:`repro.parallel.sweep` — the executor behind
   ``run_sweep(..., workers=N)``: each case runs on its own spawned child RNG
-  stream, so ``workers=N`` is bitwise identical to ``workers=1`` for every N —
-  including across worker crashes (pool rebuilds with bounded backoff), case
-  timeouts (retry once, then in-process) and graceful degradation;
-* :mod:`repro.parallel.checkpoint` — the crash-safe sweep journal: completed
-  cases are fsynced to an append-only JSONL file (floats hex-encoded,
-  fingerprint-guarded) so an interrupted ``run_sweep(..., checkpoint=path)``
-  resumes bitwise identical to an uninterrupted run;
+  stream, so ``workers=N`` is bitwise identical to ``workers=1`` for every N,
+  through every recovery path of the pool;
+* :mod:`repro.parallel.checkpoint` — the crash-safe sweep journal, a
+  :class:`repro.durable.journal.Journal` (the same primitive as the budget
+  WAL) of completed cases, floats hex-encoded and fingerprint-guarded, so an
+  interrupted ``run_sweep(..., checkpoint=path)`` resumes bitwise identical
+  to an uninterrupted run;
 * :mod:`repro.parallel.serve` — a sharded query server that fans chunks of a
-  query batch across a worker pool over one shared compiled engine;
+  query batch across the pool over one shared compiled engine;
 * :mod:`repro.parallel.matching` — seeker-chunk fan-out for the record
   matching scorer: exact integer partials summed in the parent, so
   ``workers=N`` reproduces ``workers=1`` bitwise.

@@ -3,8 +3,7 @@
 A paper-scale sweep is hours of compute whose unit of loss used to be the
 whole run: one worker OOM, one SIGKILL, one power cut and every finished
 case evaporated with the process.  This module gives :func:`repro.experiments.common.run_sweep`
-a durable spine — an append-only JSON-lines **journal** in the idiom of the
-serving layer's budget WAL (:mod:`repro.serve.ledger`):
+a durable spine — a :class:`repro.durable.journal.Journal` of finished cases:
 
 * **journal-on-completion** — the moment a case's rows are computed they are
   appended to the journal and ``fsync``\\ ed, before the sweep moves on.  A
@@ -24,9 +23,10 @@ serving layer's budget WAL (:mod:`repro.serve.ledger`):
   grid, other workloads) refuses to resume — replaying it would silently
   splice foreign rows into the output;
 * **torn-tail tolerance, nothing more** — a crash mid-append leaves a
-  partial last line; replay discards it and truncates the file back to the
-  last complete record.  Any *other* malformation refuses to resume with a
-  named error (below): a checkpoint must never guess which cases are done.
+  partial last line; once every complete line has validated, replay drops it
+  and truncates the file back to the last complete record.  Any *other*
+  malformation refuses to resume with a named error (below) and leaves the
+  file untouched: a checkpoint must never guess which cases are done.
 
 Named refusal errors
 --------------------
@@ -53,10 +53,9 @@ File format (one JSON object per line)::
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Dict, List, Sequence
 
+from ..durable.journal import Journal, JournalError
 from ..obs import counter_add, trace_span
 
 __all__ = [
@@ -71,7 +70,7 @@ __all__ = [
 ]
 
 
-class CheckpointError(ValueError):
+class CheckpointError(JournalError):
     """Base class: the checkpoint journal cannot be trusted for a resume."""
 
 
@@ -161,22 +160,23 @@ class SweepCheckpoint:
         self.sweep_fingerprint = str(sweep_fingerprint)
         self.case_fingerprints = [str(f) for f in case_fingerprints]
         self._completed: Dict[int, List[Dict[str, object]]] = {}
-        self._seq = 0
         with trace_span("checkpoint.open", path=self.path):
-            self._replay()
-            # Append handle opened after replay so a refused resume leaves the
-            # file byte-identical for post-mortem inspection.
-            self._handle = open(self.path, "a", encoding="utf-8")
-            if self._seq == 0:
-                self._append(
+            self._journal = Journal(
+                self.path,
+                self._apply,
+                header_error=CheckpointHeaderError,
+                corrupt_error=CheckpointCorruptError,
+                gap_error=CheckpointSequenceGapError,
+            )
+            if self._journal.seq == 0:
+                self._journal.append(
                     {
                         "kind": "sweep",
-                        "seq": 1,
                         "fingerprint": self.sweep_fingerprint,
                         "cases": len(self.case_fingerprints),
                     }
                 )
-                self._seq = 1
+        counter_add("checkpoint.cases_replayed", len(self._completed))
 
     # ------------------------------------------------------------------
     @property
@@ -189,67 +189,10 @@ class SweepCheckpoint:
         return len(self._completed)
 
     # ------------------------------------------------------------------
-    def _replay(self) -> None:
-        """Rebuild :attr:`completed` from the journal; truncate a torn tail.
-
-        Refusal before tolerance: every complete line must parse, sequence,
-        and fingerprint-match — only a partial *last* line (a crash cut the
-        append mid-write) is silently dropped, and even that is only
-        tolerated once a valid header exists.
-        """
-        try:
-            with open(self.path, "rb") as handle:
-                raw = handle.read()
-        except FileNotFoundError:
-            return
-        if not raw:
-            return
-        valid_bytes = 0
-        offset = 0
-        records: List[Dict[str, object]] = []
-        while offset < len(raw):
-            newline = raw.find(b"\n", offset)
-            if newline < 0:
-                break  # torn tail: dropped below (header case handled first)
-            line = raw[offset : newline + 1]
-            try:
-                record = json.loads(line.decode("utf-8"))
-                if not isinstance(record, dict) or "kind" not in record:
-                    raise ValueError("not a journal record")
-            except ValueError as exc:
-                if not records:
-                    raise CheckpointHeaderError(
-                        f"checkpoint {self.path}: first record is not a valid "
-                        f"sweep header: {exc}"
-                    ) from exc
-                raise CheckpointCorruptError(
-                    f"checkpoint {self.path}: corrupt record at byte {offset}: {exc}"
-                ) from exc
-            records.append(record)
-            offset = newline + 1
-            valid_bytes = offset
-        if not records:
-            raise CheckpointHeaderError(
-                f"checkpoint {self.path}: no complete header record (file "
-                f"truncated mid-header?) — delete the file to start fresh"
-            )
-        for record in records:
-            self._apply(record)
-        if valid_bytes < len(raw):
-            counter_add("checkpoint.torn_tail_truncated")
-            with open(self.path, "r+b") as handle:
-                handle.truncate(valid_bytes)
-        counter_add("checkpoint.cases_replayed", len(self._completed))
-
     def _apply(self, record: Dict[str, object]) -> None:
-        kind = record.get("kind")
-        try:
-            seq = int(record.get("seq", -1))
-        except (TypeError, ValueError):
-            raise CheckpointCorruptError(
-                f"checkpoint {self.path}: non-integer seq in record {record!r}"
-            )
-        if self._seq == 0:
+        """Validate one replayed record against the fingerprints and keep its rows."""
+        kind = record["kind"]
+        if record["seq"] == 1:  # the journal has checked seq: this is the first record
             if kind != "sweep":
                 raise CheckpointHeaderError(
                     f"checkpoint {self.path}: first record must be the sweep "
@@ -262,33 +205,18 @@ class SweepCheckpoint:
                     f"expected {self.sweep_fingerprint!r}); refusing to splice "
                     f"its rows into this run"
                 )
-            if int(record.get("cases", -1)) != len(self.case_fingerprints):
+            if record.get("cases") != len(self.case_fingerprints):
                 raise CheckpointMismatchError(
                     f"checkpoint {self.path}: journal covers "
                     f"{record.get('cases')} cases, this sweep has "
                     f"{len(self.case_fingerprints)}"
                 )
-            if seq != 1:
-                raise CheckpointSequenceGapError(
-                    f"checkpoint {self.path}: header seq is {seq}, expected 1"
-                )
-            self._seq = 1
             return
-        if seq != self._seq + 1:
-            raise CheckpointSequenceGapError(
-                f"checkpoint {self.path}: sequence gap (expected {self._seq + 1}, "
-                f"found {seq}) — records missing or reordered"
-            )
         if kind != "case":
             raise CheckpointCorruptError(
                 f"checkpoint {self.path}: unknown record kind {kind!r}"
             )
-        try:
-            index = int(record["case"])
-        except (KeyError, TypeError, ValueError):
-            raise CheckpointCorruptError(
-                f"checkpoint {self.path}: case record without a valid index"
-            )
+        index = int(record["case"])
         if not 0 <= index < len(self.case_fingerprints):
             raise CheckpointCorruptError(
                 f"checkpoint {self.path}: case index {index} out of range "
@@ -311,53 +239,27 @@ class SweepCheckpoint:
                 f"checkpoint {self.path}: case {index} record has no rows list"
             )
         self._completed[index] = decode_rows(rows)
-        self._seq = seq
-
-    # ------------------------------------------------------------------
-    def _append(self, record: Dict[str, object]) -> None:
-        """Durably append one record, or leave the journal byte-identical.
-
-        Same contract as the budget WAL's append: capture the pre-write
-        offset, and on any failure truncate back to it so the next append —
-        or the next resume — never sees a half-written line glued to a
-        healthy one.
-        """
-        start = self._handle.tell()
-        try:
-            self._handle.write(json.dumps(record) + "\n")
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-        except BaseException:
-            try:
-                self._handle.truncate(start)
-                self._handle.seek(start)
-            except OSError:  # pragma: no cover - disk gone entirely
-                pass
-            raise
 
     def record(self, case_index: int, rows: Sequence[Dict[str, object]]) -> None:
         """Journal one freshly completed case (append + fsync)."""
         index = int(case_index)
         if index in self._completed:
             return  # replayed earlier in this same resume; nothing to add
-        self._append(
+        self._journal.append(
             {
                 "kind": "case",
-                "seq": self._seq + 1,
                 "case": index,
                 "fingerprint": self.case_fingerprints[index],
                 "rows": encode_rows(list(rows)),
             }
         )
-        self._seq += 1
         self._completed[index] = [dict(row) for row in rows]
         counter_add("checkpoint.cases_journaled")
 
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Close the append handle (idempotent); the journal stays on disk."""
-        if not self._handle.closed:
-            self._handle.close()
+        self._journal.close()
 
     def __enter__(self) -> "SweepCheckpoint":
         return self

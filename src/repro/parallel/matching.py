@@ -12,50 +12,30 @@ any worker count, and any completion order.  That is the same determinism
 contract as :mod:`repro.parallel.sweep`: parallelism changes where work
 runs, never what it computes.
 
-The pool follows the sweep executor's shape: worker state (the seeker
-array, the expanded leaf rects, the holder join index and surviving mask)
-ships once through a pool ``initializer`` with large arrays riding
+The chunks run on a :class:`~repro.parallel.pool.ResilientPool`: worker
+state (the seeker array, the expanded leaf rects, the holder join index and
+surviving mask) ships once per pool start with large arrays riding
 :mod:`repro.parallel.shm` shared-memory segments, so a task is just a
-``(start, stop)`` slice.
+``(start, stop)`` slice — and a chunk lost to a crashed worker is simply
+scored again.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..engine.points import CellJoinIndex, PointGrid
-from ..obs import (
-    counter_add,
-    merge_obs_snapshot,
-    metrics_enabled,
-    obs_snapshot,
-    trace_span,
-    tracing_enabled,
-)
-from .shm import SharedArena, dumps_shared, loads_shared
-from .sweep import _init_worker_obs, resolve_workers
+from ..obs import counter_add, trace_span
+from .pool import ResilientPool
+from .sweep import resolve_workers
 
 __all__ = ["DEFAULT_SEEKER_CHUNK", "score_seeker_chunks"]
 
 #: Seekers per chunk task: large enough to amortise the per-chunk grid
 #: build, small enough that candidate-pair buffers stay modest.
 DEFAULT_SEEKER_CHUNK = 65_536
-
-
-# ----------------------------------------------------------------------
-# Worker side
-# ----------------------------------------------------------------------
-_WORKER: Dict = {}
-
-
-def _init_matching_worker(payload: bytes) -> None:
-    state = loads_shared(payload)
-    _WORKER.clear()
-    _WORKER.update(state)
-    _init_worker_obs(state.get("obs") or {})
 
 
 def _score_chunk(state: Dict, start: int, stop: int) -> Tuple[np.ndarray, int, int]:
@@ -72,14 +52,6 @@ def _score_chunk(state: Dict, start: int, stop: int) -> Tuple[np.ndarray, int, i
     return b_in, matched_total, matched_retained
 
 
-def _run_chunk(start: int, stop: int):
-    result = _score_chunk(_WORKER, start, stop)
-    return result, obs_snapshot()
-
-
-# ----------------------------------------------------------------------
-# Parent side
-# ----------------------------------------------------------------------
 def score_seeker_chunks(
     exp_lo: np.ndarray,
     exp_hi: np.ndarray,
@@ -111,34 +83,19 @@ def score_seeker_chunks(
         "distance": float(distance),
         "surviving_mask": surviving_mask,
     }
+    if n_workers <= 1 or len(bounds) <= 1:
+        parts = (_score_chunk(state, start, stop) for start, stop in bounds)
+    else:
+        counter_add("matching.parallel_runs")
+        with trace_span("matching.score_parallel", workers=n_workers, chunks=len(bounds)):
+            with ResilientPool(state, min(n_workers, len(bounds)), name="matching") as pool:
+                done = pool.run(_score_chunk, {bound: bound for bound in bounds})
+        parts = (done[bound] for bound in bounds)
     b_in = np.zeros(exp_lo.shape[0], dtype=np.int64)
     matched_total = 0
     matched_retained = 0
-    if n_workers <= 1 or len(bounds) <= 1:
-        for start, stop in bounds:
-            part, total, kept = _score_chunk(state, start, stop)
-            b_in += part
-            matched_total += total
-            matched_retained += kept
-        return b_in, matched_total, matched_retained
-
-    counter_add("matching.parallel_runs")
-    with trace_span("matching.score_parallel", workers=n_workers, chunks=len(bounds)):
-        with SharedArena() as arena:
-            payload = dumps_shared(
-                dict(state, obs={"metrics": metrics_enabled(), "trace": tracing_enabled()}),
-                arena,
-            )
-            with ProcessPoolExecutor(
-                max_workers=min(n_workers, len(bounds)),
-                initializer=_init_matching_worker,
-                initargs=(payload,),
-            ) as pool:
-                futures = [pool.submit(_run_chunk, start, stop) for start, stop in bounds]
-                for future in futures:
-                    (part, total, kept), worker_obs = future.result()
-                    merge_obs_snapshot(worker_obs)
-                    b_in += part
-                    matched_total += total
-                    matched_retained += kept
+    for part, total, kept in parts:
+        b_in += part
+        matched_total += total
+        matched_retained += kept
     return b_in, matched_total, matched_retained

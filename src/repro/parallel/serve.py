@@ -30,24 +30,15 @@ answered from the (thread-safe) cache and only misses fan out.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
 from ..engine.batch import BatchQueryResult, QueryInput, batch_query, queries_to_arrays
 from ..engine.flat import FlatPSD
-from ..obs import (
-    counter_add,
-    gauge_max,
-    merge_obs_snapshot,
-    metrics_enabled,
-    obs_snapshot,
-    tracing_enabled,
-)
-from .shm import SharedArena, SharedArrayHandle, attach_array, dumps_shared, loads_shared
+from ..obs import counter_add, gauge_max
+from .pool import ResilientPool
+from .shm import SharedArrayHandle, attach_array
 
 __all__ = ["ShardedQueryServer"]
 
@@ -56,64 +47,23 @@ __all__ = ["ShardedQueryServer"]
 #: and bound each worker's (q_idx, n_idx) frontier.
 DEFAULT_CHUNK_QUERIES = 1024
 
-_SERVE: Dict = {}
-
-
-def _init_serve_worker(payload: bytes) -> None:
-    # Forked workers inherit the parent's Python-level signal handlers AND its
-    # signal wakeup fd.  Under an asyncio parent that is poisonous: a SIGTERM
-    # delivered to a *worker* (e.g. executor cleanup after a sibling crashed)
-    # would run the inherited handler, which writes the signal number into the
-    # shared wakeup socketpair — and the parent's event loop reads it as a
-    # signal delivered to *itself*, shutting the server down.  Detach the
-    # wakeup fd and restore default dispositions before serving anything.
-    import signal
-
-    try:
-        signal.set_wakeup_fd(-1)
-    except (ValueError, OSError):  # pragma: no cover - non-main thread
-        pass
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            signal.signal(signum, signal.SIG_DFL)
-        except (ValueError, OSError):  # pragma: no cover
-            pass
-
-    from .sweep import _init_worker_obs
-
-    state = loads_shared(payload)
-    _SERVE.update(state)
-    _init_worker_obs(state.get("obs") or {})
-
 
 def _serve_chunk(
-    rows: np.ndarray, use_uniformity: bool
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, object]:
-    result = batch_query(_SERVE["engine"], rows, use_uniformity=use_uniformity)
-    return result.estimates, result.nodes_touched, result.variances, obs_snapshot()
-
-
-def _worker_exit(code: int = 1) -> None:  # pragma: no cover - runs in a worker
-    """Kill the worker that picks this task up (fault injection / tests).
-
-    ``os._exit`` skips interpreter teardown, which is exactly what a crashed
-    worker looks like: the pool's next result raises ``BrokenProcessPool``.
-    """
-    os._exit(code)
+    state: Dict, rows: np.ndarray, use_uniformity: bool
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    result = batch_query(state["engine"], rows, use_uniformity=use_uniformity)
+    return result.estimates, result.nodes_touched, result.variances
 
 
 def _serve_matrix_rows(
-    key: int, start: int, stop: int, counts: "np.ndarray | SharedArrayHandle"
+    state: Dict, key: int, start: int, stop: int, counts: "np.ndarray | SharedArrayHandle"
 ) -> np.ndarray:
-    if isinstance(counts, SharedArrayHandle):
-        counts = attach_array(counts)
-    return _matrix_row_slice(_SERVE["matrices"][key], start, stop, counts)
-
-
-def _matrix_row_slice(matrix, start: int, stop: int, counts: np.ndarray) -> np.ndarray:
     """``(S @ counts)[start:stop]`` without materialising the other rows."""
     from ..engine.batch import QueryMatrix
 
+    if isinstance(counts, SharedArrayHandle):
+        counts = attach_array(counts)
+    matrix = state["matrices"][key]
     lo, hi = int(matrix.indptr[start]), int(matrix.indptr[stop])
     sliced = QueryMatrix(
         indptr=matrix.indptr[start : stop + 1] - matrix.indptr[start],
@@ -141,12 +91,11 @@ class ShardedQueryServer:
     max_rebuilds:
         How many times one batch may rebuild a broken pool before its
         remaining chunks are served in-process.
-    rebuild_backoff:
-        Optional ``callable(attempt)`` run before each rebuild (install a
-        sleep for bounded exponential backoff; default: rebuild immediately).
 
-    Use as a context manager (or call :meth:`close`) so the pool and the
-    shared segments are reclaimed deterministically.
+    The pool is a :class:`~repro.parallel.pool.ResilientPool`, started on
+    the first sharded batch.  Use the server as a context manager (or call
+    :meth:`close`) so the pool and the shared segments are reclaimed
+    deterministically.
     """
 
     def __init__(
@@ -155,29 +104,21 @@ class ShardedQueryServer:
         workers: Optional[int] = None,
         chunk_queries: int = DEFAULT_CHUNK_QUERIES,
         max_rebuilds: int = 3,
-        rebuild_backoff: Optional[Callable[[int], None]] = None,
     ) -> None:
         from .sweep import resolve_workers
 
         if chunk_queries < 1:
             raise ValueError("chunk_queries must be at least 1")
-        if max_rebuilds < 0:
-            raise ValueError("max_rebuilds must be non-negative")
         self.engine = engine
         self.chunk_queries = int(chunk_queries)
         self.workers = resolve_workers(workers if workers is not None else -1)
-        #: Pool rebuilds allowed per batch before the remaining chunks are
-        #: served in-process.  A crashed worker therefore costs the caller
-        #: latency, never an exception.
-        self.max_rebuilds = int(max_rebuilds)
-        #: Optional hook called with the rebuild attempt number (1-based)
-        #: before each rebuild — the serving layer installs its bounded
-        #: exponential backoff here; the default rebuilds immediately.
-        self.rebuild_backoff = rebuild_backoff
         self._matrices: Dict[int, object] = {}
         self._next_matrix_key = 0
-        self._arena = SharedArena()
-        self._pool: Optional[ProcessPoolExecutor] = None
+        #: A crashed worker costs the caller latency, never an exception: the
+        #: pool rebuilds up to ``max_rebuilds`` times per batch, then serves
+        #: the rest in-process.
+        self._pool = ResilientPool({"engine": engine, "matrices": self._matrices},
+                                   self.workers, name="serve", max_rebuilds=max_rebuilds)
         # Plain-int serving stats, kept unconditionally (like QueryCache's
         # counters) so `repro query --workers N --stats` reports them without
         # the metrics registry being enabled.
@@ -187,52 +128,7 @@ class ShardedQueryServer:
             "queries": 0,
             "chunks": 0,
             "matrix_dots": 0,
-            "pool_rebuilds": 0,
-            "inproc_fallbacks": 0,
         }
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        """Start the worker pool on first need.
-
-        Lazy so that a server whose batches never exceed one chunk (or whose
-        ``workers`` is 1) pays neither process startup nor the engine's
-        shared-memory export — small workloads are served in-process at zero
-        overhead.  If the pool cannot be brought up, the arena's segments are
-        unlinked before the error propagates: a failed init must not leak
-        ``/dev/shm`` entries.
-        """
-        if self._pool is None:
-            try:
-                payload = dumps_shared(
-                    {
-                        "engine": self.engine,
-                        "matrices": dict(self._matrices),
-                        "obs": {"metrics": metrics_enabled(), "trace": tracing_enabled()},
-                    },
-                    self._arena,
-                )
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=_init_serve_worker,
-                    initargs=(payload,),
-                )
-            except BaseException:
-                self._arena.close()
-                raise
-        return self._pool
-
-    def _teardown_pool(self) -> None:
-        """Discard the (possibly broken) pool; shared segments stay exported.
-
-        A rebuilt pool re-attaches the same arena segments, so teardown after
-        a worker crash keeps the engine's shared pages warm for the replay.
-        """
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            try:
-                pool.shutdown(wait=True)
-            except Exception:  # pragma: no cover - broken pools may misbehave
-                pass
 
     # ------------------------------------------------------------------
     def kill_worker(self) -> None:
@@ -244,21 +140,8 @@ class ShardedQueryServer:
         runs with ``workers <= 1``) has no process to kill — a no-op then, so
         fault plans compose with the in-process degenerate case.
         """
-        if self.workers <= 1 or self._pool is None:
-            return
-        counter_add("serve.fault_kills")
-        try:
-            self._pool.submit(_worker_exit)
-        except BrokenProcessPool:  # already dead; the next batch rebuilds
-            pass
-
-    def _eval_inproc(self, rows: np.ndarray, use_uniformity: bool) -> Tuple[np.ndarray, ...]:
-        """Evaluate one chunk in the parent — the always-correct fallback."""
-        self._stats["inproc_fallbacks"] += 1
-        counter_add("serve.inproc_fallbacks")
-        result = batch_query(self.engine, rows, use_uniformity=use_uniformity,
-                             chunk_queries=self.chunk_queries)
-        return result.estimates, result.nodes_touched, result.variances
+        if self.workers > 1 and self._pool.started:
+            self._pool.drill("kill-worker")
 
     def batch_query(
         self,
@@ -268,12 +151,11 @@ class ShardedQueryServer:
         """Evaluate a batch, fanning chunks across the pool; input order kept.
 
         Worker death is survivable: chunks lost to a ``BrokenProcessPool``
-        are replayed on a rebuilt pool (up to ``max_rebuilds`` times, with
-        :attr:`rebuild_backoff` between attempts), and chunks that still
-        cannot be served — or whose task raised in the worker, e.g. an OOM —
-        are evaluated in-process.  The evaluator is deterministic, so a
-        replayed chunk is bitwise identical to a first-try one; callers see
-        added latency, never an error.
+        are replayed on a rebuilt pool, and chunks that still cannot be
+        served — or whose task raised in the worker, e.g. an OOM — are
+        evaluated in-process.  The evaluator is deterministic, so a replayed
+        chunk is bitwise identical to a first-try one; callers see added
+        latency, never an error.
         """
         qlo, qhi = queries_to_arrays(queries, self.engine.dims)
         n_queries = qlo.shape[0]
@@ -285,69 +167,16 @@ class ShardedQueryServer:
             return batch_query(self.engine, rows, use_uniformity=use_uniformity,
                                chunk_queries=self.chunk_queries)
         self._stats["sharded_batches"] += 1
-        starts = list(range(0, n_queries, self.chunk_queries))
-        gauge_max("serve.queue_depth", len(starts))
-        parts: Dict[int, Tuple[np.ndarray, ...]] = {}
-        pending = [(start, rows[start : start + self.chunk_queries]) for start in starts]
-        rebuilds = 0
-        while pending:
-            try:
-                pool = self._ensure_pool()
-                # submit() raises BrokenProcessPool when a worker died idle
-                # between batches — same recovery as a mid-batch break.
-                futures = [(start, chunk, pool.submit(_serve_chunk, chunk, use_uniformity))
-                           for start, chunk in pending]
-            except BrokenProcessPool:
-                self._teardown_pool()
-                rebuilds += 1
-                if rebuilds > self.max_rebuilds:
-                    for start, chunk in pending:
-                        parts[start] = self._eval_inproc(chunk, use_uniformity)
-                    break
-                self._stats["pool_rebuilds"] += 1
-                counter_add("serve.pool_rebuilds")
-                if self.rebuild_backoff is not None:
-                    self.rebuild_backoff(rebuilds)
-                continue
-            except Exception:
-                # The pool cannot come up at all (resource exhaustion, fork
-                # failure): degrade to in-process serving for this batch.
-                for start, chunk in pending:
-                    parts[start] = self._eval_inproc(chunk, use_uniformity)
-                break
-            self._stats["chunks"] += len(futures)
-            counter_add("serve.chunks", len(futures))
-            failed: List[Tuple[int, np.ndarray]] = []
-            for start, chunk, future in futures:
-                try:
-                    estimates, touched, variances, worker_obs = future.result()
-                    merge_obs_snapshot(worker_obs)
-                    parts[start] = (estimates, touched, variances)
-                except BrokenProcessPool:
-                    failed.append((start, chunk))
-                except Exception:
-                    # The task itself raised in the worker (injected OOM, a
-                    # poisoned chunk): the pool is still alive, so only this
-                    # chunk is re-evaluated — in the parent, where a repeat
-                    # failure cannot take a worker down with it.
-                    parts[start] = self._eval_inproc(chunk, use_uniformity)
-            if not failed:
-                break
-            self._teardown_pool()
-            rebuilds += 1
-            if rebuilds > self.max_rebuilds:
-                for start, chunk in failed:
-                    parts[start] = self._eval_inproc(chunk, use_uniformity)
-                break
-            self._stats["pool_rebuilds"] += 1
-            counter_add("serve.pool_rebuilds")
-            if self.rebuild_backoff is not None:
-                self.rebuild_backoff(rebuilds)
-            pending = failed
+        tasks = {start: (rows[start : start + self.chunk_queries], use_uniformity)
+                 for start in range(0, n_queries, self.chunk_queries)}
+        gauge_max("serve.queue_depth", len(tasks))
+        self._stats["chunks"] += len(tasks)
+        counter_add("serve.chunks", len(tasks))
+        parts = self._pool.run(_serve_chunk, tasks)
         return BatchQueryResult(
-            estimates=np.concatenate([parts[s][0] for s in starts]),
-            nodes_touched=np.concatenate([parts[s][1] for s in starts]),
-            variances=np.concatenate([parts[s][2] for s in starts]),
+            estimates=np.concatenate([parts[s][0] for s in tasks]),
+            nodes_touched=np.concatenate([parts[s][1] for s in tasks]),
+            variances=np.concatenate([parts[s][2] for s in tasks]),
         )
 
     def batch_range_query(
@@ -373,11 +202,7 @@ class ShardedQueryServer:
         key = self._next_matrix_key
         self._next_matrix_key += 1
         self._matrices[key] = matrix
-        if self._pool is not None:
-            # Workers received their matrices at initializer time; recycle
-            # the pool so the next fanned-out call re-installs the full set.
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        self._pool.stop()  # the next fan-out re-installs the full set
         return key
 
     def matrix_dot(self, key: int, counts: np.ndarray) -> np.ndarray:
@@ -396,64 +221,12 @@ class ShardedQueryServer:
         self._stats["matrix_dots"] += 1
         if self.workers <= 1 or n_queries <= self.chunk_queries:
             return matrix.dot(counts)
-        starts = list(range(0, n_queries, self.chunk_queries))
-        spans = [(start, min(start + self.chunk_queries, n_queries)) for start in starts]
-        parts: Dict[int, np.ndarray] = {}
-        pending = spans
-        rebuilds = 0
-        while pending:
-            try:
-                pool = self._ensure_pool()
-                shipped = (
-                    self._arena.export(counts)
-                    if counts.nbytes >= self._arena.threshold
-                    else counts
-                )
-                futures = [
-                    (start, stop, pool.submit(_serve_matrix_rows, key, start, stop, shipped))
-                    for start, stop in pending
-                ]
-            except BrokenProcessPool:
-                self._teardown_pool()
-                rebuilds += 1
-                if rebuilds > self.max_rebuilds:
-                    break
-                self._stats["pool_rebuilds"] += 1
-                counter_add("serve.pool_rebuilds")
-                if self.rebuild_backoff is not None:
-                    self.rebuild_backoff(rebuilds)
-                continue
-            except Exception:
-                break
-            failed: List[Tuple[int, int]] = []
-            for start, stop, future in futures:
-                try:
-                    parts[start] = future.result()
-                except BrokenProcessPool:
-                    failed.append((start, stop))
-                except Exception:
-                    self._stats["inproc_fallbacks"] += 1
-                    counter_add("serve.inproc_fallbacks")
-                    parts[start] = _matrix_row_slice(matrix, start, stop, counts)
-            if not failed:
-                break
-            self._teardown_pool()
-            rebuilds += 1
-            if rebuilds > self.max_rebuilds:
-                pending = failed
-                break
-            self._stats["pool_rebuilds"] += 1
-            counter_add("serve.pool_rebuilds")
-            if self.rebuild_backoff is not None:
-                self.rebuild_backoff(rebuilds)
-            pending = failed
-        # Whatever never made it through the pool is computed in-process.
-        for start, stop in spans:
-            if start not in parts:
-                self._stats["inproc_fallbacks"] += 1
-                counter_add("serve.inproc_fallbacks")
-                parts[start] = _matrix_row_slice(matrix, start, stop, counts)
-        return np.concatenate([parts[start] for start in starts], axis=0)
+        arena = self._pool.arena
+        shipped = arena.export(counts) if counts.nbytes >= arena.threshold else counts
+        tasks = {start: (key, start, min(start + self.chunk_queries, n_queries), shipped)
+                 for start in range(0, n_queries, self.chunk_queries)}
+        parts = self._pool.run(_serve_matrix_rows, tasks)
+        return np.concatenate([parts[start] for start in tasks], axis=0)
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:
@@ -463,9 +236,11 @@ class ShardedQueryServer:
         ``--stats`` can report the sharded path next to the cache counters.
         """
         out = dict(self._stats)
+        out["pool_rebuilds"] = self._pool.rebuilds
+        out["inproc_fallbacks"] = self._pool.inproc_fallbacks
         out["workers"] = self.workers
-        out["shm_bytes_exported"] = int(self._arena.nbytes())
-        out["shm_segments"] = int(self._arena.n_segments)
+        out["shm_bytes_exported"] = int(self._pool.arena.nbytes())
+        out["shm_segments"] = int(self._pool.arena.n_segments)
         out["engine_mapped_bytes"] = int(self.engine.mapped_nbytes())
         return out
 
@@ -473,13 +248,10 @@ class ShardedQueryServer:
     def close(self) -> None:
         """Shut the pool down and unlink the shared segments.
 
-        Idempotent, and safe after a worker crash: a broken pool's shutdown
-        error is swallowed (the processes are already gone) and the arena's
-        close tolerates segments a dead twin already unlinked — so a server
-        can always be closed, whatever state its pool died in.
+        Idempotent, and safe after a worker crash — so a server can always
+        be closed, whatever state its pool died in.
         """
-        self._teardown_pool()
-        self._arena.close()
+        self._pool.close()
 
     def __enter__(self) -> "ShardedQueryServer":
         return self

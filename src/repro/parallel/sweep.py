@@ -4,15 +4,15 @@
 stream (one ``SeedSequence.spawn`` per case, in case order) regardless of the
 ``workers`` setting — which makes case execution order irrelevant to the
 released bits.  This module is the ``workers > 1`` backend: it ships the
-cases and workloads to a ``ProcessPoolExecutor`` **once** per worker (large
+cases and workloads to a process pool **once** per worker (large
 arrays ride :mod:`repro.parallel.shm` shared-memory views, not per-task
 pickles), runs each case under its spawned generator, and reassembles the
 per-case rows in case order — bitwise identical to the in-process path.
 
 Three pieces keep the fan-out cheap:
 
-* the whole worker state (cases, workloads, pre-seeded matrix cache) is one
-  ``initializer`` payload, so a task is just ``(case index, generator)``;
+* the whole worker state (cases, workloads, pre-seeded matrix cache) ships
+  once per pool start, so a task is just ``(case index, generator)``;
 * cases that share one immutable points array or structure export it to
   shared memory once (identity dedupe in the arena);
 * cases exposing a ``shared_engine()`` probe (data-independent structures,
@@ -28,54 +28,24 @@ Fault tolerance
 ---------------
 The per-case spawn contract also makes the executor *recoverable*: since a
 case's rows depend only on its own generator, any case can be re-run — on a
-rebuilt pool, or in the parent — and produce the same bits.
-:func:`run_cases_parallel` exploits that three ways:
-
-* a broken pool (a worker hard-exited: OOM killer, segfault, injected
-  ``kill-worker`` fault) is torn down and rebuilt with bounded exponential
-  backoff (the supervisor's ``min(max, base·2^(k-1))`` shape), resubmitting
-  **only the lost cases**; after ``max_rebuilds`` rebuilds the remaining
-  cases degrade gracefully to in-process execution;
-* a case exceeding the soft ``case_timeout`` is resubmitted once, then falls
-  back to in-process execution — a hung worker never hangs the sweep;
-* any other task exception routes that one case to the in-process path.
-
-Every recovery path re-runs cases under their original spawned generators,
-so a fault-ridden ``workers=N`` sweep stays bitwise identical to a healthy
-``workers=1`` run.  Deterministic fault schedules (``--fault
-kill-worker:N``, see :mod:`repro.serve.faults`) are keyed on the monotone
-*submission* counter — resubmissions keep counting, so a recurring fault
-cannot pin one case into an infinite crash loop.
+rebuilt pool, or in the parent — and produce the same bits.  The cases run
+on a :class:`~repro.parallel.pool.ResilientPool`, whose recovery paths
+(rebuild after a worker crash, retry-once on ``case_timeout``, in-process
+fallback) therefore keep a fault-ridden ``workers=N`` sweep bitwise
+identical to a healthy ``workers=1`` run.  Deterministic fault schedules
+(``--fault kill-worker:N``, see :mod:`repro.serve.faults`) are keyed on the
+pool's monotone *submission* counter.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    wait as futures_wait,
-)
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..obs import (
-    counter_add,
-    disable_metrics,
-    disable_tracing,
-    enable_metrics,
-    enable_tracing,
-    merge_obs_snapshot,
-    metrics_enabled,
-    obs_snapshot,
-    trace_span,
-    tracing_enabled,
-)
-from .shm import SharedArena, dumps_shared, loads_shared
+from .pool import ResilientPool
 
 __all__ = ["engine_from_structure", "resolve_workers", "run_cases_parallel"]
 
@@ -159,62 +129,12 @@ def _seed_matrix_cache(cases: Sequence, workloads: Dict) -> Dict:
     return cache
 
 
-# ----------------------------------------------------------------------
-# Worker side
-# ----------------------------------------------------------------------
-#: Per-worker state installed by the pool initializer: the picklable cases
-#: (by index), the workloads, and a matrix cache pre-seeded by the parent
-#: and grown by whatever this worker compiles afterwards.
-_WORKER: Dict = {}
-
-
-def _init_sweep_worker(payload: bytes) -> None:
-    state = loads_shared(payload)
-    state["matrix_cache"] = dict(state.get("matrix_cache") or {})
-    _WORKER.clear()
-    _WORKER.update(state)
-    _init_worker_obs(state.get("obs") or {})
-
-
-def _init_worker_obs(flags: Dict[str, bool]) -> None:
-    """Give the worker fresh observability state matching the parent's flags.
-
-    Forked workers inherit the parent's active registry/tracer *object* —
-    including whatever the parent recorded before the fork — so a fresh
-    registry per worker is mandatory: each worker then reports only its own
-    increments and the parent's merge never double counts.
-    """
-    if flags.get("metrics"):
-        enable_metrics()
-    else:
-        disable_metrics()
-    if flags.get("trace"):
-        enable_tracing()  # no path: events ship back with task results
-    else:
-        disable_tracing(flush=False)
-
-
-def _run_case(index: int, gen: np.random.Generator, actions: Sequence = ()):
+def _run_case(state: Dict, index: int, gen: np.random.Generator):
     from ..experiments.common import case_rows
 
-    # Injected fault actions are decided in the *parent* at submission time
-    # (count-keyed, RNG-free) and arrive as plain task arguments, so workers
-    # stay stateless and the schedule replays exactly across runs.
-    for action in actions:
-        if action[0] == "kill":
-            os._exit(1)
-        elif action[0] == "oom":
-            raise MemoryError(f"injected oom-worker fault on case {index}")
-        elif action[0] == "slow":
-            time.sleep(float(action[1]))
-    case = _WORKER["cases"][index]
-    rows = case_rows(case, gen, _WORKER["workloads"], _WORKER["matrix_cache"])
-    return rows, obs_snapshot()
+    return case_rows(state["cases"][index], gen, state["workloads"], state["matrix_cache"])
 
 
-# ----------------------------------------------------------------------
-# Parent side
-# ----------------------------------------------------------------------
 def run_cases_parallel(
     cases: Sequence,
     case_gens: Sequence[np.random.Generator],
@@ -226,24 +146,22 @@ def run_cases_parallel(
     faults=None,
     case_timeout: Optional[float] = None,
     max_rebuilds: int = 3,
-    backoff_base: float = 0.05,
-    backoff_max: float = 1.0,
-    sleep: Callable[[float], None] = time.sleep,
 ) -> List[Optional[List[Dict[str, object]]]]:
     """Execute every case on a fault-tolerant process pool; rows in case order.
 
     Each case runs under its pre-spawned generator ``case_gens[i]``, so the
     result is bitwise identical to running the cases sequentially with the
-    same generators — including every recovery path below, which only ever
-    *re-runs* a case under its original generator.  Unpicklable cases execute
-    in the parent (while the pool works on the rest) under the same contract.
+    same generators — including every recovery path of the pool, which only
+    ever *re-runs* a case under its original generator.  Unpicklable cases
+    execute in the parent (while the pool works on the rest) under the same
+    contract.
 
     Parameters beyond the original four:
 
     ``skip``
         Case indices already satisfied elsewhere (checkpoint replay); they
         are neither submitted nor recomputed and come back as ``None`` in the
-        returned list.
+        returned list.  When every case is skipped no pool starts.
     ``on_case_done``
         Called as ``on_case_done(index, rows)`` the moment a case completes
         (pool result, in-process fallback, or parent-local) — the checkpoint
@@ -255,214 +173,45 @@ def run_cases_parallel(
     ``case_timeout``
         Soft per-case seconds: an overdue case is resubmitted once, then
         falls back to in-process execution.
-    ``max_rebuilds`` / ``backoff_base`` / ``backoff_max`` / ``sleep``
-        Broken-pool recovery: each rebuild sleeps
-        ``min(backoff_max, backoff_base · 2^(k-1))`` (the supervisor's
-        shape, ``sleep`` injectable for tests); past ``max_rebuilds`` the
-        remaining cases degrade to in-process execution.
+    ``max_rebuilds``
+        Broken-pool rebuilds (under the pool's bounded exponential backoff)
+        before the remaining cases degrade to in-process execution.
     """
     from ..experiments.common import case_rows
     from ..serve.faults import FaultInjector
 
     if len(cases) != len(case_gens):
         raise ValueError("one spawned generator per case is required")
-    if not cases:
-        return []
     skipped = set(int(i) for i in skip)
-    if isinstance(faults, FaultInjector):
-        injector: Optional[FaultInjector] = faults
-    elif faults:
-        injector = FaultInjector(list(faults))
-    else:
-        injector = None
-
+    todo = [i for i in range(len(cases)) if i not in skipped]
+    shipped = {i: cases[i] for i in todo if _probe_picklable(cases[i])}
     rows_by_case: Dict[int, List[Dict[str, object]]] = {}
-    local_cache: Dict = {}
 
     def finish(i: int, rows: List[Dict[str, object]]) -> None:
         rows_by_case[i] = rows
         if on_case_done is not None:
             on_case_done(i, rows)
 
-    def run_inproc(i: int) -> None:
-        finish(i, case_rows(cases[i], case_gens[i], workloads, local_cache))
+    def run_local() -> None:
+        local_cache: Dict = {}
+        for i in todo:
+            if i not in shipped:
+                finish(i, case_rows(cases[i], case_gens[i], workloads, local_cache))
 
-    with SharedArena() as arena:
-        shipped: Dict[int, object] = {}
-        local_indices: List[int] = []
-        for i, case in enumerate(cases):
-            if i in skipped:
-                continue
-            if _probe_picklable(case):
-                shipped[i] = case
-            else:
-                local_indices.append(i)
-        if shipped:
-            payload = dumps_shared(
-                {
-                    "cases": shipped,
-                    "workloads": workloads,
-                    "matrix_cache": _seed_matrix_cache(list(shipped.values()), workloads),
-                    "obs": {"metrics": metrics_enabled(), "trace": tracing_enabled()},
-                },
-                arena,
-            )
-            pool: Optional[ProcessPoolExecutor] = None
-            futures: Dict[int, object] = {}
-            deadlines: Dict[int, Optional[float]] = {}
-            retried: set = set()
-            submissions = 0
-            rebuilds = 0
-
-            def next_actions() -> tuple:
-                nonlocal submissions
-                submissions += 1
-                if injector is None:
-                    return ()
-                actions = []
-                for spec in injector.for_request(submissions):
-                    if spec.kind == "kill-worker":
-                        actions.append(("kill",))
-                    elif spec.kind == "oom-worker":
-                        actions.append(("oom",))
-                    elif spec.kind == "slow-case":
-                        actions.append(("slow", spec.param))
-                return tuple(actions)
-
-            def submit(i: int) -> None:
-                futures[i] = pool.submit(_run_case, i, case_gens[i], next_actions())
-                deadlines[i] = (
-                    None if case_timeout is None else time.monotonic() + case_timeout
-                )
-
-            def teardown() -> None:
-                nonlocal pool
-                if pool is not None:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = None
-
-            def drain_broken() -> List[int]:
-                """Salvage results that finished before the pool broke.
-
-                A broken executor resolves every unfinished future with
-                ``BrokenProcessPool`` almost immediately; futures that
-                completed first keep their results, so only the genuinely
-                lost cases come back for resubmission.
-                """
-                lost: List[int] = []
-                for j in sorted(futures):
-                    future = futures.pop(j)
-                    deadlines.pop(j, None)
-                    try:
-                        rows, worker_obs = future.result(timeout=30.0)
-                    except Exception:
-                        lost.append(j)
-                    else:
-                        merge_obs_snapshot(worker_obs)
-                        finish(j, rows)
-                return lost
-
-            def launch(indices: Sequence[int]) -> None:
-                nonlocal pool
-                try:
-                    pool = ProcessPoolExecutor(
-                        max_workers=max(1, min(int(workers), len(indices))),
-                        initializer=_init_sweep_worker,
-                        initargs=(payload,),
-                    )
-                    for j in sorted(indices):
-                        submit(j)
-                except (BrokenExecutor, OSError):
-                    drain_broken()
-                    recover([j for j in indices if j not in rows_by_case])
-
-            def recover(lost: Sequence[int]) -> None:
-                """Rebuild with bounded backoff, or degrade to in-process."""
-                nonlocal rebuilds
-                teardown()
-                lost = sorted(set(lost))
-                if not lost:
-                    return
-                rebuilds += 1
-                counter_add("sweep.pool_rebuilds")
-                if rebuilds > max_rebuilds:
-                    counter_add("sweep.degraded_cases", len(lost))
-                    with trace_span("sweep.degraded", cases=len(lost)):
-                        for j in lost:
-                            run_inproc(j)
-                    return
-                delay = min(backoff_max, backoff_base * (2 ** max(0, rebuilds - 1)))
-                counter_add("sweep.backoff_sleeps")
-                sleep(delay)
-                with trace_span("sweep.pool_rebuild", attempt=rebuilds, cases=len(lost)):
-                    launch(lost)
-
-            launch(sorted(shipped))
-            # The parent evaluates its unpicklable leftovers while the pool
-            # is busy, then collects.
-            for i in local_indices:
-                run_inproc(i)
-            while futures:
-                timeout = None
-                if case_timeout is not None:
-                    now = time.monotonic()
-                    timeout = max(
-                        0.0,
-                        min(deadlines[j] for j in futures if deadlines[j] is not None)
-                        - now,
-                    )
-                done, _ = futures_wait(
-                    set(futures.values()), timeout=timeout, return_when=FIRST_COMPLETED
-                )
-                if done:
-                    broken = False
-                    for j in [i for i, f in list(futures.items()) if f in done]:
-                        future = futures.pop(j)
-                        deadlines.pop(j, None)
-                        try:
-                            rows, worker_obs = future.result()
-                        except (BrokenExecutor, OSError):
-                            broken = True
-                            recover([j] + drain_broken())
-                            break
-                        except Exception:
-                            # The task failed but the pool survived (e.g. an
-                            # injected MemoryError): this one case falls back
-                            # to the parent, everything else keeps flowing.
-                            counter_add("sweep.case_inproc_fallbacks")
-                            run_inproc(j)
-                        else:
-                            merge_obs_snapshot(worker_obs)
-                            finish(j, rows)
-                    if broken:
-                        continue
-                if case_timeout is not None:
-                    now = time.monotonic()
-                    overdue = [
-                        j
-                        for j in list(futures)
-                        if deadlines[j] is not None and now >= deadlines[j]
-                    ]
-                    for j in overdue:
-                        stale = futures.pop(j)
-                        deadlines.pop(j, None)
-                        stale.cancel()  # a no-op if already running; its late
-                        # result is simply discarded
-                        counter_add("sweep.case_timeouts")
-                        if j not in retried:
-                            retried.add(j)
-                            counter_add("sweep.case_retries")
-                            try:
-                                submit(j)
-                            except (BrokenExecutor, OSError):
-                                recover([j] + drain_broken())
-                        else:
-                            counter_add("sweep.case_inproc_fallbacks")
-                            run_inproc(j)
-            teardown()
-        else:
-            for i in local_indices:
-                run_inproc(i)
+    if shipped:
+        state = {
+            "cases": shipped,
+            "workloads": workloads,
+            "matrix_cache": _seed_matrix_cache(list(shipped.values()), workloads),
+        }
+        injector = faults if isinstance(faults, FaultInjector) else FaultInjector(list(faults or ()))
+        with ResilientPool(state, min(int(workers), len(shipped)), name="sweep",
+                           max_rebuilds=max_rebuilds, task_timeout=case_timeout,
+                           faults=injector) as pool:
+            pool.run(_run_case, {i: (i, case_gens[i]) for i in shipped},
+                     on_result=finish, meanwhile=run_local)
+    else:
+        run_local()
     return [rows_by_case.get(i) for i in range(len(cases))]
 
 

@@ -34,6 +34,7 @@ Specs are ``kind:every`` or ``kind:every:param`` and compose by comma:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Union
 
@@ -69,8 +70,8 @@ class FaultSpec:
             raise ValueError(f"unknown fault kind {self.kind!r} (choose from {FAULT_KINDS})")
         if self.every < 1:
             raise ValueError("fault period must be at least 1")
-        if self.param < 0:
-            raise ValueError("fault param must be non-negative")
+        if not math.isfinite(self.param) or self.param < 0:
+            raise ValueError("fault param must be a non-negative finite number")
 
     def fires_on(self, request_count: int) -> bool:
         """Whether this fault fires for the ``request_count``-th request (1-based)."""

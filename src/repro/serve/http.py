@@ -41,12 +41,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..engine.batch import queries_to_arrays
 from ..engine.io import load_engine
 from ..obs import counter_add, gauge_max
 from .faults import FaultInjector, FaultSpec
@@ -269,8 +271,8 @@ class QueryService:
             epsilon = float(epsilon)
         except (TypeError, ValueError):
             raise _HttpError(400, {"error": "epsilon must be a number"})
-        if epsilon <= 0:
-            raise _HttpError(400, {"error": "epsilon must be positive"})
+        if not math.isfinite(epsilon) or epsilon <= 0:
+            raise _HttpError(400, {"error": "epsilon must be a positive finite number"})
 
         self._requests += 1
         request_id = self._requests
@@ -319,6 +321,10 @@ class QueryService:
         if rows.ndim != 2 or rows.shape[1] != 2 * dims:
             raise _HttpError(400, {"error": f"each query row must have {2 * dims} "
                                             f"values (lo..., hi...) for a {dims}-d engine"})
+        try:
+            queries_to_arrays(rows, dims)  # finite bounds with lo <= hi, before any charge
+        except ValueError as exc:
+            raise _HttpError(400, {"error": str(exc)})
         return rows
 
     def _query_work(self, analyst: str, rows: np.ndarray, epsilon: float,

@@ -4,8 +4,8 @@ For a differentially private query service the budget is a *correctness*
 invariant, not bookkeeping: an analyst must never spend more than their ε cap
 — not across threads, not across crashes, not across restarts.  The in-memory
 half of that guarantee is :class:`repro.privacy.accountant.AnalystAccount`
-(lock-protected charge-or-refuse); this module adds the durable half, an
-append-only JSON-lines **write-ahead log**:
+(lock-protected charge-or-refuse); this module adds the durable half, a
+**write-ahead log** kept as a :class:`repro.durable.journal.Journal`:
 
 * **charge-before-answer** — a charge is appended to the WAL and ``fsync``\\ ed
   *before* the in-memory account moves and long before any query is answered.
@@ -14,32 +14,34 @@ append-only JSON-lines **write-ahead log**:
   it: on restart the replayed spend includes the charge.  Wasting is safe —
   the privacy guarantee only bounds spend from above;
 * **fail-closed writes** — if the WAL cannot be written (disk error, injected
-  ``wal-io-error`` fault) the charge is rolled back byte-for-byte (the file is
-  truncated to its pre-write length) and the in-memory account is untouched:
-  no durable record, no spend, no answer;
+  ``wal-io-error`` fault) the journal rolls the file back byte-for-byte and
+  the in-memory account is untouched: no durable record, no spend, no answer;
 * **replay on startup** — accounts are rebuilt by summing the WAL's charges
   in file order.  Every ε travels as ``float.hex()`` alongside its decimal
   rendering, so a replayed spend is **bitwise identical** to the pre-crash
   in-memory total (same values, same summation order, IEEE-754 float64);
-* **torn-tail tolerance** — a crash *mid-append* leaves a partial last line.
-  Replay discards it and truncates the file back to the last complete record,
-  so the next append starts on a clean line.  A malformed record anywhere
-  *before* the tail is real corruption and raises :class:`LedgerError` — a
-  budget ledger must refuse to guess.
+* **strict replay** — every complete record must carry the next ``seq``, a
+  string ``analyst`` and a positive finite hex value; anything else raises
+  :class:`LedgerError` and leaves the file untouched — a budget ledger must
+  refuse to guess.  Only then is a torn tail (a crash *mid-append*) dropped,
+  so the next append starts on a clean line.
 
-The WAL is human-auditable: one JSON object per line, ``kind`` of ``"cap"``
-(sets an analyst's cap) or ``"charge"`` (spends ε), each stamped with a
-monotonically increasing ``seq``.
+Every ε and cap must be a positive finite number: a NaN spend would compare
+false against every cap and grant everything after it.
+
+The WAL is human-auditable: one key-sorted JSON object per line, ``kind`` of
+``"cap"`` (sets an analyst's cap) or ``"charge"`` (spends ε), each stamped
+with its ``seq``.
 """
 
 from __future__ import annotations
 
-import json
-import os
+import math
 import threading
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
+from ..durable.journal import Journal, JournalError
 from ..obs import counter_add, trace_span
 from ..privacy.accountant import BUDGET_TOLERANCE, AnalystAccount
 
@@ -59,12 +61,19 @@ class BudgetExceeded(Exception):
         )
 
 
-class LedgerError(ValueError):
+class LedgerError(JournalError):
     """The WAL is corrupt in a way replay must not paper over."""
 
 
 def _hex(value: float) -> str:
     return float(value).hex()
+
+
+def _positive_finite(value: float, name: str) -> float:
+    value = float(value)
+    if not math.isfinite(value) or value <= 0:
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+    return value
 
 
 class BudgetLedger:
@@ -80,9 +89,10 @@ class BudgetLedger:
         :meth:`set_cap` records override it, and are themselves WAL-logged so
         they survive restarts).
     io_hook:
-        Optional ``callable(record: dict)`` invoked *before* each append;
-        raising :class:`OSError` from it simulates a WAL write failure (the
-        deterministic ``wal-io-error`` fault).  The charge then fails closed.
+        Optional ``callable(record: dict)`` invoked with each record *before*
+        it is appended; raising :class:`OSError` from it simulates a WAL
+        write failure (the deterministic ``wal-io-error`` fault).  The charge
+        then fails closed.
 
     All public methods are thread-safe: one ledger lock orders the
     check / append / fsync / commit sequence, so no interleaving of concurrent
@@ -95,61 +105,16 @@ class BudgetLedger:
         default_cap: float = 1.0,
         io_hook: Optional[Callable[[Dict[str, object]], None]] = None,
     ) -> None:
-        if default_cap <= 0:
-            raise ValueError("default_cap must be positive")
         self.path = str(path)
-        self.default_cap = float(default_cap)
+        self.default_cap = _positive_finite(default_cap, "default_cap")
         self.io_hook = io_hook
         self._lock = threading.RLock()
         self._accounts: Dict[str, AnalystAccount] = {}
-        self._seq = 0
-        self._replayed_records = 0
-        self._replay()
-        # Line-buffered append handle; every record is explicitly flushed and
-        # fsynced anyway, buffering only batches the in-process copy.
-        self._handle = open(self.path, "a", encoding="utf-8")
+        self._journal = Journal(self.path, self._apply, sort_keys=True,
+                                corrupt_error=LedgerError, gap_error=LedgerError)
+        self._replayed_records = self._journal.seq
 
     # ------------------------------------------------------------------
-    # Replay
-    # ------------------------------------------------------------------
-    def _replay(self) -> None:
-        """Rebuild accounts from the WAL; truncate a torn tail in place."""
-        try:
-            with open(self.path, "rb") as handle:
-                raw = handle.read()
-        except FileNotFoundError:
-            return
-        valid_bytes = 0
-        records: List[Dict[str, object]] = []
-        offset = 0
-        while offset < len(raw):
-            newline = raw.find(b"\n", offset)
-            if newline < 0:
-                # No terminating newline: the append was cut mid-line by a
-                # crash.  Everything before this line replays; the tail is
-                # dropped below.
-                break
-            line = raw[offset : newline + 1]
-            try:
-                record = json.loads(line.decode("utf-8"))
-                if not isinstance(record, dict) or "kind" not in record:
-                    raise ValueError("not a ledger record")
-            except ValueError as exc:
-                raise LedgerError(
-                    f"ledger {self.path}: corrupt record at byte {offset}: {exc}"
-                ) from exc
-            records.append(record)
-            offset = newline + 1
-            valid_bytes = offset
-        if valid_bytes < len(raw):
-            counter_add("ledger.torn_tail_truncated")
-            with open(self.path, "r+b") as handle:
-                handle.truncate(valid_bytes)
-        for record in records:
-            self._apply(record)
-        self._replayed_records = len(records)
-        counter_add("ledger.records_replayed", len(records))
-
     def _apply(self, record: Dict[str, object]) -> None:
         """Fold one replayed record into the in-memory accounts.
 
@@ -158,23 +123,13 @@ class BudgetLedger:
         history, not re-litigate it.  ε values come from the hex field so the
         rebuilt totals are bit-for-bit the pre-crash ones.
         """
-        kind = record.get("kind")
-        seq = int(record.get("seq", self._seq + 1))
-        if seq != self._seq + 1:
-            raise LedgerError(
-                f"ledger {self.path}: sequence gap (expected {self._seq + 1}, "
-                f"found {seq}) — records missing or reordered"
-            )
-        analyst = str(record.get("analyst"))
+        analyst, kind = record["analyst"], record["kind"]
+        if not isinstance(analyst, str):
+            raise TypeError(f"analyst must be a string, got {analyst!r}")
         if kind == "cap":
-            cap = float.fromhex(str(record["cap_hex"]))
-            account = self._accounts.get(analyst)
-            if account is None:
-                self._accounts[analyst] = AnalystAccount(analyst, cap=cap)
-            else:
-                account.cap = cap
+            self._set_cap(analyst, _positive_finite(float.fromhex(record["cap_hex"]), "cap"))
         elif kind == "charge":
-            epsilon = float.fromhex(str(record["epsilon_hex"]))
+            epsilon = _positive_finite(float.fromhex(record["epsilon_hex"]), "epsilon")
             account = self._account(analyst)
             # Direct state restore (not try_charge): same float additions in
             # the same order as the original grants.
@@ -182,34 +137,11 @@ class BudgetLedger:
             account.charges += 1
         else:
             raise LedgerError(f"ledger {self.path}: unknown record kind {kind!r}")
-        self._seq = seq
 
-    # ------------------------------------------------------------------
-    # Append path
-    # ------------------------------------------------------------------
-    def _append(self, record: Dict[str, object]) -> None:
-        """Durably append one record, or leave the WAL byte-identical.
-
-        The pre-write offset is captured so a partial write (exception after
-        some bytes landed) can be truncated away — otherwise the *next*
-        append would glue onto the torn line and corrupt the log for every
-        future replay.
-        """
+    def _log(self, record: Dict[str, object]) -> None:
         if self.io_hook is not None:
             self.io_hook(record)
-        start = self._handle.tell()
-        try:
-            self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-        except BaseException:
-            try:
-                self._handle.truncate(start)
-                self._handle.seek(start)
-            except OSError:  # pragma: no cover - disk gone entirely
-                pass
-            raise
-        counter_add("ledger.records_appended")
+        self._journal.append(record)
 
     def _account(self, analyst: str) -> AnalystAccount:
         account = self._accounts.get(analyst)
@@ -217,6 +149,13 @@ class BudgetLedger:
             account = AnalystAccount(analyst, cap=self.default_cap)
             self._accounts[analyst] = account
         return account
+
+    def _set_cap(self, analyst: str, cap: float) -> None:
+        account = self._accounts.get(analyst)
+        if account is None:
+            self._accounts[analyst] = AnalystAccount(analyst, cap=cap)
+        else:
+            account.cap = cap
 
     # ------------------------------------------------------------------
     # Public surface
@@ -226,13 +165,13 @@ class BudgetLedger:
 
         Ordering is the crash-safety contract: refusal check → WAL append →
         fsync → in-memory commit.  Raises :class:`BudgetExceeded` on refusal
-        (nothing written, nothing spent) and propagates :class:`OSError` on a
-        WAL write failure (rolled back, nothing spent).  Only a charge that
-        is durable on disk is ever granted.
+        (nothing written, nothing spent), :class:`ValueError` for an ε that
+        is not positive and finite, and propagates :class:`OSError` on a WAL
+        write failure (rolled back, nothing spent).  Only a charge that is
+        durable on disk is ever granted.
         """
-        epsilon = float(epsilon)
-        if epsilon <= 0:
-            raise ValueError("charge epsilon must be positive")
+        epsilon = _positive_finite(epsilon, "charge epsilon")
+        analyst = str(analyst)
         with self._lock, trace_span("ledger.charge", analyst=analyst):
             account = self._account(analyst)
             if account.spent + epsilon > account.cap + BUDGET_TOLERANCE:
@@ -240,17 +179,15 @@ class BudgetLedger:
                 raise BudgetExceeded(analyst, epsilon, account.cap - account.spent)
             record: Dict[str, object] = {
                 "kind": "charge",
-                "seq": self._seq + 1,
                 "analyst": analyst,
                 "epsilon": epsilon,
                 "epsilon_hex": _hex(epsilon),
             }
             if request_id is not None:
                 record["request"] = int(request_id)
-            self._append(record)  # may raise OSError: fail closed, spend nothing
+            self._log(record)  # may raise OSError: fail closed, spend nothing
             granted = account.try_charge(epsilon)
             assert granted, "pre-checked charge must be granted under the ledger lock"
-            self._seq += 1
             counter_add("ledger.charges")
             return account.cap - account.spent
 
@@ -265,24 +202,11 @@ class BudgetLedger:
 
     def set_cap(self, analyst: str, cap: float) -> None:
         """Set (and WAL-log) an analyst's ε cap; existing spend is kept."""
-        cap = float(cap)
-        if cap <= 0:
-            raise ValueError("cap must be positive")
+        cap = _positive_finite(cap, "cap")
+        analyst = str(analyst)
         with self._lock:
-            record = {
-                "kind": "cap",
-                "seq": self._seq + 1,
-                "analyst": str(analyst),
-                "cap": cap,
-                "cap_hex": _hex(cap),
-            }
-            self._append(record)
-            account = self._accounts.get(str(analyst))
-            if account is None:
-                self._accounts[str(analyst)] = AnalystAccount(str(analyst), cap=cap)
-            else:
-                account.cap = cap
-            self._seq += 1
+            self._log({"kind": "cap", "analyst": analyst, "cap": cap, "cap_hex": _hex(cap)})
+            self._set_cap(analyst, cap)
 
     # ------------------------------------------------------------------
     def spend(self, analyst: str) -> float:
@@ -317,7 +241,7 @@ class BudgetLedger:
     def seq(self) -> int:
         """Sequence number of the last durable record."""
         with self._lock:
-            return self._seq
+            return self._journal.seq
 
     @property
     def replayed_records(self) -> int:
@@ -328,8 +252,7 @@ class BudgetLedger:
     def close(self) -> None:
         """Close the append handle (idempotent); the WAL stays on disk."""
         with self._lock:
-            if not self._handle.closed:
-                self._handle.close()
+            self._journal.close()
 
     def __enter__(self) -> "BudgetLedger":
         return self

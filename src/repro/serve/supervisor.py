@@ -1,11 +1,11 @@
 """Engine supervision: worker-pool babysitting and zero-downtime hot swap.
 
 The :class:`EngineSupervisor` owns everything between the HTTP layer and the
-evaluator: the current :class:`~repro.parallel.serve.ShardedQueryServer`, the
-optional answer cache in front of it, the bounded-exponential backoff the
-server runs between pool rebuilds, and the **generation** machinery that lets
-an admin endpoint swap in a new engine while in-flight queries finish on the
-old one.
+evaluator: the current :class:`~repro.parallel.serve.ShardedQueryServer`
+(whose :class:`~repro.parallel.pool.ResilientPool` rebuilds itself after a
+worker crash), the optional answer cache in front of it, the fault drills,
+and the **generation** machinery that lets an admin endpoint swap in a new
+engine while in-flight queries finish on the old one.
 
 Swap protocol (the zero-downtime invariant):
 
@@ -29,9 +29,7 @@ from the thread-safe answer cache, which serves hits without the lock.
 from __future__ import annotations
 
 import threading
-import time
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -42,11 +40,6 @@ from ..obs import counter_add, trace_span
 from ..parallel.serve import DEFAULT_CHUNK_QUERIES, ShardedQueryServer
 
 __all__ = ["EngineState", "EngineSupervisor"]
-
-
-def _raise_oom() -> None:  # pragma: no cover - runs in a pool worker
-    """A pool task that fails the way a memory-starved worker does."""
-    raise MemoryError("injected oom-worker fault")
 
 
 class EngineState:
@@ -81,13 +74,8 @@ class EngineSupervisor:
         Queries per fanned-out chunk.
     max_rebuilds:
         Pool rebuilds allowed per batch before in-process fallback.
-    backoff_base / backoff_max:
-        Bounded exponential backoff between pool rebuilds: attempt ``k``
-        sleeps ``min(backoff_max, backoff_base * 2**(k-1))`` seconds.
     cache_size:
         LRU answer-cache capacity in front of the pool (0 disables it).
-    sleep:
-        Injection point for the backoff sleep (tests pass a recorder).
     """
 
     def __init__(
@@ -96,41 +84,23 @@ class EngineSupervisor:
         workers: Optional[int] = None,
         chunk_queries: int = DEFAULT_CHUNK_QUERIES,
         max_rebuilds: int = 3,
-        backoff_base: float = 0.05,
-        backoff_max: float = 1.0,
         cache_size: int = 0,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        if backoff_base < 0 or backoff_max < 0:
-            raise ValueError("backoff bounds must be non-negative")
         self.workers = workers
         self.chunk_queries = int(chunk_queries)
         self.max_rebuilds = int(max_rebuilds)
-        self.backoff_base = float(backoff_base)
-        self.backoff_max = float(backoff_max)
         self.cache_size = int(cache_size)
-        self._sleep = sleep
         self._lock = threading.Lock()
         self._retired: List[EngineState] = []
-        self.backoffs: List[float] = []
         self._state = self._make_state(engine, generation=1)
 
     # ------------------------------------------------------------------
-    def _backoff(self, attempt: int) -> None:
-        """The bounded exponential backoff installed into each server."""
-        delay = min(self.backoff_max, self.backoff_base * (2 ** max(0, attempt - 1)))
-        self.backoffs.append(delay)
-        counter_add("serve.backoff_sleeps")
-        if delay > 0:
-            self._sleep(delay)
-
     def _make_state(self, engine: FlatPSD, generation: int) -> EngineState:
         server = ShardedQueryServer(
             engine,
             workers=self.workers,
             chunk_queries=self.chunk_queries,
             max_rebuilds=self.max_rebuilds,
-            rebuild_backoff=self._backoff,
         )
         cached: Optional[CachedEngine] = None
         state = EngineState(engine, server, cached, generation)
@@ -212,16 +182,18 @@ class EngineSupervisor:
     # ------------------------------------------------------------------
     # Deterministic fault entry points
     # ------------------------------------------------------------------
-    def kill_worker(self) -> None:
-        """Crash one pool worker of the current generation (fault injection)."""
+    def _drill(self, kind: str) -> None:
         state = self._acquire()
         try:
             if state.server.workers > 1:
                 with state.eval_lock:
-                    state.server._ensure_pool()
-                    state.server.kill_worker()
+                    state.server._pool.drill(kind)
         finally:
             self._release(state)
+
+    def kill_worker(self) -> None:
+        """Crash one pool worker of the current generation (fault injection)."""
+        self._drill("kill-worker")
 
     def inject_oom(self) -> None:
         """Run a MemoryError-raising task through the pool; the pool survives.
@@ -230,23 +202,7 @@ class EngineSupervisor:
         fails in a worker, the parent absorbs the ``MemoryError``, and the
         pool keeps serving.  A no-op for in-process serving (no pool).
         """
-        state = self._acquire()
-        try:
-            if state.server.workers <= 1:
-                return
-            counter_add("serve.fault_ooms")
-            with state.eval_lock:
-                try:
-                    pool = state.server._ensure_pool()
-                    pool.submit(_raise_oom).result()
-                except MemoryError:
-                    pass
-                except BrokenProcessPool:
-                    # A kill-worker drill scheduled on the same request can
-                    # land first; the next real batch rebuilds the pool.
-                    pass
-        finally:
-            self._release(state)
+        self._drill("oom-worker")
 
     # ------------------------------------------------------------------
     @property
@@ -268,7 +224,7 @@ class EngineSupervisor:
             "generation": state.generation,
             "inflight": state.inflight,
             "retired_draining": retired_open,
-            "backoff_sleeps": len(self.backoffs),
+            "backoff_sleeps": state.server._pool.backoff_sleeps,
             "server": state.server.stats(),
         }
         if state.cached is not None:

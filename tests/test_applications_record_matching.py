@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,7 +19,26 @@ from repro.applications import (
     record_matching_experiment,
 )
 from repro.data import gaussian_cluster_points
+from repro.engine.points import CellJoinIndex, PointGrid, matching_cell_layout
 from repro.geometry import Domain
+from repro.parallel import matching as matching_mod
+from repro.parallel.matching import _score_chunk
+
+#: Marker file claimed by the one worker that :func:`_kill_first_chunk` kills;
+#: set per test before the pool forks, so its workers inherit it.
+_KILL_MARKER = ""
+
+
+def _kill_first_chunk(state, start, stop):  # module-level: pickled by name
+    """Hard-exit the first pool worker to score a chunk; score normally after."""
+    if multiprocessing.parent_process() is not None:
+        try:
+            os.close(os.open(_KILL_MARKER, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            pass
+        else:
+            os._exit(1)
+    return _score_chunk(state, start, stop)
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +141,24 @@ class TestFastScorerParity:
         # Small chunks force many tasks; results must not depend on either.
         many = blocking_from_engine(engine, holders, seekers, 0.01, workers=2, seeker_chunk=257)
         assert one == many
+
+    def test_worker_kill_keeps_partials_bitwise(self, domain, parties, tmp_path, monkeypatch):
+        holders, seekers = parties
+        engine = build_blocking_tree(holders, domain, height=4, epsilon=0.5, rng=10).compile()
+        leaves = engine.is_leaf & engine.has_count
+        lo, hi = engine.lo[leaves], engine.hi[leaves]
+        origin, side, extents = matching_cell_layout(holders, seekers, 0.01)
+        args = (lo - 0.01, hi + 0.01, CellJoinIndex.build(holders, origin, side, extents),
+                seekers, 0.01, PointGrid.build(holders).mask_in_rects(lo, hi))
+        one = matching_mod.score_seeker_chunks(*args, workers=1, chunk=257)
+        marker = tmp_path / "killed"
+        monkeypatch.setattr(sys.modules[__name__], "_KILL_MARKER", str(marker))
+        monkeypatch.setattr(matching_mod, "_score_chunk", _kill_first_chunk)
+        two = matching_mod.score_seeker_chunks(*args, workers=2, chunk=257)
+        assert marker.exists()  # a worker really died mid-run
+        assert two[0].dtype == np.int64
+        assert np.array_equal(two[0], one[0])
+        assert two[1:] == one[1:]
 
     def test_empty_seekers_through_engine(self, domain, parties):
         holders, _ = parties

@@ -154,6 +154,19 @@ class TestCheckpointResume:
         resumed = run_sweep(cases, workloads, rng=0, checkpoint=str(path))
         assert json.dumps(resumed) == json.dumps(reference)
 
+    def test_full_replay_starts_no_pool(self, cases, workloads, reference, tmp_path,
+                                        monkeypatch):
+        import repro.parallel.pool as pool_mod
+
+        path = _journal(tmp_path, cases, workloads)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a fully journaled sweep must not start a pool")
+
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", no_pool)
+        replayed = run_sweep(cases, workloads, rng=0, workers=2, checkpoint=str(path))
+        assert json.dumps(replayed) == json.dumps(reference)
+
 
 # ----------------------------------------------------------------------
 # Corruption refusal matrix: distinct named error per failure mode

@@ -346,33 +346,34 @@ class TestShardedResilience:
                                                          monkeypatch):
         """A task raising in the worker (injected OOM) re-evaluates in the
         parent: the pool survives and the answers stay bitwise identical."""
-        import repro.parallel.serve as serve_mod
+        from repro.serve.faults import FaultInjector, FaultSpec
 
         reference = batch_query(engine, workload.queries)
-        # Patch before the pool forks so workers inherit the failing task.
-        monkeypatch.setattr(serve_mod, "_serve_chunk", _oom_chunk)
         with ShardedQueryServer(engine, workers=2, chunk_queries=7) as server:
+            # Every task the pool submits raises MemoryError in its worker.
+            monkeypatch.setattr(server._pool, "faults",
+                                FaultInjector([FaultSpec("oom-worker", 1)]))
             result = server.batch_query(workload.queries)
             assert np.array_equal(result.estimates, reference.estimates)
             assert server.stats()["inproc_fallbacks"] >= 1
-            assert server._pool is not None  # the pool was never torn down
+            assert server._pool.started  # the pool was never torn down
 
     def test_pool_init_failure_unlinks_segments_and_degrades(self, engine, workload,
                                                              monkeypatch):
         """If the pool cannot start, the exported segments must be unlinked
         (no /dev/shm leak) and the batch served in-process."""
-        import repro.parallel.serve as serve_mod
+        import repro.parallel.pool as pool_mod
 
         def broken_executor(*args, **kwargs):
             raise RuntimeError("fork failed (injected)")
 
         shm_before = _shm_entries()
         reference = batch_query(engine, workload.queries)
-        monkeypatch.setattr(serve_mod, "ProcessPoolExecutor", broken_executor)
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", broken_executor)
         with ShardedQueryServer(engine, workers=2, chunk_queries=7) as server:
             result = server.batch_query(workload.queries)
             assert np.array_equal(result.estimates, reference.estimates)
-            assert server._arena.n_segments == 0
+            assert server._pool.arena.n_segments == 0
             assert server.stats()["inproc_fallbacks"] >= 1
         assert _shm_entries() == shm_before
 
@@ -397,10 +398,6 @@ class TestShardedResilience:
         assert arena.n_segments == 0
         assert _shm_entries() == shm_before
         arena.close()
-
-
-def _oom_chunk(rows, use_uniformity):  # must be module-level: pickled by name
-    raise MemoryError("worker out of memory (injected)")
 
 
 def _shm_entries() -> set:
@@ -429,7 +426,7 @@ class TestShardedQueryServer:
 
     def test_single_worker_runs_in_process(self, engine, workload):
         with ShardedQueryServer(engine, workers=1, chunk_queries=16) as server:
-            assert server._pool is None
+            assert not server._pool.started
             reference = batch_query(engine, workload.queries)
             assert np.array_equal(server.batch_query(workload.queries).estimates,
                                   reference.estimates)

@@ -94,7 +94,7 @@ def test_fault_spec_parsing() -> None:
         FaultSpec("kill-worker", 2), FaultSpec("oom-worker", 5)]
     assert parse_faults(None) == []
     for bad in ("kill-worker", "unknown:3", "kill-worker:0", "kill-worker:x",
-                "slow-chunk:2:z", "kill-worker:2:-1"):
+                "slow-chunk:2:z", "kill-worker:2:-1", "slow-case:2:inf", "slow-case:2:nan"):
         with pytest.raises(ValueError):
             parse_fault(bad)
 
@@ -244,6 +244,10 @@ def test_malformed_requests_get_4xx_never_hang(engine, tmp_path) -> None:
                                     "epsilon": -1}, 400),
                 ("POST", "/query", {"analyst": "a", "queries": ROWS,
                                     "epsilon": "lots"}, 400),
+                ("POST", "/query", {"analyst": "a", "queries": ROWS,
+                                    "epsilon": float("nan")}, 400),
+                ("POST", "/query", {"analyst": "a", "queries": ROWS,
+                                    "epsilon": float("inf")}, 400),
                 ("GET", "/nowhere", None, 404),
                 ("GET", "/query", None, 405),
             ]
@@ -260,6 +264,27 @@ def test_malformed_requests_get_4xx_never_hang(engine, tmp_path) -> None:
             status, _, _ = _request(port, "POST", "/query",
                                     {"analyst": "a", "queries": ROWS[:1]})
             assert status == 200
+    finally:
+        _shutdown(service)
+
+
+def test_invalid_rows_are_refused_before_the_charge(engine, tmp_path) -> None:
+    service = _service(engine, tmp_path)
+    try:
+        with ServiceThread(service) as thread:
+            port = thread.address[1]
+            status, _, _ = _request(port, "POST", "/query",
+                                    {"analyst": "a", "queries": ROWS[:1]})
+            assert status == 200
+            spent = service.ledger.spend_hex("a")
+            for row in ([float("nan"), 46.0, -121.0, 48.0],
+                        [-123.0, 46.0, float("inf"), 48.0],
+                        [-121.0, 46.0, -123.0, 48.0]):  # lo > hi
+                status, payload, _ = _request(port, "POST", "/query",
+                                              {"analyst": "a", "queries": [row]})
+                assert status == 400, (row, payload)
+            assert service.ledger.spend_hex("a") == spent
+            assert service.ledger.seq == 1
     finally:
         _shutdown(service)
 
@@ -401,15 +426,17 @@ def test_swap_of_missing_engine_is_rejected_and_harmless(engine, tmp_path) -> No
 # ----------------------------------------------------------------------
 # Supervisor internals: backoff schedule and cached serving
 # ----------------------------------------------------------------------
-def test_supervisor_backoff_is_bounded_exponential(engine) -> None:
+def test_supervisor_backoff_is_bounded_exponential(engine, monkeypatch) -> None:
+    import repro.parallel.pool as pool_mod
+
     sleeps: List[float] = []
-    supervisor = EngineSupervisor(engine, workers=1, backoff_base=0.05,
-                                  backoff_max=0.2, sleep=sleeps.append)
+    monkeypatch.setattr(pool_mod, "sleep", sleeps.append)
+    supervisor = EngineSupervisor(engine, workers=1)
     try:
-        for attempt in range(1, 5):
-            supervisor._backoff(attempt)
-        assert sleeps == [0.05, 0.1, 0.2, 0.2]  # doubles, then clamps
-        assert supervisor.stats()["backoff_sleeps"] == 4
+        for attempt in range(1, 8):
+            supervisor._state.server._pool._backoff(attempt)
+        assert sleeps == [0.05, 0.1, 0.2, 0.4, 0.8, 1.0, 1.0]  # doubles, then clamps
+        assert supervisor.stats()["backoff_sleeps"] == 7
     finally:
         supervisor.close()
 

@@ -49,11 +49,12 @@ def test_charge_rejects_bad_inputs(tmp_path: Path) -> None:
     with pytest.raises(ValueError):
         BudgetLedger(tmp_path / "wal.jsonl", default_cap=0.0)
     ledger = BudgetLedger(tmp_path / "wal.jsonl")
-    for epsilon in (0.0, -0.5):
+    for epsilon in (0.0, -0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             ledger.charge("alice", epsilon)
-    with pytest.raises(ValueError):
-        ledger.set_cap("alice", 0.0)
+    for cap in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ledger.set_cap("alice", cap)
     ledger.close()
 
 
@@ -125,6 +126,59 @@ def test_sequence_gap_raises(tmp_path: Path) -> None:
     wal.write_bytes(lines[0] + lines[2])  # drop the middle record
     with pytest.raises(LedgerError, match="sequence gap"):
         BudgetLedger(wal, default_cap=1.0)
+
+
+#: A crash's partial last line, appended to every refused WAL below: replay
+#: must refuse before it truncates anything.
+TORN_TAIL = '{"analyst": "alice", "epsilon": 0.1, "epsil'
+
+
+def _refused_wal(tmp_path: Path, mutate) -> Path:
+    """A cap + two charges, rewritten through ``mutate(records)`` plus a torn tail."""
+    wal = tmp_path / "wal.jsonl"
+    ledger = BudgetLedger(wal, default_cap=1.0)
+    ledger.set_cap("alice", 0.5)
+    ledger.charge("alice", 0.1, request_id=1)
+    ledger.charge("alice", 0.1, request_id=2)
+    ledger.close()
+    records = [json.loads(line) for line in wal.read_text().splitlines()]
+    wal.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in mutate(records))
+                   + TORN_TAIL)
+    return wal
+
+
+def _drop(record: dict, key: str) -> dict:
+    return {k: v for k, v in record.items() if k != key}
+
+
+@pytest.mark.parametrize("mutate", [
+    pytest.param(lambda r: [r[0], _drop(r[1], "seq"), r[2]], id="no-seq"),
+    pytest.param(lambda r: [r[0], dict(r[1], seq="2"), r[2]], id="string-seq"),
+    pytest.param(lambda r: [r[0], dict(r[1], seq=2.0), r[2]], id="float-seq"),
+    pytest.param(lambda r: [r[0], _drop(r[1], "epsilon_hex"), r[2]], id="no-epsilon-hex"),
+    pytest.param(lambda r: [_drop(r[0], "cap_hex"), r[1], r[2]], id="no-cap-hex"),
+    pytest.param(lambda r: [r[0], _drop(r[1], "analyst"), r[2]], id="no-analyst"),
+    pytest.param(lambda r: [r[0], dict(r[1], epsilon_hex="nan"), r[2]], id="nan-charge"),
+])
+def test_mid_file_corruption_raises_and_leaves_wal(tmp_path: Path, mutate) -> None:
+    wal = _refused_wal(tmp_path, mutate)
+    before = wal.read_bytes()
+    with pytest.raises(LedgerError, match="corrupt record"):
+        BudgetLedger(wal, default_cap=1.0)
+    assert wal.read_bytes() == before
+
+
+@pytest.mark.parametrize("mutate", [
+    pytest.param(lambda r: [r[0], r[2]], id="gap"),
+    pytest.param(lambda r: [r[0], r[1], r[1]], id="repeated-seq"),
+    pytest.param(lambda r: r[1:], id="first-record-missing"),
+])
+def test_sequence_gap_raises_and_leaves_wal(tmp_path: Path, mutate) -> None:
+    wal = _refused_wal(tmp_path, mutate)
+    before = wal.read_bytes()
+    with pytest.raises(LedgerError, match="sequence gap"):
+        BudgetLedger(wal, default_cap=1.0)
+    assert wal.read_bytes() == before
 
 
 def test_set_cap_is_durable(tmp_path: Path) -> None:
