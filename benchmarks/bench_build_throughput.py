@@ -1,22 +1,22 @@
-"""Build+postprocess throughput: flat-native pipeline vs the pointer reference.
+"""Build+postprocess throughput: flat-native pipeline vs the test oracle's pointer builder.
 
 Not a paper figure — this benchmark tracks the ROADMAP's "fast as the
 hardware allows" goal for the *release* half of the system (the paper's
 Fig 7a measures build time; :mod:`bench_engine_throughput` already tracks the
 query half).  For each configuration it runs the **identical** recipe —
 structure growth, per-level private medians, per-level Laplace noise, OLS
-post-processing — through both storage layouts of
-:func:`repro.core.builder.build_psd`:
+post-processing — through two builders:
 
-* ``layout="pointer"`` — the per-node reference: recursive splitting over
+* pointer — the per-node reference kept as the test oracle
+  (``tests/oracle``, :func:`oracle.build_psd`): recursive splitting over
   ``PSDNode`` objects, scalar median calls and noise draws, the three
   recursive OLS traversals;
-* ``layout="flat"``    — the flat-native pipeline: level-vectorized
-  construction straight into BFS structure-of-arrays form, one ragged-batch
-  private-median call per level and stage, one batched noise vector per
-  level, OLS as three vectorized per-level sweeps.
+* flat    — the production pipeline of :func:`repro.core.builder.build_psd`:
+  level-vectorized construction straight into BFS structure-of-arrays form,
+  one ragged-batch private-median call per level and stage, one batched
+  noise vector per level, OLS as three vectorized per-level sweeps.
 
-Both layouts consume the same seeded RNG in the same order, so the outputs
+Both builders consume the same seeded RNG in the same order, so the outputs
 are bit-for-bit identical; the benchmark *asserts* that parity (released
 counts, post-processed counts, node geometry exactly; ``n(Q)`` exactly and
 ``Err(Q)`` / estimates to float-summation tolerance through the compiled
@@ -47,6 +47,7 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -54,12 +55,14 @@ import numpy as np
 from hostmeta import write_bench_json
 from repro.core import build_private_kdtree, build_private_quadtree
 from repro.core.hilbert_rtree import build_private_hilbert_rtree
-from repro.core.query import nodes_touched, query_variance
 from repro.data import road_intersections
 from repro.engine import batch_query, compile_psd
 from repro.engine.flat import compile_hilbert_rtree
 from repro.geometry import Domain, TIGER_DOMAIN
 from repro.queries import random_query_rects
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+import oracle  # noqa: E402  (the pointer reference lives with the tests)
 
 #: (variant, n_points, height) per benchmark row; the 100k/8 quadtree is the
 #: acceptance configuration tracked across PRs.  Heights for ``hilbert-r``
@@ -112,17 +115,22 @@ MEDIAN_COLUMNS = [
 
 
 def _build(variant: str, points: np.ndarray, domain: Domain, height: int,
-           epsilon: float, seed: int, layout: str, median_method: Optional[str] = None):
+           epsilon: float, seed: int, side: str, median_method: Optional[str] = None):
+    """Build with the production pipeline (``side="flat"``) or the oracle's
+    pointer builder (``side="pointer"``)."""
+    if side == "pointer":
+        quadtree, kdtree, hilbert = (oracle.build_private_quadtree, oracle.build_private_kdtree,
+                                     oracle.build_private_hilbert_rtree)
+    else:
+        quadtree, kdtree, hilbert = (build_private_quadtree, build_private_kdtree,
+                                     build_private_hilbert_rtree)
     if variant.startswith("quad"):
-        return build_private_quadtree(points, domain, height, epsilon,
-                                      variant=variant, rng=seed, layout=layout)
+        return quadtree(points, domain, height, epsilon, variant=variant, rng=seed)
     if variant == "hilbert-r":
-        return build_private_hilbert_rtree(points, domain, height, epsilon,
-                                           median_method=median_method or "em",
-                                           rng=seed, layout=layout)
-    return build_private_kdtree(points, domain, height, epsilon,
-                                variant=variant, median_method=median_method,
-                                rng=seed, layout=layout)
+        return hilbert(points, domain, height, epsilon, median_method=median_method or "em",
+                       rng=seed)
+    return kdtree(points, domain, height, epsilon, variant=variant,
+                  median_method=median_method, rng=seed)
 
 
 def _arrays_equal(a, b, names) -> bool:
@@ -134,14 +142,14 @@ PARITY_ARRAYS = ("lo", "hi", "level", "released", "has_count",
 
 
 def _check_parity(pointer_psd, flat_psd, domain: Domain, n_queries: int, seed: int) -> Dict[str, object]:
-    """Assert the two layouts released the same tree; return the evidence.
+    """Assert the two builders released the same tree; return the evidence.
 
     Geometry and counts are compared **bitwise** through the compiled array
-    form; per-query ``n(Q)`` must match exactly against the recursive
-    reference, while estimates and ``Err(Q)`` are allowed the engine's usual
-    float-summation tolerance.
+    form; per-query ``n(Q)`` must match exactly against the oracle's
+    recursive walk, while estimates and ``Err(Q)`` are allowed the engine's
+    usual float-summation tolerance.
     """
-    a = compile_psd(pointer_psd)
+    a = oracle.compile_psd(pointer_psd)
     b = compile_psd(flat_psd)
     exact = _arrays_equal(a, b, PARITY_ARRAYS)
     queries = random_query_rects(domain, n_queries, rng=seed)
@@ -149,8 +157,8 @@ def _check_parity(pointer_psd, flat_psd, domain: Domain, n_queries: int, seed: i
     max_nq_diff = 0
     max_err_rel = 0.0
     for i, query in enumerate(queries):
-        nq_ref = nodes_touched(pointer_psd, query)
-        err_ref = query_variance(pointer_psd, query)
+        nq_ref = oracle.nodes_touched(pointer_psd, query)
+        err_ref = oracle.query_variance(pointer_psd, query)
         max_nq_diff = max(max_nq_diff, abs(int(result.nodes_touched[i]) - nq_ref))
         denom = max(abs(err_ref), 1e-12)
         max_err_rel = max(max_err_rel, abs(float(result.variances[i]) - err_ref) / denom)
@@ -160,23 +168,23 @@ def _check_parity(pointer_psd, flat_psd, domain: Domain, n_queries: int, seed: i
 
 def _check_hilbert_parity(pointer_tree, flat_tree, domain: Domain, n_queries: int,
                           seed: int) -> Dict[str, object]:
-    """Bitwise parity of a Hilbert R-tree across layouts, index and planar views.
+    """Bitwise parity of a Hilbert R-tree across builders, index and planar views.
 
     The 1-D index engines must match bitwise; the planar bounding-box engines
-    (pointer walk vs flat vectorized compile) must match bitwise too; planar
-    query estimates are compared through the recursive reference within the
-    engine's float-summation tolerance.
+    (oracle pointer walk vs flat vectorized compile) must match bitwise too;
+    planar query estimates are compared against the oracle's recursive walk
+    within the engine's float-summation tolerance.
     """
-    exact = _arrays_equal(compile_psd(pointer_tree.psd), compile_psd(flat_tree.psd),
+    exact = _arrays_equal(oracle.compile_psd(pointer_tree.psd), compile_psd(flat_tree.psd),
                           PARITY_ARRAYS)
-    planar_a = compile_hilbert_rtree(pointer_tree)
+    planar_a = oracle.compile_hilbert_rtree(pointer_tree)
     planar_b = compile_hilbert_rtree(flat_tree)
     exact = exact and _arrays_equal(planar_a, planar_b, PARITY_ARRAYS + ("area",))
     queries = random_query_rects(domain, n_queries, rng=seed)
     result = batch_query(planar_b, queries)
     max_err_rel = 0.0
     for i, query in enumerate(queries):
-        ref = pointer_tree.range_query(query)
+        ref = oracle.hilbert_range_query(pointer_tree, query)
         denom = max(abs(ref), 1e-9)
         max_err_rel = max(max_err_rel, abs(float(result.estimates[i]) - ref) / denom)
     return {"exact_parity": bool(exact), "max_nq_diff": 0,
@@ -193,7 +201,7 @@ def run_build_throughput(
 ) -> List[Dict[str, object]]:
     """One row per configuration: pointer vs flat build+postprocess wall time.
 
-    ``repeats`` > 1 takes the best of that many timed runs per layout —
+    ``repeats`` > 1 takes the best of that many timed runs per builder —
     millisecond-scale smoke builds need it to ride out scheduler noise.
     """
     rows: List[Dict[str, object]] = []
@@ -245,11 +253,10 @@ def run_median_bench(
     """The data-dependent build path: kd-hybrid x median method, kd-pure and
     hilbert-r (including the planar engine compile), pointer vs flat.
 
-    Every row asserts bitwise layout parity before reporting a speedup; the
-    hilbert-r row additionally times :func:`compile_hilbert_rtree` on both
-    layouts — the flat path snapshots node bboxes from arrays instead of
-    walking ``PSDNode`` objects, which is the compile hot spot this series
-    tracks.
+    Every row asserts bitwise oracle parity before reporting a speedup; the
+    hilbert-r row additionally times the planar engine compile on both sides
+    — the flat path snapshots node bboxes from arrays, the oracle walks
+    ``PSDNode`` objects, which is the compile hot spot this series tracks.
     """
     configs = [("kd-hybrid", method, n_points, height) for method in methods]
     configs.append(("kd-pure", None, n_points, height))
@@ -271,7 +278,7 @@ def run_median_bench(
 
             if variant == "hilbert-r":
                 start = time.perf_counter()
-                compile_hilbert_rtree(pointer_psd)
+                oracle.compile_hilbert_rtree(pointer_psd)
                 elapsed = time.perf_counter() - start
                 compile_pointer = elapsed if compile_pointer is None else min(compile_pointer, elapsed)
                 start = time.perf_counter()
@@ -334,10 +341,10 @@ def _median_failures(median_rows: List[Dict[str, object]], smoke: bool) -> List[
     for row in median_rows:
         tag = f"{row['variant']}[{row['median_method']}] n={row['n_points']}"
         if not row["exact_parity"]:
-            failures.append(f"{tag}: layouts diverged")
+            failures.append(f"{tag}: flat build diverged from the oracle")
         if row["variant"] == "kd-hybrid":
             # ss is dominated by the smooth-sensitivity scan itself (identical
-            # work in both layouts), so it only has to not regress.
+            # work in both builders), so it only has to not regress.
             if smoke or row["median_method"] == "ss":
                 floor = 1.0
             elif row["median_method"] == "em":

@@ -1,11 +1,12 @@
-"""Query-serving throughput: compiled flat engine vs. the recursive reference.
+"""Query-serving throughput: compiled flat engine vs. the test oracle's recursive walk.
 
 Not a paper figure — this benchmark tracks the ROADMAP's serving goal.  For
 each of the three PSD families (quadtree, kd-tree, Hilbert R-tree) it builds
 one released tree, generates a 1 000-query workload, and measures queries/sec
-through (a) the recursive pointer walk of :mod:`repro.core.query` and (b) the
-vectorised batch evaluator of :mod:`repro.engine` over the compiled
-structure-of-arrays form.  Answer parity is asserted on every query, so the
+through (a) the recursive pointer walk kept as the test oracle
+(``tests/oracle``, over a pointer view materialised before the clock starts)
+and (b) the vectorised batch evaluator of :mod:`repro.engine` over the
+compiled structure-of-arrays form.  Answer parity is asserted on every query, so the
 speedup is never bought with a semantics drift.
 
 Runnable two ways:
@@ -23,6 +24,7 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -33,6 +35,9 @@ from repro.data import road_intersections
 from repro.engine import batch_range_query, compile_hilbert_rtree, compile_psd
 from repro.geometry import Domain, TIGER_DOMAIN
 from repro.queries import random_query_rects
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+import oracle  # noqa: E402  (the recursive reference lives with the tests)
 
 ENGINE_VARIANTS = ("quad-opt", "kd-hybrid", "hilbert-r")
 
@@ -74,8 +79,12 @@ def run_engine_throughput(
 
     rows: List[Dict[str, object]] = []
     for variant, tree in released.items():
+        if variant == "hilbert-r":
+            view, walk = oracle.hilbert_view(tree), oracle.hilbert_range_query
+        else:
+            view, walk = oracle.pointer_view(tree), oracle.range_query
         start = time.perf_counter()
-        recursive_answers = np.array([tree.range_query(q) for q in queries])
+        recursive_answers = np.array([walk(view, q) for q in queries])
         recursive_sec = time.perf_counter() - start
 
         start = time.perf_counter()
@@ -114,7 +123,7 @@ def test_engine_throughput(benchmark, capsys, scale, bench_points, bench_domain)
     )
     report(
         "engine_throughput",
-        "Flat engine vs recursive reference — queries/sec (1k-query batch)",
+        "Flat engine vs the oracle's recursive walk — queries/sec (1k-query batch)",
         rows,
         COLUMNS,
         capsys,

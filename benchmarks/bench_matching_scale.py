@@ -2,8 +2,10 @@
 
 Measures :func:`repro.applications.record_matching.blocking_from_engine`
 (flat-leaf blocking + grid candidate counting + neighbor-join completeness +
-optional multicore scoring) against :func:`blocking_reference`, the seed-era
-per-leaf / per-seeker loop it replaced.  **Parity precedes every timing**:
+optional multicore scoring) against ``oracle.blocking_reference``, the
+seed-era per-leaf / per-seeker loop it replaced, kept as the test oracle in
+``tests/oracle`` (timed over a pointer view materialised before the clock
+starts).  **Parity precedes every timing**:
 the two scorers must agree bitwise (every ``BlockingResult`` field), and
 ``workers=2`` must reproduce ``workers=1`` exactly, before a stopwatch
 starts — a fast wrong answer is not a result.
@@ -31,6 +33,7 @@ import json
 import resource
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -38,11 +41,13 @@ from hostmeta import host_metadata, write_bench_json
 
 from repro.applications.record_matching import (
     blocking_from_engine,
-    blocking_reference,
     build_blocking_tree,
 )
 from repro.data.synthetic import gaussian_cluster_points
 from repro.geometry.domain import TIGER_DOMAIN
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracle import blocking_reference, pointer_view  # noqa: E402  (seed-era scorer)
 
 SPEEDUP_GATE = 50.0
 
@@ -79,17 +84,18 @@ def make_parties(n_per_party: int, matching_distance: float, seed: int):
 
 
 def build_case(n_per_party: int, height: int, matching_distance: float, seed: int):
+    """The released tree as the oracle's pointer view and as a compiled engine."""
     holders, seekers = make_parties(n_per_party, matching_distance, seed)
     psd = build_blocking_tree(holders, TIGER_DOMAIN, height, epsilon=0.5,
                               method="kd-standard", rng=np.random.default_rng(seed + 1))
-    return psd, psd.compile(), holders, seekers
+    return pointer_view(psd), psd.compile(), holders, seekers
 
 
 def assert_parity(n_per_party: int, height: int, matching_distance: float, seed: int) -> dict:
     """Bitwise agreement of fast vs reference and workers=2 vs workers=1."""
-    psd, engine, holders, seekers = build_case(n_per_party, height, matching_distance, seed)
+    pointer, engine, holders, seekers = build_case(n_per_party, height, matching_distance, seed)
     fast = blocking_from_engine(engine, holders, seekers, matching_distance)
-    ref = blocking_reference(psd, holders, seekers, matching_distance)
+    ref = blocking_reference(pointer, holders, seekers, matching_distance)
     assert fast == ref, f"fast scorer diverged from reference:\n{fast}\n{ref}"
     forked = blocking_from_engine(engine, holders, seekers, matching_distance,
                                   workers=2, seeker_chunk=max(64, n_per_party // 7))
@@ -107,10 +113,10 @@ def assert_parity(n_per_party: int, height: int, matching_distance: float, seed:
 def run_speedup(n_per_party: int, height: int, matching_distance: float,
                 seed: int, require_not_slower_only: bool) -> dict:
     """Time reference vs fast on one released tree (parity asserted first)."""
-    psd, engine, holders, seekers = build_case(n_per_party, height, matching_distance, seed)
+    pointer, engine, holders, seekers = build_case(n_per_party, height, matching_distance, seed)
 
     fast_result = blocking_from_engine(engine, holders, seekers, matching_distance)
-    ref_result = blocking_reference(psd, holders, seekers, matching_distance)
+    ref_result = blocking_reference(pointer, holders, seekers, matching_distance)
     assert fast_result == ref_result, "parity must hold before timing"
 
     start = time.perf_counter()
@@ -118,7 +124,7 @@ def run_speedup(n_per_party: int, height: int, matching_distance: float,
     fast_sec = time.perf_counter() - start
 
     start = time.perf_counter()
-    blocking_reference(psd, holders, seekers, matching_distance)
+    blocking_reference(pointer, holders, seekers, matching_distance)
     reference_sec = time.perf_counter() - start
 
     speedup = reference_sec / fast_sec if fast_sec > 0 else float("inf")

@@ -76,9 +76,8 @@ def main() -> None:
 
 def _root_rmse(psd) -> float:
     """Absolute error of the released root count against the true total."""
-    root = psd.root
-    released = root.released_count
-    return abs(released - root._true_count)
+    tree = psd.flat_tree  # node 0 of the BFS arrays is the root
+    return abs(float(tree.released_counts()[0]) - int(tree.true_count[0]))
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Sequence
 import numpy as np
 
 from ..core.budget import BudgetStrategy, GeometricBudget, resolve_budget
-from ..core.query import nodes_touched_per_level
+from ..core.query import level_touch_counts
 from ..core.tree import PrivateSpatialDecomposition
 from ..geometry.rect import Rect
 from .variance import quadtree_level_bound, query_error_bound
@@ -75,10 +75,8 @@ def empirical_error_for_strategy(
     comparison in Section 4.2.
     """
     eps = resolve_budget(strategy).validate(psd.height, epsilon)
-    errors: List[float] = []
-    for query in queries:
-        counts = nodes_touched_per_level(psd, query)
-        errors.append(query_error_bound(counts, eps))
+    counts = level_touch_counts(psd, queries)
+    errors = [query_error_bound(dict(enumerate(row)), eps) for row in counts.tolist()]
     return float(np.mean(errors)) if errors else float("nan")
 
 

@@ -12,7 +12,6 @@ from .record_matching import (
     MatchingOutcome,
     blocking_from_engine,
     blocking_from_psd,
-    blocking_reference,
     build_blocking_tree,
     record_matching_experiment,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "MatchingOutcome",
     "blocking_from_engine",
     "blocking_from_psd",
-    "blocking_reference",
     "build_blocking_tree",
     "cbf_blocking",
     "cbf_candidate_cells",

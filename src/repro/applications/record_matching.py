@@ -25,18 +25,16 @@ reported simply as the fraction of true matching pairs whose blocks survive
 (the *pairs completeness*), letting users check that the blocking is not
 discarding real matches.
 
-Two scorers produce identical :class:`BlockingResult` values:
-
-* :func:`blocking_from_engine` (the default behind
-  :func:`blocking_from_psd`) — surviving leaves come straight from the
-  compiled flat engine's arrays, candidate counting runs over a
-  :class:`~repro.engine.points.PointGrid` of the seekers, pairs completeness
-  over a :class:`~repro.engine.points.CellJoinIndex` neighbor join, and the
-  whole evaluation fans seeker chunks across
-  :mod:`repro.parallel.matching` (``workers=N`` bitwise equal to
-  ``workers=1``).  This is the path that carries a 10^6 x 10^6 linkage.
-* :func:`blocking_reference` — the seed-era per-leaf / per-seeker loop,
-  kept as the executable specification for parity tests and benchmarks.
+:func:`blocking_from_engine` (behind :func:`blocking_from_psd`) evaluates
+the blocking: surviving leaves come straight from the compiled flat engine's
+arrays, candidate counting runs over a
+:class:`~repro.engine.points.PointGrid` of the seekers, pairs completeness
+over a :class:`~repro.engine.points.CellJoinIndex` neighbor join, and the
+whole evaluation fans seeker chunks across :mod:`repro.parallel.matching`
+(``workers=N`` bitwise equal to ``workers=1``).  This is the path that
+carries a 10^6 x 10^6 linkage; the seed-era per-leaf / per-seeker loop it
+reproduces bitwise is kept in ``tests/oracle`` as the executable
+specification for parity tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ from ..core.splits import KDSplit, QuadSplit
 from ..core.tree import PrivateSpatialDecomposition
 from ..engine.points import CellJoinIndex, PointGrid, matching_cell_layout
 from ..geometry.domain import Domain
-from ..geometry.rect import Rect
 from ..obs import trace_span
 from ..privacy.rng import RngLike, ensure_rng, spawn_generators
 
@@ -60,7 +57,6 @@ __all__ = [
     "MatchingOutcome",
     "blocking_from_engine",
     "blocking_from_psd",
-    "blocking_reference",
     "build_blocking_tree",
     "record_matching_experiment",
 ]
@@ -169,13 +165,13 @@ def blocking_from_engine(
 ) -> BlockingResult:
     """Evaluate the blocking induced by a compiled released engine.
 
-    The vectorised scorer: surviving leaves are selected straight from the
+    Surviving leaves are selected straight from the
     :class:`~repro.engine.flat.FlatPSD` leaf arrays (a leaf survives when it
     carries a usable released count above ``count_threshold``), each of B's
     records is counted against the expanded leaf rects through a seekers
     :class:`~repro.engine.points.PointGrid`, and pairs completeness comes
     from a holder-side grid neighbor join — every step exact, so the result
-    is bitwise identical to :func:`blocking_reference` on the same tree.
+    is bitwise identical to the seed-era per-leaf loop on the same tree.
     ``workers`` fans seeker chunks across a process pool with the same
     guarantee (``workers=N`` equals ``workers=1``).
 
@@ -252,34 +248,7 @@ def blocking_from_psd(
     ``holders_points`` is the dataset the PSD was built on (party A) and
     ``seekers_points`` the other party's records (party B).  Compiles (and
     memoises) the flat engine, then scores through
-    :func:`blocking_from_engine`; values are identical to the seed-era
-    reference loop (:func:`blocking_reference`).
-    """
-    return blocking_from_engine(
-        psd.compile(),
-        holders_points,
-        seekers_points,
-        matching_distance,
-        count_threshold=count_threshold,
-        workers=workers,
-        seeker_chunk=seeker_chunk,
-    )
-
-
-def blocking_reference(
-    psd: PrivateSpatialDecomposition,
-    holders_points: np.ndarray,
-    seekers_points: np.ndarray,
-    matching_distance: float,
-    count_threshold: float = 0.0,
-) -> BlockingResult:
-    """The seed-era blocking evaluation, kept as the executable reference.
-
-    Walks pointer-tree leaves and scans every seeker against every holder —
-    O(leaves * |B| + |A| * |B|) with Python-loop constants, fine up to ~10^4
-    records per party.  :func:`blocking_from_engine` reproduces these values
-    bitwise; parity tests and :mod:`benchmarks.bench_matching_scale` hold the
-    fast path to this implementation.
+    :func:`blocking_from_engine`.
 
     A leaf survives if its released count exceeds ``count_threshold``; each
     of B's records is then a candidate against the records A contributes for
@@ -289,52 +258,14 @@ def blocking_reference(
     noise alone makes thousands of empty cells survive, and every one of
     them ships dummy records into the SMC.
     """
-    holders, seekers = _validate_parties(holders_points, seekers_points)
-    total_pairs = holders.shape[0] * seekers.shape[0]
-    if total_pairs == 0:
-        return BlockingResult(1.0, 0, 0, 1.0, 0)
-
-    leaves = [leaf for leaf in psd.leaves() if np.isfinite(leaf.released_count)
-              and leaf.released_count > count_threshold]
-
-    candidate_pairs = 0
-    matched_retained = 0
-    matched_total = 0
-
-    # Per surviving leaf: A contributes records padded (or truncated) to the
-    # released noisy count — its true count is never revealed — and B
-    # contributes every record within matching distance of the leaf rectangle.
-    for leaf in leaves:
-        expanded = Rect(
-            tuple(lo - matching_distance for lo in leaf.rect.lo),
-            tuple(hi + matching_distance for hi in leaf.rect.hi),
-        )
-        a_padded = int(np.ceil(max(leaf.released_count, 0.0)))
-        b_mask = expanded.contains_points(seekers, closed_hi=True)
-        b_in = int(np.count_nonzero(b_mask))
-        candidate_pairs += a_padded * b_in
-
-    # Pairs completeness: fraction of true matches whose A-record sits in a
-    # surviving leaf (B's side never filters out its own record).
-    if holders.shape[0] and seekers.shape[0]:
-        surviving_mask = np.zeros(holders.shape[0], dtype=bool)
-        for leaf in leaves:
-            surviving_mask |= leaf.rect.contains_points(holders, closed_hi=True)
-        # A pair (a, b) is a true match when ||a - b||_inf <= matching_distance.
-        for b in seekers:
-            diffs = np.max(np.abs(holders - b), axis=1)
-            matches = diffs <= matching_distance
-            matched_total += int(np.count_nonzero(matches))
-            matched_retained += int(np.count_nonzero(matches & surviving_mask))
-
-    completeness = 1.0 if matched_total == 0 else matched_retained / matched_total
-    reduction = 1.0 - candidate_pairs / total_pairs
-    return BlockingResult(
-        reduction_ratio=float(reduction),
-        candidate_pairs=int(candidate_pairs),
-        total_pairs=int(total_pairs),
-        pairs_completeness=float(completeness),
-        surviving_leaves=len(leaves),
+    return blocking_from_engine(
+        psd.compile(),
+        holders_points,
+        seekers_points,
+        matching_distance,
+        count_threshold=count_threshold,
+        workers=workers,
+        seeker_chunk=seeker_chunk,
     )
 
 
@@ -348,7 +279,6 @@ def record_matching_experiment(
     methods: Sequence[str] = ("quad-baseline", "kd-noisymean", "kd-standard"),
     rng: RngLike = None,
     workers: Optional[int] = None,
-    scorer: str = "fast",
 ) -> List[MatchingOutcome]:
     """The Figure 7(b) sweep: one :class:`MatchingOutcome` per (epsilon,
     method) pair, in sweep order (epsilons outer, methods inner).
@@ -362,12 +292,8 @@ def record_matching_experiment(
     deterministic independent repetitions rather than the silent dict
     collapse of earlier versions.
 
-    ``scorer`` selects ``"fast"`` (:func:`blocking_from_psd`, the vectorised
-    engine path honouring ``workers``) or ``"reference"``
-    (:func:`blocking_reference`); both produce identical results.
+    Each pair is scored by :func:`blocking_from_psd`, honouring ``workers``.
     """
-    if scorer not in ("fast", "reference"):
-        raise ValueError(f"scorer must be 'fast' or 'reference', got {scorer!r}")
     pairs = sorted({(float(epsilon), str(method)) for epsilon in epsilons for method in methods})
     streams = dict(zip(pairs, spawn_generators(rng, len(pairs))))
     rows: List[MatchingOutcome] = []
@@ -375,11 +301,8 @@ def record_matching_experiment(
         for method in methods:
             gen = streams[(float(epsilon), str(method))]
             psd = build_blocking_tree(holders_points, domain, height, epsilon, method=method, rng=gen)
-            if scorer == "reference":
-                outcome = blocking_reference(psd, holders_points, seekers_points, matching_distance)
-            else:
-                outcome = blocking_from_psd(
-                    psd, holders_points, seekers_points, matching_distance, workers=workers
-                )
+            outcome = blocking_from_psd(
+                psd, holders_points, seekers_points, matching_distance, workers=workers
+            )
             rows.append(MatchingOutcome(str(method), float(epsilon), outcome))
     return rows

@@ -9,11 +9,12 @@ Four sub-commands cover the life-cycle of a private release:
   optimised for high-throughput query serving: compressed ``.npz``
   (``--format npz``, the default) or the zero-copy memory-mapped format v2
   (``--format mmap``, optionally with ``--precision float32`` storage);
-* ``query``  — load a released structure (JSON, or a compiled engine in
-  either format — detected from the file's magic bytes, not its suffix) and
-  answer rectangular range queries from it — one-off via ``--rect`` or in
-  bulk via ``--queries-file``; ``--engine flat`` serves from the compiled
-  backend (no access to the original data needed either way);
+* ``query``  — load a released structure (JSON, compiled on load, or a
+  compiled engine in either format — detected from the file's magic bytes,
+  not its suffix) and answer rectangular range queries from it — one-off via
+  ``--rect`` or in bulk via ``--queries-file``, through the LRU answer cache
+  and, with ``--workers``, a sharded worker pool (no access to the original
+  data needed);
 * ``experiment`` — run one of the paper-figure experiments through the
   multi-release sweep pipeline at a named scale (``smoke`` / ``default`` /
   ``paper``) and print its series (optionally writing them as JSON), the same
@@ -55,7 +56,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .core import (
-    BUILD_LAYOUTS,
     build_private_hilbert_rtree,
     build_private_kdtree,
     build_private_quadtree,
@@ -64,13 +64,11 @@ from .core import (
 )
 from .core.kdtree import KDTREE_VARIANTS
 from .core.quadtree import QUADTREE_VARIANTS
-from .core.query import QUERY_BACKENDS
 from .data import road_intersections
 from .engine import (
     CachedEngine,
     ENGINE_FORMATS,
     PRECISIONS,
-    batch_range_query,
     compile_psd,
     detect_engine_format,
     load_engine,
@@ -200,15 +198,14 @@ def _cmd_build(args) -> int:
     if variant in QUADTREE_VARIANTS:
         psd = build_private_quadtree(points, domain, args.height, args.epsilon,
                                      variant=variant, prune_threshold=args.prune,
-                                     rng=args.seed, layout=args.layout)
+                                     rng=args.seed)
     elif variant in KDTREE_VARIANTS:
         psd = build_private_kdtree(points, domain, args.height, args.epsilon,
                                    variant=variant, prune_threshold=args.prune,
-                                   rng=args.seed, layout=args.layout)
+                                   rng=args.seed)
     elif variant == "hilbert-r":
         tree = build_private_hilbert_rtree(points, domain, 2 * args.height, args.epsilon,
-                                           prune_threshold=args.prune, rng=args.seed,
-                                           layout=args.layout)
+                                           prune_threshold=args.prune, rng=args.seed)
         psd = tree.psd
     else:
         raise SystemExit(f"unknown variant {variant!r}")
@@ -216,7 +213,7 @@ def _cmd_build(args) -> int:
     psd.strip_private_fields()
     save_psd(psd, args.output)
     print(f"released {psd.name}: {psd.node_count()} nodes, height {psd.height}, "
-          f"epsilon {args.epsilon}, built in {build_time:.3f}s ({args.layout} layout), "
+          f"epsilon {args.epsilon}, built in {build_time:.3f}s, "
           f"written to {args.output}")
     return 0
 
@@ -236,9 +233,32 @@ def _read_queries_file(path: str) -> List[str]:
     return specs
 
 
+def _load_release(path: str):
+    """Load a released JSON structure, exiting with a one-line reason (no
+    traceback) when the file is unreadable, truncated or fails validation."""
+    try:
+        return load_psd(path)
+    except Exception as exc:
+        raise SystemExit(f"cannot load release {path!r}: {exc}")
+
+
+def _load_engine(path: str, verify: bool):
+    """The flat engine to serve from ``path``: a compiled engine file in
+    either format (recognised by magic bytes, so any file name works) or a
+    released JSON structure, compiled on load."""
+    fmt = detect_engine_format(path)
+    if fmt is None and path.endswith(".npz"):
+        fmt = "npz"  # force the engine error path for a broken .npz
+    if fmt is None:
+        return compile_psd(_load_release(path))
+    try:
+        return load_engine(path, verify=verify)
+    except Exception as exc:
+        raise SystemExit(f"cannot load compiled engine {path!r}: {exc}")
+
+
 def _cmd_compile(args) -> int:
-    psd = load_psd(args.release)
-    engine = compile_psd(psd)
+    engine = compile_psd(_load_release(args.release))
     output = args.output
     if args.format == "npz" and not output.endswith(".npz"):
         # np.load's magic-based readers expect the suffix on npz archives, and
@@ -278,40 +298,16 @@ def _cmd_query(args) -> int:
     if not specs:
         raise SystemExit("provide at least one query via --rect or --queries-file")
 
-    cached = None
-    server_stats = None
-    engine = None
-    # Compiled engines are recognised by magic bytes, so either format serves
-    # under any file name; everything else goes through the JSON loader.
-    fmt = detect_engine_format(args.release)
-    if fmt is None and args.release.endswith(".npz"):
-        fmt = "npz"  # force the engine error path for a broken .npz
-    if fmt is not None:
-        try:
-            engine = load_engine(args.release, verify=args.verify)
-        except Exception as exc:
-            raise SystemExit(f"cannot load compiled engine {args.release!r}: {exc}")
-    if engine is not None:
-        rects = [_parse_rect(spec, engine.dims) for spec in specs]
-        cached, answers, server_stats = _serve_flat(engine, rects, args)
-    else:
-        psd = load_psd(args.release)
-        rects = [_parse_rect(spec, psd.domain.dims) for spec in specs]
-        if args.engine == "flat":
-            cached, answers, server_stats = _serve_flat(psd.compile(), rects, args)
-        else:
-            answers = [psd.range_query(rect) for rect in rects]
+    engine = _load_engine(args.release, verify=args.verify)
+    rects = [_parse_rect(spec, engine.dims) for spec in specs]
+    cached, answers, server_stats = _serve_flat(engine, rects, args)
     for spec, answer in zip(specs, answers):
         print(f"{spec}\t{answer:.2f}")
     if args.stats:
-        if cached is None:
-            print("cache stats: n/a (recursive backend serves without the answer cache)",
-                  file=sys.stderr)
-        else:
-            stats = cached.stats()
-            print(f"cache stats: {stats['hits']} hits, {stats['misses']} misses, "
-                  f"{stats['size']}/{stats['maxsize']} entries, "
-                  f"{stats['evictions']} evictions", file=sys.stderr)
+        stats = cached.stats()
+        print(f"cache stats: {stats['hits']} hits, {stats['misses']} misses, "
+              f"{stats['size']}/{stats['maxsize']} entries, "
+              f"{stats['evictions']} evictions", file=sys.stderr)
         if server_stats is not None:
             print(f"serve stats: {server_stats['workers']} workers, "
                   f"{server_stats['queries']} queries in {server_stats['batches']} batches "
@@ -330,14 +326,7 @@ def _cmd_serve(args) -> int:
 
     from .serve import BudgetLedger, EngineSupervisor, QueryService, parse_faults
 
-    fmt = detect_engine_format(args.release)
-    if fmt is not None:
-        try:
-            engine = load_engine(args.release, verify=not args.no_verify)
-        except Exception as exc:
-            raise SystemExit(f"cannot load compiled engine {args.release!r}: {exc}")
-    else:
-        engine = load_psd(args.release).compile()
+    engine = _load_engine(args.release, verify=not args.no_verify)
     try:
         faults = parse_faults(args.fault)
     except ValueError as exc:
@@ -510,9 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--epsilon", type=float, default=0.5, help="total privacy budget")
     build.add_argument("--height", type=int, default=8, help="tree height")
     build.add_argument("--prune", type=float, default=None, help="optional pruning threshold")
-    build.add_argument("--layout", choices=BUILD_LAYOUTS, default="flat",
-                       help="build pipeline: 'flat' (level-vectorized, default) or "
-                            "'pointer' (per-node reference); identical output per seed")
     build.add_argument("--seed", type=int, default=0, help="random seed")
     build.add_argument("--output", required=True, help="path of the released JSON file")
     build.set_defaults(func=_cmd_build)
@@ -540,17 +526,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="query rectangle as lo1,lo2,...,hi1,hi2,... (repeatable)")
     query.add_argument("--queries-file", default=None,
                        help="batch mode: file with one rect spec per line ('#' comments allowed)")
-    query.add_argument("--engine", choices=QUERY_BACKENDS, default="recursive",
-                       help="query backend for JSON releases (.npz input always uses flat)")
     query.add_argument("--verify", action="store_true",
                        help="check every engine array against its stored checksums "
                             "(v2 header CRC32 / .npz adler32 sidecar) before answering")
     query.add_argument("--stats", action="store_true",
-                       help="report LRU answer-cache effectiveness (hits/misses) on stderr; "
-                            "flat engines only")
+                       help="report LRU answer-cache effectiveness (hits/misses) on stderr")
     query.add_argument("--workers", type=int, default=None,
                        help="shard batch evaluation across this many processes over a "
-                            "shared-memory engine (flat backend only; -1 = all cores)")
+                            "shared-memory engine (-1 = all cores)")
     query.add_argument("--chunk-queries", type=int, default=1024,
                        help="queries per fanned-out chunk (also caps the evaluator's "
                             "peak frontier memory; default 1024)")

@@ -12,7 +12,6 @@ from .budget import (
     uniform_level_epsilons,
 )
 from .builder import (
-    BUILD_LAYOUTS,
     BudgetSplit,
     PSDReleaseBatch,
     build_psd,
@@ -27,9 +26,7 @@ from .builder import (
 # if you own the engine lifecycle yourself.
 from .flatbuild import (
     FlatTree,
-    bfs_order,
     build_flat_structure,
-    flatten_tree,
     ols_beta,
 )
 from .hilbert_rtree import (
@@ -45,7 +42,7 @@ from .kdtree import (
     build_private_kdtree,
     build_private_kdtree_releases,
 )
-from .postprocess import apply_ols, check_consistency, ols_estimate_tree
+from .postprocess import apply_ols, check_consistency
 from .pruning import count_pruned_nodes, prune_low_count_subtrees
 from .quadtree import (
     QUADTREE_VARIANTS,
@@ -54,8 +51,6 @@ from .quadtree import (
     build_private_quadtree_releases,
 )
 from .query import (
-    QUERY_BACKENDS,
-    contributing_nodes,
     nodes_touched,
     nodes_touched_per_level,
     query_variance,
@@ -75,21 +70,17 @@ from .splits import (
     SplitRule,
     grid_median_along_axis,
 )
-from .tree import PrivateSpatialDecomposition, PSDNode
+from .tree import PrivateSpatialDecomposition
 
 __all__ = [
-    "PSDNode",
     "PrivateSpatialDecomposition",
     "build_psd",
     "build_psd_releases",
     "PSDReleaseBatch",
     "populate_noisy_counts",
-    "BUILD_LAYOUTS",
     "FlatTree",
-    "bfs_order",
     "build_flat_structure",
     "ols_beta",
-    "flatten_tree",
     "BudgetSplit",
     "BudgetStrategy",
     "UniformBudget",
@@ -107,16 +98,13 @@ __all__ = [
     "CellKDSplit",
     "grid_median_along_axis",
     "apply_ols",
-    "ols_estimate_tree",
     "check_consistency",
     "prune_low_count_subtrees",
     "count_pruned_nodes",
     "range_query",
-    "QUERY_BACKENDS",
     "nodes_touched",
     "nodes_touched_per_level",
     "query_variance",
-    "contributing_nodes",
     "build_private_quadtree",
     "build_private_quadtree_releases",
     "QUADTREE_VARIANTS",

@@ -17,19 +17,13 @@ Every PSD variant in the paper is an instance of the same recipe:
 :func:`build_psd` implements this recipe once; the convenience constructors in
 :mod:`repro.core.quadtree` and :mod:`repro.core.kdtree` only choose the pieces.
 
-Two storage **layouts** implement the identical recipe:
-
-* ``layout="flat"`` (default) — the flat-native pipeline of
-  :mod:`repro.core.flatbuild`: the tree is constructed directly in BFS
-  structure-of-arrays form, with vectorized level splits where the rule
-  supports them and one batched Laplace vector per level;
-* ``layout="pointer"`` — the per-node reference: a pointer tree of
-  :class:`PSDNode` objects grown level by level with scalar noise draws.
-
-Both consume the RNG in the same order (nodes in BFS order within each level,
-levels root-down for structure and for noise), so the two layouts are
-**bit-for-bit interchangeable** for the same seed — the tests assert exactly
-that, and the build benchmark measures the gap between them.
+The tree is constructed directly in the breadth-first structure-of-arrays form
+of :mod:`repro.core.flatbuild`, with vectorized level splits where the rule
+supports them and one batched Laplace vector per level.  The RNG is consumed
+in a fixed order (nodes in BFS order within each level, levels root-down for
+structure and for noise), so a seeded build is reproducible bit for bit; the
+per-node pointer builder kept in ``tests/oracle`` consumes the same stream
+and the parity suites hold the two to identical bits.
 """
 
 from __future__ import annotations
@@ -41,24 +35,26 @@ import numpy as np
 
 from ..geometry.domain import Domain
 from ..privacy.accountant import PrivacyAccountant
-from ..privacy.mechanisms import laplace_noise
 from ..privacy.rng import ReplayRng, RngLike, ensure_rng
 from .budget import BudgetStrategy, resolve_budget
+from .flatbuild import (
+    apply_ols_releases,
+    batch_from_shared_structure,
+    build_flat_structure,
+    build_flat_structures_stacked,
+    populate_noisy_counts_flat,
+    populate_noisy_counts_releases,
+)
 from .splits import SplitRule
-from .tree import PSDNode, PrivateSpatialDecomposition
+from .tree import PrivateSpatialDecomposition
 
 __all__ = [
     "BudgetSplit",
-    "BUILD_LAYOUTS",
     "PSDReleaseBatch",
     "build_psd",
     "build_psd_releases",
     "populate_noisy_counts",
 ]
-
-#: The storage layouts accepted by ``build_psd``'s ``layout=`` parameter.
-BUILD_LAYOUTS = ("flat", "pointer")
-
 
 @dataclass(frozen=True)
 class BudgetSplit:
@@ -100,7 +96,6 @@ def build_psd(
     noiseless_counts: bool = False,
     accountant: Optional[PrivacyAccountant] = None,
     structure_epsilon_charged: float = 0.0,
-    layout: str = "flat",
 ) -> PrivateSpatialDecomposition:
     """Build a complete private spatial decomposition.
 
@@ -138,17 +133,11 @@ def build_psd(
     structure_epsilon_charged:
         Budget already charged to the accountant by the caller for structure
         (informational; included in the accountant's total budget check).
-    layout:
-        ``"flat"`` (default) builds directly in the structure-of-arrays form;
-        ``"pointer"`` grows the per-node reference tree.  Identical output for
-        the same seed.
     """
     if height < 0:
         raise ValueError("height must be non-negative")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if layout not in BUILD_LAYOUTS:
-        raise ValueError(f"unknown build layout {layout!r}; expected one of {BUILD_LAYOUTS}")
     gen = ensure_rng(rng)
     pts = domain.validate_points(points)
 
@@ -174,26 +163,14 @@ def build_psd(
         "epsilon_count": eps_count_total,
         "epsilon_median": eps_median_total,
         "structure_epsilon": structure_epsilon_charged,
-        "layout": layout,
     }
-    if layout == "flat":
-        from .flatbuild import build_flat_structure
-
-        backing = {"flat": build_flat_structure(pts, domain, height, split_rule,
-                                                eps_median_per_level, rng=gen)}
-    else:
-        backing = {"root": _grow_level_order(pts, domain, height, split_rule,
-                                             eps_median_per_level, gen)}
-
     psd = PrivateSpatialDecomposition(
+        flat=build_flat_structure(pts, domain, height, split_rule, eps_median_per_level, rng=gen),
         domain=domain,
-        height=height,
-        fanout=split_rule.fanout,
         count_epsilons=count_epsilons,
         accountant=ledger,
         name=name,
         metadata=metadata,
-        **backing,
     )
 
     populate_noisy_counts(psd, rng=gen, noiseless=noiseless_counts)
@@ -209,42 +186,6 @@ def build_psd(
     return psd
 
 
-def _grow_level_order(
-    pts: np.ndarray,
-    domain: Domain,
-    height: int,
-    split_rule: SplitRule,
-    eps_median_per_level: float,
-    gen: np.random.Generator,
-) -> PSDNode:
-    """Grow the pointer reference tree level by level (BFS node order).
-
-    Data-dependent rules therefore consume the RNG in exactly the same order
-    as the flat-native builder, keeping the two layouts bit-for-bit
-    interchangeable for a fixed seed.
-    """
-    root = PSDNode(rect=domain.rect, level=height, _true_count=int(pts.shape[0]))
-    frontier = [(root, pts)]
-    for level in range(height, 0, -1):
-        eps_med = eps_median_per_level if split_rule.is_data_dependent(level, height) else 0.0
-        next_frontier = []
-        for node, node_points in frontier:
-            children = split_rule.split(node.rect, node_points, level, height, domain,
-                                        eps_med, rng=gen)
-            if len(children) != split_rule.fanout:
-                raise RuntimeError(
-                    f"split rule {split_rule!r} produced {len(children)} children, "
-                    f"expected {split_rule.fanout}"
-                )
-            for child_rect, child_points in children:
-                child = PSDNode(rect=child_rect, level=level - 1,
-                                _true_count=int(child_points.shape[0]))
-                node.children.append(child)
-                next_frontier.append((child, child_points))
-        frontier = next_frontier
-    return root
-
-
 def populate_noisy_counts(
     psd: PrivateSpatialDecomposition,
     rng: RngLike = None,
@@ -257,35 +198,17 @@ def populate_noisy_counts(
     non-private baselines; the result is then *not* differentially private.
 
     Noise is drawn in canonical level order (root level first, nodes in BFS
-    order within a level); the flat-native path draws each level as one
-    batched vector, which is bitwise identical.  Because this *changes the
-    released counts*, any memoised compiled engine is invalidated first.
+    order within a level), one batched vector per level.  Because this
+    *changes the released counts*, any memoised compiled engine is
+    invalidated first.
     """
     from ..engine.flat import invalidate_compiled_engine
 
-    gen = ensure_rng(rng)
     # The released counts are about to change: a memoised flat engine would
     # otherwise keep serving the stale release.
     invalidate_compiled_engine(psd)
-
-    flat = psd.flat_tree
-    if flat is not None:
-        from .flatbuild import populate_noisy_counts_flat
-
-        populate_noisy_counts_flat(flat, psd.count_epsilons, rng=gen, noiseless=noiseless)
-        return psd
-
-    from .flatbuild import bfs_order
-
-    for node in bfs_order(psd.root):
-        eps = psd.count_epsilons[node.level]
-        if noiseless:
-            node.noisy_count = float(node._true_count)
-        elif eps > 0:
-            node.noisy_count = float(node._true_count) + float(laplace_noise(1.0 / eps, rng=gen))
-        else:
-            node.noisy_count = float("nan")
-        node.post_count = None
+    populate_noisy_counts_flat(psd.flat_tree, psd.count_epsilons, rng=ensure_rng(rng),
+                               noiseless=noiseless)
     return psd
 
 
@@ -394,14 +317,12 @@ class PSDReleaseBatch:
         if cached is not None:
             return cached
         psd = PrivateSpatialDecomposition(
+            flat=self._flat.tree(r),
             domain=self.domain,
-            height=self.height,
-            fanout=self.fanout,
             count_epsilons=self.count_epsilons[r],
             accountant=self._make_accountant(r),
             name=self.name,
             metadata=dict(self.metadata, release_index=r, sweep_size=self.n_releases),
-            flat=self._flat.tree(r),
         )
         self._cache[r] = psd
         return psd
@@ -459,8 +380,6 @@ class PSDReleaseBatch:
             for psd in self._psds:
                 psd.postprocess()
             return self
-        from .flatbuild import apply_ols_releases
-
         self._cache.clear()
         apply_ols_releases(self._flat, self.count_epsilons)
         return self
@@ -577,7 +496,6 @@ def build_psd_releases(
     metadata = {
         "split_rule": getattr(split_rule, "name", type(split_rule).__name__),
         "count_budget": getattr(strategy, "name", type(strategy).__name__),
-        "layout": "flat",
     }
 
     def sequential_fallback() -> PSDReleaseBatch:
@@ -604,13 +522,6 @@ def build_psd_releases(
             eps_median_per_level=eps_median_per_level, dd_levels=dd_levels,
             psds=psds, metadata=metadata,
         )
-
-    from .flatbuild import (
-        batch_from_shared_structure,
-        build_flat_structure,
-        build_flat_structures_stacked,
-        populate_noisy_counts_releases,
-    )
 
     if structure is not None and dd_levels:
         raise ValueError("structure= applies only to data-independent split rules")

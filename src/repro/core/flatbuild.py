@@ -1,9 +1,7 @@
 """Flat-native PSD construction: level-vectorized build, OLS and pruning.
 
-This module is the build-side counterpart of :mod:`repro.engine`: instead of
-growing a pointer tree of :class:`~repro.core.tree.PSDNode` objects and
-compiling it to arrays afterwards, the tree is constructed **directly** in the
-breadth-first structure-of-arrays form — one level at a time:
+Every PSD lives in one representation: the breadth-first structure-of-arrays
+:class:`FlatTree`, constructed directly one level at a time:
 
 * structure: every level's children are produced in one pass through
   :meth:`~repro.core.splits.SplitRule.split_level`.  Data-independent rules
@@ -11,10 +9,9 @@ breadth-first structure-of-arrays form — one level at a time:
   stable argsort; data-dependent rules (kd, hybrid, the Hilbert binary split)
   call the **ragged-batch private medians** of :mod:`repro.privacy.median`
   once per stage, whose node-major draw layout consumes the RNG stream in
-  exactly the same order as the pointer reference builder.  Only rules
-  without a vectorized path (the cell-based kd split, custom callables) fall
-  back to per-node :meth:`~repro.core.splits.SplitRule.split` calls in BFS
-  order;
+  exactly the order of per-node splits in BFS order.  Only rules without a
+  vectorized path (the cell-based kd split, custom callables) fall back to
+  per-node :meth:`~repro.core.splits.SplitRule.split` calls in BFS order;
 * noise: each level's Laplace draws happen as **one batched vector** —
   bitwise identical to per-node scalar draws from the same generator, since
   NumPy fills an array by repeating the scalar sampler;
@@ -22,14 +19,13 @@ breadth-first structure-of-arrays form — one level at a time:
   vectorized per-level sweeps over the BFS arrays;
 * pruning: a top-down per-level mask followed by one array compaction.
 
-All transforms preserve *bit-for-bit* parity with the recursive reference in
-:mod:`repro.core.builder` / :mod:`repro.core.postprocess` /
-:mod:`repro.core.pruning` for the same seeded generator, which the test-suite
-asserts exactly.
+Each transform is bit-for-bit equal to the per-node pointer implementation
+kept as the executable specification in ``tests/oracle``, which the parity
+suites assert for the same seeded generator.
 
 :class:`FlatTree` is the mutable build-side representation (true counts and
 all); the read-only, release-grade :class:`repro.engine.flat.FlatPSD` is
-derived from it by a cheap array transform instead of a pointer walk.
+derived from it by a cheap array snapshot.
 """
 
 from __future__ import annotations
@@ -49,7 +45,6 @@ from .splits import SplitRule
 __all__ = [
     "FlatTree",
     "FlatTreeBatch",
-    "bfs_order",
     "build_flat_structure",
     "build_flat_structures_stacked",
     "populate_noisy_counts_flat",
@@ -58,25 +53,7 @@ __all__ = [
     "apply_ols_releases",
     "prune_flat",
     "ols_beta",
-    "materialize_nodes",
-    "flatten_tree",
 ]
-
-
-def bfs_order(root) -> list:
-    """Nodes of a pointer tree in breadth-first order, root first.
-
-    This is **the** canonical order of the flat arrays: every conversion
-    between the pointer view and the array form (materialise, flatten, engine
-    compile, level-ordered noise draws) must agree with it, so it lives in
-    exactly one place.
-    """
-    order = [root]
-    i = 0
-    while i < len(order):
-        order.extend(order[i].children)
-        i += 1
-    return order
 
 
 @dataclass
@@ -105,7 +82,7 @@ class FlatTree:
         ``(n_nodes,)`` released Laplace-noised counts (``nan`` = unreleased).
     post_count:
         ``(n_nodes,)`` OLS-post-processed counts, or ``None`` before
-        post-processing (mirrors ``PSDNode.post_count`` being ``None``).
+        post-processing.
     """
 
     lo: np.ndarray
@@ -171,9 +148,8 @@ def build_flat_structure(
     """Construct the complete tree level by level, directly in BFS arrays.
 
     ``points`` must already be validated against ``domain``.  The RNG is
-    consumed in BFS order within each level — the same order as the pointer
-    reference builder — so both layouts produce identical structures from the
-    same seeded generator.
+    consumed in BFS order within each level, so a seeded build is
+    reproducible bit for bit.
     """
     gen = ensure_rng(rng)
     pts = np.asarray(points, dtype=float)
@@ -198,7 +174,7 @@ def build_flat_structure(
             )
         if batched is not None:
             # ``level_pts`` is normally the level's own points; a point the
-            # reference routes to two children (domain-edge split) appears
+            # per-node split routes to two children (domain-edge split) appears
             # twice, which the bincount/argsort handle transparently.
             child_lo, child_hi, child_of_pt, level_pts = batched
             order = np.argsort(child_of_pt, kind="stable")
@@ -257,8 +233,8 @@ def _split_level_per_node(
     """Split every node of a level through the per-node ``split`` interface.
 
     This is the fallback for rules without a vectorized path; nodes are
-    processed in BFS order so data-dependent rules draw from the RNG exactly
-    as the pointer reference builder does.
+    processed in BFS order so data-dependent rules draw from the RNG in the
+    canonical order.
     """
     n_nodes = lo.shape[0]
     fanout = split_rule.fanout
@@ -296,9 +272,9 @@ def populate_noisy_counts_flat(
 ) -> FlatTree:
     """(Re)populate the released counts, one batched Laplace vector per level.
 
-    Draw order is root level first, leaves last — the canonical level order
-    shared with the pointer path — and a batch of ``n`` draws is bitwise
-    identical to ``n`` sequential scalar draws from the same generator.
+    Draw order is root level first, leaves last (the canonical level order),
+    and a batch of ``n`` draws is bitwise identical to ``n`` sequential scalar
+    draws from the same generator.
     """
     gen = ensure_rng(rng)
     with trace_span("build.noise", nodes=tree.n_nodes):
@@ -335,8 +311,8 @@ def ols_beta(
     Pure function: inputs are never mutated, so callers can hand it live
     arrays without readers ever observing intermediate state.  The three
     phases of Theorem 5 each become one sweep over the level slices; per-node
-    arithmetic matches the recursive reference operation for operation, so
-    the result is bit-for-bit identical.
+    arithmetic matches the recursive three-traversal algorithm operation for
+    operation, so the result is bit-for-bit identical to it.
 
     The estimator also carries an optional **release axis**: pass
     ``noisy_count`` as a ``(n_nodes, R)`` matrix and ``count_epsilons`` as
@@ -431,7 +407,7 @@ def apply_ols_flat(tree: FlatTree, count_epsilons: Sequence[float]) -> FlatTree:
 def prune_flat(tree: FlatTree, threshold: float) -> int:
     """Remove descendants of nodes whose released count falls below ``threshold``.
 
-    Matches the reference top-down traversal: the cut decision is only ever
+    Matches the paper's top-down traversal: the cut decision is only ever
     evaluated for nodes that survive their ancestors' cuts, and nodes with no
     released count (``nan``) are never used as cut points.  Returns the number
     of nodes removed.
@@ -771,87 +747,3 @@ def apply_ols_releases(batch: FlatTreeBatch, count_epsilons: np.ndarray) -> Flat
         )
         batch.post_count = np.ascontiguousarray(post.T)
     return batch
-
-
-# ----------------------------------------------------------------------
-# Conversions between the flat arrays and the pointer view
-# ----------------------------------------------------------------------
-def materialize_nodes(tree: FlatTree):
-    """Build the pointer :class:`~repro.core.tree.PSDNode` view of a flat tree.
-
-    Returns the root node; used by the facade to serve code that still walks
-    pointers (serialisation, the recursive reference backend, tests).
-    """
-    from .tree import PSDNode
-
-    n = tree.n_nodes
-    post = tree.post_count
-    nodes = [
-        PSDNode(
-            rect=Rect(tuple(tree.lo[i]), tuple(tree.hi[i])),
-            level=int(tree.level[i]),
-            noisy_count=float(tree.noisy_count[i]),
-            post_count=None if post is None else float(post[i]),
-            _true_count=int(tree.true_count[i]),
-        )
-        for i in range(n)
-    ]
-    for i in range(n):
-        start, stop = int(tree.child_start[i]), int(tree.child_end[i])
-        if stop > start:
-            nodes[i].children = nodes[start:stop]
-    return nodes[0]
-
-
-def flatten_tree(psd) -> Tuple[list, FlatTree]:
-    """Flatten any pointer-backed PSD into BFS arrays.
-
-    Returns ``(order, tree)`` where ``order`` is the list of nodes in BFS
-    order (``order[i]`` corresponds to row ``i`` of every array).  Used by the
-    non-mutating OLS estimator and anywhere a vectorized transform needs the
-    array form of a pointer tree.
-    """
-    order = bfs_order(psd.root)
-    n = len(order)
-    dims = psd.domain.dims
-
-    lo = np.empty((n, dims))
-    hi = np.empty((n, dims))
-    level = np.empty(n, dtype=np.int32)
-    parent = np.full(n, -1, dtype=np.int64)
-    child_start = np.empty(n, dtype=np.int64)
-    child_end = np.empty(n, dtype=np.int64)
-    true_count = np.empty(n, dtype=np.int64)
-    noisy = np.empty(n)
-    any_post = any(node.post_count is not None for node in order)
-    post = np.full(n, np.nan) if any_post else None
-
-    index = {id(node): i for i, node in enumerate(order)}
-    pos = 1
-    for i, node in enumerate(order):
-        lo[i] = node.rect.lo
-        hi[i] = node.rect.hi
-        level[i] = node.level
-        true_count[i] = node._true_count
-        noisy[i] = node.noisy_count
-        if post is not None and node.post_count is not None:
-            post[i] = node.post_count
-        child_start[i] = pos
-        pos += len(node.children)
-        child_end[i] = pos
-        for child in node.children:
-            parent[index[id(child)]] = i
-
-    return order, FlatTree(
-        lo=lo,
-        hi=hi,
-        level=level,
-        parent=parent,
-        child_start=child_start,
-        child_end=child_end,
-        true_count=true_count,
-        noisy_count=noisy,
-        post_count=post,
-        height=psd.height,
-        fanout=psd.fanout,
-    )

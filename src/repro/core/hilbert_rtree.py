@@ -11,8 +11,11 @@ interval, so releasing it is free.
 Internally the structure reuses the generic PSD machinery over a
 one-dimensional domain of Hilbert indices: budget strategies, OLS
 post-processing and pruning all apply unchanged.  Planar range queries are
-answered by decomposing the query rectangle into Hilbert-index intervals
-(:meth:`~repro.geometry.hilbert.HilbertCurve.rect_to_ranges`) and summing the
+answered R-tree style over the node bounding boxes by the compiled planar
+engine (:func:`repro.engine.flat.compile_hilbert_rtree`);
+:meth:`PrivateHilbertRTree.range_query_intervals` offers the alternative
+formulation that decomposes the query rectangle into Hilbert-index intervals
+(:meth:`~repro.geometry.hilbert.HilbertCurve.rect_to_ranges`) and sums the
 1-D canonical-decomposition answers.
 """
 
@@ -90,7 +93,7 @@ class BinaryMedianSplit(SplitRule):
 
         Same node-major draw layout as :meth:`repro.core.splits.KDSplit.split_level`
         (a single stage here), so the flat build consumes the RNG exactly as
-        the per-node reference does.
+        per-node :meth:`split` calls in BFS order do.
         """
         from .splits import _level_epsilons
 
@@ -184,10 +187,9 @@ def hilbert_interval_bounds(lo_vals, hi_vals, curve: HilbertCurve):
     """Inclusive integer index intervals of node rects over Hilbert space.
 
     The single source of the floor/ceil-1 derivation (with clamps into the
-    curve's index range) shared by :meth:`PrivateHilbertRTree.node_bbox`,
-    :meth:`PrivateHilbertRTree.node_bboxes` and the flat planar engine
-    compiler — the planar boxes served, listed and compiled must all come
-    from identical intervals.
+    curve's index range) behind the planar engine's node boxes
+    (:func:`repro.engine.flat.compile_hilbert_rtree`), which
+    :meth:`PrivateHilbertRTree.node_bboxes` also lists.
     """
     lo_idx = np.clip(np.floor(np.asarray(lo_vals, dtype=float)).astype(np.int64),
                      0, curve.max_index)
@@ -215,11 +217,6 @@ class PrivateHilbertRTree:
     domain: Domain
     name: str = "hilbert-r"
 
-    def __post_init__(self) -> None:
-        # Planar bounding boxes of node intervals are pure functions of the
-        # (public) intervals; they are computed lazily per node and cached.
-        self._bbox_cache: dict = {}
-
     # ------------------------------------------------------------------
     @property
     def height(self) -> int:
@@ -241,65 +238,27 @@ class PrivateHilbertRTree:
     def compile(self):
         """The memoised planar flat engine over the node bounding boxes.
 
-        The compiled engine answers planar queries with the same semantics as
-        :meth:`range_query`; it is rebuilt automatically after the 1-D tree is
-        post-processed or pruned (through these wrappers or directly).
+        The node rectangles are the planar bounding boxes of every node's
+        Hilbert-index interval; the engine is rebuilt automatically after the
+        1-D tree is post-processed or pruned (through these wrappers or
+        directly).
         """
         from ..engine.flat import compiled_planar_engine
 
         return compiled_planar_engine(self)
 
     # ------------------------------------------------------------------
-    def node_bbox(self, node) -> Rect:
-        """Planar bounding box of a node's Hilbert-index interval (cached).
-
-        The box depends only on the interval and the public curve, never on
-        the data, so computing and releasing it is privacy-free.  It is how
-        the paper maps the 1-D tree back into an R-tree in the plane.
-        """
-        key = id(node)
-        cached = self._bbox_cache.get(key)
-        if cached is not None:
-            return cached
-        lo_idx, hi_idx = hilbert_interval_bounds(node.rect.lo[:1], node.rect.hi[:1],
-                                                 self.curve)
-        bbox = self.curve.range_bbox(int(lo_idx[0]), int(hi_idx[0]))
-        self._bbox_cache[key] = bbox
-        return bbox
-
-    def range_query(self, query: Rect, backend: str = "recursive") -> float:
+    def range_query(self, query: Rect) -> float:
         """Estimated number of points inside a planar query rectangle.
 
         R-tree-style canonical decomposition over the node bounding boxes: a
         node whose box lies inside the query contributes its whole released
         count; boxes that merely intersect are descended into; partially
         covered leaves contribute under a uniformity assumption proportional
-        to the overlapped fraction of their box.
-
-        ``backend="flat"`` serves the answer from the compiled planar engine
-        (see :meth:`compile`).
+        to the overlapped fraction of their box.  Served from the compiled
+        planar engine (see :meth:`compile`).
         """
-        from .query import _check_backend, _has_released_count
-
-        if _check_backend(backend) == "flat":
-            return self.compile().range_query(query)
-        total = 0.0
-        stack = [self.psd.root]
-        while stack:
-            node = stack.pop()
-            bbox = self.node_bbox(node)
-            if not bbox.intersects(query):
-                continue
-            has_count = _has_released_count(self.psd, node)
-            if query.contains_rect(bbox) and has_count:
-                total += node.released_count
-                continue
-            if node.is_leaf:
-                if has_count and bbox.area > 0:
-                    total += node.released_count * bbox.intersection_area(query) / bbox.area
-                continue
-            stack.extend(node.children)
-        return float(total)
+        return self.compile().range_query(query)
 
     def range_query_intervals(self, query: Rect, max_ranges: int = 1024) -> float:
         """Alternative query path: decompose the query into Hilbert intervals.
@@ -309,36 +268,19 @@ class PrivateHilbertRTree:
         the query region and the estimate is biased upwards.
         """
         intervals = self.curve.rect_to_ranges(query, max_ranges=max_ranges)
-        total = 0.0
-        for lo, hi in intervals:
-            interval_rect = Rect((float(lo),), (float(hi) + 1.0,))
-            total += self.psd.range_query(interval_rect)
-        return total
+        rects = [Rect((float(lo),), (float(hi) + 1.0,)) for lo, hi in intervals]
+        return float(sum(self.psd.batch_range_query(rects).tolist()))
 
     def node_bboxes(self) -> List[Tuple[int, Rect]]:
         """The planar bounding boxes of every node's Hilbert interval.
 
         These are the R-tree rectangles the paper describes releasing; they
-        depend only on the intervals, never on the data.  The boxes come from
-        **one** vectorized :meth:`~repro.geometry.hilbert.HilbertCurve.range_bboxes`
-        pass over the node interval arrays — a flat-native tree never
-        materialises pointer nodes for this.
+        depend only on the intervals, never on the data.  They are the node
+        rectangles of the planar engine (:meth:`compile`), in BFS node order.
         """
-        flat = self.psd.flat_tree
-        if flat is not None:
-            levels = flat.level
-            lo_vals, hi_vals = flat.lo[:, 0], flat.hi[:, 0]
-        else:
-            from .flatbuild import bfs_order
-
-            nodes = bfs_order(self.psd.root)  # the canonical (BFS) node order
-            levels = np.array([node.level for node in nodes], dtype=np.int64)
-            lo_vals = np.array([node.rect.lo[0] for node in nodes])
-            hi_vals = np.array([node.rect.hi[0] for node in nodes])
-        lo_idx, hi_idx = hilbert_interval_bounds(lo_vals, hi_vals, self.curve)
-        box_lo, box_hi = self.curve.range_bboxes(lo_idx, hi_idx)
+        engine = self.compile()
         return [(int(level), Rect(tuple(b_lo), tuple(b_hi)))
-                for level, b_lo, b_hi in zip(levels, box_lo, box_hi)]
+                for level, b_lo, b_hi in zip(engine.level, engine.lo, engine.hi)]
 
 
 def build_private_hilbert_rtree(
@@ -353,7 +295,6 @@ def build_private_hilbert_rtree(
     postprocess: bool = True,
     prune_threshold: Optional[float] = None,
     rng: RngLike = None,
-    layout: str = "flat",
 ) -> PrivateHilbertRTree:
     """Build a private Hilbert R-tree.
 
@@ -366,9 +307,6 @@ def build_private_hilbert_rtree(
     order:
         Hilbert curve order; the paper finds any order in 16–24 works and uses
         18.
-    layout:
-        ``"flat"`` (default, level-vectorized) or ``"pointer"`` (per-node
-        reference); identical output for the same seed.
     """
     if domain.dims != 2:
         raise ValueError("the private Hilbert R-tree is defined for two-dimensional data")
@@ -391,7 +329,6 @@ def build_private_hilbert_rtree(
         name="hilbert-r",
         postprocess=postprocess,
         prune_threshold=prune_threshold,
-        layout=layout,
     )
     return PrivateHilbertRTree(psd=psd, curve=curve, domain=domain)
 

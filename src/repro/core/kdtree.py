@@ -99,7 +99,6 @@ def build_private_kdtree(
     cell_budget_fraction: float = 0.3,
     median_method: Optional[str] = None,
     rng: RngLike = None,
-    layout: str = "flat",
 ) -> PrivateSpatialDecomposition:
     """Build one of the Figure-5 private kd-tree variants.
 
@@ -126,9 +125,6 @@ def build_private_kdtree(
     prune_threshold:
         Low-count pruning threshold applied after post-processing; the paper's
         experiments use 32.
-    layout:
-        ``"flat"`` (default, level-vectorized) or ``"pointer"`` (per-node
-        reference); identical output for the same seed.
     """
     config = _resolve_kdtree_config(variant, median_method)
     gen = ensure_rng(rng)
@@ -147,7 +143,6 @@ def build_private_kdtree(
             cell_budget_fraction=cell_budget_fraction,
             rng=gen,
             name=config.name,
-            layout=layout,
         )
 
     if config.hybrid:
@@ -169,7 +164,6 @@ def build_private_kdtree(
         postprocess=postprocess and not config.noiseless_counts,
         prune_threshold=prune_threshold,
         noiseless_counts=config.noiseless_counts,
-        layout=layout,
     )
 
 
@@ -185,7 +179,6 @@ def _build_cell_kdtree(
     cell_budget_fraction: float,
     rng: RngLike,
     name: str,
-    layout: str = "flat",
 ) -> PrivateSpatialDecomposition:
     """The cell-based kd-tree of [26].
 
@@ -222,7 +215,6 @@ def _build_cell_kdtree(
         prune_threshold=prune_threshold,
         accountant=accountant,
         structure_epsilon_charged=eps_grid,
-        layout=layout,
     )
 
 
@@ -281,8 +273,7 @@ def build_private_kdtree_releases(
             epsilons=release_eps, count_epsilons=count_eps,
             eps_median_per_level=np.zeros(release_eps.shape[0]), dd_levels=(),
             structure_epsilon_charged=0.0, psds=psds,
-            metadata={"split_rule": "kd-cell", "count_budget": count_budget,
-                      "layout": "flat"},
+            metadata={"split_rule": "kd-cell", "count_budget": count_budget},
         )
 
     if config.hybrid:

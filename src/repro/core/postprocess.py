@@ -11,13 +11,11 @@ unbiased linear estimators it has minimum variance for every range query.
 
 Computing the OLS naively means solving an ``n x n`` linear system.  The paper
 exploits the tree structure to do it in linear time with three traversals
-(Theorem 5); :func:`apply_ols` implements exactly that algorithm, generalised
-(as in the paper) to any per-level noise parameters ``eps_i`` — covering
-uniform, geometric and level-skipping budgets alike.  For flat-native trees
-the three traversals run as three vectorized per-level sweeps
-(:func:`repro.core.flatbuild.ols_beta`); for pointer-backed trees the
-recursive reference below is used — both produce bit-for-bit identical
-estimates.
+(Theorem 5), generalised (as in the paper) to any per-level noise parameters
+``eps_i`` — covering uniform, geometric and level-skipping budgets alike.
+:func:`apply_ols` runs the three traversals as three vectorized per-level
+sweeps over the BFS arrays (:func:`repro.core.flatbuild.ols_beta`), bit for
+bit equal to the recursive algorithm.
 
 Because the input is only the already-released noisy counts, post-processing
 never affects the privacy guarantee.
@@ -25,23 +23,16 @@ never affects the privacy guarantee.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
-
 import numpy as np
 
-from .tree import PrivateSpatialDecomposition, PSDNode
+from .flatbuild import apply_ols_flat
+from .tree import PrivateSpatialDecomposition
 
-__all__ = ["apply_ols", "ols_estimate_tree", "check_consistency"]
-
-
-def _level_weights(count_epsilons: Sequence[float]) -> np.ndarray:
-    """Per-level weights ``eps_i^2`` with unreleased levels contributing zero."""
-    eps = np.asarray(count_epsilons, dtype=float)
-    return eps * eps
+__all__ = ["apply_ols", "check_consistency"]
 
 
 def apply_ols(psd: PrivateSpatialDecomposition) -> PrivateSpatialDecomposition:
-    """Compute the OLS counts for every node and store them in ``post_count``.
+    """Compute the OLS counts for every node and store them as the post counts.
 
     Requires a complete tree (every internal node has exactly ``fanout``
     children and all leaves are at level 0) and a strictly positive leaf count
@@ -49,114 +40,26 @@ def apply_ols(psd: PrivateSpatialDecomposition) -> PrivateSpatialDecomposition:
     """
     from ..engine.flat import invalidate_compiled_engine
 
-    if not psd.is_complete():
-        raise ValueError("OLS post-processing requires a complete tree; apply it before pruning")
     # The released counts are about to change: any memoised flat engine is stale.
     invalidate_compiled_engine(psd)
-    weights = _level_weights(psd.count_epsilons)
-    if weights[0] <= 0:
-        raise ValueError("OLS post-processing requires a positive leaf budget (eps_0 > 0)")
-
-    flat = psd.flat_tree
-    if flat is not None:
-        from .flatbuild import apply_ols_flat
-
-        apply_ols_flat(flat, psd.count_epsilons)
-        return psd
-
-    f = float(psd.fanout)
-    h = psd.height
-
-    # Pre-compute E_l = sum_{j<=l} f^j * eps_j^2 (the array E of the paper).
-    powers = f ** np.arange(h + 1)
-    e_array = np.cumsum(powers * weights)
-
-    # Phase I (top-down): alpha_u = alpha_parent + eps_{h(u)}^2 * Y_u, Z_leaf = alpha_leaf.
-    # Phase II (bottom-up): Z_v = sum of children's Z.
-    # Both phases are fused into one post-order recursion that threads alpha down
-    # and returns Z up; Y is taken as 0 where no count was released (weight 0).
-    z_values: Dict[int, float] = {}
-
-    def down_up(node: PSDNode, alpha_parent: float) -> float:
-        y = node.noisy_count
-        w = weights[node.level]
-        contribution = w * (0.0 if (w == 0 or not np.isfinite(y)) else y)
-        alpha = alpha_parent + contribution
-        if node.is_leaf:
-            z = alpha
-        else:
-            z = 0.0
-            for child in node.children:
-                z += down_up(child, alpha)
-        z_values[id(node)] = z
-        return z
-
-    down_up(psd.root, 0.0)
-
-    # Phase III (top-down): beta_root = Z_root / E_h; for other nodes
-    # F_v = F_parent + beta_parent * eps_{h(v)+1}^2 and
-    # beta_v = (Z_v - f^{h(v)} * F_v) / E_{h(v)}.
-    def assign(node: PSDNode, f_value: float) -> None:
-        level = node.level
-        beta = (z_values[id(node)] - (f ** level) * f_value) / e_array[level]
-        node.post_count = float(beta)
-        if node.is_leaf:
-            return
-        child_f = f_value + beta * weights[level]
-        for child in node.children:
-            assign(child, child_f)
-
-    assign(psd.root, 0.0)
+    apply_ols_flat(psd.flat_tree, psd.count_epsilons)
     return psd
 
 
-def ols_estimate_tree(psd: PrivateSpatialDecomposition) -> Dict[int, float]:
-    """Return the OLS estimates keyed by ``id(node)`` without mutating counts.
-
-    The estimates come from the vectorized per-level sweeps
-    (:func:`repro.core.flatbuild.ols_beta`), a pure function over the count
-    arrays — no ``noisy_count`` / ``post_count`` is ever written, so readers
-    of the released counts never observe intermediate state.
-
-    Because the result is keyed by node identity, a flat-native tree must
-    materialise its pointer view to have nodes to key by (the same
-    materialisation any consumer of the returned dict performs via
-    ``psd.nodes()``); per the facade contract that view then becomes the
-    canonical storage.  Use :meth:`~PrivateSpatialDecomposition.postprocess`
-    / :func:`apply_ols` instead when you want in-place estimates on the fast
-    array path.
-    """
-    from .flatbuild import bfs_order, flatten_tree, ols_beta
-
-    if not psd.is_complete():
-        raise ValueError("OLS post-processing requires a complete tree; apply it before pruning")
-    flat = psd.flat_tree
-    if flat is not None:
-        # Compute from the existing arrays, then walk the materialised view
-        # (same BFS order as the arrays) purely to obtain the node keys.
-        beta = ols_beta(flat.level, flat.parent, flat.noisy_count,
-                        psd.count_epsilons, psd.fanout, psd.height)
-        order = bfs_order(psd.root)
-    else:
-        order, arrays = flatten_tree(psd)
-        beta = ols_beta(arrays.level, arrays.parent, arrays.noisy_count,
-                        psd.count_epsilons, psd.fanout, psd.height)
-    return {id(node): float(b) for node, b in zip(order, beta)}
-
-
-def check_consistency(psd: PrivateSpatialDecomposition, atol: float = 1e-6) -> float:
+def check_consistency(psd: PrivateSpatialDecomposition) -> float:
     """Maximum absolute violation of ``beta_v = sum of children's beta``.
 
     The OLS estimator is consistent by construction; this helper quantifies the
     numerical violation of that identity over the whole tree (and is asserted
     to be tiny in the tests).  Raises if post-processing has not been applied.
     """
-    worst = 0.0
-    for node in psd.nodes():
-        if node.is_leaf:
-            continue
-        if node.post_count is None or any(c.post_count is None for c in node.children):
-            raise ValueError("call apply_ols (or psd.postprocess()) before checking consistency")
-        child_sum = sum(c.post_count for c in node.children)
-        worst = max(worst, abs(node.post_count - child_sum))
-    return worst
+    tree = psd.flat_tree
+    internal = ~tree.is_leaf
+    if not internal.any():
+        return 0.0
+    if tree.post_count is None:
+        raise ValueError("call apply_ols (or psd.postprocess()) before checking consistency")
+    # BFS child ranges of the internal nodes partition nodes 1..n-1 in order,
+    # so one segmented sum yields every internal node's child total.
+    child_sums = np.add.reduceat(tree.post_count[1:], tree.child_start[internal] - 1)
+    return float(np.max(np.abs(tree.post_count[internal] - child_sums)))

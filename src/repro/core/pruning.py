@@ -11,6 +11,7 @@ step, over a complete tree, and uses ``m = 32`` in the kd-tree experiments.
 
 from __future__ import annotations
 
+from .flatbuild import prune_flat
 from .tree import PrivateSpatialDecomposition
 
 __all__ = ["prune_low_count_subtrees", "count_pruned_nodes"]
@@ -22,9 +23,9 @@ def prune_low_count_subtrees(psd: PrivateSpatialDecomposition, threshold: float)
     Returns the number of nodes removed.  The traversal is top-down: once a
     node is cut to a leaf its former descendants are never examined, matching
     the paper's "cut off the tree at this point".  Nodes that never released a
-    count (zero budget at their level) are never used as cut points.  On a
-    flat-native tree this runs as a per-level mask plus one array compaction
-    (:func:`repro.core.flatbuild.prune_flat`) with identical results.
+    count (zero budget at their level) are never used as cut points.  Runs as
+    a per-level mask plus one array compaction
+    (:func:`repro.core.flatbuild.prune_flat`).
     """
     from ..engine.flat import invalidate_compiled_engine
 
@@ -32,27 +33,7 @@ def prune_low_count_subtrees(psd: PrivateSpatialDecomposition, threshold: float)
         raise ValueError("threshold must be non-negative")
     # The tree structure is about to change: any memoised flat engine is stale.
     invalidate_compiled_engine(psd)
-
-    flat = psd.flat_tree
-    if flat is not None:
-        from .flatbuild import prune_flat
-
-        return prune_flat(flat, threshold)
-
-    removed = 0
-    stack = [psd.root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            continue
-        count = node.released_count
-        has_count = count == count  # not NaN
-        if has_count and count < threshold:
-            removed += sum(child.subtree_size() for child in node.children)
-            node.children = []
-            continue
-        stack.extend(node.children)
-    return removed
+    return prune_flat(psd.flat_tree, threshold)
 
 
 def count_pruned_nodes(psd: PrivateSpatialDecomposition) -> int:

@@ -68,7 +68,6 @@ def build_private_quadtree(
     variant: "str | QuadtreeConfig" = "quad-opt",
     prune_threshold: Optional[float] = None,
     rng: RngLike = None,
-    layout: str = "flat",
 ) -> PrivateSpatialDecomposition:
     """Build one of the Figure-3 private quadtree variants.
 
@@ -81,9 +80,6 @@ def build_private_quadtree(
         ``"quad-opt"`` (or an explicit :class:`QuadtreeConfig`).
     prune_threshold:
         Optional low-count pruning threshold (applied after post-processing).
-    layout:
-        ``"flat"`` (default, level-vectorized) or ``"pointer"`` (per-node
-        reference); identical output for the same seed.
     """
     config = _resolve_quadtree_config(variant)
     return build_psd(
@@ -97,7 +93,6 @@ def build_private_quadtree(
         name=config.name,
         postprocess=config.postprocess,
         prune_threshold=prune_threshold,
-        layout=layout,
     )
 
 

@@ -2,140 +2,81 @@
 
 A range query ``Q`` is answered by the canonical decomposition: starting from
 the root, a node fully contained in ``Q`` contributes its released count and
-the recursion stops; a node merely intersecting ``Q`` is descended into; a
+the descent stops; a node merely intersecting ``Q`` is descended into; a
 *leaf* that intersects but is not contained contributes a fraction of its
 count proportional to the overlapped area (the uniformity assumption).
 
 Nodes whose level released no count (``eps_i = 0``, e.g. the internal levels
 of a leaf-only budget) cannot contribute directly even when fully contained;
-the recursion simply continues to their children, which is exactly the
-paper's observation that "queries then use counts from descendant nodes
-instead".
+the descent simply continues to their children, which is exactly the paper's
+observation that "queries then use counts from descendant nodes instead".
 
 The same traversal also yields ``n(Q)`` (the number of counts summed, bounded
-by Lemma 2) and the analytic query variance ``Err(Q)`` of Equation (1).
+by Lemma 2), its per-level breakdown ``n_i`` and the analytic query variance
+``Err(Q)`` of Equation (1).
 
-Two interchangeable backends implement the traversal.  ``"recursive"`` (the
-default) walks the :class:`PSDNode` pointer tree and is the semantic
-reference.  ``"flat"`` dispatches to :mod:`repro.engine`: the tree is
-compiled once into a structure-of-arrays form (memoised on the PSD, dropped
-automatically when post-processing or pruning mutates the counts) and queries
-are answered by the vectorised evaluator — same answers, much faster when the
-tree is queried repeatedly.
+Every function here answers from the PSD's compiled flat engine
+(:mod:`repro.engine`): the tree is compiled once into a frozen
+structure-of-arrays form, memoised on the PSD and dropped automatically when
+post-processing or pruning changes the counts, and queries run through the
+vectorized level-synchronous evaluator.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Iterable
 
 import numpy as np
 
 from ..geometry.rect import Rect
-from ..privacy.mechanisms import laplace_variance
-from .tree import PrivateSpatialDecomposition, PSDNode
+from .tree import PrivateSpatialDecomposition
 
 __all__ = [
     "range_query",
     "nodes_touched",
     "nodes_touched_per_level",
+    "level_touch_counts",
     "query_variance",
-    "contributing_nodes",
-    "QUERY_BACKENDS",
 ]
 
-#: The names accepted by the ``backend=`` parameter of the query functions.
-QUERY_BACKENDS = ("recursive", "flat")
 
-
-def _flat_engine(psd: PrivateSpatialDecomposition):
-    from ..engine.flat import compiled_engine
-
-    return compiled_engine(psd)
-
-
-def _check_backend(backend: str) -> str:
-    if backend not in QUERY_BACKENDS:
-        raise ValueError(f"unknown query backend {backend!r}; expected one of {QUERY_BACKENDS}")
-    return backend
-
-
-def _has_released_count(psd: PrivateSpatialDecomposition, node: PSDNode) -> bool:
-    """Whether the node carries a usable released count."""
-    if node.post_count is not None:
-        return True
-    return psd.count_epsilons[node.level] > 0 and np.isfinite(node.noisy_count)
-
-
-def contributing_nodes(
-    psd: PrivateSpatialDecomposition, query: Rect
-) -> Tuple[List[PSDNode], List[Tuple[PSDNode, float]]]:
-    """The nodes the canonical decomposition uses to answer ``query``.
-
-    Returns ``(full, partial)`` where ``full`` are nodes counted whole and
-    ``partial`` are leaf nodes counted with the given area fraction under the
-    uniformity assumption.
-    """
-    full: List[PSDNode] = []
-    partial: List[Tuple[PSDNode, float]] = []
-    stack = [psd.root]
-    while stack:
-        node = stack.pop()
-        if not node.rect.intersects(query):
-            continue
-        contained = query.contains_rect(node.rect)
-        if contained and _has_released_count(psd, node):
-            full.append(node)
-            continue
-        if node.is_leaf:
-            if not _has_released_count(psd, node):
-                continue
-            if contained:
-                full.append(node)
-            elif node.rect.area > 0:
-                fraction = node.rect.intersection_area(query) / node.rect.area
-                if fraction > 0:
-                    partial.append((node, fraction))
-            continue
-        stack.extend(node.children)
-    return full, partial
-
-
-def range_query(
-    psd: PrivateSpatialDecomposition,
-    query: Rect,
-    use_uniformity: bool = True,
-    backend: str = "recursive",
-) -> float:
+def range_query(psd: PrivateSpatialDecomposition, query: Rect, use_uniformity: bool = True) -> float:
     """Estimated number of points of the private dataset falling inside ``query``."""
-    if _check_backend(backend) == "flat":
-        return _flat_engine(psd).range_query(query, use_uniformity=use_uniformity)
-    full, partial = contributing_nodes(psd, query)
-    total = sum(node.released_count for node in full)
-    if use_uniformity:
-        total += sum(node.released_count * fraction for node, fraction in partial)
-    return float(total)
+    return psd.range_query(query, use_uniformity=use_uniformity)
 
 
-def nodes_touched(psd: PrivateSpatialDecomposition, query: Rect, backend: str = "recursive") -> int:
+def nodes_touched(psd: PrivateSpatialDecomposition, query: Rect) -> int:
     """``n(Q)``: how many released counts are summed to answer ``query``."""
-    if _check_backend(backend) == "flat":
-        return _flat_engine(psd).nodes_touched(query)
-    full, partial = contributing_nodes(psd, query)
-    return len(full) + len(partial)
+    return psd.nodes_touched(query)
+
+
+def level_touch_counts(psd: PrivateSpatialDecomposition, queries: Iterable[Rect]) -> np.ndarray:
+    """``(Q, height + 1)`` matrix of ``n_i``: row ``q`` counts, per level, the
+    nodes the canonical decomposition of query ``q`` touches.
+
+    One query matrix is compiled for the whole workload; its node indices are
+    binned by (query, level).
+    """
+    from ..engine.batch import compile_query_matrix
+
+    engine = psd.compile()
+    matrix = compile_query_matrix(engine, list(queries))
+    n_levels = psd.height + 1
+    rows = np.repeat(np.arange(matrix.n_queries, dtype=np.int64), matrix.nodes_touched())
+    cells = rows * n_levels + engine.level[matrix.indices].astype(np.int64)
+    return np.bincount(cells, minlength=matrix.n_queries * n_levels).reshape(-1, n_levels)
 
 
 def nodes_touched_per_level(psd: PrivateSpatialDecomposition, query: Rect) -> dict:
-    """``n_i``: the per-level breakdown of touched nodes (Lemma 2's quantity)."""
-    full, partial = contributing_nodes(psd, query)
-    counts: dict = {}
-    for node in full:
-        counts[node.level] = counts.get(node.level, 0) + 1
-    for node, _ in partial:
-        counts[node.level] = counts.get(node.level, 0) + 1
-    return counts
+    """``n_i``: the per-level breakdown of touched nodes (Lemma 2's quantity).
+
+    Only levels that contribute at least one node appear in the result.
+    """
+    row = level_touch_counts(psd, [query])[0]
+    return {level: int(count) for level, count in enumerate(row) if count}
 
 
-def query_variance(psd: PrivateSpatialDecomposition, query: Rect, backend: str = "recursive") -> float:
+def query_variance(psd: PrivateSpatialDecomposition, query: Rect) -> float:
     """The analytic error measure ``Err(Q) = sum over touched nodes of Var``.
 
     Partial leaves contribute ``fraction^2 * Var`` since their count is scaled
@@ -143,16 +84,4 @@ def query_variance(psd: PrivateSpatialDecomposition, query: Rect, backend: str =
     measure is exact only for raw noisy counts; it is the quantity analysed in
     Section 4 and used for the budget-strategy comparison.
     """
-    if _check_backend(backend) == "flat":
-        return _flat_engine(psd).query_variance(query)
-    full, partial = contributing_nodes(psd, query)
-    total = 0.0
-    for node in full:
-        eps = psd.count_epsilons[node.level]
-        if eps > 0:
-            total += laplace_variance(eps)
-    for node, fraction in partial:
-        eps = psd.count_epsilons[node.level]
-        if eps > 0:
-            total += fraction * fraction * laplace_variance(eps)
-    return total
+    return psd.query_variance(query)

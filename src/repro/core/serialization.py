@@ -4,66 +4,34 @@ A PSD is something a data owner computes once and then *publishes*; consumers
 need to load it without access to the original data.  This module converts a
 :class:`~repro.core.tree.PrivateSpatialDecomposition` to and from a plain
 JSON-compatible dictionary containing only released information: the node
-rectangles, the released (noisy / post-processed) counts, the per-level count
-parameters and the split metadata.  True counts and the accountant's internal
-ledger are intentionally *not* serialised — the output is exactly what a
-privacy-conscious publisher would hand out.
+rectangles, the released (noisy / post-processed) counts and the per-level
+count parameters, with every node nested inside its parent.  True counts and
+the accountant's internal ledger are intentionally *not* serialised — the
+output is exactly what a privacy-conscious publisher would hand out.
 
-The functions are deliberately defensive on the way back in: structural
+The nested JSON is converted straight to and from the breadth-first arrays of
+:class:`~repro.core.flatbuild.FlatTree`.  The loader fails closed: structural
 invariants (level consistency, children nested inside parents, matching
-fanout) are validated so a corrupted or hand-edited file fails loudly instead
-of silently producing wrong query answers.
+fanout) and released values (finite counts, ``null`` only for unreleased
+counts, post counts on all nodes or none, finite non-negative count
+parameters) are validated, so a corrupted or hand-edited file raises
+:class:`ValueError` instead of silently producing wrong query answers.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, IO, Union
+from typing import Dict, IO, List, Union
+
+import numpy as np
 
 from ..geometry.domain import Domain
-from ..geometry.rect import Rect
-from .tree import PrivateSpatialDecomposition, PSDNode
+from .flatbuild import FlatTree
+from .tree import PrivateSpatialDecomposition
 
 __all__ = ["psd_to_dict", "psd_from_dict", "save_psd", "load_psd"]
 
 _FORMAT_VERSION = 1
-
-
-def _node_to_dict(node: PSDNode) -> Dict:
-    payload: Dict = {
-        "lo": list(node.rect.lo),
-        "hi": list(node.rect.hi),
-        "level": node.level,
-        "noisy_count": None if node.noisy_count != node.noisy_count else node.noisy_count,
-        "post_count": node.post_count,
-    }
-    if node.split_axis is not None:
-        payload["split_axis"] = node.split_axis
-        payload["split_value"] = node.split_value
-    if node.children:
-        payload["children"] = [_node_to_dict(child) for child in node.children]
-    return payload
-
-
-def _node_from_dict(payload: Dict, parent_rect: "Rect | None", expected_level: "int | None") -> PSDNode:
-    rect = Rect(tuple(payload["lo"]), tuple(payload["hi"]))
-    level = int(payload["level"])
-    if expected_level is not None and level != expected_level:
-        raise ValueError(f"node level {level} does not match its depth (expected {expected_level})")
-    if parent_rect is not None and not parent_rect.contains_rect(rect):
-        raise ValueError("child rectangle is not contained in its parent")
-    noisy = payload.get("noisy_count")
-    node = PSDNode(
-        rect=rect,
-        level=level,
-        noisy_count=float("nan") if noisy is None else float(noisy),
-        post_count=None if payload.get("post_count") is None else float(payload["post_count"]),
-        split_axis=payload.get("split_axis"),
-        split_value=payload.get("split_value"),
-    )
-    children = payload.get("children", [])
-    node.children = [_node_from_dict(child, rect, level - 1) for child in children]
-    return node
 
 
 def psd_to_dict(psd: PrivateSpatialDecomposition) -> Dict:
@@ -72,6 +40,19 @@ def psd_to_dict(psd: PrivateSpatialDecomposition) -> Dict:
     Only released information is included; the private true counts and the
     accountant are dropped.
     """
+    tree = psd.flat_tree
+    n = tree.n_nodes
+    lo, hi, level = tree.lo.tolist(), tree.hi.tolist(), tree.level.tolist()
+    noisy = [None if v != v else v for v in tree.noisy_count.tolist()]
+    post = [None] * n if tree.post_count is None else tree.post_count.tolist()
+    nodes = [
+        {"lo": lo[i], "hi": hi[i], "level": level[i], "noisy_count": noisy[i],
+         "post_count": post[i]}
+        for i in range(n)
+    ]
+    for node, start, stop in zip(nodes, tree.child_start.tolist(), tree.child_end.tolist()):
+        if stop > start:
+            node["children"] = nodes[start:stop]
     return {
         "format_version": _FORMAT_VERSION,
         "name": psd.name,
@@ -84,15 +65,15 @@ def psd_to_dict(psd: PrivateSpatialDecomposition) -> Dict:
             "name": psd.domain.name,
         },
         "metadata": {k: v for k, v in psd.metadata.items() if _is_jsonable(v)},
-        "root": _node_to_dict(psd.root),
+        "root": nodes[0],
     }
 
 
 def psd_from_dict(payload: Dict) -> PrivateSpatialDecomposition:
     """Rebuild a :class:`PrivateSpatialDecomposition` from :func:`psd_to_dict` output.
 
-    Raises :class:`ValueError` when the payload is malformed or violates the
-    structural invariants of a PSD.
+    Raises :class:`ValueError` when the payload is malformed, violates the
+    structural invariants of a PSD or carries unusable released values.
     """
     version = payload.get("format_version")
     if version != _FORMAT_VERSION:
@@ -101,21 +82,98 @@ def psd_from_dict(payload: Dict) -> PrivateSpatialDecomposition:
     domain = Domain.from_bounds(domain_payload["lo"], domain_payload["hi"],
                                 name=domain_payload.get("name", "domain"))
     height = int(payload["height"])
-    root = _node_from_dict(payload["root"], None, height)
-    if root.rect != domain.rect:
+    fanout = int(payload["fanout"])
+    count_epsilons = np.asarray([float(e) for e in payload["count_epsilons"]])
+    if not np.all(np.isfinite(count_epsilons)) or np.any(count_epsilons < 0):
+        raise ValueError("count_epsilons entries must be finite and non-negative")
+
+    # Breadth-first walk of the nested nodes: row i of every array is order[i].
+    order: List[Dict] = [payload["root"]]
+    parent: List[int] = [-1]
+    n_children: List[int] = []
+    for i, node in enumerate(order):  # grows while iterating
+        children = node.get("children", [])
+        order.extend(children)
+        parent.extend([i] * len(children))
+        n_children.append(len(children))
+    n = len(order)
+    parent_arr = np.asarray(parent, dtype=np.int64)
+    child_count = np.asarray(n_children, dtype=np.int64)
+
+    level = np.asarray([int(node["level"]) for node in order], dtype=np.int64)
+    expected = np.empty(n, dtype=np.int64)
+    expected[0] = height
+    expected[1:] = level[parent_arr[1:]] - 1
+    mismatch = np.flatnonzero(level != expected)
+    if mismatch.size:
+        bad = int(mismatch[0])
+        raise ValueError(f"node level {level[bad]} does not match its depth "
+                         f"(expected {expected[bad]})")
+
+    lo = _bounds(order, "lo", domain.dims)
+    hi = _bounds(order, "hi", domain.dims)
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError("node bounds must be finite")
+    if np.any(lo > hi):
+        raise ValueError("node lower bounds must not exceed upper bounds")
+    par = parent_arr[1:]
+    if np.any(lo[1:] < lo[par]) or np.any(hi[1:] > hi[par]):
+        raise ValueError("child rectangle is not contained in its parent")
+    if tuple(lo[0]) != domain.rect.lo or tuple(hi[0]) != domain.rect.hi:
         raise ValueError("root rectangle does not match the declared domain")
-    psd = PrivateSpatialDecomposition(
-        root=root,
-        domain=domain,
+
+    noisy = np.asarray([np.nan if node.get("noisy_count") is None else float(node["noisy_count"])
+                        for node in order])
+    if np.any(np.isinf(noisy)) or np.any(np.isnan(noisy) & _present(order, "noisy_count")):
+        raise ValueError("noisy_count must be a finite number or null (unreleased)")
+    has_post = _present(order, "post_count")
+    post = None
+    if has_post.any():
+        if not has_post.all():
+            raise ValueError("post_count must be present on every node or on none")
+        post = np.asarray([float(node["post_count"]) for node in order])
+        if not np.all(np.isfinite(post)):
+            raise ValueError("post_count must be finite")
+
+    if np.any(level < 0) or np.any(level > height):
+        raise ValueError("node level outside [0, height]")
+    if np.any((child_count != 0) & (child_count != fanout)):
+        raise ValueError("internal node does not have exactly `fanout` children")
+
+    child_start = 1 + np.concatenate(([0], np.cumsum(child_count)[:-1]))
+    tree = FlatTree(
+        lo=lo,
+        hi=hi,
+        level=level.astype(np.int32),
+        parent=parent_arr,
+        child_start=child_start,
+        child_end=child_start + child_count,
+        true_count=np.zeros(n, dtype=np.int64),
+        noisy_count=noisy,
+        post_count=post,
         height=height,
-        fanout=int(payload["fanout"]),
-        count_epsilons=tuple(float(e) for e in payload["count_epsilons"]),
+        fanout=fanout,
+    )
+    return PrivateSpatialDecomposition(
+        flat=tree,
+        domain=domain,
+        count_epsilons=tuple(count_epsilons.tolist()),
         accountant=None,
         name=str(payload.get("name", "psd")),
         metadata=dict(payload.get("metadata", {})),
     )
-    _validate_structure(psd)
-    return psd
+
+
+def _bounds(order: List[Dict], key: str, dims: int) -> np.ndarray:
+    rows = [node[key] for node in order]
+    if any(len(row) != dims for row in rows):
+        raise ValueError(f"every node's {key!r} must have {dims} coordinates (the domain's)")
+    return np.asarray(rows, dtype=np.float64).reshape(len(rows), dims)
+
+
+def _present(order: List[Dict], key: str) -> np.ndarray:
+    """Which nodes carry a non-null ``key``."""
+    return np.asarray([node.get(key) is not None for node in order], dtype=bool)
 
 
 def save_psd(psd: PrivateSpatialDecomposition, destination: Union[str, IO[str]]) -> None:
@@ -136,18 +194,6 @@ def load_psd(source: Union[str, IO[str]]) -> PrivateSpatialDecomposition:
         with open(source, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
     return psd_from_dict(payload)
-
-
-def _validate_structure(psd: PrivateSpatialDecomposition) -> None:
-    """Check the invariants a consumer relies on for correct query answering."""
-    for node in psd.nodes():
-        if node.level < 0 or node.level > psd.height:
-            raise ValueError("node level outside [0, height]")
-        if node.children and len(node.children) != psd.fanout:
-            raise ValueError("internal node does not have exactly `fanout` children")
-        for child in node.children:
-            if child.level != node.level - 1:
-                raise ValueError("child level must be one less than its parent's")
 
 
 def _is_jsonable(value) -> bool:

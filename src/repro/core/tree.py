@@ -1,42 +1,30 @@
-"""The tree model shared by every private spatial decomposition.
+"""The released private spatial decomposition.
 
 A PSD is a complete hierarchical decomposition of the data domain into nested
 rectangles, where every node carries a *noisy* count released via the Laplace
-mechanism.  :class:`PSDNode` is the node record and
-:class:`PrivateSpatialDecomposition` is the released object: it knows the
-per-level privacy parameters, answers range queries by the canonical
+mechanism.  :class:`PrivateSpatialDecomposition` is the released object: it
+knows the per-level privacy parameters, answers range queries by the canonical
 decomposition of Section 4.1, and exposes the post-processing (Section 5) and
 pruning (Section 7) steps as methods that transform the released counts
 without touching the underlying data.
 
-:class:`PrivateSpatialDecomposition` is a **facade over two storage layouts**:
+The tree has exactly one representation: the breadth-first
+structure-of-arrays :class:`repro.core.flatbuild.FlatTree`.  Noise
+population, OLS post-processing and pruning run as vectorized per-level array
+transforms on it, and queries are answered by the compiled flat engine of
+:mod:`repro.engine`, memoised on the PSD and dropped whenever the counts
+change.
 
-* *flat-native* — the default produced by :func:`repro.core.builder.build_psd`:
-  the whole tree lives in the breadth-first structure-of-arrays form of
-  :class:`repro.core.flatbuild.FlatTree`, and noise population, OLS
-  post-processing and pruning run as vectorized per-level array transforms;
-* *pointer-backed* — a tree of :class:`PSDNode` objects, used by the recursive
-  reference implementations, deserialised releases and any caller that walks
-  nodes directly.
-
-Accessing :attr:`PrivateSpatialDecomposition.root` (or anything that needs
-actual node objects) on a flat-native PSD **materialises** the pointer view
-lazily and makes it the canonical representation from then on, so direct node
-mutation keeps its historical semantics.  Code that sticks to the public
-methods never leaves the fast array form.
-
-The node also stores the *true* count in a private attribute (prefixed with an
-underscore); it exists so the test-suite and the non-private baselines
-(``kd-pure`` / ``kd-true``) can compute ground truth, and it is explicitly
-**not** part of the private release.  The helper
-:meth:`PrivateSpatialDecomposition.strip_private_fields` deletes these fields
+The arrays also carry the *true* counts (``FlatTree.true_count``); they exist
+so the test-suite and the non-private baselines (``kd-pure`` / ``kd-true``)
+can compute ground truth, and they are explicitly **not** part of the private
+release.  :meth:`PrivateSpatialDecomposition.strip_private_fields` zeroes them
 to model handing the structure to an untrusted party.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from ..geometry.domain import Domain
 from ..geometry.rect import Rect
@@ -45,64 +33,7 @@ from ..privacy.accountant import PrivacyAccountant
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .flatbuild import FlatTree
 
-__all__ = ["PSDNode", "PrivateSpatialDecomposition"]
-
-
-@dataclass
-class PSDNode:
-    """One node of a private spatial decomposition.
-
-    Attributes
-    ----------
-    rect:
-        The axis-aligned region the node is responsible for.
-    level:
-        Height of the node: leaves are level 0 and the root is level ``h``
-        (the paper's convention).
-    noisy_count:
-        The Laplace-noised count released for this node (``nan`` when the
-        level's count budget is zero and no count is released).
-    post_count:
-        The count after OLS post-processing, populated by
-        :func:`repro.core.postprocess.apply_ols`.  ``None`` until then.
-    split_axis, split_value:
-        For data-dependent nodes, the (privately chosen, hence releasable)
-        split that produced the children.
-    children:
-        Child nodes, empty for leaves.
-    """
-
-    rect: Rect
-    level: int
-    noisy_count: float = float("nan")
-    post_count: Optional[float] = None
-    split_axis: Optional[int] = None
-    split_value: Optional[float] = None
-    children: List["PSDNode"] = field(default_factory=list)
-    _true_count: int = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    @property
-    def released_count(self) -> float:
-        """The count a query should use: post-processed if available, else noisy."""
-        if self.post_count is not None:
-            return self.post_count
-        return self.noisy_count
-
-    def iter_subtree(self) -> Iterator["PSDNode"]:
-        """Pre-order traversal of the subtree rooted here."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
-
-    def subtree_size(self) -> int:
-        return sum(1 for _ in self.iter_subtree())
+__all__ = ["PrivateSpatialDecomposition"]
 
 
 class PrivateSpatialDecomposition:
@@ -110,10 +41,10 @@ class PrivateSpatialDecomposition:
 
     Attributes
     ----------
-    root:
-        The root :class:`PSDNode` (covering the whole domain).  For
-        flat-native trees this is a **lazy view**: first access materialises
-        the pointer nodes from the arrays and makes them canonical.
+    flat_tree:
+        The tree in breadth-first structure-of-arrays form
+        (:class:`~repro.core.flatbuild.FlatTree`); node 0 is the root,
+        covering the whole domain.
     domain:
         The public data domain.
     height:
@@ -133,25 +64,17 @@ class PrivateSpatialDecomposition:
 
     def __init__(
         self,
-        root: Optional[PSDNode] = None,
-        domain: Domain = None,
-        height: int = 0,
-        fanout: int = 4,
-        count_epsilons: Sequence[float] = (),
+        flat: "FlatTree",
+        domain: Domain,
+        count_epsilons: Sequence[float],
         accountant: Optional[PrivacyAccountant] = None,
         name: str = "psd",
         metadata: Optional[Dict[str, object]] = None,
-        flat: "Optional[FlatTree]" = None,
     ) -> None:
-        if domain is None:
-            raise TypeError("PrivateSpatialDecomposition requires a domain")
-        if (root is None) == (flat is None):
-            raise ValueError("provide exactly one of root= (pointer tree) or flat= (array tree)")
-        self._root = root
-        self._flat = flat
+        self.flat_tree = flat
         self.domain = domain
-        self.height = int(height)
-        self.fanout = int(fanout)
+        self.height = int(flat.height)
+        self.fanout = int(flat.fanout)
         self.count_epsilons = tuple(float(e) for e in count_epsilons)
         self.accountant = accountant
         self.name = name
@@ -162,100 +85,35 @@ class PrivateSpatialDecomposition:
             raise ValueError("fanout must be at least 2")
 
     # ------------------------------------------------------------------
-    # Storage layout
+    # Shape
     # ------------------------------------------------------------------
-    @property
-    def root(self) -> PSDNode:
-        """The root node; materialises the pointer view of a flat-native tree.
-
-        After materialisation the pointer tree is the canonical representation
-        (so in-place node edits behave exactly as they always have) and the
-        flat arrays are dropped.
-        """
-        if self._root is None:
-            from .flatbuild import materialize_nodes
-
-            self._root = materialize_nodes(self._flat)
-            self._flat = None
-        return self._root
-
-    @property
-    def flat_tree(self) -> "Optional[FlatTree]":
-        """The native array form, or ``None`` once the pointer view took over."""
-        return self._flat
-
-    @property
-    def is_flat_native(self) -> bool:
-        """Whether the tree still lives in its flat structure-of-arrays form."""
-        return self._flat is not None
-
-    # ------------------------------------------------------------------
-    # Traversal helpers
-    # ------------------------------------------------------------------
-    def nodes(self) -> Iterator[PSDNode]:
-        """All nodes in pre-order (materialises the pointer view if needed)."""
-        return self.root.iter_subtree()
-
-    def leaves(self) -> List[PSDNode]:
-        """All current leaves (after any pruning)."""
-        return [n for n in self.nodes() if n.is_leaf]
-
     def node_count(self) -> int:
         """Total number of nodes currently in the tree."""
-        if self._flat is not None:
-            return self._flat.n_nodes
-        return self.root.subtree_size()
+        return self.flat_tree.n_nodes
 
     def leaf_count(self) -> int:
-        """Number of current leaves (cheap on either storage layout)."""
-        if self._flat is not None:
-            return self._flat.leaf_count()
-        return len(self.leaves())
-
-    def nodes_by_level(self) -> Dict[int, List[PSDNode]]:
-        """Nodes grouped by level."""
-        by_level: Dict[int, List[PSDNode]] = {}
-        for node in self.nodes():
-            by_level.setdefault(node.level, []).append(node)
-        return by_level
+        """Number of current leaves (after any pruning)."""
+        return self.flat_tree.leaf_count()
 
     def is_complete(self) -> bool:
         """True if every internal node has exactly ``fanout`` children and all
         leaves sit at level 0 (required by the OLS post-processing)."""
-        if self._flat is not None:
-            return self._flat.is_complete()
-        for node in self.nodes():
-            if node.is_leaf:
-                if node.level != 0:
-                    return False
-            elif len(node.children) != self.fanout:
-                return False
-        return True
+        return self.flat_tree.is_complete()
 
     # ------------------------------------------------------------------
-    # Query answering (delegates to repro.core.query)
+    # Query answering (the memoised compiled engine)
     # ------------------------------------------------------------------
-    def range_query(self, query: Rect, use_uniformity: bool = True, backend: str = "recursive") -> float:
-        """Estimated number of data points inside ``query`` (Section 4.1).
+    def range_query(self, query: Rect, use_uniformity: bool = True) -> float:
+        """Estimated number of data points inside ``query`` (Section 4.1)."""
+        return self.compile().range_query(query, use_uniformity=use_uniformity)
 
-        ``backend="flat"`` answers from the compiled array engine
-        (:mod:`repro.engine`), compiling and memoising it on first use.
-        """
-        from .query import range_query as _range_query
-
-        return _range_query(self, query, use_uniformity=use_uniformity, backend=backend)
-
-    def nodes_touched(self, query: Rect, backend: str = "recursive") -> int:
+    def nodes_touched(self, query: Rect) -> int:
         """Number of node counts summed when answering ``query`` (``n(Q)``)."""
-        from .query import nodes_touched as _nodes_touched
+        return self.compile().nodes_touched(query)
 
-        return _nodes_touched(self, query, backend=backend)
-
-    def query_variance(self, query: Rect, backend: str = "recursive") -> float:
+    def query_variance(self, query: Rect) -> float:
         """The analytic error measure ``Err(Q)`` = sum of touched node variances."""
-        from .query import query_variance as _query_variance
-
-        return _query_variance(self, query, backend=backend)
+        return self.compile().query_variance(query)
 
     def compile(self):
         """The memoised flat array engine for this tree (see :mod:`repro.engine`)."""
@@ -266,10 +124,8 @@ class PrivateSpatialDecomposition:
     def batch_range_query(self, queries, use_uniformity: bool = True):
         """Answer a whole workload in one vectorized pass over the flat engine.
 
-        Compiles (and memoises) the engine on first use; per-query results
-        equal ``range_query(q, backend="flat")``.  This is the serving path
-        the experiment runners use — per-query closures over ``range_query``
-        are never needed for evaluation.
+        Per-query results equal :meth:`range_query`; this is the serving path
+        the experiment runners use.
         """
         from ..engine.batch import batch_range_query as _batch_range_query
 
@@ -305,11 +161,7 @@ class PrivateSpatialDecomposition:
 
     def strip_private_fields(self) -> "PrivateSpatialDecomposition":
         """Zero out the true counts, modelling release to an untrusted party."""
-        if self._flat is not None:
-            self._flat.true_count[:] = 0
-            return self
-        for node in self.nodes():
-            node._true_count = 0
+        self.flat_tree.true_count[:] = 0
         return self
 
     def summary(self) -> Dict[str, object]:

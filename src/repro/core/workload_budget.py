@@ -7,7 +7,7 @@ the level-granularity version of that idea, which composes cleanly with the
 rest of the framework (all nodes at a level share a parameter, so the OLS
 post-processing still applies):
 
-* :func:`measure_level_usage` runs the canonical query decomposition for a
+* :func:`measure_level_usage` compiles the canonical query decomposition of a
   representative workload over a *data-independent* structure (so no privacy
   is spent on the measurement) and returns the average number of nodes each
   level contributes, the empirical counterpart of Lemma 2's ``n_i``;
@@ -30,7 +30,7 @@ from ..geometry.domain import Domain
 from ..geometry.rect import Rect
 from .budget import BudgetStrategy
 from .builder import build_psd
-from .query import nodes_touched_per_level
+from .query import level_touch_counts
 from .splits import QuadSplit
 from .tree import PrivateSpatialDecomposition
 
@@ -47,15 +47,12 @@ def measure_level_usage(
     the public domain) so that measuring the workload costs no privacy; the
     counts it carries are irrelevant — only the decomposition geometry is used.
     """
-    totals: Dict[int, float] = {level: 0.0 for level in range(psd.height + 1)}
-    n_queries = 0
-    for query in queries:
-        n_queries += 1
-        for level, count in nodes_touched_per_level(psd, query).items():
-            totals[level] = totals.get(level, 0.0) + count
+    counts = level_touch_counts(psd, queries)
+    n_queries = counts.shape[0]
     if n_queries == 0:
         raise ValueError("cannot measure level usage from an empty workload")
-    return {level: total / n_queries for level, total in totals.items()}
+    totals = counts.sum(axis=0).tolist()
+    return {level: float(total) / n_queries for level, total in enumerate(totals)}
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,11 @@
 
 A private spatial decomposition is a *publish-once, query-many* artifact: the
 data owner builds it a single time under a privacy budget, and consumers then
-answer arbitrarily many range queries from the released counts.  The pointer
-tree of :class:`~repro.core.tree.PSDNode` objects is the right shape for
-*building* (splits, post-processing, pruning mutate it freely) but the wrong
-shape for *serving*: every query is a recursive Python walk that chases
-heap-allocated node objects one attribute access at a time.
-
-This package compiles any built PSD — quadtree, kd-tree or Hilbert R-tree,
-complete or pruned — into a **flat structure-of-arrays** form and evaluates
-range queries over it with vectorised NumPy kernels:
+answer arbitrarily many range queries from the released counts.  This package
+compiles any built PSD — quadtree, kd-tree or Hilbert R-tree, complete or
+pruned — into a frozen **flat structure-of-arrays** form and evaluates range
+queries over it with vectorised NumPy kernels; it is the only query path a
+PSD has:
 
 * :mod:`repro.engine.flat` — the compiler.  Nodes are laid out in
   breadth-first order so each node's children occupy a contiguous index range;
@@ -18,17 +14,15 @@ range queries over it with vectorised NumPy kernels:
   levels, released counts, a has-released-count mask, child offset ranges,
   areas) plus per-level epsilon/variance tables.  Compilation is lossless for
   query purposes: the arrays capture exactly the released information the
-  canonical decomposition of Section 4.1 consumes.  Since the build pipeline
-  went flat-native (:mod:`repro.core.flatbuild`), a freshly built PSD already
-  *is* BFS arrays — compiling one is a cheap array snapshot rather than a
-  pointer walk; the walk remains only for pointer-backed trees (deserialised
-  releases, the planar Hilbert view, hand-built trees).
+  canonical decomposition of Section 4.1 consumes.  A PSD already *is* BFS
+  arrays (:mod:`repro.core.flatbuild`), so compiling one is a cheap array
+  snapshot; the planar Hilbert view adds one vectorised bounding-box pass.
 * :mod:`repro.engine.batch` — the evaluator.  Many queries are answered at
   once by level-synchronous frontier expansion: one ``(query, node)`` pair
   array per wavefront, with containment / intersection / leaf-fraction logic
   expressed as NumPy masks.  Per-query estimates, ``n(Q)`` and the analytic
   variance ``Err(Q)`` come out of the same pass and match the recursive
-  reference in :mod:`repro.core.query` (identical ``n(Q)``, estimates equal
+  pointer walk kept as the test oracle (identical ``n(Q)``, estimates equal
   up to float summation order).
 * :mod:`repro.engine.cache` — an LRU answer cache keyed by canonicalised
   query rectangles, for serving workloads with repeated or popular queries.
@@ -39,16 +33,10 @@ range queries over it with vectorised NumPy kernels:
   via ``np.memmap`` in microseconds and optionally stores counts in reduced
   precision (float32 counts / int32 child offsets).
 
-When to prefer the flat engine
-------------------------------
-Use ``backend="flat"`` (or compile explicitly) whenever the tree is queried
-more than a handful of times: batch throughput is one to two orders of
-magnitude above the recursive walk, and even single queries amortise the
-one-off compile after a few dozen calls.  Stick with the recursive reference
-when the tree is still being mutated (compile caches are invalidated by
-post-processing and pruning, so correctness is never at risk — only compile
-time) or when you need the actual :class:`~repro.core.tree.PSDNode` objects,
-e.g. :func:`~repro.core.query.contributing_nodes` for introspection.
+Every PSD query method (``range_query``, ``nodes_touched``,
+``query_variance``, ``batch_range_query``) answers from the engine memoised
+on the PSD; post-processing and pruning drop the memo, so a mutated tree is
+recompiled on its next query and never served stale.
 """
 
 from .batch import (

@@ -3,8 +3,8 @@
 The evaluator answers ``Q`` queries in one pass of **level-synchronous
 frontier expansion**.  The state is a pair of parallel index arrays
 ``(q_idx, n_idx)`` — every element is one "query q is examining node n"
-obligation, exactly the stack entries of the recursive reference in
-:mod:`repro.core.query`, but held all at once.  Each wavefront:
+obligation, exactly the stack entries of a recursive canonical-decomposition
+walk, but held all at once.  Each wavefront:
 
 1. drops pairs whose node does not intersect the query (half-open box test);
 2. credits *full* nodes (node rect contained in the query, released count
@@ -17,9 +17,8 @@ obligation, exactly the stack entries of the recursive reference in
 Because children sit one level below their parents, the loop runs at most
 ``height + 1`` iterations regardless of how many queries are in flight.  The
 same pass accumulates the estimate, ``n(Q)`` (number of counts summed,
-partial leaves included, matching :func:`repro.core.query.nodes_touched`) and
-the analytic variance ``Err(Q)`` of Equation (1) — partial leaves contribute
-``fraction^2 * Var`` like the reference.
+partial leaves included) and the analytic variance ``Err(Q)`` of
+Equation (1) — partial leaves contribute ``fraction^2 * Var``.
 
 The evaluator is **storage-dtype agnostic**: the engine's counts may be
 stored as float32 and its child offsets as int32 (the reduced-precision
@@ -150,12 +149,11 @@ def batch_query(
 ) -> BatchQueryResult:
     """Answer a batch of range queries in one vectorised pass.
 
-    Semantics are identical to the recursive reference: for each query the
-    estimate equals :func:`repro.core.query.range_query`, ``nodes_touched``
-    equals :func:`repro.core.query.nodes_touched` and ``variances`` equals
-    :func:`repro.core.query.query_variance` (estimates up to float summation
-    order).  ``use_uniformity=False`` drops the partial-leaf contribution from
-    the *estimate* only, exactly like the reference.
+    Semantics are those of the canonical decomposition (Section 4.1): per
+    query, the estimate, ``n(Q)`` and ``Err(Q)`` of the recursive walk kept
+    as the test oracle (estimates up to float summation order).
+    ``use_uniformity=False`` drops the partial-leaf contribution from the
+    *estimate* only.
 
     ``chunk_queries`` evaluates the batch in slices of at most that many
     queries, capping the peak size of the ``(q_idx, n_idx)`` frontier (a

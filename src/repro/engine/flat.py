@@ -1,10 +1,12 @@
-"""Compiling a pointer-based PSD into a flat structure-of-arrays engine.
+"""Compiling a released PSD into a frozen flat structure-of-arrays engine.
 
 The compiled form lays the nodes out in **breadth-first order**: node 0 is the
 root, and every node's children occupy the contiguous index range
 ``[child_start[i], child_end[i])``.  That single invariant is what makes the
 batch evaluator a loop of array operations — a query frontier expands into the
 next wavefront with one ``np.repeat`` instead of per-node pointer chasing.
+A PSD's build-side :class:`~repro.core.flatbuild.FlatTree` already has this
+layout, so compiling is an array snapshot plus the released-count predicate.
 
 All arrays are read-only (``writeable=False``): a compiled engine is a view of
 a *released* artifact and must never drift from the tree it was compiled from.
@@ -23,14 +25,14 @@ cache, not this object, owns mapped bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Dict
 
 import numpy as np
 
 from ..privacy.mechanisms import laplace_variance
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from ..core.tree import PrivateSpatialDecomposition, PSDNode
+    from ..core.tree import PrivateSpatialDecomposition
 
 __all__ = [
     "FlatPSD",
@@ -72,8 +74,9 @@ class FlatPSD:
         ``(n_nodes,)`` the count a query uses — post-processed when present,
         otherwise the raw noisy count; ``0.0`` where ``has_count`` is false.
     has_count:
-        ``(n_nodes,)`` whether the node carries a usable released count
-        (mirrors ``repro.core.query._has_released_count``).
+        ``(n_nodes,)`` whether the node carries a usable released count: a
+        post-processed count, or a raw noisy count at a level that released
+        one.
     is_leaf:
         ``(n_nodes,)`` leaf mask (after any pruning).
     child_start, child_end:
@@ -202,21 +205,20 @@ class FlatPSD:
     # Single-query conveniences (delegate to the batch evaluator)
     # ------------------------------------------------------------------
     def range_query(self, query, use_uniformity: bool = True) -> float:
-        """Estimated count inside ``query`` — flat equivalent of
-        :func:`repro.core.query.range_query`."""
+        """Estimated count inside ``query`` (the canonical decomposition)."""
         from .batch import batch_query
 
         result = batch_query(self, [query], use_uniformity=use_uniformity)
         return float(result.estimates[0])
 
     def nodes_touched(self, query) -> int:
-        """``n(Q)`` — flat equivalent of :func:`repro.core.query.nodes_touched`."""
+        """``n(Q)``: how many released counts the answer sums."""
         from .batch import batch_query
 
         return int(batch_query(self, [query]).nodes_touched[0])
 
     def query_variance(self, query) -> float:
-        """``Err(Q)`` — flat equivalent of :func:`repro.core.query.query_variance`."""
+        """``Err(Q)``: the analytic variance of the answer (Equation 1)."""
         from .batch import batch_query
 
         return float(batch_query(self, [query]).variances[0])
@@ -258,52 +260,54 @@ def expand_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
 
 def compile_psd(psd: "PrivateSpatialDecomposition") -> FlatPSD:
-    """Compile a built PSD into its flat structure-of-arrays form.
+    """Compile a built PSD into its frozen flat structure-of-arrays form.
 
     Works for any of the three tree families (quadtree, kd-tree, Hilbert
     R-tree — for the latter this is the 1-D index tree; see
     :func:`compile_hilbert_rtree` for the planar view) and for pruned /
-    incomplete trees: the only assumptions are the ones the recursive
-    reference also makes (child rects nested in parents, child level one
-    below the parent's).
-
-    A **flat-native** tree (built by ``build_psd(layout="flat")``) is already
-    in BFS array form, so "compilation" degenerates to a cheap array snapshot
-    — no pointer walk, no node materialisation.
+    incomplete trees.  The PSD's arrays are already in BFS order, so this is
+    an array snapshot: copies, so later build-side mutations can never alias
+    into a released engine.
     """
-    flat = getattr(psd, "flat_tree", None)
-    if flat is not None:
-        return _compile_from_flat_tree(flat, psd)
-    return _compile(psd, lambda node: node.rect, psd.domain, psd.name)
+    tree = psd.flat_tree
+    return _snapshot(psd, tree.lo.astype(np.float64, copy=True),
+                     tree.hi.astype(np.float64, copy=True), psd.domain, psd.name)
 
 
-def _released_from_flat_tree(tree, eps: np.ndarray):
-    """The released counts and usability mask of a flat build-side tree.
+def compile_hilbert_rtree(tree) -> FlatPSD:
+    """Compile the planar (bounding-box) view of a private Hilbert R-tree.
 
-    Same predicate as ``_has_released_count``: post-processed counts are
-    always usable, raw noisy counts only where the level released one.
+    The node rectangles of the compiled engine are the planar bounding boxes
+    of each node's Hilbert-index interval — the R-tree rectangles the paper
+    releases — so the engine answers **planar** queries.  Unlike the other
+    tree families, sibling boxes may overlap; the evaluator never assumes
+    disjointness, so nothing changes.  The interval bounds come straight from
+    the BFS arrays and all bounding boxes are produced by one vectorised
+    :meth:`~repro.geometry.hilbert.HilbertCurve.range_bboxes` pass.
     """
+    from ..core.hilbert_rtree import hilbert_interval_bounds
+
+    ft = tree.psd.flat_tree
+    lo_idx, hi_idx = hilbert_interval_bounds(ft.lo[:, 0], ft.hi[:, 0], tree.curve)
+    lo, hi = tree.curve.range_bboxes(lo_idx, hi_idx)
+    return _snapshot(tree.psd, lo, hi, tree.domain, tree.name)
+
+
+def _snapshot(psd: "PrivateSpatialDecomposition", lo: np.ndarray, hi: np.ndarray,
+              domain, name: str) -> FlatPSD:
+    """Freeze a PSD's arrays, with the given node rectangles, into an engine.
+
+    Released-count predicate: post-processed counts are always usable, raw
+    noisy counts only where the level released one.
+    """
+    tree = psd.flat_tree
+    eps = np.asarray(psd.count_epsilons, dtype=np.float64)
     if tree.post_count is not None:
         released = tree.post_count.astype(np.float64, copy=True)
         has_count = np.ones(tree.n_nodes, dtype=bool)
     else:
         has_count = (eps[tree.level] > 0) & np.isfinite(tree.noisy_count)
         released = np.where(has_count, tree.noisy_count, 0.0)
-    return released, has_count
-
-
-def _compile_from_flat_tree(tree, psd: "PrivateSpatialDecomposition") -> FlatPSD:
-    """Snapshot a flat-native build-side tree into the frozen engine form.
-
-    Applies the same released-count predicate as ``_has_released_count``:
-    post-processed counts are always usable, raw noisy counts only where the
-    level released one.  Arrays are copied so later build-side mutations can
-    never alias into a released engine.
-    """
-    eps = np.asarray(psd.count_epsilons, dtype=np.float64)
-    released, has_count = _released_from_flat_tree(tree, eps)
-    lo = tree.lo.astype(np.float64, copy=True)
-    hi = tree.hi.astype(np.float64, copy=True)
     return FlatPSD(
         lo=_freeze(lo),
         hi=_freeze(hi),
@@ -318,129 +322,18 @@ def _compile_from_flat_tree(tree, psd: "PrivateSpatialDecomposition") -> FlatPSD
         level_variance=_freeze(level_variances(eps)),
         height=psd.height,
         fanout=psd.fanout,
-        name=psd.name,
-        domain_lo=_freeze(np.asarray(psd.domain.rect.lo, dtype=np.float64)),
-        domain_hi=_freeze(np.asarray(psd.domain.rect.hi, dtype=np.float64)),
-        domain_name=psd.domain.name,
-    )
-
-
-def compile_hilbert_rtree(tree) -> FlatPSD:
-    """Compile the planar (bounding-box) view of a private Hilbert R-tree.
-
-    The node rectangles of the compiled engine are the planar bounding boxes
-    of each node's Hilbert-index interval — the R-tree rectangles the paper
-    releases — so the engine answers **planar** queries with the same
-    semantics as :meth:`~repro.core.hilbert_rtree.PrivateHilbertRTree.range_query`.
-    Unlike the other tree families, sibling boxes may overlap; the evaluator
-    never assumes disjointness, so nothing changes.
-
-    A **flat-native** 1-D tree compiles without materialising pointer nodes:
-    the interval bounds come straight from the BFS arrays and all bounding
-    boxes are produced by one vectorised
-    :meth:`~repro.geometry.hilbert.HilbertCurve.range_bboxes` pass — bitwise
-    identical to the per-node ``node_bbox`` walk, at a fraction of the cost.
-    """
-    flat = getattr(tree.psd, "flat_tree", None)
-    if flat is not None:
-        return _compile_planar_from_flat_tree(flat, tree)
-    return _compile(tree.psd, tree.node_bbox, tree.domain, tree.name)
-
-
-def _compile_planar_from_flat_tree(ft, tree) -> FlatPSD:
-    """Planar Hilbert engine straight from the flat 1-D arrays (no node walk)."""
-    from ..core.hilbert_rtree import hilbert_interval_bounds
-
-    curve = tree.curve
-    psd = tree.psd
-    lo_idx, hi_idx = hilbert_interval_bounds(ft.lo[:, 0], ft.hi[:, 0], curve)
-    lo, hi = curve.range_bboxes(lo_idx, hi_idx)
-    eps = np.asarray(psd.count_epsilons, dtype=np.float64)
-    released, has_count = _released_from_flat_tree(ft, eps)
-    return FlatPSD(
-        lo=_freeze(lo),
-        hi=_freeze(hi),
-        level=_freeze(ft.level.astype(np.int32, copy=True)),
-        released=_freeze(released),
-        has_count=_freeze(has_count),
-        is_leaf=_freeze(ft.is_leaf.copy()),
-        child_start=_freeze(ft.child_start.astype(np.int64, copy=True)),
-        child_end=_freeze(ft.child_end.astype(np.int64, copy=True)),
-        area=_freeze(np.prod(hi - lo, axis=1)),
-        count_epsilons=_freeze(eps),
-        level_variance=_freeze(level_variances(eps)),
-        height=psd.height,
-        fanout=psd.fanout,
-        name=tree.name,
-        domain_lo=_freeze(np.asarray(tree.domain.rect.lo, dtype=np.float64)),
-        domain_hi=_freeze(np.asarray(tree.domain.rect.hi, dtype=np.float64)),
-        domain_name=tree.domain.name,
-    )
-
-
-def _compile(psd: "PrivateSpatialDecomposition", rect_of, domain, name: str) -> FlatPSD:
-    # Breadth-first order (the canonical array order): every node's children
-    # end up in one contiguous index range.
-    from ..core.flatbuild import bfs_order
-
-    order: List["PSDNode"] = bfs_order(psd.root)
-    n = len(order)
-    dims = domain.dims
-
-    starts = np.empty(n, dtype=np.int64)
-    ends = np.empty(n, dtype=np.int64)
-    pos = 1
-    for idx, node in enumerate(order):
-        starts[idx] = pos
-        pos += len(node.children)
-        ends[idx] = pos
-
-    lo = np.empty((n, dims), dtype=np.float64)
-    hi = np.empty((n, dims), dtype=np.float64)
-    level = np.empty(n, dtype=np.int32)
-    released = np.zeros(n, dtype=np.float64)
-    has_count = np.zeros(n, dtype=bool)
-    # The reference predicate for "carries a usable released count" — shared
-    # with the recursive backend so the two can never drift apart.
-    from ..core.query import _has_released_count
-
-    eps = np.asarray(psd.count_epsilons, dtype=np.float64)
-    for idx, node in enumerate(order):
-        rect = rect_of(node)
-        lo[idx] = rect.lo
-        hi[idx] = rect.hi
-        level[idx] = node.level
-        if _has_released_count(psd, node):
-            released[idx] = node.released_count
-            has_count[idx] = True
-
-    flat = FlatPSD(
-        lo=_freeze(lo),
-        hi=_freeze(hi),
-        level=_freeze(level),
-        released=_freeze(released),
-        has_count=_freeze(has_count),
-        is_leaf=_freeze(ends == starts),
-        child_start=_freeze(starts),
-        child_end=_freeze(ends),
-        area=_freeze(np.prod(hi - lo, axis=1)),
-        count_epsilons=_freeze(eps),
-        level_variance=_freeze(level_variances(eps)),
-        height=psd.height,
-        fanout=psd.fanout,
         name=name,
         domain_lo=_freeze(np.asarray(domain.rect.lo, dtype=np.float64)),
         domain_hi=_freeze(np.asarray(domain.rect.hi, dtype=np.float64)),
         domain_name=domain.name,
     )
-    return flat
 
 
 def compiled_engine(psd: "PrivateSpatialDecomposition") -> FlatPSD:
     """The memoised compiled engine for ``psd``, compiling on first use.
 
-    The engine is cached in ``psd.metadata`` so repeated ``backend="flat"``
-    queries pay the compile once.  Post-processing and pruning drop the cache
+    The engine is cached in ``psd.metadata`` so repeated queries pay the
+    compile once.  Post-processing and pruning drop the cache
     (see :func:`invalidate_compiled_engine`); the cache entry is also skipped
     by serialisation, which only keeps JSON-compatible metadata.
     """

@@ -129,18 +129,12 @@ def evaluate_tree(
 def evaluate_psd(
     psd,
     workloads: Dict[str, QueryWorkload],
-    backend: str = "flat",
 ) -> Dict[str, float]:
     """Median relative error of a built PSD on every workload.
 
-    ``backend="flat"`` (default) answers each workload as one vectorized batch
-    through the compiled engine — the natural fit for the many-build /
-    many-query experiment loops, where a flat-native build never has to
-    materialise pointer nodes at all.  ``backend="recursive"`` falls back to
-    the per-query reference walk.
+    Each workload is answered as one vectorized batch through the compiled
+    engine — the natural fit for the many-build / many-query experiment loops.
     """
-    if backend != "flat":
-        return evaluate_tree(lambda q: psd.range_query(q, backend=backend), workloads)
     from ..engine import batch_range_query
 
     engine = psd.compile()

@@ -83,7 +83,6 @@ def run_fig7b(
     rng: RngLike = 0,
     scale: Optional[ExperimentScale] = None,
     workers: Optional[int] = None,
-    scorer: str = "fast",
 ) -> List[Dict[str, object]]:
     """The record-matching sweep of Figure 7(b).
 
@@ -95,9 +94,7 @@ def run_fig7b(
     ``scale`` supplies defaults when ``n_per_party``/``height`` are not
     given (a tenth of ``scale.n_points`` per party at ``scale.kd_height`` —
     ``--scale paper`` puts 163k records on each side); ``workers`` fans the
-    candidate scoring across processes with bitwise-identical results, and
-    ``scorer`` selects the vectorised path (``"fast"``) or the seed-era
-    reference loop (``"reference"``), which agree value-for-value.
+    candidate scoring across processes with bitwise-identical results.
     """
     if n_per_party is None:
         n_per_party = max(scale.n_points // 10, 1000) if scale is not None else 20_000
@@ -114,7 +111,7 @@ def run_fig7b(
 
     results = record_matching_experiment(
         holders, seekers, domain, epsilons=epsilons, height=height,
-        matching_distance=matching_distance, rng=gen, workers=workers, scorer=scorer,
+        matching_distance=matching_distance, rng=gen, workers=workers,
     )
     rows: List[Dict[str, object]] = []
     for row in results:

@@ -23,8 +23,8 @@ allows.  This package scales *across* cores without touching those kernels:
   to an uninterrupted run;
 * :mod:`repro.parallel.serve` — a sharded query server that fans chunks of a
   query batch across the pool over one shared compiled engine;
-* :mod:`repro.parallel.matching` — seeker-chunk fan-out for the record
-  matching scorer: exact integer partials summed in the parent, so
+* :mod:`repro.parallel.matching` — seeker-chunk fan-out for record
+  matching's blocking evaluation: exact integer partials summed in the parent, so
   ``workers=N`` reproduces ``workers=1`` bitwise.
 
 Everything here keeps a hard determinism contract: parallelism changes

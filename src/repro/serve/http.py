@@ -16,7 +16,8 @@ Endpoints
 ``GET /healthz``     liveness + current engine generation.
 ``GET /stats``       service, supervisor, ledger and fault counters.
 ``GET /accounts``    per-analyst spend/cap/remaining (with hex spend).
-``POST /admin/swap`` ``{"path": str}`` — zero-downtime engine hot swap.
+``POST /admin/swap`` ``{"path": str}`` — zero-downtime engine hot swap; the
+    file's checksums are verified first, as at startup (400 naming the array).
 ``POST /admin/kill-worker``  crash one pool worker (fault drill).
 
 Failure matrix (every failure is an HTTP status, never a hang or a reset):
@@ -44,6 +45,7 @@ import json
 import math
 import threading
 import time
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -366,7 +368,9 @@ class QueryService:
             raise _HttpError(400, {"error": "missing engine path"})
         loop = asyncio.get_running_loop()
         try:
-            engine = await loop.run_in_executor(None, load_engine, path)
+            # Verified like `repro serve` at startup: a file failing its
+            # checksums must never replace a healthy generation.
+            engine = await loop.run_in_executor(None, partial(load_engine, path, verify=True))
         except FileNotFoundError:
             raise _HttpError(400, {"error": f"engine file not found: {path}"})
         except Exception as exc:

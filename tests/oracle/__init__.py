@@ -1,0 +1,98 @@
+"""Test oracles: the pointer-tree and seed-era implementations of the paper.
+
+Production code (``src/repro``) keeps every private spatial decomposition in
+one representation, the breadth-first arrays of
+:class:`repro.core.flatbuild.FlatTree`, and answers every query from the
+compiled flat engine.  The implementations those arrays replaced live here,
+unchanged in substance, as the readable executable specification:
+
+* :mod:`oracle.tree` — :class:`PSDNode`, the pointer-backed
+  :class:`PointerPSD`, and the conversions to and from the BFS arrays;
+* :mod:`oracle.build` — the per-node build pipeline (pointer structure,
+  scalar noise draws, recursive OLS, top-down pruning);
+* :mod:`oracle.query` — the recursive canonical decomposition (estimates,
+  ``n(Q)``, ``n_i``, ``Err(Q)``), the planar Hilbert walk and the
+  pointer-walking engine compiler;
+* :mod:`oracle.matching` — the seed-era record-matching blocking loop.
+
+Nothing under ``src/`` imports this package.  Tests import it as ``oracle``
+(pytest puts ``tests/`` on ``sys.path``); scripts outside ``tests/`` insert
+that directory first.
+"""
+
+from .build import (
+    apply_ols,
+    build_private_hilbert_rtree,
+    build_private_kdtree,
+    build_private_quadtree,
+    build_psd,
+    check_consistency,
+    ols_estimate_tree,
+    pointer_builds,
+    populate_noisy_counts,
+    prune_low_count_subtrees,
+)
+from .matching import blocking_reference, reference_blocking
+from .query import (
+    HilbertPointerView,
+    compile_hilbert_rtree,
+    compile_psd,
+    contributing_nodes,
+    hilbert_range_query,
+    hilbert_view,
+    measure_level_usage,
+    node_bbox,
+    node_bboxes,
+    nodes_touched,
+    nodes_touched_per_level,
+    query_variance,
+    range_query,
+)
+from .tree import (
+    PointerPSD,
+    PSDNode,
+    bfs_order,
+    flatten_tree,
+    leaves,
+    materialize_nodes,
+    nodes,
+    pointer_view,
+    root,
+)
+
+__all__ = [
+    "PSDNode",
+    "PointerPSD",
+    "pointer_view",
+    "root",
+    "nodes",
+    "leaves",
+    "bfs_order",
+    "materialize_nodes",
+    "flatten_tree",
+    "build_psd",
+    "populate_noisy_counts",
+    "apply_ols",
+    "ols_estimate_tree",
+    "check_consistency",
+    "prune_low_count_subtrees",
+    "pointer_builds",
+    "build_private_quadtree",
+    "build_private_kdtree",
+    "build_private_hilbert_rtree",
+    "contributing_nodes",
+    "range_query",
+    "nodes_touched",
+    "nodes_touched_per_level",
+    "measure_level_usage",
+    "query_variance",
+    "compile_psd",
+    "compile_hilbert_rtree",
+    "HilbertPointerView",
+    "hilbert_view",
+    "node_bbox",
+    "node_bboxes",
+    "hilbert_range_query",
+    "blocking_reference",
+    "reference_blocking",
+]

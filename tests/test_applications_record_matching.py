@@ -9,12 +9,12 @@ import sys
 import numpy as np
 import pytest
 
+import oracle
 from repro.applications import (
     BlockingResult,
     MatchingOutcome,
     blocking_from_engine,
     blocking_from_psd,
-    blocking_reference,
     build_blocking_tree,
     record_matching_experiment,
 )
@@ -66,7 +66,7 @@ class TestBuildBlockingTree:
             0.3 if method == "quad-baseline" else 0.3 * 0.7
         )
         assert all(e == 0.0 for e in psd.count_epsilons[1:])
-        assert all(n.post_count is None for n in psd.nodes())
+        assert all(n.post_count is None for n in oracle.nodes(psd))
         psd.accountant.assert_within_budget()
 
     def test_unknown_method(self, domain, parties):
@@ -84,7 +84,7 @@ class TestBlockingFromPsd:
         assert 0.0 <= result.pairs_completeness <= 1.0
         assert result.total_pairs == holders.shape[0] * seekers.shape[0]
         assert 0 <= result.candidate_pairs
-        assert result.surviving_leaves <= len(psd.leaves())
+        assert result.surviving_leaves <= len(oracle.leaves(psd))
 
     def test_blocking_actually_reduces_work(self, domain, parties):
         holders, seekers = parties
@@ -130,7 +130,7 @@ class TestFastScorerParity:
         psd = build_blocking_tree(holders, domain, height=4, epsilon=epsilon, method=method, rng=9)
         engine = psd.compile()
         fast = blocking_from_engine(engine, holders, seekers, distance, count_threshold=threshold)
-        ref = blocking_reference(psd, holders, seekers, distance, count_threshold=threshold)
+        ref = oracle.blocking_reference(psd, holders, seekers, distance, count_threshold=threshold)
         assert fast == ref  # exact, field for field
 
     def test_workers_bitwise_parity(self, domain, parties):
@@ -234,11 +234,7 @@ class TestExperimentSweep:
         holders, seekers = parties
         kwargs = dict(epsilons=(0.3,), height=4, matching_distance=0.01,
                       methods=("kd-standard", "quad-baseline"), rng=15)
-        fast = record_matching_experiment(holders, seekers, domain, scorer="fast", **kwargs)
-        ref = record_matching_experiment(holders, seekers, domain, scorer="reference", **kwargs)
+        fast = record_matching_experiment(holders, seekers, domain, **kwargs)
+        with oracle.reference_blocking():
+            ref = record_matching_experiment(holders, seekers, domain, **kwargs)
         assert fast == ref
-
-    def test_unknown_scorer_rejected(self, domain, parties):
-        holders, seekers = parties
-        with pytest.raises(ValueError):
-            record_matching_experiment(holders, seekers, domain, epsilons=(0.3,), scorer="turbo")

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import apply_ols, build_psd, check_consistency, ols_estimate_tree
+import oracle
+from repro.core import apply_ols, build_psd, check_consistency
 from repro.core.builder import populate_noisy_counts
 from repro.core.splits import QuadSplit
 from repro.data import uniform_points
@@ -22,8 +23,11 @@ def build_quad_psd(n_points=400, height=3, epsilon=1.0, budget="geometric", seed
 
 
 def brute_force_ols(psd):
-    """Solve the weighted least-squares problem directly (reference implementation)."""
-    nodes = list(psd.nodes())
+    """Solve the weighted least-squares problem directly (reference implementation).
+
+    Returns the estimates in the pre-order of ``oracle.nodes(psd)``.
+    """
+    nodes = oracle.nodes(psd)
     leaves = [n for n in nodes if n.is_leaf]
     leaf_index = {id(n): i for i, n in enumerate(leaves)}
     H = np.zeros((len(nodes), len(leaves)))
@@ -39,7 +43,7 @@ def brute_force_ols(psd):
     A = np.diag(weights) @ H
     b = np.diag(weights) @ y
     leaf_beta, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return {id(n): float(H[r] @ leaf_beta) for r, n in enumerate(nodes)}
+    return [float(H[r] @ leaf_beta) for r in range(len(nodes))]
 
 
 class TestAgainstBruteForce:
@@ -48,8 +52,8 @@ class TestAgainstBruteForce:
         psd = build_quad_psd(height=3, budget=budget, seed=3)
         expected = brute_force_ols(psd)
         apply_ols(psd)
-        for node in psd.nodes():
-            assert node.post_count == pytest.approx(expected[id(node)], abs=1e-6)
+        for node, want in zip(oracle.nodes(psd), expected):
+            assert node.post_count == pytest.approx(want, abs=1e-6)
 
     def test_matches_on_binary_tree(self):
         from repro.core.hilbert_rtree import BinaryMedianSplit
@@ -60,8 +64,8 @@ class TestAgainstBruteForce:
                         epsilon=1.0, count_budget="geometric", rng=1)
         expected = brute_force_ols(psd)
         apply_ols(psd)
-        for node in psd.nodes():
-            assert node.post_count == pytest.approx(expected[id(node)], abs=1e-6)
+        for node, want in zip(oracle.nodes(psd), expected):
+            assert node.post_count == pytest.approx(want, abs=1e-6)
 
     @given(st.integers(1, 4), st.sampled_from(["uniform", "geometric"]), st.integers(0, 100))
     @settings(max_examples=12, deadline=None)
@@ -69,7 +73,7 @@ class TestAgainstBruteForce:
         psd = build_quad_psd(n_points=120, height=height, budget=budget, seed=seed)
         expected = brute_force_ols(psd)
         apply_ols(psd)
-        worst = max(abs(node.post_count - expected[id(node)]) for node in psd.nodes())
+        worst = max(abs(node.post_count - want) for node, want in zip(oracle.nodes(psd), expected))
         assert worst < 1e-6
 
 
@@ -82,17 +86,16 @@ class TestEstimatorProperties:
     def test_post_counts_populated_for_every_node(self):
         psd = build_quad_psd(height=3)
         apply_ols(psd)
-        assert all(node.post_count is not None for node in psd.nodes())
+        assert all(node.post_count is not None for node in oracle.nodes(psd))
 
     def test_postprocessing_is_pure_released_data_transformation(self):
         """The OLS never looks at the true counts: zeroing them changes nothing."""
         psd_a = build_quad_psd(height=3, seed=11)
         psd_b = build_quad_psd(height=3, seed=11)
-        for node in psd_b.nodes():
-            node._true_count = 0
+        psd_b.strip_private_fields()
         apply_ols(psd_a)
         apply_ols(psd_b)
-        for a, b in zip(psd_a.nodes(), psd_b.nodes()):
+        for a, b in zip(oracle.nodes(psd_a), oracle.nodes(psd_b)):
             assert a.post_count == pytest.approx(b.post_count)
 
     def test_variance_reduction_on_root(self):
@@ -100,44 +103,44 @@ class TestEstimatorProperties:
         domain = Domain.unit(2)
         points = uniform_points(500, domain, rng=np.random.default_rng(2))
         psd = build_psd(points, domain, 3, QuadSplit(), epsilon=0.4, count_budget="uniform", rng=5)
-        true_root = psd.root._true_count
+        true_root = oracle.root(psd)._true_count
         raw_errors, post_errors = [], []
         rng = np.random.default_rng(99)
         for _ in range(80):
             populate_noisy_counts(psd, rng=rng)
-            raw_errors.append((psd.root.noisy_count - true_root) ** 2)
+            raw_errors.append((oracle.root(psd).noisy_count - true_root) ** 2)
             apply_ols(psd)
-            post_errors.append((psd.root.post_count - true_root) ** 2)
+            post_errors.append((oracle.root(psd).post_count - true_root) ** 2)
         assert np.mean(post_errors) < np.mean(raw_errors)
 
     def test_unbiasedness_of_root_estimate(self):
         domain = Domain.unit(2)
         points = uniform_points(300, domain, rng=np.random.default_rng(4))
         psd = build_psd(points, domain, 2, QuadSplit(), epsilon=1.0, count_budget="geometric", rng=6)
-        true_root = psd.root._true_count
+        true_root = oracle.root(psd)._true_count
         rng = np.random.default_rng(77)
         estimates = []
         for _ in range(300):
             populate_noisy_counts(psd, rng=rng)
             apply_ols(psd)
-            estimates.append(psd.root.post_count)
+            estimates.append(oracle.root(psd).post_count)
         assert np.mean(estimates) == pytest.approx(true_root, abs=0.15 * true_root ** 0.5 + 3)
 
     def test_leaf_only_budget_internal_nodes_become_leaf_sums(self):
         psd = build_quad_psd(height=2, budget="leaf-only", seed=13)
         apply_ols(psd)
-        for node in psd.nodes():
+        for node in oracle.nodes(psd):
             if not node.is_leaf:
                 child_sum = sum(c.post_count for c in node.children)
                 assert node.post_count == pytest.approx(child_sum, abs=1e-9)
         # With no internal information, the leaf estimates equal the leaf noisy counts.
-        for leaf in psd.leaves():
+        for leaf in oracle.leaves(psd):
             assert leaf.post_count == pytest.approx(leaf.noisy_count, abs=1e-9)
 
     def test_ols_estimate_tree_does_not_mutate(self):
-        psd = build_quad_psd(height=2)
+        psd = oracle.pointer_view(build_quad_psd(height=2))
         before = [n.post_count for n in psd.nodes()]
-        estimates = ols_estimate_tree(psd)
+        estimates = oracle.ols_estimate_tree(psd)
         after = [n.post_count for n in psd.nodes()]
         assert before == after
         assert len(estimates) == psd.node_count()
@@ -146,7 +149,7 @@ class TestEstimatorProperties:
 class TestValidation:
     def test_requires_complete_tree(self):
         psd = build_quad_psd(height=2)
-        psd.root.children[0].children = []  # truncate one subtree
+        psd.prune(1e9)  # truncate the tree below the root
         with pytest.raises(ValueError, match="complete"):
             apply_ols(psd)
 

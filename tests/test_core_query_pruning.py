@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from repro.analysis import quadtree_touched_bound
 from repro.core import build_psd, nodes_touched, nodes_touched_per_level, query_variance, range_query
 from repro.core.builder import BudgetSplit
@@ -145,16 +146,16 @@ class TestPruning:
         dense = uniform_points(2_000, Domain.from_bounds((0.0, 0.0), (0.5, 0.5)), rng=np.random.default_rng(1))
         psd = build_psd(dense, domain, 3, QuadSplit(), epsilon=5.0, rng=6, postprocess=True)
         prune_low_count_subtrees(psd, threshold=100.0)
-        dense_child = next(c for c in psd.root.children if c.rect.contains_point((0.1, 0.1)))
+        dense_child = next(c for c in oracle.root(psd).children if c.rect.contains_point((0.1, 0.1)))
         assert not dense_child.is_leaf
-        sparse_child = next(c for c in psd.root.children if c.rect.contains_point((0.9, 0.9)))
+        sparse_child = next(c for c in oracle.root(psd).children if c.rect.contains_point((0.9, 0.9)))
         assert sparse_child.is_leaf
 
     def test_threshold_zero_keeps_everything_positive(self, domain, points):
         psd = build_psd(points, domain, 3, QuadSplit(), epsilon=1.0, rng=7, postprocess=True)
         prune_low_count_subtrees(psd, threshold=0.0)
         # Only subtrees under negative released counts can be removed at threshold 0.
-        for node in psd.nodes():
+        for node in oracle.nodes(psd):
             if not node.is_leaf:
                 assert node.released_count >= 0.0
 
@@ -177,7 +178,7 @@ class TestPruning:
 
 class TestTreeHelpers:
     def test_nodes_by_level_and_summary(self, noiseless_psd):
-        by_level = noiseless_psd.nodes_by_level()
+        by_level = oracle.pointer_view(noiseless_psd).nodes_by_level()
         assert len(by_level[noiseless_psd.height]) == 1
         assert len(by_level[0]) == 4**noiseless_psd.height
         summary = noiseless_psd.summary()
@@ -191,7 +192,7 @@ class TestTreeHelpers:
     def test_strip_private_fields(self, domain, points):
         psd = build_psd(points, domain, 2, QuadSplit(), epsilon=1.0, rng=11)
         psd.strip_private_fields()
-        assert all(node._true_count == 0 for node in psd.nodes())
+        assert all(node._true_count == 0 for node in oracle.nodes(psd))
 
     def test_total_count_epsilon(self, domain, points):
         psd = build_psd(points, domain, 2, KDSplit(median_method="em"), epsilon=1.0,

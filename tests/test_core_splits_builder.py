@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import oracle
 from repro.core.builder import BudgetSplit, build_psd, populate_noisy_counts
 from repro.core.splits import CellKDSplit, HybridSplit, KDSplit, QuadSplit, grid_median_along_axis
 from repro.data import uniform_points
@@ -162,8 +163,8 @@ class TestBuilder:
 
     def test_true_counts_partition_data(self, domain, points):
         psd = build_psd(points, domain, 3, QuadSplit(), epsilon=1.0, rng=1)
-        assert psd.root._true_count == points.shape[0]
-        for node in psd.nodes():
+        assert oracle.root(psd)._true_count == points.shape[0]
+        for node in oracle.nodes(psd):
             if not node.is_leaf:
                 assert node._true_count == sum(c._true_count for c in node.children)
 
@@ -179,13 +180,13 @@ class TestBuilder:
     def test_noiseless_counts_for_baselines(self, domain, points):
         psd = build_psd(points, domain, 2, KDSplit(median_method="true"), epsilon=1.0,
                         budget_split=BudgetSplit(count_fraction=1.0), noiseless_counts=True, rng=3)
-        for node in psd.nodes():
+        for node in oracle.nodes(psd):
             assert node.noisy_count == node._true_count
 
     def test_zero_budget_levels_release_nothing(self, domain, points):
         psd = build_psd(points, domain, 2, QuadSplit(), epsilon=1.0, count_budget="leaf-only", rng=4)
-        assert np.isnan(psd.root.noisy_count)
-        for leaf in psd.leaves():
+        assert np.isnan(oracle.root(psd).noisy_count)
+        for leaf in oracle.leaves(psd):
             assert np.isfinite(leaf.noisy_count)
 
     def test_postprocess_and_prune_flags(self, domain, points):
@@ -193,7 +194,7 @@ class TestBuilder:
         # 250 therefore cuts every level-1 subtree while keeping level 2.
         psd = build_psd(points, domain, 3, QuadSplit(), epsilon=1.0, rng=5,
                         postprocess=True, prune_threshold=250.0)
-        assert all(n.post_count is not None for n in psd.nodes())
+        assert all(n.post_count is not None for n in oracle.nodes(psd))
         assert psd.node_count() < sum(4**i for i in range(4))
 
     def test_invalid_parameters(self, domain, points):
@@ -204,9 +205,9 @@ class TestBuilder:
 
     def test_populate_noisy_counts_redraws(self, domain, points):
         psd = build_psd(points, domain, 2, QuadSplit(), epsilon=1.0, rng=6)
-        first = psd.root.noisy_count
+        first = oracle.root(psd).noisy_count
         populate_noisy_counts(psd, rng=np.random.default_rng(123))
-        assert psd.root.noisy_count != first
+        assert oracle.root(psd).noisy_count != first
 
     def test_points_outside_domain_rejected(self, domain):
         bad = np.array([[0.5, 1.5]])
@@ -216,18 +217,18 @@ class TestBuilder:
     def test_height_zero_single_node(self, domain, points):
         psd = build_psd(points, domain, 0, QuadSplit(), epsilon=1.0, rng=7)
         assert psd.node_count() == 1
-        assert psd.root.is_leaf
+        assert oracle.root(psd).is_leaf
 
     def test_empty_dataset(self, domain):
         psd = build_psd(np.empty((0, 2)), domain, 2, QuadSplit(), epsilon=1.0, rng=8)
-        assert psd.root._true_count == 0
+        assert oracle.root(psd)._true_count == 0
         assert psd.is_complete()
 
     def test_noise_statistics_match_level_epsilon(self, domain, points):
         """Leaf-level noise should have the variance implied by the leaf epsilon."""
         psd = build_psd(points, domain, 4, QuadSplit(), epsilon=1.0, count_budget="geometric",
                         rng=np.random.default_rng(9))
-        leaves = psd.leaves()
+        leaves = oracle.leaves(psd)
         residuals = np.array([leaf.noisy_count - leaf._true_count for leaf in leaves])
         eps_leaf = psd.count_epsilons[0]
         expected_var = 2.0 / eps_leaf**2

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import oracle
 from repro.core import (
     KDTREE_VARIANTS,
     QUADTREE_VARIANTS,
@@ -55,8 +56,8 @@ class TestQuadtreeVariants:
                                           variant="quad-baseline", rng=2)
         optimised = build_private_quadtree(clustered_points, domain, HEIGHT, EPSILON,
                                            variant="quad-opt", rng=2)
-        assert all(n.post_count is None for n in baseline.nodes())
-        assert all(n.post_count is not None for n in optimised.nodes())
+        assert all(n.post_count is None for n in oracle.nodes(baseline))
+        assert all(n.post_count is not None for n in oracle.nodes(optimised))
 
     def test_budget_strategies_differ(self, domain, clustered_points):
         geo = build_private_quadtree(clustered_points, domain, HEIGHT, EPSILON, variant="quad-geo", rng=3)
@@ -78,8 +79,8 @@ class TestQuadtreeVariants:
         other_points = gaussian_cluster_points(4_000, domain, n_clusters=2, spread=0.2, rng=rng)
         a = build_private_quadtree(clustered_points, domain, 3, EPSILON, rng=5)
         b = build_private_quadtree(other_points, domain, 3, EPSILON, rng=6)
-        rects_a = [n.rect for n in a.nodes()]
-        rects_b = [n.rect for n in b.nodes()]
+        rects_a = [n.rect for n in oracle.nodes(a)]
+        rects_b = [n.rect for n in oracle.nodes(b)]
         assert rects_a == rects_b
 
     def test_query_accuracy_reasonable(self, domain, clustered_points):
@@ -113,15 +114,15 @@ class TestKDTreeVariants:
 
     def test_kd_pure_is_noiseless(self, domain, clustered_points):
         psd = build_private_kdtree(clustered_points, domain, HEIGHT, EPSILON, variant="kd-pure", rng=10)
-        for node in psd.nodes():
+        for node in oracle.nodes(psd):
             assert node.noisy_count == node._true_count
 
     def test_kd_true_uses_exact_medians_but_noisy_counts(self, domain, clustered_points):
         psd = build_private_kdtree(clustered_points, domain, 2, EPSILON, variant="kd-true", rng=11)
         # Exact medians balance the children of the root almost perfectly.
-        counts = [c._true_count for c in psd.root.children]
+        counts = [c._true_count for c in oracle.root(psd).children]
         assert max(counts) - min(counts) <= clustered_points.shape[0] * 0.02 + 4
-        residuals = [n.noisy_count - n._true_count for n in psd.nodes()]
+        residuals = [n.noisy_count - n._true_count for n in oracle.nodes(psd)]
         assert any(abs(r) > 1e-9 for r in residuals)
 
     def test_kd_standard_median_budget_split(self, domain, clustered_points):
@@ -142,7 +143,7 @@ class TestKDTreeVariants:
                                    switch_level=1, rng=14)
         # Only the root level is data dependent: its grandchildren (from the
         # quad stage of the flattened split) have equal areas below the switch.
-        level_below = [n for n in psd.nodes() if n.level == HEIGHT - 2]
+        level_below = [n for n in oracle.nodes(psd) if n.level == HEIGHT - 2]
         areas = {round(n.rect.area, 12) for n in level_below if n.rect.area > 0}
         # Quad splits of equal parents produce only a handful of distinct areas.
         assert len(areas) <= len(level_below)
@@ -210,9 +211,9 @@ class TestPrivateHilbertRTree:
     def test_postprocess_and_prune_chain(self, domain, clustered_points):
         tree = build_private_hilbert_rtree(clustered_points, domain, height=6, epsilon=EPSILON,
                                            order=8, postprocess=False, rng=18)
-        assert all(n.post_count is None for n in tree.psd.nodes())
+        assert all(n.post_count is None for n in oracle.nodes(tree.psd))
         tree.postprocess().prune(50.0)
-        assert any(n.post_count is not None for n in tree.psd.nodes())
+        assert any(n.post_count is not None for n in oracle.nodes(tree.psd))
 
     def test_rejects_non_2d_domain(self, clustered_points):
         with pytest.raises(ValueError):

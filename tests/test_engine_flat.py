@@ -1,12 +1,12 @@
 """Tests for the compiled flat-array query engine (:mod:`repro.engine`).
 
 The load-bearing property: on randomized trees and query workloads, the flat
-engine must agree with the recursive reference in :mod:`repro.core.query` —
-estimates within float-summation tolerance, ``n(Q)`` *exactly*, variances
-within tolerance — for all three PSD families, before and after
-post-processing and pruning.  The rest covers the serving conveniences:
-the LRU answer cache, ``.npz`` round-trips, the ``backend=`` dispatch and the
-CLI batch mode.
+engine must agree with the recursive walk of the test oracle
+(``oracle.query``) — estimates within float-summation tolerance, ``n(Q)``
+*exactly*, variances within tolerance — for all three PSD families, before
+and after post-processing and pruning.  The rest covers the serving
+conveniences: the LRU answer cache, ``.npz`` round-trips, engine memoisation
+and the CLI batch mode.
 """
 
 from __future__ import annotations
@@ -16,17 +16,15 @@ import json
 import numpy as np
 import pytest
 
+import oracle
 from repro.cli import main
 from repro.core import (
     build_private_hilbert_rtree,
     build_private_kdtree,
     build_private_quadtree,
-    nodes_touched,
-    query_variance,
-    range_query,
+    load_psd,
     save_psd,
 )
-from repro.core.query import QUERY_BACKENDS
 from repro.data import uniform_points
 from repro.engine import (
     CachedEngine,
@@ -93,10 +91,12 @@ class TestFlatRecursiveParity:
         engine = compile_psd(psd).validate()
         queries = _random_queries(psd, np.random.default_rng(29))
         result = batch_query(engine, queries)
+        ref = oracle.pointer_view(psd)
         for i, query in enumerate(queries):
-            assert result.estimates[i] == pytest.approx(range_query(psd, query), rel=1e-9, abs=1e-9)
-            assert int(result.nodes_touched[i]) == nodes_touched(psd, query)
-            assert result.variances[i] == pytest.approx(query_variance(psd, query), rel=1e-9, abs=1e-12)
+            assert result.estimates[i] == pytest.approx(oracle.range_query(ref, query), rel=1e-9, abs=1e-9)
+            assert int(result.nodes_touched[i]) == oracle.nodes_touched(ref, query)
+            assert result.variances[i] == pytest.approx(oracle.query_variance(ref, query),
+                                                        rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_parity_without_uniformity(self, variant, points, domain):
@@ -104,8 +104,9 @@ class TestFlatRecursiveParity:
         engine = compile_psd(psd)
         queries = _random_queries(psd, np.random.default_rng(31), n=60)
         estimates = batch_range_query(engine, queries, use_uniformity=False)
+        ref = oracle.pointer_view(psd)
         for i, query in enumerate(queries):
-            expected = range_query(psd, query, use_uniformity=False)
+            expected = oracle.range_query(ref, query, use_uniformity=False)
             assert estimates[i] == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
     def test_parity_survives_postprocess_and_prune(self, points, domain):
@@ -115,12 +116,13 @@ class TestFlatRecursiveParity:
         for mutate in (lambda: psd.postprocess(), lambda: psd.prune(10.0)):
             # Warm the memoised engine, then mutate: the stale engine must be
             # dropped and the fresh compile must match the mutated tree.
-            _ = psd.range_query(queries[0], backend="flat")
+            _ = psd.range_query(queries[0])
             mutate()
+            ref = oracle.pointer_view(psd)
             for query in queries:
-                flat = psd.range_query(query, backend="flat")
-                assert flat == pytest.approx(psd.range_query(query), rel=1e-9, abs=1e-9)
-                assert psd.nodes_touched(query, backend="flat") == psd.nodes_touched(query)
+                flat = psd.range_query(query)
+                assert flat == pytest.approx(oracle.range_query(ref, query), rel=1e-9, abs=1e-9)
+                assert psd.nodes_touched(query) == oracle.nodes_touched(ref, query)
 
     def test_hilbert_planar_parity(self, points, domain):
         tree = build_private_hilbert_rtree(points, domain, height=6, epsilon=1.0, rng=13)
@@ -133,10 +135,9 @@ class TestFlatRecursiveParity:
             queries.append(Rect(tuple(lo), tuple(np.minimum(hi, 1.0))))
         estimates = batch_range_query(engine, queries)
         for i, query in enumerate(queries):
-            assert estimates[i] == pytest.approx(tree.range_query(query), rel=1e-9, abs=1e-9)
-            assert tree.range_query(query, backend="flat") == pytest.approx(
-                tree.range_query(query), rel=1e-9, abs=1e-9
-            )
+            expected = oracle.hilbert_range_query(tree, query)
+            assert estimates[i] == pytest.approx(expected, rel=1e-9, abs=1e-9)
+            assert tree.range_query(query) == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
     def test_planar_engine_invalidated_by_direct_psd_mutation(self, points, domain):
         from repro.core import apply_ols
@@ -144,10 +145,10 @@ class TestFlatRecursiveParity:
         tree = build_private_hilbert_rtree(points, domain, height=6, epsilon=1.0,
                                            postprocess=False, rng=53)
         query = Rect((0.2, 0.2), (0.7, 0.8))
-        _ = tree.range_query(query, backend="flat")  # warm the planar engine
+        _ = tree.range_query(query)  # warm the planar engine
         apply_ols(tree.psd)  # mutate the 1-D tree *without* the wrapper method
-        assert tree.range_query(query, backend="flat") == pytest.approx(
-            tree.range_query(query), rel=1e-9, abs=1e-9
+        assert tree.range_query(query) == pytest.approx(
+            oracle.hilbert_range_query(tree, query), rel=1e-9, abs=1e-9
         )
 
     def test_empty_batch_and_disjoint_query(self, points, domain):
@@ -191,16 +192,9 @@ class TestFlatRecursiveParity:
 
 
 # ----------------------------------------------------------------------
-# Backend dispatch and memoisation
+# Engine memoisation
 # ----------------------------------------------------------------------
 class TestBackendDispatch:
-    def test_unknown_backend_raises(self, points, domain):
-        psd = _build("quad-opt", points, domain)
-        query = Rect((0.1, 0.1), (0.5, 0.5))
-        with pytest.raises(ValueError, match="backend"):
-            range_query(psd, query, backend="gpu")
-        assert QUERY_BACKENDS == ("recursive", "flat")
-
     def test_compiled_engine_is_memoised(self, points, domain):
         psd = _build("kd-hybrid", points, domain)
         first = compiled_engine(psd)
@@ -213,7 +207,7 @@ class TestBackendDispatch:
 
     def test_compiled_engine_not_serialised(self, points, domain, tmp_path):
         psd = _build("quad-opt", points, domain)
-        _ = psd.range_query(Rect((0.0, 0.0), (0.4, 0.4)), backend="flat")
+        _ = psd.range_query(Rect((0.0, 0.0), (0.4, 0.4)))
         path = tmp_path / "release.json"
         save_psd(psd, str(path))  # must not choke on the cached FlatPSD
         assert COMPILED_ENGINE_KEY not in path.read_text()
@@ -441,16 +435,14 @@ class TestCliEngine:
 
     def test_query_engine_flat_matches_recursive(self, release_path, capsys):
         spec = "0.1,0.1,0.6,0.7"
+        recursive = oracle.range_query(load_psd(str(release_path)), Rect((0.1, 0.1), (0.6, 0.7)))
         assert main(["query", str(release_path), "--rect", spec]) == 0
-        recursive_out = capsys.readouterr().out
-        assert main(["query", str(release_path), "--rect", spec, "--engine", "flat"]) == 0
-        assert capsys.readouterr().out == recursive_out
+        assert capsys.readouterr().out == f"{spec}\t{recursive:.2f}\n"
 
     def test_queries_file_batch_mode(self, release_path, tmp_path, capsys):
         workload = tmp_path / "queries.txt"
         workload.write_text("# workload\n0.1,0.1,0.6,0.7\n\n0.2,0.3,0.9,0.9\n")
-        assert main(["query", str(release_path), "--queries-file", str(workload),
-                     "--engine", "flat"]) == 0
+        assert main(["query", str(release_path), "--queries-file", str(workload)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("0.1,0.1,0.6,0.7\t")

@@ -1,10 +1,9 @@
 """Tests for the flat-native build pipeline (structure-of-arrays construction).
 
-The contract under test: ``build_psd(layout="flat")`` and
-``build_psd(layout="pointer")`` are **bit-for-bit interchangeable** for the
+The contract under test: ``build_psd`` and the pointer builder of the test
+oracle (``oracle.build_psd``) are **bit-for-bit interchangeable** for the
 same seeded generator — identical structure, released counts, OLS estimates,
-pruning decisions, query answers via the recursive backend, and accountant
-charges — while the flat pipeline never materialises pointer nodes.  Plus the
+pruning decisions, recursive query answers, and accountant charges.  Plus the
 regression for the stale-engine bug in ``populate_noisy_counts`` and the OLS
 property suite (vectorized == recursive == brute force).
 """
@@ -14,12 +13,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import oracle
 from repro.core import build_psd, populate_noisy_counts
 from repro.core.budget import LevelSkippingBudget
-from repro.core.flatbuild import FlatTree, flatten_tree, ols_beta
+from repro.core.flatbuild import FlatTree, ols_beta
 from repro.core.hilbert_rtree import BinaryMedianSplit, build_private_hilbert_rtree
 from repro.core.kdtree import build_private_kdtree
-from repro.core.postprocess import apply_ols, check_consistency, ols_estimate_tree
+from repro.core.postprocess import check_consistency
 from repro.core.splits import HybridSplit, KDSplit, QuadSplit
 from repro.data import uniform_points
 from repro.engine.flat import COMPILED_ENGINE_KEY, compile_psd
@@ -39,11 +39,11 @@ BUDGETS = ["uniform", "geometric", LevelSkippingBudget(stride=2)]
 
 
 def build_pair(rule, height, budget, seed=11, **kwargs):
-    """The same build under both layouts from identically seeded generators."""
-    pointer = build_psd(POINTS, DOMAIN, height, rule, epsilon=1.0, count_budget=budget,
-                        rng=seed, layout="pointer", **kwargs)
+    """The same build by the oracle and by production, identically seeded."""
+    pointer = oracle.build_psd(POINTS, DOMAIN, height, rule, epsilon=1.0, count_budget=budget,
+                               rng=seed, **kwargs)
     flat = build_psd(POINTS, DOMAIN, height, rule, epsilon=1.0, count_budget=budget,
-                     rng=seed, layout="flat", **kwargs)
+                     rng=seed, **kwargs)
     return pointer, flat
 
 
@@ -59,7 +59,7 @@ def bfs_nodes(psd):
 def assert_same_tree(pointer_psd, flat_psd):
     """Bitwise structural and count equality, checked on the raw flat arrays."""
     tree = flat_psd.flat_tree
-    assert tree is not None, "flat build must stay flat-native until nodes are requested"
+    assert isinstance(tree, FlatTree)
     order = bfs_nodes(pointer_psd)
     assert len(order) == tree.n_nodes
     assert np.array_equal(np.array([n.rect.lo for n in order]), tree.lo)
@@ -97,20 +97,20 @@ class TestLayoutParity:
             lo = rng.uniform(0.0, 0.6, 2)
             q = Rect(tuple(lo), tuple(lo + rng.uniform(0.05, 0.4, 2)))
             reference = pointer_psd.range_query(q)
-            # Recursive backend over the lazily materialised view: bitwise.
-            assert flat_psd.range_query(q) == reference
+            # Recursive walk over the materialised view of the flat build: bitwise.
+            assert oracle.range_query(flat_psd, q) == reference
             # Compiled engine: n(Q) exact, estimate/Err within the engine's
             # established float-summation tolerance.
-            assert flat_psd.nodes_touched(q, backend="flat") == pointer_psd.nodes_touched(q)
-            assert flat_psd.range_query(q, backend="flat") == pytest.approx(reference, rel=1e-9, abs=1e-9)
-            assert flat_psd.query_variance(q, backend="flat") == pytest.approx(
+            assert flat_psd.nodes_touched(q) == pointer_psd.nodes_touched(q)
+            assert flat_psd.range_query(q) == pytest.approx(reference, rel=1e-9, abs=1e-9)
+            assert flat_psd.query_variance(q) == pytest.approx(
                 pointer_psd.query_variance(q), rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("label,make_rule,height", RULES)
     def test_pruning_matches(self, label, make_rule, height):
         pointer_psd, flat_psd = build_pair(make_rule(), height, "geometric",
                                            postprocess=True, prune_threshold=40.0)
-        assert flat_psd.is_flat_native
+        assert isinstance(flat_psd.flat_tree, FlatTree)
         assert flat_psd.node_count() == pointer_psd.node_count()
         assert flat_psd.leaf_count() == len(pointer_psd.leaves())
         assert_same_tree(pointer_psd, flat_psd)
@@ -119,7 +119,7 @@ class TestLayoutParity:
         from repro.core.pruning import prune_low_count_subtrees
 
         pointer_psd, flat_psd = build_pair(QuadSplit(), 4, "geometric", postprocess=True)
-        removed_pointer = prune_low_count_subtrees(pointer_psd, 30.0)
+        removed_pointer = oracle.prune_low_count_subtrees(pointer_psd, 30.0)
         removed_flat = prune_low_count_subtrees(flat_psd, 30.0)
         assert removed_pointer == removed_flat > 0
         assert pointer_psd.node_count() == flat_psd.node_count()
@@ -133,17 +133,19 @@ class TestLayoutParity:
 
     def test_hilbert_rtree_parity(self):
         kwargs = dict(height=6, epsilon=1.0, order=10, postprocess=True)
-        pointer_tree = build_private_hilbert_rtree(POINTS, DOMAIN, rng=3, layout="pointer", **kwargs)
-        flat_tree = build_private_hilbert_rtree(POINTS, DOMAIN, rng=3, layout="flat", **kwargs)
-        assert flat_tree.psd.is_flat_native
+        pointer_tree = oracle.build_private_hilbert_rtree(POINTS, DOMAIN, rng=3, **kwargs)
+        flat_tree = build_private_hilbert_rtree(POINTS, DOMAIN, rng=3, **kwargs)
+        assert isinstance(flat_tree.psd.flat_tree, FlatTree)
         assert_same_tree(pointer_tree.psd, flat_tree.psd)
         q = Rect((0.2, 0.1), (0.7, 0.8))
-        assert flat_tree.range_query(q) == pointer_tree.range_query(q)
+        reference = oracle.hilbert_range_query(pointer_tree, q)
+        assert oracle.hilbert_range_query(flat_tree, q) == reference
+        assert flat_tree.range_query(q) == pytest.approx(reference, rel=1e-9, abs=1e-9)
 
     def test_cell_kdtree_parity(self):
         kwargs = dict(height=3, epsilon=1.0, variant="kd-cell", cell_resolution=32)
-        pointer_psd = build_private_kdtree(POINTS, DOMAIN, rng=9, layout="pointer", **kwargs)
-        flat_psd = build_private_kdtree(POINTS, DOMAIN, rng=9, layout="flat", **kwargs)
+        pointer_psd = oracle.build_private_kdtree(POINTS, DOMAIN, rng=9, **kwargs)
+        flat_psd = build_private_kdtree(POINTS, DOMAIN, rng=9, **kwargs)
         assert_same_tree(pointer_psd, flat_psd)
 
     def test_noiseless_counts_parity(self):
@@ -153,55 +155,32 @@ class TestLayoutParity:
         tree = flat_psd.flat_tree
         assert np.array_equal(tree.noisy_count, tree.true_count.astype(float))
 
-    def test_unknown_layout_rejected(self):
-        with pytest.raises(ValueError, match="layout"):
-            build_psd(POINTS, DOMAIN, 2, QuadSplit(), epsilon=1.0, layout="linked-list")
-
 
 class TestFlatNativeFacade:
     def test_build_stays_flat_through_whole_pipeline(self):
         psd = build_psd(POINTS, DOMAIN, 4, QuadSplit(), epsilon=1.0,
                         postprocess=True, prune_threshold=20.0)
-        assert psd.is_flat_native
+        assert isinstance(psd.flat_tree, FlatTree)
         # Batch serving straight from the arrays keeps it flat too.
         engine = psd.compile()
         assert engine.validate() is engine
-        assert psd.is_flat_native
-
-    def test_materialisation_demotes_once(self):
-        psd = build_psd(POINTS, DOMAIN, 3, QuadSplit(), epsilon=1.0)
-        root = psd.root
-        assert not psd.is_flat_native
-        assert psd.flat_tree is None
-        assert psd.root is root  # stable identity after demotion
-
-    def test_mutating_materialised_view_is_visible_to_transforms(self):
-        psd = build_psd(POINTS, DOMAIN, 2, QuadSplit(), epsilon=1.0)
-        psd.root.children[0].children = []
-        with pytest.raises(ValueError, match="complete"):
-            apply_ols(psd)
+        assert isinstance(psd.flat_tree, FlatTree)
 
     def test_strip_private_fields_stays_flat(self):
         psd = build_psd(POINTS, DOMAIN, 3, QuadSplit(), epsilon=1.0)
         psd.strip_private_fields()
-        assert psd.is_flat_native
+        assert isinstance(psd.flat_tree, FlatTree)
         assert not psd.flat_tree.true_count.any()
-        assert all(n._true_count == 0 for n in psd.nodes())
+        assert all(n._true_count == 0 for n in oracle.nodes(psd))
 
     def test_compiled_engines_identical_across_layouts(self):
         pointer_psd, flat_psd = build_pair(QuadSplit(), 3, "geometric", postprocess=True)
-        a = compile_psd(pointer_psd)
+        a = oracle.compile_psd(pointer_psd)
         b = compile_psd(flat_psd)
         for name in ("lo", "hi", "level", "released", "has_count", "is_leaf",
                      "child_start", "child_end", "area", "count_epsilons", "level_variance"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         b.validate()
-
-    def test_requires_exactly_one_backing(self):
-        from repro.core.tree import PrivateSpatialDecomposition
-
-        with pytest.raises(ValueError, match="exactly one"):
-            PrivateSpatialDecomposition(domain=DOMAIN, height=0, count_epsilons=(1.0,))
 
 
 class TestStaleEngineRegression:
@@ -212,24 +191,14 @@ class TestStaleEngineRegression:
     def test_flat_backend_sees_fresh_counts(self):
         psd = build_psd(POINTS, DOMAIN, 3, QuadSplit(), epsilon=1.0, rng=0)
         q = Rect((0.1, 0.1), (0.9, 0.9))
-        before = psd.range_query(q, backend="flat")
+        before = psd.range_query(q)
         assert COMPILED_ENGINE_KEY in psd.metadata
         populate_noisy_counts(psd, rng=12345)
         assert COMPILED_ENGINE_KEY not in psd.metadata
-        after = psd.range_query(q, backend="flat")
+        after = psd.range_query(q)
         assert after != before
         # and the re-compiled engine agrees with the recursive reference
-        assert after == pytest.approx(psd.range_query(q), rel=1e-9, abs=1e-9)
-
-    def test_pointer_backed_trees_also_invalidate(self):
-        psd = build_psd(POINTS, DOMAIN, 3, QuadSplit(), epsilon=1.0, rng=0, layout="pointer")
-        q = Rect((0.2, 0.2), (0.8, 0.8))
-        psd.range_query(q, backend="flat")
-        assert COMPILED_ENGINE_KEY in psd.metadata
-        populate_noisy_counts(psd, rng=999)
-        assert COMPILED_ENGINE_KEY not in psd.metadata
-        assert psd.range_query(q, backend="flat") == pytest.approx(
-            psd.range_query(q), rel=1e-9, abs=1e-9)
+        assert after == pytest.approx(oracle.range_query(psd, q), rel=1e-9, abs=1e-9)
 
 
 def brute_force_ols(psd):
@@ -255,15 +224,15 @@ def brute_force_ols(psd):
 HILBERT_DOMAIN = Domain.from_bounds((0.0,), (1.0,), name="hilbert-index")
 
 OLS_VARIANTS = [
-    ("quad", lambda h, seed, budget: build_psd(
+    ("quad", lambda h, seed, budget: oracle.build_psd(
         POINTS, DOMAIN, h, QuadSplit(), epsilon=1.0,
-        count_budget=budget, rng=seed, layout="pointer")),
-    ("kd", lambda h, seed, budget: build_psd(
+        count_budget=budget, rng=seed)),
+    ("kd", lambda h, seed, budget: oracle.build_psd(
         POINTS, DOMAIN, h, KDSplit(median_method="em"), epsilon=1.0,
-        count_budget=budget, rng=seed, layout="pointer")),
-    ("hilbert", lambda h, seed, budget: build_psd(
+        count_budget=budget, rng=seed)),
+    ("hilbert", lambda h, seed, budget: oracle.build_psd(
         POINTS[:, :1], HILBERT_DOMAIN, h, BinaryMedianSplit(median_method="em"),
-        epsilon=1.0, count_budget=budget, rng=seed, layout="pointer")),
+        epsilon=1.0, count_budget=budget, rng=seed)),
 ]
 
 
@@ -278,33 +247,34 @@ class TestOLSProperty:
             height = 4  # keep the fanout-4 reference builds quick; 6 covered below
         psd = build(height, 21, budget)
         # vectorized, non-mutating
-        vectorized = ols_estimate_tree(psd)
+        vectorized = oracle.ols_estimate_tree(psd)
         assert all(n.post_count is None for n in psd.nodes())
         # recursive reference, in place
-        apply_ols(psd)
+        oracle.apply_ols(psd)
         for node in psd.nodes():
             assert vectorized[id(node)] == node.post_count  # bitwise
-        assert check_consistency(psd) < 1e-6
+        assert oracle.check_consistency(psd) < 1e-6
 
     @pytest.mark.parametrize("label,build", OLS_VARIANTS)
     @pytest.mark.parametrize("height", [1, 2, 3])
     def test_matches_brute_force(self, label, build, height):
         psd = build(height, 31, "geometric")
         expected = brute_force_ols(psd)
-        estimates = ols_estimate_tree(psd)
+        estimates = oracle.ols_estimate_tree(psd)
         worst = max(abs(estimates[id(n)] - expected[id(n)]) for n in psd.nodes())
         assert worst < 1e-6
 
     def test_flat_quad_height6_consistency(self):
         psd = build_psd(POINTS, DOMAIN, 6, QuadSplit(), epsilon=1.0,
                         count_budget="geometric", rng=4, postprocess=True)
-        assert psd.is_flat_native
+        assert isinstance(psd.flat_tree, FlatTree)
         tree = psd.flat_tree
         # consistency directly on the arrays: parent post == sum of children
         internal = ~tree.is_leaf
         sums = np.add.reduceat(tree.post_count, tree.child_start[internal])
         assert np.max(np.abs(tree.post_count[internal] - sums)) < 1e-6
-        assert check_consistency(psd) < 1e-6  # and via the materialised view
+        assert check_consistency(psd) < 1e-6
+        assert oracle.check_consistency(oracle.pointer_view(psd)) < 1e-6  # and via the materialised view
 
     def test_level_skipping_budget_flat_vs_pointer(self):
         budget = LevelSkippingBudget(stride=2)
@@ -312,8 +282,8 @@ class TestOLSProperty:
         assert_same_tree(pointer_psd, flat_psd)
 
     def test_ols_beta_rejects_zero_leaf_budget(self):
-        psd = build_psd(POINTS, DOMAIN, 2, QuadSplit(), epsilon=1.0, layout="pointer")
-        _, arrays = flatten_tree(psd)
+        psd = oracle.build_psd(POINTS, DOMAIN, 2, QuadSplit(), epsilon=1.0)
+        _, arrays = oracle.flatten_tree(psd)
         with pytest.raises(ValueError, match="leaf budget"):
             ols_beta(arrays.level, arrays.parent, arrays.noisy_count,
                      (0.0, 0.5, 0.5), psd.fanout, psd.height)
@@ -321,7 +291,7 @@ class TestOLSProperty:
     def test_ols_estimate_tree_requires_complete(self):
         psd = build_psd(POINTS, DOMAIN, 2, QuadSplit(), epsilon=1.0, prune_threshold=1e9)
         with pytest.raises(ValueError, match="complete"):
-            ols_estimate_tree(psd)
+            oracle.ols_estimate_tree(oracle.pointer_view(psd))
 
 
 class TestFlatTreeInternals:
@@ -343,8 +313,7 @@ class TestFlatTreeInternals:
             "lo": tree_before.lo.copy(), "noisy": tree_before.noisy_count.copy(),
             "post": tree_before.post_count.copy(), "true": tree_before.true_count.copy(),
         }
-        psd.root  # demote to pointers
-        _, tree_after = flatten_tree(psd)
+        _, tree_after = oracle.flatten_tree(oracle.pointer_view(psd))
         assert np.array_equal(tree_after.lo, snapshot["lo"])
         assert np.array_equal(tree_after.noisy_count, snapshot["noisy"])
         assert np.array_equal(tree_after.post_count, snapshot["post"])

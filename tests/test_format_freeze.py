@@ -1,4 +1,5 @@
-"""Format freeze for the two durable journals: the budget WAL and the sweep checkpoint.
+"""Format freeze for the durable files: the budget WAL, the sweep checkpoint
+and the released PSD JSON.
 
 ``tests/golden/`` holds bytes written by the ledger and checkpoint writers
 before they moved onto :class:`repro.durable.journal.Journal`.  The same
@@ -7,14 +8,30 @@ to exactly the same accounts and rows.  Other readers depend on the bytes:
 ``perfbench/run.py`` reads the WAL fields ``kind``, ``request``, ``analyst``
 and ``epsilon_hex``, and the CI chaos smoke greps the checkpoint for
 ``"kind": "case"``.
+
+The two ``release_*.json`` files were written by ``save_psd`` while PSDs
+still had a pointer-tree representation, from the seeded builds below: a
+pruned quad-opt release (post counts on an incomplete tree) and a
+leaf-only-budget kd release (``null`` noisy counts on its internal levels).
+The array-native loader and writer must read them into today's engine bit
+for bit and write them back byte for byte.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import shutil
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from repro.core import build_private_quadtree, build_psd, load_psd, psd_to_dict, save_psd
+from repro.core.splits import KDSplit
+from repro.data import uniform_points
+from repro.engine import compile_psd
+from repro.geometry import Domain
 from repro.parallel.checkpoint import SweepCheckpoint
 from repro.serve.ledger import BudgetLedger
 
@@ -87,3 +104,62 @@ def test_golden_checkpoint_replays_to_the_recorded_rows(tmp_path: Path) -> None:
         assert [list(row) for row in completed[index]] == [list(row) for row in rows]
     assert math.copysign(1.0, completed[2][0]["neg"]) == -1.0
     assert path.read_bytes() == (GOLDEN / "sweep_checkpoint.jsonl").read_bytes()
+
+
+# ----------------------------------------------------------------------
+# The release JSON
+# ----------------------------------------------------------------------
+RELEASE_DOMAIN = Domain.unit(2)
+RELEASE_POINTS = uniform_points(300, RELEASE_DOMAIN, rng=np.random.default_rng(2012))
+
+
+def _pruned_quad_opt():
+    return build_private_quadtree(RELEASE_POINTS, RELEASE_DOMAIN, 3, 1.0, variant="quad-opt",
+                                  prune_threshold=20.0, rng=7)
+
+
+def _leaf_only_kd():
+    return build_psd(RELEASE_POINTS, RELEASE_DOMAIN, 2, KDSplit(median_method="em"),
+                     epsilon=1.0, count_budget="leaf-only", rng=11, name="kd-standard")
+
+
+RELEASES = {
+    "release_pruned_quad_opt.json": _pruned_quad_opt,
+    "release_leaf_only_kd.json": _leaf_only_kd,
+}
+ENGINE_ARRAYS = ("lo", "hi", "level", "released", "has_count", "is_leaf", "child_start",
+                 "child_end", "area", "count_epsilons", "level_variance", "domain_lo",
+                 "domain_hi")
+
+
+def test_golden_releases_cover_the_edge_cases() -> None:
+    pruned = load_psd(str(GOLDEN / "release_pruned_quad_opt.json"))
+    assert not pruned.is_complete() and pruned.flat_tree.post_count is not None
+    leaf_only = load_psd(str(GOLDEN / "release_leaf_only_kd.json"))
+    noisy = leaf_only.flat_tree.noisy_count
+    assert np.all(np.isnan(noisy[leaf_only.flat_tree.level > 0]))
+    assert np.all(np.isfinite(noisy[leaf_only.flat_tree.level == 0]))
+
+
+@pytest.mark.parametrize("name", sorted(RELEASES))
+def test_golden_release_compiles_to_todays_engine(name: str) -> None:
+    golden = compile_psd(load_psd(str(GOLDEN / name)))
+    today = compile_psd(RELEASES[name]())
+    for field in ENGINE_ARRAYS:
+        a, b = getattr(golden, field), getattr(today, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+@pytest.mark.parametrize("name", sorted(RELEASES))
+def test_golden_release_resaves_byte_identical(name: str, tmp_path: Path) -> None:
+    path = tmp_path / name
+    save_psd(load_psd(str(GOLDEN / name)), str(path))
+    assert path.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(RELEASES))
+def test_todays_release_dict_is_the_golden_one(name: str) -> None:
+    golden = json.loads((GOLDEN / name).read_text())
+    # The constant "layout" metadata key had no readers and is no longer written.
+    del golden["metadata"]["layout"]
+    assert psd_to_dict(RELEASES[name]()) == golden

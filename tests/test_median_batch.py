@@ -7,10 +7,11 @@ Two contracts are under test:
   bit *and* leave the generator in the identical state, for every method
   (EM / SS / cell / NM / true and the sampled variants) over ragged level
   shapes including empty, single-point and all-equal segments;
-* **layout parity with zero fallback** — the kd / hybrid / Hilbert builders
+* **oracle parity with zero fallback** — the kd / hybrid / Hilbert builders
   run their data-dependent levels through the batched medians (never the
   per-node fallback) and stay bit-for-bit interchangeable with the pointer
-  reference, including the Hilbert R-tree's vectorized planar compile.
+  builder of the test oracle, including the Hilbert R-tree's vectorized
+  planar compile.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import oracle
 from repro.core import build_psd
+from repro.core.flatbuild import FlatTree
 from repro.core.hilbert_rtree import build_private_hilbert_rtree
 from repro.core.kdtree import build_private_kdtree
 from repro.core.splits import HybridSplit, KDSplit
@@ -140,10 +143,8 @@ class TestBatchBitwiseParity:
 
 
 def build_pair(rule, height, seed, **kwargs):
-    pointer = build_psd(POINTS, DOMAIN, height, rule, epsilon=1.0, rng=seed,
-                        layout="pointer", **kwargs)
-    flat = build_psd(POINTS, DOMAIN, height, rule, epsilon=1.0, rng=seed,
-                     layout="flat", **kwargs)
+    pointer = oracle.build_psd(POINTS, DOMAIN, height, rule, epsilon=1.0, rng=seed, **kwargs)
+    flat = build_psd(POINTS, DOMAIN, height, rule, epsilon=1.0, rng=seed, **kwargs)
     return pointer, flat
 
 
@@ -171,8 +172,8 @@ class TestLevelBatchedBuilds:
     def test_kd_layout_parity_zero_fallback(self, no_per_node_fallback, method, height, seed):
         pointer, flat = build_pair(KDSplit(median_method=method), height, seed,
                                    postprocess=True)
-        assert flat.is_flat_native
-        assert_engines_equal(compile_psd(pointer), compile_psd(flat))
+        assert isinstance(flat.flat_tree, FlatTree)
+        assert_engines_equal(oracle.compile_psd(pointer), compile_psd(flat))
 
     @pytest.mark.slow
     @pytest.mark.parametrize("method", ["ss", "cell", "noisymean", "ems", "sss"])
@@ -181,20 +182,20 @@ class TestLevelBatchedBuilds:
     def test_kd_layout_parity_all_methods(self, method, height, seed):
         pointer, flat = build_pair(KDSplit(median_method=method), height, seed,
                                    postprocess=True)
-        assert_engines_equal(compile_psd(pointer), compile_psd(flat))
+        assert_engines_equal(oracle.compile_psd(pointer), compile_psd(flat))
 
     def test_hybrid_zero_fallback(self, no_per_node_fallback):
         pointer, flat = build_pair(HybridSplit(kd_levels=2, median_method="em"), 4, 5,
                                    postprocess=True)
-        assert_engines_equal(compile_psd(pointer), compile_psd(flat))
+        assert_engines_equal(oracle.compile_psd(pointer), compile_psd(flat))
 
     def test_kd_pure_variant_zero_fallback(self, no_per_node_fallback):
-        pointer = build_private_kdtree(POINTS, DOMAIN, 3, 1.0, variant="kd-pure",
-                                       rng=31, layout="pointer")
+        pointer = oracle.build_private_kdtree(POINTS, DOMAIN, 3, 1.0, variant="kd-pure",
+                                              rng=31)
         flat = build_private_kdtree(POINTS, DOMAIN, 3, 1.0, variant="kd-pure",
-                                    rng=31, layout="flat")
-        assert flat.is_flat_native
-        assert_engines_equal(compile_psd(pointer), compile_psd(flat))
+                                    rng=31)
+        assert isinstance(flat.flat_tree, FlatTree)
+        assert_engines_equal(oracle.compile_psd(pointer), compile_psd(flat))
 
     def test_median_method_override(self):
         psd = build_private_kdtree(POINTS, DOMAIN, 2, 1.0, variant="kd-standard",
@@ -205,23 +206,19 @@ class TestLevelBatchedBuilds:
     @pytest.mark.parametrize("height", [1, 6])
     def test_hilbert_layout_parity_zero_fallback(self, no_per_node_fallback, seed, height):
         kwargs = dict(height=height, epsilon=1.0, order=10, postprocess=True)
-        pointer = build_private_hilbert_rtree(POINTS, DOMAIN, rng=seed,
-                                              layout="pointer", **kwargs)
-        flat = build_private_hilbert_rtree(POINTS, DOMAIN, rng=seed,
-                                           layout="flat", **kwargs)
-        assert flat.psd.is_flat_native
-        assert_engines_equal(compile_psd(pointer.psd), compile_psd(flat.psd))
+        pointer = oracle.build_private_hilbert_rtree(POINTS, DOMAIN, rng=seed, **kwargs)
+        flat = build_private_hilbert_rtree(POINTS, DOMAIN, rng=seed, **kwargs)
+        assert isinstance(flat.psd.flat_tree, FlatTree)
+        assert_engines_equal(oracle.compile_psd(pointer.psd), compile_psd(flat.psd))
 
     @pytest.mark.slow
     @pytest.mark.parametrize("method", ["ss", "noisymean", "true", "ems"])
     def test_hilbert_all_methods_parity(self, method):
         kwargs = dict(height=5, epsilon=1.0, order=8, median_method=method,
                       postprocess=True)
-        pointer = build_private_hilbert_rtree(POINTS, DOMAIN, rng=13,
-                                              layout="pointer", **kwargs)
-        flat = build_private_hilbert_rtree(POINTS, DOMAIN, rng=13,
-                                           layout="flat", **kwargs)
-        assert_engines_equal(compile_psd(pointer.psd), compile_psd(flat.psd))
+        pointer = oracle.build_private_hilbert_rtree(POINTS, DOMAIN, rng=13, **kwargs)
+        flat = build_private_hilbert_rtree(POINTS, DOMAIN, rng=13, **kwargs)
+        assert_engines_equal(oracle.compile_psd(pointer.psd), compile_psd(flat.psd))
 
     def test_boundary_points_still_exact(self):
         """Points exactly on the domain's top face keep both layouts identical
@@ -229,11 +226,11 @@ class TestLevelBatchedBuilds:
         gen = np.random.default_rng(0)
         pts = np.concatenate([uniform_points(500, DOMAIN, rng=gen),
                               np.array([[1.0, 1.0], [1.0, 0.4], [0.3, 1.0]])])
-        pointer = build_psd(pts, DOMAIN, 3, KDSplit(median_method="em"),
-                            epsilon=1.0, rng=5, layout="pointer")
+        pointer = oracle.build_psd(pts, DOMAIN, 3, KDSplit(median_method="em"),
+                                   epsilon=1.0, rng=5)
         flat = build_psd(pts, DOMAIN, 3, KDSplit(median_method="em"),
-                         epsilon=1.0, rng=5, layout="flat")
-        assert_engines_equal(compile_psd(pointer), compile_psd(flat))
+                         epsilon=1.0, rng=5)
+        assert_engines_equal(oracle.compile_psd(pointer), compile_psd(flat))
 
     def test_sampled_near_boundary_falls_back_correctly(self):
         """Sampled methods bail to the per-node path when points hug the top
@@ -241,23 +238,21 @@ class TestLevelBatchedBuilds:
         gen = np.random.default_rng(1)
         pts = np.concatenate([uniform_points(400, DOMAIN, rng=gen),
                               np.array([[1.0 - 1e-9, 0.5]])])
-        pointer = build_psd(pts, DOMAIN, 2, KDSplit(median_method="ems"),
-                            epsilon=1.0, rng=9, layout="pointer")
+        pointer = oracle.build_psd(pts, DOMAIN, 2, KDSplit(median_method="ems"),
+                                   epsilon=1.0, rng=9)
         flat = build_psd(pts, DOMAIN, 2, KDSplit(median_method="ems"),
-                         epsilon=1.0, rng=9, layout="flat")
-        assert_engines_equal(compile_psd(pointer), compile_psd(flat))
+                         epsilon=1.0, rng=9)
+        assert_engines_equal(oracle.compile_psd(pointer), compile_psd(flat))
 
 
 class TestHilbertPlanarCompile:
     def test_flat_compile_matches_pointer_walk(self):
         kwargs = dict(height=6, epsilon=1.0, order=10, postprocess=True)
-        pointer = build_private_hilbert_rtree(POINTS, DOMAIN, rng=3,
-                                              layout="pointer", **kwargs)
-        flat = build_private_hilbert_rtree(POINTS, DOMAIN, rng=3,
-                                           layout="flat", **kwargs)
-        a = compile_hilbert_rtree(pointer)
+        pointer = oracle.build_private_hilbert_rtree(POINTS, DOMAIN, rng=3, **kwargs)
+        flat = build_private_hilbert_rtree(POINTS, DOMAIN, rng=3, **kwargs)
+        a = oracle.compile_hilbert_rtree(pointer)
         b = compile_hilbert_rtree(flat)
-        assert flat.psd.is_flat_native  # the compile never materialised nodes
+        assert isinstance(flat.psd.flat_tree, FlatTree)
         assert_engines_equal(a, b)
         b.validate()
 
@@ -270,15 +265,15 @@ class TestHilbertPlanarCompile:
             lo = gen.uniform(0.0, 0.6, 2)
             q = Rect(tuple(lo), tuple(lo + gen.uniform(0.05, 0.4, 2)))
             assert engine.range_query(q) == pytest.approx(
-                tree.range_query(q), rel=1e-9, abs=1e-9)
+                oracle.hilbert_range_query(tree, q), rel=1e-9, abs=1e-9)
 
     def test_node_bboxes_flat_equals_pointer(self):
         kwargs = dict(height=5, epsilon=1.0, order=8, rng=6)
-        flat = build_private_hilbert_rtree(POINTS, DOMAIN, layout="flat", **kwargs)
+        flat = build_private_hilbert_rtree(POINTS, DOMAIN, **kwargs)
         boxes_flat = flat.node_bboxes()
-        assert flat.psd.is_flat_native
-        pointer = build_private_hilbert_rtree(POINTS, DOMAIN, layout="pointer", **kwargs)
-        boxes_pointer = pointer.node_bboxes()
+        assert isinstance(flat.psd.flat_tree, FlatTree)
+        pointer = oracle.build_private_hilbert_rtree(POINTS, DOMAIN, **kwargs)
+        boxes_pointer = oracle.node_bboxes(pointer)
         assert len(boxes_flat) == len(boxes_pointer)
         for (level_a, rect_a), (level_b, rect_b) in zip(boxes_flat, boxes_pointer):
             assert level_a == level_b
@@ -324,8 +319,7 @@ class TestCacheCounters:
                      "--output", str(release)]) == 0
         capsys.readouterr()
         rect = "--rect=-123,46,-121,48"
-        assert main(["query", str(release), "--engine", "flat", "--stats",
-                     rect, rect]) == 0
+        assert main(["query", str(release), "--stats", rect, rect]) == 0
         captured = capsys.readouterr()
         assert "cache stats:" in captured.err
         assert "misses" in captured.err

@@ -401,7 +401,7 @@ class TestObsCLI:
                      "--output", str(release)]) == 0
         capsys.readouterr()
         rect = "--rect=-123,46,-121,48"
-        assert main(["query", str(release), "--engine", "flat", "--workers", "2",
+        assert main(["query", str(release), "--workers", "2",
                      "--chunk-queries", "1", "--stats", rect, rect,
                      "--rect=-122,45,-120,47"]) == 0
         err = capsys.readouterr().err

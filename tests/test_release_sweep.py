@@ -117,7 +117,7 @@ class TestReleaseParity:
         for r, reference in enumerate(references):
             release = releases.release(r)
             assert_release_equal(reference.psd, release.psd, f"hilbert release {r}")
-            expected = [reference.range_query(q, backend="flat") for q in queries]
+            expected = [reference.range_query(q) for q in queries]
             got = batch_range_query(release.compile(), queries)
             assert np.allclose(got, expected, rtol=0, atol=0)
 

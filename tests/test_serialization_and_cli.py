@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import oracle
+import repro
 from repro.cli import build_parser, main
 from repro.core import (
     WorkloadAwareBudget,
@@ -91,6 +96,34 @@ class TestSerialization:
         payload["root"]["children"][0]["level"] = 7
         with pytest.raises(ValueError, match="level"):
             psd_from_dict(payload)
+
+    @pytest.mark.parametrize("corrupt,reason", [
+        (lambda p: p["root"].update(noisy_count=float("inf")), "noisy_count"),
+        (lambda p: p["root"].update(noisy_count=float("nan")), "noisy_count"),
+        (lambda p: p["root"].update(post_count=float("inf")), "post_count"),
+        (lambda p: p["root"].update(post_count=float("nan")), "post_count"),
+        (lambda p: p["root"]["children"][0].update(post_count=None), "post_count"),
+        (lambda p: p["count_epsilons"].__setitem__(0, -0.5), "count_epsilons"),
+        (lambda p: p["count_epsilons"].__setitem__(0, float("inf")), "count_epsilons"),
+    ], ids=["noisy-inf", "noisy-nan", "post-inf", "post-nan", "post-partial",
+            "eps-negative", "eps-inf"])
+    def test_rejects_unusable_released_values(self, released_psd, corrupt, reason):
+        payload = psd_to_dict(released_psd)
+        corrupt(payload)
+        # Through JSON text: Python's json writes and reads the bare
+        # NaN / Infinity literals, so a file can carry them.
+        with pytest.raises(ValueError, match=reason):
+            psd_from_dict(json.loads(json.dumps(payload)))
+
+    def test_null_noisy_count_means_unreleased(self, domain):
+        points = uniform_points(500, domain, rng=np.random.default_rng(65))
+        psd = build_psd(points, domain, 2, QuadSplit(), epsilon=1.0, count_budget="leaf-only",
+                        rng=66)
+        payload = json.loads(json.dumps(psd_to_dict(psd)))
+        assert payload["root"]["noisy_count"] is None
+        restored = psd_from_dict(payload)
+        assert np.isnan(restored.flat_tree.noisy_count[0])
+        assert restored.range_query(domain.rect) == pytest.approx(psd.range_query(domain.rect))
 
     def test_rejects_root_domain_mismatch(self, released_psd):
         payload = psd_to_dict(released_psd)
@@ -177,7 +210,7 @@ class TestWorkloadAwareBudget:
         psd = build_psd(points, domain, 2, QuadSplit(), epsilon=0.8, count_budget=strategy,
                         postprocess=True, rng=68)
         assert psd.accountant.path_epsilon == pytest.approx(0.8)
-        assert all(n.post_count is not None for n in psd.nodes())
+        assert all(n.post_count is not None for n in oracle.nodes(psd))
 
 
 # ----------------------------------------------------------------------
@@ -233,6 +266,42 @@ class TestCLI:
                    "--quad-height", "4", "--epsilons", "1.0"])
         assert rc == 0
         assert "quad-opt" in capsys.readouterr().out
+
+    @pytest.fixture()
+    def bad_releases(self, released_psd, tmp_path):
+        text = json.dumps(psd_to_dict(released_psd))
+        truncated = tmp_path / "truncated.json"
+        truncated.write_text(text[: len(text) // 2])
+        payload = psd_to_dict(released_psd)
+        payload["root"]["post_count"] = float("inf")
+        infinite = tmp_path / "infinite.json"
+        infinite.write_text(json.dumps(payload))
+        return {"truncated": truncated, "infinite": infinite}
+
+    @pytest.mark.parametrize("kind", ["truncated", "infinite"])
+    @pytest.mark.parametrize("command", ["query", "compile"])
+    def test_bad_release_exits_with_reason(self, bad_releases, tmp_path, command, kind):
+        path = bad_releases[kind]
+        extra = (["--rect", "0.1,0.1,0.5,0.5"] if command == "query"
+                 else ["--output", str(tmp_path / "engine.npz")])
+        with pytest.raises(SystemExit, match=f"cannot load release '{path}'"):
+            main([command, str(path)] + extra)
+
+    @pytest.mark.parametrize("kind", ["truncated", "infinite"])
+    def test_serve_refuses_bad_release_before_binding(self, bad_releases, tmp_path, kind):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        wal = tmp_path / "wal.jsonl"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", str(bad_releases[kind]),
+             "--ledger", str(wal)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode != 0
+        assert "http://" not in done.stdout  # the banner follows the bind
+        assert "cannot load release" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not wal.exists()  # no ledger opened, nothing charged
 
     def test_parser_structure(self):
         parser = build_parser()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import struct
 import threading
 import time
 from typing import Dict, List, Optional, Tuple
@@ -407,20 +408,37 @@ def test_hot_swap_drops_no_inflight_queries(engine, tmp_path) -> None:
         _shutdown(service)
 
 
-def test_swap_of_missing_engine_is_rejected_and_harmless(engine, tmp_path) -> None:
+def _assert_swap_rejected_and_harmless(engine, tmp_path, target, reason: str) -> None:
     service = _service(engine, tmp_path)
     try:
         with ServiceThread(service) as thread:
             port = thread.address[1]
-            status, body, _ = _request(port, "POST", "/admin/swap",
-                                       {"path": str(tmp_path / "missing.psdm")})
+            status, body, _ = _request(port, "POST", "/admin/swap", {"path": str(target)})
             assert status == 400
+            assert reason in body["error"]
             status, _, _ = _request(port, "POST", "/query",
                                     {"analyst": "alice", "queries": ROWS[:1]})
             assert status == 200
             assert service.supervisor.generation == 1
     finally:
         _shutdown(service)
+
+
+def test_swap_of_missing_engine_is_rejected_and_harmless(engine, tmp_path) -> None:
+    _assert_swap_rejected_and_harmless(engine, tmp_path, tmp_path / "missing.psdm", "missing.psdm")
+
+
+def test_swap_of_corrupted_engine_is_rejected_and_harmless(engine, tmp_path) -> None:
+    """A FLATPSD2 file whose ``released`` region fails its CRC is refused by
+    the hot swap exactly as ``repro serve`` refuses it at startup."""
+    target = tmp_path / "corrupt.psdm"
+    save_engine(engine, target, format="mmap")
+    blob = bytearray(target.read_bytes())
+    header_len = struct.unpack("<Q", blob[8:16])[0]
+    offset = json.loads(blob[16:16 + header_len].decode())["arrays"]["released"]["offset"]
+    blob[offset:offset + 8] = struct.pack("<d", 1e9)  # a count the CRC never saw
+    target.write_bytes(bytes(blob))
+    _assert_swap_rejected_and_harmless(engine, tmp_path, target, "'released'")
 
 
 # ----------------------------------------------------------------------
