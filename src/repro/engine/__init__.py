@@ -18,12 +18,14 @@ PSD has:
   arrays (:mod:`repro.core.flatbuild`), so compiling one is a cheap array
   snapshot; the planar Hilbert view adds one vectorised bounding-box pass.
 * :mod:`repro.engine.batch` — the evaluator.  Many queries are answered at
-  once by level-synchronous frontier expansion: one ``(query, node)`` pair
-  array per wavefront, with containment / intersection / leaf-fraction logic
-  expressed as NumPy masks.  Per-query estimates, ``n(Q)`` and the analytic
-  variance ``Err(Q)`` come out of the same pass and match the recursive
-  pointer walk kept as the test oracle (identical ``n(Q)``, estimates equal
-  up to float summation order).
+  once.  Engines whose arrays form a complete 2-D quadtree grid take the
+  closed form of :mod:`repro.engine.grid`: per-level prefix-sum tables give
+  each query's estimate, ``n(Q)`` and ``Err(Q)`` in ``O(h)`` lookups.  Every
+  other engine takes level-synchronous frontier expansion: one
+  ``(query, node)`` pair array per wavefront, with containment /
+  intersection / leaf-fraction logic expressed as NumPy masks.  Both match
+  the recursive pointer walk kept as the test oracle (identical ``n(Q)``,
+  estimates and ``Err(Q)`` equal up to float summation order).
 * :mod:`repro.engine.cache` — an LRU answer cache keyed by canonicalised
   query rectangles, for serving workloads with repeated or popular queries.
 * :mod:`repro.engine.io` — save/load so a compiled engine can be shipped to

@@ -1,10 +1,19 @@
 """Vectorised batch evaluation of range queries over a compiled PSD.
 
-The evaluator answers ``Q`` queries in one pass of **level-synchronous
-frontier expansion**.  The state is a pair of parallel index arrays
-``(q_idx, n_idx)`` — every element is one "query q is examining node n"
-obligation, exactly the stack entries of a recursive canonical-decomposition
-walk, but held all at once.  Each wavefront:
+:func:`batch_query` has two evaluators and picks one from the engine's own
+arrays; no option chooses between them:
+
+* **closed form** (:mod:`repro.engine.grid`) for every engine whose arrays
+  form a complete 2-D fanout-4 quadtree grid: per-level prefix-sum tables
+  give each query's estimate, ``n(Q)`` and ``Err(Q)`` in ``O(h)`` lookups;
+* **level-synchronous frontier expansion** (:func:`_evaluate_frontier`) for
+  everything else -- pruned trees, kd-trees, Hilbert R-trees -- and the
+  reference the closed form is tested against.
+
+The frontier's state is a pair of parallel index arrays ``(q_idx, n_idx)``
+-- every element is one "query q is examining node n" obligation, exactly
+the stack entries of a recursive canonical-decomposition walk, but held all
+at once.  Each wavefront:
 
 1. drops pairs whose node does not intersect the query (half-open box test);
 2. credits *full* nodes (node rect contained in the query, released count
@@ -20,14 +29,14 @@ same pass accumulates the estimate, ``n(Q)`` (number of counts summed,
 partial leaves included) and the analytic variance ``Err(Q)`` of
 Equation (1) — partial leaves contribute ``fraction^2 * Var``.
 
-The evaluator is **storage-dtype agnostic**: the engine's counts may be
+Both evaluators are **storage-dtype agnostic**: the engine's counts may be
 stored as float32 and its child offsets as int32 (the reduced-precision
 format-v2 layout of :mod:`repro.engine.store`), possibly as read-only
-``np.memmap`` views.  Gathered counts are upcast *per element* and all
-accumulation happens in float64, so narrowing the storage never compounds —
-a float32 engine's answers differ from float64 only by the one-time rounding
-of each stored count, and ``n(Q)``/the decomposition are identical because
-geometry is always float64.
+``np.memmap`` views.  Counts are upcast *per element* and all accumulation
+happens in float64, so narrowing the storage never compounds — a float32
+engine's answers differ from float64 only by the one-time rounding of each
+stored count, and ``n(Q)``/the decomposition are identical because geometry
+is always float64.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ import numpy as np
 from ..geometry.rect import Rect
 from ..obs import counter_add, gauge_max, metrics_enabled, trace_span
 from .flat import FlatPSD, expand_ranges
+from .grid import grid_index
 
 __all__ = [
     "BatchQueryResult",
@@ -153,16 +163,17 @@ def batch_query(
     query, the estimate, ``n(Q)`` and ``Err(Q)`` of the recursive walk kept
     as the test oracle (estimates up to float summation order).
     ``use_uniformity=False`` drops the partial-leaf contribution from the
-    *estimate* only.
+    *estimate* only.  A complete quadtree engine is answered in closed form
+    (its index is derived on the first call), any other by the frontier walk.
 
     ``chunk_queries`` evaluates the batch in slices of at most that many
     queries, capping the peak size of the ``(q_idx, n_idx)`` frontier (a
     100k-query batch over a deep tree can otherwise hold tens of millions of
     in-flight pairs).  Chunking never reorders any single query's
     accumulation — each query's contributions arrive in the same node order
-    regardless of which other queries share its wavefront — so the outputs
-    are identical to the unchunked pass (estimates to float equality; the
-    sharded server relies on agreement within 1e-9).
+    regardless of which other queries share its wavefront, and the closed
+    form computes every query element-wise — so the outputs are identical
+    to the unchunked pass, bit for bit.
     """
     qlo, qhi = queries_to_arrays(queries, engine.dims)
     n_queries = qlo.shape[0]
@@ -175,8 +186,8 @@ def batch_query(
             if n_queries > chunk:
                 counter_add("engine.chunks", -(-n_queries // chunk))
                 parts = [
-                    _evaluate_frontier(engine, qlo[start : start + chunk],
-                                       qhi[start : start + chunk], use_uniformity)
+                    _evaluate(engine, qlo[start : start + chunk],
+                              qhi[start : start + chunk], use_uniformity)
                     for start in range(0, n_queries, chunk)
                 ]
                 return BatchQueryResult(
@@ -186,7 +197,27 @@ def batch_query(
                 )
         if n_queries:
             counter_add("engine.chunks", 1)
+        return _evaluate(engine, qlo, qhi, use_uniformity)
+
+
+def _evaluate(
+    engine: FlatPSD, qlo: np.ndarray, qhi: np.ndarray, use_uniformity: bool
+) -> BatchQueryResult:
+    """The closed form where the engine is a complete quadtree grid, the
+    frontier walk for every other engine and for the queries the closed form
+    cannot reproduce exactly (see :meth:`repro.engine.grid.GridIndex.evaluate`)."""
+    index = grid_index(engine) if qlo.shape[0] else None
+    if index is None:
         return _evaluate_frontier(engine, qlo, qhi, use_uniformity)
+    estimates, touched, variances, exact = index.evaluate(qlo, qhi, use_uniformity)
+    counter_add("engine.grid_queries", int(np.count_nonzero(exact)))
+    if not exact.all():
+        rest = np.flatnonzero(~exact)
+        walked = _evaluate_frontier(engine, qlo[rest], qhi[rest], use_uniformity)
+        estimates[rest] = walked.estimates
+        touched[rest] = walked.nodes_touched
+        variances[rest] = walked.variances
+    return BatchQueryResult(estimates, touched, variances)
 
 
 def _evaluate_frontier(

@@ -24,6 +24,7 @@ cache, not this object, owns mapped bytes.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict
 
@@ -111,6 +112,20 @@ class FlatPSD:
     #: the loaders in :mod:`repro.engine.io` / :mod:`repro.engine.store`);
     #: ``None`` for engines compiled in RAM.
     source_path: str = None  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        # Guards the one-time derivation of the closed-form index of
+        # repro.engine.grid, memoised on the instance as ``_grid``.
+        self._grid_lock = threading.Lock()
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The derived index stays behind: a mapped engine pickles as file
+        # handles only, and every process derives its own index.
+        return {k: v for k, v in self.__dict__.items() if k not in ("_grid", "_grid_lock")}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
 
     # ------------------------------------------------------------------
     @property

@@ -40,6 +40,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .flat import expand_ranges
+from .grid import box_sums, prefix_sums
 
 __all__ = [
     "CellJoinIndex",
@@ -138,12 +139,9 @@ class PointGrid:
         counts = np.bincount(flat, minlength=n_cells)
         indptr = np.zeros(n_cells + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        core = counts.reshape(tuple(shape))
-        for axis in range(d):
-            core = np.cumsum(core, axis=axis)
         prefix = np.zeros(tuple(shape + 1), dtype=np.int64)
-        prefix[tuple(slice(1, None) for _ in range(d))] = core
-        return cls(pts, origin, side, shape, order, indptr, prefix)
+        prefix[tuple(slice(1, None) for _ in range(d))] = counts.reshape(tuple(shape))
+        return cls(pts, origin, side, shape, order, indptr, prefix_sums(prefix))
 
     # ------------------------------------------------------------------
     @property
@@ -170,24 +168,6 @@ class PointGrid:
         a = np.clip(clo, 0, self.shape)
         b = np.maximum(a, np.clip(chi + 1, 0, self.shape))
         return a, b
-
-    def _interior_counts(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Populations of the half-open cell boxes ``[a, b)`` via ``2^d``
-        inclusion-exclusion reads of the dense prefix table."""
-        n_rects, d = a.shape
-        pshape = self.shape + 1
-        flat_prefix = self.prefix.reshape(-1)
-        total = np.zeros(n_rects, dtype=np.int64)
-        for picks in itertools.product((0, 1), repeat=d):
-            idx = np.zeros(n_rects, dtype=np.int64)
-            for k in range(d):
-                coord = a[:, k] if picks[k] else b[:, k]
-                idx = idx * pshape[k] + coord
-            if sum(picks) % 2:
-                total -= flat_prefix[idx]
-            else:
-                total += flat_prefix[idx]
-        return total
 
     def _boundary_boxes(
         self, clo: np.ndarray, chi: np.ndarray
@@ -276,7 +256,7 @@ class PointGrid:
             blo, bhi = qlo[start:stop], qhi[start:stop]
             clo, chi = self.cell_of(blo), self.cell_of(bhi)
             ia, ib = self._interior_bounds(clo, chi)
-            block = self._interior_counts(ia, ib)
+            block = box_sums(self.prefix, ia, ib)  # interior cells, read wholesale
             rect_ids, box_lo, box_hi = self._boundary_boxes(clo, chi)
             cell_item, flat_cells = self._enumerate_cells(box_lo, box_hi)
             pair_rect, pair_point = self._cell_point_pairs(rect_ids[cell_item], flat_cells)

@@ -41,6 +41,7 @@ handler bug             500  JSON error body; the connection still closes
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import math
 import threading
@@ -64,6 +65,9 @@ DEFAULT_CHARGE_EPSILON = 0.01
 
 #: Largest accepted request body; a query batch at this size is ~100k rows.
 MAX_BODY_BYTES = 8 << 20
+
+#: The Python types ``json.loads`` gives JSON numbers (``bool`` is not one).
+_JSON_NUMBERS = {int, float}
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed",
@@ -219,6 +223,8 @@ class QueryService:
                         content_length = int(value.strip())
                     except ValueError:
                         raise _HttpError(400, {"error": "bad content-length"})
+                    if content_length < 0:
+                        raise _HttpError(400, {"error": "bad content-length"})
         if content_length > MAX_BODY_BYTES:
             raise _HttpError(400, {"error": "body too large"})
         raw = await reader.readexactly(content_length) if content_length else b""
@@ -269,10 +275,12 @@ class QueryService:
             raise _HttpError(400, {"error": "missing analyst"})
         rows = self._parse_queries(body)
         epsilon = body.get("epsilon", self.charge_epsilon * rows.shape[0])
+        if type(epsilon) not in _JSON_NUMBERS:
+            raise _HttpError(400, {"error": "epsilon must be a number"})
         try:
             epsilon = float(epsilon)
-        except (TypeError, ValueError):
-            raise _HttpError(400, {"error": "epsilon must be a number"})
+        except OverflowError:
+            raise _HttpError(400, {"error": "epsilon must be a positive finite number"})
         if not math.isfinite(epsilon) or epsilon <= 0:
             raise _HttpError(400, {"error": "epsilon must be a positive finite number"})
 
@@ -315,9 +323,18 @@ class QueryService:
         queries = body.get("queries")
         if not isinstance(queries, list) or not queries:
             raise _HttpError(400, {"error": "queries must be a non-empty list"})
+        # np.asarray would turn strings and booleans into numbers.  A row that
+        # is no list fails here too: a number cannot be iterated, and a string
+        # or an object yields strings.
+        try:
+            kinds = set(map(type, itertools.chain.from_iterable(queries)))
+        except TypeError:
+            kinds = {None}
+        if not kinds <= _JSON_NUMBERS:
+            raise _HttpError(400, {"error": "queries must be rows of JSON numbers"})
         try:
             rows = np.asarray(queries, dtype=np.float64)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise _HttpError(400, {"error": "queries must be numeric rows"})
         dims = self.supervisor.engine.dims
         if rows.ndim != 2 or rows.shape[1] != 2 * dims:

@@ -36,6 +36,7 @@ import numpy as np
 from ..engine.batch import BatchQueryResult, QueryInput
 from ..engine.cache import CachedEngine
 from ..engine.flat import FlatPSD
+from ..engine.grid import grid_index
 from ..obs import counter_add, trace_span
 from ..parallel.serve import DEFAULT_CHUNK_QUERIES, ShardedQueryServer
 
@@ -96,6 +97,9 @@ class EngineSupervisor:
 
     # ------------------------------------------------------------------
     def _make_state(self, engine: FlatPSD, generation: int) -> EngineState:
+        # Derive the closed-form index here, so server start and hot swap pay
+        # the parent's share of it rather than the first request.
+        grid_index(engine)
         server = ShardedQueryServer(
             engine,
             workers=self.workers,

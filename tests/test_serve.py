@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import struct
 import threading
 import time
@@ -249,6 +250,15 @@ def test_malformed_requests_get_4xx_never_hang(engine, tmp_path) -> None:
                                     "epsilon": float("nan")}, 400),
                 ("POST", "/query", {"analyst": "a", "queries": ROWS,
                                     "epsilon": float("inf")}, 400),
+                # Only JSON numbers count: no booleans, strings or overflowing ints.
+                ("POST", "/query", {"analyst": "a", "queries": ROWS, "epsilon": True}, 400),
+                ("POST", "/query", {"analyst": "a", "queries": ROWS, "epsilon": "0.25"}, 400),
+                ("POST", "/query", {"analyst": "a", "queries": ROWS, "epsilon": 10**400}, 400),
+                ("POST", "/query", {"analyst": "a", "queries": [["-123", "40", "-110", "45"]]}, 400),
+                ("POST", "/query", {"analyst": "a", "queries": [[-123, False, -110, True]]}, 400),
+                ("POST", "/query", {"analyst": "a", "queries": [[-123, 40, 10**400, 45]]}, 400),
+                ("POST", "/query", {"analyst": "a", "queries": ["-123,40,-110,45"]}, 400),
+                ("POST", "/query", {"analyst": "a", "queries": [5]}, 400),
                 ("GET", "/nowhere", None, 404),
                 ("GET", "/query", None, 405),
             ]
@@ -261,6 +271,17 @@ def test_malformed_requests_get_4xx_never_hang(engine, tmp_path) -> None:
             conn.request("POST", "/query", body=b"not json {")
             assert conn.getresponse().status == 400
             conn.close()
+            # A negative Content-Length, sent raw (http.client would fix it up).
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+                sock.sendall(b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: -5\r\n\r\n")
+                reply = b""
+                while chunk := sock.recv(65536):
+                    reply += chunk
+            head, _, payload = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 "), reply
+            assert json.loads(payload) == {"error": "bad content-length"}
+            # Nothing above was admitted, so nothing was charged.
+            assert service.ledger.seq == 0
             # The service is unharmed.
             status, _, _ = _request(port, "POST", "/query",
                                     {"analyst": "a", "queries": ROWS[:1]})
@@ -280,7 +301,9 @@ def test_invalid_rows_are_refused_before_the_charge(engine, tmp_path) -> None:
             spent = service.ledger.spend_hex("a")
             for row in ([float("nan"), 46.0, -121.0, 48.0],
                         [-123.0, 46.0, float("inf"), 48.0],
-                        [-121.0, 46.0, -123.0, 48.0]):  # lo > hi
+                        [-121.0, 46.0, -123.0, 48.0],  # lo > hi
+                        ["-123", "46", "-121", "48"],
+                        [-123, False, -121, True]):
                 status, payload, _ = _request(port, "POST", "/query",
                                               {"analyst": "a", "queries": [row]})
                 assert status == 400, (row, payload)
