@@ -7,7 +7,8 @@ The package is organised as:
 * :mod:`repro.geometry` — rectangles, domains, the Hilbert curve;
 * :mod:`repro.privacy` — Laplace/exponential mechanisms, private medians,
   sampling amplification, privacy accounting;
-* :mod:`repro.index` — exact (non-private) spatial indexes used as baselines;
+* :mod:`repro.index` — fixed-resolution grids (the fine-grid strawman and
+  the noisy grid behind the cell-based kd-tree);
 * :mod:`repro.data` — synthetic datasets, including the TIGER-like generator;
 * :mod:`repro.queries` — range-query workloads and accuracy metrics;
 * :mod:`repro.core` — the paper's contribution: private spatial

@@ -68,7 +68,6 @@ from .splits import (
     KDSplit,
     QuadSplit,
     SplitRule,
-    grid_median_along_axis,
 )
 from .tree import PrivateSpatialDecomposition
 
@@ -96,7 +95,6 @@ __all__ = [
     "KDSplit",
     "HybridSplit",
     "CellKDSplit",
-    "grid_median_along_axis",
     "apply_ols",
     "check_consistency",
     "prune_low_count_subtrees",

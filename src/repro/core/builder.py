@@ -18,12 +18,13 @@ Every PSD variant in the paper is an instance of the same recipe:
 :mod:`repro.core.quadtree` and :mod:`repro.core.kdtree` only choose the pieces.
 
 The tree is constructed directly in the breadth-first structure-of-arrays form
-of :mod:`repro.core.flatbuild`, with vectorized level splits where the rule
-supports them and one batched Laplace vector per level.  The RNG is consumed
-in a fixed order (nodes in BFS order within each level, levels root-down for
-structure and for noise), so a seeded build is reproducible bit for bit; the
-per-node pointer builder kept in ``tests/oracle`` consumes the same stream
-and the parity suites hold the two to identical bits.
+of :mod:`repro.core.flatbuild`, with one vectorized split per level (each
+point in exactly one node per level) and one batched Laplace vector per
+level.  The RNG is consumed in a fixed order (nodes in BFS order within each
+level, levels root-down for structure and for noise), so a seeded build is
+reproducible bit for bit; the per-node pointer builder kept in
+``tests/oracle`` consumes the same stream and the parity suites hold the two
+to identical bits.
 """
 
 from __future__ import annotations
@@ -404,9 +405,9 @@ def _structure_draw_plan(
 
     Entry ``i`` of the result covers split level ``height - i`` and holds one
     draw count per release.  ``None`` anywhere (a data-dependent draw layout,
-    e.g. sampled medians, or no vectorized path) or a level whose releases
-    disagree on *whether* they draw sends the sweep down the sequential
-    fallback — a mixed level has no single stacked layout.
+    e.g. sampled medians) or a level whose releases disagree on *whether*
+    they draw sends the sweep down the sequential loop — a mixed level has
+    no single stacked layout, and ``split_level`` refuses one.
     """
     plan: List[np.ndarray] = []
     for level in range(height, 0, -1):
@@ -455,9 +456,10 @@ def build_psd_releases(
     counts, and the generator's final state — to the ``r``-th build of the
     sequential loop over ``build_psd`` with the same arguments and the same
     seeded generator.  Split rules without a statically-known draw layout
-    (sampled medians, custom callables, per-release structures like the
-    cell-based grid) fall back to exactly that sequential loop, so the
-    contract holds trivially.
+    (sampled medians draw one uniform per point) run exactly that sequential
+    loop, so the contract holds trivially; so does the cell-based kd-tree,
+    whose grid is released per release (see
+    :func:`repro.core.kdtree.build_private_kdtree_releases`).
 
     ``structure`` optionally hands in a prebuilt
     :class:`~repro.core.flatbuild.FlatTree` for a **data-independent** rule —

@@ -3,15 +3,17 @@
 Every PSD lives in one representation: the breadth-first structure-of-arrays
 :class:`FlatTree`, constructed directly one level at a time:
 
-* structure: every level's children are produced in one pass through
-  :meth:`~repro.core.splits.SplitRule.split_level`.  Data-independent rules
-  (quadtree) partition *all* points of the level with array comparisons and a
-  stable argsort; data-dependent rules (kd, hybrid, the Hilbert binary split)
-  call the **ragged-batch private medians** of :mod:`repro.privacy.median`
-  once per stage, whose node-major draw layout consumes the RNG stream in
-  exactly the order of per-node splits in BFS order.  Only rules without a
-  vectorized path (the cell-based kd split, custom callables) fall back to
-  per-node :meth:`~repro.core.splits.SplitRule.split` calls in BFS order;
+* structure: every level's children are produced in one call to
+  :meth:`~repro.core.splits.SplitRule.split_level`, the only way a node is
+  split.  Data-independent rules (quadtree) partition *all* points of the
+  level with array comparisons; data-dependent rules (kd, hybrid, the
+  Hilbert binary split) call the **ragged-batch private medians** of
+  :mod:`repro.privacy.median` once per stage, whose node-major draw layout
+  consumes the RNG stream in exactly the order of per-node splits in BFS
+  order; the cell-based kd split reads its medians off the noisy grid for
+  blocks of nodes at once.  Every point lands in exactly one child (one node
+  per level), and one level loop serves a single build and a stacked
+  multi-release sweep alike;
 * noise: each level's Laplace draws happen as **one batched vector** —
   bitwise identical to per-node scalar draws from the same generator, since
   NumPy fills an array by repeating the scalar sampler;
@@ -31,12 +33,11 @@ derived from it by a cheap array snapshot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..geometry.domain import Domain
-from ..geometry.rect import Rect
 from ..obs import counter_add, trace_span
 from ..privacy.mechanisms import laplace_noise
 from ..privacy.rng import RngLike, ensure_rng
@@ -149,116 +150,27 @@ def build_flat_structure(
 
     ``points`` must already be validated against ``domain``.  The RNG is
     consumed in BFS order within each level, so a seeded build is
-    reproducible bit for bit.
+    reproducible bit for bit.  A single build is the one-release case of
+    :func:`build_flat_structures_stacked`; the tree's arrays are views of
+    that batch, with no second copy of the points or the geometry.
     """
-    gen = ensure_rng(rng)
-    pts = np.asarray(points, dtype=float)
-    fanout = split_rule.fanout
-    dims = domain.dims
-
-    cur_lo = np.asarray(domain.rect.lo, dtype=float).reshape(1, dims)
-    cur_hi = np.asarray(domain.rect.hi, dtype=float).reshape(1, dims)
-    cur_pts = pts  # always sorted so each node's points are contiguous
-    cur_node = np.zeros(pts.shape[0], dtype=np.int64)
-    cur_seg = np.array([0, pts.shape[0]], dtype=np.int64)
-
-    level_lo: List[np.ndarray] = [cur_lo]
-    level_hi: List[np.ndarray] = [cur_hi]
-    level_counts: List[np.ndarray] = [np.array([pts.shape[0]], dtype=np.int64)]
-
-    for level in range(height, 0, -1):
-        eps_med = eps_median_per_level if split_rule.is_data_dependent(level, height) else 0.0
-        with trace_span("build.split_level", level=level, nodes=int(cur_lo.shape[0])):
-            batched = split_rule.split_level(
-                cur_lo, cur_hi, cur_pts, cur_node, level, height, domain, eps_med, rng=gen
-            )
-        if batched is not None:
-            # ``level_pts`` is normally the level's own points; a point the
-            # per-node split routes to two children (domain-edge split) appears
-            # twice, which the bincount/argsort handle transparently.
-            child_lo, child_hi, child_of_pt, level_pts = batched
-            order = np.argsort(child_of_pt, kind="stable")
-            cur_pts = level_pts[order]
-            cur_node = child_of_pt[order]
-            counts = np.bincount(child_of_pt, minlength=child_lo.shape[0]).astype(np.int64)
-        else:
-            child_lo, child_hi, cur_pts, counts = _split_level_per_node(
-                split_rule, cur_lo, cur_hi, cur_pts, cur_seg, level, height, domain, eps_med, gen
-            )
-            cur_node = np.repeat(np.arange(counts.shape[0], dtype=np.int64), counts)
-        if child_lo.shape[0] != cur_lo.shape[0] * fanout:
-            raise RuntimeError(
-                f"split rule {split_rule!r} produced {child_lo.shape[0]} children "
-                f"for {cur_lo.shape[0]} nodes, expected fanout {fanout}"
-            )
-        cur_seg = np.concatenate(([0], np.cumsum(counts)))
-        cur_lo, cur_hi = child_lo, child_hi
-        level_lo.append(child_lo)
-        level_hi.append(child_hi)
-        level_counts.append(counts)
-
-    # The fanout check above makes the tree complete by construction, so the
-    # index structure is the canonical complete-tree topology shared with the
-    # multi-release batches.
-    level_arr, parent, child_start, child_end, sizes = _batch_topology(height, fanout)
-    n = int(sizes.sum())
-
+    batch = build_flat_structures_stacked(
+        points, domain, height, split_rule, np.array([eps_median_per_level], dtype=float),
+        ensure_rng(rng),
+    )
     return FlatTree(
-        lo=np.concatenate(level_lo, axis=0),
-        hi=np.concatenate(level_hi, axis=0),
-        level=level_arr,
-        parent=parent,
-        child_start=child_start,
-        child_end=child_end,
-        true_count=np.concatenate(level_counts),
-        noisy_count=np.full(n, np.nan),
+        lo=batch.lo[0],
+        hi=batch.hi[0],
+        level=batch.level,
+        parent=batch.parent,
+        child_start=batch.child_start,
+        child_end=batch.child_end,
+        true_count=batch.true_count[0],
+        noisy_count=batch.noisy_count[0],
         post_count=None,
         height=height,
-        fanout=fanout,
+        fanout=batch.fanout,
     )
-
-
-def _split_level_per_node(
-    split_rule: SplitRule,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    pts_sorted: np.ndarray,
-    seg: np.ndarray,
-    level: int,
-    height: int,
-    domain: Domain,
-    eps_med: float,
-    gen: np.random.Generator,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split every node of a level through the per-node ``split`` interface.
-
-    This is the fallback for rules without a vectorized path; nodes are
-    processed in BFS order so data-dependent rules draw from the RNG in the
-    canonical order.
-    """
-    n_nodes = lo.shape[0]
-    fanout = split_rule.fanout
-    dims = lo.shape[1]
-    child_lo = np.empty((n_nodes * fanout, dims))
-    child_hi = np.empty((n_nodes * fanout, dims))
-    counts = np.empty(n_nodes * fanout, dtype=np.int64)
-    parts: List[np.ndarray] = []
-    for i in range(n_nodes):
-        rect = Rect(tuple(lo[i]), tuple(hi[i]))
-        node_pts = pts_sorted[seg[i]:seg[i + 1]]
-        children = split_rule.split(rect, node_pts, level, height, domain, eps_med, rng=gen)
-        if len(children) != fanout:
-            raise RuntimeError(
-                f"split rule {split_rule!r} produced {len(children)} children, expected {fanout}"
-            )
-        for offset, (child_rect, child_pts) in enumerate(children):
-            k = i * fanout + offset
-            child_lo[k] = child_rect.lo
-            child_hi[k] = child_rect.hi
-            counts[k] = child_pts.shape[0]
-            parts.append(child_pts)
-    new_pts = np.concatenate(parts, axis=0) if parts else pts_sorted[:0]
-    return child_lo, child_hi, new_pts, counts
 
 
 # ----------------------------------------------------------------------
@@ -586,21 +498,21 @@ def build_flat_structures_stacked(
     eps_median_per_level: np.ndarray,
     rng: np.random.Generator,
 ) -> FlatTreeBatch:
-    """Build ``R`` data-dependent structures in one stacked level sweep.
+    """Build ``R`` structures in one stacked level sweep — the only level loop.
 
     Each release's nodes ride along as extra segments of every
     :meth:`~repro.core.splits.SplitRule.split_level` call: the level arrays
     hold the ``R * k`` nodes of all releases release-major, each node carrying
     its own release's median budget, and the points array holds ``R`` copies
-    of the dataset partitioned per release.  Because batched median kernels
-    are segment-local and consume their uniforms node-major, feeding them the
-    releases' **pre-drawn** uniforms (via :class:`~repro.privacy.rng.ReplayRng`)
-    reproduces every release bit for bit as if it had been built alone.
-
-    ``rng`` is normally that replay generator; the split rule must have a
-    vectorized path for every level (the caller verifies this upfront via
-    :meth:`~repro.core.splits.SplitRule.level_random_draws`), so a ``None``
-    from ``split_level`` here is a contract violation and raises.
+    of the dataset partitioned per release (the input itself when ``R`` is
+    1).  Every point lands in exactly one child per level, so each release
+    partitions its ``n`` points at every level.  Because batched median
+    kernels are segment-local and consume their uniforms node-major, feeding
+    them the releases' **pre-drawn** uniforms (via
+    :class:`~repro.privacy.rng.ReplayRng`) reproduces every release bit for
+    bit as if it had been built alone; that replay needs each level's draw
+    count up front, which the caller checks via
+    :meth:`~repro.core.splits.SplitRule.level_random_draws`.
     """
     pts = np.asarray(points, dtype=float)
     eps_med = np.asarray(eps_median_per_level, dtype=float)
@@ -614,7 +526,7 @@ def build_flat_structures_stacked(
     root_hi = np.repeat(np.asarray(domain.rect.hi, dtype=float).reshape(1, dims),
                         n_releases, axis=0)
     cur_lo, cur_hi = root_lo, root_hi
-    cur_pts = np.tile(pts, (n_releases, 1))
+    cur_pts = pts if n_releases == 1 else np.tile(pts, (n_releases, 1))
     cur_node = np.repeat(np.arange(n_releases, dtype=np.int64), n0)
 
     level_lo: List[np.ndarray] = [root_lo]
@@ -627,17 +539,11 @@ def build_flat_structures_stacked(
             eps_level = np.repeat(eps_med, k)  # release-major, one per stacked node
         else:
             eps_level = 0.0
-        with trace_span("build.split_level_stacked", level=level,
+        with trace_span("build.split_level", level=level,
                         nodes=int(cur_lo.shape[0]), releases=n_releases):
-            batched = split_rule.split_level(
-                cur_lo, cur_hi, cur_pts, cur_node, level, height, domain, eps_level, rng=rng
+            child_lo, child_hi, child_of_pt, level_pts = split_rule.split_level(
+                cur_lo, cur_hi, cur_pts, cur_node, level, height, eps_level, rng=rng
             )
-        if batched is None:
-            raise RuntimeError(
-                f"split rule {split_rule!r} lost its vectorized path at level {level} "
-                "mid-sweep; the pre-drawn uniforms cannot be replayed per node"
-            )
-        child_lo, child_hi, child_of_pt, level_pts = batched
         if child_lo.shape[0] != cur_lo.shape[0] * fanout:
             raise RuntimeError(
                 f"split rule {split_rule!r} produced {child_lo.shape[0]} children "
@@ -652,6 +558,8 @@ def build_flat_structures_stacked(
         level_hi.append(child_hi)
         level_counts.append(counts)
 
+    # The fanout check above makes every tree complete by construction, so
+    # the index structure is the canonical complete-tree topology.
     level_arr, parent, child_start, child_end, sizes = _batch_topology(height, fanout)
     n = int(sizes.sum())
     lo = np.empty((n_releases, n, dims))

@@ -10,9 +10,11 @@ interval, so releasing it is free.
 
 Internally the structure reuses the generic PSD machinery over a
 one-dimensional domain of Hilbert indices: budget strategies, OLS
-post-processing and pruning all apply unchanged.  Planar range queries are
-answered R-tree style over the node bounding boxes by the compiled planar
-engine (:func:`repro.engine.flat.compile_hilbert_rtree`);
+post-processing and pruning all apply unchanged.  Each level is split by one
+batched private-median call (:class:`BinaryMedianSplit`), and every index
+lands in exactly one child (the right one when it is ``>=`` the split).
+Planar range queries are answered R-tree style over the node bounding boxes
+by the compiled planar engine (:func:`repro.engine.flat.compile_hilbert_rtree`);
 :meth:`PrivateHilbertRTree.range_query_intervals` offers the alternative
 formulation that decomposes the query rectangle into Hilbert-index intervals
 (:meth:`~repro.geometry.hilbert.HilbertCurve.rect_to_ranges`) and sums the
@@ -28,16 +30,20 @@ import numpy as np
 
 from ..geometry.domain import Domain
 from ..geometry.hilbert import HilbertCurve
-from ..geometry.rect import Rect, domain_aware_mask
-from ..privacy.median import (
-    MedianMethod,
-    resolve_median_method,
-    true_median,
-    true_median_batch,
-)
+from ..geometry.rect import Rect
+from ..privacy.median import MedianMethod, resolve_median_method
 from ..privacy.rng import RngLike, ensure_rng
 from .builder import BudgetSplit, build_psd
-from .splits import SplitResult, SplitRule
+from .splits import (
+    SplitRule,
+    _batched_method,
+    _by_child,
+    _draw_level,
+    _level_epsilons,
+    _median_stage,
+    _method_level_draws,
+    _segment_sorted_order,
+)
 from .tree import PrivateSpatialDecomposition
 
 __all__ = ["BinaryMedianSplit", "PrivateHilbertRTree", "HilbertRTreeReleases",
@@ -47,10 +53,17 @@ __all__ = ["BinaryMedianSplit", "PrivateHilbertRTree", "HilbertRTreeReleases",
 
 @dataclass(frozen=True)
 class BinaryMedianSplit(SplitRule):
-    """A fanout-2 split at a private median along axis 0 (1-D kd split)."""
+    """A fanout-2 split at a private median along axis 0 (1-D kd split).
+
+    A point goes to the right child when its Hilbert index is ``>=`` the
+    split, so each point lands in exactly one child per level.
+    """
 
     median_method: "str | MedianMethod" = "em"
     name: str = "binary-kd"
+
+    def __post_init__(self) -> None:
+        _batched_method(self.median_method)
 
     @property
     def fanout(self) -> int:  # type: ignore[override]
@@ -59,128 +72,40 @@ class BinaryMedianSplit(SplitRule):
     def is_data_dependent(self, level: int, height: int) -> bool:
         return True
 
-    def split(self, rect, points, level, height, domain, epsilon_median, rng=None):
-        gen = ensure_rng(rng)
-        method = resolve_median_method(self.median_method)
-        lo, hi = rect.lo[0], rect.hi[0]
-        values = points[:, 0] if points.size else np.empty(0)
-        if method is true_median:
-            split_value = float(method(values, 1.0, lo, hi, rng=gen))
-        elif epsilon_median > 0:
-            split_value = float(method(values, epsilon_median, lo, hi, rng=gen))
-        else:
-            split_value = (lo + hi) / 2.0
-        left_rect, right_rect = rect.split_at(0, split_value)
-        results: List[SplitResult] = []
-        for child_rect in (left_rect, right_rect):
-            if points.size:
-                mask = domain_aware_mask(child_rect, points, domain.rect)
-                results.append((child_rect, points[mask]))
-            else:
-                results.append((child_rect, points))
-        return results
-
     def level_random_draws(self, level, height, n_nodes, epsilon_median):
-        from .splits import _method_level_draws
-
         return _method_level_draws(
             resolve_median_method(self.median_method), n_nodes, 1, epsilon_median
         )
 
-    def split_level(self, lo, hi, points, point_node, level, height, domain,
-                    epsilon_median, rng=None):
+    def split_level(self, lo, hi, points, point_node, level, height, epsilon_median,
+                    rng=None):
         """One batched private median per level over the Hilbert indices.
 
         Same node-major draw layout as :meth:`repro.core.splits.KDSplit.split_level`
-        (a single stage here), so the flat build consumes the RNG exactly as
-        per-node :meth:`split` calls in BFS order do.
+        (a single stage here), so the build consumes the RNG exactly as
+        per-node splits in BFS order do.
         """
-        from .splits import _level_epsilons
-
         method = resolve_median_method(self.median_method)
-        batch = getattr(method, "batch", None)
         k = lo.shape[0]
-        method_is_private = method is not true_median
-        level_eps = _level_epsilons(epsilon_median, k)
-        if level_eps is None:
-            return None  # mixed zero/positive budgets: no uniform draw layout
-        eps_nodes, has_budget = level_eps
-        needs_draws = method_is_private and has_budget
-        draws_per_call = getattr(method, "draws_per_call", None)
-        if needs_draws and (batch is None or draws_per_call is None):
-            return None
-
-        pts = np.asarray(points, dtype=float)
+        eps = _level_epsilons(epsilon_median, k)
         seg = np.asarray(point_node, dtype=np.int64)
-        n_pts = pts.shape[0]
-        dom_hi = float(domain.rect.hi[0])
-        draws_per_value = int(getattr(method, "draws_per_value", 0)) if needs_draws else 0
-        if draws_per_value not in (0, 1):
-            return None  # the level draw layout below assumes one draw per value
-        if draws_per_value and n_pts and np.any(np.isclose(pts[:, 0], dom_hi)):
-            return None  # see KDSplit.split_level: keep the draw layout static
-
-        gen = ensure_rng(rng)
-        counts = (np.bincount(seg, minlength=k).astype(np.int64)
-                  if n_pts else np.zeros(k, dtype=np.int64))
-        offs = np.concatenate(([0], np.cumsum(counts)))
-        vals = pts[:, 0] if n_pts else np.empty(0)
+        vals = points[:, 0]
+        counts = np.bincount(seg, minlength=k)
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        per_node = int(method.draws_per_value) * counts + int(method.draws_per_call)
+        u, starts = _draw_level(method, eps, per_node, rng)
         # This rule hands each level back sorted by (child, value), so after
         # the first level the sort degenerates to an O(n) check.
-        from .splits import _segment_sorted_order
+        order = _segment_sorted_order(vals, seg, offsets)
+        split = _median_stage(method, vals if order is None else vals[order], offsets,
+                              lo[:, 0], hi[:, 0], eps, u, starts)
 
-        order = _segment_sorted_order(vals, seg, offs)
-        sorted_vals = vals if order is None else vals[order]
-        lo0, hi0 = lo[:, 0], hi[:, 0]
-
-        if not method_is_private:
-            split = np.asarray(true_median_batch(sorted_vals, offs, 1.0, lo0, hi0,
-                                                 validate=False))
-        elif not needs_draws:
-            split = (lo0 + hi0) / 2.0
-        else:
-            d = int(draws_per_call)
-            if draws_per_value == 0:
-                uniforms = gen.random(d * k).reshape(k, d)
-            else:
-                per_node = draws_per_value * counts + d
-                base = np.concatenate(([0], np.cumsum(per_node)))
-                u = gen.random(int(base[-1]))
-                seg_sorted = np.repeat(np.arange(k, dtype=np.int64), counts)
-                rank = np.arange(n_pts, dtype=np.int64) - offs[:-1][seg_sorted]
-                uniforms = (u[base[seg_sorted] + rank],
-                            u[(base[:-1] + counts)[:, None] + np.arange(d)[None, :]])
-            split = np.asarray(batch(sorted_vals, offs, eps_nodes, lo0, hi0,
-                                     uniforms=uniforms, validate=False))
-        split = np.minimum(np.maximum(split, lo0), hi0)  # Rect.split_at clamp
-
-        duplicated = False
-        if n_pts:
-            at_split = pts[:, 0] == split[seg]
-            dup = np.isclose(split, dom_hi)[seg] & at_split
-            side = (pts[:, 0] >= split[seg]).astype(np.int64)
-            if np.any(dup):
-                duplicated = True
-                side[dup] = 0
-                pts = np.concatenate([pts, pts[dup]], axis=0)
-                seg = np.concatenate([seg, seg[dup]])
-                side = np.concatenate(
-                    [side, np.ones(int(np.count_nonzero(dup)), dtype=np.int64)])
-        else:
-            side = np.empty(0, dtype=np.int64)
-
-        child_lo = np.repeat(lo[:, None, :], 2, axis=1).astype(float)
-        child_hi = np.repeat(hi[:, None, :], 2, axis=1).astype(float)
-        child_hi[:, 0, 0] = split
-        child_lo[:, 1, 0] = split
-        child_of_point = seg * 2 + side
-        if n_pts and not duplicated:
-            base_order = np.arange(n_pts, dtype=np.int64) if order is None else order
-            ret = base_order[np.argsort(child_of_point[base_order], kind="stable")]
-            child_of_point = child_of_point[ret]
-            pts = pts[ret]
-        return (child_lo.reshape(2 * k, 1), child_hi.reshape(2 * k, 1),
-                child_of_point, pts)
+        child_lo = np.repeat(lo, 2, axis=0)
+        child_hi = np.repeat(hi, 2, axis=0)
+        child_hi[0::2, 0] = split
+        child_lo[1::2, 0] = split
+        child_of_point = 2 * seg + (vals >= split[seg])
+        return (child_lo, child_hi) + _by_child(child_of_point, points, order)
 
 
 def hilbert_interval_bounds(lo_vals, hi_vals, curve: HilbertCurve):

@@ -24,6 +24,13 @@ the y-axis, which is equivalent to connecting a binary kd-tree's nodes to
 their grandchildren.  The two sub-splits happen on the same root-to-leaf path,
 so a level's median budget is divided between them (the second stage's two
 medians act on disjoint halves and compose in parallel).
+
+Every rule splits a whole level at once through :meth:`SplitRule.split_level`,
+the only way the build pipeline divides nodes.  Routing is **exclusive**: a
+point goes to the high side of a split when ``coordinate >= split``, so each
+point lands in exactly one child — one node per level — which is what the
+paper's parallel composition of a level's count noise assumes (Section 4).
+A point on the domain's top face sits in the topmost child, never in two.
 """
 
 from __future__ import annotations
@@ -34,8 +41,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..geometry.domain import Domain
-from ..geometry.rect import Rect, domain_aware_mask
 from ..index.grid import NoisyGrid
 from ..privacy.median import (
     MedianMethod,
@@ -43,31 +48,28 @@ from ..privacy.median import (
     true_median,
     true_median_batch,
 )
-from ..privacy.rng import RngLike, ensure_rng
+from ..privacy.rng import ensure_rng
 
 __all__ = [
-    "SplitResult",
     "LevelSplit",
     "SplitRule",
     "QuadSplit",
     "KDSplit",
     "HybridSplit",
     "CellKDSplit",
-    "grid_median_along_axis",
 ]
-
-#: One child produced by a split: its rectangle, the points routed to it, and
-#: optionally the (axis, value) of the private split that created it.
-SplitResult = Tuple[Rect, np.ndarray]
 
 #: One whole level split in a single vectorized call: ``(child_lo, child_hi,
 #: child_of_point, points)`` where the bound arrays have ``n_nodes * fanout``
 #: rows (children of node ``j`` at rows ``j*fanout .. (j+1)*fanout - 1``),
-#: ``points`` is the level's point array — normally the input, but a point the
-#: reference path routes to *two* children (a split landing exactly on it at
-#: the domain's closed upper face) appears twice — and ``child_of_point[p]``
-#: is the global child index ``points[p]`` routes to.
+#: ``points`` holds the level's points, each exactly once (possibly
+#: reordered), and ``child_of_point[p]`` is the global child index of
+#: ``points[p]``.
 LevelSplit = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+#: Upper bound on the bytes of one temporary of the cell-based split: its
+#: per-rect grid arithmetic runs over blocks of nodes sized to fit.
+_CELL_BLOCK_BYTES = 2 * 1024 * 1024
 
 
 def _segment_sorted_order(values: np.ndarray, seg: np.ndarray,
@@ -81,29 +83,56 @@ def _segment_sorted_order(values: np.ndarray, seg: np.ndarray,
     check replaces an O(n log n) sort.
     """
     n = values.shape[0]
-    if n > 1:
-        diffs = np.diff(values)
-        within = np.ones(n - 1, dtype=bool)
-        boundary = offsets[1:-1]
-        boundary = boundary[(boundary > 0) & (boundary < n)]
-        within[boundary - 1] = False
-        if not np.any(diffs[within] < 0):
-            return None
-    elif n <= 1:
+    if n <= 1:
+        return None
+    within = np.ones(n - 1, dtype=bool)
+    boundary = offsets[1:-1]
+    boundary = boundary[(boundary > 0) & (boundary < n)]
+    within[boundary - 1] = False
+    if not np.any(np.diff(values)[within] < 0):
         return None
     by_value = np.argsort(values)  # stability irrelevant: equal floats are identical
     return by_value[np.argsort(seg[by_value], kind="stable")]
 
 
-def _level_epsilons(epsilon_median, k: int) -> Optional[Tuple[np.ndarray, bool]]:
+def _by_child(child_of_point: np.ndarray, points: np.ndarray,
+              order: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Hand a level back sorted by ``(child, value)``.
+
+    ``order`` sorts the level by ``(node, value)`` (``None``: already sorted);
+    refining it by child is a cheap stable integer sort, and it lets the next
+    level's first median stage skip its value sort entirely.
+    """
+    base = np.arange(points.shape[0], dtype=np.int64) if order is None else order
+    ret = base[np.argsort(child_of_point[base], kind="stable")]
+    return child_of_point[ret], points[ret]
+
+
+def _batched_method(median_method: "str | MedianMethod") -> MedianMethod:
+    """Resolve a median method and refuse one the level split cannot batch.
+
+    The split draws a whole level's uniforms up front, which needs the
+    method's batch form and its fixed draw layout (see the draw-order
+    contract in :mod:`repro.privacy.median`).
+    """
+    method = resolve_median_method(median_method)
+    if (getattr(method, "batch", None) is None
+            or getattr(method, "draws_per_call", None) is None
+            or int(getattr(method, "draws_per_value", 0)) not in (0, 1)):
+        raise ValueError(
+            f"median method {median_method!r} has no batch form: it needs .batch, "
+            ".draws_per_call and a .draws_per_value of 0 or 1")
+    return method
+
+
+def _level_epsilons(epsilon_median, k: int) -> np.ndarray:
     """Normalise a scalar-or-per-node median budget into a ``(k,)`` vector.
 
-    Returns ``(per_node_epsilons, has_budget)`` where ``has_budget`` is true
-    when *every* node has a positive budget, or ``None`` for a mixed
-    zero/positive vector — the draw layout of a level must be uniform across
-    its nodes, so mixed levels have no vectorized path.  The multi-release
-    sweep passes one epsilon per stacked node (releases differ in budget);
-    single-release callers keep passing a scalar.
+    The multi-release sweep passes one epsilon per stacked node (releases
+    differ in budget); single builds pass a scalar.  The draw layout of a
+    level must be uniform across its nodes, so a mixed zero/positive vector
+    raises — the sweep planner sends such budgets down the sequential loop
+    before any split runs.
     """
     eps = np.asarray(epsilon_median, dtype=float)
     if eps.ndim == 0:
@@ -111,46 +140,83 @@ def _level_epsilons(epsilon_median, k: int) -> Optional[Tuple[np.ndarray, bool]]
     elif eps.shape != (k,):
         raise ValueError("epsilon_median must be a scalar or hold one value per node")
     positive = eps > 0
-    if positive.all():
-        return eps, True
-    if not positive.any():
-        return eps, False
-    return None
+    if positive.any() and not positive.all():
+        raise ValueError("a level's median budgets must be all zero or all positive")
+    return eps
 
 
-def _method_level_draws(method, n_nodes: int, stages: int, epsilon_median) -> Optional[int]:
+def _method_level_draws(method, n_nodes: int, stages: int, epsilon_median: float) -> Optional[int]:
     """Uniforms a ``split_level`` with ``stages`` median stages consumes, or ``None``.
 
     Shared by :meth:`KDSplit.level_random_draws` (three stages: one x-median
     plus two y-medians per node) and the Hilbert binary split (one stage).
+    ``None`` marks a count that depends on the data: sampled methods draw one
+    uniform per point.
+    """
+    if method is true_median or float(epsilon_median) <= 0:
+        return 0
+    if int(method.draws_per_value) != 0:
+        return None
+    return stages * int(method.draws_per_call) * n_nodes
+
+
+def _draw_level(method, eps: np.ndarray, per_node: np.ndarray,
+                rng) -> Tuple[Optional[np.ndarray], np.ndarray]:
+    """Draw a level's uniforms in one call: ``(u, node_start)``.
+
+    ``per_node`` is each node's draw count; node ``i``'s draws start at
+    ``u[node_start[i]]``.  ``u`` is ``None`` (and nothing is drawn) for the
+    exact median or a level without median budget.
+    """
+    node_base = np.concatenate(([0], np.cumsum(per_node))).astype(np.int64)
+    if method is true_median or not np.all(eps > 0):
+        return None, node_base[:-1]
+    return ensure_rng(rng).random(int(node_base[-1])), node_base[:-1]
+
+
+def _median_stage(method, sorted_vals: np.ndarray, offsets: np.ndarray, los: np.ndarray,
+                  his: np.ndarray, eps: np.ndarray, u: Optional[np.ndarray],
+                  starts: np.ndarray) -> np.ndarray:
+    """One private median per segment, clamped into ``[los, his]``.
+
+    Segment ``i`` reads its uniforms from ``u[starts[i]:]`` in the layout of
+    :mod:`repro.privacy.median` — one mask draw per value for sampled
+    methods, then the base method's ``draws_per_call`` draws.  Without
+    uniforms a private method has no budget here and splits at the
+    data-independent (and therefore free) midpoint.
     """
     if method is true_median:
-        return 0
-    eps = np.asarray(epsilon_median, dtype=float)
-    if not np.any(eps > 0):
-        return 0
-    if not np.all(eps > 0):
-        return None
-    batch = getattr(method, "batch", None)
-    draws_per_call = getattr(method, "draws_per_call", None)
-    if batch is None or draws_per_call is None:
-        return None
-    if int(getattr(method, "draws_per_value", 0)) != 0:
-        return None  # sampled methods consume one uniform per point: data dependent
-    return stages * int(draws_per_call) * n_nodes
-
-
-def _partition(rect_list: List[Rect], points: np.ndarray, domain: Domain) -> List[SplitResult]:
-    """Route points to child rectangles with domain-aware half-open membership."""
-    results: List[SplitResult] = []
-    for child_rect in rect_list:
-        if points.size:
-            mask = domain_aware_mask(child_rect, points, domain.rect)
-            child_points = points[mask]
+        split = true_median_batch(sorted_vals, offsets, 1.0, los, his, validate=False)
+    elif u is None:
+        split = (los + his) / 2.0
+    else:
+        d = np.arange(int(method.draws_per_call))
+        if int(method.draws_per_value):
+            counts = np.diff(offsets)
+            seg = np.repeat(np.arange(counts.shape[0], dtype=np.int64), counts)
+            rank = np.arange(sorted_vals.shape[0], dtype=np.int64) - offsets[:-1][seg]
+            uniforms = (u[starts[seg] + rank], u[(starts + counts)[:, None] + d[None, :]])
         else:
-            child_points = points
-        results.append((child_rect, child_points))
-    return results
+            uniforms = u[starts[:, None] + d[None, :]]
+        split = method.batch(sorted_vals, offsets, eps, los, his, uniforms=uniforms,
+                             validate=False)
+    return np.minimum(np.maximum(np.asarray(split, dtype=float), los), his)
+
+
+def _kd_children(lo: np.ndarray, hi: np.ndarray, split_a: np.ndarray,
+                 split_b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The fanout-4 children of a two-stage kd split, in the order (lowX, lowY),
+    (lowX, highY), (highX, lowY), (highX, highY); ``split_b`` holds the low
+    half's y-split, then the high half's, per node."""
+    k, dims = lo.shape
+    child_lo = np.repeat(lo[:, None, :], 4, axis=1)
+    child_hi = np.repeat(hi[:, None, :], 4, axis=1)
+    child_hi[:, :2, 0] = split_a[:, None]
+    child_lo[:, 2:, 0] = split_a[:, None]
+    split_b = split_b.reshape(k, 2)
+    child_hi[:, 0::2, 1] = split_b
+    child_lo[:, 1::2, 1] = split_b
+    return child_lo.reshape(4 * k, dims), child_hi.reshape(4 * k, dims)
 
 
 class SplitRule(ABC):
@@ -164,21 +230,27 @@ class SplitRule(ABC):
         """Whether splitting a node at ``level`` consumes median budget."""
 
     @abstractmethod
-    def split(
+    def split_level(
         self,
-        rect: Rect,
+        lo: np.ndarray,
+        hi: np.ndarray,
         points: np.ndarray,
+        point_node: np.ndarray,
         level: int,
         height: int,
-        domain: Domain,
-        epsilon_median: float,
-        rng: RngLike = None,
-    ) -> List[SplitResult]:
-        """Split a node at ``level`` into ``fanout`` children.
+        epsilon_median,
+        rng=None,
+    ) -> LevelSplit:
+        """Split **every** node of a level in one vectorized call.
 
-        ``epsilon_median`` is the median budget available *for this level*
-        (zero for data-independent levels).  Implementations must return
-        exactly ``fanout`` children whose rectangles partition ``rect``.
+        ``lo`` / ``hi`` are the ``(n_nodes, d)`` bounds of the level's nodes,
+        ``points`` the concatenated points of the level (sorted so each node's
+        points are contiguous) and ``point_node[p]`` the node index of point
+        ``p``.  ``epsilon_median`` is the median budget of this level (zero
+        for data-independent levels), a scalar or one value per node.  Every
+        point is routed to exactly one child (``coordinate >= split`` goes
+        high), and data-dependent rules draw the level's randomness node-major
+        in BFS order — the stream a loop of per-node splits would consume.
         """
 
     def data_dependent_levels(self, height: int) -> List[int]:
@@ -194,35 +266,10 @@ class SplitRule(ABC):
         sequential (release-major) order and replays them into level-stacked
         calls, which is only possible when the per-level consumption is known
         *before* any data is seen.  Rules whose consumption is data dependent
-        (sampled medians draw one uniform per point) or that have no vectorized
-        path at all return ``None``, sending the sweep down the sequential
-        fallback.
+        (sampled medians draw one uniform per point) return ``None``, sending
+        the sweep down the sequential loop.
         """
-        return None
-
-    def split_level(
-        self,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        points: np.ndarray,
-        point_node: np.ndarray,
-        level: int,
-        height: int,
-        domain: Domain,
-        epsilon_median: float,
-        rng: RngLike = None,
-    ) -> "Optional[LevelSplit]":
-        """Split **every** node of a level in one vectorized call, if possible.
-
-        ``lo`` / ``hi`` are the ``(n_nodes, d)`` bounds of the level's nodes,
-        ``points`` the concatenated points of the level (sorted so each node's
-        points are contiguous) and ``point_node[p]`` the node index of point
-        ``p``.  Implementations return a :data:`LevelSplit`, or ``None`` when
-        no vectorized path applies — the flat builder then falls back to
-        per-node :meth:`split` calls in BFS order, so the privacy semantics
-        and RNG consumption are identical either way.
-        """
-        return None
+        return 0
 
 
 @dataclass(frozen=True)
@@ -238,80 +285,25 @@ class QuadSplit(SplitRule):
     def is_data_dependent(self, level: int, height: int) -> bool:
         return False
 
-    def split(self, rect, points, level, height, domain, epsilon_median, rng=None):
-        return _partition(list(rect.quad_children()), points, domain)
-
-    def level_random_draws(self, level, height, n_nodes, epsilon_median):
-        return 0  # data independent: midpoint splits never touch the RNG
-
-    def split_level(self, lo, hi, points, point_node, level, height, domain,
-                    epsilon_median, rng=None):
+    def split_level(self, lo, hi, points, point_node, level, height, epsilon_median,
+                    rng=None):
         """Vectorized midpoint split of a whole level (no RNG, no budget).
 
-        Child ordering and point routing replicate ``quad_children`` +
-        ``domain_aware_mask`` exactly: bit ``k`` of the child code is set when
-        the point lies at or above the node's midpoint on axis ``k``.  When a
-        midpoint is close enough to the domain's upper face that the low
-        child's boundary counts as closed, a point lying exactly on it belongs
-        to *both* children (the reference's domain-edge semantics) — such
-        points are emitted once per matching child via an axis-doubling
-        expansion instead of falling back to the per-node path.
+        Child ``code`` has bit ``k`` set when it is the high half on axis
+        ``k`` (the order of ``Rect.quad_children``), and a point takes bit
+        ``k`` when it lies at or above the node's midpoint on axis ``k``.
         """
+        dims = lo.shape[1]
         mid = (lo + hi) / 2.0
-        domain_hi = np.asarray(domain.rect.hi, dtype=float)
-        n_nodes, dims = lo.shape
-        n_child = 1 << dims
-
-        child_lo = np.empty((n_nodes, n_child, dims))
-        child_hi = np.empty((n_nodes, n_child, dims))
-        for code in range(n_child):
-            code_lo = lo.copy()
-            code_hi = hi.copy()
-            for axis in range(dims):
-                if (code >> axis) & 1:
-                    code_lo[:, axis] = mid[:, axis]
-                else:
-                    code_hi[:, axis] = mid[:, axis]
-            child_lo[:, code, :] = code_lo
-            child_hi[:, code, :] = code_hi
-
-        out_points = points
-        if points.shape[0]:
-            closed = np.isclose(mid, domain_hi)  # (n_nodes, dims) closed low-child faces
-            if np.any(closed):
-                idx = np.arange(points.shape[0], dtype=np.int64)
-                code = np.zeros(points.shape[0], dtype=np.int64)
-                for axis in range(dims):
-                    node_of = point_node[idx]
-                    x = points[idx, axis]
-                    mid_ax = mid[node_of, axis]
-                    high_bit = (x >= mid_ax).astype(np.int64) << axis
-                    dup = closed[node_of, axis] & (x == mid_ax)
-                    if np.any(dup):
-                        # a point exactly on a closed midpoint face goes low
-                        # *and* high on this axis: keep the original low and
-                        # append a high copy
-                        code_low = code | np.where(dup, 0, high_bit)
-                        idx = np.concatenate([idx, idx[dup]])
-                        code = np.concatenate([code_low, code[dup] | (1 << axis)])
-                    else:
-                        code = code | high_bit
-                child_of_point = point_node[idx] * n_child + code
-                out_points = points[idx]
-            else:
-                high = points >= mid[point_node]
-                code = np.zeros(points.shape[0], dtype=np.int64)
-                for axis in range(dims):
-                    code |= high[:, axis].astype(np.int64) << axis
-                child_of_point = point_node * n_child + code
-        else:
-            child_of_point = np.empty(0, dtype=np.int64)
-        return (
-            child_lo.reshape(n_nodes * n_child, dims),
-            child_hi.reshape(n_nodes * n_child, dims),
-            child_of_point,
-            out_points,
-        )
+        high = ((np.arange(1 << dims)[:, None] >> np.arange(dims)) & 1).astype(bool)
+        child_lo = np.where(high, mid[:, None, :], lo[:, None, :])
+        child_hi = np.where(high, hi[:, None, :], mid[:, None, :])
+        at_or_above = points >= mid[point_node]
+        code = np.zeros(points.shape[0], dtype=np.int64)
+        for axis in range(dims):
+            code |= at_or_above[:, axis].astype(np.int64) << axis
+        return (child_lo.reshape(-1, dims), child_hi.reshape(-1, dims),
+                point_node * (1 << dims) + code, points)
 
 
 @dataclass(frozen=True)
@@ -320,12 +312,16 @@ class KDSplit(SplitRule):
 
     ``median_method`` may be a name from :data:`repro.privacy.MEDIAN_METHODS`
     (``"em"``, ``"ss"``, ``"noisymean"``, ``"cell"``, ``"true"``, ``"ems"``,
-    ``"sss"``) or any callable with the shared median signature.
+    ``"sss"``) or a callable carrying the same batch form and draw-layout
+    attributes; one without them is refused here.  Each level splits x first,
+    then the two halves on y.
     """
 
     median_method: "str | MedianMethod" = "em"
-    first_axis: int = 0
     name: str = "kd"
+
+    def __post_init__(self) -> None:
+        _batched_method(self.median_method)
 
     @property
     def fanout(self) -> int:  # type: ignore[override]
@@ -334,232 +330,66 @@ class KDSplit(SplitRule):
     def is_data_dependent(self, level: int, height: int) -> bool:
         return True
 
-    def _median(self, values: np.ndarray, epsilon: float, lo: float, hi: float, rng) -> float:
-        method = resolve_median_method(self.median_method)
-        if method is true_median or epsilon > 0:
-            return float(method(values, epsilon if epsilon > 0 else 1.0, lo, hi, rng=rng))
-        # No budget left for this split: fall back to the midpoint, which is
-        # data independent and therefore free.
-        return (lo + hi) / 2.0
-
-    def split(self, rect, points, level, height, domain, epsilon_median, rng=None):
-        gen = ensure_rng(rng)
-        axis_a = self.first_axis % rect.dims
-        axis_b = (self.first_axis + 1) % rect.dims
-        method_is_private = resolve_median_method(self.median_method) is not true_median
-        # The x-split and the y-splits lie on the same root-to-leaf path, so the
-        # level's budget is halved between the two stages; the two y-medians act
-        # on disjoint halves and compose in parallel, so each gets the full half.
-        eps_stage = epsilon_median / 2.0 if method_is_private else 0.0
-
-        values_a = points[:, axis_a] if points.size else np.empty(0)
-        split_a = self._median(values_a, eps_stage, rect.lo[axis_a], rect.hi[axis_a], gen)
-        low_rect, high_rect = rect.split_at(axis_a, split_a)
-
-        halves = _partition([low_rect, high_rect], points, domain)
-        children: List[SplitResult] = []
-        for half_rect, half_points in halves:
-            values_b = half_points[:, axis_b] if half_points.size else np.empty(0)
-            split_b = self._median(values_b, eps_stage, half_rect.lo[axis_b], half_rect.hi[axis_b], gen)
-            lo_rect, hi_rect = half_rect.split_at(axis_b, split_b)
-            children.extend(_partition([lo_rect, hi_rect], half_points, domain))
-        return children
-
     def level_random_draws(self, level, height, n_nodes, epsilon_median):
-        # Per node: one stage-A median plus two stage-B medians, each drawing
+        # Per node: one x-median plus two y-medians, each drawing
         # ``draws_per_call`` uniforms — the exact layout of ``split_level``.
         return _method_level_draws(
             resolve_median_method(self.median_method), n_nodes, 3, epsilon_median
         )
 
-    def split_level(self, lo, hi, points, point_node, level, height, domain,
-                    epsilon_median, rng=None):
+    def split_level(self, lo, hi, points, point_node, level, height, epsilon_median,
+                    rng=None):
         """Split a whole level with one batched private median per stage.
 
         The level's entire randomness is drawn as **one** ``Generator.random``
-        vector laid out node-major — per node: stage-A draws, then the two
-        stage-B draws (low half first) — which is exactly the stream the
-        per-node reference consumes, so the two paths stay bit-for-bit
-        interchangeable (see the draw-order contract in
-        :mod:`repro.privacy.median`).  Stage B's budget domain on ``axis_b``
-        is the parent's interval (unchanged by the stage-A cut), so the whole
-        layout is known before any draw happens.
-
-        Returns ``None`` (per-node fallback) only for a custom median callable
-        without a batch form, for degenerate axis setups, or for a sampled
-        method when points hug the domain's top face (where a split landing
-        exactly on a point would shift the one-draw-per-value layout
-        mid-stream).
+        vector laid out node-major — per node: the x-median's draws, then the
+        two y-medians' (low half first) — which is exactly the stream per-node
+        splits in BFS order consume (see the draw-order contract in
+        :mod:`repro.privacy.median`).  Exclusive routing keeps the layout
+        static: the halves' point counts add up to the node's, so even the
+        sampled methods' one-draw-per-value layout is known before any draw.
+        The y-medians' budget domain is the node's y-interval (unchanged by
+        the x-cut).
         """
+        k, dims = lo.shape
+        if dims < 2:
+            raise ValueError("the kd split needs a domain of at least two dimensions")
         method = resolve_median_method(self.median_method)
-        batch = getattr(method, "batch", None)
-        dims = lo.shape[1]
-        axis_a = self.first_axis % dims
-        axis_b = (self.first_axis + 1) % dims
-        if axis_a == axis_b:
-            return None  # stage B's domain would depend on stage A's cut
-        k = lo.shape[0]
-        method_is_private = method is not true_median
-        level_eps = _level_epsilons(epsilon_median, k)
-        if level_eps is None:
-            return None  # mixed zero/positive budgets: no uniform draw layout
-        eps_nodes, has_budget = level_eps
-        eps_stage = eps_nodes / 2.0 if method_is_private else np.zeros(k)
-        needs_draws = method_is_private and has_budget
-        draws_per_call = getattr(method, "draws_per_call", None)
-        if needs_draws and (batch is None or draws_per_call is None):
-            return None
-
-        pts = np.asarray(points, dtype=float)
+        # The x-split and the y-splits lie on the same root-to-leaf path, so the
+        # level's budget is halved between the two stages; the two y-medians act
+        # on disjoint halves and compose in parallel, so each gets the full half.
+        eps_stage = _level_epsilons(epsilon_median, k) / 2.0
         seg = np.asarray(point_node, dtype=np.int64)
-        n_pts = pts.shape[0]
-        dom_hi = np.asarray(domain.rect.hi, dtype=float)
-        draws_per_value = int(getattr(method, "draws_per_value", 0)) if needs_draws else 0
-        if draws_per_value not in (0, 1):
-            return None  # the level draw layout below assumes one draw per value
-        if draws_per_value and n_pts and np.any(
-                np.isclose(pts[:, axis_a], dom_hi[axis_a])
-                | np.isclose(pts[:, axis_b], dom_hi[axis_b])):
-            # A split landing exactly on one of these points would be routed to
-            # both children by the reference path, shifting this method's
-            # one-draw-per-value layout mid-level; bail out before consuming
-            # any randomness so the fallback sees an untouched stream.
-            return None
+        x, y = points[:, 0], points[:, 1]
+        counts = np.bincount(seg, minlength=k)
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        d = int(method.draws_per_call)
+        per_value = int(method.draws_per_value)
+        u, start_x = _draw_level(method, eps_stage, 2 * per_value * counts + 3 * d, rng)
 
-        gen = ensure_rng(rng)
-        counts_node = (np.bincount(seg, minlength=k).astype(np.int64)
-                       if n_pts else np.zeros(k, dtype=np.int64))
-        d = int(draws_per_call) if needs_draws else 0
+        # x-medians, one per node.  The points usually arrive sorted by
+        # (node, x) — this rule hands them back that way — so the sort is an
+        # O(n) check after the first level.
+        order_x = _segment_sorted_order(x, seg, offsets)
+        split_x = _median_stage(method, x if order_x is None else x[order_x], offsets,
+                                lo[:, 0], hi[:, 0], eps_stage, u, start_x)
+        half = 2 * seg + (x >= split_x[seg])
 
-        u_level = node_base = None
-        if needs_draws:
-            if draws_per_value == 0:
-                u_level = gen.random(3 * d * k).reshape(k, 3, d)
-            else:
-                per_node = 2 * draws_per_value * counts_node + 3 * d
-                node_base = np.concatenate(([0], np.cumsum(per_node)))
-                u_level = gen.random(int(node_base[-1]))
+        # y-medians, one per half (low, then high)
+        order_y = np.argsort(y)  # equal floats are identical: no stability needed
+        order_y = order_y[np.argsort(half[order_y], kind="stable")]
+        counts_half = np.bincount(half, minlength=2 * k)
+        start_y = np.empty(2 * k, dtype=np.int64)
+        start_y[0::2] = start_x + per_value * counts + d
+        start_y[1::2] = start_y[0::2] + per_value * counts_half[0::2] + d
+        split_y = _median_stage(method, y[order_y],
+                                np.concatenate(([0], np.cumsum(counts_half))),
+                                np.repeat(lo[:, 1], 2), np.repeat(hi[:, 1], 2),
+                                np.repeat(eps_stage, 2), u, start_y)
 
-        def run_batch(sorted_vals, offs, seg_lo, seg_hi, uniforms, eps_vec):
-            if not method_is_private:
-                return np.asarray(true_median_batch(sorted_vals, offs, 1.0, seg_lo, seg_hi,
-                                                    validate=False))
-            if not needs_draws:
-                # No budget left for these splits: the data-independent (and
-                # therefore free) midpoint, as in the scalar ``_median``.
-                return (seg_lo + seg_hi) / 2.0
-            return np.asarray(batch(sorted_vals, offs, eps_vec, seg_lo, seg_hi,
-                                    uniforms=uniforms, validate=False))
-
-        # ---- stage A: one private median per node along axis_a.  The points
-        # usually arrive sorted by (node, axis_a) — this rule hands them back
-        # that way — so the sort is an O(n) check after the first level.
-        vals_a = pts[:, axis_a] if n_pts else np.empty(0)
-        offs_a = np.concatenate(([0], np.cumsum(counts_node)))
-        order_a = _segment_sorted_order(vals_a, seg, offs_a)
-        lo_a, hi_a = lo[:, axis_a], hi[:, axis_a]
-        uni_a = None
-        if needs_draws:
-            if draws_per_value == 0:
-                uni_a = u_level[:, 0, :]
-            else:
-                seg_sorted = np.repeat(np.arange(k, dtype=np.int64), counts_node)
-                rank = np.arange(n_pts, dtype=np.int64) - offs_a[:-1][seg_sorted]
-                mask_u = u_level[node_base[seg_sorted] + rank]
-                em_u = u_level[(node_base[:-1] + counts_node)[:, None]
-                               + np.arange(d)[None, :]]
-                uni_a = (mask_u, em_u)
-        sorted_a = vals_a if order_a is None else vals_a[order_a]
-        split_a = run_batch(sorted_a, offs_a, lo_a, hi_a, uni_a, eps_stage)
-        split_a = np.minimum(np.maximum(split_a, lo_a), hi_a)  # Rect.split_at clamp
-
-        duplicated = False
-        if n_pts:
-            at_split = pts[:, axis_a] == split_a[seg]
-            dup_a = np.isclose(split_a, dom_hi[axis_a])[seg] & at_split
-            side_a = (pts[:, axis_a] >= split_a[seg]).astype(np.int64)
-            if np.any(dup_a):
-                # The reference's domain-closed upper face routes these points
-                # to both halves: original to the low child, a copy to the high.
-                duplicated = True
-                side_a[dup_a] = 0
-                pts = np.concatenate([pts, pts[dup_a]], axis=0)
-                seg = np.concatenate([seg, seg[dup_a]])
-                side_a = np.concatenate(
-                    [side_a, np.ones(int(np.count_nonzero(dup_a)), dtype=np.int64)])
-                n_pts = pts.shape[0]
-        else:
-            side_a = np.empty(0, dtype=np.int64)
-
-        # ---- stage B: one private median per half along axis_b (low, then high)
-        half = seg * 2 + side_a
-        vals_b = pts[:, axis_b] if n_pts else np.empty(0)
-        if n_pts:
-            order_b = np.argsort(vals_b)  # equal floats are identical: no stability needed
-            order_b = order_b[np.argsort(half[order_b], kind="stable")]
-        else:
-            order_b = np.empty(0, dtype=np.int64)
-        counts_b = (np.bincount(half, minlength=2 * k).astype(np.int64)
-                    if n_pts else np.zeros(2 * k, dtype=np.int64))
-        offs_b = np.concatenate(([0], np.cumsum(counts_b)))
-        lo_b = np.repeat(lo[:, axis_b], 2)
-        hi_b = np.repeat(hi[:, axis_b], 2)
-        uni_b = None
-        if needs_draws:
-            if draws_per_value == 0:
-                uni_b = u_level[:, 1:, :].reshape(2 * k, d)
-            else:
-                b_start = np.empty(2 * k, dtype=np.int64)
-                b_start[0::2] = node_base[:-1] + counts_node + d
-                b_start[1::2] = b_start[0::2] + counts_b[0::2] + d
-                seg_sorted = np.repeat(np.arange(2 * k, dtype=np.int64), counts_b)
-                rank = np.arange(n_pts, dtype=np.int64) - offs_b[:-1][seg_sorted]
-                mask_u = u_level[b_start[seg_sorted] + rank]
-                em_u = u_level[(b_start + counts_b)[:, None] + np.arange(d)[None, :]]
-                uni_b = (mask_u, em_u)
-        split_b = run_batch(vals_b[order_b], offs_b, lo_b, hi_b, uni_b,
-                            np.repeat(eps_stage, 2))
-        split_b = np.minimum(np.maximum(split_b, lo_b), hi_b)
-
-        if n_pts:
-            at_split = pts[:, axis_b] == split_b[half]
-            dup_b = np.isclose(split_b, dom_hi[axis_b])[half] & at_split
-            side_b = (pts[:, axis_b] >= split_b[half]).astype(np.int64)
-            if np.any(dup_b):
-                duplicated = True
-                side_b[dup_b] = 0
-                pts = np.concatenate([pts, pts[dup_b]], axis=0)
-                seg = np.concatenate([seg, seg[dup_b]])
-                side_a = np.concatenate([side_a, side_a[dup_b]])
-                side_b = np.concatenate(
-                    [side_b, np.ones(int(np.count_nonzero(dup_b)), dtype=np.int64)])
-        else:
-            side_b = np.empty(0, dtype=np.int64)
-
-        # ---- assemble the fanout-4 children in the scalar order:
-        # (lowA, lowB), (lowA, highB), (highA, lowB), (highA, highB)
-        child_lo = np.repeat(lo[:, None, :], 4, axis=1).astype(float)
-        child_hi = np.repeat(hi[:, None, :], 4, axis=1).astype(float)
-        child_hi[:, 0, axis_a] = split_a
-        child_hi[:, 1, axis_a] = split_a
-        child_lo[:, 2, axis_a] = split_a
-        child_lo[:, 3, axis_a] = split_a
-        split_b2 = split_b.reshape(k, 2)
-        child_hi[:, 0, axis_b] = split_b2[:, 0]
-        child_lo[:, 1, axis_b] = split_b2[:, 0]
-        child_hi[:, 2, axis_b] = split_b2[:, 1]
-        child_lo[:, 3, axis_b] = split_b2[:, 1]
-        child_of_point = seg * 4 + side_a * 2 + side_b
-        if n_pts and not duplicated:
-            # Hand the level back sorted by (child, axis_a): refining the
-            # stage-A order by child is a cheap stable integer sort, and it
-            # lets the next level's stage A skip its value sort entirely.
-            base = np.arange(n_pts, dtype=np.int64) if order_a is None else order_a
-            ret = base[np.argsort(child_of_point[base], kind="stable")]
-            child_of_point = child_of_point[ret]
-            pts = pts[ret]
-        return (child_lo.reshape(k * 4, dims), child_hi.reshape(k * 4, dims),
-                child_of_point, pts)
+        child_lo, child_hi = _kd_children(lo, hi, split_x, split_y)
+        child_of_point = 2 * half + (y >= split_y[half])
+        return (child_lo, child_hi) + _by_child(child_of_point, points, order_x)
 
 
 @dataclass(frozen=True)
@@ -578,6 +408,7 @@ class HybridSplit(SplitRule):
     def __post_init__(self) -> None:
         if self.kd_levels < 0:
             raise ValueError("kd_levels must be non-negative")
+        _batched_method(self.median_method)
 
     @property
     def fanout(self) -> int:  # type: ignore[override]
@@ -586,76 +417,69 @@ class HybridSplit(SplitRule):
     def is_data_dependent(self, level: int, height: int) -> bool:
         return level > height - self.kd_levels
 
-    def split(self, rect, points, level, height, domain, epsilon_median, rng=None):
+    def _rule(self, level: int, height: int) -> SplitRule:
         if self.is_data_dependent(level, height):
-            return KDSplit(median_method=self.median_method).split(
-                rect, points, level, height, domain, epsilon_median, rng=rng
-            )
-        return QuadSplit().split(rect, points, level, height, domain, 0.0, rng=rng)
+            return KDSplit(median_method=self.median_method)
+        return QuadSplit()
 
     def level_random_draws(self, level, height, n_nodes, epsilon_median):
-        if self.is_data_dependent(level, height):
-            return KDSplit(median_method=self.median_method).level_random_draws(
-                level, height, n_nodes, epsilon_median)
-        return 0
+        return self._rule(level, height).level_random_draws(level, height, n_nodes,
+                                                            epsilon_median)
 
-    def split_level(self, lo, hi, points, point_node, level, height, domain,
-                    epsilon_median, rng=None):
-        """Vectorize both regimes: batched kd medians above the switch level,
-        midpoint quadtree splits below it."""
-        if self.is_data_dependent(level, height):
-            return KDSplit(median_method=self.median_method).split_level(
-                lo, hi, points, point_node, level, height, domain,
-                epsilon_median, rng=rng)
-        return QuadSplit().split_level(lo, hi, points, point_node, level, height,
-                                       domain, 0.0, rng=rng)
+    def split_level(self, lo, hi, points, point_node, level, height, epsilon_median,
+                    rng=None):
+        """Batched kd medians above the switch level, midpoint quadtree splits
+        below it."""
+        return self._rule(level, height).split_level(lo, hi, points, point_node, level,
+                                                     height, epsilon_median, rng=rng)
 
 
-def grid_median_along_axis(noisy: NoisyGrid, rect: Rect, axis: int) -> float:
-    """Approximate median coordinate along ``axis`` of the noisy grid mass in ``rect``.
+def _grid_medians(noisy: NoisyGrid, lo: np.ndarray, hi: np.ndarray, axis: int) -> np.ndarray:
+    """Median coordinate along ``axis`` of the noisy grid mass in every rect.
 
-    Used by the cell-based kd-tree [26]: the per-cell noisy counts inside
-    ``rect`` are aggregated into a 1-D profile along ``axis`` (cells partially
-    covered contribute proportionally to their covered area), negative counts
-    are floored at zero, and the half-mass coordinate is interpolated.
+    The cell-based kd-tree's median [26]: the grid's noisy counts, floored at
+    zero, are weighted by the fraction of each cell a rect covers and summed
+    into a 1-D profile along ``axis``, whose half-mass coordinate is
+    interpolated and clamped into the rect.  A rect with no grid overlap or
+    no mass splits at its center.  Every rect gets the same elementwise
+    operations and reduction axes whichever block of rects it is computed
+    in, so the result does not depend on how a level is blocked.
     """
     grid = noisy.grid
-    if not 0 <= axis < grid.domain.dims:
-        raise ValueError("axis out of range")
-    overlap = grid.domain.rect.intersection(rect)
-    if overlap is None:
-        return rect.center[axis]
-
-    # Per-axis coverage fraction of every cell (same machinery as range_count).
-    fractions = []
-    for ax in range(grid.domain.dims):
-        edges = grid.edges(ax)
-        left = np.maximum(edges[:-1], overlap.lo[ax])
-        right = np.minimum(edges[1:], overlap.hi[ax])
-        width = edges[1:] - edges[:-1]
-        frac = np.clip(right - left, 0.0, None) / np.where(width > 0, width, 1.0)
-        fractions.append(frac)
-    weight = fractions[0]
-    for frac in fractions[1:]:
-        weight = np.multiply.outer(weight, frac)
-    weighted = np.clip(noisy.counts, 0.0, None) * weight
-
-    other_axes = tuple(ax for ax in range(grid.domain.dims) if ax != axis)
-    profile = weighted.sum(axis=other_axes) if other_axes else weighted
-    total = profile.sum()
-    edges = grid.edges(axis)
-    if total <= 0:
-        return rect.center[axis]
-    cum = np.cumsum(profile)
-    half = total / 2.0
-    idx = int(np.searchsorted(cum, half))
-    idx = min(idx, profile.size - 1)
-    prev = cum[idx - 1] if idx > 0 else 0.0
-    in_cell = profile[idx]
-    frac = 0.5 if in_cell <= 0 else (half - prev) / in_cell
-    frac = min(max(frac, 0.0), 1.0)
-    value = float(edges[idx] + frac * (edges[idx + 1] - edges[idx]))
-    return float(min(max(value, rect.lo[axis]), rect.hi[axis]))
+    mass = np.clip(noisy.counts, 0.0, None)
+    edges = [grid.edges(ax) for ax in range(2)]
+    widths = [np.where(ed[1:] - ed[:-1] > 0, ed[1:] - ed[:-1], 1.0) for ed in edges]
+    ov_lo = np.maximum(np.asarray(grid.domain.rect.lo, dtype=float), lo)
+    ov_hi = np.minimum(np.asarray(grid.domain.rect.hi, dtype=float), hi)
+    center = (lo[:, axis] + hi[:, axis]) / 2.0
+    out = center.copy()
+    live = np.flatnonzero(np.all(ov_lo < ov_hi, axis=1))
+    block = max(1, _CELL_BLOCK_BYTES // mass.nbytes)
+    e = edges[axis]
+    for start in range(0, live.shape[0], block):
+        rows = live[start:start + block]
+        fractions = []
+        for ax in range(2):
+            left = np.maximum(edges[ax][None, :-1], ov_lo[rows, ax, None])
+            right = np.minimum(edges[ax][None, 1:], ov_hi[rows, ax, None])
+            fractions.append(np.clip(right - left, 0.0, None) / widths[ax])
+        weighted = fractions[0][:, :, None] * fractions[1][:, None, :]
+        weighted *= mass
+        profile = weighted.sum(axis=2 - axis)  # sum over the other axis
+        total = profile.sum(axis=1)
+        cum = np.cumsum(profile, axis=1)
+        half = total / 2.0
+        idx = np.minimum((cum < half[:, None]).sum(axis=1), profile.shape[1] - 1)
+        pick = np.arange(rows.shape[0])
+        prev = np.where(idx > 0, cum[pick, np.maximum(idx - 1, 0)], 0.0)
+        in_cell = profile[pick, idx]
+        positive = in_cell > 0
+        frac = np.where(positive, (half - prev) / np.where(positive, in_cell, 1.0), 0.5)
+        frac = np.minimum(np.maximum(frac, 0.0), 1.0)
+        value = e[idx] + frac * (e[idx + 1] - e[idx])
+        value = np.minimum(np.maximum(value, lo[rows, axis]), hi[rows, axis])
+        out[rows] = np.where(total > 0, value, center[rows])
+    return out
 
 
 @dataclass(frozen=True)
@@ -674,6 +498,8 @@ class CellKDSplit(SplitRule):
     def __post_init__(self) -> None:
         if self.noisy_grid is None:
             raise ValueError("CellKDSplit requires a NoisyGrid")
+        if self.noisy_grid.counts.ndim != 2:
+            raise ValueError("CellKDSplit requires a two-dimensional NoisyGrid")
 
     @property
     def fanout(self) -> int:  # type: ignore[override]
@@ -682,13 +508,21 @@ class CellKDSplit(SplitRule):
     def is_data_dependent(self, level: int, height: int) -> bool:
         return False
 
-    def split(self, rect, points, level, height, domain, epsilon_median, rng=None):
-        split_x = grid_median_along_axis(self.noisy_grid, rect, axis=0)
-        low_rect, high_rect = rect.split_at(0, split_x)
-        halves = _partition([low_rect, high_rect], points, domain)
-        children: List[SplitResult] = []
-        for half_rect, half_points in halves:
-            split_y = grid_median_along_axis(self.noisy_grid, half_rect, axis=1)
-            lo_rect, hi_rect = half_rect.split_at(1, split_y)
-            children.extend(_partition([lo_rect, hi_rect], half_points, domain))
-        return children
+    def split_level(self, lo, hi, points, point_node, level, height, epsilon_median,
+                    rng=None):
+        """Read all of a level's x-medians, then all its y-medians, off the grid.
+
+        The y-medians are those of the two halves the x-cut leaves, so the
+        structure depends only on node rects and the released grid; the
+        points are merely routed.  No randomness is consumed.
+        """
+        split_x = _grid_medians(self.noisy_grid, lo, hi, axis=0)
+        half_lo = np.repeat(lo, 2, axis=0)
+        half_hi = np.repeat(hi, 2, axis=0)
+        half_hi[0::2, 0] = split_x
+        half_lo[1::2, 0] = split_x
+        split_y = _grid_medians(self.noisy_grid, half_lo, half_hi, axis=1)
+        child_lo, child_hi = _kd_children(lo, hi, split_x, split_y)
+        seg = np.asarray(point_node, dtype=np.int64)
+        half = 2 * seg + (points[:, 0] >= split_x[seg])
+        return child_lo, child_hi, 2 * half + (points[:, 1] >= split_y[half]), points

@@ -2,12 +2,11 @@
 
 from .domain import TIGER_DOMAIN, UNIT_DOMAIN_2D, Domain
 from .hilbert import HilbertCurve
-from .rect import Rect, bounding_rect, domain_aware_mask
+from .rect import Rect, bounding_rect
 
 __all__ = [
     "Rect",
     "bounding_rect",
-    "domain_aware_mask",
     "Domain",
     "TIGER_DOMAIN",
     "UNIT_DOMAIN_2D",

@@ -21,7 +21,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Rect", "bounding_rect", "domain_aware_mask"]
+__all__ = ["Rect", "bounding_rect"]
 
 
 @dataclass(frozen=True)
@@ -238,30 +238,6 @@ class Rect:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         coords = ", ".join(f"[{a:g}, {b:g})" for a, b in zip(self.lo, self.hi))
         return f"Rect({coords})"
-
-
-def domain_aware_mask(rect: Rect, points: np.ndarray, domain_rect: Rect) -> np.ndarray:
-    """Membership mask that is half-open except on the domain's upper faces.
-
-    Tree nodes are half-open boxes so siblings partition their parent exactly,
-    but a point lying exactly on the *domain's* upper boundary would then
-    belong to no leaf.  This helper closes the upper bound on every axis where
-    ``rect`` touches the domain's upper face, so such boundary points are kept
-    by exactly one node per level.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(1, -1)
-    if pts.shape[1] != rect.dims:
-        raise ValueError(f"points have {pts.shape[1]} dims, rect has {rect.dims}")
-    lo = np.asarray(rect.lo)
-    hi = np.asarray(rect.hi)
-    domain_hi = np.asarray(domain_rect.hi)
-    closed = np.isclose(hi, domain_hi)
-    mask = np.all(pts >= lo, axis=1)
-    upper_ok = np.where(closed, pts <= hi, pts < hi)
-    mask &= np.all(upper_ok, axis=1)
-    return mask
 
 
 def bounding_rect(points: np.ndarray, pad: float = 0.0) -> Rect:

@@ -1,17 +1,8 @@
-"""Non-private spatial index substrate: exact quadtree, kd-tree, grid, Hilbert R-tree."""
+"""Fixed-resolution grids: the fine-grid strawman and the cell-based kd-tree's noisy grid."""
 
 from .grid import NoisyGrid, UniformGrid
-from .kdtree import ExactKDNode, ExactKDTree
-from .quadtree import ExactQuadtree, ExactQuadtreeNode
-from .rtree import ExactHilbertNode, ExactHilbertRTree
 
 __all__ = [
     "UniformGrid",
     "NoisyGrid",
-    "ExactQuadtree",
-    "ExactQuadtreeNode",
-    "ExactKDTree",
-    "ExactKDNode",
-    "ExactHilbertRTree",
-    "ExactHilbertNode",
 ]

@@ -8,6 +8,9 @@ unchanged in substance, as the readable executable specification:
 
 * :mod:`oracle.tree` — :class:`PSDNode`, the pointer-backed
   :class:`PointerPSD`, and the conversions to and from the BFS arrays;
+* :mod:`oracle.splits` — the per-node split of every production rule
+  (scalar private medians, per-rect grid medians, geometric routing that puts
+  each point in exactly one child);
 * :mod:`oracle.build` — the per-node build pipeline (pointer structure,
   scalar noise draws, recursive OLS, top-down pruning);
 * :mod:`oracle.query` — the recursive canonical decomposition (estimates,
@@ -48,6 +51,7 @@ from .query import (
     query_variance,
     range_query,
 )
+from .splits import domain_aware_mask, grid_median_along_axis, split_node
 from .tree import (
     PointerPSD,
     PSDNode,
@@ -70,6 +74,9 @@ __all__ = [
     "bfs_order",
     "materialize_nodes",
     "flatten_tree",
+    "split_node",
+    "grid_median_along_axis",
+    "domain_aware_mask",
     "build_psd",
     "populate_noisy_counts",
     "apply_ols",

@@ -33,6 +33,7 @@ from repro.privacy.accountant import PrivacyAccountant
 from repro.privacy.mechanisms import laplace_noise
 from repro.privacy.rng import RngLike, ensure_rng
 
+from .splits import split_node
 from .tree import PointerPSD, PSDNode, bfs_order, flatten_tree
 
 __all__ = [
@@ -127,8 +128,9 @@ def _grow_level_order(
 ) -> PSDNode:
     """Grow the pointer reference tree level by level (BFS node order).
 
-    Data-dependent rules therefore consume the RNG in exactly the same order
-    as the flat-native builder, keeping the two layouts bit-for-bit
+    Every node is split on its own by :func:`oracle.splits.split_node`, in
+    BFS order, so data-dependent rules consume the RNG in exactly the same
+    order as the level-batched production build, keeping the two bit-for-bit
     interchangeable for a fixed seed.
     """
     root = PSDNode(rect=domain.rect, level=height, _true_count=int(pts.shape[0]))
@@ -137,8 +139,8 @@ def _grow_level_order(
         eps_med = eps_median_per_level if split_rule.is_data_dependent(level, height) else 0.0
         next_frontier = []
         for node, node_points in frontier:
-            children = split_rule.split(node.rect, node_points, level, height, domain,
-                                        eps_med, rng=gen)
+            children = split_node(split_rule, node.rect, node_points, level, height, domain,
+                                  eps_med, rng=gen)
             if len(children) != split_rule.fanout:
                 raise RuntimeError(
                     f"split rule {split_rule!r} produced {len(children)} children, "

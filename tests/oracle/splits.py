@@ -1,0 +1,186 @@
+"""Per-node splits: the reference every production ``split_level`` must match.
+
+Production splits a whole level per call
+(:meth:`repro.core.splits.SplitRule.split_level`).  :func:`split_node` splits
+one node of any production rule the readable way — scalar private-median
+calls, ``Rect`` arithmetic and a per-rect grid median — and
+:func:`oracle.build._grow_level_order` calls it node by node in BFS order, so
+a pointer build consumes the RNG exactly as the level-batched one does.
+
+Points are routed geometrically: each child rect is half-open except on the
+domain's upper faces (:func:`domain_aware_mask`), and a point inside several
+children — on a split face closed because it lies on or near the domain's top —
+goes to the last of them.  Children are listed low before high on every split
+axis, so this is the production rule ``coordinate >= split`` and every point
+lands in exactly one child.
+"""
+
+from __future__ import annotations
+
+from typing import List, Tuple
+
+import numpy as np
+
+from repro.core.hilbert_rtree import BinaryMedianSplit
+from repro.core.splits import CellKDSplit, HybridSplit, KDSplit, QuadSplit, SplitRule
+from repro.geometry.domain import Domain
+from repro.geometry.rect import Rect
+from repro.index.grid import NoisyGrid
+from repro.privacy.median import resolve_median_method, true_median
+from repro.privacy.rng import RngLike, ensure_rng
+
+__all__ = ["SplitResult", "split_node", "grid_median_along_axis", "domain_aware_mask"]
+
+#: One child produced by a split: its rectangle and the points routed to it.
+SplitResult = Tuple[Rect, np.ndarray]
+
+
+def domain_aware_mask(rect: Rect, points: np.ndarray, domain_rect: Rect) -> np.ndarray:
+    """Membership mask that is half-open except on the domain's upper faces.
+
+    Tree nodes are half-open boxes so siblings partition their parent, but a
+    point lying exactly on the *domain's* upper boundary would then belong to
+    no leaf.  This helper closes the upper bound on every axis where ``rect``
+    touches the domain's upper face, so such boundary points are kept.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts.reshape(1, -1)
+    if pts.shape[1] != rect.dims:
+        raise ValueError(f"points have {pts.shape[1]} dims, rect has {rect.dims}")
+    lo = np.asarray(rect.lo)
+    hi = np.asarray(rect.hi)
+    domain_hi = np.asarray(domain_rect.hi)
+    closed = np.isclose(hi, domain_hi)
+    mask = np.all(pts >= lo, axis=1)
+    upper_ok = np.where(closed, pts <= hi, pts < hi)
+    mask &= np.all(upper_ok, axis=1)
+    return mask
+
+
+def _partition(rect_list: List[Rect], points: np.ndarray, domain: Domain) -> List[SplitResult]:
+    """Route every point to exactly one child: the last one whose mask holds."""
+    owner = np.full(points.shape[0], -1)
+    for i, child_rect in enumerate(rect_list):
+        if points.size:
+            owner[domain_aware_mask(child_rect, points, domain.rect)] = i
+    if np.any(owner < 0):
+        raise AssertionError("a point lies outside every child of its node")
+    return [(child_rect, points[owner == i]) for i, child_rect in enumerate(rect_list)]
+
+
+def grid_median_along_axis(noisy: NoisyGrid, rect: Rect, axis: int) -> float:
+    """Approximate median coordinate along ``axis`` of the noisy grid mass in ``rect``.
+
+    Used by the cell-based kd-tree [26]: the per-cell noisy counts inside
+    ``rect`` are aggregated into a 1-D profile along ``axis`` (cells partially
+    covered contribute proportionally to their covered area), negative counts
+    are floored at zero, and the half-mass coordinate is interpolated.
+    """
+    grid = noisy.grid
+    if not 0 <= axis < grid.domain.dims:
+        raise ValueError("axis out of range")
+    overlap = grid.domain.rect.intersection(rect)
+    if overlap is None:
+        return rect.center[axis]
+
+    # Per-axis coverage fraction of every cell (same machinery as range_count).
+    fractions = []
+    for ax in range(grid.domain.dims):
+        edges = grid.edges(ax)
+        left = np.maximum(edges[:-1], overlap.lo[ax])
+        right = np.minimum(edges[1:], overlap.hi[ax])
+        width = edges[1:] - edges[:-1]
+        frac = np.clip(right - left, 0.0, None) / np.where(width > 0, width, 1.0)
+        fractions.append(frac)
+    weight = fractions[0]
+    for frac in fractions[1:]:
+        weight = np.multiply.outer(weight, frac)
+    weighted = np.clip(noisy.counts, 0.0, None) * weight
+
+    other_axes = tuple(ax for ax in range(grid.domain.dims) if ax != axis)
+    profile = weighted.sum(axis=other_axes) if other_axes else weighted
+    total = profile.sum()
+    edges = grid.edges(axis)
+    if total <= 0:
+        return rect.center[axis]
+    cum = np.cumsum(profile)
+    half = total / 2.0
+    idx = int(np.searchsorted(cum, half))
+    idx = min(idx, profile.size - 1)
+    prev = cum[idx - 1] if idx > 0 else 0.0
+    in_cell = profile[idx]
+    frac = 0.5 if in_cell <= 0 else (half - prev) / in_cell
+    frac = min(max(frac, 0.0), 1.0)
+    value = float(edges[idx] + frac * (edges[idx + 1] - edges[idx]))
+    return float(min(max(value, rect.lo[axis]), rect.hi[axis]))
+
+
+def _median(median_method, values: np.ndarray, epsilon: float, lo: float, hi: float,
+            gen: np.random.Generator) -> float:
+    """One scalar private median; with no budget left, the free midpoint."""
+    method = resolve_median_method(median_method)
+    if method is true_median:
+        return float(method(values, 1.0, lo, hi, rng=gen))
+    if epsilon > 0:
+        return float(method(values, epsilon, lo, hi, rng=gen))
+    return (lo + hi) / 2.0
+
+
+def _kd_halves(rect: Rect, points: np.ndarray, domain: Domain, split_x,
+               split_y) -> List[SplitResult]:
+    """Cut x at ``split_x``, then each half on y at ``split_y(half_rect, half_points)``."""
+    low_rect, high_rect = rect.split_at(0, split_x)
+    children: List[SplitResult] = []
+    for half_rect, half_points in _partition([low_rect, high_rect], points, domain):
+        lo_rect, hi_rect = half_rect.split_at(1, split_y(half_rect, half_points))
+        children.extend(_partition([lo_rect, hi_rect], half_points, domain))
+    return children
+
+
+def split_node(
+    rule: SplitRule,
+    rect: Rect,
+    points: np.ndarray,
+    level: int,
+    height: int,
+    domain: Domain,
+    epsilon_median: float,
+    rng: RngLike = None,
+) -> List[SplitResult]:
+    """Split one node at ``level`` into ``rule.fanout`` children.
+
+    ``epsilon_median`` is the median budget available *for this level* (zero
+    for data-independent levels).  The children's rectangles partition
+    ``rect`` and their points partition ``points``.
+    """
+    gen = ensure_rng(rng)
+    if isinstance(rule, HybridSplit):
+        if rule.is_data_dependent(level, height):
+            rule = KDSplit(median_method=rule.median_method)
+        else:
+            rule, epsilon_median = QuadSplit(), 0.0
+    if isinstance(rule, QuadSplit):
+        return _partition(list(rect.quad_children()), points, domain)
+    if isinstance(rule, KDSplit):
+        private = resolve_median_method(rule.median_method) is not true_median
+        # The x-split and the y-splits lie on the same root-to-leaf path, so the
+        # level's budget is halved between the two stages; the two y-medians act
+        # on disjoint halves and compose in parallel, so each gets the full half.
+        eps_stage = epsilon_median / 2.0 if private else 0.0
+
+        def median_on(axis, node_rect, node_points):
+            return _median(rule.median_method, node_points[:, axis], eps_stage,
+                           node_rect.lo[axis], node_rect.hi[axis], gen)
+
+        return _kd_halves(rect, points, domain, median_on(0, rect, points),
+                          lambda half_rect, half_points: median_on(1, half_rect, half_points))
+    if isinstance(rule, CellKDSplit):
+        grid = rule.noisy_grid
+        return _kd_halves(rect, points, domain, grid_median_along_axis(grid, rect, axis=0),
+                          lambda half_rect, _: grid_median_along_axis(grid, half_rect, axis=1))
+    if isinstance(rule, BinaryMedianSplit):
+        split_value = _median(rule.median_method, points[:, 0], epsilon_median,
+                              rect.lo[0], rect.hi[0], gen)
+        return _partition(list(rect.split_at(0, split_value)), points, domain)
+    raise TypeError(f"no per-node reference split for {rule!r}")

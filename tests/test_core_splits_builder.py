@@ -1,4 +1,8 @@
-"""Tests for the split rules and the generic PSD builder."""
+"""Tests for the split rules and the generic PSD builder.
+
+Single-node splits go through the test oracle's per-node reference
+(``oracle.split_node``); production splits whole levels at once.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ import pytest
 
 import oracle
 from repro.core.builder import BudgetSplit, build_psd, populate_noisy_counts
-from repro.core.splits import CellKDSplit, HybridSplit, KDSplit, QuadSplit, grid_median_along_axis
+from repro.core.splits import CellKDSplit, HybridSplit, KDSplit, QuadSplit
 from repro.data import uniform_points
 from repro.geometry import Domain, Rect
 from repro.index import UniformGrid
@@ -34,7 +38,8 @@ def children_partition_points(children, total_points):
 class TestQuadSplit:
     def test_four_equal_children(self, domain, points):
         rule = QuadSplit()
-        children = rule.split(domain.rect, points, level=3, height=3, domain=domain, epsilon_median=0.0)
+        children = oracle.split_node(rule, domain.rect, points, level=3, height=3, domain=domain,
+                                     epsilon_median=0.0)
         assert len(children) == 4
         areas = [rect.area for rect, _ in children]
         assert all(a == pytest.approx(0.25) for a in areas)
@@ -49,35 +54,47 @@ class TestQuadSplit:
 class TestKDSplit:
     def test_fanout_four_and_partition(self, domain, points, rng):
         rule = KDSplit(median_method="true")
-        children = rule.split(domain.rect, points, level=2, height=4, domain=domain,
-                              epsilon_median=0.0, rng=rng)
+        children = oracle.split_node(rule, domain.rect, points, level=2, height=4, domain=domain,
+                                     epsilon_median=0.0, rng=rng)
         assert len(children) == 4
         children_partition_points(children, points.shape[0])
 
     def test_true_median_balances_counts(self, domain, points, rng):
         rule = KDSplit(median_method="true")
-        children = rule.split(domain.rect, points, level=2, height=4, domain=domain,
-                              epsilon_median=0.0, rng=rng)
+        children = oracle.split_node(rule, domain.rect, points, level=2, height=4, domain=domain,
+                                     epsilon_median=0.0, rng=rng)
         counts = [pts.shape[0] for _, pts in children]
         assert max(counts) - min(counts) <= points.shape[0] * 0.05 + 4
 
     def test_private_median_split_stays_inside_rect(self, domain, points, rng):
         rule = KDSplit(median_method="em")
-        children = rule.split(domain.rect, points, level=2, height=4, domain=domain,
-                              epsilon_median=0.5, rng=rng)
+        children = oracle.split_node(rule, domain.rect, points, level=2, height=4, domain=domain,
+                                     epsilon_median=0.5, rng=rng)
         for rect, _ in children:
             assert domain.rect.contains_rect(rect)
 
     def test_zero_budget_falls_back_to_midpoint(self, domain, points, rng):
         rule = KDSplit(median_method="em")
-        children = rule.split(domain.rect, points, level=2, height=4, domain=domain,
-                              epsilon_median=0.0, rng=rng)
+        children = oracle.split_node(rule, domain.rect, points, level=2, height=4, domain=domain,
+                                     epsilon_median=0.0, rng=rng)
         # With the midpoint fallback the children are the four equal quadrants.
         areas = sorted(rect.area for rect, _ in children)
         assert areas == pytest.approx([0.25, 0.25, 0.25, 0.25])
 
     def test_is_data_dependent_everywhere(self):
         assert KDSplit().data_dependent_levels(4) == [1, 2, 3, 4]
+
+    def test_refuses_what_the_level_split_cannot_batch(self):
+        with pytest.raises(ValueError, match="batch form"):
+            KDSplit(median_method=lambda values, epsilon, lo, hi, rng=None: (lo + hi) / 2)
+        with pytest.raises(ValueError, match="batch form"):
+            HybridSplit(median_method=lambda values, epsilon, lo, hi, rng=None: (lo + hi) / 2)
+        lo, hi = np.zeros((2, 2)), np.ones((2, 2))
+        pts, node = np.full((2, 2), 0.5), np.array([0, 1])
+        with pytest.raises(ValueError, match="all zero or all positive"):
+            KDSplit().split_level(lo, hi, pts, node, 1, 1, np.array([0.0, 0.5]), rng=0)
+        with pytest.raises(ValueError, match="two dimensions"):
+            KDSplit().split_level(lo[:, :1], hi[:, :1], pts[:, :1], node, 1, 1, 0.5, rng=0)
 
 
 class TestHybridSplit:
@@ -90,8 +107,8 @@ class TestHybridSplit:
 
     def test_quad_below_switch(self, domain, points, rng):
         rule = HybridSplit(kd_levels=1, median_method="true")
-        children = rule.split(domain.rect, points, level=2, height=5, domain=domain,
-                              epsilon_median=0.0, rng=rng)
+        children = oracle.split_node(rule, domain.rect, points, level=2, height=5, domain=domain,
+                                     epsilon_median=0.0, rng=rng)
         areas = sorted(rect.area for rect, _ in children)
         assert areas == pytest.approx([0.25, 0.25, 0.25, 0.25])
 
@@ -109,25 +126,28 @@ class TestCellKDSplit:
     def test_requires_grid(self):
         with pytest.raises(ValueError):
             CellKDSplit(noisy_grid=None)
+        line = UniformGrid(domain=Domain.unit(1), shape=(8,)).noisy_counts(1.0, rng=0)
+        with pytest.raises(ValueError, match="two-dimensional"):
+            CellKDSplit(noisy_grid=line)
 
     def test_fanout_and_partition(self, domain, points, noisy_grid, rng):
         rule = CellKDSplit(noisy_grid=noisy_grid)
-        children = rule.split(domain.rect, points, level=2, height=4, domain=domain,
-                              epsilon_median=0.0, rng=rng)
+        children = oracle.split_node(rule, domain.rect, points, level=2, height=4, domain=domain,
+                                     epsilon_median=0.0, rng=rng)
         assert len(children) == 4
         children_partition_points(children, points.shape[0])
 
     def test_grid_median_close_to_true_median(self, domain, points, noisy_grid):
-        est = grid_median_along_axis(noisy_grid, domain.rect, axis=0)
+        est = oracle.grid_median_along_axis(noisy_grid, domain.rect, axis=0)
         assert est == pytest.approx(np.median(points[:, 0]), abs=0.1)
 
     def test_grid_median_on_disjoint_rect(self, noisy_grid):
         outside = Rect((5.0, 5.0), (6.0, 6.0))
-        assert grid_median_along_axis(noisy_grid, outside, axis=0) == pytest.approx(5.5)
+        assert oracle.grid_median_along_axis(noisy_grid, outside, axis=0) == pytest.approx(5.5)
 
     def test_grid_median_invalid_axis(self, domain, noisy_grid):
         with pytest.raises(ValueError):
-            grid_median_along_axis(noisy_grid, domain.rect, axis=3)
+            oracle.grid_median_along_axis(noisy_grid, domain.rect, axis=3)
 
     def test_not_data_dependent(self, noisy_grid):
         assert CellKDSplit(noisy_grid=noisy_grid).data_dependent_levels(5) == []

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import Rect, bounding_rect, domain_aware_mask
+from oracle import domain_aware_mask
+from repro.geometry import Rect, bounding_rect
 
 
 # ----------------------------------------------------------------------

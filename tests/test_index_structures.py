@@ -1,4 +1,4 @@
-"""Tests for the exact (non-private) index substrate: grid, quadtree, kd-tree, Hilbert R-tree."""
+"""Tests for the fixed-resolution grid and its noisy release."""
 
 from __future__ import annotations
 
@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from repro.geometry import Rect
-from repro.index import (
-    ExactHilbertRTree,
-    ExactKDTree,
-    ExactQuadtree,
-    UniformGrid,
-)
+from repro.index import UniformGrid
 
 
 def brute_force_count(points: np.ndarray, query: Rect) -> int:
@@ -76,123 +71,3 @@ class TestUniformGrid:
         noisy = grid.noisy_counts(5.0, rng=rng)
         query = Rect((0.1, 0.1), (0.9, 0.9))
         assert noisy.range_count(query) == pytest.approx(grid.range_count(query), rel=0.1)
-
-
-# ----------------------------------------------------------------------
-# Exact quadtree
-# ----------------------------------------------------------------------
-class TestExactQuadtree:
-    @pytest.fixture(scope="class")
-    def tree(self, unit_domain, small_uniform_points):
-        return ExactQuadtree(domain=unit_domain, height=4).fit(small_uniform_points)
-
-    def test_complete_structure(self, tree):
-        assert tree.node_count() == sum(4**i for i in range(5))
-        assert len(tree.leaves()) == 4**4
-
-    def test_counts_consistent(self, tree):
-        for node in tree.nodes():
-            if not node.is_leaf:
-                assert node.count == sum(c.count for c in node.children)
-
-    def test_root_count_is_n(self, tree, small_uniform_points):
-        assert tree.root.count == small_uniform_points.shape[0]
-
-    def test_range_count_matches_brute_force_on_aligned_query(self, tree, small_uniform_points):
-        query = Rect((0.25, 0.5), (0.75, 1.0))
-        assert tree.range_count(query, use_uniformity=False) == pytest.approx(
-            brute_force_count(small_uniform_points, query), abs=6
-        )
-
-    def test_range_count_uniformity_close(self, tree, small_uniform_points):
-        query = Rect((0.13, 0.21), (0.77, 0.66))
-        estimate = tree.range_count(query)
-        truth = brute_force_count(small_uniform_points, query)
-        assert estimate == pytest.approx(truth, rel=0.15)
-
-    def test_nodes_touched_within_lemma2_bound(self, tree):
-        from repro.analysis import quadtree_touched_bound
-
-        query = Rect((0.111, 0.222), (0.777, 0.888))
-        assert tree.nodes_touched(query) <= quadtree_touched_bound(tree.height)
-
-    def test_query_before_fit_raises(self, unit_domain):
-        with pytest.raises(RuntimeError):
-            ExactQuadtree(domain=unit_domain, height=2).range_count(Rect.unit(2))
-
-    def test_height_zero_tree(self, unit_domain, small_uniform_points):
-        tree = ExactQuadtree(domain=unit_domain, height=0).fit(small_uniform_points)
-        assert tree.node_count() == 1
-        assert tree.root.is_leaf
-
-
-# ----------------------------------------------------------------------
-# Exact kd-tree
-# ----------------------------------------------------------------------
-class TestExactKDTree:
-    @pytest.fixture(scope="class")
-    def tree(self, unit_domain, small_uniform_points):
-        return ExactKDTree(domain=unit_domain, height=6).fit(small_uniform_points)
-
-    def test_complete_binary_structure(self, tree):
-        assert tree.node_count() == 2**7 - 1
-        assert len(tree.leaves()) == 2**6
-
-    def test_counts_consistent(self, tree):
-        for node in tree.nodes():
-            if not node.is_leaf:
-                assert node.count == sum(c.count for c in node.children)
-
-    def test_median_splits_are_balanced(self, tree):
-        """Exact-median splits put (nearly) half the points on each side."""
-        for node in tree.nodes():
-            if node.is_leaf or node.count < 4:
-                continue
-            left, right = node.children
-            assert abs(left.count - right.count) <= node.count * 0.5 + 2
-
-    def test_split_values_inside_node_rect(self, tree):
-        for node in tree.nodes():
-            if node.split_axis is None:
-                continue
-            assert node.rect.lo[node.split_axis] <= node.split_value <= node.rect.hi[node.split_axis]
-
-    def test_range_count_close_to_truth(self, tree, small_uniform_points):
-        query = Rect((0.2, 0.3), (0.8, 0.9))
-        assert tree.range_count(query) == pytest.approx(
-            brute_force_count(small_uniform_points, query), rel=0.1
-        )
-
-    def test_first_axis_validation(self, unit_domain):
-        with pytest.raises(ValueError):
-            ExactKDTree(domain=unit_domain, height=2, first_axis=5)
-
-
-# ----------------------------------------------------------------------
-# Exact Hilbert R-tree
-# ----------------------------------------------------------------------
-class TestExactHilbertRTree:
-    @pytest.fixture(scope="class")
-    def tree(self, unit_domain, small_uniform_points):
-        return ExactHilbertRTree(domain=unit_domain, height=8, order=8).fit(small_uniform_points)
-
-    def test_complete_structure_and_counts(self, tree, small_uniform_points):
-        assert tree.root.count == small_uniform_points.shape[0]
-        for node in tree.nodes():
-            if not node.is_leaf:
-                assert node.count == sum(c.count for c in node.children)
-
-    def test_bboxes_assigned_and_nested(self, tree):
-        for node in tree.nodes():
-            assert node.bbox is not None
-            for child in node.children:
-                # Children's index ranges are nested, so their boxes sit inside the domain.
-                assert tree.domain.rect.contains_rect(child.bbox)
-
-    def test_range_count_close_to_truth(self, tree, small_uniform_points):
-        query = Rect((0.2, 0.2), (0.7, 0.8))
-        truth = brute_force_count(small_uniform_points, query)
-        assert tree.range_count(query) == pytest.approx(truth, rel=0.2)
-
-    def test_full_domain_query_returns_everything(self, tree, small_uniform_points):
-        assert tree.range_count(tree.domain.rect) == pytest.approx(small_uniform_points.shape[0], rel=0.01)

@@ -7,11 +7,11 @@ Two contracts are under test:
   bit *and* leave the generator in the identical state, for every method
   (EM / SS / cell / NM / true and the sampled variants) over ragged level
   shapes including empty, single-point and all-equal segments;
-* **oracle parity with zero fallback** — the kd / hybrid / Hilbert builders
-  run their data-dependent levels through the batched medians (never the
-  per-node fallback) and stay bit-for-bit interchangeable with the pointer
-  builder of the test oracle, including the Hilbert R-tree's vectorized
-  planar compile.
+* **oracle parity with no per-node path** — the kd / hybrid / Hilbert
+  builders run their data-dependent levels through the batched medians (the
+  build has no per-node split left) and stay bit-for-bit interchangeable with
+  the pointer builder of the test oracle, including the Hilbert R-tree's
+  vectorized planar compile.
 """
 
 from __future__ import annotations
@@ -24,12 +24,13 @@ from repro.core import build_psd
 from repro.core.flatbuild import FlatTree
 from repro.core.hilbert_rtree import build_private_hilbert_rtree
 from repro.core.kdtree import build_private_kdtree
-from repro.core.splits import HybridSplit, KDSplit
+from repro.core.splits import CellKDSplit, HybridSplit, KDSplit
 from repro.data import uniform_points
 from repro.engine.cache import CachedEngine
 from repro.engine.flat import compile_hilbert_rtree, compile_psd
 from repro.geometry import Domain, Rect
 from repro.geometry.hilbert import HilbertCurve
+from repro.index import NoisyGrid, UniformGrid
 from repro.privacy.median import (
     MEDIAN_METHODS,
     exponential_mechanism_median_batch,
@@ -155,14 +156,13 @@ def assert_engines_equal(a, b, names=("lo", "hi", "level", "released", "has_coun
 
 
 @pytest.fixture()
-def no_per_node_fallback(monkeypatch):
-    """Make any per-node split fallback a hard failure."""
+def no_per_node_fallback():
+    """The build has no per-node split path left to fall back to."""
     import repro.core.flatbuild as flatbuild
+    import repro.core.splits as splits
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("per-node split fallback must not run for this rule")
-
-    monkeypatch.setattr(flatbuild, "_split_level_per_node", forbidden)
+    assert not hasattr(flatbuild, "_split_level_per_node")
+    assert not hasattr(splits.SplitRule, "split")
 
 
 class TestLevelBatchedBuilds:
@@ -222,7 +222,7 @@ class TestLevelBatchedBuilds:
 
     def test_boundary_points_still_exact(self):
         """Points exactly on the domain's top face keep both layouts identical
-        (the reference routes a split landing on them to both children)."""
+        (a split landing on them routes them to the high child only)."""
         gen = np.random.default_rng(0)
         pts = np.concatenate([uniform_points(500, DOMAIN, rng=gen),
                               np.array([[1.0, 1.0], [1.0, 0.4], [0.3, 1.0]])])
@@ -233,8 +233,8 @@ class TestLevelBatchedBuilds:
         assert_engines_equal(oracle.compile_psd(pointer), compile_psd(flat))
 
     def test_sampled_near_boundary_falls_back_correctly(self):
-        """Sampled methods bail to the per-node path when points hug the top
-        face — the builds must still match bitwise."""
+        """Sampled methods keep their level-batched layout when points hug the
+        top face — the builds must still match bitwise."""
         gen = np.random.default_rng(1)
         pts = np.concatenate([uniform_points(400, DOMAIN, rng=gen),
                               np.array([[1.0 - 1e-9, 0.5]])])
@@ -242,6 +242,49 @@ class TestLevelBatchedBuilds:
                                    epsilon=1.0, rng=9)
         flat = build_psd(pts, DOMAIN, 2, KDSplit(median_method="ems"),
                          epsilon=1.0, rng=9)
+        assert_engines_equal(oracle.compile_psd(pointer), compile_psd(flat))
+
+
+class TestCellSplitLevel:
+    """The cell-based kd split reads a whole level's medians off the grid in
+    blocks of nodes; each rect must get the per-rect reference's bits."""
+
+    @pytest.mark.parametrize("shape,n_rects", [((32, 24), 1024), ((256, 256), 64)])
+    def test_level_medians_match_per_rect_reference(self, shape, n_rects):
+        gen = np.random.default_rng(5)
+        counts = gen.normal(3.0, 4.0, shape)
+        counts[: shape[0] // 4, : shape[1] // 4] = -1.0  # nothing left after clipping
+        rule = CellKDSplit(noisy_grid=NoisyGrid(grid=UniformGrid(domain=DOMAIN, shape=shape),
+                                                counts=counts, epsilon=1.0))
+        lo = gen.uniform(-0.25, 1.0, (n_rects, 2))
+        hi = lo + gen.uniform(0.0, 0.6, (n_rects, 2))
+        lo[0], hi[0] = (1.5, 1.5), (2.0, 2.0)  # no grid overlap
+        lo[1], hi[1] = (0.01, 0.02), (0.2, 0.2)  # zero clipped grid mass
+        hi[2, 0] = lo[2, 0]  # zero width: no overlap either
+        no_points = np.empty((0, 2))
+        child_lo, child_hi, _, _ = rule.split_level(lo, hi, no_points, np.empty(0, dtype=np.int64),
+                                                    1, 1, 0.0)
+        for i in range(n_rects):
+            children = oracle.split_node(rule, Rect(tuple(lo[i]), tuple(hi[i])), no_points,
+                                         1, 1, DOMAIN, 0.0)
+            for j, (rect, _) in enumerate(children):
+                assert rect.lo == tuple(child_lo[4 * i + j]), (i, j)
+                assert rect.hi == tuple(child_hi[4 * i + j]), (i, j)
+
+    @pytest.mark.parametrize("resolution", [16, 64])
+    @pytest.mark.parametrize("height", [2, 4])
+    def test_cell_layout_parity_zero_fallback(self, no_per_node_fallback, height, resolution):
+        kwargs = dict(variant="kd-cell", cell_resolution=resolution, rng=29)
+        pointer = oracle.build_private_kdtree(POINTS, DOMAIN, height, 1.0, **kwargs)
+        flat = build_private_kdtree(POINTS, DOMAIN, height, 1.0, **kwargs)
+        assert_engines_equal(oracle.compile_psd(pointer), compile_psd(flat))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("height", [3, 5])
+    def test_cell_default_resolution_parity(self, height):
+        kwargs = dict(variant="kd-cell", rng=31)
+        pointer = oracle.build_private_kdtree(POINTS, DOMAIN, height, 0.5, **kwargs)
+        flat = build_private_kdtree(POINTS, DOMAIN, height, 0.5, **kwargs)
         assert_engines_equal(oracle.compile_psd(pointer), compile_psd(flat))
 
 
