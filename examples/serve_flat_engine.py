@@ -7,15 +7,15 @@ pipeline the :mod:`repro.engine` subsystem enables:
 1. **publish** — build a private quadtree over location data and write the
    released JSON (only noisy/post-processed information leaves the owner);
 2. **compile** — load the release as a consumer would and compile it into the
-   flat structure-of-arrays engine, persisted as ``.npz`` so query servers
-   can boot straight into serving form;
+   flat structure-of-arrays engine, persisted as a FLATPSD2 file so query
+   servers can boot straight into serving form;
 3. **serve** — answer a 2 000-query workload three ways and time them:
    one engine call per query, the vectorised batch engine, and the batch
    engine fronted by an LRU answer cache replaying a skewed (hot-spot)
    traffic pattern;
-4. **zero-copy serving** — persist the same engine in the memory-mapped
-   format v2, compare cold attach latency against the ``.npz`` load (the
-   answers are bitwise identical), fan a batch across a two-worker
+4. **zero-copy serving** — attach the FLATPSD2 file with ``np.memmap``
+   (its answers are bitwise identical to the compiled engine's), fan a
+   batch across a two-worker
    :class:`~repro.parallel.ShardedQueryServer` whose workers re-map the same
    file, and report mapped-bytes / RSS from the observability registry;
 5. **fault-tolerant serving** — front the mapped engine with the
@@ -75,9 +75,8 @@ def main() -> None:
     start = time.perf_counter()
     engine = consumer_psd.compile()
     compile_sec = time.perf_counter() - start
-    engine_path = workdir / "engine.npz"
+    engine_path = workdir / "engine.psdm"
     save_engine(engine, engine_path)
-    engine = load_engine(engine_path)
     print(f"compiled in {compile_sec * 1e3:.1f} ms, "
           f"{engine.nbytes() / 1024:.0f} KiB of arrays -> {engine_path}")
 
@@ -111,18 +110,12 @@ def main() -> None:
     print(f"  cached serving : {len(traffic) / cached_sec:10,.0f} q/s, "
           f"stats {server.stats()}")
 
-    # --- 4. zero-copy serving: the memory-mapped format v2 -----------------
+    # --- 4. zero-copy serving: attach the FLATPSD2 file -------------------
     from repro.parallel import ShardedQueryServer
 
-    registry = enable_metrics()  # the loaders record engine.bytes_mapped
-    mapped_path = workdir / "engine.psdm"
-    save_engine(engine, mapped_path, format="mmap")
-
+    registry = enable_metrics()  # the loader records engine.bytes_mapped
     start = time.perf_counter()
-    load_engine(engine_path)
-    npz_load_sec = time.perf_counter() - start
-    start = time.perf_counter()
-    mapped = load_engine(mapped_path)
+    mapped = load_engine(engine_path)
     attach_sec = time.perf_counter() - start
 
     sample = queries[:200]
@@ -136,10 +129,9 @@ def main() -> None:
 
     gauge_set("example.rss_kb", _rss_kb())
     gauges = {g["name"]: g["value"] for g in metrics_payload(registry)["gauges"]}
-    print(f"\nzero-copy serving (format v2, {mapped_path.name}):")
-    print(f"  .npz cold load : {npz_load_sec * 1e3:8.2f} ms (decompress to heap)")
+    print(f"\nzero-copy serving (FLATPSD2, {engine_path.name}):")
     print(f"  mmap attach    : {attach_sec * 1e3:8.2f} ms "
-          f"({npz_load_sec / attach_sec:.0f}x faster, answers bitwise equal)")
+          f"(answers bitwise equal to the compiled engine)")
     print(f"  sharded serve  : {serve_stats['workers']} workers re-map the file — "
           f"{serve_stats['engine_mapped_bytes']:,} engine bytes mapped, "
           f"{serve_stats['shm_segments']} shm segments")
@@ -154,7 +146,7 @@ def main() -> None:
     from repro.serve import BudgetLedger, EngineSupervisor, QueryService, ServiceThread, parse_faults
 
     float32_path = workdir / "engine_f32.psdm"
-    save_engine(engine, float32_path, format="mmap", precision="float32")
+    save_engine(engine, float32_path, precision="float32")
 
     def post(port: int, path: str, body: dict):
         conn = http.client.HTTPConnection("127.0.0.1", port, timeout=120)

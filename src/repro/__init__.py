@@ -5,8 +5,8 @@ Cormode, Procopiuc, Srivastava, Shen, Yu — ICDE 2012.
 The package is organised as:
 
 * :mod:`repro.geometry` — rectangles, domains, the Hilbert curve;
-* :mod:`repro.privacy` — Laplace/exponential mechanisms, private medians,
-  sampling amplification, privacy accounting;
+* :mod:`repro.privacy` — Laplace noise, private medians (with their
+  sampled forms), privacy accounting;
 * :mod:`repro.index` — fixed-resolution grids (the fine-grid strawman and
   the noisy grid behind the cell-based kd-tree);
 * :mod:`repro.data` — synthetic datasets, including the TIGER-like generator;
@@ -14,7 +14,7 @@ The package is organised as:
 * :mod:`repro.core` — the paper's contribution: private spatial
   decompositions, budget strategies, OLS post-processing, pruning;
 * :mod:`repro.engine` — the compiled flat-array query engine for serving
-  released PSDs (vectorised batch queries, LRU caching, ``.npz`` shipping);
+  released PSDs (vectorised batch queries, LRU caching, FLATPSD2 files);
 * :mod:`repro.analysis` — the analytical error bounds of Section 4;
 * :mod:`repro.applications` — the private record-matching application;
 * :mod:`repro.experiments` — runners reproducing every figure of Section 8.

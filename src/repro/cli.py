@@ -6,12 +6,11 @@ Four sub-commands cover the life-cycle of a private release:
   or the built-in synthetic road data), build a chosen PSD variant under a
   privacy budget, and write the released structure to a JSON file;
 * ``compile`` — compile a released JSON structure into a flat array engine
-  optimised for high-throughput query serving: compressed ``.npz``
-  (``--format npz``, the default) or the zero-copy memory-mapped format v2
-  (``--format mmap``, optionally with ``--precision float32`` storage);
+  optimised for high-throughput query serving: the zero-copy memory-mapped
+  FLATPSD2 file (optionally with ``--precision float32`` storage);
 * ``query``  — load a released structure (JSON, compiled on load, or a
-  compiled engine in either format — detected from the file's magic bytes,
-  not its suffix) and answer rectangular range queries from it — one-off via
+  FLATPSD2 engine — detected from the file's magic bytes, not its suffix)
+  and answer rectangular range queries from it — one-off via
   ``--rect`` or in bulk via ``--queries-file``, through the LRU answer cache
   and, with ``--workers``, a sharded worker pool (no access to the original
   data needed);
@@ -20,7 +19,7 @@ Four sub-commands cover the life-cycle of a private release:
   ``paper``) and print its series (optionally writing them as JSON), the same
   code path the benchmark suite uses;
 * ``serve`` — stand up the fault-tolerant HTTP query service on an engine
-  (JSON release or compiled engine, either format): per-analyst ε budgets
+  (JSON release or FLATPSD2 engine): per-analyst ε budgets
   enforced through a crash-safe write-ahead ledger, a supervised worker pool
   that survives worker death, bounded admission with load shedding, and
   zero-downtime engine hot swap via ``POST /admin/swap``.  ``--fault``
@@ -33,8 +32,7 @@ Examples
 
     python -m repro.cli build --synthetic 100000 --variant quad-opt \
         --epsilon 0.5 --height 8 --output release.json
-    python -m repro.cli compile release.json --output engine.npz
-    python -m repro.cli compile release.json --format mmap --output engine.psdm
+    python -m repro.cli compile release.json --output engine.psdm
     python -m repro.cli query release.json --rect=-123,46,-121,48
     python -m repro.cli query engine.psdm --queries-file workload.txt --workers 4
     python -m repro.cli experiment --figure 3 --scale smoke --json fig3.json
@@ -67,10 +65,9 @@ from .core.quadtree import QUADTREE_VARIANTS
 from .data import road_intersections
 from .engine import (
     CachedEngine,
-    ENGINE_FORMATS,
     PRECISIONS,
     compile_psd,
-    detect_engine_format,
+    is_engine_file,
     load_engine,
     save_engine,
 )
@@ -243,13 +240,10 @@ def _load_release(path: str):
 
 
 def _load_engine(path: str, verify: bool):
-    """The flat engine to serve from ``path``: a compiled engine file in
-    either format (recognised by magic bytes, so any file name works) or a
-    released JSON structure, compiled on load."""
-    fmt = detect_engine_format(path)
-    if fmt is None and path.endswith(".npz"):
-        fmt = "npz"  # force the engine error path for a broken .npz
-    if fmt is None:
+    """The flat engine to serve from ``path``: a FLATPSD2 engine file
+    (recognised by magic bytes, so any file name works) or a released JSON
+    structure, compiled on load."""
+    if not is_engine_file(path):
         return compile_psd(_load_release(path))
     try:
         return load_engine(path, verify=verify)
@@ -259,16 +253,10 @@ def _load_engine(path: str, verify: bool):
 
 def _cmd_compile(args) -> int:
     engine = compile_psd(_load_release(args.release))
-    output = args.output
-    if args.format == "npz" and not output.endswith(".npz"):
-        # np.load's magic-based readers expect the suffix on npz archives, and
-        # it keeps the artifact self-describing for humans; mmap files are
-        # detected purely by magic, so any name (we suggest .psdm) works.
-        output += ".npz"
-    save_engine(engine, output, format=args.format, precision=args.precision)
+    save_engine(engine, args.output, precision=args.precision)
     print(f"compiled {engine.name}: {engine.n_nodes} nodes, "
-          f"{engine.nbytes() / 1024:.1f} KiB of arrays, written to {output} "
-          f"(format {args.format}, {args.precision} storage)")
+          f"{engine.nbytes() / 1024:.1f} KiB of arrays, written to {args.output} "
+          f"(FLATPSD2, {args.precision} storage)")
     return 0
 
 
@@ -504,14 +492,11 @@ def build_parser() -> argparse.ArgumentParser:
     build.set_defaults(func=_cmd_build)
 
     compile_ = sub.add_parser("compile",
-                              help="compile a released JSON structure into a flat engine "
-                                   "(.npz or zero-copy mmap format)")
+                              help="compile a released JSON structure into a zero-copy "
+                                   "FLATPSD2 engine file")
     compile_.add_argument("release", help="path of the released JSON file")
-    compile_.add_argument("--output", required=True, help="path of the compiled engine")
-    compile_.add_argument("--format", choices=ENGINE_FORMATS, default="npz",
-                          help="'npz': compressed archive, smallest on disk; 'mmap': "
-                               "page-aligned format v2 attached zero-copy via np.memmap "
-                               "(suggested suffix .psdm; default npz)")
+    compile_.add_argument("--output", required=True,
+                          help="path of the compiled engine (suggested suffix .psdm)")
     compile_.add_argument("--precision", choices=PRECISIONS, default="float64",
                           help="storage precision: float32 halves count/offset storage "
                                "(geometry stays float64; rounding error sits below the "
@@ -520,15 +505,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     query = sub.add_parser("query",
                            help="answer range queries from a released JSON structure or compiled engine")
-    query.add_argument("release", help="path of the released JSON file (or a compiled engine "
-                                       "in either format; detected by magic bytes)")
+    query.add_argument("release", help="path of the released JSON file (or a FLATPSD2 "
+                                       "engine; detected by magic bytes)")
     query.add_argument("--rect", action="append", default=None,
                        help="query rectangle as lo1,lo2,...,hi1,hi2,... (repeatable)")
     query.add_argument("--queries-file", default=None,
                        help="batch mode: file with one rect spec per line ('#' comments allowed)")
     query.add_argument("--verify", action="store_true",
-                       help="check every engine array against its stored checksums "
-                            "(v2 header CRC32 / .npz adler32 sidecar) before answering")
+                       help="check every engine array against the CRC32 stamps in "
+                            "the FLATPSD2 header before answering")
     query.add_argument("--stats", action="store_true",
                        help="report LRU answer-cache effectiveness (hits/misses) on stderr")
     query.add_argument("--workers", type=int, default=None,
@@ -594,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve range queries over HTTP with per-analyst budgets and "
              "fault-tolerant workers",
         description="Stand up the asyncio HTTP query service on an engine "
-                    "(JSON release or compiled engine, either format). Every "
+                    "(JSON release or FLATPSD2 engine file). Every "
                     "answer is preceded by a durable charge against the "
                     "analyst's epsilon account in the write-ahead ledger; an "
                     "exhausted account gets 429, an overloaded server sheds "
@@ -603,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "engine with zero downtime.",
     )
     serve.add_argument("release", help="engine to serve: released JSON (compiled "
-                                       "on startup) or a compiled engine file")
+                                       "on startup) or a FLATPSD2 engine file")
     serve.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=0,
                        help="bind port (default 0 = ephemeral; the bound port is printed)")

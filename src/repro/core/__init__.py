@@ -57,11 +57,6 @@ from .query import (
     range_query,
 )
 from .serialization import load_psd, psd_from_dict, psd_to_dict, save_psd
-from .workload_budget import (
-    WorkloadAwareBudget,
-    measure_level_usage,
-    workload_aware_quadtree_budget,
-)
 from .splits import (
     CellKDSplit,
     HybridSplit,
@@ -120,7 +115,4 @@ __all__ = [
     "psd_from_dict",
     "save_psd",
     "load_psd",
-    "WorkloadAwareBudget",
-    "measure_level_usage",
-    "workload_aware_quadtree_budget",
 ]

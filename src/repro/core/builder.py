@@ -487,13 +487,17 @@ def build_psd_releases(
 
     dd_levels = split_rule.data_dependent_levels(height)
     split = budget_split or BudgetSplit()
-    partitions = [split.partition(e, data_dependent=bool(dd_levels)) for e in release_eps]
-    eps_count = np.asarray([p[0] for p in partitions])
-    eps_median = np.asarray([p[1] for p in partitions])
+    # The split and the level allocation depend on epsilon alone: compute them
+    # once per entry of `epsilons` and repeat the rows, as release_eps does.
+    partitions = [split.partition(e, data_dependent=bool(dd_levels)) for e in eps_list]
+    eps_median = np.repeat(np.asarray([p[1] for p in partitions]), repetitions)
     eps_median_per_level = eps_median / len(dd_levels) if dd_levels else np.zeros(n_releases)
 
     strategy = resolve_budget(count_budget)
-    count_eps = np.asarray([strategy.validate(height, ec) for ec in eps_count], dtype=float)
+    count_eps = np.repeat(
+        np.asarray([strategy.validate(height, p[0]) for p in partitions], dtype=float),
+        repetitions, axis=0,
+    )
 
     metadata = {
         "split_rule": getattr(split_rule, "name", type(split_rule).__name__),

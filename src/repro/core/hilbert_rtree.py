@@ -14,11 +14,7 @@ post-processing and pruning all apply unchanged.  Each level is split by one
 batched private-median call (:class:`BinaryMedianSplit`), and every index
 lands in exactly one child (the right one when it is ``>=`` the split).
 Planar range queries are answered R-tree style over the node bounding boxes
-by the compiled planar engine (:func:`repro.engine.flat.compile_hilbert_rtree`);
-:meth:`PrivateHilbertRTree.range_query_intervals` offers the alternative
-formulation that decomposes the query rectangle into Hilbert-index intervals
-(:meth:`~repro.geometry.hilbert.HilbertCurve.rect_to_ranges`) and sums the
-1-D canonical-decomposition answers.
+by the compiled planar engine (:func:`repro.engine.flat.compile_hilbert_rtree`).
 """
 
 from __future__ import annotations
@@ -184,17 +180,6 @@ class PrivateHilbertRTree:
         planar engine (see :meth:`compile`).
         """
         return self.compile().range_query(query)
-
-    def range_query_intervals(self, query: Rect, max_ranges: int = 1024) -> float:
-        """Alternative query path: decompose the query into Hilbert intervals.
-
-        Exposed mainly for testing the two formulations against each other;
-        when ``max_ranges`` is too small the decomposition over-approximates
-        the query region and the estimate is biased upwards.
-        """
-        intervals = self.curve.rect_to_ranges(query, max_ranges=max_ranges)
-        rects = [Rect((float(lo),), (float(hi) + 1.0,)) for lo, hi in intervals]
-        return float(sum(self.psd.batch_range_query(rects).tolist()))
 
     def node_bboxes(self) -> List[Tuple[int, Rect]]:
         """The planar bounding boxes of every node's Hilbert interval.

@@ -30,10 +30,10 @@ PSD has:
   query rectangles, for serving workloads with repeated or popular queries.
 * :mod:`repro.engine.io` — save/load so a compiled engine can be shipped to
   query servers without re-compiling (or even without the JSON release).
-  Two formats: compressed ``.npz`` (format v1) and the page-aligned
-  zero-copy layout of :mod:`repro.engine.store` (format v2), which attaches
-  via ``np.memmap`` in microseconds and optionally stores counts in reduced
-  precision (float32 counts / int32 child offsets).
+  The one file format is FLATPSD2, the page-aligned zero-copy layout of
+  :mod:`repro.engine.store`, which attaches via ``np.memmap`` in
+  microseconds and optionally stores counts in reduced precision (float32
+  counts / int32 child offsets).
 
 Every PSD query method (``range_query``, ``nodes_touched``,
 ``query_variance``, ``batch_range_query``) answers from the engine memoised
@@ -44,7 +44,6 @@ recompiled on its next query and never served stale.
 from .batch import (
     BatchQueryResult,
     QueryMatrix,
-    batch_nodes_touched,
     batch_query,
     batch_range_query,
     compile_query_matrix,
@@ -57,7 +56,7 @@ from .flat import (
     compiled_engine,
     invalidate_compiled_engine,
 )
-from .io import ENGINE_FORMATS, detect_engine_format, load_engine, save_engine
+from .io import is_engine_file, load_engine, save_engine
 from .points import CellJoinIndex, PointGrid, matching_cell_layout
 from .store import (
     PRECISIONS,
@@ -77,7 +76,6 @@ __all__ = [
     "QueryMatrix",
     "batch_query",
     "batch_range_query",
-    "batch_nodes_touched",
     "compile_query_matrix",
     "QueryCache",
     "CachedEngine",
@@ -87,8 +85,7 @@ __all__ = [
     "matching_cell_layout",
     "save_engine",
     "load_engine",
-    "detect_engine_format",
-    "ENGINE_FORMATS",
+    "is_engine_file",
     "PRECISIONS",
     "EngineIntegrityError",
     "engine_with_precision",

@@ -56,7 +56,6 @@ __all__ = [
     "QueryMatrix",
     "batch_query",
     "batch_range_query",
-    "batch_nodes_touched",
     "compile_query_matrix",
     "queries_to_arrays",
 ]
@@ -318,13 +317,6 @@ def batch_range_query(
     """The ``(Q,)`` estimated counts for a batch of queries."""
     return batch_query(engine, queries, use_uniformity=use_uniformity,
                        chunk_queries=chunk_queries).estimates
-
-
-def batch_nodes_touched(
-    engine: FlatPSD, queries: Union[Iterable[QueryInput], np.ndarray]
-) -> np.ndarray:
-    """The ``(Q,)`` per-query ``n(Q)`` values."""
-    return batch_query(engine, queries).nodes_touched
 
 
 # ----------------------------------------------------------------------

@@ -166,8 +166,9 @@ class FlatPSD:
         """Check the structural invariants the batch evaluator relies on.
 
         Raises :class:`ValueError` on malformed input (wrong shapes, child
-        ranges out of bounds or non-BFS, level mismatches).  Used by the
-        ``.npz`` loader so a corrupted file fails loudly.
+        ranges out of bounds or non-BFS, level mismatches).  A FLATPSD2 load
+        runs it on request (``deep_validate=True``) so a corrupted file
+        fails loudly.
         """
         n = self.n_nodes
         if n == 0:
@@ -238,21 +239,12 @@ class FlatPSD:
 
         return float(batch_query(self, [query]).variances[0])
 
-    def query_matrix(self, queries):
-        """Compile a workload into a sparse query-to-node matrix over this
-        structure (see :func:`repro.engine.batch.compile_query_matrix`):
-        the decomposition of every query, reusable against any number of
-        noisy releases of the same structure via ``matrix.dot(counts)``."""
-        from .batch import compile_query_matrix
-
-        return compile_query_matrix(self, queries)
-
 
 def level_variances(count_epsilons) -> np.ndarray:
     """Per-level count variance ``2 / eps_i^2`` (zero for unreleased levels).
 
     The single source of the per-node variance term of Equation (1), shared by
-    the compiler and the ``.npz`` loader.
+    the compiler and the float32 storage cast.
     """
     return np.asarray(
         [laplace_variance(e) if e > 0 else 0.0 for e in count_epsilons], dtype=np.float64

@@ -1,283 +1,89 @@
-"""Persistence for compiled PSD engines: ``.npz`` (v1) and memmap (v2).
+"""Persistence for compiled PSD engines: the FLATPSD2 file.
 
 The JSON release (:mod:`repro.core.serialization`) is the canonical published
 artifact — human-inspectable, structure-validated, tool-friendly.  But a
 query *server* should not pay JSON parsing plus tree reconstruction plus
-compilation on every start.  Two binary formats serve that need:
+compilation on every start.  A compiled engine is therefore saved once in the
+uncompressed, page-aligned FLATPSD2 layout of :mod:`repro.engine.store`
+(format v2): loading attaches the file with ``np.memmap`` in microseconds
+regardless of size, the OS page cache holds the single physical copy shared
+by every serving process, and counts may be stored in reduced precision
+(float32 counts / int32 offsets).
 
-* **format v1** — a compressed ``.npz`` of the compiled
-  :class:`~repro.engine.flat.FlatPSD` arrays.  Small on disk; loading
-  decompresses everything into process RAM and re-validates the structural
-  invariants, so a corrupted file fails loudly.
-* **format v2** — the uncompressed, page-aligned layout of
-  :mod:`repro.engine.store`.  Loading attaches the file with ``np.memmap``
-  in microseconds regardless of size; the OS page cache holds the single
-  physical copy shared by every serving process.  Supports reduced-precision
-  (float32 counts / int32 offsets) storage.
-
-:func:`load_engine` dispatches on the file's magic bytes, not its suffix, so
-``repro query`` serves either format transparently.  The payload of both is
-only released information (rects, released counts, per-level epsilons) —
-shipping an engine file is as privacy-safe as shipping the JSON.
+The payload is only released information (rects, released counts, per-level
+epsilons) — shipping an engine file is as privacy-safe as shipping the JSON.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import zipfile
-import zlib
 from pathlib import Path
-from typing import IO, Optional, Union
-
-import numpy as np
+from typing import Union
 
 from ..obs import counter_add, gauge_max, trace_span
-from .flat import FlatPSD, _freeze, level_variances
-from .store import (
-    FORMAT_MAGIC,
-    EngineIntegrityError,
-    engine_with_precision,
-    load_engine_mmap,
-    save_engine_mmap,
-)
+from .flat import FlatPSD
+from .store import FORMAT_MAGIC, load_engine_mmap, save_engine_mmap
 
-__all__ = ["save_engine", "load_engine", "detect_engine_format", "ENGINE_FORMATS"]
-
-#: Suffix of the integrity sidecar written next to every ``.npz`` engine:
-#: ``engine.npz`` gets ``engine.npz.adler32`` holding one adler32 per array.
-SIDECAR_SUFFIX = ".adler32"
-
-_FORMAT_VERSION = 1
-
-#: The on-disk formats :func:`save_engine` can write.
-ENGINE_FORMATS = ("npz", "mmap")
-
-# The arrays persisted in the .npz.  `area` and `level_variance` are *not*
-# among them: both are fully derivable (from lo/hi and count_epsilons) and are
-# recomputed on load, so corrupted values can never skew answers and the file
-# carries no dead bytes.
-_ARRAY_FIELDS = (
-    "lo",
-    "hi",
-    "level",
-    "released",
-    "has_count",
-    "is_leaf",
-    "child_start",
-    "child_end",
-    "count_epsilons",
-    "domain_lo",
-    "domain_hi",
-)
+__all__ = ["save_engine", "load_engine", "is_engine_file"]
 
 
-def detect_engine_format(source: Union[str, Path]) -> Optional[str]:
-    """Sniff an engine file's format from its magic bytes.
+def is_engine_file(source: Union[str, Path]) -> bool:
+    """Whether ``source`` starts with the FLATPSD2 magic bytes.
 
-    Returns ``"npz"`` (zip magic), ``"mmap"`` (format-v2 magic) or ``None``
-    when the file is neither — e.g. a JSON release — or cannot be read; the
-    caller decides how to proceed (``repro query`` falls back to the JSON
-    loader).
+    ``False`` for anything else — a JSON release, an unreadable path — so
+    ``repro query`` can fall back to the JSON loader, whose errors then name
+    the file.
     """
     try:
         with open(source, "rb") as handle:
-            head = handle.read(len(FORMAT_MAGIC))
+            return handle.read(len(FORMAT_MAGIC)) == FORMAT_MAGIC
     except OSError:
-        return None
-    if head == FORMAT_MAGIC:
-        return "mmap"
-    if head[:4] == b"PK\x03\x04":
-        return "npz"
-    return None
+        return False
 
 
 def save_engine(
     engine: FlatPSD,
-    destination: Union[str, Path, IO[bytes]],
-    format: str = "npz",
+    destination: Union[str, Path],
+    format: str = "mmap",
     precision: str = "float64",
 ) -> None:
-    """Write a compiled engine to ``destination``.
+    """Write a compiled engine to the FLATPSD2 file ``destination``.
 
-    ``format="npz"`` (the default, format v1) writes a compressed archive;
-    scalar metadata (height, fanout, names) travels as a JSON string under
-    the ``meta`` key, everything else as native arrays.  ``format="mmap"``
-    writes the page-aligned format-v2 layout for zero-copy serving (requires
-    a filesystem path).  ``precision`` narrows count storage to float32 /
-    int32 offsets before writing (see
+    ``format="mmap"`` (FLATPSD2) is the only format.  ``precision`` narrows
+    count storage to float32 / int32 offsets before writing (see
     :func:`repro.engine.store.engine_with_precision`).
     """
-    if format not in ENGINE_FORMATS:
-        raise ValueError(f"unknown engine format {format!r} (choose from {ENGINE_FORMATS})")
-    if format == "mmap":
-        if not isinstance(destination, (str, Path)):
-            raise ValueError("format='mmap' requires a filesystem path destination")
-        save_engine_mmap(engine, destination, precision=precision)
-        return
-    engine = engine_with_precision(engine, precision)
-    meta = {
-        "format_version": _FORMAT_VERSION,
-        "height": engine.height,
-        "fanout": engine.fanout,
-        "name": engine.name,
-        "domain_name": engine.domain_name,
-    }
-    arrays = {name: np.asarray(getattr(engine, name)) for name in _ARRAY_FIELDS}
-    if isinstance(destination, (str, Path)):
-        # np.savez appends '.npz' to bare string paths; write through an open
-        # handle so the file lands exactly where the caller asked.
-        with open(destination, "wb") as handle:
-            np.savez_compressed(handle, meta=np.array(json.dumps(meta)), **arrays)
-        _write_npz_sidecar(Path(destination), arrays)
-        return
-    np.savez_compressed(destination, meta=np.array(json.dumps(meta)), **arrays)
-
-
-def _array_adler32(array: np.ndarray) -> int:
-    return zlib.adler32(np.ascontiguousarray(array).tobytes()) & 0xFFFFFFFF
-
-
-def _write_npz_sidecar(destination: Path, arrays) -> None:
-    """Stamp ``<engine>.npz.adler32`` with one checksum per stored array.
-
-    Written atomically (temp file + ``os.replace``) so a crash mid-save can
-    leave a missing sidecar — which a ``verify=True`` load reports — but
-    never a torn one that would accuse a healthy engine.
-    """
-    sidecar = destination.with_name(destination.name + SIDECAR_SUFFIX)
-    payload = {
-        "format": "npz-adler32",
-        "arrays": {name: _array_adler32(arr) for name, arr in arrays.items()},
-    }
-    tmp = sidecar.with_name(sidecar.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
-        handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, sidecar)
-
-
-def _verify_npz_arrays(source: Path, arrays) -> None:
-    """Check every decompressed array against the ``.adler32`` sidecar."""
-    sidecar = source.with_name(source.name + SIDECAR_SUFFIX)
-    try:
-        with open(sidecar, "r", encoding="utf-8") as handle:
-            recorded = json.load(handle)
-    except FileNotFoundError:
-        raise EngineIntegrityError(
-            f"{source}: no integrity sidecar {sidecar.name!r}; re-save the "
-            f"engine (or load with verify=False)"
-        )
-    except (OSError, json.JSONDecodeError) as exc:
-        raise EngineIntegrityError(f"{source}: unreadable integrity sidecar: {exc}")
-    table = recorded.get("arrays") or {}
-    for name, array in arrays.items():
-        if name not in table:
-            raise EngineIntegrityError(
-                f"{source}: sidecar carries no checksum for array {name!r}"
-            )
-        actual = _array_adler32(array)
-        if actual != int(table[name]):
-            raise EngineIntegrityError(
-                f"{source}: array {name!r} is corrupted (adler32 {actual:#010x} "
-                f"!= recorded {int(table[name]):#010x})"
-            )
-
-
-def _load_engine_npz(
-    source: Union[str, Path, IO[bytes]], verify: bool = False
-) -> FlatPSD:
-    """The format-v1 loader: decompress, recompute derived arrays, validate."""
-    try:
-        payload_ctx = np.load(source, allow_pickle=False)
-    except (zipfile.BadZipFile, OSError, EOFError) as exc:
-        raise ValueError(
-            f"cannot read compiled engine {source!r}: {exc} "
-            "(file truncated or not an engine .npz?)"
-        )
-    with payload_ctx as payload:
-        if "meta" not in payload:
-            raise ValueError("not a compiled-engine file: missing 'meta' entry")
-        meta = json.loads(str(payload["meta"]))
-        version = meta.get("format_version")
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported engine format version {version!r}")
-        missing = [name for name in _ARRAY_FIELDS if name not in payload]
-        if missing:
-            raise ValueError(f"engine file is missing arrays: {missing}")
-        arrays = {}
-        for name in _ARRAY_FIELDS:
-            # NpzFile decompresses members lazily, so a member cut short by a
-            # truncated file surfaces here — attribute it to its field.
-            try:
-                arrays[name] = np.asarray(payload[name])
-            except Exception as exc:
-                raise ValueError(f"array field {name!r} is truncated or corrupt: {exc}")
-    if verify:
-        if not isinstance(source, (str, Path)):
-            raise ValueError("verify=True requires a filesystem path source")
-        _verify_npz_arrays(Path(source), arrays)
-    # The derivable arrays are recomputed, never read from the file.
-    arrays["level_variance"] = level_variances(arrays["count_epsilons"])
-    if arrays["lo"].ndim != 2 or arrays["lo"].shape != arrays["hi"].shape:
-        raise ValueError("lo/hi must be matching (n_nodes, dims) arrays")
-    arrays["area"] = np.prod(arrays["hi"] - arrays["lo"], axis=1)
-    arrays = {name: _freeze(array) for name, array in arrays.items()}
-    engine = FlatPSD(
-        height=int(meta["height"]),
-        fanout=int(meta["fanout"]),
-        name=str(meta.get("name", "psd")),
-        domain_name=str(meta.get("domain_name", "domain")),
-        source_path=str(source) if isinstance(source, (str, Path)) else None,
-        **arrays,
-    )
-    return engine.validate()
+    if format != "mmap":
+        raise ValueError(f"unknown engine format {format!r} (the only format is 'mmap')")
+    save_engine_mmap(engine, destination, precision=precision)
 
 
 def load_engine(
-    source: Union[str, Path, IO[bytes]],
-    deep_validate: Optional[bool] = None,
+    source: Union[str, Path],
+    deep_validate: bool = False,
     verify: bool = False,
 ) -> FlatPSD:
-    """Load a compiled engine, dispatching on the file's magic bytes.
+    """Attach a FLATPSD2 engine file as read-only ``np.memmap`` views.
 
-    ``.npz`` files (format v1) are decompressed into RAM and fully
-    re-validated.  Format-v2 files are attached zero-copy as read-only
-    ``np.memmap`` views after header/bounds validation only — pass
-    ``deep_validate=True`` to additionally run the O(n) structural checks
-    (which pages the whole file in, forfeiting the fast attach).
-    File-like sources are supported for ``.npz`` only.
+    Header, field-table and region bounds are always checked;
+    ``deep_validate=True`` additionally runs the O(n) structural checks of
+    :meth:`FlatPSD.validate` (which pages the whole file in, forfeiting the
+    fast attach).
 
-    ``verify=True`` checks every array's bytes against the stored checksums
-    (the v2 header's per-region CRC32, or the ``.npz`` file's adler32
-    sidecar) and raises
+    ``verify=True`` checks every array's bytes against the header's
+    per-region CRC32 and raises
     :class:`~repro.engine.store.EngineIntegrityError` naming the corrupted
     array.  ``repro serve`` verifies by default — a query server must never
     answer from silently rotten counts.
 
-    Raises :class:`ValueError` on unknown formats/versions, missing or
-    truncated arrays (reported by field name) or structural-invariant
-    violations (via :meth:`FlatPSD.validate`).
+    Raises :class:`ValueError` for a file that is not FLATPSD2 (bad magic),
+    an unknown version, missing or truncated arrays (reported by field name)
+    or structural-invariant violations.
     """
-    fmt = "npz"
-    if isinstance(source, (str, Path)):
-        detected = detect_engine_format(source)
-        if detected is not None:
-            fmt = detected
-    with trace_span("engine.load", format=fmt, verify=verify):
-        if fmt == "mmap":
-            engine = load_engine_mmap(
-                source, deep_validate=bool(deep_validate), verify=verify
-            )
-        else:
-            engine = _load_engine_npz(source, verify=verify)
-            if deep_validate:  # already validated, but honour an explicit ask
-                engine.validate()
+    with trace_span("engine.load", verify=verify):
+        engine = load_engine_mmap(source, deep_validate=deep_validate, verify=verify)
     if verify:
-        counter_add("engine.verified_loads", format=fmt)
-    counter_add("engine.loads", format=fmt)
+        counter_add("engine.verified_loads")
+    counter_add("engine.loads")
     mapped = engine.mapped_nbytes()
     if mapped:
         gauge_max("engine.bytes_mapped", mapped)

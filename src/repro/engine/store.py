@@ -1,15 +1,14 @@
-"""FlatPSD format v2: a zero-copy, memory-mapped on-disk engine layout.
+"""FLATPSD2 (format v2): the zero-copy, memory-mapped engine file.
 
-The ``.npz`` format (:mod:`repro.engine.io`, format v1) must be fully
-decompressed and deserialised before the first query — startup cost and
-resident memory both scale with engine size.  Format v2 trades compression
-for **addressability**: every :class:`~repro.engine.flat.FlatPSD` array is
-written uncompressed at a page-aligned offset, so a loader attaches the file
-with ``np.memmap`` and the batch evaluator runs directly over the mapped
-(read-only) pages.  Opening an engine becomes a header parse plus a handful
-of ``mmap`` calls — microseconds regardless of node count — and the OS page
-cache, not process heaps, holds the one physical copy that every serving
-process shares.
+A compiled engine must be addressable straight off disk: a server that
+decompressed and deserialised every array before its first query would pay
+startup cost and resident memory in proportion to the engine's size.  Every
+:class:`~repro.engine.flat.FlatPSD` array is therefore written uncompressed
+at a page-aligned offset, so a loader attaches the file with ``np.memmap``
+and the batch evaluator runs directly over the mapped (read-only) pages.
+Opening an engine is a header parse plus a handful of ``mmap`` calls —
+microseconds regardless of node count — and the OS page cache, not process
+heaps, holds the one physical copy that every serving process shares.
 
 File layout::
 
@@ -24,8 +23,8 @@ File layout::
 Precision contract
 ------------------
 ``precision="float64"`` stores every array in the engine's canonical dtypes;
-a memmapped float64 engine answers **bitwise identically** to the same engine
-loaded from ``.npz`` (same values in, same float ops out).
+a memmapped float64 engine answers **bitwise identically** to the in-memory
+engine it was saved from (same values in, same float ops out).
 ``precision="float32"`` narrows the *count* payload only — ``released`` and
 ``count_epsilons`` to float32, ``child_start``/``child_end`` to int32 — while
 all geometry (``lo``/``hi``/``area``/domain bounds) stays float64.  The
@@ -71,11 +70,11 @@ __all__ = [
 class EngineIntegrityError(ValueError):
     """A stored engine's bytes disagree with its recorded checksums.
 
-    Raised by ``verify=True`` loads — :func:`load_engine_mmap` against the
-    per-field CRC32 values in the v2 header, :func:`repro.engine.io.load_engine`
-    against an ``.npz`` file's adler32 sidecar — naming the corrupted array,
-    so torn writes and bit rot are caught before a single query is answered
-    from bad counts.
+    Raised by ``verify=True`` loads (:func:`load_engine_mmap`, and
+    :func:`repro.engine.io.load_engine` through it), which check every region
+    against the per-field CRC32 in the v2 header and name the corrupted
+    array, so torn writes and bit rot are caught before a single query is
+    answered from bad counts.
     """
 
 #: Leading magic bytes of a format-v2 engine file.
@@ -87,9 +86,9 @@ _FORMAT_VERSION = 2
 #: share pages cleanly across processes and never straddle the header.
 PAGE_SIZE = 4096
 
-#: Every FlatPSD array persisted in a v2 file, in on-disk order.  Unlike the
-#: ``.npz`` format, the derived arrays (``area``, ``level_variance``) are
-#: stored too: a v2 load must be a pure attach with no O(n) recomputation.
+#: Every FlatPSD array persisted in a v2 file, in on-disk order.  The derived
+#: arrays (``area``, ``level_variance``) are stored too: a v2 load must be a
+#: pure attach with no O(n) recomputation.
 _V2_FIELDS = (
     "lo",
     "hi",
@@ -173,8 +172,8 @@ def save_engine_mmap(
     Every array lands uncompressed at a page-aligned offset recorded in the
     JSON header, ready for :func:`load_engine_mmap` to attach with
     ``np.memmap``.  ``precision`` selects the storage dtypes (see
-    :func:`engine_with_precision`); the payload is still only released
-    information, exactly like the ``.npz`` format.
+    :func:`engine_with_precision`); the payload is only released
+    information.
     """
     engine = engine_with_precision(engine, precision)
     spec = _FIELD_DTYPES[precision]

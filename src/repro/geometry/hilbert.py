@@ -5,15 +5,12 @@ Hilbert curve "of sufficiently large order", builds a private binary tree
 (a one-dimensional kd-tree) over those indices, and maps tree nodes back to
 the plane via bounding boxes of the Hilbert values they span.
 
-This module provides the three operations that construction and querying
+This module provides the two operations that construction and querying
 need:
 
 * :class:`HilbertCurve` — vectorised ``encode`` (point → index) and
   ``decode`` (index → cell centre) for a curve of a given ``order`` over an
   arbitrary rectangular domain;
-* :meth:`HilbertCurve.rect_to_ranges` — decompose an axis-aligned query
-  rectangle into a minimal set of contiguous Hilbert-index intervals, so a
-  2-D range query becomes a union of 1-D range queries;
 * :meth:`HilbertCurve.range_bbox` — the bounding box (in the plane) of all
   cells whose index lies in a given interval, used for the R-tree node
   rectangles.  This depends only on the interval, never on the data, so
@@ -27,7 +24,7 @@ with numpy so encoding a million points takes well under a second.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -158,84 +155,8 @@ class HilbertCurve:
         return centers
 
     # ------------------------------------------------------------------
-    # Rectangle <-> index-interval conversions
+    # Index interval -> planar bounding box
     # ------------------------------------------------------------------
-    def rect_to_ranges(self, rect: Rect, max_ranges: int = 256) -> List[Tuple[int, int]]:
-        """Decompose ``rect`` into contiguous Hilbert-index intervals.
-
-        Returns a sorted list of inclusive intervals ``(lo, hi)`` whose union
-        covers exactly the grid cells intersecting ``rect`` — up to the
-        granularity forced by ``max_ranges``: when the exact decomposition
-        would exceed ``max_ranges`` intervals the recursion stops early and
-        whole sub-squares are reported even if only partially covered, which
-        over-approximates the query slightly (the same effect as the finite
-        curve order itself).
-        """
-        query = self.domain.intersection(rect)
-        if query is None:
-            return []
-
-        # Work in grid coordinates: inclusive cell bounds of the query.
-        lo = np.asarray(self.domain.lo)
-        widths = self.domain.widths
-        widths = np.where(widths > 0, widths, 1.0)
-        cell_w = widths / self.side
-        qlo = np.floor((np.asarray(query.lo) - lo) / cell_w).astype(np.int64)
-        qhi = np.ceil((np.asarray(query.hi) - lo) / cell_w).astype(np.int64) - 1
-        qlo = np.clip(qlo, 0, self.side - 1)
-        qhi = np.clip(qhi, qlo, self.side - 1)
-
-        intervals: List[Tuple[int, int]] = []
-
-        def covered(cx0: int, cy0: int, size: int) -> str:
-            """Classify the sub-square [cx0, cx0+size) x [cy0, cy0+size)."""
-            cx1, cy1 = cx0 + size - 1, cy0 + size - 1
-            if cx1 < qlo[0] or cx0 > qhi[0] or cy1 < qlo[1] or cy0 > qhi[1]:
-                return "outside"
-            if cx0 >= qlo[0] and cx1 <= qhi[0] and cy0 >= qlo[1] and cy1 <= qhi[1]:
-                return "inside"
-            return "partial"
-
-        # Recursive descent over the curve's quadrant structure.  At each
-        # square of side `size` starting at Hilbert offset `base`, the curve
-        # visits the four child quadrants contiguously in an order determined
-        # by encoding their corner cells, so each fully-covered child maps to
-        # one contiguous interval of length (size/2)^2.
-        def recurse(cx0: int, cy0: int, size: int) -> None:
-            state = covered(cx0, cy0, size)
-            if state == "outside":
-                return
-            first = int(self.encode_cells(np.array([cx0]), np.array([cy0]))[0]) if size == 1 else None
-            if state == "inside" or size == 1:
-                if size == 1:
-                    intervals.append((first, first))
-                else:
-                    start, end = self._square_range(cx0, cy0, size)
-                    intervals.append((start, end))
-                return
-            if len(intervals) >= max_ranges:
-                # Budget exhausted: over-approximate with the whole square.
-                start, end = self._square_range(cx0, cy0, size)
-                intervals.append((start, end))
-                return
-            half = size // 2
-            for dx in (0, half):
-                for dy in (0, half):
-                    recurse(cx0 + dx, cy0 + dy, half)
-
-        recurse(0, 0, self.side)
-        return _merge_intervals(intervals)
-
-    def _square_range(self, cx0: int, cy0: int, size: int) -> Tuple[int, int]:
-        """The contiguous Hilbert interval covered by an aligned square."""
-        # An aligned square of side `size` (a node of the curve's quadtree)
-        # covers exactly size^2 consecutive indices; its start is the minimum
-        # index among its corner cells' aligned block.
-        corner = int(self.encode_cells(np.array([cx0]), np.array([cy0]))[0])
-        block = size * size
-        start = (corner // block) * block
-        return start, start + block - 1
-
     @staticmethod
     def _quadrant_offsets(digit: np.ndarray, swap: np.ndarray, flip_x: np.ndarray,
                           flip_y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -355,18 +276,3 @@ class HilbertCurve:
             raise ValueError("empty Hilbert interval")
         box_lo, box_hi = self.range_bboxes(np.array([lo_index]), np.array([hi_index]))
         return Rect.from_arrays(box_lo[0], box_hi[0])
-
-
-def _merge_intervals(intervals: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """Sort inclusive intervals and merge the adjacent/overlapping ones."""
-    if not intervals:
-        return []
-    intervals = sorted(intervals)
-    merged = [intervals[0]]
-    for lo, hi in intervals[1:]:
-        last_lo, last_hi = merged[-1]
-        if lo <= last_hi + 1:
-            merged[-1] = (last_lo, max(last_hi, hi))
-        else:
-            merged.append((lo, hi))
-    return merged

@@ -60,18 +60,12 @@ __all__ = [
     "merge_obs_snapshot",
     "metrics_enabled",
     "metrics_payload",
-    "obs_enabled",
     "obs_snapshot",
     "observe",
     "trace_span",
     "tracing_enabled",
     "write_bench_json",
 ]
-
-
-def obs_enabled() -> bool:
-    """Whether any observability surface (metrics or tracing) is active."""
-    return metrics_enabled() or tracing_enabled()
 
 
 def obs_snapshot() -> Optional[Dict[str, Any]]:

@@ -10,11 +10,6 @@ also caps each worker's peak frontier memory).  Results come back in input
 order; per-query outputs are identical to the single-process evaluator
 because chunking never changes any query's own accumulation order.
 
-A precompiled :class:`~repro.engine.batch.QueryMatrix` can be shared the
-same way: :meth:`ShardedQueryServer.matrix_dot` ships the CSR buffers once
-and splits the release axis across the pool — the serving analogue of the
-sweep pipeline's ``S @ counts`` product.
-
 A *memory-mapped* engine (format v2, :mod:`repro.engine.store`) needs no
 shared-memory export at all: its arrays pickle as
 :class:`~repro.parallel.shm.MappedArrayHandle` file references, so every
@@ -38,7 +33,6 @@ from ..engine.batch import BatchQueryResult, QueryInput, batch_query, queries_to
 from ..engine.flat import FlatPSD
 from ..obs import counter_add, gauge_max
 from .pool import ResilientPool
-from .shm import SharedArrayHandle, attach_array
 
 __all__ = ["ShardedQueryServer"]
 
@@ -53,26 +47,6 @@ def _serve_chunk(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     result = batch_query(state["engine"], rows, use_uniformity=use_uniformity)
     return result.estimates, result.nodes_touched, result.variances
-
-
-def _serve_matrix_rows(
-    state: Dict, key: int, start: int, stop: int, counts: "np.ndarray | SharedArrayHandle"
-) -> np.ndarray:
-    """``(S @ counts)[start:stop]`` without materialising the other rows."""
-    from ..engine.batch import QueryMatrix
-
-    if isinstance(counts, SharedArrayHandle):
-        counts = attach_array(counts)
-    matrix = state["matrices"][key]
-    lo, hi = int(matrix.indptr[start]), int(matrix.indptr[stop])
-    sliced = QueryMatrix(
-        indptr=matrix.indptr[start : stop + 1] - matrix.indptr[start],
-        indices=matrix.indices[lo:hi],
-        weights=matrix.weights[lo:hi],
-        partial=matrix.partial[lo:hi],
-        n_nodes=matrix.n_nodes,
-    )
-    return sliced.dot(counts)
 
 
 class ShardedQueryServer:
@@ -112,13 +86,11 @@ class ShardedQueryServer:
         self.engine = engine
         self.chunk_queries = int(chunk_queries)
         self.workers = resolve_workers(workers if workers is not None else -1)
-        self._matrices: Dict[int, object] = {}
-        self._next_matrix_key = 0
         #: A crashed worker costs the caller latency, never an exception: the
         #: pool rebuilds up to ``max_rebuilds`` times per batch, then serves
         #: the rest in-process.
-        self._pool = ResilientPool({"engine": engine, "matrices": self._matrices},
-                                   self.workers, name="serve", max_rebuilds=max_rebuilds)
+        self._pool = ResilientPool({"engine": engine}, self.workers, name="serve",
+                                   max_rebuilds=max_rebuilds)
         # Plain-int serving stats, kept unconditionally (like QueryCache's
         # counters) so `repro query --workers N --stats` reports them without
         # the metrics registry being enabled.
@@ -127,7 +99,6 @@ class ShardedQueryServer:
             "sharded_batches": 0,
             "queries": 0,
             "chunks": 0,
-            "matrix_dots": 0,
         }
 
     # ------------------------------------------------------------------
@@ -186,47 +157,6 @@ class ShardedQueryServer:
     ) -> np.ndarray:
         """The ``(Q,)`` estimates for a batch (sharded)."""
         return self.batch_query(queries, use_uniformity=use_uniformity).estimates
-
-    # ------------------------------------------------------------------
-    def share_matrix(self, matrix) -> int:
-        """Ship a precompiled query matrix's CSR buffers to every worker.
-
-        Returns a key accepted by :meth:`matrix_dot`.  The buffers go through
-        shared memory, so the per-worker cost is a few mmaps regardless of
-        workload size.  Sharing restarts the pool with the enlarged matrix
-        set (worker state is installed by the initializer), so register
-        matrices up front rather than between latency-sensitive batches; in
-        the ``workers == 1`` degenerate case the matrix is simply kept
-        in-process.
-        """
-        key = self._next_matrix_key
-        self._next_matrix_key += 1
-        self._matrices[key] = matrix
-        self._pool.stop()  # the next fan-out re-installs the full set
-        return key
-
-    def matrix_dot(self, key: int, counts: np.ndarray) -> np.ndarray:
-        """``S @ counts`` with the query rows sharded across the pool.
-
-        The counts matrix is exported to shared memory once per distinct
-        array object (workers attach and cache the view), so repeated dots
-        against the same release matrix ship only a tiny handle per chunk —
-        a large ``(n_nodes, R)`` matrix is never re-pickled per task.
-        Segments live until :meth:`close`, so a server fed a *fresh* counts
-        array on every call should be closed periodically (or sized for it).
-        """
-        matrix = self._matrices[key]
-        counts = np.asarray(counts, dtype=np.float64)
-        n_queries = matrix.n_queries
-        self._stats["matrix_dots"] += 1
-        if self.workers <= 1 or n_queries <= self.chunk_queries:
-            return matrix.dot(counts)
-        arena = self._pool.arena
-        shipped = arena.export(counts) if counts.nbytes >= arena.threshold else counts
-        tasks = {start: (key, start, min(start + self.chunk_queries, n_queries), shipped)
-                 for start in range(0, n_queries, self.chunk_queries)}
-        parts = self._pool.run(_serve_matrix_rows, tasks)
-        return np.concatenate([parts[start] for start in tasks], axis=0)
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:

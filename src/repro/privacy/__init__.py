@@ -1,12 +1,9 @@
-"""Differential-privacy substrate: mechanisms, accounting, medians, sampling."""
+"""Differential-privacy substrate: Laplace noise, accounting, private medians."""
 
 from .accountant import AnalystAccount, PrivacyAccountant, PrivacyCharge
 from .mechanisms import (
-    LaplaceCountMechanism,
-    exponential_mechanism,
-    geometric_mechanism,
+    COUNT_SENSITIVITY,
     laplace_from_uniform,
-    laplace_mechanism,
     laplace_noise,
     laplace_variance,
 )
@@ -20,7 +17,6 @@ from .median import (
     median_from_noisy_cells,
     noisy_mean_median,
     noisy_mean_median_batch,
-    resolve_median_batch,
     resolve_median_method,
     smooth_sensitivity_median,
     smooth_sensitivity_median_batch,
@@ -28,32 +24,16 @@ from .median import (
     true_median,
     true_median_batch,
 )
-from .rng import ensure_rng, spawn_rngs
-from .sampling import (
-    amplified_epsilon,
-    bernoulli_sample,
-    required_base_epsilon,
-    sampled_mechanism,
-    tight_base_epsilon,
-)
-from .sensitivity import (
-    COUNT_SENSITIVITY,
-    mean_numerator_sensitivity,
-    median_global_sensitivity,
-    sum_sensitivity,
-)
+from .rng import ensure_rng, spawn_generators
 
 __all__ = [
     "AnalystAccount",
     "PrivacyAccountant",
     "PrivacyCharge",
-    "LaplaceCountMechanism",
-    "laplace_mechanism",
+    "COUNT_SENSITIVITY",
     "laplace_noise",
     "laplace_from_uniform",
     "laplace_variance",
-    "geometric_mechanism",
-    "exponential_mechanism",
     "MEDIAN_METHODS",
     "true_median",
     "true_median_batch",
@@ -69,16 +49,6 @@ __all__ = [
     "noisy_mean_median_batch",
     "make_sampled_median",
     "resolve_median_method",
-    "resolve_median_batch",
     "ensure_rng",
-    "spawn_rngs",
-    "bernoulli_sample",
-    "amplified_epsilon",
-    "required_base_epsilon",
-    "tight_base_epsilon",
-    "sampled_mechanism",
-    "COUNT_SENSITIVITY",
-    "sum_sensitivity",
-    "mean_numerator_sensitivity",
-    "median_global_sensitivity",
+    "spawn_generators",
 ]

@@ -1,41 +1,28 @@
 """Core differential-privacy noise mechanisms.
 
-Implements the primitives the paper builds on:
-
-* the **Laplace mechanism** (Definition 2) for numeric queries, in scalar and
-  vectorised form — this is what populates every node count in a PSD;
-* the **geometric mechanism** (two-sided geometric noise), the discrete
-  counterpart of Laplace noise mentioned in related work, useful when integer
-  count output is desired;
-* a generic **exponential mechanism** over a finite set of candidate outputs
-  with a caller-supplied quality score (the private-median exponential
-  mechanism in :mod:`repro.privacy.median` uses a specialised, exact
-  interval-based sampler, but the generic form is exposed for reuse and for
-  testing against it).
-
-All mechanisms raise :class:`ValueError` on non-positive ``epsilon`` rather
-than silently producing infinite noise.
+Implements the Laplace mechanism (Definition 2) the paper builds on — the
+noise that populates every node count in a PSD — as the vectorised
+:func:`laplace_noise`, the uniform-driven :func:`laplace_from_uniform` the
+private medians draw through, and the variance :func:`laplace_variance` of
+Equation (1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .rng import RngLike, ensure_rng
-from .sensitivity import COUNT_SENSITIVITY
 
 __all__ = [
+    "COUNT_SENSITIVITY",
     "laplace_noise",
     "laplace_from_uniform",
-    "laplace_mechanism",
     "laplace_variance",
-    "geometric_mechanism",
-    "exponential_mechanism",
-    "LaplaceCountMechanism",
 ]
+
+#: Sensitivity of a count query.  Adding or removing one tuple changes any
+#: count by at most 1 (Definition 2's example).
+COUNT_SENSITIVITY: float = 1.0
 
 
 def _check_epsilon(epsilon: float) -> float:
@@ -75,31 +62,6 @@ def laplace_from_uniform(uniforms, scale: float = 1.0):
     return scale * np.where(u < 0.5, low, high)
 
 
-def laplace_mechanism(
-    value,
-    epsilon: float,
-    sensitivity: float = COUNT_SENSITIVITY,
-    rng: RngLike = None,
-):
-    """Release ``value + Lap(sensitivity / epsilon)`` (Definition 2).
-
-    ``value`` may be a scalar or an array; in the array case independent noise
-    is added to every entry (each entry is charged ``epsilon`` — composition
-    across entries is the caller's responsibility, e.g. counts of disjoint
-    regions compose in parallel and cost ``epsilon`` total).
-    """
-    epsilon = _check_epsilon(epsilon)
-    if sensitivity < 0:
-        raise ValueError("sensitivity must be non-negative")
-    arr = np.asarray(value, dtype=float)
-    scale = sensitivity / epsilon
-    noise = laplace_noise(scale, size=arr.shape if arr.shape else None, rng=rng)
-    result = arr + noise
-    if np.isscalar(value) or arr.shape == ():
-        return float(result)
-    return result
-
-
 def laplace_variance(epsilon: float, sensitivity: float = COUNT_SENSITIVITY) -> float:
     """Variance of the Laplace mechanism: ``2 * (sensitivity / epsilon)**2``.
 
@@ -109,95 +71,3 @@ def laplace_variance(epsilon: float, sensitivity: float = COUNT_SENSITIVITY) -> 
     epsilon = _check_epsilon(epsilon)
     scale = sensitivity / epsilon
     return 2.0 * scale * scale
-
-
-def geometric_mechanism(
-    value,
-    epsilon: float,
-    sensitivity: float = COUNT_SENSITIVITY,
-    rng: RngLike = None,
-):
-    """Release ``value`` plus two-sided geometric noise (the discrete Laplace).
-
-    The noise ``Z`` takes integer values with ``Pr[Z = z] ∝ alpha**|z|`` where
-    ``alpha = exp(-epsilon / sensitivity)``; it is the universally
-    utility-maximising mechanism for counts [Ghosh et al., STOC 2009].
-    """
-    epsilon = _check_epsilon(epsilon)
-    if sensitivity <= 0:
-        raise ValueError("sensitivity must be positive")
-    gen = ensure_rng(rng)
-    alpha = np.exp(-epsilon / sensitivity)
-    arr = np.asarray(value, dtype=float)
-    size = arr.shape if arr.shape else None
-    # A two-sided geometric is the difference of two i.i.d. geometric draws.
-    g1 = gen.geometric(p=1 - alpha, size=size) - 1
-    g2 = gen.geometric(p=1 - alpha, size=size) - 1
-    result = arr + (g1 - g2)
-    if np.isscalar(value) or arr.shape == ():
-        return float(result)
-    return result.astype(float)
-
-
-def exponential_mechanism(
-    candidates: Sequence,
-    scores: Sequence[float],
-    epsilon: float,
-    sensitivity: float = 1.0,
-    rng: RngLike = None,
-):
-    """Sample one of ``candidates`` with probability ``∝ exp(eps * score / (2 * sensitivity))``.
-
-    ``scores`` is the quality function evaluated on the true data; its
-    sensitivity (maximum change under one tuple insertion/removal) must be
-    supplied by the caller.  Scores are shifted by their maximum before
-    exponentiation for numerical stability.
-    """
-    epsilon = _check_epsilon(epsilon)
-    if sensitivity <= 0:
-        raise ValueError("sensitivity must be positive")
-    scores_arr = np.asarray(scores, dtype=float)
-    if len(candidates) == 0 or scores_arr.shape[0] != len(candidates):
-        raise ValueError("candidates and scores must be non-empty and of equal length")
-    gen = ensure_rng(rng)
-    logits = epsilon * scores_arr / (2.0 * sensitivity)
-    logits -= logits.max()
-    weights = np.exp(logits)
-    total = weights.sum()
-    if not np.isfinite(total) or total <= 0:
-        raise ValueError("exponential mechanism produced a degenerate weight vector")
-    probs = weights / total
-    idx = gen.choice(len(candidates), p=probs)
-    return candidates[idx]
-
-
-@dataclass(frozen=True)
-class LaplaceCountMechanism:
-    """A reusable Laplace mechanism bound to a fixed privacy parameter.
-
-    The PSD builders create one of these per tree level (with that level's
-    ``eps_i``) and call it for every node on the level; keeping the parameter
-    in one object makes the accounting explicit and testable.
-    """
-
-    epsilon: float
-    sensitivity: float = COUNT_SENSITIVITY
-
-    def __post_init__(self) -> None:
-        _check_epsilon(self.epsilon)
-        if self.sensitivity < 0:
-            raise ValueError("sensitivity must be non-negative")
-
-    @property
-    def scale(self) -> float:
-        """Scale of the Laplace noise this mechanism adds."""
-        return self.sensitivity / self.epsilon
-
-    @property
-    def variance(self) -> float:
-        """Variance of a single released value."""
-        return 2.0 * self.scale * self.scale
-
-    def release(self, value, rng: RngLike = None):
-        """Release a noisy version of ``value`` (scalar or array)."""
-        return laplace_mechanism(value, self.epsilon, self.sensitivity, rng=rng)

@@ -20,7 +20,7 @@ signature ``method(values, epsilon, lo, hi, rng) -> float``:
 
 plus the non-private :func:`true_median` baseline ("kd-true" in Section 8.2)
 and sampled variants **EMs** / **SSs** built by combining any method with
-Bernoulli sampling (Theorem 7, :mod:`repro.privacy.sampling`).
+Bernoulli sampling (Theorem 7, :func:`make_sampled_median`).
 
 All methods clamp their output to the public domain ``[lo, hi]`` — a value
 outside the domain could never be a useful split and the clamp is a
@@ -90,7 +90,6 @@ __all__ = [
     "make_sampled_median",
     "MEDIAN_METHODS",
     "resolve_median_method",
-    "resolve_median_batch",
 ]
 
 #: Signature shared by every private-median method.
@@ -624,7 +623,15 @@ def noisy_mean_median(
 # Sampling wrappers (Theorem 7)
 # ----------------------------------------------------------------------
 def _tight_base_epsilon_array(epsilons: np.ndarray, rate: float, cap: float = 5.0) -> np.ndarray:
-    """Vector form of :func:`repro.privacy.sampling.tight_base_epsilon`."""
+    """Per-run ε under the *tight* amplification bound, ``ln(1 + (e^ε - 1) / p)``.
+
+    Running an ε'-DP algorithm on a Bernoulli ``p``-sample is
+    ``ln(1 + p (e^{ε'} - 1))``-DP, which Theorem 7's ``2 p e^{ε'}`` loosely
+    upper-bounds.  Inverting the tight form gives a usable per-run budget
+    even when the target is below ``2p`` (where the loose form has no
+    solution).  The result is at least the target (running at the target on
+    a sample is only more private) and at most ``cap``.
+    """
     run = np.log(1.0 + (np.exp(epsilons) - 1.0) / rate)
     return np.minimum(np.maximum(run, epsilons), cap)
 
@@ -646,10 +653,10 @@ def make_sampled_median(
     the base method at a *larger* per-run budget while still delivering the
     requested guarantee.  With ``amplify_budget=True`` the per-run budget is
     obtained by inverting the tight amplification bound
-    ``eps' = ln(1 + (e^eps - 1) / p)`` (see
-    :func:`repro.privacy.sampling.tight_base_epsilon`); this reproduces the
-    paper's Figure 4 setting where a 0.01 per-level budget with 1 % sampling
-    becomes a per-run budget roughly 50-70x larger.  With
+    ``eps' = ln(1 + (e^eps - 1) / p)`` (see :func:`_tight_base_epsilon_array`);
+    this reproduces the paper's Figure 4 setting where a 0.01 per-level
+    budget with 1 % sampling becomes a per-run budget roughly 50-70x larger.
+    With
     ``amplify_budget=False`` the base method simply runs at the target budget
     on the sample (strictly more private, less accurate).
 
@@ -757,8 +764,3 @@ def resolve_median_method(method: "str | MedianMethod") -> MedianMethod:
     if key not in MEDIAN_METHODS:
         raise KeyError(f"unknown median method {method!r}; available: {sorted(MEDIAN_METHODS)}")
     return MEDIAN_METHODS[key]
-
-
-def resolve_median_batch(method: "str | MedianMethod"):
-    """The batch form of a method, or ``None`` for a callable without one."""
-    return getattr(resolve_median_method(method), "batch", None)

@@ -23,7 +23,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-__all__ = ["RngLike", "ReplayRng", "ensure_rng", "spawn_generators", "spawn_rngs"]
+__all__ = ["RngLike", "ReplayRng", "ensure_rng", "spawn_generators"]
 
 
 class ReplayRng(np.random.Generator):
@@ -109,12 +109,12 @@ def ensure_rng(rng: RngLike = None) -> np.random.Generator:
 def spawn_generators(rng: RngLike, count: int) -> list[np.random.Generator]:
     """``count`` child generators via the parent's ``SeedSequence.spawn``.
 
-    This is the canonical per-case stream derivation of the sweep driver:
-    one spawn per child, in order, off the parent generator's seed sequence.
-    Unlike :func:`spawn_rngs` it does not consume the parent's *draw* stream
-    (only its spawn counter advances), and the children are exactly the
-    ``SeedSequence`` spawn tree — so a result computed from child ``i`` is
-    the same no matter where (or in what order) the children execute.
+    This is the one per-case stream derivation of ``run_sweep``: one spawn
+    per child, in order, off the parent generator's seed sequence.  It
+    does not consume the parent's *draw* stream (only its spawn counter
+    advances), and the children are exactly the ``SeedSequence`` spawn tree
+    — so a result computed from child ``i`` is the same no matter where (or
+    in what order) the children execute.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
@@ -129,16 +129,3 @@ def spawn_generators(rng: RngLike, count: int) -> list[np.random.Generator]:
         # Generator.spawn; older releases expose only the private name
         seed_seq = getattr(bitgen, "seed_seq", None) or bitgen._seed_seq
         return [np.random.Generator(type(bitgen)(child)) for child in seed_seq.spawn(count)]
-
-
-def spawn_rngs(rng: RngLike, count: int) -> list[np.random.Generator]:
-    """Derive ``count`` statistically independent child generators.
-
-    Used by experiment runners that fan out over repetitions so each
-    repetition has its own stream regardless of execution order.
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    base = ensure_rng(rng)
-    seeds = base.integers(0, 2**63 - 1, size=count, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]

@@ -15,7 +15,6 @@ from .workload import (
     QueryWorkload,
     generate_workload,
     random_query_rects,
-    workloads_for_shapes,
 )
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "QueryWorkload",
     "generate_workload",
     "random_query_rects",
-    "workloads_for_shapes",
     "PAPER_QUERY_SHAPES",
     "KD_QUERY_SHAPES",
     "relative_error",

@@ -16,7 +16,7 @@ workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -176,18 +176,3 @@ def generate_workload(
         queries.append(query)
         answers.append(answer)
     return QueryWorkload(shape=shape, queries=queries, true_answers=np.asarray(answers, dtype=float))
-
-
-def workloads_for_shapes(
-    points: np.ndarray,
-    domain: Domain,
-    shapes: Sequence[QueryShape],
-    n_queries: int = 600,
-    rng: RngLike = None,
-) -> List[QueryWorkload]:
-    """Generate one workload per shape with independent sub-streams of ``rng``."""
-    gen = ensure_rng(rng)
-    out = []
-    for shape in shapes:
-        out.append(generate_workload(points, domain, shape, n_queries=n_queries, rng=gen))
-    return out

@@ -16,6 +16,8 @@ unchanged in substance, as the readable executable specification:
 * :mod:`oracle.query` — the recursive canonical decomposition (estimates,
   ``n(Q)``, ``n_i``, ``Err(Q)``), the planar Hilbert walk and the
   pointer-walking engine compiler;
+* :mod:`oracle.hilbert` — the Hilbert-interval formulation of a planar
+  query (rectangle → index intervals → summed 1-D answers);
 * :mod:`oracle.matching` — the seed-era record-matching blocking loop.
 
 Nothing under ``src/`` imports this package.  Tests import it as ``oracle``
@@ -35,6 +37,7 @@ from .build import (
     populate_noisy_counts,
     prune_low_count_subtrees,
 )
+from .hilbert import range_query_intervals, rect_to_ranges
 from .matching import blocking_reference, reference_blocking
 from .query import (
     HilbertPointerView,
@@ -43,7 +46,6 @@ from .query import (
     contributing_nodes,
     hilbert_range_query,
     hilbert_view,
-    measure_level_usage,
     node_bbox,
     node_bboxes,
     nodes_touched,
@@ -91,7 +93,6 @@ __all__ = [
     "range_query",
     "nodes_touched",
     "nodes_touched_per_level",
-    "measure_level_usage",
     "query_variance",
     "compile_psd",
     "compile_hilbert_rtree",
@@ -100,6 +101,8 @@ __all__ = [
     "node_bbox",
     "node_bboxes",
     "hilbert_range_query",
+    "rect_to_ranges",
+    "range_query_intervals",
     "blocking_reference",
     "reference_blocking",
 ]

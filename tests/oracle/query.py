@@ -27,7 +27,6 @@ __all__ = [
     "range_query",
     "nodes_touched",
     "nodes_touched_per_level",
-    "measure_level_usage",
     "query_variance",
     "compile_psd",
     "compile_hilbert_rtree",
@@ -103,20 +102,6 @@ def nodes_touched_per_level(psd, query: Rect) -> dict:
     for node, _ in partial:
         counts[node.level] = counts.get(node.level, 0) + 1
     return counts
-
-
-def measure_level_usage(psd, queries) -> dict:
-    """Average number of nodes per level used to answer the given queries."""
-    psd = pointer_view(psd)
-    totals = {level: 0.0 for level in range(psd.height + 1)}
-    n_queries = 0
-    for query in queries:
-        n_queries += 1
-        for level, count in nodes_touched_per_level(psd, query).items():
-            totals[level] = totals.get(level, 0.0) + count
-    if n_queries == 0:
-        raise ValueError("cannot measure level usage from an empty workload")
-    return {level: total / n_queries for level, total in totals.items()}
 
 
 def query_variance(psd, query: Rect) -> float:

@@ -5,13 +5,13 @@ engine must agree with the recursive walk of the test oracle
 (``oracle.query``) — estimates within float-summation tolerance, ``n(Q)``
 *exactly*, variances within tolerance — for all three PSD families, before
 and after post-processing and pruning.  The rest covers the serving
-conveniences: the LRU answer cache, ``.npz`` round-trips, engine memoisation
-and the CLI batch mode.
+conveniences: the LRU answer cache, FLATPSD2 round-trips and fail-closed
+loads, engine memoisation and the CLI batch mode.
 """
 
 from __future__ import annotations
 
-import json
+import dataclasses
 
 import numpy as np
 import pytest
@@ -287,14 +287,25 @@ def _random_queries_2d(rng, n):
 
 
 # ----------------------------------------------------------------------
-# .npz round-trip
+# FLATPSD2 round-trip and fail-closed loads
 # ----------------------------------------------------------------------
+def _save_corrupted(engine, path, **fields):
+    """Write ``engine`` with ``fields`` replaced as a FLATPSD2 file.
+
+    The writer checks nothing, so the file carries exactly the corruption;
+    header and region bounds stay consistent, which leaves the refusal to
+    the structural checks of ``FlatPSD.validate`` (``deep_validate=True``).
+    """
+    save_engine(dataclasses.replace(engine, **fields), path)
+    return path
+
+
 class TestEngineIO:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_roundtrip_identical_answers(self, variant, points, domain, tmp_path):
         psd = _build(variant, points, domain, seed=19)
         engine = compile_psd(psd)
-        path = tmp_path / "engine.npz"
+        path = tmp_path / "engine.psdm"
         save_engine(engine, path)
         loaded = load_engine(path)
         assert isinstance(loaded, FlatPSD)
@@ -310,115 +321,77 @@ class TestEngineIO:
 
     def test_save_honours_exact_path_without_suffix(self, points, domain, tmp_path):
         engine = compile_psd(_build("quad-opt", points, domain))
-        path = tmp_path / "engine.dat"  # no .npz suffix
+        path = tmp_path / "engine.dat"
         save_engine(engine, path)
-        assert path.exists()  # np.savez would have written engine.dat.npz
+        assert path.exists()
         assert load_engine(path).n_nodes == engine.n_nodes
-
-    def test_load_rejects_non_engine_npz(self, tmp_path):
-        path = tmp_path / "random.npz"
-        np.savez(path, data=np.arange(4))
-        with pytest.raises(ValueError, match="meta"):
-            load_engine(path)
 
     def test_load_reports_truncated_file(self, points, domain, tmp_path):
         # A partially-copied artifact must fail with a message that says
-        # "truncated", not a bare zipfile traceback.
+        # "truncated", not a bare mmap traceback.
         engine = compile_psd(_build("quad-opt", points, domain))
-        path = tmp_path / "engine.npz"
+        path = tmp_path / "engine.psdm"
         save_engine(engine, path)
         blob = path.read_bytes()
-        truncated = tmp_path / "truncated.npz"
+        truncated = tmp_path / "truncated.psdm"
         truncated.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(ValueError, match="truncated"):
             load_engine(truncated)
 
-    def test_load_reports_missing_array_field_by_name(self, points, domain, tmp_path):
-        engine = compile_psd(_build("quad-opt", points, domain))
+    def test_savez_file_is_refused(self, tmp_path):
+        """A NumPy archive (the retired engine format) is not FLATPSD2: the
+        loader refuses it on its magic, and the CLI hands it to the JSON
+        loader, which fails closed too."""
         path = tmp_path / "engine.npz"
-        save_engine(engine, path)
-        with np.load(path, allow_pickle=False) as payload:
-            arrays = dict(payload)
-        del arrays["released"]
-        bad = tmp_path / "missing.npz"
-        np.savez(bad, **arrays)
-        with pytest.raises(ValueError, match=r"missing arrays.*released"):
-            load_engine(bad)
-
-    def test_load_rejects_mismatched_format_version(self, points, domain, tmp_path):
-        engine = compile_psd(_build("quad-opt", points, domain))
-        path = tmp_path / "engine.npz"
-        save_engine(engine, path)
-        with np.load(path, allow_pickle=False) as payload:
-            arrays = dict(payload)
-        meta = dict(json.loads(str(arrays.pop("meta"))))
-        meta["format_version"] = 99
-        bad = tmp_path / "future.npz"
-        np.savez(bad, meta=np.array(json.dumps(meta)), **arrays)
-        with pytest.raises(ValueError, match="format version"):
-            load_engine(bad)
+        np.savez(path, data=np.arange(4))
+        with pytest.raises(ValueError, match="bad magic"):
+            load_engine(path)
+        with pytest.raises(SystemExit, match="cannot load release"):
+            main(["query", str(path), "--rect", "0.1,0.1,0.6,0.7"])
 
     def test_load_rejects_corrupted_structure(self, points, domain, tmp_path):
         engine = compile_psd(_build("quad-opt", points, domain))
-        path = tmp_path / "engine.npz"
-        save_engine(engine, path)
-        with np.load(path, allow_pickle=False) as payload:
-            arrays = dict(payload)
-        arrays["child_end"] = arrays["child_end"].copy()
-        arrays["child_end"][0] = 10 ** 9  # range beyond the node table
-        bad = tmp_path / "bad.npz"
-        np.savez(bad, **arrays)
+        child_end = np.array(engine.child_end)
+        child_end[0] = 10 ** 9  # range beyond the node table
+        bad = _save_corrupted(engine, tmp_path / "bad.psdm", child_end=child_end)
         with pytest.raises(ValueError):
-            load_engine(bad)
+            load_engine(bad, deep_validate=True)
 
     def test_load_rejects_nonfinite_bounds_and_counts(self, points, domain, tmp_path):
         # NaN makes lo > hi vacuously false and the intersect test silently
         # skip the subtree; finiteness must be enforced explicitly.
         engine = compile_psd(_build("quad-opt", points, domain))
-        path = tmp_path / "engine.npz"
-        save_engine(engine, path)
-        with np.load(path, allow_pickle=False) as payload:
-            arrays = dict(payload)
         for field, match in (("lo", "finite"), ("released", "finite")):
-            corrupted = {k: v.copy() for k, v in arrays.items()}
-            corrupted[field][1] = np.nan
-            bad = tmp_path / f"nan_{field}.npz"
-            np.savez(bad, **corrupted)
+            corrupted = np.array(getattr(engine, field))
+            corrupted[1] = np.nan
+            bad = _save_corrupted(engine, tmp_path / f"nan_{field}.psdm", **{field: corrupted})
             with pytest.raises(ValueError, match=match):
-                load_engine(bad)
+                load_engine(bad, deep_validate=True)
 
     def test_load_rejects_aliased_child_ranges(self, points, domain, tmp_path):
         # An internal node whose child range aliases a sibling's subtree
         # passes all per-node checks; the partition check must catch it.
         engine = compile_psd(_build("quad-opt", points, domain))
-        path = tmp_path / "engine.npz"
-        save_engine(engine, path)
-        with np.load(path, allow_pickle=False) as payload:
-            arrays = dict(payload)
-        starts, ends = arrays["child_start"].copy(), arrays["child_end"].copy()
+        starts, ends = np.array(engine.child_start), np.array(engine.child_end)
         starts[2], ends[2] = starts[1], ends[1]  # node 2 now claims node 1's children
-        arrays["child_start"], arrays["child_end"] = starts, ends
-        bad = tmp_path / "aliased.npz"
-        np.savez(bad, **arrays)
+        bad = _save_corrupted(engine, tmp_path / "aliased.psdm",
+                              child_start=starts, child_end=ends)
         with pytest.raises(ValueError, match="partition"):
-            load_engine(bad)
+            load_engine(bad, deep_validate=True)
 
     def test_load_rejects_out_of_range_levels(self, points, domain, tmp_path):
         # A declared height below the true depth would make leaf levels
         # negative and silently wrap into level_variance; it must fail loudly.
         engine = compile_psd(_build("quad-opt", points, domain))
-        path = tmp_path / "engine.npz"
-        save_engine(engine, path)
-        with np.load(path, allow_pickle=False) as payload:
-            arrays = dict(payload)
-        meta = dict(json.loads(str(arrays.pop("meta"))))
-        meta["height"] -= 1
-        arrays["level"] = arrays["level"] - 1
-        arrays["count_epsilons"] = arrays["count_epsilons"][:-1]
-        bad = tmp_path / "bad_levels.npz"
-        np.savez(bad, meta=np.array(json.dumps(meta)), **arrays)
+        bad = _save_corrupted(
+            engine, tmp_path / "bad_levels.psdm",
+            height=engine.height - 1,
+            level=np.asarray(engine.level) - 1,
+            count_epsilons=np.asarray(engine.count_epsilons)[:-1],
+            level_variance=np.asarray(engine.level_variance)[:-1],
+        )
         with pytest.raises(ValueError, match="level"):
-            load_engine(bad)
+            load_engine(bad, deep_validate=True)
 
 
 # ----------------------------------------------------------------------
@@ -447,23 +420,15 @@ class TestCliEngine:
         assert len(lines) == 2
         assert lines[0].startswith("0.1,0.1,0.6,0.7\t")
 
-    def test_compile_appends_npz_suffix(self, release_path, tmp_path, capsys):
-        bare = tmp_path / "engine_noext"
-        assert main(["compile", str(release_path), "--output", str(bare)]) == 0
-        out = capsys.readouterr().out
-        assert str(bare) + ".npz" in out  # reported path is the real file
-        assert (tmp_path / "engine_noext.npz").exists()
-        assert main(["query", f"{bare}.npz", "--rect", "0.1,0.1,0.6,0.7"]) == 0
-
-    def test_compile_then_serve_npz(self, release_path, tmp_path, capsys):
-        npz = tmp_path / "engine.npz"
-        assert main(["compile", str(release_path), "--output", str(npz)]) == 0
+    def test_compile_then_serve_engine(self, release_path, tmp_path, capsys):
+        engine = tmp_path / "engine.psdm"
+        assert main(["compile", str(release_path), "--output", str(engine)]) == 0
         capsys.readouterr()
         spec = "0.1,0.1,0.6,0.7"
-        assert main(["query", str(npz), "--rect", spec]) == 0
-        npz_out = capsys.readouterr().out
+        assert main(["query", str(engine), "--rect", spec]) == 0
+        engine_out = capsys.readouterr().out
         assert main(["query", str(release_path), "--rect", spec]) == 0
-        assert capsys.readouterr().out == npz_out
+        assert capsys.readouterr().out == engine_out
 
     def test_query_without_rects_fails(self, release_path):
         with pytest.raises(SystemExit):

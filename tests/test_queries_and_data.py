@@ -30,7 +30,6 @@ from repro.queries import (
     relative_error,
     relative_errors,
     workload_error_summary,
-    workloads_for_shapes,
 )
 
 
@@ -98,11 +97,6 @@ class TestGenerateWorkload:
                                      n_queries=5, rng=rng)
         answers = workload.evaluate(lambda q: 7.0)
         assert np.all(answers == 7.0)
-
-    def test_workloads_for_shapes(self, road_points, tiger_domain, rng):
-        workloads = workloads_for_shapes(road_points, tiger_domain, KD_QUERY_SHAPES,
-                                         n_queries=5, rng=rng)
-        assert len(workloads) == 3
 
     def test_reproducible_with_seed(self, road_points, tiger_domain):
         w1 = generate_workload(road_points, tiger_domain, QueryShape((5.0, 5.0)), n_queries=8, rng=9)

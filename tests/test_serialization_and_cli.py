@@ -1,4 +1,4 @@
-"""Tests for PSD serialisation, the workload-aware budget, and the CLI."""
+"""Tests for PSD serialisation and the CLI."""
 
 from __future__ import annotations
 
@@ -11,19 +11,15 @@ import sys
 import numpy as np
 import pytest
 
-import oracle
 import repro
 from repro.cli import build_parser, main
 from repro.core import (
-    WorkloadAwareBudget,
     build_psd,
     build_private_quadtree,
     load_psd,
-    measure_level_usage,
     psd_from_dict,
     psd_to_dict,
     save_psd,
-    workload_aware_quadtree_budget,
 )
 from repro.core.splits import QuadSplit
 from repro.data import uniform_points
@@ -140,80 +136,6 @@ class TestSerialization:
 
 
 # ----------------------------------------------------------------------
-# Workload-aware budgets
-# ----------------------------------------------------------------------
-class TestWorkloadAwareBudget:
-    def test_measure_level_usage(self, domain):
-        skeleton = build_psd(np.empty((0, 2)), domain, 3, QuadSplit(), epsilon=1.0,
-                             noiseless_counts=True, rng=0)
-        usage = measure_level_usage(skeleton, [Rect((0.0, 0.0), (0.5, 0.5))])
-        # The aligned quadrant query touches exactly one level-2 node.
-        assert usage[2] == pytest.approx(1.0)
-        assert usage[0] == pytest.approx(0.0)
-
-    def test_empty_workload_raises(self, domain):
-        skeleton = build_psd(np.empty((0, 2)), domain, 2, QuadSplit(), epsilon=1.0,
-                             noiseless_counts=True, rng=0)
-        with pytest.raises(ValueError):
-            measure_level_usage(skeleton, [])
-
-    def test_allocation_sums_and_favours_used_levels(self):
-        strategy = WorkloadAwareBudget(level_usage=((0, 64.0), (1, 8.0), (2, 1.0), (3, 0.0)))
-        eps = strategy.validate(3, 1.0)
-        assert sum(eps) == pytest.approx(1.0)
-        assert eps[0] > eps[1] > eps[2]
-        assert eps[3] > 0  # floor share keeps unused levels released
-
-    def test_uniform_usage_reduces_to_uniform(self):
-        strategy = WorkloadAwareBudget(level_usage=((0, 5.0), (1, 5.0), (2, 5.0)), floor_fraction=0.0)
-        eps = strategy.validate(2, 0.9)
-        assert all(e == pytest.approx(0.3) for e in eps)
-
-    def test_lemma2_usage_reduces_to_geometric(self):
-        """With the worst-case n_i = 8*2^{h-i}, the allocation matches Lemma 3's ratios."""
-        height = 5
-        usage = {i: 8.0 * 2 ** (height - i) for i in range(height + 1)}
-        strategy = WorkloadAwareBudget(level_usage=tuple(usage.items()), floor_fraction=0.0)
-        eps = strategy.validate(height, 1.0)
-        for i in range(height):
-            assert eps[i] / eps[i + 1] == pytest.approx(2 ** (1 / 3), rel=1e-6)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WorkloadAwareBudget(level_usage=((0, -1.0),))
-        with pytest.raises(ValueError):
-            WorkloadAwareBudget(floor_fraction=1.5)
-
-    def test_from_workload_and_quadtree_helper(self, domain):
-        queries = [Rect((0.0, 0.0), (0.5, 0.5)), Rect((0.1, 0.1), (0.9, 0.9))]
-        strategy = workload_aware_quadtree_budget(domain, height=3, queries=queries)
-        eps = strategy.validate(3, 1.0)
-        assert sum(eps) == pytest.approx(1.0)
-        assert all(e > 0 for e in eps)
-
-    def test_workload_aware_budget_reduces_workload_variance(self, domain):
-        """On the measured workload, the tailored allocation beats the uniform one."""
-        from repro.analysis import empirical_error_for_strategy
-
-        points = uniform_points(2_000, domain, rng=np.random.default_rng(65))
-        queries = [Rect((0.0, 0.0), (0.5, 0.5)), Rect((0.25, 0.25), (0.75, 0.75)),
-                   Rect((0.0, 0.5), (0.5, 1.0))]
-        strategy = workload_aware_quadtree_budget(domain, height=4, queries=queries, floor_fraction=0.02)
-        psd = build_psd(points, domain, 4, QuadSplit(), epsilon=1.0, count_budget=strategy, rng=66)
-        tailored = empirical_error_for_strategy(psd, queries, strategy, 1.0)
-        uniform = empirical_error_for_strategy(psd, queries, "uniform", 1.0)
-        assert tailored < uniform
-
-    def test_integrates_with_builder_and_ols(self, domain):
-        points = uniform_points(1_000, domain, rng=np.random.default_rng(67))
-        strategy = WorkloadAwareBudget(level_usage=((0, 10.0), (1, 4.0), (2, 1.0)))
-        psd = build_psd(points, domain, 2, QuadSplit(), epsilon=0.8, count_budget=strategy,
-                        postprocess=True, rng=68)
-        assert psd.accountant.path_epsilon == pytest.approx(0.8)
-        assert all(n.post_count is not None for n in oracle.nodes(psd))
-
-
-# ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
 class TestCLI:
@@ -283,7 +205,7 @@ class TestCLI:
     def test_bad_release_exits_with_reason(self, bad_releases, tmp_path, command, kind):
         path = bad_releases[kind]
         extra = (["--rect", "0.1,0.1,0.5,0.5"] if command == "query"
-                 else ["--output", str(tmp_path / "engine.npz")])
+                 else ["--output", str(tmp_path / "engine.psdm")])
         with pytest.raises(SystemExit, match=f"cannot load release '{path}'"):
             main([command, str(path)] + extra)
 

@@ -17,11 +17,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.privacy import (
-    exponential_mechanism_median,
-    geometric_mechanism,
-    laplace_mechanism,
-)
+from repro.core import QuadSplit, build_psd_releases
+from repro.data import uniform_points
+from repro.geometry import Domain
+from repro.privacy import exponential_mechanism_median_batch
 
 
 def empirical_ratio_bound(samples_a: np.ndarray, samples_b: np.ndarray, bins: np.ndarray) -> float:
@@ -37,16 +36,39 @@ def empirical_ratio_bound(samples_a: np.ndarray, samples_b: np.ndarray, bins: np
     return float(np.max(np.maximum(p_a[mask] / p_b[mask], p_b[mask] / p_a[mask])))
 
 
+def released_root_counts(n_points: int, epsilon: float, seed: int) -> np.ndarray:
+    """The noisy root count of 200,000 height-0 releases of ``n_points`` points.
+
+    Drawn through the batched release path every sweep uses, with the whole
+    budget on the root (``count_budget="uniform"`` at height 0).
+    """
+    domain = Domain.unit(2)
+    points = uniform_points(51, domain, rng=np.random.default_rng(4000))[:n_points]
+    batch = build_psd_releases(points, domain, height=0, split_rule=QuadSplit(),
+                               epsilons=[epsilon], repetitions=200_000,
+                               count_budget="uniform", rng=np.random.default_rng(seed))
+    return batch.flat_batch.noisy_count[:, 0]
+
+
+def em_medians(values: np.ndarray, epsilon: float, n: int, rng) -> np.ndarray:
+    """``n`` EM medians of ``values`` on [0, 100] from one batch call.
+
+    The batch runs over ``n`` tiled copies of the sorted values; by the
+    draw-order contract it yields the same samples, bit for bit, as ``n``
+    scalar calls on the same generator.
+    """
+    sorted_values = np.sort(values)
+    offsets = np.arange(n + 1) * sorted_values.size
+    return exponential_mechanism_median_batch(np.tile(sorted_values, n), offsets,
+                                              epsilon, 0.0, 100.0, rng=rng)
+
+
 class TestLaplaceMechanismDP:
     @pytest.mark.parametrize("epsilon", [0.25, 1.0])
     def test_count_release_respects_epsilon(self, epsilon):
-        rng_a = np.random.default_rng(1000)
-        rng_b = np.random.default_rng(2000)
-        n = 200_000
-        # Neighbouring datasets: counts 50 and 51 (one tuple added).
-        samples_a = np.array([laplace_mechanism(50.0, epsilon, rng=rng_a) for _ in range(1)])
-        samples_a = 50.0 + rng_a.laplace(scale=1.0 / epsilon, size=n)
-        samples_b = 51.0 + rng_b.laplace(scale=1.0 / epsilon, size=n)
+        # Neighbouring datasets: 50 points, and the same 50 plus one.
+        samples_a = released_root_counts(50, epsilon, seed=1000)
+        samples_b = released_root_counts(51, epsilon, seed=2000)
         bins = np.linspace(30.0, 70.0, 41)
         ratio = empirical_ratio_bound(samples_a, samples_b, bins)
         # Each bin spans 1 unit; the ratio over a bin is at most e^{eps * (1 + bin width)}.
@@ -64,17 +86,6 @@ class TestLaplaceMechanismDP:
         assert ratio > np.exp(epsilon * 2.0) * 1.2
 
 
-class TestGeometricMechanismDP:
-    def test_integer_release_respects_epsilon(self, rng):
-        epsilon = 0.8
-        n = 150_000
-        samples_a = np.array(geometric_mechanism(np.full(n, 20.0), epsilon, rng=np.random.default_rng(7)))
-        samples_b = np.array(geometric_mechanism(np.full(n, 21.0), epsilon, rng=np.random.default_rng(8)))
-        bins = np.arange(0.5, 40.5, 1.0)
-        ratio = empirical_ratio_bound(samples_a, samples_b, bins)
-        assert ratio <= np.exp(epsilon) * 1.25
-
-
 class TestExponentialMechanismMedianDP:
     def test_neighbouring_datasets_have_similar_output_distributions(self):
         """Adding one record changes every rank by at most 1, so the output density
@@ -85,10 +96,8 @@ class TestExponentialMechanismMedianDP:
         base = np.sort(np.random.default_rng(13).uniform(0.0, 100.0, size=201))
         neighbour = np.append(base, 97.0)  # one extra record near the top
         n = 40_000
-        samples_a = np.array([exponential_mechanism_median(base, epsilon, 0.0, 100.0, rng=rng_a)
-                              for _ in range(n)])
-        samples_b = np.array([exponential_mechanism_median(neighbour, epsilon, 0.0, 100.0, rng=rng_b)
-                              for _ in range(n)])
+        samples_a = em_medians(base, epsilon, n, rng_a)
+        samples_b = em_medians(neighbour, epsilon, n, rng_b)
         bins = np.linspace(0.0, 100.0, 21)
         ratio = empirical_ratio_bound(samples_a, samples_b, bins)
         assert ratio <= np.exp(epsilon) * 1.3
@@ -100,8 +109,6 @@ class TestExponentialMechanismMedianDP:
         low = np.random.default_rng(15).uniform(0.0, 20.0, size=200)
         high = np.random.default_rng(16).uniform(80.0, 100.0, size=200)
         n = 20_000
-        samples_a = np.array([exponential_mechanism_median(low, epsilon, 0.0, 100.0, rng=rng)
-                              for _ in range(n)])
-        samples_b = np.array([exponential_mechanism_median(high, epsilon, 0.0, 100.0, rng=rng)
-                              for _ in range(n)])
+        samples_a = em_medians(low, epsilon, n, rng)
+        samples_b = em_medians(high, epsilon, n, rng)
         assert abs(np.median(samples_a) - np.median(samples_b)) > 30.0
