@@ -13,9 +13,10 @@ post-processing — through two builders:
   draws, the three recursive OLS traversals;
 * flat    — the production pipeline of :func:`repro.core.builder.build_psd`:
   level-vectorized construction straight into BFS structure-of-arrays form,
-  one ragged-batch private-median call per level and stage (kd-cell: one
-  blocked grid-median pass per level and axis), one batched noise vector per
-  level, OLS as three vectorized per-level sweeps.
+  one ragged-batch private-median call per level and stage (kd-cell: each
+  level's medians per axis read off a one-axis prefix table of the noisy grid,
+  O(G) per node), one batched noise vector per level, OLS as three vectorized
+  per-level sweeps.
 
 Both builders consume the same seeded RNG in the same order, so the outputs
 are bit-for-bit identical; the benchmark *asserts* that parity (released
@@ -323,16 +324,12 @@ def _speedup_floor(variant: str, smoke: bool) -> float:
     (the regression the gate exists to catch), and the full run enforces a
     real multiple.  The Hilbert R-tree's full-run floor is lower: its binary
     pointer splits are 1-D masks with little per-node Python to eliminate, so
-    the honest full-scale gap is smaller.  So is kd-cell's: both builders run
-    the same per-rect arithmetic over the whole noisy grid for every median,
-    the flat build merely does it for blocks of nodes at once.
+    the honest full-scale gap is smaller.
     """
     if variant.startswith("quad"):
         return 1.5 if smoke else 5.0
     if variant == "hilbert-r":
         return 1.0 if smoke else 2.5
-    if variant == "kd-cell":
-        return 1.0 if smoke else 1.5
     return 1.0 if smoke else 3.0
 
 

@@ -441,31 +441,60 @@ def _grid_medians(noisy: NoisyGrid, lo: np.ndarray, hi: np.ndarray, axis: int) -
     zero, are weighted by the fraction of each cell a rect covers and summed
     into a 1-D profile along ``axis``, whose half-mass coordinate is
     interpolated and clamped into the rect.  A rect with no grid overlap or
-    no mass splits at its center.  Every rect gets the same elementwise
+    no mass splits at its center.
+
+    A profile costs O(G), not O(G^2): with ``m`` the clipped mass (rows along
+    ``axis``) and ``P`` its prefix sums along the other axis, row ``i`` is
+    ``f[i] * ((P[i, b] - P[i, a]) + f_lo * m[i, a-1] + f_hi * m[i, b])`` —
+    the whole cells ``[a, b)`` of the rect's overlap by difference, plus its
+    partial edge cells at their covered fractions (an edge cell off the grid
+    adds nothing; a rect inside one cell has ``b == a`` and one partial
+    cell).  The splits are post-processing of the released grid, so this
+    arithmetic spends no budget.  Every rect gets the same elementwise
     operations and reduction axes whichever block of rects it is computed
     in, so the result does not depend on how a level is blocked.
     """
     grid = noisy.grid
+    other = 1 - axis
+    # Transposed so a rect's whole-cell sums and edge cells are row gathers:
+    # ``mass_t[j, i]`` is ``m[i, j]`` and ``prefix_t[j, i]`` is ``P[i, j]``.
     mass = np.clip(noisy.counts, 0.0, None)
-    edges = [grid.edges(ax) for ax in range(2)]
-    widths = [np.where(ed[1:] - ed[:-1] > 0, ed[1:] - ed[:-1], 1.0) for ed in edges]
+    mass_t = np.ascontiguousarray(mass.T if axis == 0 else mass)
+    n_other, n_axis = mass_t.shape
+    prefix_t = np.zeros((n_other + 1, n_axis))
+    np.cumsum(mass_t, axis=0, out=prefix_t[1:])
+    e, e_other = grid.edges(axis), grid.edges(other)
+    width, width_other = (np.where(ed[1:] - ed[:-1] > 0, ed[1:] - ed[:-1], 1.0)
+                          for ed in (e, e_other))
     ov_lo = np.maximum(np.asarray(grid.domain.rect.lo, dtype=float), lo)
     ov_hi = np.minimum(np.asarray(grid.domain.rect.hi, dtype=float), hi)
     center = (lo[:, axis] + hi[:, axis]) / 2.0
     out = center.copy()
     live = np.flatnonzero(np.all(ov_lo < ov_hi, axis=1))
-    block = max(1, _CELL_BLOCK_BYTES // mass.nbytes)
-    e = edges[axis]
+    block = max(1, _CELL_BLOCK_BYTES // mass_t[0].nbytes)  # bytes of one profile row
+
+    def edge_cell(cell, rows):
+        """Covered fraction of ``cell`` on the other axis (zero off the grid)
+        and its clamped index."""
+        on_grid = (cell >= 0) & (cell < n_other)
+        cell = np.minimum(np.maximum(cell, 0), n_other - 1)
+        covered = (np.minimum(e_other[cell + 1], ov_hi[rows, other])
+                   - np.maximum(e_other[cell], ov_lo[rows, other]))
+        return np.where(on_grid, np.clip(covered, 0.0, None) / width_other[cell], 0.0), cell
+
     for start in range(0, live.shape[0], block):
         rows = live[start:start + block]
-        fractions = []
-        for ax in range(2):
-            left = np.maximum(edges[ax][None, :-1], ov_lo[rows, ax, None])
-            right = np.minimum(edges[ax][None, 1:], ov_hi[rows, ax, None])
-            fractions.append(np.clip(right - left, 0.0, None) / widths[ax])
-        weighted = fractions[0][:, :, None] * fractions[1][:, None, :]
-        weighted *= mass
-        profile = weighted.sum(axis=2 - axis)  # sum over the other axis
+        left = np.maximum(e[None, :-1], ov_lo[rows, axis, None])
+        right = np.minimum(e[None, 1:], ov_hi[rows, axis, None])
+        fraction = np.clip(right - left, 0.0, None) / width
+        a = np.searchsorted(e_other, ov_lo[rows, other], side="left")
+        b = np.maximum(a, np.searchsorted(e_other, ov_hi[rows, other], side="right") - 1)
+        f_lo, cell_lo = edge_cell(a - 1, rows)
+        f_hi, cell_hi = edge_cell(b, rows)
+        profile = prefix_t[b] - prefix_t[a]
+        profile += f_lo[:, None] * mass_t[cell_lo]
+        profile += f_hi[:, None] * mass_t[cell_hi]
+        profile *= fraction
         total = profile.sum(axis=1)
         cum = np.cumsum(profile, axis=1)
         half = total / 2.0

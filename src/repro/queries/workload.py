@@ -20,6 +20,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from ..engine.points import PointGrid
 from ..geometry.domain import Domain
 from ..geometry.rect import Rect
 from ..privacy.rng import RngLike, ensure_rng
@@ -131,11 +132,6 @@ class QueryWorkload:
         return np.array([float(answer_fn(q)) for q in self.queries])
 
 
-def _true_count(points: np.ndarray, query: Rect) -> float:
-    """Exact number of data points inside ``query`` (closed box, brute force)."""
-    return float(query.count_points(points, closed_hi=True))
-
-
 def generate_workload(
     points: np.ndarray,
     domain: Domain,
@@ -152,6 +148,12 @@ def generate_workload(
     ``max_attempts_factor * n_queries`` placement attempts are made before
     giving up and returning however many valid queries were found — this only
     matters for pathological datasets that leave most of the domain empty.
+
+    Attempts are drawn in blocks and counted exactly (closed boxes) by one
+    :class:`~repro.engine.points.PointGrid`; accepted rects keep attempt
+    order.  When a block fills the request, the generator is rewound and
+    redraws exactly the attempts used, so the queries, their answers and the
+    generator's final state are those of placing one attempt at a time.
     """
     if n_queries < 0:
         raise ValueError("n_queries must be non-negative")
@@ -160,19 +162,31 @@ def generate_workload(
     pts = domain.validate_points(points)
     gen = ensure_rng(rng)
 
+    index = PointGrid.build(pts)
+    half = np.asarray(shape.extents, dtype=float) / 2.0
+    domain_lo = np.asarray(domain.rect.lo)
+    domain_hi = np.asarray(domain.rect.hi)
     queries: List[Rect] = []
     answers: List[float] = []
     attempts = 0
     max_attempts = max(1, max_attempts_factor) * max(1, n_queries)
     while len(queries) < n_queries and attempts < max_attempts:
-        attempts += 1
-        center = domain.denormalize(gen.random((1, domain.dims)))[0]
-        query = domain.query_rect(center, shape.extents)
-        if query.area <= 0:
-            continue
-        answer = _true_count(pts, query)
-        if require_nonzero and answer <= 0:
-            continue
-        queries.append(query)
-        answers.append(answer)
+        remaining = n_queries - len(queries)
+        take = min(max(64, 2 * remaining), max_attempts - attempts)
+        state = gen.bit_generator.state
+        centers = domain.denormalize(gen.random((take, domain.dims)))
+        # The rect of Domain.query_rect, for a whole block of centres.
+        lo = np.maximum(centers - half, domain_lo)
+        hi = np.maximum(np.minimum(centers + half, domain_hi), lo)
+        placed = np.flatnonzero(np.prod(hi - lo, axis=1) > 0)
+        counts = index.count_in_rects(lo[placed], hi[placed]).astype(float)
+        if require_nonzero:
+            placed, counts = placed[counts > 0], counts[counts > 0]
+        placed, counts = placed[:remaining], counts[:remaining]
+        queries.extend(Rect.from_arrays(lo[t], hi[t]) for t in placed)
+        answers.extend(counts.tolist())
+        if len(queries) == n_queries:  # rewind to exactly the attempts used
+            gen.bit_generator.state = state
+            gen.random((int(placed[-1]) + 1, domain.dims))
+        attempts += take
     return QueryWorkload(shape=shape, queries=queries, true_answers=np.asarray(answers, dtype=float))

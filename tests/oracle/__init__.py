@@ -10,7 +10,8 @@ unchanged in substance, as the readable executable specification:
   :class:`PointerPSD`, and the conversions to and from the BFS arrays;
 * :mod:`oracle.splits` — the per-node split of every production rule
   (scalar private medians, per-rect grid medians, geometric routing that puts
-  each point in exactly one child);
+  each point in exactly one child), and the full-weight grid median the
+  prefix-sum form replaced;
 * :mod:`oracle.build` — the per-node build pipeline (pointer structure,
   scalar noise draws, recursive OLS, top-down pruning);
 * :mod:`oracle.query` — the recursive canonical decomposition (estimates,
@@ -18,7 +19,9 @@ unchanged in substance, as the readable executable specification:
   pointer-walking engine compiler;
 * :mod:`oracle.hilbert` — the Hilbert-interval formulation of a planar
   query (rectangle → index intervals → summed 1-D answers);
-* :mod:`oracle.matching` — the seed-era record-matching blocking loop.
+* :mod:`oracle.matching` — the seed-era record-matching blocking loop;
+* :mod:`oracle.workload` — per-attempt query workload generation with
+  brute-force true answers.
 
 Nothing under ``src/`` imports this package.  Tests import it as ``oracle``
 (pytest puts ``tests/`` on ``sys.path``); scripts outside ``tests/`` insert
@@ -53,7 +56,7 @@ from .query import (
     query_variance,
     range_query,
 )
-from .splits import domain_aware_mask, grid_median_along_axis, split_node
+from .splits import domain_aware_mask, full_weight_grid_median, grid_median_along_axis, split_node
 from .tree import (
     PointerPSD,
     PSDNode,
@@ -65,6 +68,7 @@ from .tree import (
     pointer_view,
     root,
 )
+from .workload import per_attempt_workload
 
 __all__ = [
     "PSDNode",
@@ -78,6 +82,7 @@ __all__ = [
     "flatten_tree",
     "split_node",
     "grid_median_along_axis",
+    "full_weight_grid_median",
     "domain_aware_mask",
     "build_psd",
     "populate_noisy_counts",
@@ -105,4 +110,5 @@ __all__ = [
     "range_query_intervals",
     "blocking_reference",
     "reference_blocking",
+    "per_attempt_workload",
 ]

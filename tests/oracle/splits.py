@@ -29,7 +29,8 @@ from repro.index.grid import NoisyGrid
 from repro.privacy.median import resolve_median_method, true_median
 from repro.privacy.rng import RngLike, ensure_rng
 
-__all__ = ["SplitResult", "split_node", "grid_median_along_axis", "domain_aware_mask"]
+__all__ = ["SplitResult", "split_node", "grid_median_along_axis", "full_weight_grid_median",
+           "domain_aware_mask"]
 
 #: One child produced by a split: its rectangle and the points routed to it.
 SplitResult = Tuple[Rect, np.ndarray]
@@ -69,39 +70,10 @@ def _partition(rect_list: List[Rect], points: np.ndarray, domain: Domain) -> Lis
     return [(child_rect, points[owner == i]) for i, child_rect in enumerate(rect_list)]
 
 
-def grid_median_along_axis(noisy: NoisyGrid, rect: Rect, axis: int) -> float:
-    """Approximate median coordinate along ``axis`` of the noisy grid mass in ``rect``.
-
-    Used by the cell-based kd-tree [26]: the per-cell noisy counts inside
-    ``rect`` are aggregated into a 1-D profile along ``axis`` (cells partially
-    covered contribute proportionally to their covered area), negative counts
-    are floored at zero, and the half-mass coordinate is interpolated.
-    """
-    grid = noisy.grid
-    if not 0 <= axis < grid.domain.dims:
-        raise ValueError("axis out of range")
-    overlap = grid.domain.rect.intersection(rect)
-    if overlap is None:
-        return rect.center[axis]
-
-    # Per-axis coverage fraction of every cell (same machinery as range_count).
-    fractions = []
-    for ax in range(grid.domain.dims):
-        edges = grid.edges(ax)
-        left = np.maximum(edges[:-1], overlap.lo[ax])
-        right = np.minimum(edges[1:], overlap.hi[ax])
-        width = edges[1:] - edges[:-1]
-        frac = np.clip(right - left, 0.0, None) / np.where(width > 0, width, 1.0)
-        fractions.append(frac)
-    weight = fractions[0]
-    for frac in fractions[1:]:
-        weight = np.multiply.outer(weight, frac)
-    weighted = np.clip(noisy.counts, 0.0, None) * weight
-
-    other_axes = tuple(ax for ax in range(grid.domain.dims) if ax != axis)
-    profile = weighted.sum(axis=other_axes) if other_axes else weighted
+def _half_mass_coordinate(profile: np.ndarray, edges: np.ndarray, rect: Rect, axis: int) -> float:
+    """Interpolated half-mass coordinate of a 1-D cell profile, clamped into
+    ``rect`` (its center when the profile holds no mass)."""
     total = profile.sum()
-    edges = grid.edges(axis)
     if total <= 0:
         return rect.center[axis]
     cum = np.cumsum(profile)
@@ -114,6 +86,83 @@ def grid_median_along_axis(noisy: NoisyGrid, rect: Rect, axis: int) -> float:
     frac = min(max(frac, 0.0), 1.0)
     value = float(edges[idx] + frac * (edges[idx + 1] - edges[idx]))
     return float(min(max(value, rect.lo[axis]), rect.hi[axis]))
+
+
+def _coverage(noisy: NoisyGrid, overlap: Rect, ax: int) -> np.ndarray:
+    """Fraction of every cell along ``ax`` that ``overlap`` covers."""
+    edges = noisy.grid.edges(ax)
+    left = np.maximum(edges[:-1], overlap.lo[ax])
+    right = np.minimum(edges[1:], overlap.hi[ax])
+    width = edges[1:] - edges[:-1]
+    return np.clip(right - left, 0.0, None) / np.where(width > 0, width, 1.0)
+
+
+def grid_median_along_axis(noisy: NoisyGrid, rect: Rect, axis: int) -> float:
+    """Approximate median coordinate along ``axis`` of the noisy grid mass in ``rect``.
+
+    Used by the cell-based kd-tree [26]: the per-cell noisy counts inside
+    ``rect``, floored at zero, are aggregated into a 1-D profile along
+    ``axis`` (cells partially covered contribute proportionally to their
+    covered area), and the half-mass coordinate is interpolated.
+
+    The profile is read off prefix sums along the other axis, in the
+    production kernel's arithmetic: with ``m`` the clipped mass (rows along
+    ``axis``), ``P`` its ``np.cumsum`` along the other axis with a leading
+    zero, ``[a, b)`` the whole cells of the overlap on the other axis and
+    ``f`` the coverage along ``axis``, row ``i`` is
+    ``f[i] * ((P[i, b] - P[i, a]) + f_lo * m[i, a-1] + f_hi * m[i, b])``,
+    skipping an edge cell that lies off the grid.
+    :func:`full_weight_grid_median` is the same median summed over the whole
+    weighted grid.
+    """
+    grid = noisy.grid
+    if not 0 <= axis < grid.domain.dims:
+        raise ValueError("axis out of range")
+    if grid.domain.dims != 2:
+        raise ValueError("the prefix-sum grid median needs a two-dimensional grid")
+    overlap = grid.domain.rect.intersection(rect)
+    if overlap is None:
+        return rect.center[axis]
+    other = 1 - axis
+    mass = np.clip(noisy.counts, 0.0, None)
+    rows = mass if axis == 0 else mass.T
+    prefix = np.zeros((rows.shape[0], rows.shape[1] + 1))
+    np.cumsum(rows, axis=1, out=prefix[:, 1:])
+
+    edges_other = grid.edges(other)
+    cover_other = _coverage(noisy, overlap, other)
+    a = int(np.searchsorted(edges_other, overlap.lo[other], side="left"))
+    b = max(a, int(np.searchsorted(edges_other, overlap.hi[other], side="right")) - 1)
+    profile = prefix[:, b] - prefix[:, a]
+    if a >= 1:
+        profile = profile + cover_other[a - 1] * rows[:, a - 1]
+    if b < rows.shape[1]:
+        profile = profile + cover_other[b] * rows[:, b]
+    profile = _coverage(noisy, overlap, axis) * profile
+    return _half_mass_coordinate(profile, grid.edges(axis), rect, axis)
+
+
+def full_weight_grid_median(noisy: NoisyGrid, rect: Rect, axis: int) -> float:
+    """The grid median of :func:`grid_median_along_axis`, summed over the whole grid.
+
+    Every cell of the clipped grid is weighted by the product of its per-axis
+    coverage fractions and the weighted grid is summed over the other axes —
+    O(G^d) per rect, in any number of dimensions.  The prefix-sum form
+    associates the same sum differently, so the two agree to rounding.
+    """
+    grid = noisy.grid
+    if not 0 <= axis < grid.domain.dims:
+        raise ValueError("axis out of range")
+    overlap = grid.domain.rect.intersection(rect)
+    if overlap is None:
+        return rect.center[axis]
+    weight = _coverage(noisy, overlap, 0)
+    for ax in range(1, grid.domain.dims):
+        weight = np.multiply.outer(weight, _coverage(noisy, overlap, ax))
+    weighted = np.clip(noisy.counts, 0.0, None) * weight
+    other_axes = tuple(ax for ax in range(grid.domain.dims) if ax != axis)
+    profile = weighted.sum(axis=other_axes) if other_axes else weighted
+    return _half_mass_coordinate(profile, grid.edges(axis), rect, axis)
 
 
 def _median(median_method, values: np.ndarray, epsilon: float, lo: float, hi: float,

@@ -28,7 +28,7 @@ from repro.core.splits import CellKDSplit, HybridSplit, KDSplit
 from repro.data import uniform_points
 from repro.engine.cache import CachedEngine
 from repro.engine.flat import compile_hilbert_rtree, compile_psd
-from repro.geometry import Domain, Rect
+from repro.geometry import TIGER_DOMAIN, Domain, Rect
 from repro.geometry.hilbert import HilbertCurve
 from repro.index import NoisyGrid, UniformGrid
 from repro.privacy.median import (
@@ -270,6 +270,50 @@ class TestCellSplitLevel:
             for j, (rect, _) in enumerate(children):
                 assert rect.lo == tuple(child_lo[4 * i + j]), (i, j)
                 assert rect.hi == tuple(child_hi[4 * i + j]), (i, j)
+
+    @pytest.mark.parametrize("shape,n_rects", [((32, 24), 1024), ((256, 256), 256)])
+    def test_level_medians_near_full_weight_formula(self, shape, n_rects):
+        """The prefix-sum profile re-associates the full-weight grid sum: every
+        split stays within 1e-12 of the domain width of the full-weight formula."""
+        gen = np.random.default_rng(11)
+        counts = gen.normal(3.0, 4.0, shape)
+        counts[: shape[0] // 4, : shape[1] // 4] = -1.0  # nothing left after clipping
+        grid = UniformGrid(domain=TIGER_DOMAIN, shape=shape)
+        rule = CellKDSplit(noisy_grid=NoisyGrid(grid=grid, counts=counts, epsilon=1.0))
+        d_lo, d_hi = np.asarray(TIGER_DOMAIN.rect.lo), np.asarray(TIGER_DOMAIN.rect.hi)
+        widths = d_hi - d_lo
+        lo = d_lo + widths * gen.uniform(-0.25, 1.0, (n_rects, 2))
+        hi = lo + widths * gen.uniform(0.0, 0.6, (n_rects, 2))
+        ex, ey = grid.edges(0), grid.edges(1)
+        cell = np.array([ex[1] - ex[0], ey[1] - ey[0]])
+        mx, my = shape[0] // 2, shape[1] // 2  # a cell with mass
+        corner = np.array([ex[mx], ey[my]])
+        edge_cases = [
+            ((ex[3], ey[2]), (ex[mx + 3], ey[my + 5])),  # on grid edges
+            ((ex[0], ey[0]), (ex[-1], ey[-1])),  # the whole grid
+            (corner + (0.1, 0.2) * cell, corner + (0.4, 0.9) * cell),  # inside one cell
+            ((ex[2], ey[my] + 0.3 * cell[1]), (ex[-3], ey[my] + 0.6 * cell[1])),  # one cell row
+            (d_hi - 0.5 * cell, d_hi + cell),  # inside the top cell, partly off the grid
+            (d_hi + 1.0, d_hi + 2.0),  # off the grid
+            (d_lo + cell, d_lo + 0.2 * widths),  # zero clipped grid mass
+            ((ex[4], ey[4]), (ex[4], ey[20])),  # zero width
+        ]
+        for i, (case_lo, case_hi) in enumerate(edge_cases):
+            lo[i], hi[i] = case_lo, case_hi
+        no_points = np.empty((0, 2))
+        child_lo, child_hi, _, _ = rule.split_level(lo, hi, no_points, np.empty(0, dtype=np.int64),
+                                                    1, 1, 0.0)
+        split_x = child_hi[0::4, 0]
+        split_y = child_hi[0::2, 1].reshape(n_rects, 2)  # low half's y-split, then the high half's
+        noisy = rule.noisy_grid
+        for i in range(n_rects):
+            ref_x = oracle.full_weight_grid_median(noisy, Rect(tuple(lo[i]), tuple(hi[i])), axis=0)
+            assert abs(split_x[i] - ref_x) <= 1e-12 * widths[0], (i, split_x[i], ref_x)
+            halves = (Rect(tuple(lo[i]), (split_x[i], hi[i, 1])),
+                      Rect((split_x[i], lo[i, 1]), tuple(hi[i])))
+            for j, half in enumerate(halves):
+                ref_y = oracle.full_weight_grid_median(noisy, half, axis=1)
+                assert abs(split_y[i, j] - ref_y) <= 1e-12 * widths[1], (i, j, split_y[i, j], ref_y)
 
     @pytest.mark.parametrize("resolution", [16, 64])
     @pytest.mark.parametrize("height", [2, 4])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from repro.data import (
     MEDIAN_STUDY_DOMAIN,
     RoadNetworkConfig,
@@ -102,6 +103,43 @@ class TestGenerateWorkload:
         w1 = generate_workload(road_points, tiger_domain, QueryShape((5.0, 5.0)), n_queries=8, rng=9)
         w2 = generate_workload(road_points, tiger_domain, QueryShape((5.0, 5.0)), n_queries=8, rng=9)
         assert [q.lo for q in w1.queries] == [q.lo for q in w2.queries]
+
+
+#: (points, domain, shape, keyword arguments) per case of the block-drawn vs
+#: per-attempt equivalence test; ``road`` / ``tiger`` stand for the fixtures.
+_WORKLOAD_CASES = {
+    **{f"kd-{shape.label}": ("road", "tiger", shape, {"n_queries": 150})
+       for shape in KD_QUERY_SHAPES},
+    "empty-exhausted": (np.empty((0, 2)), "tiger", QueryShape((1.0, 1.0)),
+                        {"n_queries": 5, "max_attempts_factor": 3}),
+    "empty-zero-allowed": (np.empty((0, 2)), "tiger", QueryShape((1.0, 1.0)),
+                           {"n_queries": 70, "require_nonzero": False}),
+    "larger-than-domain": ("road", "tiger", QueryShape((100.0, 100.0)), {"n_queries": 9}),
+    "sparse-many-blocks": ("road", "tiger", QueryShape((0.1, 0.1)), {"n_queries": 60}),
+    "tiny-shape-capped": ("road", "tiger", QueryShape((1e-3, 1e-3)),
+                          {"n_queries": 40, "max_attempts_factor": 2}),
+    "no-queries": ("road", "tiger", QueryShape((5.0, 5.0)), {"n_queries": 0}),
+    "1-d-domain": (uniform_points(500, Domain.unit(1), rng=np.random.default_rng(3)),
+                   Domain.unit(1), QueryShape((0.01,)), {"n_queries": 90}),
+    "3-d-domain": (uniform_points(500, Domain.unit(3), rng=np.random.default_rng(4)),
+                   Domain.unit(3), QueryShape((0.1, 0.2, 0.3)), {"n_queries": 90}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WORKLOAD_CASES))
+def test_block_drawn_workload_matches_per_attempt_reference(case, road_points, tiger_domain):
+    """Block-drawn attempts with exact grid counts give the per-attempt loop's
+    queries, true answers and final generator state, bit for bit."""
+    points, domain, shape, kwargs = _WORKLOAD_CASES[case]
+    points = road_points if isinstance(points, str) else points
+    domain = tiger_domain if isinstance(domain, str) else domain
+    gen, ref_gen = np.random.default_rng(77), np.random.default_rng(77)
+    workload = generate_workload(points, domain, shape, rng=gen, **kwargs)
+    reference = oracle.per_attempt_workload(points, domain, shape, rng=ref_gen, **kwargs)
+    assert workload.queries == reference.queries
+    assert workload.true_answers.dtype == reference.true_answers.dtype
+    assert np.array_equal(workload.true_answers, reference.true_answers)
+    assert gen.bit_generator.state == ref_gen.bit_generator.state
 
 
 # ----------------------------------------------------------------------
