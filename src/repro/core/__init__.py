@@ -19,11 +19,10 @@ from .builder import (
     populate_noisy_counts,
 )
 
-# NB: the raw flat-array mutators (apply_ols_flat, prune_flat, populate_
-# noisy_counts_flat) are deliberately NOT re-exported: they bypass the
-# compiled-engine invalidation that apply_ols / prune_low_count_subtrees /
-# populate_noisy_counts perform.  Import them from repro.core.flatbuild only
-# if you own the engine lifecycle yourself.
+# NB: the raw flat-array mutators (apply_ols_flat, prune_flat) are
+# deliberately NOT re-exported: they bypass the compiled-engine invalidation
+# that apply_ols / prune_low_count_subtrees perform.  Import them from
+# repro.core.flatbuild only if you own the engine lifecycle yourself.
 from .flatbuild import (
     FlatTree,
     build_flat_structure,

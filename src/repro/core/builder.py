@@ -14,22 +14,25 @@ Every PSD variant in the paper is an instance of the same recipe:
 4. optionally post-process the counts with the OLS estimator (Section 5) and
    prune low-count subtrees (Section 7).
 
-:func:`build_psd` implements this recipe once; the convenience constructors in
-:mod:`repro.core.quadtree` and :mod:`repro.core.kdtree` only choose the pieces.
+:func:`build_psd_releases` implements this recipe once, for any number of
+``(epsilon, repetition)`` releases; :func:`build_psd` is its batch of one, and
+the convenience constructors in :mod:`repro.core.quadtree`,
+:mod:`repro.core.kdtree` and :mod:`repro.core.hilbert_rtree` only choose the
+pieces.
 
-The tree is constructed directly in the breadth-first structure-of-arrays form
-of :mod:`repro.core.flatbuild`, with one vectorized split per level (each
+The trees are constructed directly in the breadth-first structure-of-arrays
+form of :mod:`repro.core.flatbuild`, with one vectorized split per level (each
 point in exactly one node per level) and one batched Laplace vector per
-level.  The RNG is consumed in a fixed order (nodes in BFS order within each
-level, levels root-down for structure and for noise), so a seeded build is
-reproducible bit for bit; the per-node pointer builder kept in
-``tests/oracle`` consumes the same stream and the parity suites hold the two
-to identical bits.
+release.  The RNG is consumed in a fixed order (release by release; within a
+release, nodes in BFS order within each level, levels root-down for structure
+and then for noise), so a seeded build is reproducible bit for bit; the
+per-node pointer builder kept in ``tests/oracle`` consumes the same stream and
+the parity suites hold the two to identical bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -43,7 +46,6 @@ from .flatbuild import (
     batch_from_shared_structure,
     build_flat_structure,
     build_flat_structures_stacked,
-    populate_noisy_counts_flat,
     populate_noisy_counts_releases,
 )
 from .splits import SplitRule
@@ -95,96 +97,27 @@ def build_psd(
     postprocess: bool = False,
     prune_threshold: Optional[float] = None,
     noiseless_counts: bool = False,
-    accountant: Optional[PrivacyAccountant] = None,
     structure_epsilon_charged: float = 0.0,
 ) -> PrivateSpatialDecomposition:
-    """Build a complete private spatial decomposition.
+    """Build one private spatial decomposition: release 0 of a batch of one.
 
-    Parameters
-    ----------
-    points:
-        ``(n, d)`` array of private data points, all inside ``domain``.
-    domain:
-        The public data domain (root rectangle).
-    height:
-        Tree height ``h``; leaves at level 0, root at level ``h``.
-    split_rule:
-        How nodes are divided (quadtree, kd, hybrid, cell-based, ...).
-    epsilon:
-        Total privacy budget for this release (medians + counts).  Budget
-        already spent on auxiliary released structures (e.g. the noisy grid of
-        the cell-based kd-tree) should be *excluded* here and reported via
-        ``structure_epsilon_charged`` so the accountant still sees the full
-        picture.
-    count_budget:
-        Budget strategy (or its name) for the per-level count parameters.
-    budget_split:
-        Count/median split; defaults to 70 % counts / 30 % medians for
-        data-dependent rules.
-    postprocess:
-        Apply the OLS post-processing after populating counts.
-    prune_threshold:
-        If given, prune subtrees below nodes whose released count falls under
-        the threshold (applied after post-processing, as in Section 7).
-    noiseless_counts:
-        Release exact counts (used only for the non-private ``kd-pure``
-        baseline; the result is *not* differentially private).
-    accountant:
-        Optionally, an existing accountant to charge; one is created otherwise.
-    structure_epsilon_charged:
-        Budget already charged to the accountant by the caller for structure
-        (informational; included in the accountant's total budget check).
+    The arguments are those of :func:`build_psd_releases` with a single
+    ``epsilon`` (the total budget of this release, medians plus counts).
+    ``structure_epsilon_charged`` is budget the caller already spent on
+    released auxiliary structure — the cell-based kd-tree's noisy grid —
+    which is *excluded* from ``epsilon``; the release's accountant charges it
+    at the root level, so its total covers the whole spend.
+    ``noiseless_counts`` releases exact counts (the non-private ``kd-pure``
+    baseline only; the result is *not* differentially private).
     """
-    if height < 0:
-        raise ValueError("height must be non-negative")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    gen = ensure_rng(rng)
-    pts = domain.validate_points(points)
-
-    dd_levels = split_rule.data_dependent_levels(height)
-    split = budget_split or BudgetSplit()
-    eps_count_total, eps_median_total = split.partition(epsilon, data_dependent=bool(dd_levels))
-    eps_median_per_level = eps_median_total / len(dd_levels) if dd_levels else 0.0
-
-    strategy = resolve_budget(count_budget)
-    count_epsilons = strategy.validate(height, eps_count_total)
-
-    ledger = accountant or PrivacyAccountant(total_budget=epsilon + structure_epsilon_charged)
-    for level in dd_levels:
-        ledger.charge(eps_median_per_level, level=level, kind="median")
-
-    # ------------------------------------------------------------------
-    # Structure construction (level by level, root down).
-    # ------------------------------------------------------------------
-    metadata = {
-        "split_rule": getattr(split_rule, "name", type(split_rule).__name__),
-        "count_budget": getattr(strategy, "name", type(strategy).__name__),
-        "epsilon": epsilon,
-        "epsilon_count": eps_count_total,
-        "epsilon_median": eps_median_total,
-        "structure_epsilon": structure_epsilon_charged,
-    }
-    psd = PrivateSpatialDecomposition(
-        flat=build_flat_structure(pts, domain, height, split_rule, eps_median_per_level, rng=gen),
-        domain=domain,
-        count_epsilons=count_epsilons,
-        accountant=ledger,
-        name=name,
-        metadata=metadata,
+    batch = build_psd_releases(
+        points, domain, height, split_rule, (epsilon,), count_budget=count_budget,
+        budget_split=budget_split, rng=rng, name=name, postprocess=postprocess,
+        noiseless_counts=noiseless_counts,
     )
-
-    populate_noisy_counts(psd, rng=gen, noiseless=noiseless_counts)
-    for level, eps in enumerate(count_epsilons):
-        if eps > 0:
-            ledger.charge(eps, level=level, kind="count")
-    ledger.assert_within_budget()
-
-    if postprocess:
-        psd.postprocess()
-    if prune_threshold is not None:
-        psd.prune(prune_threshold)
-    return psd
+    batch.structure_epsilon = float(structure_epsilon_charged)
+    psd = batch.release(0)
+    return psd if prune_threshold is None else psd.prune(prune_threshold)
 
 
 def populate_noisy_counts(
@@ -198,23 +131,29 @@ def populate_noisy_counts(
     ``noiseless=True`` exact counts are stored instead — used by the
     non-private baselines; the result is then *not* differentially private.
 
-    Noise is drawn in canonical level order (root level first, nodes in BFS
-    order within a level), one batched vector per level.  Because this
-    *changes the released counts*, any memoised compiled engine is
-    invalidated first.
+    The draw is the build's own: one standard-Laplace vector in canonical
+    order (root level first, nodes in BFS order within a level), scaled per
+    level.  Because this *changes the released counts*, any memoised
+    compiled engine is invalidated first.
     """
     from ..engine.flat import invalidate_compiled_engine
 
     # The released counts are about to change: a memoised flat engine would
     # otherwise keep serving the stale release.
     invalidate_compiled_engine(psd)
-    populate_noisy_counts_flat(psd.flat_tree, psd.count_epsilons, rng=ensure_rng(rng),
-                               noiseless=noiseless)
+    tree = psd.flat_tree
+    count_eps = np.asarray([psd.count_epsilons], dtype=float)
+    level_sizes = np.bincount(tree.level, minlength=tree.height + 1)
+    noise = _draw_count_noise(ensure_rng(rng), count_eps, level_sizes, noiseless)
+    batch = populate_noisy_counts_releases(batch_from_shared_structure(tree, 1), count_eps,
+                                           noise, noiseless)
+    tree.noisy_count = batch.noisy_count[0]
+    tree.post_count = None
     return psd
 
 
 # ----------------------------------------------------------------------
-# Multi-release sweeps: one structure pass, R noisy releases
+# The build pipeline: one structure pass, R noisy releases
 # ----------------------------------------------------------------------
 class PSDReleaseBatch:
     """``R`` private releases of one PSD configuration, built as a batch.
@@ -231,7 +170,8 @@ class PSDReleaseBatch:
     released number.  The batch stays in array form
     (:class:`~repro.core.flatbuild.FlatTreeBatch`) as long as the public
     methods are used; :meth:`release` materialises one release as an ordinary
-    :class:`PrivateSpatialDecomposition` on demand.
+    :class:`PrivateSpatialDecomposition` on demand, with its own accountant
+    and metadata.
 
     Post-processing applies the OLS estimator to all releases in one set of
     per-level sweeps; pruning (whose cuts depend on each release's counts)
@@ -239,6 +179,11 @@ class PSDReleaseBatch:
     batches with shared geometry (data-independent structures, unpruned)
     through one sparse query-to-node matrix for *all* releases — see
     :func:`repro.engine.batch.compile_query_matrix`.
+
+    ``structure_epsilon`` is budget spent per release on released auxiliary
+    structure outside ``epsilons`` (set by :func:`build_psd` for the
+    cell-based kd-tree's grid); every release's accountant charges it at the
+    root level and its metadata reports it.
     """
 
     def __init__(
@@ -250,11 +195,11 @@ class PSDReleaseBatch:
         name: str,
         epsilons: np.ndarray,
         count_epsilons: np.ndarray,
-        eps_median_per_level: np.ndarray,
-        dd_levels: Sequence[int],
-        structure_epsilon_charged: float = 0.0,
         flat=None,
         psds: Optional[List[PrivateSpatialDecomposition]] = None,
+        epsilon_count: Optional[np.ndarray] = None,
+        epsilon_median: Optional[np.ndarray] = None,
+        dd_levels: Sequence[int] = (),
         metadata: Optional[Dict[str, object]] = None,
     ) -> None:
         if (flat is None) == (psds is None):
@@ -265,9 +210,10 @@ class PSDReleaseBatch:
         self.name = name
         self.epsilons = np.asarray(epsilons, dtype=float)
         self.count_epsilons = np.asarray(count_epsilons, dtype=float)
-        self._eps_median_per_level = np.asarray(eps_median_per_level, dtype=float)
+        self._epsilon_count = epsilon_count
+        self._epsilon_median = epsilon_median
         self._dd_levels = tuple(dd_levels)
-        self._structure_epsilon = float(structure_epsilon_charged)
+        self.structure_epsilon = 0.0
         self._flat = flat
         self._psds = psds
         self.metadata: Dict[str, object] = {} if metadata is None else metadata
@@ -323,7 +269,13 @@ class PSDReleaseBatch:
             count_epsilons=self.count_epsilons[r],
             accountant=self._make_accountant(r),
             name=self.name,
-            metadata=dict(self.metadata, release_index=r, sweep_size=self.n_releases),
+            metadata=dict(
+                self.metadata,
+                epsilon=float(self.epsilons[r]),
+                epsilon_count=float(self._epsilon_count[r]),
+                epsilon_median=float(self._epsilon_median[r]),
+                structure_epsilon=self.structure_epsilon,
+            ),
         )
         self._cache[r] = psd
         return psd
@@ -333,14 +285,18 @@ class PSDReleaseBatch:
         return [self.release(r) for r in range(self.n_releases)]
 
     def _make_accountant(self, r: int) -> PrivacyAccountant:
-        ledger = PrivacyAccountant(
-            total_budget=float(self.epsilons[r]) + self._structure_epsilon
-        )
+        ledger = PrivacyAccountant(total_budget=float(self.epsilons[r]) + self.structure_epsilon)
+        if self.structure_epsilon > 0:
+            # One released grid serves the splits of every level: a single
+            # parallel-composition release, charged once at the root.
+            ledger.charge(self.structure_epsilon, level=self.height, kind="structure")
         for level in self._dd_levels:
-            ledger.charge(float(self._eps_median_per_level[r]), level=level, kind="median")
+            ledger.charge(float(self._epsilon_median[r]) / len(self._dd_levels),
+                          level=level, kind="median")
         for level, eps in enumerate(self.count_epsilons[r]):
             if eps > 0:
                 ledger.charge(float(eps), level=level, kind="count")
+        ledger.assert_within_budget()
         return ledger
 
     # ------------------------------------------------------------------
@@ -406,8 +362,9 @@ def _structure_draw_plan(
     Entry ``i`` of the result covers split level ``height - i`` and holds one
     draw count per release.  ``None`` anywhere (a data-dependent draw layout,
     e.g. sampled medians) or a level whose releases disagree on *whether*
-    they draw sends the sweep down the sequential loop — a mixed level has
-    no single stacked layout, and ``split_level`` refuses one.
+    they draw sends the build release by release down the live generator —
+    a mixed level has no single stacked layout, and ``split_level`` refuses
+    one.
     """
     plan: List[np.ndarray] = []
     for level in range(height, 0, -1):
@@ -451,15 +408,39 @@ def build_psd_releases(
     trees through stacked :meth:`~repro.core.splits.SplitRule.split_level`
     calls — and all count noise is drawn as release-major batches.
 
+    Parameters
+    ----------
+    points:
+        ``(n, d)`` array of private data points, all inside ``domain``.
+    domain:
+        The public data domain (root rectangle).
+    height:
+        Tree height ``h``; leaves at level 0, root at level ``h``.
+    split_rule:
+        How nodes are divided (quadtree, kd, hybrid, cell-based, ...).
+    epsilons:
+        Total privacy budget (medians + counts) of each release group.
+    count_budget:
+        Budget strategy (or its name) for the per-level count parameters.
+    budget_split:
+        Count/median split; defaults to 70 % counts / 30 % medians for
+        data-dependent rules.
+    postprocess:
+        Apply the OLS post-processing after populating counts.
+    prune_threshold:
+        If given, prune subtrees below nodes whose released count falls under
+        the threshold (applied after post-processing, as in Section 7).
+    noiseless_counts:
+        Release exact counts (the non-private ``kd-pure`` baseline only).
+
     **Parity contract**: release ``r`` (in ``epsilon``-major, repetition-minor
     order) is bitwise identical — structure, noisy counts, post-processed
     counts, and the generator's final state — to the ``r``-th build of the
-    sequential loop over ``build_psd`` with the same arguments and the same
-    seeded generator.  Split rules without a statically-known draw layout
-    (sampled medians draw one uniform per point) run exactly that sequential
-    loop, so the contract holds trivially; so does the cell-based kd-tree,
-    whose grid is released per release (see
-    :func:`repro.core.kdtree.build_private_kdtree_releases`).
+    sequential loop over :func:`build_psd` with the same arguments and the
+    same seeded generator.  Split rules without a statically-known draw
+    layout (sampled medians draw one uniform per point) build their releases
+    one after another on the live generator, each followed by its count
+    noise, so the contract holds trivially.
 
     ``structure`` optionally hands in a prebuilt
     :class:`~repro.core.flatbuild.FlatTree` for a **data-independent** rule —
@@ -490,6 +471,7 @@ def build_psd_releases(
     # The split and the level allocation depend on epsilon alone: compute them
     # once per entry of `epsilons` and repeat the rows, as release_eps does.
     partitions = [split.partition(e, data_dependent=bool(dd_levels)) for e in eps_list]
+    eps_count = np.repeat(np.asarray([p[0] for p in partitions]), repetitions)
     eps_median = np.repeat(np.asarray([p[1] for p in partitions]), repetitions)
     eps_median_per_level = eps_median / len(dd_levels) if dd_levels else np.zeros(n_releases)
 
@@ -498,39 +480,11 @@ def build_psd_releases(
         np.asarray([strategy.validate(height, p[0]) for p in partitions], dtype=float),
         repetitions, axis=0,
     )
-
-    metadata = {
-        "split_rule": getattr(split_rule, "name", type(split_rule).__name__),
-        "count_budget": getattr(strategy, "name", type(strategy).__name__),
-    }
-
-    def sequential_fallback() -> PSDReleaseBatch:
-        psds = [
-            build_psd(
-                points=pts,
-                domain=domain,
-                height=height,
-                split_rule=split_rule,
-                epsilon=float(release_eps[r]),
-                count_budget=count_budget,
-                budget_split=budget_split,
-                rng=gen,
-                name=name,
-                postprocess=postprocess,
-                prune_threshold=prune_threshold,
-                noiseless_counts=noiseless_counts,
-            )
-            for r in range(n_releases)
-        ]
-        return PSDReleaseBatch(
-            domain=domain, height=height, fanout=split_rule.fanout, name=name,
-            epsilons=release_eps, count_epsilons=count_eps,
-            eps_median_per_level=eps_median_per_level, dd_levels=dd_levels,
-            psds=psds, metadata=metadata,
-        )
+    level_sizes = split_rule.fanout ** (height - np.arange(height + 1, dtype=np.int64))
 
     if structure is not None and dd_levels:
         raise ValueError("structure= applies only to data-independent split rules")
+    flat_batch = None
     if not dd_levels:
         if structure is not None:
             if structure.height != height or structure.fanout != split_rule.fanout:
@@ -540,44 +494,63 @@ def build_psd_releases(
             # Data-independent structure: one build serves every release.  The
             # build must not touch the RNG (a rule that did would give each
             # sequential release a *different* structure); verify by state
-            # snapshot and fall back to the sequential loop if it did.
+            # snapshot and build release by release below if it did.
             state_before = gen.bit_generator.state
             tree = build_flat_structure(pts, domain, height, split_rule, 0.0, rng=gen)
             if gen.bit_generator.state != state_before:
                 gen.bit_generator.state = state_before
-                return sequential_fallback()
-        flat_batch = batch_from_shared_structure(tree, n_releases)
-        std_laplace = _draw_count_noise(gen, count_eps, flat_batch.level, noiseless_counts)
+                tree = None
+        if tree is not None:
+            flat_batch = batch_from_shared_structure(tree, n_releases)
+            std_laplace = _draw_count_noise(gen, count_eps, level_sizes, noiseless_counts)
     else:
         plan = _structure_draw_plan(split_rule, height, eps_median_per_level)
-        if plan is None:
-            return sequential_fallback()
-        # Pre-draw release-major: each release's structure uniforms (levels
-        # root-down), then its count noise — exactly the stream the
-        # sequential loop consumes, so the final generator state matches.
-        level_chunks: List[List[np.ndarray]] = [[] for _ in plan]
-        std_laplace = []
-        noise_sizes = _noise_draw_sizes(count_eps, split_rule.fanout, height, noiseless_counts)
+        if plan is not None:
+            # Pre-draw release-major: each release's structure uniforms (levels
+            # root-down), then its count noise — exactly the stream the
+            # sequential loop consumes, so the final generator state matches.
+            level_chunks: List[List[np.ndarray]] = [[] for _ in plan]
+            std_laplace = []
+            for r in range(n_releases):
+                for i, per_release in enumerate(plan):
+                    if per_release[r] > 0:
+                        level_chunks[i].append(gen.random(int(per_release[r])))
+                std_laplace += _draw_count_noise(gen, count_eps[r:r + 1], level_sizes,
+                                                 noiseless_counts)
+            replay = ReplayRng([np.concatenate(chunks) for chunks in level_chunks if chunks])
+            flat_batch = build_flat_structures_stacked(
+                pts, domain, height, split_rule, eps_median_per_level, replay
+            )
+            if not replay.exhausted():
+                raise RuntimeError("stacked build consumed fewer uniforms than pre-drawn")
+    if flat_batch is None:
+        # No draw layout known up front (sampled medians, or a data-independent
+        # rule that draws): build the releases one after another on the live
+        # generator, each followed by its own count noise.
+        parts, std_laplace = [], []
         for r in range(n_releases):
-            for i, per_release in enumerate(plan):
-                if per_release[r] > 0:
-                    level_chunks[i].append(gen.random(int(per_release[r])))
-            m = int(noise_sizes[r])
-            std_laplace.append(gen.laplace(0.0, 1.0, size=m) if m else np.empty(0))
-        replay = ReplayRng([np.concatenate(chunks) for chunks in level_chunks if chunks])
-        flat_batch = build_flat_structures_stacked(
-            pts, domain, height, split_rule, eps_median_per_level, replay
+            parts.append(build_flat_structures_stacked(
+                pts, domain, height, split_rule, eps_median_per_level[r:r + 1], gen))
+            std_laplace += _draw_count_noise(gen, count_eps[r:r + 1], level_sizes,
+                                             noiseless_counts)
+        flat_batch = parts[0] if n_releases == 1 else replace(
+            parts[0],
+            lo=np.concatenate([p.lo for p in parts]),
+            hi=np.concatenate([p.hi for p in parts]),
+            true_count=np.concatenate([p.true_count for p in parts]),
+            noisy_count=np.concatenate([p.noisy_count for p in parts]),
         )
-        if not replay.exhausted():
-            raise RuntimeError("stacked build consumed fewer uniforms than pre-drawn")
 
     populate_noisy_counts_releases(flat_batch, count_eps, std_laplace, noiseless_counts)
 
     batch = PSDReleaseBatch(
         domain=domain, height=height, fanout=split_rule.fanout, name=name,
-        epsilons=release_eps, count_epsilons=count_eps,
-        eps_median_per_level=eps_median_per_level, dd_levels=dd_levels,
-        flat=flat_batch, metadata=metadata,
+        epsilons=release_eps, count_epsilons=count_eps, flat=flat_batch,
+        epsilon_count=eps_count, epsilon_median=eps_median, dd_levels=dd_levels,
+        metadata={
+            "split_rule": getattr(split_rule, "name", type(split_rule).__name__),
+            "count_budget": getattr(strategy, "name", type(strategy).__name__),
+        },
     )
     if postprocess:
         batch.postprocess()
@@ -586,25 +559,16 @@ def build_psd_releases(
     return batch
 
 
-def _noise_draw_sizes(
-    count_eps: np.ndarray, fanout: int, height: int, noiseless: bool
-) -> np.ndarray:
-    """Laplace draws each release's count population consumes (0 if noiseless)."""
-    n_releases = count_eps.shape[0]
-    if noiseless:
-        return np.zeros(n_releases, dtype=np.int64)
-    level_sizes = np.asarray(
-        [fanout ** (height - lvl) for lvl in range(height + 1)], dtype=np.int64
-    )
-    return ((count_eps > 0) * level_sizes[None, :]).sum(axis=1).astype(np.int64)
-
-
 def _draw_count_noise(
-    gen: np.random.Generator, count_eps: np.ndarray, level: np.ndarray, noiseless: bool
+    gen: np.random.Generator, count_eps: np.ndarray, level_sizes: np.ndarray, noiseless: bool
 ) -> List[np.ndarray]:
-    """Per-release standard-Laplace noise in release-major, level-down order."""
+    """Per-release standard-Laplace noise in release-major, level-down order.
+
+    ``level_sizes[l]`` is the number of nodes at level ``l``; a release draws
+    one value for every node of every level it funds (none if noiseless).
+    """
     if noiseless:
         return [np.empty(0) for _ in range(count_eps.shape[0])]
-    funded_per_release = (count_eps[:, level] > 0).sum(axis=1)
+    funded_per_release = ((count_eps > 0) * level_sizes[None, :]).sum(axis=1)
     return [gen.laplace(0.0, 1.0, size=int(m)) if m else np.empty(0)
             for m in funded_per_release]

@@ -14,9 +14,11 @@ Every PSD lives in one representation: the breadth-first structure-of-arrays
   blocks of nodes at once.  Every point lands in exactly one child (one node
   per level), and one level loop serves a single build and a stacked
   multi-release sweep alike;
-* noise: each level's Laplace draws happen as **one batched vector** —
-  bitwise identical to per-node scalar draws from the same generator, since
-  NumPy fills an array by repeating the scalar sampler;
+* noise: each release's Laplace draws happen as **one batched
+  standard-Laplace vector**, scaled per level afterwards — bitwise identical
+  to per-node scalar draws at that scale from the same generator, since NumPy
+  fills an array by repeating the scalar sampler and applies the scale as
+  one multiplication;
 * OLS post-processing: the paper's three traversals (Theorem 5) become three
   vectorized per-level sweeps over the BFS arrays;
 * pruning: a top-down per-level mask followed by one array compaction.
@@ -39,7 +41,6 @@ import numpy as np
 
 from ..geometry.domain import Domain
 from ..obs import counter_add, trace_span
-from ..privacy.mechanisms import laplace_noise
 from ..privacy.rng import RngLike, ensure_rng
 from .splits import SplitRule
 
@@ -48,7 +49,6 @@ __all__ = [
     "FlatTreeBatch",
     "build_flat_structure",
     "build_flat_structures_stacked",
-    "populate_noisy_counts_flat",
     "populate_noisy_counts_releases",
     "apply_ols_flat",
     "apply_ols_releases",
@@ -171,40 +171,6 @@ def build_flat_structure(
         height=height,
         fanout=batch.fanout,
     )
-
-
-# ----------------------------------------------------------------------
-# Released-count population (batched Laplace draws)
-# ----------------------------------------------------------------------
-def populate_noisy_counts_flat(
-    tree: FlatTree,
-    count_epsilons: Sequence[float],
-    rng: RngLike = None,
-    noiseless: bool = False,
-) -> FlatTree:
-    """(Re)populate the released counts, one batched Laplace vector per level.
-
-    Draw order is root level first, leaves last (the canonical level order),
-    and a batch of ``n`` draws is bitwise identical to ``n`` sequential scalar
-    draws from the same generator.
-    """
-    gen = ensure_rng(rng)
-    with trace_span("build.noise", nodes=tree.n_nodes):
-        for level in range(tree.height, -1, -1):
-            sl = tree.level_slice(level)
-            n_level = sl.stop - sl.start
-            if n_level == 0:
-                continue
-            eps = count_epsilons[level]
-            if noiseless:
-                tree.noisy_count[sl] = tree.true_count[sl].astype(float)
-            elif eps > 0:
-                noise = laplace_noise(1.0 / eps, size=n_level, rng=gen)
-                tree.noisy_count[sl] = tree.true_count[sl] + noise
-            else:
-                tree.noisy_count[sl] = np.nan
-    tree.post_count = None
-    return tree
 
 
 # ----------------------------------------------------------------------
@@ -393,7 +359,9 @@ class FlatTreeBatch:
       ``(R, n_nodes)``: row ``r`` is release ``r``'s count vector.
 
     :meth:`tree` slices one release back out as an ordinary mutable
-    :class:`FlatTree` (copies, so pruning a release never corrupts the batch).
+    :class:`FlatTree` of views, with no copy: every transform of a tree (noise,
+    OLS, pruning) replaces its arrays rather than writing into them, so a
+    release never changes its batch.
     """
 
     lo: np.ndarray
@@ -423,22 +391,19 @@ class FlatTreeBatch:
         return self.lo.ndim == 2
 
     def tree(self, r: int) -> FlatTree:
-        """Release ``r`` as a standalone (mutable, copied) :class:`FlatTree`."""
+        """Release ``r`` as a standalone :class:`FlatTree` (views, no copy)."""
         if not 0 <= r < self.n_releases:
             raise IndexError(f"release index {r} out of range for {self.n_releases} releases")
-        lo = self.lo if self.shared_geometry else self.lo[r]
-        hi = self.hi if self.shared_geometry else self.hi[r]
-        true = self.true_count if self.true_count.ndim == 1 else self.true_count[r]
         return FlatTree(
-            lo=lo.copy(),
-            hi=hi.copy(),
-            level=self.level.copy(),
-            parent=self.parent.copy(),
-            child_start=self.child_start.copy(),
-            child_end=self.child_end.copy(),
-            true_count=true.copy(),
-            noisy_count=self.noisy_count[r].copy(),
-            post_count=None if self.post_count is None else self.post_count[r].copy(),
+            lo=self.lo if self.shared_geometry else self.lo[r],
+            hi=self.hi if self.shared_geometry else self.hi[r],
+            level=self.level,
+            parent=self.parent,
+            child_start=self.child_start,
+            child_end=self.child_end,
+            true_count=self.true_count if self.true_count.ndim == 1 else self.true_count[r],
+            noisy_count=self.noisy_count[r],
+            post_count=None if self.post_count is None else self.post_count[r],
             height=self.height,
             fanout=self.fanout,
         )
@@ -601,8 +566,9 @@ def populate_noisy_counts_releases(
     array order restricted to the levels release ``r`` funds).  Multiplying a
     scale-1 draw by ``1 / eps`` afterwards is bitwise identical to drawing at
     that scale directly, because NumPy's Laplace sampler applies its scale as
-    the same single multiplication — so each release's counts equal what the
-    sequential :func:`populate_noisy_counts_flat` would have produced.
+    the same single multiplication — so each release's counts equal per-node
+    draws at the level's scale, in canonical order.  Trees need not be
+    complete: the order is the stored node order.
     """
     eps = np.asarray(count_epsilons, dtype=float)
     n_releases, n = batch.n_releases, batch.n_nodes
@@ -627,7 +593,7 @@ def populate_noisy_counts_releases(
     # major, level-ordered draw sequence of the sequential loop.  Budgets that
     # fund every level (uniform, geometric) take the maskless path: the
     # per-node scale is a gather of the small per-level inverse table.
-    with trace_span("build.noise_releases", nodes=n, releases=n_releases):
+    with trace_span("build.noise", nodes=n, releases=n_releases):
         if funded_levels.all():
             with np.errstate(divide="ignore"):
                 inv_eps = 1.0 / eps
@@ -649,7 +615,7 @@ def apply_ols_releases(batch: FlatTreeBatch, count_epsilons: np.ndarray) -> Flat
     :func:`ols_beta` call is bit-for-bit the single-release result.
     """
     eps = np.asarray(count_epsilons, dtype=float)
-    with trace_span("build.ols_releases", nodes=batch.n_nodes, releases=batch.n_releases):
+    with trace_span("build.ols", nodes=batch.n_nodes, releases=batch.n_releases):
         post = ols_beta(
             batch.level, batch.parent, batch.noisy_count.T, eps.T, batch.fanout, batch.height
         )

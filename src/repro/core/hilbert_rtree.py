@@ -29,7 +29,7 @@ from ..geometry.hilbert import HilbertCurve
 from ..geometry.rect import Rect
 from ..privacy.median import MedianMethod, resolve_median_method
 from ..privacy.rng import RngLike, ensure_rng
-from .builder import BudgetSplit, build_psd
+from .builder import BudgetSplit, PSDReleaseBatch, build_psd_releases
 from .splits import (
     SplitRule,
     _batched_method,
@@ -217,30 +217,15 @@ def build_private_hilbert_rtree(
     order:
         Hilbert curve order; the paper finds any order in 16–24 works and uses
         18.
+
+    This is release 0 of :func:`build_private_hilbert_rtree_releases` with
+    one ``epsilon``.
     """
-    if domain.dims != 2:
-        raise ValueError("the private Hilbert R-tree is defined for two-dimensional data")
-    gen = ensure_rng(rng)
-    pts = domain.validate_points(points)
-    curve = HilbertCurve(order=order, domain=domain.rect)
-
-    values = curve.encode(pts).astype(float).reshape(-1, 1) if pts.size else np.empty((0, 1))
-    hilbert_domain = Domain.from_bounds((0.0,), (float(curve.max_index) + 1.0,), name="hilbert-index")
-
-    psd = build_psd(
-        points=values,
-        domain=hilbert_domain,
-        height=height,
-        split_rule=BinaryMedianSplit(median_method=median_method),
-        epsilon=epsilon,
-        count_budget=count_budget,
-        budget_split=BudgetSplit(count_fraction=count_fraction),
-        rng=gen,
-        name="hilbert-r",
-        postprocess=postprocess,
-        prune_threshold=prune_threshold,
-    )
-    return PrivateHilbertRTree(psd=psd, curve=curve, domain=domain)
+    return build_private_hilbert_rtree_releases(
+        points, domain, height, (epsilon,), order=order, median_method=median_method,
+        count_budget=count_budget, count_fraction=count_fraction, postprocess=postprocess,
+        prune_threshold=prune_threshold, rng=rng,
+    ).release(0)
 
 
 @dataclass
@@ -254,7 +239,7 @@ class HilbertRTreeReleases:
     into a :class:`PrivateHilbertRTree` for planar serving.
     """
 
-    batch: "object"  # PSDReleaseBatch (kept untyped to avoid the import cycle)
+    batch: PSDReleaseBatch
     curve: HilbertCurve
     domain: Domain
     name: str = "hilbert-r"
@@ -293,8 +278,6 @@ def build_private_hilbert_rtree_releases(
     bitwise identical to the ``r``-th sequential
     :func:`build_private_hilbert_rtree` call with the same seeded generator.
     """
-    from .builder import build_psd_releases
-
     if domain.dims != 2:
         raise ValueError("the private Hilbert R-tree is defined for two-dimensional data")
     gen = ensure_rng(rng)

@@ -29,7 +29,6 @@ import numpy as np
 
 from ..geometry.domain import Domain
 from ..index.grid import UniformGrid
-from ..privacy.accountant import PrivacyAccountant
 from ..privacy.rng import RngLike, ensure_rng
 from .builder import BudgetSplit, PSDReleaseBatch, build_psd, build_psd_releases
 from .splits import CellKDSplit, HybridSplit, KDSplit
@@ -125,46 +124,16 @@ def build_private_kdtree(
     prune_threshold:
         Low-count pruning threshold applied after post-processing; the paper's
         experiments use 32.
+
+    This is release 0 of :func:`build_private_kdtree_releases` with one
+    ``epsilon``.
     """
-    config = _resolve_kdtree_config(variant, median_method)
-    gen = ensure_rng(rng)
-    fraction = config.count_fraction if count_fraction is None else count_fraction
-
-    if config.cell_based:
-        return _build_cell_kdtree(
-            points=points,
-            domain=domain,
-            height=height,
-            epsilon=epsilon,
-            count_budget=count_budget,
-            postprocess=postprocess,
-            prune_threshold=prune_threshold,
-            cell_resolution=cell_resolution,
-            cell_budget_fraction=cell_budget_fraction,
-            rng=gen,
-            name=config.name,
-        )
-
-    if config.hybrid:
-        kd_levels = switch_level if switch_level is not None else max(1, height // 2)
-        split_rule = HybridSplit(kd_levels=kd_levels, median_method=config.median_method)
-    else:
-        split_rule = KDSplit(median_method=config.median_method)
-
-    return build_psd(
-        points=points,
-        domain=domain,
-        height=height,
-        split_rule=split_rule,
-        epsilon=epsilon,
-        count_budget=count_budget,
-        budget_split=BudgetSplit(count_fraction=fraction),
-        rng=gen,
-        name=config.name,
-        postprocess=postprocess and not config.noiseless_counts,
-        prune_threshold=prune_threshold,
-        noiseless_counts=config.noiseless_counts,
-    )
+    return build_private_kdtree_releases(
+        points, domain, height, (epsilon,), variant=variant, count_budget=count_budget,
+        postprocess=postprocess, prune_threshold=prune_threshold, switch_level=switch_level,
+        count_fraction=count_fraction, cell_resolution=cell_resolution,
+        cell_budget_fraction=cell_budget_fraction, median_method=median_method, rng=rng,
+    ).release(0)
 
 
 def _build_cell_kdtree(
@@ -196,11 +165,6 @@ def _build_cell_kdtree(
     grid = UniformGrid(domain=domain, shape=(cell_resolution,) * domain.dims).fit(points)
     noisy_grid = grid.noisy_counts(eps_grid, rng=gen)
 
-    accountant = PrivacyAccountant(total_budget=epsilon)
-    # The grid counts are used to pick splits at every internal level; one grid
-    # release covers them all (it is a single parallel-composition release).
-    accountant.charge(eps_grid, level=height, kind="structure")
-
     return build_psd(
         points=points,
         domain=domain,
@@ -213,7 +177,6 @@ def _build_cell_kdtree(
         name=name,
         postprocess=postprocess,
         prune_threshold=prune_threshold,
-        accountant=accountant,
         structure_epsilon_charged=eps_grid,
     )
 
@@ -243,8 +206,9 @@ def build_private_kdtree_releases(
     while staying bitwise identical to the sequential
     :func:`build_private_kdtree` loop under the same seed.  The cell-based
     variant releases a fresh noisy grid per release (its structure budget is
-    spent per release, exactly as the sequential loop spends it), so it runs
-    the sequential path and only shares the downstream evaluation machinery.
+    spent per release), so each of its releases is a batch of one of its own
+    grid's split rule, built in order on the same generator.
+    The parameters are those of :func:`build_private_kdtree`.
     """
     config = _resolve_kdtree_config(variant, median_method)
     gen = ensure_rng(rng)
@@ -253,7 +217,7 @@ def build_private_kdtree_releases(
 
     if config.cell_based:
         # A fresh grid is charged and released per (epsilon, repetition), so
-        # structure cannot be shared across releases; the sequential builds
+        # structure cannot be shared across releases; the per-release builds
         # are collected into a list-mode batch.
         psds = [
             _build_cell_kdtree(
@@ -266,14 +230,11 @@ def build_private_kdtree_releases(
             for e in eps_list
             for _ in range(repetitions)
         ]
-        release_eps = np.repeat(np.asarray(eps_list), repetitions)
-        count_eps = np.asarray([p.count_epsilons for p in psds], dtype=float)
         return PSDReleaseBatch(
             domain=domain, height=height, fanout=4, name=config.name,
-            epsilons=release_eps, count_epsilons=count_eps,
-            eps_median_per_level=np.zeros(release_eps.shape[0]), dd_levels=(),
-            structure_epsilon_charged=0.0, psds=psds,
-            metadata={"split_rule": "kd-cell", "count_budget": count_budget},
+            epsilons=np.repeat(np.asarray(eps_list), repetitions),
+            count_epsilons=np.asarray([p.count_epsilons for p in psds], dtype=float),
+            psds=psds,
         )
 
     if config.hybrid:

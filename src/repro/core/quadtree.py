@@ -21,7 +21,7 @@ import numpy as np
 
 from ..geometry.domain import Domain
 from ..privacy.rng import RngLike
-from .builder import PSDReleaseBatch, build_psd, build_psd_releases
+from .builder import PSDReleaseBatch, build_psd_releases
 from .splits import QuadSplit
 from .tree import PrivateSpatialDecomposition
 
@@ -80,20 +80,14 @@ def build_private_quadtree(
         ``"quad-opt"`` (or an explicit :class:`QuadtreeConfig`).
     prune_threshold:
         Optional low-count pruning threshold (applied after post-processing).
+
+    This is release 0 of :func:`build_private_quadtree_releases` with one
+    ``epsilon``.
     """
-    config = _resolve_quadtree_config(variant)
-    return build_psd(
-        points=points,
-        domain=domain,
-        height=height,
-        split_rule=QuadSplit(),
-        epsilon=epsilon,
-        count_budget=config.count_budget,
-        rng=rng,
-        name=config.name,
-        postprocess=config.postprocess,
-        prune_threshold=prune_threshold,
-    )
+    return build_private_quadtree_releases(
+        points, domain, height, (epsilon,), variant=variant,
+        prune_threshold=prune_threshold, rng=rng,
+    ).release(0)
 
 
 def build_private_quadtree_releases(

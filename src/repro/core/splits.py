@@ -131,8 +131,8 @@ def _level_epsilons(epsilon_median, k: int) -> np.ndarray:
     The multi-release sweep passes one epsilon per stacked node (releases
     differ in budget); single builds pass a scalar.  The draw layout of a
     level must be uniform across its nodes, so a mixed zero/positive vector
-    raises — the sweep planner sends such budgets down the sequential loop
-    before any split runs.
+    raises — the sweep planner builds such releases one at a time, on the
+    live generator, before any stacked split runs.
     """
     eps = np.asarray(epsilon_median, dtype=float)
     if eps.ndim == 0:
@@ -266,8 +266,8 @@ class SplitRule(ABC):
         sequential (release-major) order and replays them into level-stacked
         calls, which is only possible when the per-level consumption is known
         *before* any data is seen.  Rules whose consumption is data dependent
-        (sampled medians draw one uniform per point) return ``None``, sending
-        the sweep down the sequential loop.
+        (sampled medians draw one uniform per point) return ``None``; the
+        builder then builds the releases one at a time on the live generator.
         """
         return 0
 

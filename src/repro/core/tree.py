@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
+import numpy as np
+
 from ..geometry.domain import Domain
 from ..geometry.rect import Rect
 from ..privacy.accountant import PrivacyAccountant
@@ -161,7 +163,8 @@ class PrivateSpatialDecomposition:
 
     def strip_private_fields(self) -> "PrivateSpatialDecomposition":
         """Zero out the true counts, modelling release to an untrusted party."""
-        self.flat_tree.true_count[:] = 0
+        tree = self.flat_tree
+        tree.true_count = np.zeros_like(tree.true_count)
         return self
 
     def summary(self) -> Dict[str, object]:

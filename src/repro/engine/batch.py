@@ -10,10 +10,12 @@ arrays; no option chooses between them:
   everything else -- pruned trees, kd-trees, Hilbert R-trees -- and the
   reference the closed form is tested against.
 
-The frontier's state is a pair of parallel index arrays ``(q_idx, n_idx)``
--- every element is one "query q is examining node n" obligation, exactly
-the stack entries of a recursive canonical-decomposition walk, but held all
-at once.  Each wavefront:
+The frontier walk (:func:`_frontier_walk`) is also the one
+:func:`compile_query_matrix` records instead of accumulating.  Its state is a
+pair of parallel index arrays ``(q_idx, n_idx)`` -- every element is one
+"query q is examining node n" obligation, exactly the stack entries of a
+recursive canonical-decomposition walk, but held all at once.  Each
+wavefront:
 
 1. drops pairs whose node does not intersect the query (half-open box test);
 2. credits *full* nodes (node rect contained in the query, released count
@@ -42,7 +44,7 @@ is always float64.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -219,26 +221,29 @@ def _evaluate(
     return BatchQueryResult(estimates, touched, variances)
 
 
-def _evaluate_frontier(
-    engine: FlatPSD, qlo: np.ndarray, qhi: np.ndarray, use_uniformity: bool
-) -> BatchQueryResult:
-    """One level-synchronous frontier pass over pre-normalised query bounds."""
-    n_queries = qlo.shape[0]
-    estimates = np.zeros(n_queries, dtype=np.float64)
-    touched = np.zeros(n_queries, dtype=np.int64)
-    variances = np.zeros(n_queries, dtype=np.float64)
-    if n_queries == 0 or engine.n_nodes == 0:
-        return BatchQueryResult(estimates, touched, variances)
+def _frontier_walk(
+    engine: FlatPSD, qlo: np.ndarray, qhi: np.ndarray, track_peak: bool = False
+) -> Iterator[Tuple[Optional[Tuple[np.ndarray, np.ndarray]],
+                    Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]]]:
+    """The level-synchronous frontier walk, one wavefront per yield.
 
+    Each wavefront yields ``(full, partial)``: ``full`` is the ``(query,
+    node)`` pairs of contained nodes with a released count, ``partial`` the
+    ``(query, node, fraction)`` triples of partially covered leaves with a
+    released count and a positive overlap (``fraction = overlap / area``);
+    either is ``None`` when empty.  Both consumers — the evaluator and the
+    query-matrix compiler — take their credits from this one walk.
+    ``track_peak`` records the largest frontier as ``engine.frontier_peak``.
+    """
+    if engine.n_nodes == 0:
+        return
     # Wavefront: query q is examining node n, starting with every query at root.
-    q_idx = np.arange(n_queries, dtype=np.int64)
-    n_idx = np.zeros(n_queries, dtype=np.int64)
-    track_peak = metrics_enabled()
+    q_idx = np.arange(qlo.shape[0], dtype=np.int64)
+    n_idx = np.zeros(qlo.shape[0], dtype=np.int64)
     peak = 0
 
     while q_idx.size:
-        if track_peak and q_idx.size > peak:
-            peak = int(q_idx.size)
+        peak = max(peak, int(q_idx.size))
         node_lo = engine.lo[n_idx]
         node_hi = engine.hi[n_idx]
         cur_qlo = qlo[q_idx]
@@ -260,19 +265,10 @@ def _evaluate_frontier(
         leaf = engine.is_leaf[n_idx]
 
         full = contained & has_count
-        if full.any():
-            fq = q_idx[full]
-            fn = n_idx[full]
-            # Upcast gathered counts before accumulating: float32 storage
-            # rounds each count once at store time, never during summation.
-            released = engine.released[fn].astype(np.float64, copy=False)
-            estimates += np.bincount(fq, weights=released, minlength=n_queries)
-            touched += np.bincount(fq, minlength=n_queries)
-            variances += np.bincount(
-                fq, weights=engine.level_variance[engine.level[fn]], minlength=n_queries
-            )
+        full_pairs = (q_idx[full], n_idx[full]) if full.any() else None
 
         partial = leaf & has_count & ~contained
+        partial_pairs = None
         if partial.any():
             pn = n_idx[partial]
             node_area = engine.area[pn]
@@ -283,20 +279,9 @@ def _evaluate_frontier(
             )
             ok = (node_area > 0) & (overlap > 0)
             if ok.any():
-                pq = q_idx[partial][ok]
-                pn = pn[ok]
-                fraction = overlap[ok] / node_area[ok]
-                if use_uniformity:
-                    released = engine.released[pn].astype(np.float64, copy=False)
-                    estimates += np.bincount(
-                        pq, weights=released * fraction, minlength=n_queries
-                    )
-                touched += np.bincount(pq, minlength=n_queries)
-                variances += np.bincount(
-                    pq,
-                    weights=fraction * fraction * engine.level_variance[engine.level[pn]],
-                    minlength=n_queries,
-                )
+                partial_pairs = (q_idx[partial][ok], pn[ok], overlap[ok] / node_area[ok])
+
+        yield full_pairs, partial_pairs
 
         descend = ~full & ~leaf
         q_idx, n_idx = _expand_children(
@@ -305,6 +290,39 @@ def _evaluate_frontier(
 
     if track_peak and peak:
         gauge_max("engine.frontier_peak", peak)
+
+
+def _evaluate_frontier(
+    engine: FlatPSD, qlo: np.ndarray, qhi: np.ndarray, use_uniformity: bool
+) -> BatchQueryResult:
+    """One level-synchronous frontier pass over pre-normalised query bounds."""
+    n_queries = qlo.shape[0]
+    estimates = np.zeros(n_queries, dtype=np.float64)
+    touched = np.zeros(n_queries, dtype=np.int64)
+    variances = np.zeros(n_queries, dtype=np.float64)
+
+    for full, partial in _frontier_walk(engine, qlo, qhi, track_peak=metrics_enabled()):
+        if full is not None:
+            fq, fn = full
+            # Upcast gathered counts before accumulating: float32 storage
+            # rounds each count once at store time, never during summation.
+            released = engine.released[fn].astype(np.float64, copy=False)
+            estimates += np.bincount(fq, weights=released, minlength=n_queries)
+            touched += np.bincount(fq, minlength=n_queries)
+            variances += np.bincount(
+                fq, weights=engine.level_variance[engine.level[fn]], minlength=n_queries
+            )
+        if partial is not None:
+            pq, pn, fraction = partial
+            if use_uniformity:
+                released = engine.released[pn].astype(np.float64, copy=False)
+                estimates += np.bincount(pq, weights=released * fraction, minlength=n_queries)
+            touched += np.bincount(pq, minlength=n_queries)
+            variances += np.bincount(
+                pq,
+                weights=fraction * fraction * engine.level_variance[engine.level[pn]],
+                minlength=n_queries,
+            )
     return BatchQueryResult(estimates, touched, variances)
 
 
@@ -409,10 +427,10 @@ def compile_query_matrix(
 ) -> QueryMatrix:
     """Compile a workload's canonical decompositions into a :class:`QueryMatrix`.
 
-    One frontier pass (the same level-synchronous expansion as
-    :func:`batch_query`) records, instead of accumulating, every (query, node,
-    weight) obligation: full nodes with weight 1 and partially covered leaves
-    with their uniformity fraction.  ``S.dot(engine.released)`` then equals
+    One pass of the frontier walk :func:`batch_query` evaluates with records,
+    instead of accumulating, every (query, node, weight) obligation: full
+    nodes with weight 1 and partially covered leaves with their uniformity
+    fraction.  ``S.dot(engine.released)`` then equals
     ``batch_range_query(engine, queries)`` up to float summation order, and
     ``S.dot(counts_matrix)`` evaluates every release of a sweep in one product.
     """
@@ -431,58 +449,19 @@ def _compile_query_matrix(
     n_parts = []
     w_parts = []
     p_parts = []
-    if n_queries and engine.n_nodes:
-        q_idx = np.arange(n_queries, dtype=np.int64)
-        n_idx = np.zeros(n_queries, dtype=np.int64)
-        while q_idx.size:
-            node_lo = engine.lo[n_idx]
-            node_hi = engine.hi[n_idx]
-            cur_qlo = qlo[q_idx]
-            cur_qhi = qhi[q_idx]
-
-            intersects = np.all((node_hi > cur_qlo) & (cur_qhi > node_lo), axis=1)
-            if not intersects.all():
-                q_idx = q_idx[intersects]
-                n_idx = n_idx[intersects]
-                node_lo = node_lo[intersects]
-                node_hi = node_hi[intersects]
-                cur_qlo = cur_qlo[intersects]
-                cur_qhi = cur_qhi[intersects]
-                if not q_idx.size:
-                    break
-
-            contained = np.all((node_lo >= cur_qlo) & (node_hi <= cur_qhi), axis=1)
-            has_count = engine.has_count[n_idx]
-            leaf = engine.is_leaf[n_idx]
-
-            full = contained & has_count
-            if full.any():
-                q_parts.append(q_idx[full])
-                n_parts.append(n_idx[full])
-                w_parts.append(np.ones(int(full.sum())))
-                p_parts.append(np.zeros(int(full.sum()), dtype=bool))
-
-            partial = leaf & has_count & ~contained
-            if partial.any():
-                pn = n_idx[partial]
-                node_area = engine.area[pn]
-                overlap = np.prod(
-                    np.minimum(node_hi[partial], cur_qhi[partial])
-                    - np.maximum(node_lo[partial], cur_qlo[partial]),
-                    axis=1,
-                )
-                ok = (node_area > 0) & (overlap > 0)
-                if ok.any():
-                    q_parts.append(q_idx[partial][ok])
-                    n_parts.append(pn[ok])
-                    w_parts.append(overlap[ok] / node_area[ok])
-                    p_parts.append(np.ones(int(ok.sum()), dtype=bool))
-
-            descend = ~full & ~leaf
-            q_idx, n_idx = _expand_children(
-                q_idx[descend], engine.child_start[n_idx[descend]],
-                engine.child_end[n_idx[descend]]
-            )
+    for full, partial in _frontier_walk(engine, qlo, qhi):
+        if full is not None:
+            fq, fn = full
+            q_parts.append(fq)
+            n_parts.append(fn)
+            w_parts.append(np.ones(fq.size))
+            p_parts.append(np.zeros(fq.size, dtype=bool))
+        if partial is not None:
+            pq, pn, fraction = partial
+            q_parts.append(pq)
+            n_parts.append(pn)
+            w_parts.append(fraction)
+            p_parts.append(np.ones(pq.size, dtype=bool))
 
     if q_parts:
         q_all = np.concatenate(q_parts)

@@ -64,15 +64,6 @@ class QuadtreeSweepBuild:
             structure=self.structure,
         )
 
-    def shared_engine(self):
-        """The shared query structure (every fig3 variant funds all levels),
-        letting the parallel sweep precompile one query matrix per workload
-        in the parent and hand workers the CSR buffers via shared memory."""
-        from ..parallel.sweep import engine_from_structure
-
-        return engine_from_structure(self.structure, self.domain,
-                                     name=f"quad-{self.variant}")
-
 
 def quadtree_sweep_case(
     points: np.ndarray,

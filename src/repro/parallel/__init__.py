@@ -5,9 +5,9 @@ kernel, so one release builds and one workload evaluates as fast as one core
 allows.  This package scales *across* cores without touching those kernels:
 
 * :mod:`repro.parallel.shm` — zero-copy plumbing: large immutable arrays
-  (points, structure geometry, compiled query-matrix CSR buffers) are placed
-  in ``multiprocessing.shared_memory`` segments once and every worker maps
-  the same pages, instead of re-pickling megabytes per task;
+  (points, structure geometry, a served engine's arrays) are placed in
+  ``multiprocessing.shared_memory`` segments once and every worker maps the
+  same pages, instead of re-pickling megabytes per task;
 * :mod:`repro.parallel.pool` — the one process pool: ``ResilientPool``
   ships the worker state once per start, keeps finished results when a
   worker dies, rebuilds under one bounded exponential backoff, retries an
@@ -42,7 +42,7 @@ from .checkpoint import (
 from .matching import score_seeker_chunks
 from .serve import ShardedQueryServer
 from .shm import SharedArena, attach_array, dumps_shared, loads_shared
-from .sweep import engine_from_structure, resolve_workers, run_cases_parallel
+from .sweep import resolve_workers, run_cases_parallel
 
 __all__ = [
     "SharedArena",
@@ -50,7 +50,6 @@ __all__ = [
     "attach_array",
     "dumps_shared",
     "loads_shared",
-    "engine_from_structure",
     "resolve_workers",
     "run_cases_parallel",
     "score_seeker_chunks",

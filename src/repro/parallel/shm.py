@@ -1,8 +1,8 @@
 """Shared-memory views of immutable arrays for cross-process execution.
 
 A sweep case or a compiled engine is mostly a handful of large, immutable
-NumPy arrays (the point dataset, BFS geometry arrays, CSR query-matrix
-buffers) plus a thin shell of scalars.  Pickling those arrays into every
+NumPy arrays (the point dataset, BFS geometry arrays, an engine's count and
+offset arrays) plus a thin shell of scalars.  Pickling those arrays into every
 worker task would copy megabytes per task; instead the parent exports each
 large array into a ``multiprocessing.shared_memory`` segment **once** and the
 pickle stream carries only a tiny :class:`SharedArrayHandle`.  Every worker

@@ -11,15 +11,13 @@ per-case rows in case order — bitwise identical to the in-process path.
 
 Three pieces keep the fan-out cheap:
 
-* the whole worker state (cases, workloads, pre-seeded matrix cache) ships
+* the whole worker state (cases, workloads, an empty matrix cache) ships
   once per pool start, so a task is just ``(case index, generator)``;
 * cases that share one immutable points array or structure export it to
   shared memory once (identity dedupe in the arena);
-* cases exposing a ``shared_engine()`` probe (data-independent structures,
-  e.g. the Figure-3 quadtree grid) get their workload query matrices
-  compiled **in the parent** and shipped as shared CSR buffers, pre-seeding
-  every worker's matrix cache so no worker recompiles a decomposition the
-  sweep already knows.
+* each worker keeps its own query-matrix cache across the cases it runs, so
+  a decomposition is compiled at most once per worker (e.g. the four
+  Figure-3 quadtree variants share one geometry).
 
 Cases whose build closure cannot be pickled fall back to running in the
 parent process with their same spawned generator — slower, never wrong.
@@ -47,7 +45,7 @@ import numpy as np
 
 from .pool import ResilientPool
 
-__all__ = ["engine_from_structure", "resolve_workers", "run_cases_parallel"]
+__all__ = ["resolve_workers", "run_cases_parallel"]
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -58,75 +56,6 @@ def resolve_workers(workers: Optional[int]) -> int:
     if workers < 0:
         return max(1, os.cpu_count() or 1)
     return int(workers)
-
-
-def engine_from_structure(structure, domain, name: str = "structure"):
-    """A count-free engine view of a data-independent structure.
-
-    Query decompositions (and therefore compiled
-    :class:`~repro.engine.batch.QueryMatrix` objects) depend only on the
-    geometry, the child layout and the released-count *pattern* — never on
-    the count values.  For a structure whose releases fund every level, this
-    builds the exact engine the release batch will expose (released counts
-    zeroed), so matrices compiled against it are interchangeable with the
-    batch's own — that is what lets the parent precompile one matrix per
-    workload and hand the CSR buffers to every worker.
-    """
-    from ..engine.flat import FlatPSD, level_variances
-
-    lo = structure.lo.astype(np.float64, copy=True)
-    hi = structure.hi.astype(np.float64, copy=True)
-    n = structure.n_nodes
-    eps = np.ones(structure.height + 1, dtype=np.float64)
-    return FlatPSD(
-        lo=lo,
-        hi=hi,
-        level=structure.level.astype(np.int32, copy=True),
-        released=np.zeros(n, dtype=np.float64),
-        has_count=np.ones(n, dtype=bool),
-        is_leaf=structure.is_leaf.copy(),
-        child_start=structure.child_start.astype(np.int64, copy=True),
-        child_end=structure.child_end.astype(np.int64, copy=True),
-        area=np.prod(hi - lo, axis=1),
-        count_epsilons=eps,
-        level_variance=level_variances(eps),
-        height=structure.height,
-        fanout=structure.fanout,
-        name=name,
-        domain_lo=np.asarray(domain.rect.lo, dtype=np.float64),
-        domain_hi=np.asarray(domain.rect.hi, dtype=np.float64),
-        domain_name=domain.name,
-    )
-
-
-def _seed_matrix_cache(cases: Sequence, workloads: Dict) -> Dict:
-    """Precompile query matrices for cases that advertise a shared structure.
-
-    Keys match :func:`repro.experiments.common.release_workload_errors`'s
-    content fingerprints, so a worker evaluating such a case hits the cache
-    instead of recompiling; a fingerprint mismatch only costs a recompile.
-    """
-    from ..engine.batch import compile_query_matrix
-    from ..experiments.common import _structure_fingerprint, _workload_fingerprint
-
-    cache: Dict = {}
-    seen_structures = set()
-    for case in cases:
-        probe = getattr(case.build, "shared_engine", None)
-        if probe is None:
-            continue
-        engine = probe()
-        if engine is None:
-            continue
-        fingerprint = _structure_fingerprint(engine)
-        if fingerprint in seen_structures:
-            continue
-        seen_structures.add(fingerprint)
-        for workload in workloads.values():
-            key = (fingerprint, _workload_fingerprint(workload))
-            if key not in cache:
-                cache[key] = compile_query_matrix(engine, workload.queries)
-    return cache
 
 
 def _run_case(state: Dict, index: int, gen: np.random.Generator):
@@ -202,7 +131,7 @@ def run_cases_parallel(
         state = {
             "cases": shipped,
             "workloads": workloads,
-            "matrix_cache": _seed_matrix_cache(list(shipped.values()), workloads),
+            "matrix_cache": {},  # one per worker process, filled as it runs cases
         }
         injector = faults if isinstance(faults, FaultInjector) else FaultInjector(list(faults or ()))
         with ResilientPool(state, min(int(workers), len(shipped)), name="sweep",

@@ -31,7 +31,9 @@ WAL write failure       503  fail closed — charge rolled back, nothing spent,
                              no answer released
 worker crash            200  supervised pool rebuilds and replays; the caller
                              sees latency, not an error
-malformed request       400  parse/validation errors
+malformed request       400  parse/validation errors, a body shorter than its
+                             ``Content-Length``, or one over the size limit
+                             (read off, bounded, before the close)
 unknown path            404
 handler bug             500  JSON error body; the connection still closes
                              cleanly
@@ -76,13 +78,17 @@ _REASONS = {
 
 
 class _HttpError(Exception):
-    """Internal: carries a status + JSON body up to the response writer."""
+    """Internal: carries a status + JSON body up to the response writer.
+
+    ``unread`` is the length of a request body refused before it was read.
+    """
 
     def __init__(self, status: int, body: Dict[str, object],
-                 headers: Optional[Dict[str, str]] = None) -> None:
+                 headers: Optional[Dict[str, str]] = None, unread: int = 0) -> None:
         self.status = status
         self.body = body
         self.headers = headers or {}
+        self.unread = unread
         super().__init__(str(body))
 
 
@@ -175,14 +181,17 @@ class QueryService:
     # ------------------------------------------------------------------
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        unread = 0
         try:
             status, body, headers = await self._dispatch(reader)
         except _HttpError as exc:
-            status, body, headers = exc.status, exc.body, exc.headers
+            status, body, headers, unread = exc.status, exc.body, exc.headers, exc.unread
         except Exception as exc:  # a handler bug must still answer cleanly
             self._counters["errors"] += 1
             counter_add("http.errors")
             status, body, headers = 500, {"error": "internal", "detail": str(exc)}, {}
+        if status in (400, 404, 405):
+            self._counters["bad_requests"] += 1
         try:
             payload = json.dumps(body).encode("utf-8")
             lines = [
@@ -194,8 +203,16 @@ class QueryService:
             lines.extend(f"{name}: {value}" for name, value in headers.items())
             writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + payload)
             await writer.drain()
-        except (ConnectionError, BrokenPipeError):  # client went away mid-write
-            pass
+            if unread:
+                # The client may still be sending the refused body, and a close
+                # with bytes unread answers with a reset that can destroy the
+                # response.  Half-close, then read the body off: at most what
+                # it declared, twice the size limit, or the request timeout.
+                writer.write_eof()
+                await asyncio.wait_for(_discard(reader, min(unread, 2 * MAX_BODY_BYTES)),
+                                       timeout=self.request_timeout)
+        except (ConnectionError, BrokenPipeError, asyncio.TimeoutError):
+            pass  # client went away mid-write, or never finished its body
         finally:
             writer.close()
             try:
@@ -226,8 +243,12 @@ class QueryService:
                     if content_length < 0:
                         raise _HttpError(400, {"error": "bad content-length"})
         if content_length > MAX_BODY_BYTES:
-            raise _HttpError(400, {"error": "body too large"})
-        raw = await reader.readexactly(content_length) if content_length else b""
+            raise _HttpError(400, {"error": "body too large"}, unread=content_length)
+        try:
+            raw = await reader.readexactly(content_length) if content_length else b""
+        except asyncio.IncompleteReadError as exc:
+            raise _HttpError(400, {"error": f"body ended after {len(exc.partial)} of "
+                                            f"{content_length} Content-Length bytes"})
         body: Dict[str, object] = {}
         if raw:
             try:
@@ -409,6 +430,15 @@ class QueryService:
                        "analysts": len(self.ledger.accounts())},
             "faults": self.faults.stats(),
         }
+
+
+async def _discard(reader: asyncio.StreamReader, n_bytes: int) -> None:
+    """Read and drop up to ``n_bytes`` from ``reader``, stopping early at EOF."""
+    while n_bytes > 0:
+        chunk = await reader.read(min(n_bytes, 1 << 16))
+        if not chunk:
+            return
+        n_bytes -= len(chunk)
 
 
 class ServiceThread:

@@ -13,7 +13,8 @@ unchanged in substance, as the readable executable specification:
   each point in exactly one child), and the full-weight grid median the
   prefix-sum form replaced;
 * :mod:`oracle.build` — the per-node build pipeline (pointer structure,
-  scalar noise draws, recursive OLS, top-down pruning);
+  scalar noise draws, recursive OLS, top-down pruning) and the sequential
+  loop of pointer builds a release batch is held to;
 * :mod:`oracle.query` — the recursive canonical decomposition (estimates,
   ``n(Q)``, ``n_i``, ``Err(Q)``), the planar Hilbert walk and the
   pointer-walking engine compiler;

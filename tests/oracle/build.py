@@ -9,15 +9,15 @@ pruning decisions and the final generator state.  The parity suites and the
 build benchmark hold the vectorized code to exactly that.
 
 :func:`pointer_builds` routes the production variant constructors
-(``build_private_quadtree`` / ``kdtree`` / ``hilbert_rtree``) through
-:func:`build_psd` here, so their variant resolution is shared rather than
-copied.
+(``build_private_quadtree`` / ``kdtree`` / ``hilbert_rtree`` and their
+``_releases`` twins) through :func:`build_psd` and :func:`build_psd_releases`
+here, so their variant resolution is shared rather than copied.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -38,6 +38,8 @@ from .tree import PointerPSD, PSDNode, bfs_order, flatten_tree
 
 __all__ = [
     "build_psd",
+    "build_psd_releases",
+    "PointerReleases",
     "populate_noisy_counts",
     "apply_ols",
     "ols_estimate_tree",
@@ -63,7 +65,6 @@ def build_psd(
     postprocess: bool = False,
     prune_threshold: Optional[float] = None,
     noiseless_counts: bool = False,
-    accountant: Optional[PrivacyAccountant] = None,
     structure_epsilon_charged: float = 0.0,
 ) -> PointerPSD:
     """:func:`repro.core.builder.build_psd`, grown as a pointer tree."""
@@ -82,7 +83,9 @@ def build_psd(
     strategy = resolve_budget(count_budget)
     count_epsilons = strategy.validate(height, eps_count_total)
 
-    ledger = accountant or PrivacyAccountant(total_budget=epsilon + structure_epsilon_charged)
+    ledger = PrivacyAccountant(total_budget=epsilon + structure_epsilon_charged)
+    if structure_epsilon_charged > 0:
+        ledger.charge(structure_epsilon_charged, level=height, kind="structure")
     for level in dd_levels:
         ledger.charge(eps_median_per_level, level=level, kind="median")
 
@@ -116,6 +119,43 @@ def build_psd(
     if prune_threshold is not None:
         prune_low_count_subtrees(psd, prune_threshold)
     return psd
+
+
+class PointerReleases:
+    """The pointer trees of a sequential build loop, indexed like a release batch."""
+
+    def __init__(self, psds: List[PointerPSD]) -> None:
+        self.psds = psds
+
+    @property
+    def n_releases(self) -> int:
+        return len(self.psds)
+
+    def release(self, r: int) -> PointerPSD:
+        return self.psds[r]
+
+
+def build_psd_releases(
+    points: np.ndarray,
+    domain: Domain,
+    height: int,
+    split_rule: SplitRule,
+    epsilons,
+    repetitions: int = 1,
+    rng: RngLike = None,
+    structure=None,
+    **kwargs,
+) -> PointerReleases:
+    """The sequential loop :func:`repro.core.builder.build_psd_releases` is
+    held to: one pointer :func:`build_psd` per ``(epsilon, repetition)``, in
+    that order, on one generator.  A prebuilt ``structure`` is the geometry a
+    fresh build computes, so it is ignored."""
+    gen = ensure_rng(rng)
+    return PointerReleases([
+        build_psd(points, domain, height, split_rule, epsilon=float(e), rng=gen, **kwargs)
+        for e in epsilons
+        for _ in range(repetitions)
+    ])
 
 
 def _grow_level_order(
@@ -297,22 +337,26 @@ def prune_low_count_subtrees(psd: PointerPSD, threshold: float) -> int:
 # ----------------------------------------------------------------------
 @contextmanager
 def pointer_builds():
-    """Route the production variant constructors through :func:`build_psd`.
+    """Route the production variant constructors through the pointer builders.
 
     Inside the block ``build_private_quadtree`` / ``build_private_kdtree``
-    (including the cell-based variant) / ``build_private_hilbert_rtree``
-    return pointer-backed trees; their configuration logic is the
-    production code's own.
+    (including the cell-based variant) / ``build_private_hilbert_rtree`` and
+    their ``_releases`` twins return pointer-backed trees: every
+    ``build_psd`` / ``build_psd_releases`` name those modules call is
+    replaced by the one here, the latter being the sequential loop of
+    pointer builds.  Their configuration logic is the production code's own.
     """
-    modules = (_quadtree, _kdtree, _hilbert_rtree)
-    saved = [module.build_psd for module in modules]
-    for module in modules:
-        module.build_psd = build_psd
+    pointer = {"build_psd": build_psd, "build_psd_releases": build_psd_releases}
+    patched = [(module, name) for module in (_quadtree, _kdtree, _hilbert_rtree)
+               for name in pointer if hasattr(module, name)]
+    saved = [getattr(module, name) for module, name in patched]
+    for module, name in patched:
+        setattr(module, name, pointer[name])
     try:
         yield
     finally:
-        for module, original in zip(modules, saved):
-            module.build_psd = original
+        for (module, name), original in zip(patched, saved):
+            setattr(module, name, original)
 
 
 def build_private_quadtree(*args, **kwargs) -> PointerPSD:

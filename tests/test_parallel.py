@@ -29,16 +29,11 @@ from repro.data import road_intersections
 from repro.engine.batch import batch_query, queries_to_arrays
 from repro.engine.cache import CachedEngine
 from repro.experiments import ExperimentScale, make_workloads, run_fig3
-from repro.experiments.common import (
-    SweepCase,
-    _structure_fingerprint,
-    run_sweep,
-)
+from repro.experiments.common import SweepCase, run_sweep
 from repro.experiments.fig3 import quadtree_sweep_case
 from repro.geometry import Rect, TIGER_DOMAIN
 from repro.parallel import ShardedQueryServer, SharedArena, dumps_shared, loads_shared
 from repro.parallel.shm import SharedArrayHandle, detach_all
-from repro.parallel.sweep import engine_from_structure
 from repro.privacy.rng import spawn_generators
 from repro.queries import KD_QUERY_SHAPES
 
@@ -243,18 +238,6 @@ class TestParallelSweep:
             assert a.bit_generator.state == b.bit_generator.state
         draws = {g.random() for g in first}
         assert len(draws) == 3  # distinct streams
-
-    def test_engine_from_structure_fingerprint_matches_release_engine(self, points):
-        """The parent's precompile probe must alias the real release engine's
-        matrix-cache key, or the shared CSR buffers would never be hit."""
-        from repro.core.quadtree import build_private_quadtree_releases
-
-        structure = build_flat_structure(points, TIGER_DOMAIN, 4, QuadSplit(), 0.0)
-        probe = engine_from_structure(structure, TIGER_DOMAIN)
-        batch = build_private_quadtree_releases(
-            points, TIGER_DOMAIN, height=4, epsilons=(0.5,), repetitions=1,
-            variant="quad-opt", rng=0, structure=structure)
-        assert _structure_fingerprint(probe) == _structure_fingerprint(batch.query_engine())
 
 
 # ----------------------------------------------------------------------

@@ -17,14 +17,14 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core.builder import build_psd, build_psd_releases
+from repro.core.builder import build_psd, build_psd_releases, populate_noisy_counts
 from repro.core.flatbuild import _batch_topology, build_flat_structure, ols_beta
 from repro.core.hilbert_rtree import (
     build_private_hilbert_rtree,
     build_private_hilbert_rtree_releases,
 )
 from repro.core.kdtree import build_private_kdtree, build_private_kdtree_releases
-from repro.core.quadtree import build_private_quadtree_releases
+from repro.core.quadtree import build_private_quadtree, build_private_quadtree_releases
 from repro.core.splits import HybridSplit, KDSplit, QuadSplit
 from repro.data.tiger import road_intersections
 from repro.engine.batch import batch_query, batch_range_query, compile_query_matrix
@@ -161,6 +161,19 @@ class TestReleaseParity:
         for r, reference in enumerate(references):
             assert_release_equal(reference, batch.release(r), f"cell release {r}")
 
+    def test_release_takes_the_batch_arrays_and_never_writes_back(self, points):
+        batch = build_psd_releases(points, TIGER_DOMAIN, HEIGHT, KDSplit(), (0.5,), rng=4)
+        flat = batch.flat_batch
+        before = {name: getattr(flat, name).copy()
+                  for name in ("lo", "hi", "true_count", "noisy_count")}
+        release = batch.release(0)
+        assert np.shares_memory(release.flat_tree.lo, flat.lo)
+        assert np.shares_memory(release.flat_tree.noisy_count, flat.noisy_count)
+        populate_noisy_counts(release, rng=5)
+        release.strip_private_fields().postprocess().prune(32.0)
+        for name, array in before.items():
+            assert np.array_equal(getattr(flat, name), array, equal_nan=True), name
+
     def test_shared_structure_across_variants(self, points):
         structure = build_flat_structure(points, TIGER_DOMAIN, HEIGHT, QuadSplit(), 0.0)
         with_structure = build_private_quadtree_releases(
@@ -186,6 +199,47 @@ class TestReleaseParity:
                                repetitions=0, rng=0)
         with pytest.raises(ValueError):
             build_psd_releases(points, TIGER_DOMAIN, HEIGHT, QuadSplit(), (0.0,), rng=0)
+
+
+class TestReleaseMetadata:
+    """What a release carries: its own metadata dict and its own accountant."""
+
+    def test_single_builds_carry_their_budget(self, points):
+        quad = build_private_quadtree(points, TIGER_DOMAIN, HEIGHT, 0.5, variant="quad-opt",
+                                      rng=1)
+        assert quad.metadata == {
+            "split_rule": "quad", "count_budget": "geometric", "epsilon": 0.5,
+            "epsilon_count": 0.5, "epsilon_median": 0.0, "structure_epsilon": 0.0,
+        }
+        cell = build_private_kdtree(points, TIGER_DOMAIN, HEIGHT, 0.5, variant="kd-cell",
+                                    cell_resolution=32, rng=1)
+        assert cell.metadata == {
+            "split_rule": "kd-cell", "count_budget": "geometric", "epsilon": 0.5 - 0.5 * 0.3,
+            "epsilon_count": 0.5 - 0.5 * 0.3, "epsilon_median": 0.0,
+            "structure_epsilon": 0.5 * 0.3,
+        }
+
+    def test_batch_releases_carry_their_own_epsilons(self, points):
+        batch = build_psd_releases(points, TIGER_DOMAIN, HEIGHT, KDSplit(), EPSILONS,
+                                   REPETITIONS, rng=3)
+        for r in range(batch.n_releases):
+            eps = EPSILONS[r // REPETITIONS]
+            release = batch.release(r)
+            assert release.metadata == {
+                "split_rule": "kd", "count_budget": "geometric", "epsilon": eps,
+                "epsilon_count": eps * 0.7, "epsilon_median": eps - eps * 0.7,
+                "structure_epsilon": 0.0,
+            }, r
+            assert release.accountant.path_epsilon == pytest.approx(eps)
+        assert batch.release(0).metadata is not batch.release(1).metadata
+
+    def test_cell_accountant_charges_the_grid_at_the_root(self, points):
+        cell = build_private_kdtree(points, TIGER_DOMAIN, HEIGHT, 0.5, variant="kd-cell",
+                                    cell_resolution=32, rng=1)
+        charges = [(c.level, c.epsilon) for c in cell.accountant.charges
+                   if c.kind == "structure"]
+        assert charges == [(HEIGHT, 0.5 * 0.3)]
+        assert cell.accountant.path_epsilon == pytest.approx(0.5)
 
 
 class TestMatrixOls:

@@ -35,6 +35,7 @@ from repro.serve import (
     parse_fault,
     parse_faults,
 )
+from repro.serve.http import MAX_BODY_BYTES
 
 ROWS = [
     [-123.0, 46.0, -121.0, 48.0],
@@ -259,6 +260,9 @@ def test_malformed_requests_get_4xx_never_hang(engine, tmp_path) -> None:
                 ("POST", "/query", {"analyst": "a", "queries": [[-123, 40, 10**400, 45]]}, 400),
                 ("POST", "/query", {"analyst": "a", "queries": ["-123,40,-110,45"]}, 400),
                 ("POST", "/query", {"analyst": "a", "queries": [5]}, 400),
+                # Ragged rows: four numbers, then three.
+                ("POST", "/query", {"analyst": "a", "queries": [[-123, 40, -110, 45],
+                                                                [-123, 40, -110]]}, 400),
                 ("GET", "/nowhere", None, 404),
                 ("GET", "/query", None, 405),
             ]
@@ -280,8 +284,38 @@ def test_malformed_requests_get_4xx_never_hang(engine, tmp_path) -> None:
             head, _, payload = reply.partition(b"\r\n\r\n")
             assert head.startswith(b"HTTP/1.1 400 "), reply
             assert json.loads(payload) == {"error": "bad content-length"}
+            # A body shorter than its Content-Length: the client half-closes
+            # after 10 of 100 bytes.
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+                sock.sendall(b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n"
+                             + b'{"a": 1234')
+                sock.shutdown(socket.SHUT_WR)
+                reply = b""
+                while chunk := sock.recv(65536):
+                    reply += chunk
+            assert reply.startswith(b"HTTP/1.1 400 "), reply
+            # A body over the size limit answers 400, not a connection reset,
+            # to a raw socket and to http.client alike.
+            oversized = b" " * (MAX_BODY_BYTES + (1 << 20) + 32)
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+                sock.sendall(b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: "
+                             + str(len(oversized)).encode() + b"\r\n\r\n" + oversized)
+                reply = b""
+                while chunk := sock.recv(65536):
+                    reply += chunk
+            head, _, payload = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 "), reply
+            assert json.loads(payload) == {"error": "body too large"}
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            conn.request("POST", "/query", body=oversized)
+            assert conn.getresponse().status == 400
+            conn.close()
             # Nothing above was admitted, so nothing was charged.
             assert service.ledger.seq == 0
+            # Every answer above was a 4xx, and none was a handler bug.
+            _, stats, _ = _request(port, "GET", "/stats")
+            assert stats["service"]["bad_requests"] == len(cases) + 5
+            assert stats["service"]["errors"] == 0
             # The service is unharmed.
             status, _, _ = _request(port, "POST", "/query",
                                     {"analyst": "a", "queries": ROWS[:1]})
