@@ -14,7 +14,7 @@ The package is organised as:
 * :mod:`repro.core` — the paper's contribution: private spatial
   decompositions, budget strategies, OLS post-processing, pruning;
 * :mod:`repro.engine` — the compiled flat-array query engine for serving
-  released PSDs (vectorised batch queries, LRU caching, FLATPSD2 files);
+  released PSDs (vectorised batch queries, FLATPSD2 files);
 * :mod:`repro.analysis` — the analytical error bounds of Section 4;
 * :mod:`repro.applications` — the private record-matching application;
 * :mod:`repro.experiments` — runners reproducing every figure of Section 8.
@@ -41,7 +41,7 @@ from .core import (
     build_psd,
 )
 from .data import TIGER_DOMAIN, road_intersections
-from .engine import CachedEngine, FlatPSD, batch_range_query, compile_psd
+from .engine import FlatPSD, batch_range_query, compile_psd
 from .geometry import Domain, Rect
 from .queries import PAPER_QUERY_SHAPES, QueryShape, generate_workload
 
@@ -67,5 +67,4 @@ __all__ = [
     "FlatPSD",
     "compile_psd",
     "batch_range_query",
-    "CachedEngine",
 ]

@@ -11,9 +11,10 @@ Four sub-commands cover the life-cycle of a private release:
 * ``query``  — load a released structure (JSON, compiled on load, or a
   FLATPSD2 engine — detected from the file's magic bytes, not its suffix)
   and answer rectangular range queries from it — one-off via
-  ``--rect`` or in bulk via ``--queries-file``, through the LRU answer cache
-  and, with ``--workers``, a sharded worker pool (no access to the original
-  data needed);
+  ``--rect`` or in bulk via ``--queries-file`` — through the same
+  :class:`~repro.parallel.ShardedQueryServer` that ``serve`` uses:
+  in-process by default, a sharded worker pool with ``--workers`` (no
+  access to the original data needed);
 * ``experiment`` — run one of the paper-figure experiments through the
   multi-release sweep pipeline at a named scale (``smoke`` / ``default`` /
   ``paper``) and print its series (optionally writing them as JSON), the same
@@ -47,6 +48,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 import time
 from typing import List, Optional, Sequence
@@ -64,7 +66,6 @@ from .core.kdtree import KDTREE_VARIANTS
 from .core.quadtree import QUADTREE_VARIANTS
 from .data import road_intersections
 from .engine import (
-    CachedEngine,
     PRECISIONS,
     compile_psd,
     is_engine_file,
@@ -260,25 +261,6 @@ def _cmd_compile(args) -> int:
     return 0
 
 
-def _serve_flat(engine, rects, args):
-    """Answer ``rects`` from a flat engine, optionally sharding across workers.
-
-    With ``--workers N > 1`` the compiled arrays are shared with a process
-    pool and the batch fans out in ``--chunk-queries`` chunks; the LRU answer
-    cache sits in front either way (hits never reach the pool).
-    """
-    from .parallel import ShardedQueryServer
-
-    if args.workers is not None and args.workers != 1:
-        with ShardedQueryServer(engine, workers=args.workers,
-                                chunk_queries=args.chunk_queries) as server:
-            cached = CachedEngine(engine, evaluator=server.batch_query)
-            answers = cached.batch_range_query(rects)
-            return cached, answers, server.stats()
-    cached = CachedEngine(engine)
-    return cached, cached.batch_range_query(rects), None
-
-
 def _cmd_query(args) -> int:
     specs = list(args.rect or [])
     if args.queries_file:
@@ -286,25 +268,27 @@ def _cmd_query(args) -> int:
     if not specs:
         raise SystemExit("provide at least one query via --rect or --queries-file")
 
+    from .parallel import ShardedQueryServer
+
     engine = _load_engine(args.release, verify=args.verify)
     rects = [_parse_rect(spec, engine.dims) for spec in specs]
-    cached, answers, server_stats = _serve_flat(engine, rects, args)
+    # The path `repro serve` takes.  One worker (the default) evaluates
+    # in-process; with --workers N > 1 a batch larger than --chunk-queries
+    # fans out in chunks across a pool that shares the engine's arrays.
+    with ShardedQueryServer(engine, workers=args.workers or 1,
+                            chunk_queries=args.chunk_queries) as server:
+        answers = server.batch_range_query(rects)
+        stats = server.stats()
     for spec, answer in zip(specs, answers):
         print(f"{spec}\t{answer:.2f}")
     if args.stats:
-        stats = cached.stats()
-        print(f"cache stats: {stats['hits']} hits, {stats['misses']} misses, "
-              f"{stats['size']}/{stats['maxsize']} entries, "
-              f"{stats['evictions']} evictions", file=sys.stderr)
-        if server_stats is not None:
-            print(f"serve stats: {server_stats['workers']} workers, "
-                  f"{server_stats['queries']} queries in {server_stats['batches']} batches "
-                  f"({server_stats['sharded_batches']} sharded, "
-                  f"{server_stats['chunks']} chunks), "
-                  f"{server_stats['shm_bytes_exported']} shm bytes in "
-                  f"{server_stats['shm_segments']} segments, "
-                  f"{server_stats['engine_mapped_bytes']} engine bytes memory-mapped",
-                  file=sys.stderr)
+        print(f"serve stats: {stats['workers']} workers, "
+              f"{stats['queries']} queries in {stats['batches']} batches "
+              f"({stats['sharded_batches']} sharded, {stats['chunks']} chunks), "
+              f"{stats['shm_bytes_exported']} shm bytes in "
+              f"{stats['shm_segments']} segments, "
+              f"{stats['engine_mapped_bytes']} engine bytes memory-mapped",
+              file=sys.stderr)
     return 0
 
 
@@ -321,8 +305,7 @@ def _cmd_serve(args) -> int:
         raise SystemExit(str(exc))
 
     supervisor = EngineSupervisor(engine, workers=args.workers,
-                                  chunk_queries=args.chunk_queries,
-                                  cache_size=args.cache_size)
+                                  chunk_queries=args.chunk_queries)
     ledger = BudgetLedger(args.ledger, default_cap=args.budget_cap)
     if ledger.replayed_records:
         print(f"replayed {ledger.replayed_records} ledger records from {args.ledger}",
@@ -471,6 +454,28 @@ def _cmd_experiment(args) -> int:
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _positive_finite(text: str) -> float:
+    """argparse type: a number above 0 that is neither inf nor nan."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -515,11 +520,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check every engine array against the CRC32 stamps in "
                             "the FLATPSD2 header before answering")
     query.add_argument("--stats", action="store_true",
-                       help="report LRU answer-cache effectiveness (hits/misses) on stderr")
+                       help="report the serving counters (workers, batches, chunks, "
+                            "shared and mapped bytes) on stderr")
     query.add_argument("--workers", type=int, default=None,
                        help="shard batch evaluation across this many processes over a "
                             "shared-memory engine (-1 = all cores)")
-    query.add_argument("--chunk-queries", type=int, default=1024,
+    query.add_argument("--chunk-queries", type=_positive_int, default=1024,
                        help="queries per fanned-out chunk (also caps the evaluator's "
                             "peak frontier memory; default 1024)")
     _add_obs_args(query)
@@ -595,22 +601,19 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--ledger", required=True,
                        help="path of the append-only budget WAL (JSON lines); replayed "
                             "on startup, so restarts never forget spend")
-    serve.add_argument("--budget-cap", type=float, default=1.0,
+    serve.add_argument("--budget-cap", type=_positive_finite, default=1.0,
                        help="default epsilon cap per analyst (default 1.0)")
-    serve.add_argument("--charge-epsilon", type=float, default=0.01,
+    serve.add_argument("--charge-epsilon", type=_positive_finite, default=0.01,
                        help="epsilon charged per query when a request names no "
                             "explicit total (default 0.01)")
     serve.add_argument("--workers", type=int, default=None,
                        help="worker pool size per engine generation "
                             "(-1 = all cores; 1 serves in-process)")
-    serve.add_argument("--chunk-queries", type=int, default=1024,
+    serve.add_argument("--chunk-queries", type=_positive_int, default=1024,
                        help="queries per fanned-out chunk (default 1024)")
-    serve.add_argument("--cache-size", type=int, default=0,
-                       help="LRU answer-cache capacity in front of the pool "
-                            "(0 disables caching; default 0)")
-    serve.add_argument("--max-inflight", type=int, default=64,
+    serve.add_argument("--max-inflight", type=_positive_int, default=64,
                        help="admitted-request bound before load shedding (default 64)")
-    serve.add_argument("--timeout", type=float, default=30.0,
+    serve.add_argument("--timeout", type=_positive_finite, default=30.0,
                        help="per-request timeout in seconds (default 30)")
     serve.add_argument("--no-verify", action="store_true",
                        help="skip the checksum verification of compiled engine files "

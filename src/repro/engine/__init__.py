@@ -26,8 +26,6 @@ PSD has:
   intersection / leaf-fraction logic expressed as NumPy masks.  Both match
   the recursive pointer walk kept as the test oracle (identical ``n(Q)``,
   estimates and ``Err(Q)`` equal up to float summation order).
-* :mod:`repro.engine.cache` — an LRU answer cache keyed by canonicalised
-  query rectangles, for serving workloads with repeated or popular queries.
 * :mod:`repro.engine.io` — save/load so a compiled engine can be shipped to
   query servers without re-compiling (or even without the JSON release).
   The one file format is FLATPSD2, the page-aligned zero-copy layout of
@@ -39,6 +37,11 @@ Every PSD query method (``range_query``, ``nodes_touched``,
 ``query_variance``, ``batch_range_query``) answers from the engine memoised
 on the PSD; post-processing and pruning drop the memo, so a mutated tree is
 recompiled on its next query and never served stale.
+
+Answers are not cached.  An answer is post-processing of the released
+counts — a pure function of the arrays and the rect — and the evaluator
+recomputes it for less than a dictionary lookup of a canonicalised rect
+would cost on the closed form.
 """
 
 from .batch import (
@@ -48,7 +51,6 @@ from .batch import (
     batch_range_query,
     compile_query_matrix,
 )
-from .cache import CachedEngine, QueryCache, canonical_rect_key
 from .flat import (
     FlatPSD,
     compile_hilbert_rtree,
@@ -77,9 +79,6 @@ __all__ = [
     "batch_query",
     "batch_range_query",
     "compile_query_matrix",
-    "QueryCache",
-    "CachedEngine",
-    "canonical_rect_key",
     "CellJoinIndex",
     "PointGrid",
     "matching_cell_layout",

@@ -396,7 +396,6 @@ def run_sweep(
     checkpoint: Optional[str] = None,
     faults=None,
     case_timeout: Optional[float] = None,
-    max_rebuilds: int = 3,
 ) -> List[Dict[str, object]]:
     """Run every case of a sweep and aggregate repetitions into result rows.
 
@@ -432,9 +431,9 @@ def run_sweep(
     its own spawned stream, the resumed sweep's rows are **bitwise
     identical** to an uninterrupted run's.  A journal from a *different*
     sweep (other seed, grid or workloads) refuses to resume with a named
-    error.  ``faults=`` (sweep kinds of :mod:`repro.serve.faults`),
-    ``case_timeout=`` and ``max_rebuilds=`` thread through to the
-    fault-tolerant executor; faults require ``workers > 1``.
+    error.  ``faults=`` (sweep kinds of :mod:`repro.serve.faults`) and
+    ``case_timeout=`` thread through to the fault-tolerant executor; faults
+    require ``workers > 1``.
     """
     from ..privacy.rng import spawn_generators
 
@@ -472,7 +471,6 @@ def run_sweep(
                 on_case_done=None if ck is None else ck.record,
                 faults=fault_specs,
                 case_timeout=case_timeout,
-                max_rebuilds=max_rebuilds,
             )
             if ck is not None:
                 replayed = ck.completed

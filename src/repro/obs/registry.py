@@ -6,7 +6,7 @@ hard merge semantics, chosen so that per-process registries can be combined
 into one coherent view of a multi-process run:
 
 * **counters** accumulate (``+=``) and merge by **sum** — events, bytes,
-  queries, cache hits.  Per-worker quantities carry a label (e.g.
+  queries, chunks.  Per-worker quantities carry a label (e.g.
   ``worker=<pid>``) so the merged registry still shows the per-worker split;
 * **gauges** hold a point-in-time value and merge by **max** — suitable for
   peaks (frontier size, queue depth) and for idempotent readings that every
@@ -16,8 +16,7 @@ into one coherent view of a multi-process run:
   arrays) and merge by elementwise bucket sum.  Span durations land here via
   :func:`repro.obs.trace.trace_span`.
 
-Every operation holds one internal lock — the same discipline as
-:class:`repro.engine.cache.QueryCache` — so a registry can be shared by the
+Every operation holds one internal lock, so a registry can be shared by the
 serving threads of one process.  :meth:`MetricsRegistry.snapshot` returns a
 plain picklable dict; :meth:`MetricsRegistry.merge` folds such a snapshot in.
 The :meth:`MetricsRegistry.drain` variant snapshots **and resets**, which is

@@ -15,7 +15,7 @@ a worker dies              ``BrokenProcessPool``: results that already
                            2^(k−1))`` before rebuild ``k``, and only the lost
                            tasks are resubmitted
 the pool cannot start      handled as a broken pool
-``max_rebuilds`` exceeded  the remaining tasks run in the parent
+``MAX_REBUILDS`` exceeded  the remaining tasks run in the parent
 a task raises              that task runs in the parent; the pool lives on
 a task is overdue          (``task_timeout``) resubmitted once, then run in
                            the parent
@@ -57,12 +57,15 @@ from ..obs import (
 )
 from .shm import SharedArena, dumps_shared, loads_shared
 
-__all__ = ["BACKOFF_BASE_S", "BACKOFF_MAX_S", "ResilientPool"]
+__all__ = ["BACKOFF_BASE_S", "BACKOFF_MAX_S", "MAX_REBUILDS", "ResilientPool"]
 
 #: Sleep before the first rebuild of a broken pool; doubles per rebuild.
 BACKOFF_BASE_S = 0.05
 #: Upper bound on any one rebuild sleep.
 BACKOFF_MAX_S = 1.0
+#: Rebuilds allowed per :meth:`ResilientPool.run` before the remaining tasks
+#: run in the parent.  Read when ``run`` executes, so a test can lower it.
+MAX_REBUILDS = 3
 
 #: Seconds to wait for an outstanding future once the pool is known broken
 #: (a broken executor fails them all almost at once).
@@ -141,9 +144,6 @@ class ResilientPool:
         Pool size.
     name:
         Prefix of the pool's counters and spans (``serve``, ``sweep``, ...).
-    max_rebuilds:
-        Rebuilds allowed per :meth:`run` before the remaining tasks run in
-        the parent.
     task_timeout:
         Optional soft seconds per task: an overdue task is resubmitted once,
         then run in the parent.
@@ -161,16 +161,12 @@ class ResilientPool:
         workers: int,
         *,
         name: str,
-        max_rebuilds: int = 3,
         task_timeout: Optional[float] = None,
         faults=None,
     ) -> None:
-        if max_rebuilds < 0:
-            raise ValueError("max_rebuilds must be non-negative")
         self.state = state
         self.workers = int(workers)
         self.name = name
-        self.max_rebuilds = int(max_rebuilds)
         self.task_timeout = task_timeout
         self.faults = faults
         self.arena = SharedArena()
@@ -319,7 +315,7 @@ class ResilientPool:
                 settle(future, timeout=_SALVAGE_TIMEOUT_S)
             self.stop(wait=False)
             rebuilds += 1
-            if rebuilds > self.max_rebuilds:
+            if rebuilds > MAX_REBUILDS:
                 with trace_span(f"{self.name}.degraded", tasks=len(lost)):
                     for task_id in lost:
                         inproc(task_id)

@@ -18,9 +18,11 @@ physical copy.  Serving a mapped engine to N workers therefore costs N tiny
 mmap calls, not N (or even 1) array copies — check
 ``stats()["engine_mapped_bytes"]`` to confirm the zero-copy path is active.
 
-The server composes with the LRU answer cache: pass
-``CachedEngine(server.engine, evaluator=server.batch_query)`` so hits are
-answered from the (thread-safe) cache and only misses fan out.
+It is the one path from a serving front-end to
+:func:`~repro.engine.batch.batch_query`: ``repro query`` answers through it
+at every ``--workers`` value, and ``repro serve`` through the
+:class:`~repro.serve.supervisor.EngineSupervisor` that owns one per engine
+generation.  ``workers=1`` serves in-process with no pool at all.
 """
 
 from __future__ import annotations
@@ -62,9 +64,6 @@ class ShardedQueryServer:
     chunk_queries:
         Queries per fanned-out chunk (also the ``chunk_queries=`` passed to
         each worker's evaluator, capping its frontier memory).
-    max_rebuilds:
-        How many times one batch may rebuild a broken pool before its
-        remaining chunks are served in-process.
 
     The pool is a :class:`~repro.parallel.pool.ResilientPool`, started on
     the first sharded batch.  Use the server as a context manager (or call
@@ -77,7 +76,6 @@ class ShardedQueryServer:
         engine: FlatPSD,
         workers: Optional[int] = None,
         chunk_queries: int = DEFAULT_CHUNK_QUERIES,
-        max_rebuilds: int = 3,
     ) -> None:
         from .sweep import resolve_workers
 
@@ -87,13 +85,11 @@ class ShardedQueryServer:
         self.chunk_queries = int(chunk_queries)
         self.workers = resolve_workers(workers if workers is not None else -1)
         #: A crashed worker costs the caller latency, never an exception: the
-        #: pool rebuilds up to ``max_rebuilds`` times per batch, then serves
+        #: pool rebuilds up to ``MAX_REBUILDS`` times per batch, then serves
         #: the rest in-process.
-        self._pool = ResilientPool({"engine": engine}, self.workers, name="serve",
-                                   max_rebuilds=max_rebuilds)
-        # Plain-int serving stats, kept unconditionally (like QueryCache's
-        # counters) so `repro query --workers N --stats` reports them without
-        # the metrics registry being enabled.
+        self._pool = ResilientPool({"engine": engine}, self.workers, name="serve")
+        # Plain-int serving stats, kept unconditionally so `repro query
+        # --stats` reports them without the metrics registry being enabled.
         self._stats: Dict[str, int] = {
             "batches": 0,
             "sharded_batches": 0,
@@ -102,17 +98,18 @@ class ShardedQueryServer:
         }
 
     # ------------------------------------------------------------------
-    def kill_worker(self) -> None:
-        """Crash one pool worker (deterministic fault injection).
+    def drill(self, kind: str) -> None:
+        """Run one deterministic fault drill through the pool.
 
-        Submits a task that hard-exits whichever worker picks it up; the next
-        fanned-out batch observes ``BrokenProcessPool`` and exercises the
-        rebuild-and-replay path.  A server whose pool has not started yet (or
-        runs with ``workers <= 1``) has no process to kill — a no-op then, so
-        fault plans compose with the in-process degenerate case.
+        ``kill-worker`` hard-exits whichever worker picks the drill up, so the
+        next fanned-out batch observes ``BrokenProcessPool`` and exercises the
+        rebuild-and-replay path; ``oom-worker`` raises ``MemoryError`` in a
+        worker and returns once the pool has absorbed it.  The pool starts if
+        it has not yet.  A server with ``workers <= 1`` has no pool: a no-op
+        then, so fault plans compose with in-process serving.
         """
-        if self.workers > 1 and self._pool.started:
-            self._pool.drill("kill-worker")
+        if self.workers > 1:
+            self._pool.drill(kind)
 
     def batch_query(
         self,
@@ -160,14 +157,16 @@ class ShardedQueryServer:
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:
-        """Serving counters: batches, queries, chunks fanned out, shm traffic.
+        """Serving counters: batches, queries, chunks fanned out, pool
+        recovery and shm traffic.
 
         Always available (plain ints, no registry needed) so the CLI's
-        ``--stats`` can report the sharded path next to the cache counters.
+        ``--stats`` can report them.
         """
         out = dict(self._stats)
         out["pool_rebuilds"] = self._pool.rebuilds
         out["inproc_fallbacks"] = self._pool.inproc_fallbacks
+        out["backoff_sleeps"] = self._pool.backoff_sleeps
         out["workers"] = self.workers
         out["shm_bytes_exported"] = int(self._pool.arena.nbytes())
         out["shm_segments"] = int(self._pool.arena.n_segments)

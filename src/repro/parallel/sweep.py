@@ -74,7 +74,6 @@ def run_cases_parallel(
     on_case_done: Optional[Callable[[int, List[Dict[str, object]]], None]] = None,
     faults=None,
     case_timeout: Optional[float] = None,
-    max_rebuilds: int = 3,
 ) -> List[Optional[List[Dict[str, object]]]]:
     """Execute every case on a fault-tolerant process pool; rows in case order.
 
@@ -102,9 +101,6 @@ def run_cases_parallel(
     ``case_timeout``
         Soft per-case seconds: an overdue case is resubmitted once, then
         falls back to in-process execution.
-    ``max_rebuilds``
-        Broken-pool rebuilds (under the pool's bounded exponential backoff)
-        before the remaining cases degrade to in-process execution.
     """
     from ..experiments.common import case_rows
     from ..serve.faults import FaultInjector
@@ -135,8 +131,7 @@ def run_cases_parallel(
         }
         injector = faults if isinstance(faults, FaultInjector) else FaultInjector(list(faults or ()))
         with ResilientPool(state, min(int(workers), len(shipped)), name="sweep",
-                           max_rebuilds=max_rebuilds, task_timeout=case_timeout,
-                           faults=injector) as pool:
+                           task_timeout=case_timeout, faults=injector) as pool:
             pool.run(_run_case, {i: (i, case_gens[i]) for i in shipped},
                      on_result=finish, meanwhile=run_local)
     else:

@@ -57,7 +57,7 @@ from ..engine.batch import queries_to_arrays
 from ..engine.io import load_engine
 from ..obs import counter_add, gauge_max
 from .faults import FaultInjector, FaultSpec
-from .ledger import BudgetExceeded, BudgetLedger
+from .ledger import BudgetExceeded, BudgetLedger, _positive_finite
 from .supervisor import EngineSupervisor
 
 __all__ = ["QueryService", "ServiceThread", "DEFAULT_CHARGE_EPSILON"]
@@ -127,19 +127,15 @@ class QueryService:
         request_timeout: float = 30.0,
         faults: Optional[List[FaultSpec]] = None,
     ) -> None:
-        if charge_epsilon <= 0:
-            raise ValueError("charge_epsilon must be positive")
         if max_inflight < 1:
             raise ValueError("max_inflight must be at least 1")
-        if request_timeout <= 0:
-            raise ValueError("request_timeout must be positive")
         self.supervisor = supervisor
         self.ledger = ledger
         self.host = host
         self.port = int(port)  # updated to the bound port after start()
-        self.charge_epsilon = float(charge_epsilon)
+        self.charge_epsilon = _positive_finite(charge_epsilon, "charge_epsilon")
         self.max_inflight = int(max_inflight)
-        self.request_timeout = float(request_timeout)
+        self.request_timeout = _positive_finite(request_timeout, "request_timeout")
         self.faults = FaultInjector(faults or [])
         # The WAL fault hook consults the deterministic schedule using the
         # request id stamped into each charge record.
@@ -272,7 +268,7 @@ class QueryService:
             return await self._handle_swap(body)
         if path == "/admin/kill-worker" and method == "POST":
             loop = asyncio.get_running_loop()
-            await loop.run_in_executor(None, self.supervisor.kill_worker)
+            await loop.run_in_executor(None, self.supervisor.drill, "kill-worker")
             return 200, {"status": "worker killed"}, {}
         if path in ("/query", "/admin/swap", "/admin/kill-worker"):
             raise _HttpError(405, {"error": f"{path} requires POST"})
@@ -377,19 +373,17 @@ class QueryService:
         answering without a durable charge, which is the one forbidden state.
         """
         for spec in due:
-            if spec.kind == "kill-worker":
-                self.supervisor.kill_worker()
-            elif spec.kind == "oom-worker":
-                self.supervisor.inject_oom()
+            if spec.kind in ("kill-worker", "oom-worker"):
+                self.supervisor.drill(spec.kind)
         remaining = self.ledger.charge(analyst, epsilon, request_id=request_id)
         for spec in due:
             if spec.kind == "slow-chunk":
                 time.sleep(spec.param)
         result = self.supervisor.evaluate(rows)
         return {
-            "estimates": [float(value) for value in result.estimates],
-            "nodes_touched": [int(value) for value in result.nodes_touched],
-            "variances": [float(value) for value in result.variances],
+            "estimates": result.estimates.tolist(),
+            "nodes_touched": result.nodes_touched.tolist(),
+            "variances": result.variances.tolist(),
             "analyst": analyst,
             "epsilon_charged": epsilon,
             "remaining": remaining,

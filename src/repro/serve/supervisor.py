@@ -3,9 +3,9 @@
 The :class:`EngineSupervisor` owns everything between the HTTP layer and the
 evaluator: the current :class:`~repro.parallel.serve.ShardedQueryServer`
 (whose :class:`~repro.parallel.pool.ResilientPool` rebuilds itself after a
-worker crash), the optional answer cache in front of it, the fault drills,
-and the **generation** machinery that lets an admin endpoint swap in a new
-engine while in-flight queries finish on the old one.
+worker crash), the fault drills, and the **generation** machinery that lets
+an admin endpoint swap in a new engine while in-flight queries finish on the
+old one.
 
 Swap protocol (the zero-downtime invariant):
 
@@ -21,9 +21,8 @@ Swap protocol (the zero-downtime invariant):
 
 Pool use is serialized per state: the sharded server's rebuild/replay
 machinery mutates pool state and is not re-entrant, so concurrent requests
-take the state's evaluation lock around the fan-out.  Parallelism still
-comes from the pool itself (chunks of one batch fan across all workers) and
-from the thread-safe answer cache, which serves hits without the lock.
+take the state's evaluation lock around every batch.  Parallelism still
+comes from the pool itself: the chunks of one batch fan across all workers.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from ..engine.batch import BatchQueryResult, QueryInput
-from ..engine.cache import CachedEngine
 from ..engine.flat import FlatPSD
 from ..engine.grid import grid_index
 from ..obs import counter_add, trace_span
@@ -46,11 +44,9 @@ __all__ = ["EngineState", "EngineSupervisor"]
 class EngineState:
     """One engine generation: the engine, its server, and its pin count."""
 
-    def __init__(self, engine: FlatPSD, server: ShardedQueryServer,
-                 cached: Optional[CachedEngine], generation: int) -> None:
+    def __init__(self, engine: FlatPSD, server: ShardedQueryServer, generation: int) -> None:
         self.engine = engine
         self.server = server
-        self.cached = cached
         self.generation = generation
         self.inflight = 0
         self.retired = False
@@ -73,10 +69,6 @@ class EngineSupervisor:
         in-process with no pool at all).
     chunk_queries:
         Queries per fanned-out chunk.
-    max_rebuilds:
-        Pool rebuilds allowed per batch before in-process fallback.
-    cache_size:
-        LRU answer-cache capacity in front of the pool (0 disables it).
     """
 
     def __init__(
@@ -84,13 +76,9 @@ class EngineSupervisor:
         engine: FlatPSD,
         workers: Optional[int] = None,
         chunk_queries: int = DEFAULT_CHUNK_QUERIES,
-        max_rebuilds: int = 3,
-        cache_size: int = 0,
     ) -> None:
         self.workers = workers
         self.chunk_queries = int(chunk_queries)
-        self.max_rebuilds = int(max_rebuilds)
-        self.cache_size = int(cache_size)
         self._lock = threading.Lock()
         self._retired: List[EngineState] = []
         self._state = self._make_state(engine, generation=1)
@@ -100,23 +88,9 @@ class EngineSupervisor:
         # Derive the closed-form index here, so server start and hot swap pay
         # the parent's share of it rather than the first request.
         grid_index(engine)
-        server = ShardedQueryServer(
-            engine,
-            workers=self.workers,
-            chunk_queries=self.chunk_queries,
-            max_rebuilds=self.max_rebuilds,
-        )
-        cached: Optional[CachedEngine] = None
-        state = EngineState(engine, server, cached, generation)
-
-        if self.cache_size > 0:
-            def locked_eval(rows: np.ndarray) -> BatchQueryResult:
-                with state.eval_lock:
-                    return server.batch_query(rows)
-
-            state.cached = CachedEngine(engine, maxsize=self.cache_size,
-                                        evaluator=locked_eval)
-        return state
+        server = ShardedQueryServer(engine, workers=self.workers,
+                                    chunk_queries=self.chunk_queries)
+        return EngineState(engine, server, generation)
 
     # ------------------------------------------------------------------
     # Pin / release (the zero-downtime refcount)
@@ -153,8 +127,6 @@ class EngineSupervisor:
         state = self._acquire()
         try:
             with trace_span("serve.evaluate", generation=state.generation):
-                if state.cached is not None and use_uniformity:
-                    return state.cached.batch_query(queries)
                 with state.eval_lock:
                     return state.server.batch_query(queries, use_uniformity=use_uniformity)
         finally:
@@ -184,29 +156,23 @@ class EngineSupervisor:
         return generation
 
     # ------------------------------------------------------------------
-    # Deterministic fault entry points
+    # Deterministic fault entry point
     # ------------------------------------------------------------------
-    def _drill(self, kind: str) -> None:
+    def drill(self, kind: str) -> None:
+        """Run one fault drill on the current generation's pool.
+
+        ``kill-worker`` crashes a pool worker, so the next fanned-out batch
+        rebuilds the pool; ``oom-worker`` fails a task in a worker, which the
+        parent absorbs while the pool keeps serving.  A no-op for in-process
+        serving (no pool); see
+        :meth:`~repro.parallel.serve.ShardedQueryServer.drill`.
+        """
         state = self._acquire()
         try:
-            if state.server.workers > 1:
-                with state.eval_lock:
-                    state.server._pool.drill(kind)
+            with state.eval_lock:
+                state.server.drill(kind)
         finally:
             self._release(state)
-
-    def kill_worker(self) -> None:
-        """Crash one pool worker of the current generation (fault injection)."""
-        self._drill("kill-worker")
-
-    def inject_oom(self) -> None:
-        """Run a MemoryError-raising task through the pool; the pool survives.
-
-        Deterministically exercises the worker-task-exception path: the task
-        fails in a worker, the parent absorbs the ``MemoryError``, and the
-        pool keeps serving.  A no-op for in-process serving (no pool).
-        """
-        self._drill("oom-worker")
 
     # ------------------------------------------------------------------
     @property
@@ -224,16 +190,14 @@ class EngineSupervisor:
         with self._lock:
             state = self._state
             retired_open = len(self._retired)
-        out: Dict[str, object] = {
+        server = state.server.stats()
+        return {
             "generation": state.generation,
             "inflight": state.inflight,
             "retired_draining": retired_open,
-            "backoff_sleeps": state.server._pool.backoff_sleeps,
-            "server": state.server.stats(),
+            "backoff_sleeps": server["backoff_sleeps"],
+            "server": server,
         }
-        if state.cached is not None:
-            out["cache"] = state.cached.stats()
-        return out
 
     # ------------------------------------------------------------------
     def close(self) -> None:

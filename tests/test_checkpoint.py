@@ -270,11 +270,14 @@ class TestFaultToleranceParity:
                          faults="slow-case:1:0.3", case_timeout=0.05)
         assert json.dumps(rows) == json.dumps(reference)
 
-    def test_graceful_degradation_after_max_rebuilds(self, cases, workloads, reference):
-        # every submission kills its worker; after max_rebuilds=1 the sweep
+    def test_graceful_degradation_after_max_rebuilds(self, cases, workloads, reference,
+                                                     monkeypatch):
+        # every submission kills its worker; after one rebuild the sweep
         # must degrade to in-process execution and still finish bit-exact
-        rows = run_sweep(cases, workloads, rng=0, workers=2,
-                         faults="kill-worker:1", max_rebuilds=1)
+        import repro.parallel.pool as pool_mod
+
+        monkeypatch.setattr(pool_mod, "MAX_REBUILDS", 1)
+        rows = run_sweep(cases, workloads, rng=0, workers=2, faults="kill-worker:1")
         assert json.dumps(rows) == json.dumps(reference)
 
     def test_kill_worker_with_checkpoint(self, cases, workloads, reference, tmp_path):

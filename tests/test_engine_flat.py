@@ -27,12 +27,9 @@ from repro.core import (
 )
 from repro.data import uniform_points
 from repro.engine import (
-    CachedEngine,
     FlatPSD,
-    QueryCache,
     batch_query,
     batch_range_query,
-    canonical_rect_key,
     compile_hilbert_rtree,
     compile_psd,
     compiled_engine,
@@ -216,70 +213,6 @@ class TestBackendDispatch:
         engine = compile_psd(_build("quad-opt", points, domain))
         with pytest.raises(ValueError):
             engine.released[0] = 1e9
-
-
-# ----------------------------------------------------------------------
-# LRU answer cache
-# ----------------------------------------------------------------------
-class TestQueryCache:
-    def test_hit_miss_accounting(self, points, domain):
-        cached = CachedEngine(compile_psd(_build("quad-opt", points, domain)), maxsize=64)
-        query = Rect((0.2, 0.2), (0.7, 0.7))
-        first = cached.range_query(query)
-        second = cached.range_query(query)
-        assert first == second
-        stats = cached.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1 and stats["size"] == 1
-        # All three quantities ride the same entry: no further misses.
-        cached.nodes_touched(query)
-        cached.query_variance(query)
-        assert cached.stats()["misses"] == 1
-
-    def test_cached_answers_match_engine(self, points, domain):
-        engine = compile_psd(_build("kd-hybrid", points, domain))
-        cached = CachedEngine(engine, maxsize=256)
-        queries = _random_queries_2d(np.random.default_rng(43), 40)
-        direct = batch_query(engine, queries)
-        via_cache = cached.batch_query(queries)
-        assert np.array_equal(via_cache.estimates, direct.estimates)
-        assert np.array_equal(via_cache.nodes_touched, direct.nodes_touched)
-        # Second pass: everything is a hit, same answers.
-        again = cached.batch_query(queries)
-        assert np.array_equal(again.estimates, direct.estimates)
-        assert cached.stats()["hits"] >= len(queries)
-
-    def test_batch_with_duplicates_evaluates_once(self, points, domain):
-        cached = CachedEngine(compile_psd(_build("quad-opt", points, domain)))
-        query = Rect((0.1, 0.1), (0.9, 0.8))
-        result = cached.batch_query([query, query, query])
-        assert result.estimates[0] == result.estimates[1] == result.estimates[2]
-        stats = cached.stats()
-        assert stats["size"] == 1
-        assert stats["misses"] == 1  # coalesced duplicates are not extra misses
-
-    def test_lru_eviction(self, points, domain):
-        cached = CachedEngine(compile_psd(_build("quad-opt", points, domain)), maxsize=2)
-        rects = [Rect((0.1 * i, 0.0), (0.1 * i + 0.2, 0.5)) for i in range(1, 5)]
-        for rect in rects:
-            cached.range_query(rect)
-        stats = cached.stats()
-        assert stats["size"] == 2 and stats["evictions"] == 2
-
-    def test_canonical_key_absorbs_float_noise(self):
-        key_a = canonical_rect_key((0.1, 0.2), (0.30000000000000004, 0.4))
-        key_b = canonical_rect_key((0.1, 0.2), (0.3, 0.4))
-        assert key_a == key_b
-        assert canonical_rect_key((0.1,), (0.31,)) != canonical_rect_key((0.1,), (0.3,))
-
-    def test_queries_differing_by_formatting_share_an_entry(self, points, domain):
-        cached = CachedEngine(compile_psd(_build("quad-opt", points, domain)))
-        cached.range_query(Rect((0.1, 0.2), (0.3, 0.4)))
-        cached.range_query(Rect((0.1, 0.2), (0.1 + 0.1 + 0.1, 0.4)))  # 0.30000000000000004
-        assert cached.stats() ["size"] == 1 and cached.stats()["hits"] == 1
-
-    def test_cache_rejects_bad_maxsize(self):
-        with pytest.raises(ValueError):
-            QueryCache(maxsize=0)
 
 
 def _random_queries_2d(rng, n):

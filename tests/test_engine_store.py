@@ -32,7 +32,6 @@ from repro.core import (
 )
 from repro.data import uniform_points
 from repro.engine import (
-    CachedEngine,
     FlatPSD,
     batch_query,
     compile_psd,
@@ -399,18 +398,6 @@ class TestZeroCopyServing:
         _assert_bitwise(direct, sharded)
         assert stats["engine_mapped_bytes"] > 0
         assert stats["shm_segments"] == 0  # the file is the sharing mechanism
-
-    def test_cached_engine_over_mapped_engine(self, points, domain, tmp_path):
-        engine = compile_psd(_build("quad-opt", points, domain))
-        path = tmp_path / "engine.psdm"
-        save_engine(engine, path, format="mmap")
-        cached = CachedEngine(load_engine(path))
-        queries = _queries(_build("quad-opt", points, domain), n=20)
-        first = cached.batch_range_query(queries)
-        second = cached.batch_range_query(queries)
-        assert np.array_equal(first, second)
-        assert cached.stats()["hits"] >= len(queries)
-        assert np.array_equal(first, batch_query(engine, queries).estimates)
 
 
 # ----------------------------------------------------------------------

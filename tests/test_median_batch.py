@@ -26,7 +26,6 @@ from repro.core.hilbert_rtree import build_private_hilbert_rtree
 from repro.core.kdtree import build_private_kdtree
 from repro.core.splits import CellKDSplit, HybridSplit, KDSplit
 from repro.data import uniform_points
-from repro.engine.cache import CachedEngine
 from repro.engine.flat import compile_hilbert_rtree, compile_psd
 from repro.geometry import TIGER_DOMAIN, Domain, Rect
 from repro.geometry.hilbert import HilbertCurve
@@ -387,17 +386,6 @@ class TestHilbertPlanarCompile:
 
 
 class TestCacheCounters:
-    def test_hits_misses_properties(self):
-        psd = build_psd(POINTS, DOMAIN, 3, KDSplit(), epsilon=1.0, rng=0)
-        cached = CachedEngine(psd.compile())
-        q = Rect((0.1, 0.1), (0.6, 0.6))
-        assert (cached.hits, cached.misses) == (0, 0)
-        cached.range_query(q)
-        assert (cached.hits, cached.misses) == (0, 1)
-        cached.range_query(q)
-        cached.query_variance(q)
-        assert (cached.hits, cached.misses) == (2, 1)
-
     def test_cli_query_stats(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -408,5 +396,7 @@ class TestCacheCounters:
         rect = "--rect=-123,46,-121,48"
         assert main(["query", str(release), "--stats", rect, rect]) == 0
         captured = capsys.readouterr()
-        assert "cache stats:" in captured.err
-        assert "misses" in captured.err
+        # One worker serves in-process: one batch of both rects, no pool.
+        assert "serve stats: 1 workers, 2 queries in 1 batches (0 sharded, 0 chunks)" \
+            in captured.err
+        assert "cache" not in captured.err

@@ -21,7 +21,6 @@ from repro.cli import main
 from repro.core.builder import build_psd_releases
 from repro.core.splits import QuadSplit
 from repro.data.tiger import road_intersections
-from repro.engine.cache import QueryCache
 from repro.experiments import ExperimentScale, run_fig3
 from repro.geometry.domain import TIGER_DOMAIN
 from repro.obs import (
@@ -265,30 +264,6 @@ class TestTracing:
 
 
 # ----------------------------------------------------------------------
-# Instrumented components
-# ----------------------------------------------------------------------
-class TestCacheCounters:
-    def test_query_cache_mirrors_to_registry(self):
-        reg = enable_metrics()
-        cache = QueryCache(maxsize=1)
-        key_a, key_b = (0.0, 1.0), (2.0, 3.0)
-        assert cache.get(key_a) is None
-        cache.put(key_a, (1.0, 2, 3.0))
-        assert cache.get(key_a) == (1.0, 2, 3.0)
-        cache.put(key_b, (4.0, 5, 6.0))  # evicts key_a
-        assert reg.counter_value("cache.misses") == 1.0
-        assert reg.counter_value("cache.hits") == 1.0
-        assert reg.counter_value("cache.evictions") == 1.0
-        # the plain int counters stay authoritative with metrics off too
-        assert cache.stats()["hits"] == 1 and cache.stats()["misses"] == 1
-
-    def test_query_cache_counts_without_registry(self):
-        cache = QueryCache(maxsize=4)
-        cache.get((0.0,))
-        assert cache.stats()["misses"] == 1
-
-
-# ----------------------------------------------------------------------
 # The parity contract (acceptance)
 # ----------------------------------------------------------------------
 SMOKE = dict(n_points=1_500, n_queries=4, repetitions=2, quad_height=3)
@@ -405,8 +380,8 @@ class TestObsCLI:
                      "--chunk-queries", "1", "--stats", rect, rect,
                      "--rect=-122,45,-120,47"]) == 0
         err = capsys.readouterr().err
-        assert "cache stats:" in err
-        assert "serve stats: 2 workers" in err
+        assert "cache" not in err
+        assert "serve stats: 2 workers, 3 queries in 1 batches (1 sharded, 3 chunks)" in err
         assert "sharded" in err and "shm bytes" in err
 
 

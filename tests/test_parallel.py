@@ -11,13 +11,13 @@ Covers the four contracts of :mod:`repro.parallel`:
   outputs for any chunk size (property test over random sizes plus the 1 /
   Q / Q+1 and empty-workload edges), and the sharded server preserves it
   end to end;
-* the LRU answer cache stays consistent under concurrent access.
+* a sharded server survives its workers: a killed worker or a failed task
+  costs latency, never an answer, and never leaks shared memory.
 """
 
 from __future__ import annotations
 
 import pickle
-import threading
 
 import numpy as np
 import pytest
@@ -27,7 +27,6 @@ from repro.core.quadtree import build_private_quadtree
 from repro.core.splits import QuadSplit
 from repro.data import road_intersections
 from repro.engine.batch import batch_query, queries_to_arrays
-from repro.engine.cache import CachedEngine
 from repro.experiments import ExperimentScale, make_workloads, run_fig3
 from repro.experiments.common import SweepCase, run_sweep
 from repro.experiments.fig3 import quadtree_sweep_case
@@ -284,7 +283,7 @@ class TestShardedResilience:
         with ShardedQueryServer(engine, workers=2, chunk_queries=7) as server:
             first = server.batch_query(workload.queries)  # starts the pool
             assert np.array_equal(first.estimates, reference.estimates)
-            server.kill_worker()
+            server.drill("kill-worker")
             # A worker that died may be noticed mid-batch or between batches;
             # either way parity must hold and a rebuild must show up (re-kill
             # a few times in case a fast surviving worker drained the batch
@@ -297,7 +296,7 @@ class TestShardedResilience:
                 stats = server.stats()
                 if stats["pool_rebuilds"] + stats["inproc_fallbacks"] >= 1:
                     break
-                server.kill_worker()
+                server.drill("kill-worker")
             stats = server.stats()
             assert stats["pool_rebuilds"] + stats["inproc_fallbacks"] >= 1
             # the server is fully usable again after the crash
@@ -307,7 +306,7 @@ class TestShardedResilience:
     def test_close_is_idempotent_and_safe_after_crash(self, engine, workload):
         server = ShardedQueryServer(engine, workers=2, chunk_queries=7)
         server.batch_query(workload.queries)
-        server.kill_worker()
+        server.drill("kill-worker")
         server.close()
         server.close()  # second close is a no-op, not an error
         # a closed server still answers (in-process, pool restarted on demand)
@@ -398,51 +397,6 @@ class TestShardedQueryServer:
             reference = batch_query(engine, workload.queries)
             assert np.array_equal(server.batch_query(workload.queries).estimates,
                                   reference.estimates)
-
-    def test_cache_in_front_of_shards(self, engine, workload):
-        with ShardedQueryServer(engine, workers=2, chunk_queries=8) as server:
-            cached = CachedEngine(engine, evaluator=server.batch_query)
-            first = cached.batch_range_query(workload.queries)
-            second = cached.batch_range_query(workload.queries)
-            assert np.array_equal(first, second)
-            assert cached.hits == len(workload.queries)
-
-
-# ----------------------------------------------------------------------
-# Cache thread safety
-# ----------------------------------------------------------------------
-class TestCacheConcurrency:
-    def test_concurrent_batches_stay_consistent(self, engine, workload):
-        queries = list(workload.queries)
-        reference = {
-            i: v for i, v in enumerate(batch_query(engine, queries).estimates)
-        }
-        cached = CachedEngine(engine, maxsize=16)  # small: force evictions
-        errors: list = []
-        rng = np.random.default_rng(5)
-        orders = [rng.permutation(len(queries)) for _ in range(8)]
-
-        def worker(order):
-            try:
-                for _ in range(5):
-                    picked = [queries[i] for i in order]
-                    answers = cached.batch_range_query(picked)
-                    for i, answer in zip(order, answers):
-                        if answer != reference[i]:
-                            raise AssertionError(f"query {i}: {answer} != {reference[i]}")
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(order,)) for order in orders]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        stats = cached.stats()
-        assert stats["size"] <= stats["maxsize"]
-        # every lookup was either a hit or a miss, and the counters moved
-        assert stats["hits"] + stats["misses"] >= len(queries)
 
 
 # ----------------------------------------------------------------------

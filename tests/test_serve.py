@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core.quadtree import build_private_quadtree
 from repro.data import road_intersections
 from repro.engine import batch_query, load_engine, save_engine
@@ -71,7 +72,6 @@ def _service(engine, tmp_path, **kwargs) -> QueryService:
         engine,
         workers=kwargs.pop("workers", 1),
         chunk_queries=kwargs.pop("chunk_queries", 1024),
-        cache_size=kwargs.pop("cache_size", 0),
     )
     ledger = BudgetLedger(tmp_path / "wal.jsonl",
                           default_cap=kwargs.pop("default_cap", 100.0))
@@ -116,6 +116,7 @@ def test_query_parity_and_budget(engine, tmp_path) -> None:
             expected = batch_query(engine, np.asarray(ROWS, dtype=np.float64))
             assert body["estimates"] == [float(v) for v in expected.estimates]
             assert body["nodes_touched"] == [int(v) for v in expected.nodes_touched]
+            assert body["variances"] == [float(v) for v in expected.variances]
             assert body["epsilon_charged"] == pytest.approx(0.01 * len(ROWS))
             assert body["remaining"] == pytest.approx(100.0 - 0.04)
             assert body["generation"] == 1
@@ -499,7 +500,7 @@ def test_swap_of_corrupted_engine_is_rejected_and_harmless(engine, tmp_path) -> 
 
 
 # ----------------------------------------------------------------------
-# Supervisor internals: backoff schedule and cached serving
+# Supervisor internals: backoff schedule
 # ----------------------------------------------------------------------
 def test_supervisor_backoff_is_bounded_exponential(engine, monkeypatch) -> None:
     import repro.parallel.pool as pool_mod
@@ -516,15 +517,59 @@ def test_supervisor_backoff_is_bounded_exponential(engine, monkeypatch) -> None:
         supervisor.close()
 
 
-def test_supervisor_cached_serving_matches_direct(engine) -> None:
-    rows = np.asarray(ROWS, dtype=np.float64)
-    expected = batch_query(engine, rows)
-    supervisor = EngineSupervisor(engine, workers=1, cache_size=64)
+@pytest.mark.parametrize("setting", ["charge_epsilon", "request_timeout"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+def test_service_rejects_non_finite_settings(engine, tmp_path, setting, value) -> None:
+    supervisor = EngineSupervisor(engine, workers=1)
+    ledger = BudgetLedger(tmp_path / "wal.jsonl")
     try:
-        first = supervisor.evaluate(rows)
-        second = supervisor.evaluate(rows)  # served from the answer cache
-        np.testing.assert_array_equal(first.estimates, expected.estimates)
-        np.testing.assert_array_equal(second.estimates, expected.estimates)
-        assert supervisor.stats()["cache"]["hits"] >= len(ROWS)
+        with pytest.raises(ValueError, match=setting):
+            QueryService(supervisor, ledger, **{setting: value})
     finally:
         supervisor.close()
+        ledger.close()
+
+
+# ----------------------------------------------------------------------
+# Bad numbers on the command line: refused at parse time, before any I/O
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def engine_file(engine, tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "engine.psdm"
+    save_engine(engine, path)
+    return path
+
+
+@pytest.mark.parametrize("command,option,value", [
+    ("serve", "--timeout", "nan"),
+    ("serve", "--timeout", "inf"),
+    ("serve", "--timeout", "0"),
+    ("serve", "--charge-epsilon", "nan"),
+    ("serve", "--charge-epsilon", "inf"),
+    ("serve", "--charge-epsilon", "-0.5"),
+    ("serve", "--budget-cap", "-1"),
+    ("serve", "--budget-cap", "nan"),
+    ("serve", "--max-inflight", "0"),
+    ("serve", "--chunk-queries", "0"),
+    ("serve", "--chunk-queries", "1.5"),
+    ("query", "--chunk-queries", "0"),
+    ("query", "--chunk-queries", "-3"),
+])
+def test_cli_rejects_bad_numbers_at_parse_time(engine_file, tmp_path, monkeypatch, capsys,
+                                               command, option, value) -> None:
+    import asyncio
+
+    def no_server(coro):  # a regression fails here instead of serving forever
+        coro.close()
+        raise AssertionError("the server started")
+
+    monkeypatch.setattr(asyncio, "run", no_server)
+    ledger = tmp_path / "wal.jsonl"
+    argv = [command, str(engine_file), f"{option}={value}"]
+    argv += ["--ledger", str(ledger)] if command == "serve" else ["--rect=-123,46,-121,48"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not ledger.exists()
+    err = capsys.readouterr().err
+    assert f"error: argument {option}: " in err and "Traceback" not in err
