@@ -25,7 +25,7 @@ from repro.core import build_psd
 from repro.core.hilbert_rtree import BinaryMedianSplit
 from repro.geometry import Domain, Rect
 from repro.index import UniformGrid
-from repro.privacy import exponential_mechanism_median
+from repro.privacy import exponential_mechanism_median_batch
 
 SALARY_LO, SALARY_HI = 0.0, 500_000.0
 EPSILON = 0.5
@@ -77,11 +77,13 @@ def main() -> None:
         bar = "#" * max(0, int(estimate / N_EMPLOYEES * 200))
         print(f"  [{lo:>9,.0f}, {hi:>9,.0f}): {max(estimate, 0.0):9.0f} {bar}")
 
-    # A separately-budgeted private median via the exponential mechanism.
+    # A separately-budgeted private median via the exponential mechanism: its
+    # batch form over one segment holding every (sorted) salary.
     median_eps = 0.05
-    private_median = exponential_mechanism_median(
-        salaries.ravel(), median_eps, SALARY_LO, SALARY_HI, rng=rng
-    )
+    sorted_salaries = np.sort(salaries.ravel())
+    private_median = exponential_mechanism_median_batch(
+        sorted_salaries, [0, sorted_salaries.size], median_eps, SALARY_LO, SALARY_HI, rng=rng
+    )[0]
     print(f"\ntrue median salary:    {np.median(salaries):>10,.0f}")
     print(f"private median (eps={median_eps}): {private_median:>10,.0f}")
 

@@ -183,7 +183,10 @@ class PSDReleaseBatch:
     ``structure_epsilon`` is budget spent per release on released auxiliary
     structure outside ``epsilons`` (set by :func:`build_psd` for the
     cell-based kd-tree's grid); every release's accountant charges it at the
-    root level and its metadata reports it.
+    root level and its metadata reports it.  ``median_path_deltas`` maps each
+    data-dependent level to the δ a root-to-leaf path spends on its medians
+    (set by :func:`build_psd_releases`; non-zero for smooth-sensitivity
+    medians), charged wherever the level has median budget.
     """
 
     def __init__(
@@ -214,6 +217,7 @@ class PSDReleaseBatch:
         self._epsilon_median = epsilon_median
         self._dd_levels = tuple(dd_levels)
         self.structure_epsilon = 0.0
+        self.median_path_deltas: Dict[int, float] = {}
         self._flat = flat
         self._psds = psds
         self.metadata: Dict[str, object] = {} if metadata is None else metadata
@@ -291,8 +295,9 @@ class PSDReleaseBatch:
             # parallel-composition release, charged once at the root.
             ledger.charge(self.structure_epsilon, level=self.height, kind="structure")
         for level in self._dd_levels:
-            ledger.charge(float(self._epsilon_median[r]) / len(self._dd_levels),
-                          level=level, kind="median")
+            eps = float(self._epsilon_median[r]) / len(self._dd_levels)
+            delta = self.median_path_deltas.get(level, 0.0) if eps > 0 else 0.0
+            ledger.charge(eps, level=level, kind="median", delta=delta)
         for level, eps in enumerate(self.count_epsilons[r]):
             if eps > 0:
                 ledger.charge(float(eps), level=level, kind="count")
@@ -552,6 +557,8 @@ def build_psd_releases(
             "count_budget": getattr(strategy, "name", type(strategy).__name__),
         },
     )
+    batch.median_path_deltas = {level: split_rule.median_path_delta(level, height)
+                                for level in dd_levels}
     if postprocess:
         batch.postprocess()
     if prune_threshold is not None:

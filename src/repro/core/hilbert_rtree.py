@@ -27,12 +27,11 @@ import numpy as np
 from ..geometry.domain import Domain
 from ..geometry.hilbert import HilbertCurve
 from ..geometry.rect import Rect
-from ..privacy.median import MedianMethod, resolve_median_method
+from ..privacy.median import resolve_median_method
 from ..privacy.rng import RngLike, ensure_rng
 from .builder import BudgetSplit, PSDReleaseBatch, build_psd_releases
 from .splits import (
     SplitRule,
-    _batched_method,
     _by_child,
     _draw_level,
     _level_epsilons,
@@ -55,11 +54,11 @@ class BinaryMedianSplit(SplitRule):
     split, so each point lands in exactly one child per level.
     """
 
-    median_method: "str | MedianMethod" = "em"
+    median_method: str = "em"
     name: str = "binary-kd"
 
     def __post_init__(self) -> None:
-        _batched_method(self.median_method)
+        resolve_median_method(self.median_method)
 
     @property
     def fanout(self) -> int:  # type: ignore[override]
@@ -72,6 +71,10 @@ class BinaryMedianSplit(SplitRule):
         return _method_level_draws(
             resolve_median_method(self.median_method), n_nodes, 1, epsilon_median
         )
+
+    def median_path_delta(self, level, height):
+        # One median per node: a path meets one per level.
+        return resolve_median_method(self.median_method).delta
 
     def split_level(self, lo, hi, points, point_node, level, height, epsilon_median,
                     rng=None):
@@ -88,7 +91,7 @@ class BinaryMedianSplit(SplitRule):
         vals = points[:, 0]
         counts = np.bincount(seg, minlength=k)
         offsets = np.concatenate(([0], np.cumsum(counts)))
-        per_node = int(method.draws_per_value) * counts + int(method.draws_per_call)
+        per_node = method.draws_per_value * counts + method.draws_per_call
         u, starts = _draw_level(method, eps, per_node, rng)
         # This rule hands each level back sorted by (child, value), so after
         # the first level the sort degenerates to an O(n) check.
@@ -199,7 +202,7 @@ def build_private_hilbert_rtree(
     height: int,
     epsilon: float,
     order: int = 18,
-    median_method: "str | MedianMethod" = "em",
+    median_method: str = "em",
     count_budget: str = "geometric",
     count_fraction: float = 0.7,
     postprocess: bool = True,
@@ -263,7 +266,7 @@ def build_private_hilbert_rtree_releases(
     epsilons,
     repetitions: int = 1,
     order: int = 18,
-    median_method: "str | MedianMethod" = "em",
+    median_method: str = "em",
     count_budget: str = "geometric",
     count_fraction: float = 0.7,
     postprocess: bool = True,

@@ -42,12 +42,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..index.grid import NoisyGrid
-from ..privacy.median import (
-    MedianMethod,
-    resolve_median_method,
-    true_median,
-    true_median_batch,
-)
+from ..privacy.median import MedianMethod, resolve_median_method
 from ..privacy.rng import ensure_rng
 
 __all__ = [
@@ -108,23 +103,6 @@ def _by_child(child_of_point: np.ndarray, points: np.ndarray,
     return child_of_point[ret], points[ret]
 
 
-def _batched_method(median_method: "str | MedianMethod") -> MedianMethod:
-    """Resolve a median method and refuse one the level split cannot batch.
-
-    The split draws a whole level's uniforms up front, which needs the
-    method's batch form and its fixed draw layout (see the draw-order
-    contract in :mod:`repro.privacy.median`).
-    """
-    method = resolve_median_method(median_method)
-    if (getattr(method, "batch", None) is None
-            or getattr(method, "draws_per_call", None) is None
-            or int(getattr(method, "draws_per_value", 0)) not in (0, 1)):
-        raise ValueError(
-            f"median method {median_method!r} has no batch form: it needs .batch, "
-            ".draws_per_call and a .draws_per_value of 0 or 1")
-    return method
-
-
 def _level_epsilons(epsilon_median, k: int) -> np.ndarray:
     """Normalise a scalar-or-per-node median budget into a ``(k,)`` vector.
 
@@ -145,7 +123,8 @@ def _level_epsilons(epsilon_median, k: int) -> np.ndarray:
     return eps
 
 
-def _method_level_draws(method, n_nodes: int, stages: int, epsilon_median: float) -> Optional[int]:
+def _method_level_draws(method: MedianMethod, n_nodes: int, stages: int,
+                        epsilon_median: float) -> Optional[int]:
     """Uniforms a ``split_level`` with ``stages`` median stages consumes, or ``None``.
 
     Shared by :meth:`KDSplit.level_random_draws` (three stages: one x-median
@@ -153,14 +132,14 @@ def _method_level_draws(method, n_nodes: int, stages: int, epsilon_median: float
     ``None`` marks a count that depends on the data: sampled methods draw one
     uniform per point.
     """
-    if method is true_median or float(epsilon_median) <= 0:
+    if float(epsilon_median) <= 0:
         return 0
-    if int(method.draws_per_value) != 0:
+    if method.draws_per_value:
         return None
-    return stages * int(method.draws_per_call) * n_nodes
+    return stages * method.draws_per_call * n_nodes
 
 
-def _draw_level(method, eps: np.ndarray, per_node: np.ndarray,
+def _draw_level(method: MedianMethod, eps: np.ndarray, per_node: np.ndarray,
                 rng) -> Tuple[Optional[np.ndarray], np.ndarray]:
     """Draw a level's uniforms in one call: ``(u, node_start)``.
 
@@ -169,29 +148,30 @@ def _draw_level(method, eps: np.ndarray, per_node: np.ndarray,
     exact median or a level without median budget.
     """
     node_base = np.concatenate(([0], np.cumsum(per_node))).astype(np.int64)
-    if method is true_median or not np.all(eps > 0):
+    if not method.draws_per_call or not np.all(eps > 0):
         return None, node_base[:-1]
     return ensure_rng(rng).random(int(node_base[-1])), node_base[:-1]
 
 
-def _median_stage(method, sorted_vals: np.ndarray, offsets: np.ndarray, los: np.ndarray,
-                  his: np.ndarray, eps: np.ndarray, u: Optional[np.ndarray],
+def _median_stage(method: MedianMethod, sorted_vals: np.ndarray, offsets: np.ndarray,
+                  los: np.ndarray, his: np.ndarray, eps: np.ndarray, u: Optional[np.ndarray],
                   starts: np.ndarray) -> np.ndarray:
     """One private median per segment, clamped into ``[los, his]``.
 
     Segment ``i`` reads its uniforms from ``u[starts[i]:]`` in the layout of
     :mod:`repro.privacy.median` — one mask draw per value for sampled
-    methods, then the base method's ``draws_per_call`` draws.  Without
-    uniforms a private method has no budget here and splits at the
-    data-independent (and therefore free) midpoint.
+    methods, then the base method's ``draws_per_call`` draws.  The exact
+    median (the record that draws nothing) splits at the true median with or
+    without budget; without uniforms a private method has no budget here and
+    splits at the data-independent (and therefore free) midpoint.
     """
-    if method is true_median:
-        split = true_median_batch(sorted_vals, offsets, 1.0, los, his, validate=False)
+    if not method.draws_per_call:
+        split = method.batch(sorted_vals, offsets, 1.0, los, his, validate=False)
     elif u is None:
         split = (los + his) / 2.0
     else:
-        d = np.arange(int(method.draws_per_call))
-        if int(method.draws_per_value):
+        d = np.arange(method.draws_per_call)
+        if method.draws_per_value:
             counts = np.diff(offsets)
             seg = np.repeat(np.arange(counts.shape[0], dtype=np.int64), counts)
             rank = np.arange(sorted_vals.shape[0], dtype=np.int64) - offsets[:-1][seg]
@@ -271,6 +251,12 @@ class SplitRule(ABC):
         """
         return 0
 
+    def median_path_delta(self, level: int, height: int) -> float:
+        """The δ one root-to-leaf path spends on the medians of a split at
+        ``level`` (charged only where that level has median budget); zero for
+        rules without (ε, δ) medians."""
+        return 0.0
+
 
 @dataclass(frozen=True)
 class QuadSplit(SplitRule):
@@ -310,18 +296,17 @@ class QuadSplit(SplitRule):
 class KDSplit(SplitRule):
     """Flattened (fanout-4) kd split with a private median method.
 
-    ``median_method`` may be a name from :data:`repro.privacy.MEDIAN_METHODS`
+    ``median_method`` is a label of :data:`repro.privacy.MEDIAN_METHODS`
     (``"em"``, ``"ss"``, ``"noisymean"``, ``"cell"``, ``"true"``, ``"ems"``,
-    ``"sss"``) or a callable carrying the same batch form and draw-layout
-    attributes; one without them is refused here.  Each level splits x first,
+    ``"sss"``); anything else is refused here.  Each level splits x first,
     then the two halves on y.
     """
 
-    median_method: "str | MedianMethod" = "em"
+    median_method: str = "em"
     name: str = "kd"
 
     def __post_init__(self) -> None:
-        _batched_method(self.median_method)
+        resolve_median_method(self.median_method)
 
     @property
     def fanout(self) -> int:  # type: ignore[override]
@@ -336,6 +321,10 @@ class KDSplit(SplitRule):
         return _method_level_draws(
             resolve_median_method(self.median_method), n_nodes, 3, epsilon_median
         )
+
+    def median_path_delta(self, level, height):
+        # A path meets the node's x-median and one of its two y-medians.
+        return 2 * resolve_median_method(self.median_method).delta
 
     def split_level(self, lo, hi, points, point_node, level, height, epsilon_median,
                     rng=None):
@@ -363,8 +352,8 @@ class KDSplit(SplitRule):
         x, y = points[:, 0], points[:, 1]
         counts = np.bincount(seg, minlength=k)
         offsets = np.concatenate(([0], np.cumsum(counts)))
-        d = int(method.draws_per_call)
-        per_value = int(method.draws_per_value)
+        d = method.draws_per_call
+        per_value = method.draws_per_value
         u, start_x = _draw_level(method, eps_stage, 2 * per_value * counts + 3 * d, rng)
 
         # x-medians, one per node.  The points usually arrive sorted by
@@ -402,13 +391,13 @@ class HybridSplit(SplitRule):
     """
 
     kd_levels: int = 4
-    median_method: "str | MedianMethod" = "em"
+    median_method: str = "em"
     name: str = "hybrid"
 
     def __post_init__(self) -> None:
         if self.kd_levels < 0:
             raise ValueError("kd_levels must be non-negative")
-        _batched_method(self.median_method)
+        resolve_median_method(self.median_method)
 
     @property
     def fanout(self) -> int:  # type: ignore[override]
@@ -425,6 +414,9 @@ class HybridSplit(SplitRule):
     def level_random_draws(self, level, height, n_nodes, epsilon_median):
         return self._rule(level, height).level_random_draws(level, height, n_nodes,
                                                             epsilon_median)
+
+    def median_path_delta(self, level, height):
+        return self._rule(level, height).median_path_delta(level, height)
 
     def split_level(self, lo, hi, points, point_node, level, height, epsilon_median,
                     rng=None):

@@ -9,19 +9,13 @@ from .mechanisms import (
 )
 from .median import (
     MEDIAN_METHODS,
-    cell_median,
+    MedianMethod,
     cell_median_batch,
-    exponential_mechanism_median,
     exponential_mechanism_median_batch,
     make_sampled_median,
-    median_from_noisy_cells,
-    noisy_mean_median,
     noisy_mean_median_batch,
     resolve_median_method,
-    smooth_sensitivity_median,
     smooth_sensitivity_median_batch,
-    smooth_sensitivity_of_median,
-    true_median,
     true_median_batch,
 )
 from .rng import ensure_rng, spawn_generators
@@ -35,17 +29,11 @@ __all__ = [
     "laplace_from_uniform",
     "laplace_variance",
     "MEDIAN_METHODS",
-    "true_median",
+    "MedianMethod",
     "true_median_batch",
-    "exponential_mechanism_median",
     "exponential_mechanism_median_batch",
-    "smooth_sensitivity_median",
     "smooth_sensitivity_median_batch",
-    "smooth_sensitivity_of_median",
-    "cell_median",
     "cell_median_batch",
-    "median_from_noisy_cells",
-    "noisy_mean_median",
     "noisy_mean_median_batch",
     "make_sampled_median",
     "resolve_median_method",

@@ -4,69 +4,66 @@ A data-dependent PSD (kd-tree, Hilbert R-tree) splits every internal node at
 the median of the points it contains along some axis.  Releasing that median
 exactly would leak information, and the global sensitivity of the median is of
 the order of the whole domain, so plain Laplace noise is useless.  The paper
-surveys four practical alternatives, all implemented here with a common
-signature ``method(values, epsilon, lo, hi, rng) -> float``:
+surveys four practical alternatives, each registered here as one
+:class:`MedianMethod` record under the label Figure 4 uses:
 
-* :func:`exponential_mechanism_median` (**EM**) — samples an output with
-  probability proportional to ``exp(-eps/2 * |rank(x) - rank(median)|)``
-  (Definition 5), implemented exactly with the interval decomposition the
-  paper describes;
-* :func:`smooth_sensitivity_median` (**SS**) — Laplace noise calibrated to the
-  smooth sensitivity of the median (Definition 4); only (ε, δ)-DP;
-* :func:`cell_median` (**cell**) — the heuristic of [26]: noisy counts on a
-  fixed grid, median read off the noisy cumulative distribution;
-* :func:`noisy_mean_median` (**NM**) — the heuristic of [12]: a noisy mean
-  (noisy sum / noisy count) used as a surrogate for the median.
+* ``em`` — the exponential mechanism (Definition 5): an output is drawn with
+  probability proportional to ``exp(-eps/2 * |rank(x) - rank(median)|)``,
+  exactly, with the interval decomposition the paper describes;
+* ``ss`` — Laplace noise calibrated to the smooth sensitivity of the median
+  (Definition 4); (ε, δ)-DP with the paper's ``δ = 1e-4``;
+* ``cell`` — the heuristic of [26]: noisy counts on a fixed grid, median read
+  off the noisy cumulative distribution;
+* ``noisymean`` — the heuristic of [12]: a noisy mean (noisy sum / noisy
+  count) used as a surrogate for the median;
 
-plus the non-private :func:`true_median` baseline ("kd-true" in Section 8.2)
-and sampled variants **EMs** / **SSs** built by combining any method with
-Bernoulli sampling (Theorem 7, :func:`make_sampled_median`).
+plus the non-private exact median ``true`` ("kd-true" in Section 8.2) and the
+1 %-sampled variants ``ems`` / ``sss`` built by :func:`make_sampled_median`
+(Theorem 7).
 
 All methods clamp their output to the public domain ``[lo, hi]`` — a value
 outside the domain could never be a useful split and the clamp is a
 post-processing step, so it costs nothing in privacy.
 
-Batched evaluation and the draw-order contract
-----------------------------------------------
-Every method also has a **ragged-batch** form ``method_batch(sorted_values,
-offsets, epsilons, los, his, rng) -> medians`` that evaluates one private
-median per segment — segment ``i`` holds ``sorted_values[offsets[i]:
-offsets[i+1]]`` with domain ``[los[i], his[i]]`` and budget ``epsilons[i]``.
-The level-vectorized tree builders call these once per level instead of once
-per node, which removes the per-node Python cost from the data-dependent
-build path.
+The record and the draw-order contract
+--------------------------------------
+A record holds the method's **ragged-batch** form ``batch(sorted_values,
+offsets, epsilons, los, his, rng, *, uniforms=None, validate=True)``, which
+evaluates one private median per segment — segment ``i`` holds
+``sorted_values[offsets[i]:offsets[i+1]]`` with domain ``[los[i], his[i]]``
+and budget ``epsilons[i]`` — and its fixed draw layout.  The level-vectorized
+tree builders call it once per level and stage; a single median is a batch of
+one segment.  Callers name a method by its registry label and
+:func:`resolve_median_method` returns the record.
 
-The batch is **bitwise identical** to the sequential per-node calls (the same
-contract the Laplace count batching in :mod:`repro.core.flatbuild` meets),
-which requires a fixed draw layout:
+A batch is **bitwise identical** to one call per segment in segment order
+(the same contract the Laplace count batching in :mod:`repro.core.flatbuild`
+meets), which requires a fixed draw layout:
 
 * every method consumes a *fixed* number of ``Generator.random()`` uniforms
-  per call — ``em`` 2, ``ss`` 1, ``noisymean`` 2, ``cell`` ``n_cells``,
-  ``true`` 0 — independent of the data it sees (unused draws are simply
-  discarded, which is distribution- and privacy-neutral);
+  per segment — ``draws_per_call``: ``em`` 2, ``ss`` 1, ``noisymean`` 2,
+  ``cell`` ``n_cells``, ``true`` 0 — independent of the data it sees (unused
+  draws are simply discarded, which is distribution- and privacy-neutral);
+  the exact median is the one record that draws nothing;
 * a Bernoulli-sampled variant additionally consumes one uniform per candidate
-  value, *after* sorting, so the sampled subset does not depend on the
-  caller's point order;
+  value (``draws_per_value`` 1), *after* sorting, so the sampled subset does
+  not depend on the caller's point order;
 * Laplace noise inside the methods is derived from those uniforms via
   :func:`repro.privacy.mechanisms.laplace_from_uniform` rather than drawn
   with ``Generator.laplace``, so every draw is a plain uniform;
 * a batch over ``k`` segments consumes its uniforms **node-major in segment
-  (BFS) order**: segment 0's draws first, then segment 1's, and so on —
-  exactly the stream a loop of scalar calls would consume.
+  (BFS) order**: segment 0's draws first, then segment 1's, and so on.
 
-The scalar methods are thin wrappers over the batch kernels (a batch of one),
-so the two can never drift apart; the property suite additionally asserts the
-bitwise equality and the final generator state match on ragged inputs.
-
-Each scalar method carries its draw layout as attributes: ``method.batch``
-(the batch form), ``method.draws_per_call`` and ``method.draws_per_value``.
-Batched mechanisms written by third parties must honor the same node-major
-draw order to stay interchangeable with the per-node reference builder.
+``uniforms=`` hands a batch the block a caller pre-drew for a whole level
+(see :meth:`repro.core.splits.KDSplit.split_level`).  A record's ``delta`` is
+the δ one call spends (non-zero only for the smooth-sensitivity methods); the
+release accountant charges it per median on a root-to-leaf path.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict
 
 import numpy as np
 
@@ -75,36 +72,34 @@ from .rng import RngLike, ensure_rng
 
 __all__ = [
     "MedianMethod",
-    "true_median",
     "true_median_batch",
-    "exponential_mechanism_median",
     "exponential_mechanism_median_batch",
-    "smooth_sensitivity_median",
     "smooth_sensitivity_median_batch",
-    "smooth_sensitivity_of_median",
-    "cell_median",
     "cell_median_batch",
-    "median_from_noisy_cells",
-    "noisy_mean_median",
     "noisy_mean_median_batch",
     "make_sampled_median",
     "MEDIAN_METHODS",
     "resolve_median_method",
 ]
 
-#: Signature shared by every private-median method.
-MedianMethod = Callable[..., float]
+#: δ of one smooth-sensitivity median: the paper's experimental setting.
+SS_DELTA = 1e-4
 
 
-def _prepare(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Validate the inputs common to all methods and return sorted values."""
-    lo, hi = float(lo), float(hi)
-    if hi < lo:
-        raise ValueError(f"invalid domain [{lo}, {hi}]")
-    vals = np.asarray(values, dtype=float).ravel()
-    if vals.size and (vals.min() < lo - 1e-9 or vals.max() > hi + 1e-9):
-        raise ValueError("values fall outside the declared domain [lo, hi]")
-    return np.sort(np.clip(vals, lo, hi))
+@dataclass(frozen=True)
+class MedianMethod:
+    """One private-median mechanism: its batch form and fixed draw layout.
+
+    ``draws_per_call`` uniforms per segment plus ``draws_per_value`` per
+    value, node-major (see the module docstring); ``delta`` is the δ of one
+    call.
+    """
+
+    name: str
+    batch: Callable[..., np.ndarray]
+    draws_per_call: int
+    draws_per_value: int = 0
+    delta: float = 0.0
 
 
 def _clamp_array(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -129,10 +124,10 @@ def _prepare_batch(sorted_values, offsets, los, his, validate: bool = True):
     """Validate a ragged batch; returns clipped values plus segment geometry.
 
     Values must be sorted within each segment (the clip preserves that) and
-    lie inside their segment's domain up to the same 1e-9 slack the scalar
-    path allows.  ``validate=False`` skips the domain / sortedness sweeps and
-    the (then identity) clip — for callers like the level-vectorized builders
-    whose routing already guarantees both.
+    lie inside their segment's domain up to a 1e-9 slack.  ``validate=False``
+    skips the domain / sortedness sweeps and the (then identity) clip — for
+    callers like the level-vectorized builders whose routing already
+    guarantees both.
     """
     vals = np.asarray(sorted_values, dtype=float).ravel()
     offs = np.asarray(offsets, dtype=np.int64).ravel()
@@ -177,7 +172,7 @@ def _draw_uniforms(uniforms, rng: RngLike, k: int, per_call: int) -> np.ndarray:
     Pre-drawn uniforms (from a caller that manages a whole level's stream, see
     :meth:`repro.core.splits.KDSplit.split_level`) are validated and reshaped;
     otherwise one ``Generator.random`` call produces the identical stream a
-    loop of scalar calls would consume.
+    loop of one-segment calls would consume.
     """
     if uniforms is None:
         return ensure_rng(rng).random(k * per_call).reshape(k, per_call)
@@ -235,11 +230,16 @@ def _safe_values(vals: np.ndarray):
 
 
 # ----------------------------------------------------------------------
-# Baselines
+# Baseline
 # ----------------------------------------------------------------------
 def true_median_batch(sorted_values, offsets, epsilons=0.0, los=0.0, his=1.0,
                       rng: RngLike = None, *, validate: bool = True) -> np.ndarray:
-    """Exact (non-private) medians of every segment; consumes no randomness."""
+    """Exact (non-private) medians of every segment; consumes no randomness.
+
+    ``epsilons`` and ``rng`` are accepted and ignored, so the exact median
+    has the signature of the private methods.  An empty segment returns its
+    domain midpoint.
+    """
     vals, offs, counts, seg, lo, hi, k = _prepare_batch(sorted_values, offsets, los, his,
                                                         validate=validate)
     safe, guard = _safe_values(vals)
@@ -248,17 +248,6 @@ def true_median_batch(sorted_values, offsets, epsilons=0.0, los=0.0, his=1.0,
     med = (safe[lo_idx] + safe[hi_idx]) / 2.0  # odd n: (x + x) / 2 == x exactly
     res = np.where(counts > 0, med, (lo + hi) / 2.0)
     return _clamp_array(res, lo, hi)
-
-
-def true_median(values: np.ndarray, epsilon: float = 0.0, lo: float = 0.0, hi: float = 1.0,
-                rng: RngLike = None) -> float:
-    """The exact (non-private) median; the paper's ``kd-true`` baseline.
-
-    ``epsilon`` and ``rng`` are accepted (and ignored) so the function is a
-    drop-in replacement for the private methods in the tree builders.
-    """
-    vals = _prepare(values, lo, hi)
-    return float(true_median_batch(vals, np.array([0, vals.size]), epsilon, lo, hi)[0])
 
 
 # ----------------------------------------------------------------------
@@ -270,10 +259,15 @@ def exponential_mechanism_median_batch(
 ) -> np.ndarray:
     """Batched EM medians: one interval decomposition sweep over all segments.
 
-    Consumes exactly two uniforms per segment, node-major: the first selects
-    the inter-value interval (by inverting the normalized weight CDF, the
-    same inversion ``Generator.choice`` performs), the second places the
-    output uniformly inside it.
+    The output ``x`` is drawn with probability proportional to
+    ``exp(-eps/2 * |rank(x) - rank(x_m)|)``.  All values between two
+    consecutive data points share a rank, so the interval ``I_t`` between
+    them is picked with probability proportional to
+    ``|I_t| * exp(-eps/2 * |t - m|)`` and the output is uniform inside it,
+    exactly as described after Definition 5.  Consumes two uniforms per
+    segment, node-major: the first selects the interval (by inverting the
+    normalized weight CDF, the same inversion ``Generator.choice`` performs),
+    the second places the output inside it.
     """
     vals, offs, counts, seg, lo, hi, k = _prepare_batch(sorted_values, offsets, los, his,
                                                         validate=validate)
@@ -319,45 +313,23 @@ def exponential_mechanism_median_batch(
     return _clamp_array(res, lo, hi)
 
 
-def exponential_mechanism_median(
-    values: np.ndarray,
-    epsilon: float,
-    lo: float,
-    hi: float,
-    rng: RngLike = None,
-) -> float:
-    """Private median via the exponential mechanism.
-
-    The output ``x`` is drawn with probability proportional to
-    ``exp(-eps/2 * |rank(x) - rank(x_m)|)``.  Because all values between two
-    consecutive data points share a rank, the sampler first picks the interval
-    ``I_k = [x_k, x_{k+1})`` with probability proportional to
-    ``|I_k| * exp(-eps/2 * |k - m|)`` and then returns a uniform value inside
-    it, exactly as described after Definition 5.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    vals = _prepare(values, lo, hi)
-    return float(exponential_mechanism_median_batch(
-        vals, np.array([0, vals.size]), epsilon, lo, hi, rng=rng)[0])
-
-
 # ----------------------------------------------------------------------
 # Smooth sensitivity (Definition 4)
 # ----------------------------------------------------------------------
-def _smooth_sensitivity_kernel(vals, offs, counts, eps, lo, hi, delta, max_k) -> np.ndarray:
+def _smooth_sensitivity_kernel(vals, offs, counts, eps, lo, hi, delta) -> np.ndarray:
     """ξ-smooth sensitivities of every segment's median, one shared k-scan.
 
-    The loop runs over the scan variable ``k`` only — all segments still in
-    play are processed per iteration with one window gather — and each
-    segment drops out exactly when the sequential early-termination bound
-    (``exp(-k ξ) * |domain|`` can no longer beat its best) fires, so the
-    result matches the per-node scan bit for bit.
+    ``sigma_s`` is the maximum over ``k`` of ``exp(-k * xi) * max_t
+    (x_{m+t} - x_{m+t-k-1})`` with ``xi = eps / (4 * (1 + ln(2/delta)))`` and
+    values outside ``[1, n]`` padded with ``lo`` / ``hi``.  The loop runs over
+    the scan variable ``k`` only — all segments still in play are processed
+    per iteration with one window gather — and a segment drops out once
+    ``exp(-k * xi) * (hi - lo)`` can no longer beat its best (every remaining
+    term is then dominated), so the result is exact.
     """
     n_segs = counts.shape[0]
     domain = hi - lo
     xi = eps / (4.0 * (1.0 + np.log(2.0 / delta)))
-    cap = counts if max_k is None else np.minimum(int(max_k), counts)
     best = np.zeros(n_segs)
     active = counts > 0
     safe, guard = _safe_values(vals)
@@ -366,7 +338,7 @@ def _smooth_sensitivity_kernel(vals, offs, counts, eps, lo, hi, delta, max_k) ->
     step = 0
     while True:
         decay = np.exp(-step * xi)
-        active = active & (step <= cap) & (decay * domain > best)
+        active = active & (step <= counts) & (decay * domain > best)
         if not np.any(active):
             break
         idx = np.flatnonzero(active)
@@ -384,60 +356,24 @@ def _smooth_sensitivity_kernel(vals, offs, counts, eps, lo, hi, delta, max_k) ->
         best[idx] = np.maximum(best[idx], decay[idx] * local)
         step += 1
 
-    if max_k is not None:
-        # Conservative tail bound keeps a capped scan a valid smooth upper bound.
-        short = (cap < counts) & (counts > 0)
-        best = np.where(short, np.maximum(best, np.exp(-(cap + 1) * xi) * domain), best)
     return np.where(counts > 0, best, domain)
-
-
-def smooth_sensitivity_of_median(
-    values: np.ndarray,
-    epsilon: float,
-    delta: float,
-    lo: float,
-    hi: float,
-    max_k: Optional[int] = None,
-) -> float:
-    """The ξ-smooth sensitivity of the median (Definition 4).
-
-    ``sigma_s = max_k exp(-k * xi) * max_t (x_{m+t} - x_{m+t-k-1})`` with
-    ``xi = eps / (4 * (1 + ln(2/delta)))`` and values outside ``[1, n]``
-    padded with ``lo`` / ``hi``.
-
-    The scan over ``k`` terminates early once ``exp(-k*xi) * (hi - lo)`` can
-    no longer beat the best value found (at that point every remaining term is
-    dominated), so the result is exact.  ``max_k`` optionally caps the scan;
-    when the cap is hit the tail is replaced by its upper bound
-    ``exp(-max_k*xi) * (hi - lo)``, which keeps the output a valid ξ-smooth
-    upper bound (privacy is preserved, utility can only degrade).
-    """
-    if epsilon <= 0 or not 0 < delta < 1:
-        raise ValueError("need epsilon > 0 and 0 < delta < 1")
-    vals = _prepare(values, lo, hi)
-    sigma = _smooth_sensitivity_kernel(
-        vals, np.array([0, vals.size], dtype=np.int64), np.array([vals.size], dtype=np.int64),
-        np.full(1, float(epsilon)), np.full(1, float(lo)), np.full(1, float(hi)), delta, max_k)
-    return float(sigma[0])
 
 
 def smooth_sensitivity_median_batch(
     sorted_values, offsets, epsilons, los, his,
     rng: RngLike = None, *, uniforms=None, validate: bool = True,
-    delta: float = 1e-4, max_k: Optional[int] = None,
 ) -> np.ndarray:
-    """Batched SS medians; consumes exactly one uniform per segment.
+    """Batched SS medians ``x_m + (2*sigma_s/eps) * Lap(1)``; one uniform per segment.
 
-    Empty segments return the (clamped) domain midpoint; their uniform is
-    discarded so the draw layout stays data independent.
+    (ε, δ)-DP with ``δ = SS_DELTA``.  Empty segments return the (clamped)
+    domain midpoint; their uniform is discarded so the draw layout stays data
+    independent.
     """
     vals, offs, counts, seg, lo, hi, k = _prepare_batch(sorted_values, offsets, los, his,
                                                         validate=validate)
     eps = _check_epsilons(epsilons, k)
-    if not 0 < delta < 1:
-        raise ValueError("need 0 < delta < 1")
     u = _draw_uniforms(uniforms, rng, k, 1)
-    sigma = _smooth_sensitivity_kernel(vals, offs, counts, eps, lo, hi, delta, max_k)
+    sigma = _smooth_sensitivity_kernel(vals, offs, counts, eps, lo, hi, SS_DELTA)
     safe, guard = _safe_values(vals)
     med = safe[np.minimum(offs[:-1] + np.maximum(counts - 1, 0) // 2, guard)]
     noise = laplace_from_uniform(u[:, 0])
@@ -445,67 +381,23 @@ def smooth_sensitivity_median_batch(
     return _clamp_array(res, lo, hi)
 
 
-def smooth_sensitivity_median(
-    values: np.ndarray,
-    epsilon: float,
-    lo: float,
-    hi: float,
-    rng: RngLike = None,
-    delta: float = 1e-4,
-    max_k: Optional[int] = None,
-) -> float:
-    """Private median via smooth sensitivity: ``x_m + (2*sigma_s/eps) * Lap(1)``.
-
-    Satisfies (ε, δ)-differential privacy.  ``delta`` defaults to the paper's
-    experimental setting of ``1e-4``.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    vals = _prepare(values, lo, hi)
-    return float(smooth_sensitivity_median_batch(
-        vals, np.array([0, vals.size]), epsilon, lo, hi, rng=rng,
-        delta=delta, max_k=max_k)[0])
-
-
 # ----------------------------------------------------------------------
 # Cell-based heuristic [26]
 # ----------------------------------------------------------------------
-def median_from_noisy_cells(noisy_counts: np.ndarray, edges: np.ndarray) -> float:
-    """Read a median off noisy per-cell counts.
-
-    ``edges`` has one more entry than ``noisy_counts``.  Negative noisy counts
-    are floored at zero (a standard post-processing step), the half-mass cell
-    is located on the cumulative distribution and the position is linearly
-    interpolated inside it under a within-cell uniformity assumption.
-    """
-    counts = np.clip(np.asarray(noisy_counts, dtype=float), 0.0, None)
-    edges = np.asarray(edges, dtype=float)
-    if edges.size != counts.size + 1:
-        raise ValueError("edges must have exactly one more entry than counts")
-    total = counts.sum()
-    if total <= 0:
-        return float((edges[0] + edges[-1]) / 2.0)
-    cum = np.cumsum(counts)
-    half = total / 2.0
-    idx = int(np.searchsorted(cum, half))
-    idx = min(idx, counts.size - 1)
-    prev = cum[idx - 1] if idx > 0 else 0.0
-    in_cell = counts[idx]
-    frac = 0.5 if in_cell <= 0 else (half - prev) / in_cell
-    frac = min(max(frac, 0.0), 1.0)
-    return float(edges[idx] + frac * (edges[idx + 1] - edges[idx]))
-
-
 def cell_median_batch(
     sorted_values, offsets, epsilons, los, his,
     rng: RngLike = None, *, uniforms=None, validate: bool = True, n_cells: int = 1024,
 ) -> np.ndarray:
     """Batched cell-heuristic medians; ``n_cells`` uniforms per segment.
 
-    Every segment lays an ``n_cells`` grid over its own domain, one
-    ``bincount`` histograms all segments at once and the noisy-CDF inversion
-    runs as rectangular row operations.  Zero-width domains return ``lo``
-    (their noise draws are discarded, keeping the layout data independent).
+    Every segment lays an ``n_cells`` grid of equal cells over its own
+    domain and adds Laplace noise of parameter ``epsilon`` to every cell
+    count (the cells are disjoint, so this is a single ``epsilon`` charge).
+    Negative noisy counts are floored at zero, the half-mass cell is located
+    on the cumulative counts and the median is interpolated inside it.  One
+    ``bincount`` histograms all segments at once and the inversion runs as
+    rectangular row operations.  Zero-width domains return ``lo`` (their
+    noise draws are discarded, keeping the layout data independent).
     """
     if n_cells < 1:
         raise ValueError("n_cells must be at least 1")
@@ -552,31 +444,6 @@ def cell_median_batch(
     return np.where(degenerate, lo, res)
 
 
-def cell_median(
-    values: np.ndarray,
-    epsilon: float,
-    lo: float,
-    hi: float,
-    rng: RngLike = None,
-    n_cells: int = 1024,
-) -> float:
-    """Private median via the cell-based heuristic of [26].
-
-    A fixed-resolution grid of ``n_cells`` equal cells is laid over
-    ``[lo, hi]``, Laplace noise with parameter ``epsilon`` is added to every
-    cell count (cell counts have sensitivity 1 and the cells are disjoint, so
-    this is a single ``epsilon`` charge), and the median is read off the noisy
-    cumulative counts.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if n_cells < 1:
-        raise ValueError("n_cells must be at least 1")
-    vals = _prepare(values, lo, hi)
-    return float(cell_median_batch(
-        vals, np.array([0, vals.size]), epsilon, lo, hi, rng=rng, n_cells=n_cells)[0])
-
-
 # ----------------------------------------------------------------------
 # Noisy-mean heuristic [12]
 # ----------------------------------------------------------------------
@@ -584,7 +451,13 @@ def noisy_mean_median_batch(
     sorted_values, offsets, epsilons, los, his,
     rng: RngLike = None, *, uniforms=None, validate: bool = True,
 ) -> np.ndarray:
-    """Batched noisy-mean surrogates; two uniforms per segment (sum, count)."""
+    """Batched noisy-mean surrogates; two uniforms per segment (sum, count).
+
+    Half the budget goes to a noisy sum (sensitivity ``max(|lo|, |hi|)``),
+    half to a noisy count (sensitivity 1); the released value is their ratio,
+    clamped to the domain.  As the paper notes there is no guarantee this is
+    close to the median, which is exactly the weakness Figure 4(a) exhibits.
+    """
     vals, offs, counts, seg, lo, hi, k = _prepare_batch(sorted_values, offsets, los, his,
                                                         validate=validate)
     eps = _check_epsilons(epsilons, k)
@@ -598,29 +471,8 @@ def noisy_mean_median_batch(
     return _clamp_array(noisy_sum / noisy_count, lo, hi)
 
 
-def noisy_mean_median(
-    values: np.ndarray,
-    epsilon: float,
-    lo: float,
-    hi: float,
-    rng: RngLike = None,
-) -> float:
-    """Private "median" via the noisy-mean surrogate of [12].
-
-    Half the budget goes to a noisy sum (sensitivity ``max(|lo|, |hi|)``), half
-    to a noisy count (sensitivity 1); the released value is their ratio,
-    clamped to the domain.  As the paper notes there is no guarantee this is
-    close to the median, which is exactly the weakness Figure 4(a) exhibits.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    vals = _prepare(values, lo, hi)
-    return float(noisy_mean_median_batch(
-        vals, np.array([0, vals.size]), epsilon, lo, hi, rng=rng)[0])
-
-
 # ----------------------------------------------------------------------
-# Sampling wrappers (Theorem 7)
+# Sampling (Theorem 7)
 # ----------------------------------------------------------------------
 def _tight_base_epsilon_array(epsilons: np.ndarray, rate: float, cap: float = 5.0) -> np.ndarray:
     """Per-run ε under the *tight* amplification bound, ``ln(1 + (e^ε - 1) / p)``.
@@ -629,59 +481,46 @@ def _tight_base_epsilon_array(epsilons: np.ndarray, rate: float, cap: float = 5.
     ``ln(1 + p (e^{ε'} - 1))``-DP, which Theorem 7's ``2 p e^{ε'}`` loosely
     upper-bounds.  Inverting the tight form gives a usable per-run budget
     even when the target is below ``2p`` (where the loose form has no
-    solution).  The result is at least the target (running at the target on
-    a sample is only more private) and at most ``cap``.
+    solution).  The inversion can round a few ulps high, so the result steps
+    down until it amplifies back to at most the target.  It is then floored at
+    the target (running at the target on a sample is only more private) and
+    capped at ``cap``.
     """
-    run = np.log(1.0 + (np.exp(epsilons) - 1.0) / rate)
+    run = np.log1p(np.expm1(epsilons) / rate)
+    over = np.log1p(rate * np.expm1(run)) > epsilons
+    while np.any(over):
+        run = np.where(over, np.nextafter(run, 0.0), run)
+        over = np.log1p(rate * np.expm1(run)) > epsilons
     return np.minimum(np.maximum(run, epsilons), cap)
 
 
-def _base_draw_count(base_method: MedianMethod, kwargs: dict) -> int:
-    if getattr(base_method, "draws_scale_with_cells", False) and "n_cells" in kwargs:
-        return int(kwargs["n_cells"])
-    return int(base_method.draws_per_call)
+def make_sampled_median(base: MedianMethod, sampling_rate: float) -> MedianMethod:
+    """The record of ``base`` run on a Bernoulli sample of each segment.
 
+    Sampling amplifies privacy (Section 7 / Theorem 7), so the sampled method
+    runs ``base`` at the per-run budget ``eps' = ln(1 + (e^eps - 1) / p)``
+    (see :func:`_tight_base_epsilon_array`) and still delivers the requested
+    guarantee; this reproduces the paper's Figure 4 setting where a 0.01
+    per-level budget with 1 % sampling becomes a per-run budget roughly
+    50-70x larger.  Its δ is ``p`` times the base's.
 
-def make_sampled_median(
-    base_method: MedianMethod,
-    sampling_rate: float,
-    amplify_budget: bool = True,
-) -> MedianMethod:
-    """Wrap a median method so it runs on a Bernoulli sample of the input.
-
-    Sampling amplifies privacy (Section 7 / Theorem 7), so the wrapper may run
-    the base method at a *larger* per-run budget while still delivering the
-    requested guarantee.  With ``amplify_budget=True`` the per-run budget is
-    obtained by inverting the tight amplification bound
-    ``eps' = ln(1 + (e^eps - 1) / p)`` (see :func:`_tight_base_epsilon_array`);
-    this reproduces the paper's Figure 4 setting where a 0.01 per-level
-    budget with 1 % sampling becomes a per-run budget roughly 50-70x larger.
-    With
-    ``amplify_budget=False`` the base method simply runs at the target budget
-    on the sample (strictly more private, less accurate).
-
-    Draw contract: the wrapper first sorts (and clips) the values, then
+    Draw contract: the sampled batch takes the sorted (and clipped) values,
     consumes **one uniform per value** for the Bernoulli mask, then hands the
-    stream to the base method — so the sampled subset is independent of the
-    caller's point order and a batch over many segments can slice one flat
-    uniform vector node-major.
+    stream to ``base`` — so the sampled subset is independent of the caller's
+    point order and a batch over many segments can slice one flat uniform
+    vector node-major.  Pre-drawn ``uniforms`` are the pair ``(mask, base)``.
     """
     if not 0 < sampling_rate <= 1:
         raise ValueError("sampling_rate must lie in (0, 1]")
-    base_batch = getattr(base_method, "batch", None)
-    if base_batch is None:
-        raise TypeError("make_sampled_median requires a base method with a batch form")
+    d = base.draws_per_call
 
     def sampled_batch(sorted_values, offsets, epsilons, los, his,
-                      rng: RngLike = None, *, uniforms=None, validate: bool = True,
-                      **kwargs) -> np.ndarray:
+                      rng: RngLike = None, *, uniforms=None, validate: bool = True) -> np.ndarray:
         vals, offs, counts, seg, lo, hi, k = _prepare_batch(sorted_values, offsets, los, his,
                                                             validate=validate)
         eps = _check_epsilons(epsilons, k)
-        d = _base_draw_count(base_method, kwargs)
         if uniforms is None:
-            gen = ensure_rng(rng)
-            u = gen.random(int(vals.size + d * k))
+            u = ensure_rng(rng).random(int(vals.size + d * k))
             # node-major layout: [mask(n_i), base(d)] per segment; the r-th
             # value of segment i (global index j) sits at j + d*i.
             mask_u = u[np.arange(vals.size) + d * seg] if vals.size else np.empty(0)
@@ -690,77 +529,46 @@ def make_sampled_median(
             mask_u, base_u = uniforms
             mask_u = np.asarray(mask_u, dtype=float).ravel()
         keep = mask_u < sampling_rate
-        new_vals = vals[keep]
         new_counts = (np.bincount(seg[keep], minlength=k).astype(np.int64)
                       if vals.size else np.zeros(k, dtype=np.int64))
         new_offsets = np.concatenate(([0], np.cumsum(new_counts)))
-        eps_run = _tight_base_epsilon_array(eps, sampling_rate) if amplify_budget else eps
         # The sampled subset of a validated batch is itself valid.
-        return base_batch(new_vals, new_offsets, eps_run, lo, hi, uniforms=base_u,
-                          validate=False, **kwargs)
+        return base.batch(vals[keep], new_offsets, _tight_base_epsilon_array(eps, sampling_rate),
+                          lo, hi, uniforms=base_u, validate=False)
 
-    def sampled(values: np.ndarray, epsilon: float, lo: float, hi: float,
-                rng: RngLike = None, **kwargs) -> float:
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        vals = _prepare(values, lo, hi)
-        return float(sampled_batch(vals, np.array([0, vals.size]), epsilon, lo, hi,
-                                   rng=ensure_rng(rng), **kwargs)[0])
-
-    name = getattr(base_method, "__name__", "median")
-    sampled.__name__ = f"sampled_{name}"
-    sampled.__doc__ = f"Sampled (p={sampling_rate}) variant of {name}."
-    sampled.batch = sampled_batch
-    sampled.draws_per_call = _base_draw_count(base_method, {})
-    sampled.draws_per_value = 1
-    sampled.draws_scale_with_cells = getattr(base_method, "draws_scale_with_cells", False)
-    return sampled
+    return MedianMethod(name=f"{base.name}s", batch=sampled_batch, draws_per_call=d,
+                        draws_per_value=1, delta=sampling_rate * base.delta)
 
 
 # ----------------------------------------------------------------------
-# Draw-layout attributes and registries
+# Registry
 # ----------------------------------------------------------------------
-# ``batch``: the ragged-batch form; ``draws_per_call`` / ``draws_per_value``:
-# the fixed draw layout the level-vectorized builders rely on to pre-draw a
-# whole level's uniforms in per-node BFS order.
-true_median.batch = true_median_batch
-true_median.draws_per_call = 0
-true_median.draws_per_value = 0
+_EM = MedianMethod("em", exponential_mechanism_median_batch, draws_per_call=2)
+_SS = MedianMethod("ss", smooth_sensitivity_median_batch, draws_per_call=1, delta=SS_DELTA)
 
-exponential_mechanism_median.batch = exponential_mechanism_median_batch
-exponential_mechanism_median.draws_per_call = 2
-exponential_mechanism_median.draws_per_value = 0
-
-smooth_sensitivity_median.batch = smooth_sensitivity_median_batch
-smooth_sensitivity_median.draws_per_call = 1
-smooth_sensitivity_median.draws_per_value = 0
-
-cell_median.batch = cell_median_batch
-cell_median.draws_per_call = 1024  # the default n_cells
-cell_median.draws_per_value = 0
-cell_median.draws_scale_with_cells = True
-
-noisy_mean_median.batch = noisy_mean_median_batch
-noisy_mean_median.draws_per_call = 2
-noisy_mean_median.draws_per_value = 0
-
-#: Registry of the paper's median methods keyed by the labels used in Figure 4.
+#: The paper's median methods keyed by the labels used in Figure 4.
 MEDIAN_METHODS: Dict[str, MedianMethod] = {
-    "true": true_median,
-    "em": exponential_mechanism_median,
-    "ss": smooth_sensitivity_median,
-    "cell": cell_median,
-    "noisymean": noisy_mean_median,
-    "ems": make_sampled_median(exponential_mechanism_median, sampling_rate=0.01),
-    "sss": make_sampled_median(smooth_sensitivity_median, sampling_rate=0.01),
+    "true": MedianMethod("true", true_median_batch, draws_per_call=0),
+    "em": _EM,
+    "ss": _SS,
+    "cell": MedianMethod("cell", cell_median_batch, draws_per_call=1024),  # the default n_cells
+    "noisymean": MedianMethod("noisymean", noisy_mean_median_batch, draws_per_call=2),
+    "ems": make_sampled_median(_EM, sampling_rate=0.01),
+    "sss": make_sampled_median(_SS, sampling_rate=0.01),
 }
 
 
-def resolve_median_method(method: "str | MedianMethod") -> MedianMethod:
-    """Look up a median method by name, or pass a callable straight through."""
-    if callable(method):
-        return method
-    key = str(method).lower()
+def resolve_median_method(name: str) -> MedianMethod:
+    """The registry record of a median method, by its (case-insensitive) label.
+
+    Split rules hold the label, so they pickle; anything but a label is
+    refused, since the level split needs a record's batch form and draw
+    layout.
+    """
+    if not isinstance(name, str):
+        raise ValueError(f"median method {name!r} has no batch form: name one of "
+                         f"{sorted(MEDIAN_METHODS)}")
+    key = name.lower()
     if key not in MEDIAN_METHODS:
-        raise KeyError(f"unknown median method {method!r}; available: {sorted(MEDIAN_METHODS)}")
+        raise KeyError(f"unknown median method {name!r}; available: {sorted(MEDIAN_METHODS)}")
     return MEDIAN_METHODS[key]

@@ -8,6 +8,8 @@ unchanged in substance, as the readable executable specification:
 
 * :mod:`oracle.tree` — :class:`PSDNode`, the pointer-backed
   :class:`PointerPSD`, and the conversions to and from the BFS arrays;
+* :mod:`oracle.median` — the scalar private medians (each a batch of one
+  segment of its registry record) and the per-node Figure 4 loop over them;
 * :mod:`oracle.splits` — the per-node split of every production rule
   (scalar private medians, per-rect grid medians, geometric routing that puts
   each point in exactly one child), and the full-weight grid median the
@@ -43,6 +45,7 @@ from .build import (
 )
 from .hilbert import range_query_intervals, rect_to_ranges
 from .matching import blocking_reference, reference_blocking
+from .median import fig4_rows, per_node
 from .query import (
     HilbertPointerView,
     compile_hilbert_rtree,
@@ -81,6 +84,8 @@ __all__ = [
     "bfs_order",
     "materialize_nodes",
     "flatten_tree",
+    "per_node",
+    "fig4_rows",
     "split_node",
     "grid_median_along_axis",
     "full_weight_grid_median",

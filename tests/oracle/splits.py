@@ -3,9 +3,10 @@
 Production splits a whole level per call
 (:meth:`repro.core.splits.SplitRule.split_level`).  :func:`split_node` splits
 one node of any production rule the readable way — scalar private-median
-calls, ``Rect`` arithmetic and a per-rect grid median — and
-:func:`oracle.build._grow_level_order` calls it node by node in BFS order, so
-a pointer build consumes the RNG exactly as the level-batched one does.
+calls (:mod:`oracle.median`), ``Rect`` arithmetic and a per-rect grid
+median — and :func:`oracle.build._grow_level_order` calls it node by node in
+BFS order, so a pointer build consumes the RNG exactly as the level-batched
+one does.
 
 Points are routed geometrically: each child rect is half-open except on the
 domain's upper faces (:func:`domain_aware_mask`), and a point inside several
@@ -26,8 +27,10 @@ from repro.core.splits import CellKDSplit, HybridSplit, KDSplit, QuadSplit, Spli
 from repro.geometry.domain import Domain
 from repro.geometry.rect import Rect
 from repro.index.grid import NoisyGrid
-from repro.privacy.median import resolve_median_method, true_median
+from repro.privacy.median import resolve_median_method
 from repro.privacy.rng import RngLike, ensure_rng
+
+from .median import per_node
 
 __all__ = ["SplitResult", "split_node", "grid_median_along_axis", "full_weight_grid_median",
            "domain_aware_mask"]
@@ -165,14 +168,18 @@ def full_weight_grid_median(noisy: NoisyGrid, rect: Rect, axis: int) -> float:
     return _half_mass_coordinate(profile, grid.edges(axis), rect, axis)
 
 
-def _median(median_method, values: np.ndarray, epsilon: float, lo: float, hi: float,
+def _exact(median_method: str) -> bool:
+    """Whether the method is the exact median: the record that draws nothing."""
+    return resolve_median_method(median_method).draws_per_call == 0
+
+
+def _median(median_method: str, values: np.ndarray, epsilon: float, lo: float, hi: float,
             gen: np.random.Generator) -> float:
     """One scalar private median; with no budget left, the free midpoint."""
-    method = resolve_median_method(median_method)
-    if method is true_median:
-        return float(method(values, 1.0, lo, hi, rng=gen))
+    if _exact(median_method):
+        return per_node(median_method)(values, 1.0, lo, hi, rng=gen)
     if epsilon > 0:
-        return float(method(values, epsilon, lo, hi, rng=gen))
+        return per_node(median_method)(values, epsilon, lo, hi, rng=gen)
     return (lo + hi) / 2.0
 
 
@@ -212,7 +219,7 @@ def split_node(
     if isinstance(rule, QuadSplit):
         return _partition(list(rect.quad_children()), points, domain)
     if isinstance(rule, KDSplit):
-        private = resolve_median_method(rule.median_method) is not true_median
+        private = not _exact(rule.median_method)
         # The x-split and the y-splits lie on the same root-to-leaf path, so the
         # level's budget is halved between the two stages; the two y-medians act
         # on disjoint halves and compose in parallel, so each gets the full half.

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import oracle
 from repro.experiments import (
     ExperimentScale,
     evaluate_tree,
@@ -27,6 +28,7 @@ from repro.experiments import (
     run_geometric_ratio_ablation,
     run_switch_level_ablation,
 )
+from repro.experiments.fig4 import PAPER_MEDIAN_METHODS
 from repro.queries import KD_QUERY_SHAPES
 
 SCALE = ExperimentScale.smoke()
@@ -73,6 +75,18 @@ class TestFigureRunners:
         root_rows = [r for r in rows if r["depth"] == 0]
         assert all(r["nodes"] == 1 for r in root_rows)
         assert all(0 <= r["rank_error_pct"] <= 100 for r in rows if np.isfinite(r["rank_error_pct"]))
+
+    def test_fig4_rows_equal_per_node_reference(self):
+        """A depth's one batch call per method (cell: one per n_cells group of a
+        level-wide BFS draw) equals one scalar median per node in BFS order."""
+        kwargs = dict(n_points=2**10, depth=5, epsilon_per_level=0.5,
+                      methods=PAPER_MEDIAN_METHODS, rng=11)
+        rows, reference = run_fig4(**kwargs), oracle.fig4_rows(**kwargs)
+        assert [(r["method"], r["depth"], r["nodes"]) for r in rows] == \
+            [(r["method"], r["depth"], r["nodes"]) for r in reference]
+        assert np.array_equal([r["rank_error_pct"] for r in rows],
+                              [r["rank_error_pct"] for r in reference], equal_nan=True)
+        assert all(r["nodes"] > 1 for r in rows if r["method"] == "cell" and r["depth"] > 0)
 
     def test_fig5_rows(self, tiny_points):
         rows = run_fig5(scale=SCALE, epsilons=(1.0,), variants=("kd-pure", "kd-hybrid"),

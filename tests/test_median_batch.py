@@ -2,9 +2,10 @@
 
 Two contracts are under test:
 
-* **batch == sequential, bitwise** — ``method_batch(sorted_values, offsets,
-  epsilons, los, his, rng)`` must equal the per-segment scalar calls bit for
-  bit *and* leave the generator in the identical state, for every method
+* **batch == sequential, bitwise** — ``record.batch(sorted_values, offsets,
+  epsilons, los, his, rng)`` must equal the per-segment scalar calls of
+  :mod:`oracle.median` bit for bit *and* leave the generator in the identical
+  state, for every method
   (EM / SS / cell / NM / true and the sampled variants) over ragged level
   shapes including empty, single-point and all-equal segments;
 * **oracle parity with no per-node path** — the kd / hybrid / Hilbert
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 import oracle
+from oracle.median import per_node, smooth_sensitivity_of_median
 from repro.core import build_psd
 from repro.core.flatbuild import FlatTree
 from repro.core.hilbert_rtree import build_private_hilbert_rtree
@@ -33,9 +35,7 @@ from repro.index import NoisyGrid, UniformGrid
 from repro.privacy.median import (
     MEDIAN_METHODS,
     exponential_mechanism_median_batch,
-    smooth_sensitivity_median,
     smooth_sensitivity_median_batch,
-    smooth_sensitivity_of_median,
 )
 
 DOMAIN = Domain.unit(2)
@@ -75,26 +75,12 @@ class TestBatchBitwiseParity:
         g_seq = np.random.default_rng(rng_seed)
         batch = method.batch(values, offsets, eps, los, his, rng=g_batch)
         sequential = np.array([
-            method(segments[i], eps[i], los[i], his[i], rng=g_seq)
+            per_node(method_name)(segments[i], eps[i], los[i], his[i], rng=g_seq)
             for i in range(len(segments))
         ])
         assert np.array_equal(batch, sequential)
         # The batch must also consume the stream exactly like the loop did.
         assert g_batch.bit_generator.state == g_seq.bit_generator.state
-
-    @pytest.mark.parametrize("kwargs", [
-        {"delta": 1e-3}, {"max_k": 4}, {"delta": 1e-2, "max_k": 2},
-    ])
-    def test_ss_kwargs_forwarded(self, kwargs):
-        segments, values, offsets, eps, los, his = ragged_batch(3)
-        g1, g2 = np.random.default_rng(5), np.random.default_rng(5)
-        batch = smooth_sensitivity_median_batch(values, offsets, eps, los, his,
-                                                rng=g1, **kwargs)
-        sequential = np.array([
-            smooth_sensitivity_median(segments[i], eps[i], los[i], his[i], rng=g2, **kwargs)
-            for i in range(len(segments))
-        ])
-        assert np.array_equal(batch, sequential)
 
     def test_cell_n_cells_forwarded(self):
         method = MEDIAN_METHODS["cell"]
@@ -102,7 +88,7 @@ class TestBatchBitwiseParity:
         g1, g2 = np.random.default_rng(2), np.random.default_rng(2)
         batch = method.batch(values, offsets, eps, los, his, rng=g1, n_cells=64)
         sequential = np.array([
-            method(segments[i], eps[i], los[i], his[i], rng=g2, n_cells=64)
+            per_node("cell")(segments[i], eps[i], los[i], his[i], rng=g2, n_cells=64)
             for i in range(len(segments))
         ])
         assert np.array_equal(batch, sequential)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.builder import BudgetSplit, build_psd, build_psd_releases
+from repro.core.hilbert_rtree import build_private_hilbert_rtree
+from repro.core.kdtree import build_private_kdtree
 from repro.core.splits import KDSplit, QuadSplit
 from repro.data.tiger import road_intersections
 from repro.geometry.domain import TIGER_DOMAIN
@@ -225,3 +227,27 @@ class TestAccountantThroughSweep:
         got, ref = batch.release(0).accountant, sequential.accountant
         assert got.per_level == pytest.approx(ref.per_level)
         assert got.per_kind == pytest.approx(ref.per_kind)
+
+
+class TestMedianDelta:
+    """Smooth-sensitivity medians are (ε, δ)-DP: a release charges δ for every
+    median a root-to-leaf path meets on a level with median budget — two per
+    kd level (the x-median and one y-median), one per Hilbert level."""
+
+    @pytest.mark.parametrize("method,path_delta", [("ss", 8e-4), ("sss", 8e-6), ("em", 0.0)])
+    def test_kd_standard(self, points, method, path_delta):
+        psd = build_private_kdtree(points, TIGER_DOMAIN, 4, 0.5, variant="kd-standard",
+                                   median_method=method, rng=0)
+        assert psd.accountant.path_delta == pytest.approx(path_delta, rel=1e-12, abs=0.0)
+        if method == "ss":
+            assert psd.accountant.path_delta == 8e-4
+
+    def test_hilbert(self, points):
+        tree = build_private_hilbert_rtree(points, TIGER_DOMAIN, height=5, epsilon=0.5,
+                                           order=10, median_method="ss", rng=0)
+        assert tree.psd.accountant.path_delta == pytest.approx(5e-4, rel=1e-12)
+
+    def test_no_median_budget_no_delta(self, points):
+        psd = build_psd(points, TIGER_DOMAIN, HEIGHT, KDSplit(median_method="ss"), epsilon=0.5,
+                        budget_split=BudgetSplit(count_fraction=1.0), rng=0)
+        assert psd.accountant.path_delta == 0.0
