@@ -16,7 +16,8 @@ per (variant, epsilon) and executed twice through the same
 equal the `workers=1` rows float for float (the per-case ``SeedSequence``
 spawn contract makes execution order irrelevant), so the speedup can never
 come from computing something else.  A second section checks the serving
-path: chunked ``batch_query`` parity across chunk sizes and a
+path on a pruned quadtree (the frontier walk, which the server fans out):
+chunked ``batch_query`` parity across chunk sizes and a
 :class:`~repro.parallel.serve.ShardedQueryServer` answering a query batch
 identically to the single-process evaluator.
 
@@ -55,6 +56,10 @@ from repro.experiments.fig3 import quadtree_sweep_case
 from repro.geometry import TIGER_DOMAIN
 from repro.parallel import ShardedQueryServer
 from repro.queries.workload import PAPER_QUERY_SHAPES, generate_workload
+
+
+#: Pruning threshold of the served engine (see :func:`serving_section`).
+SERVE_PRUNE_THRESHOLD = 32.0
 
 
 def make_inputs(n_points: int, n_queries: int, height: int, seed: int = 0):
@@ -117,10 +122,16 @@ def sweep_section(points, workloads, structure, height: int,
 
 def serving_section(points, n_queries: int, height: int, workers: int,
                     chunk_queries: int, seed: int) -> Dict[str, object]:
-    """Chunked-evaluator and sharded-server parity plus serving throughput."""
+    """Chunked-evaluator and sharded-server parity plus serving throughput.
+
+    The quad-opt tree is pruned, so the frontier walk answers it and the
+    server fans its batches across the pool (a complete quadtree is answered
+    in the caller by its closed form).
+    """
     gen = np.random.default_rng(seed)
     psd = build_private_quadtree(points, TIGER_DOMAIN, height=height, epsilon=0.5,
-                                 variant="quad-opt", rng=gen)
+                                 variant="quad-opt", prune_threshold=SERVE_PRUNE_THRESHOLD,
+                                 rng=gen)
     engine = psd.compile()
     workload = generate_workload(points, TIGER_DOMAIN, PAPER_QUERY_SHAPES[1],
                                  n_queries=n_queries, rng=gen)
@@ -155,9 +166,13 @@ def serving_section(points, n_queries: int, height: int, workers: int,
         start = time.perf_counter()
         server.batch_query(queries)
         sharded_sec = time.perf_counter() - start
+        stats = server.stats()
+    if q > chunk_queries and workers > 1 and stats["sharded_batches"] != 2:
+        raise AssertionError(f"the pruned engine's batches never fanned out: {stats}")
 
     return {
         "n_queries": q,
+        "prune_threshold": SERVE_PRUNE_THRESHOLD,
         "chunk_queries": chunk_queries,
         "chunk_max_rel_diff": worst,
         "direct_sec": round(direct_sec, 4),

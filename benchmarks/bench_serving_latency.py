@@ -12,6 +12,9 @@ scenarios:
   N-th request; the supervised pool rebuilds and replays underneath the
   same client load.
 
+The engine is a pruned quad-opt tree, answered by the frontier walk, so
+every request larger than a chunk crosses the pool.
+
 Three invariants are asserted before anything is timed or written:
 
 * every response in both scenarios is an HTTP status, never a hang or a
@@ -61,13 +64,19 @@ from repro.serve import (
 
 #: ε charged per query — tiny, so the cap never interferes with load.
 CHARGE_EPSILON = 1e-9
+#: Pruning threshold of the served quadtree.  A pruned tree is answered by the
+#: frontier walk, whose batches fan across the pool, so worker faults land on
+#: the request path; a complete quadtree is answered in the server by its
+#: closed form and would never reach a worker.
+PRUNE_THRESHOLD = 32.0
 
 
 def make_engine(n_points: int, height: int, seed: int = 0):
     gen = np.random.default_rng(seed)
     points = road_intersections(n=n_points, rng=gen)
     psd = build_private_quadtree(points, TIGER_DOMAIN, height=height,
-                                 epsilon=0.5, variant="quad-opt", rng=gen)
+                                 epsilon=0.5, variant="quad-opt",
+                                 prune_threshold=PRUNE_THRESHOLD, rng=gen)
     return points, psd.compile()
 
 
@@ -201,6 +210,7 @@ def run_benchmark(n_points: int, height: int, n_requests: int, batch: int,
     return {
         "n_points": n_points,
         "height": height,
+        "prune_threshold": PRUNE_THRESHOLD,
         "requests": n_requests,
         "batch_queries": batch,
         "clients": n_clients,

@@ -15,11 +15,13 @@ pipeline the :mod:`repro.engine` subsystem enables:
    repeated rect is recomputed, bitwise equal, since an answer is
    post-processing of the released counts;
 4. **zero-copy serving** — attach the FLATPSD2 file with ``np.memmap``
-   (its answers are bitwise identical to the compiled engine's), fan a
-   batch across a two-worker
-   :class:`~repro.parallel.ShardedQueryServer` whose workers re-map the same
+   (its answers are bitwise identical to the compiled engine's); then
+   publish a *pruned* release of the same points, which the frontier walk
+   answers (a complete quadtree is answered in the caller by its closed
+   form and needs no pool), fan a batch of it across a two-worker
+   :class:`~repro.parallel.ShardedQueryServer` whose workers re-map its
    file, and report mapped-bytes / RSS from the observability registry;
-5. **fault-tolerant serving** — front the mapped engine with the
+5. **fault-tolerant serving** — front the mapped pruned engine with the
    :mod:`repro.serve` HTTP service: a budget-capped analyst is refused with
    429 once its ε is spent, a deterministic kill-worker schedule crashes
    pool workers under live traffic, and the engine is hot-swapped to a
@@ -124,17 +126,26 @@ def main() -> None:
     assert np.array_equal(batch_range_query(engine, sample),
                           batch_range_query(mapped, sample)), "parity broken"
 
-    with ShardedQueryServer(mapped, workers=2, chunk_queries=64) as sharded:
+    # The pool pays for the frontier walk only: serve a pruned release of
+    # the same points, whose batches fan out in chunks.
+    pruned = build_private_quadtree(points, TIGER_DOMAIN, height=7, epsilon=0.5,
+                                    variant="quad-opt", prune_threshold=32, rng=rng).compile()
+    pruned_path = workdir / "engine_pruned.psdm"
+    save_engine(pruned, pruned_path)
+    pruned_mapped = load_engine(pruned_path)
+    with ShardedQueryServer(pruned_mapped, workers=2, chunk_queries=64) as sharded:
         fanned = sharded.batch_range_query(queries)
         serve_stats = sharded.stats()
-    assert np.array_equal(fanned, batch)
+    assert np.array_equal(fanned, batch_range_query(pruned, queries))
+    assert serve_stats["sharded_batches"] == 1, serve_stats
 
     gauge_set("example.rss_kb", _rss_kb())
     gauges = {g["name"]: g["value"] for g in metrics_payload(registry)["gauges"]}
     print(f"\nzero-copy serving (FLATPSD2, {engine_path.name}):")
     print(f"  mmap attach    : {attach_sec * 1e3:8.2f} ms "
           f"(answers bitwise equal to the compiled engine)")
-    print(f"  sharded serve  : {serve_stats['workers']} workers re-map the file — "
+    print(f"  sharded serve  : {serve_stats['workers']} workers re-map the pruned engine "
+          f"({pruned.n_nodes:,} nodes) in {serve_stats['chunks']} chunks — "
           f"{serve_stats['engine_mapped_bytes']:,} engine bytes mapped, "
           f"{serve_stats['shm_segments']} shm segments")
     print(f"  obs registry   : engine.bytes_mapped={gauges.get('engine.bytes_mapped', 0):,.0f}, "
@@ -147,8 +158,8 @@ def main() -> None:
 
     from repro.serve import BudgetLedger, EngineSupervisor, QueryService, ServiceThread, parse_faults
 
-    float32_path = workdir / "engine_f32.psdm"
-    save_engine(engine, float32_path, precision="float32")
+    float32_path = workdir / "engine_pruned_f32.psdm"
+    save_engine(pruned, float32_path, precision="float32")
 
     def post(port: int, path: str, body: dict):
         conn = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
@@ -172,7 +183,7 @@ def main() -> None:
     # notice a dead worker).
     rows = [[float(v) for v in list(q.lo) + list(q.hi)] for q in queries[:16]]
     ledger_path = workdir / "budget.jsonl"
-    supervisor = EngineSupervisor(mapped, workers=2, chunk_queries=4)
+    supervisor = EngineSupervisor(pruned_mapped, workers=2, chunk_queries=4)
     ledger = BudgetLedger(str(ledger_path), default_cap=0.5)
     # Every 5th admitted request deterministically crashes a pool worker:
     # the supervised pool rebuilds and replays, the caller only sees latency.

@@ -13,8 +13,9 @@ Four sub-commands cover the life-cycle of a private release:
   and answer rectangular range queries from it — one-off via
   ``--rect`` or in bulk via ``--queries-file`` — through the same
   :class:`~repro.parallel.ShardedQueryServer` that ``serve`` uses:
-  in-process by default, a sharded worker pool with ``--workers`` (no
-  access to the original data needed);
+  in-process by default, a sharded worker pool with ``--workers`` for
+  engines the frontier walk answers (a complete quadtree is always answered
+  in-process by its closed form; no access to the original data needed);
 * ``experiment`` — run one of the paper-figure experiments through the
   multi-release sweep pipeline at a named scale (``smoke`` / ``default`` /
   ``paper``) and print its series (optionally writing them as JSON), the same
@@ -272,9 +273,11 @@ def _cmd_query(args) -> int:
 
     engine = _load_engine(args.release, verify=args.verify)
     rects = [_parse_rect(spec, engine.dims) for spec in specs]
-    # The path `repro serve` takes.  One worker (the default) evaluates
-    # in-process; with --workers N > 1 a batch larger than --chunk-queries
-    # fans out in chunks across a pool that shares the engine's arrays.
+    # The path `repro serve` takes.  A complete quadtree is answered here by
+    # its closed form at any --workers, the whole file in one batch.  Any
+    # other engine is evaluated in-process with one worker (the default);
+    # with --workers N > 1 a batch larger than --chunk-queries fans out in
+    # chunks across a pool that shares the engine's arrays.
     with ShardedQueryServer(engine, workers=args.workers or 1,
                             chunk_queries=args.chunk_queries) as server:
         answers = server.batch_range_query(rects)
@@ -523,11 +526,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="report the serving counters (workers, batches, chunks, "
                             "shared and mapped bytes) on stderr")
     query.add_argument("--workers", type=int, default=None,
-                       help="shard batch evaluation across this many processes over a "
-                            "shared-memory engine (-1 = all cores)")
+                       help="shard the frontier walk across this many processes over a "
+                            "shared-memory engine (-1 = all cores); a complete quadtree "
+                            "is answered in-process by its closed form")
     query.add_argument("--chunk-queries", type=_positive_int, default=1024,
-                       help="queries per fanned-out chunk (also caps the evaluator's "
-                            "peak frontier memory; default 1024)")
+                       help="queries per fanned-out chunk of a frontier engine's batch "
+                            "(also caps the frontier walk's peak memory; default 1024)")
     _add_obs_args(query)
     query.set_defaults(func=_cmd_query)
 
@@ -608,9 +612,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "explicit total (default 0.01)")
     serve.add_argument("--workers", type=int, default=None,
                        help="worker pool size per engine generation "
-                            "(-1 = all cores; 1 serves in-process)")
+                            "(-1 = all cores; 1 serves in-process); a complete quadtree "
+                            "is answered in the server by its closed form and starts no pool")
     serve.add_argument("--chunk-queries", type=_positive_int, default=1024,
-                       help="queries per fanned-out chunk (default 1024)")
+                       help="queries per fanned-out chunk of a frontier engine's "
+                            "batch (default 1024)")
     serve.add_argument("--max-inflight", type=_positive_int, default=64,
                        help="admitted-request bound before load shedding (default 64)")
     serve.add_argument("--timeout", type=_positive_finite, default=30.0,

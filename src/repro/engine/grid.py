@@ -22,7 +22,10 @@ decomposition of Section 4.1 (Lemma 2) has a closed form per level:
 
 That is ``O(h)`` table reads per query, where the level-synchronous frontier
 of :mod:`repro.engine.batch` visits every one of the query's ``n(Q)`` nodes
-and their intersecting ancestors.
+and their intersecting ancestors.  :meth:`GridIndex.evaluate` makes those
+reads for a whole batch and every released level at once: the levels' tables
+are views of one concatenated prefix table, and each level's contained block
+and footprint are ``(levels, Q)`` index arrays.
 
 Eligibility is read from the engine's own arrays, never from header fields:
 2-D nodes in BFS level sizes ``4^k``; node ``t``'s children at
@@ -72,6 +75,9 @@ _FANOUT = 4
 
 #: Rows of a prefix table summed per step (bounds its working memory).
 _PREFIX_BLOCK_ROWS = 64
+
+#: Queries answered per step of :meth:`GridIndex.evaluate` (bounds its working memory).
+_EVALUATE_BLOCK_ROWS = 2048
 
 
 def prefix_sums(table: np.ndarray, accumulate=None) -> np.ndarray:
@@ -127,9 +133,13 @@ class GridIndex:
 
     xs: np.ndarray  # (2^h + 1,) strictly increasing leaf edges on x
     ys: np.ndarray  # (2^h + 1,) strictly increasing leaf edges on y
+    #: The released levels' prefix tables, root first, in one flat array.
+    prefix: np.ndarray
+    depths: np.ndarray  # the depths whose level released counts, root first
+    offsets: np.ndarray  # per released depth: where its table starts in ``prefix``
     #: Per depth, root first: the ``(2^d + 1, 2^d + 1)`` prefix sums of the
-    #: level's released counts indexed ``[x cell, y cell]``, or ``None`` when
-    #: the level released none.
+    #: level's released counts indexed ``[x cell, y cell]`` (a view of
+    #: ``prefix``), or ``None`` when the level released none.
     tables: Tuple[Optional[np.ndarray], ...]
     variances: Tuple[float, ...]  # per depth: the level's count variance (Equation 1)
     #: The narrowest leaf on each axis: bounds below every ``overlap * width``
@@ -157,6 +167,13 @@ class GridIndex:
                 and np.all(np.isfinite(level_variance))):
             return None
 
+        # One prefix table per released level, all views of one flat array;
+        # a level released its counts when its first node did (checked below).
+        starts = np.cumsum([0] + sizes[:-1])
+        depths = np.flatnonzero(engine.has_count[starts])
+        widths = (1 << depths) + 1
+        offsets = np.cumsum(np.append(0, widths * widths))
+        prefix = np.zeros(int(offsets[-1]))
         tables: List[Optional[np.ndarray]] = []
         xs = ys = None
         s = 0
@@ -199,7 +216,8 @@ class GridIndex:
                 counts = _node_axes(engine.released[s:e], depth)
                 if not np.all(np.isfinite(counts)):
                     return None
-                table = np.zeros(((1 << depth) + 1,) * 2)
+                k = int(np.searchsorted(depths, depth))
+                table = prefix[offsets[k]:offsets[k + 1]].reshape(widths[k], widths[k])
                 np.copyto(table[1:, 1:].reshape(counts.shape), counts)
                 prefix_sums(table, accumulate=np.longdouble)
             elif released.any():
@@ -212,7 +230,8 @@ class GridIndex:
         if not (np.all(area == _along(np.diff(xs), height, 0) * _along(np.diff(ys), height, 1))
                 and np.all(area > 0)):
             return None
-        return cls(xs=xs, ys=ys, tables=tuple(tables),
+        return cls(xs=xs, ys=ys, prefix=prefix, depths=depths, offsets=offsets[:-1],
+                   tables=tuple(tables),
                    variances=tuple(float(v) for v in level_variance[::-1]),
                    min_width=(float(np.diff(xs).min()), float(np.diff(ys).min())))
 
@@ -226,67 +245,88 @@ class GridIndex:
         that ``overlap * width`` underflows to zero for some leaf: the
         frontier skips such leaves, and only its walk says which.  Callers
         answer those queries by the walk.
+
+        The batch is answered in blocks of ``_EVALUATE_BLOCK_ROWS`` queries,
+        which bounds the ``(depths, Q)`` index arrays; every output is
+        element-wise, so the blocks change no bit.
+        """
+        blocks = [self._evaluate_block(qlo[start:start + _EVALUATE_BLOCK_ROWS],
+                                       qhi[start:start + _EVALUATE_BLOCK_ROWS], use_uniformity)
+                  for start in range(0, max(qlo.shape[0], 1), _EVALUATE_BLOCK_ROWS)]
+        return blocks[0] if len(blocks) == 1 else tuple(map(np.concatenate, zip(*blocks)))
+
+    def _evaluate_block(
+        self, qlo: np.ndarray, qhi: np.ndarray, use_uniformity: bool
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`evaluate` on one block: every released depth at once, as
+        ``(depths, Q)`` arrays, then the partial leaves as ``(8, Q)`` arrays.
+
+        Each depth's contribution, then each leaf box's, is added to
+        zero-initialised accumulators in that order, as a loop over the
+        depths would add them, so no output depends on the fusion.
         """
         n_queries = qlo.shape[0]
-        height = len(self.tables) - 1
-        qx0, qy0, qx1, qy1 = qlo[:, 0], qlo[:, 1], qhi[:, 0], qhi[:, 1]
-        # Leaf edges below q0 and at or below q1, per axis.
-        x_below, x_upto = np.searchsorted(self.xs, qx0, "left"), np.searchsorted(self.xs, qx1, "right")
-        y_below, y_upto = np.searchsorted(self.ys, qy0, "left"), np.searchsorted(self.ys, qy1, "right")
         estimates = np.zeros(n_queries)
-        touched = np.zeros(n_queries, dtype=np.int64)
         variances = np.zeros(n_queries)
         exact = np.ones(n_queries, dtype=bool)
-        above = None  # (depth, contained block) of the nearest released depth
-        for depth, table in enumerate(self.tables):
-            if table is None:
-                continue
-            shift = height - depth
-            block = (*_contained(x_below, x_upto, shift, 1 << depth),
-                     *_contained(y_below, y_upto, shift, 1 << depth))
-            cells = _cells(block)
-            boxes = [block]
-            if above is not None:
-                # Cells under a contained cell of the released depth above
-                # were answered there.
-                footprint = tuple(np.left_shift(v, depth - above[0]) for v in above[1])
-                cells = cells - _cells(footprint)
-                boxes.append(footprint)
-            sums = _sums(table, boxes)
-            estimates += sums[0] - sums[1] if above is not None else sums[0]
-            touched += cells
-            variances += cells * self.variances[depth]
-            above = (depth, block)
+        depths = self.depths
+        if not depths.size:
+            return estimates, np.zeros(n_queries, dtype=np.int64), variances, exact
+        height = len(self.tables) - 1
+        qx0, qy0, qx1, qy1 = qlo[:, 0], qlo[:, 1], qhi[:, 0], qhi[:, 1]
+        # Per released depth (rows) and query (columns), the block
+        # [x0, x1) x [y0, y1) of the depth's cells inside [q0, q1].  A depth's
+        # edges are every 2^shift-th leaf edge, and a cell lies inside when
+        # its low edge is >= q0 and its high edge <= q1, so the block follows
+        # from the counts of leaf edges below q0 and at or below q1.
+        x_below, x_upto = np.searchsorted(self.xs, qx0, "left"), np.searchsorted(self.xs, qx1, "right")
+        y_below, y_upto = np.searchsorted(self.ys, qy0, "left"), np.searchsorted(self.ys, qy1, "right")
+        shift = (height - depths)[:, None]
+        round_up = (1 << shift) - 1
+        n_cells = (1 << depths)[:, None]
+        x0 = np.minimum((x_below + round_up) >> shift, n_cells)
+        x1 = np.maximum(((x_upto + round_up) >> shift) - 1, x0)
+        y0 = np.minimum((y_below + round_up) >> shift, n_cells)
+        y1 = np.maximum(((y_upto + round_up) >> shift) - 1, y0)
+        # Cells under a contained cell of the released depth above were
+        # answered there: each depth but the first loses the footprint of
+        # the block above it.
+        gap = np.diff(depths)[:, None]
+        fx0, fx1, fy0, fy1 = (v[:-1] << gap for v in (x0, x1, y0, y1))
+        offsets, widths = self.offsets[:, None], n_cells + 1
+        sums = _box_sums(self.prefix, offsets, widths, x0, x1, y0, y1)
+        sums[1:] -= _box_sums(self.prefix, offsets[1:], widths[1:], fx0, fx1, fy0, fy1)
+        cells = (x1 - x0) * (y1 - y0)
+        cells[1:] -= (fx1 - fx0) * (fy1 - fy0)
+        touched = cells.sum(axis=0)
+        level_variances = np.asarray(self.variances)[depths]
+        for depth_sum, depth_cells, variance in zip(sums, cells, level_variances):
+            estimates += depth_sum
+            variances += depth_cells * variance
+        if depths[-1] < height:
+            return estimates, touched, variances, exact  # no leaf counts: no partial leaves
 
-        leaf_table = self.tables[-1]
-        if leaf_table is None:
-            return estimates, touched, variances, exact
-        x0, x1, y0, y1 = above[1]
-        parts_x = _axis_parts(self.xs, qx0, qx1, x0, x1)
-        parts_y = _axis_parts(self.ys, qy0, qy1, y0, y1)
-        boxes, counts, fractions = [], [], []
-        for (xlo, xhi, xcount, xover, xfrac), (ylo, yhi, ycount, yover, yfrac) in (
-            itertools.product(parts_x, parts_y)
-        ):
-            if xover is None and yover is None:
-                continue  # the contained block, already summed
-            if xover is not None and yover is not None:
-                # A corner leaf: the frontier's own test on its overlap area.
-                count = (xover * yover > 0).astype(np.int64)
-            else:
-                count = xcount * ycount
-                over, width = (xover, self.min_width[1]) if yover is None else (yover, self.min_width[0])
-                exact &= ~((count > 0) & (over * width == 0))
-            boxes.append((xlo, xhi, ylo, yhi))
-            counts.append(count)
-            fractions.append(xfrac * yfrac)
-        sums = _sums(leaf_table, boxes)
-        for box_sum, count, fraction in zip(sums, counts, fractions):
-            box_sum[count == 0] = 0.0
+        # The partially covered leaves: 8 boxes around the contained leaf
+        # block, each with a separable uniformity fraction.
+        xlo, xhi, xcount, xover, xfrac = _leaf_columns(self.xs, qx0, qx1, x_below, x_upto,
+                                                       x0[-1], x1[-1])
+        ylo, yhi, ycount, yover, yfrac = _leaf_columns(self.ys, qy0, qy1, y_below, y_upto,
+                                                       y0[-1], y1[-1])
+        count = xcount[_BOX_X] * ycount[_BOX_Y]
+        # A corner leaf: the frontier's own test on its overlap area.
+        count[_CORNERS] = xover[_CORNER_X] * yover[_CORNER_Y] > 0
+        # Along a strip the frontier forms overlap * the leaf's width.
+        thin = np.concatenate([xover * self.min_width[1] == 0, yover * self.min_width[0] == 0])
+        exact &= ~np.any((count[_STRIPS] > 0) & thin, axis=0)
+        leaf_sums = _box_sums(self.prefix, self.offsets[-1], widths[-1],
+                              xlo[_BOX_X], xhi[_BOX_X], ylo[_BOX_Y], yhi[_BOX_Y])
+        leaf_sums[count == 0] = 0.0
+        fraction = xfrac[_BOX_X] * yfrac[_BOX_Y]
+        touched += count.sum(axis=0)
+        for box_sum, box_count, box_fraction in zip(leaf_sums, count, fraction):
             if use_uniformity:
-                estimates += fraction * box_sum
-            touched += count
-            variances += fraction * fraction * count * self.variances[-1]
+                estimates += box_fraction * box_sum
+            variances += box_fraction * box_fraction * box_count * self.variances[-1]
         return estimates, touched, variances, exact
 
 
@@ -309,53 +349,62 @@ def _along(values: np.ndarray, depth: int, axis: int) -> np.ndarray:
     return values.reshape(shape)
 
 
-def _contained(below: np.ndarray, upto: np.ndarray, shift: int,
-               cells: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Per query, the half-open range ``[a, b)`` of one axis's cells at a
-    depth whose edges are every ``2^shift``-th leaf edge, given the counts of
-    leaf edges below ``q0`` and at or below ``q1``: cell ``i`` lies inside
-    ``[q0, q1]`` when its low edge is ``>= q0`` and its high edge ``<= q1``."""
-    round_up = (1 << shift) - 1
-    a = np.minimum((below + round_up) >> shift, cells)
-    b = np.maximum(((upto + round_up) >> shift) - 1, a)
-    return a, b
+#: The 8 partial-leaf boxes around the contained leaf block, in row-major
+#: order of their parts on each axis (0: the cell straddling q0, 1: the
+#: contained cells, 2: the cell straddling q1); the contained block (1, 1)
+#: is summed with its depth.
+_BOX_X = np.array([0, 0, 0, 1, 1, 2, 2, 2])
+_BOX_Y = np.array([0, 1, 2, 0, 2, 0, 1, 2])
+#: The corner boxes, and their straddling cell on each axis (0: low, 1: high).
+_CORNERS = np.array([0, 2, 5, 7])
+_CORNER_X = np.array([0, 0, 1, 1])
+_CORNER_Y = np.array([0, 1, 0, 1])
+#: The strips: those along the low and high x cells, then along the y cells.
+_STRIPS = np.array([1, 6, 3, 4])
 
 
-def _cells(box) -> np.ndarray:
-    x0, x1, y0, y1 = box
-    return (x1 - x0) * (y1 - y0)
+def _box_sums(prefix: np.ndarray, offset, width, x0: np.ndarray, x1: np.ndarray,
+              y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
+    """Sums of the boxes of cells ``[x0, x1) x [y0, y1)`` over the prefix
+    table that starts at ``offset`` in ``prefix``, ``width`` entries a row.
+
+    The four corners are read in :func:`box_sums`' order into zeros, and an
+    empty box sums to exactly zero.
+    """
+    high, low = offset + x1 * width, offset + x0 * width
+    total = np.zeros(x0.shape)
+    total += prefix[high + y1]
+    total -= prefix[high + y0]
+    total -= prefix[low + y1]
+    total += prefix[low + y0]
+    total[(x0 == x1) | (y0 == y1)] = 0.0
+    return total
 
 
-def _sums(table: np.ndarray, boxes) -> np.ndarray:
-    """``(len(boxes), n_queries)`` sums of per-query boxes ``(x0, x1, y0, y1)``;
-    an empty box sums to exactly zero."""
-    x0, x1, y0, y1 = (np.concatenate(axis) for axis in zip(*boxes))
-    sums = box_sums(table, np.stack([x0, y0], axis=1), np.stack([x1, y1], axis=1))
-    sums[(x0 == x1) | (y0 == y1)] = 0.0
-    return sums.reshape(len(boxes), -1)
-
-
-def _axis_parts(edges: np.ndarray, q0: np.ndarray, q1: np.ndarray,
-                a: np.ndarray, b: np.ndarray):
+def _leaf_columns(edges: np.ndarray, q0: np.ndarray, q1: np.ndarray, below: np.ndarray,
+                  upto: np.ndarray, a: np.ndarray, b: np.ndarray):
     """The query's three column ranges on one axis of the leaf grid.
 
-    Returns ``(lo, hi, count, overlap, fraction)`` for the cell straddling
-    ``q0``, the contained cells ``[a, b)`` (``overlap`` is ``None``:
-    every cell is covered in full) and the cell straddling ``q1``.  A
-    straddling range holds at most one cell; ``count`` is 1 where it does
-    and the query overlaps it.
+    ``below`` and ``upto`` count the edges below ``q0`` and at or below
+    ``q1``.  Returns ``(3, Q)`` rows ``lo``, ``hi``, ``count`` and
+    ``fraction`` for the cell straddling ``q0``, the contained cells
+    ``[a, b)`` (fraction 1: every cell is covered in full) and the cell
+    straddling ``q1``, and ``(2, Q)`` rows of the two straddling cells'
+    ``overlap``.  A straddling range holds at most one cell; its ``count``
+    is 1 where it does and the query overlaps it.
     """
     last = edges.shape[0] - 2
-    first = np.maximum(np.searchsorted(edges, q0, side="right") - 1, 0)
-    stop = np.minimum(np.searchsorted(edges, q1, side="left"), last + 1)
-    parts = []
-    for lo, hi in ((first, a), (b, stop)):
-        cell = np.minimum(lo, last)
-        overlap = np.where(hi > lo, np.minimum(edges[cell + 1], q1) - np.maximum(edges[cell], q0), 0.0)
-        parts.append((lo, hi, (overlap > 0).astype(np.int64), overlap,
-                      overlap / (edges[cell + 1] - edges[cell])))
-    low, high = parts
-    return [low, (a, b, b - a, None, 1.0), high]
+    # The edges at or below q0 and below q1: the strictly increasing edges
+    # hold each value at most once.
+    first = np.maximum(below + (edges[np.minimum(below, last + 1)] == q0) - 1, 0)
+    stop = np.minimum(upto - (edges[np.maximum(upto - 1, 0)] == q1), last + 1)
+    lo, hi = np.array([first, a, b]), np.array([a, b, stop])
+    cell = np.minimum(lo[::2], last)
+    overlap = np.where(hi[::2] > lo[::2],
+                       np.minimum(edges[cell + 1], q1) - np.maximum(edges[cell], q0), 0.0)
+    fraction = np.ones(lo.shape)
+    fraction[::2] = overlap / (edges[cell + 1] - edges[cell])
+    return lo, hi, np.array([overlap[0] > 0, b - a, overlap[1] > 0]), overlap, fraction
 
 
 _UNSET = object()

@@ -100,9 +100,10 @@ def run_fig4(
 
     ``n_points`` defaults to ``2^17`` so the run takes seconds; pass ``2**20``
     to match the paper exactly.  Returns one row per (method, depth) with the
-    mean normalized rank error of the depth's splits (in percent, Figure 4a;
-    :func:`repro.queries.metrics.rank_error` per node), the time of the
-    depth's median batch (seconds, Figure 4b) and the number of nodes split.
+    mean normalized rank error of the depth's splits (in percent, Figure 4a:
+    ``|rank(split) - n/2| / n`` per node of ``n`` values, or 1 for a split
+    outside the node's values), the time of the depth's median batch
+    (seconds, Figure 4b) and the number of nodes split.
     """
     gen = ensure_rng(rng)
     lo, hi = MEDIAN_STUDY_DOMAIN

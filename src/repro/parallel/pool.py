@@ -21,6 +21,9 @@ a task is overdue          (``task_timeout``) resubmitted once, then run in
                            the parent
 =========================  ===================================================
 
+A worker exits within ``PARENT_POLL_S`` of its parent's death, however the
+parent died: a SIGKILLed sweep or server leaves no worker behind.
+
 The worker state ships **once per pool start**: one initializer payload whose
 large arrays ride :mod:`repro.parallel.shm` shared memory, so a task carries
 only its own small arguments.  The pool starts lazily, on the first task it
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, ProcessPoolExecutor, wait
 from time import monotonic, sleep
 from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple
@@ -57,7 +61,7 @@ from ..obs import (
 )
 from .shm import SharedArena, dumps_shared, loads_shared
 
-__all__ = ["BACKOFF_BASE_S", "BACKOFF_MAX_S", "MAX_REBUILDS", "ResilientPool"]
+__all__ = ["BACKOFF_BASE_S", "BACKOFF_MAX_S", "MAX_REBUILDS", "PARENT_POLL_S", "ResilientPool"]
 
 #: Sleep before the first rebuild of a broken pool; doubles per rebuild.
 BACKOFF_BASE_S = 0.05
@@ -70,6 +74,8 @@ MAX_REBUILDS = 3
 #: Seconds to wait for an outstanding future once the pool is known broken
 #: (a broken executor fails them all almost at once).
 _SALVAGE_TIMEOUT_S = 30.0
+#: Seconds between a worker's checks that the process that started it lives.
+PARENT_POLL_S = 0.5
 
 
 # ----------------------------------------------------------------------
@@ -79,7 +85,18 @@ _SALVAGE_TIMEOUT_S = 30.0
 _STATE: Dict = {}
 
 
+def _exit_with_parent(parent: int) -> None:
+    # A worker whose parent was SIGKILLed is re-parented and can wait for
+    # tasks for ever, asleep in a read of its task pipe that never sees EOF.
+    # Exit once the parent changes.
+    while os.getppid() == parent:
+        sleep(PARENT_POLL_S)
+    os._exit(1)
+
+
 def _init_worker(payload: bytes, obs_flags: Dict[str, bool]) -> None:
+    threading.Thread(target=_exit_with_parent, args=(os.getppid(),), daemon=True,
+                     name="exit-with-parent").start()
     # Forked workers inherit the parent's Python-level signal handlers AND its
     # signal wakeup fd.  Under an asyncio parent that is poisonous: a SIGTERM
     # delivered to a *worker* (e.g. executor cleanup after a sibling crashed)

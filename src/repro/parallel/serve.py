@@ -4,11 +4,21 @@ A compiled :class:`~repro.engine.flat.FlatPSD` is a read-only bundle of
 arrays — exactly the shape of thing :mod:`repro.parallel.shm` shares for
 free.  :class:`ShardedQueryServer` exports the engine into shared memory
 once, starts a process pool whose workers attach the same pages, and serves
-every query batch by fanning fixed-size **chunks** across the pool (the
-``chunk_queries=`` path of :func:`repro.engine.batch.batch_query`, which
-also caps each worker's peak frontier memory).  Results come back in input
-order; per-query outputs are identical to the single-process evaluator
-because chunking never changes any query's own accumulation order.
+every query batch that the **frontier walk** answers by fanning fixed-size
+**chunks** across the pool (the ``chunk_queries=`` path of
+:func:`repro.engine.batch.batch_query`, which also caps each worker's peak
+frontier memory).  Results come back in input order; per-query outputs are
+identical to the single-process evaluator because chunking never changes
+any query's own accumulation order.
+
+An engine with a **closed form** -- a complete quadtree, for which
+:func:`~repro.engine.grid.grid_index` is not ``None``, the same test
+:func:`~repro.engine.batch.batch_query` picks its evaluator by -- costs
+``O(h)`` lookups per query, less than a dispatch hop to a worker.  The
+server decides this once, at construction: such an engine is answered in
+the caller, one unchunked ``batch_query`` per batch, and its pool never
+starts (fault drills are no-ops, as at ``workers=1``).  Pruned trees,
+kd-trees and Hilbert R-trees fan out.
 
 A *memory-mapped* engine (format v2, :mod:`repro.engine.store`) needs no
 shared-memory export at all: its arrays pickle as
@@ -33,6 +43,7 @@ import numpy as np
 
 from ..engine.batch import BatchQueryResult, QueryInput, batch_query, queries_to_arrays
 from ..engine.flat import FlatPSD
+from ..engine.grid import grid_index
 from ..obs import counter_add, gauge_max
 from .pool import ResilientPool
 
@@ -66,9 +77,10 @@ class ShardedQueryServer:
         each worker's evaluator, capping its frontier memory).
 
     The pool is a :class:`~repro.parallel.pool.ResilientPool`, started on
-    the first sharded batch.  Use the server as a context manager (or call
-    :meth:`close`) so the pool and the shared segments are reclaimed
-    deterministically.
+    the first sharded batch; an engine with a closed form never starts it
+    and answers every batch in the caller, unchunked.  Use the server as a
+    context manager (or call :meth:`close`) so the pool and the shared
+    segments are reclaimed deterministically.
     """
 
     def __init__(
@@ -84,6 +96,9 @@ class ShardedQueryServer:
         self.engine = engine
         self.chunk_queries = int(chunk_queries)
         self.workers = resolve_workers(workers if workers is not None else -1)
+        #: Whether batches fan out: only the frontier walk is worth a worker
+        #: (and needs chunks to cap its memory).
+        self._frontier = grid_index(engine) is None
         #: A crashed worker costs the caller latency, never an exception: the
         #: pool rebuilds up to ``MAX_REBUILDS`` times per batch, then serves
         #: the rest in-process.
@@ -105,10 +120,11 @@ class ShardedQueryServer:
         next fanned-out batch observes ``BrokenProcessPool`` and exercises the
         rebuild-and-replay path; ``oom-worker`` raises ``MemoryError`` in a
         worker and returns once the pool has absorbed it.  The pool starts if
-        it has not yet.  A server with ``workers <= 1`` has no pool: a no-op
-        then, so fault plans compose with in-process serving.
+        it has not yet.  A server with ``workers <= 1`` or an engine with a
+        closed form has no pool: a no-op then, so fault plans compose with
+        in-process serving.
         """
-        if self.workers > 1:
+        if self.workers > 1 and self._frontier:
             self._pool.drill(kind)
 
     def batch_query(
@@ -118,7 +134,8 @@ class ShardedQueryServer:
     ) -> BatchQueryResult:
         """Evaluate a batch, fanning chunks across the pool; input order kept.
 
-        Worker death is survivable: chunks lost to a ``BrokenProcessPool``
+        An engine with a closed form is answered here, unchunked.  Worker
+        death is survivable: chunks lost to a ``BrokenProcessPool``
         are replayed on a rebuilt pool, and chunks that still cannot be
         served — or whose task raised in the worker, e.g. an OOM — are
         evaluated in-process.  The evaluator is deterministic, so a replayed
@@ -131,6 +148,8 @@ class ShardedQueryServer:
         self._stats["batches"] += 1
         self._stats["queries"] += n_queries
         counter_add("serve.queries", n_queries)
+        if not self._frontier:
+            return batch_query(self.engine, rows, use_uniformity=use_uniformity)
         if self.workers <= 1 or n_queries <= self.chunk_queries:
             return batch_query(self.engine, rows, use_uniformity=use_uniformity,
                                chunk_queries=self.chunk_queries)

@@ -3,7 +3,6 @@
 from .metrics import (
     mean_relative_error,
     median_relative_error,
-    rank_error,
     relative_error,
     relative_errors,
     workload_error_summary,
@@ -28,6 +27,5 @@ __all__ = [
     "relative_errors",
     "median_relative_error",
     "mean_relative_error",
-    "rank_error",
     "workload_error_summary",
 ]

@@ -4,10 +4,6 @@
   workload — the headline metric of Figures 3, 5 and 6 ("for each shape we
   generate 600 queries that have a non-zero answer, and record the median
   relative error").
-* **Normalized rank error** of a private median — the metric of Figure 4(a):
-  how far (in rank, as a fraction of the dataset size) the released split
-  point is from the true median, with values outside the data range counted
-  as 100 % error.
 * **Average query variance** — the theoretical error measure ``Err(Q)`` of
   Section 4 (the variance of the unbiased estimator), exposed for the
   analytical comparisons.
@@ -24,7 +20,6 @@ __all__ = [
     "relative_errors",
     "median_relative_error",
     "mean_relative_error",
-    "rank_error",
     "workload_error_summary",
 ]
 
@@ -92,28 +87,6 @@ def mean_relative_error(estimates: Sequence[float], truths: Sequence[float]):
     if errs.ndim == 1:
         return float(np.mean(errs))
     return np.mean(errs, axis=-1)
-
-
-def rank_error(values: np.ndarray, estimate: float, lo: float, hi: float) -> float:
-    """Normalized rank error of a private median estimate (Figure 4a).
-
-    The error is ``|rank(estimate) - n/2| / n`` expressed as a fraction in
-    ``[0, 1]``; estimates falling outside the data range ``[x_1, x_n]`` are
-    assigned the worst-case error of 1.0 ("100 % relative error"), as the
-    paper specifies.  ``lo``/``hi`` bound the public domain and are used only
-    to validate the estimate.
-    """
-    vals = np.sort(np.asarray(values, dtype=float).ravel())
-    n = vals.size
-    if n == 0:
-        return 0.0
-    estimate = float(estimate)
-    if estimate < lo or estimate > hi:
-        return 1.0
-    if estimate < vals[0] or estimate > vals[-1]:
-        return 1.0
-    rank = float(np.searchsorted(vals, estimate, side="right"))
-    return abs(rank - n / 2.0) / n
 
 
 def workload_error_summary(estimates: Sequence[float], truths: Sequence[float]) -> dict:

@@ -19,10 +19,14 @@ Swap protocol (the zero-downtime invariant):
    the last pin.  Queries racing the swap therefore complete on whichever
    engine they pinned; none observe a half-closed pool.
 
-Pool use is serialized per state: the sharded server's rebuild/replay
+Evaluation is serialized per state: the sharded server's rebuild/replay
 machinery mutates pool state and is not re-entrant, so concurrent requests
-take the state's evaluation lock around every batch.  Parallelism still
-comes from the pool itself: the chunks of one batch fan across all workers.
+take the state's evaluation lock around every batch.  On a frontier engine
+(pruned, kd, Hilbert) parallelism comes from the pool: the chunks of one
+batch fan across all workers.  An engine with a closed form (a complete
+quadtree) starts no pool and is answered in the request's own thread, still
+under the lock: two threads evaluating at once contend for the interpreter
+and take longer in total than taking turns.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ import numpy as np
 
 from ..engine.batch import BatchQueryResult, QueryInput
 from ..engine.flat import FlatPSD
-from ..engine.grid import grid_index
 from ..obs import counter_add, trace_span
 from ..parallel.serve import DEFAULT_CHUNK_QUERIES, ShardedQueryServer
 
@@ -50,7 +53,7 @@ class EngineState:
         self.generation = generation
         self.inflight = 0
         self.retired = False
-        #: Serializes pool fan-out (rebuild/replay is not re-entrant).
+        #: Serializes evaluation (rebuild/replay is not re-entrant).
         self.eval_lock = threading.Lock()
 
     def close(self) -> None:
@@ -66,9 +69,10 @@ class EngineSupervisor:
         The initial compiled engine.
     workers:
         Pool size per engine state (``None``/negative: all cores; 1 serves
-        in-process with no pool at all).
+        in-process with no pool at all).  An engine with a closed form
+        starts no pool at any size.
     chunk_queries:
-        Queries per fanned-out chunk.
+        Queries per fanned-out chunk of a frontier engine's batch.
     """
 
     def __init__(
@@ -85,9 +89,8 @@ class EngineSupervisor:
 
     # ------------------------------------------------------------------
     def _make_state(self, engine: FlatPSD, generation: int) -> EngineState:
-        # Derive the closed-form index here, so server start and hot swap pay
-        # the parent's share of it rather than the first request.
-        grid_index(engine)
+        # The server derives the engine's closed-form index as it starts, so
+        # server start and hot swap pay for it rather than the first request.
         server = ShardedQueryServer(engine, workers=self.workers,
                                     chunk_queries=self.chunk_queries)
         return EngineState(engine, server, generation)
@@ -164,7 +167,7 @@ class EngineSupervisor:
         ``kill-worker`` crashes a pool worker, so the next fanned-out batch
         rebuilds the pool; ``oom-worker`` fails a task in a worker, which the
         parent absorbs while the pool keeps serving.  A no-op for in-process
-        serving (no pool); see
+        serving (no pool: one worker, or an engine with a closed form); see
         :meth:`~repro.parallel.serve.ShardedQueryServer.drill`.
         """
         state = self._acquire()

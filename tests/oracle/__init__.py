@@ -9,7 +9,8 @@ unchanged in substance, as the readable executable specification:
 * :mod:`oracle.tree` — :class:`PSDNode`, the pointer-backed
   :class:`PointerPSD`, and the conversions to and from the BFS arrays;
 * :mod:`oracle.median` — the scalar private medians (each a batch of one
-  segment of its registry record) and the per-node Figure 4 loop over them;
+  segment of its registry record), the per-node Figure 4 loop over them and
+  the normalized rank error it scores each split by;
 * :mod:`oracle.splits` — the per-node split of every production rule
   (scalar private medians, per-rect grid medians, geometric routing that puts
   each point in exactly one child), and the full-weight grid median the
@@ -20,6 +21,8 @@ unchanged in substance, as the readable executable specification:
 * :mod:`oracle.query` — the recursive canonical decomposition (estimates,
   ``n(Q)``, ``n_i``, ``Err(Q)``), the planar Hilbert walk and the
   pointer-walking engine compiler;
+* :mod:`oracle.grid` — the per-depth loop of the closed form on complete
+  quadtrees, the bitwise reference of the fused evaluator;
 * :mod:`oracle.hilbert` — the Hilbert-interval formulation of a planar
   query (rectangle → index intervals → summed 1-D answers);
 * :mod:`oracle.matching` — the seed-era record-matching blocking loop;
@@ -43,9 +46,10 @@ from .build import (
     populate_noisy_counts,
     prune_low_count_subtrees,
 )
+from .grid import evaluate_per_depth
 from .hilbert import range_query_intervals, rect_to_ranges
 from .matching import blocking_reference, reference_blocking
-from .median import fig4_rows, per_node
+from .median import fig4_rows, per_node, rank_error
 from .query import (
     HilbertPointerView,
     compile_hilbert_rtree,
@@ -86,6 +90,7 @@ __all__ = [
     "flatten_tree",
     "per_node",
     "fig4_rows",
+    "rank_error",
     "split_node",
     "grid_median_along_axis",
     "full_weight_grid_median",
@@ -112,6 +117,7 @@ __all__ = [
     "node_bbox",
     "node_bboxes",
     "hilbert_range_query",
+    "evaluate_per_depth",
     "rect_to_ranges",
     "range_query_intervals",
     "blocking_reference",

@@ -23,7 +23,6 @@ from repro.experiments.fig4 import MIN_NODE_SIZE, PAPER_CELL_WIDTH
 from repro.privacy import median as production
 from repro.privacy.median import MedianMethod, resolve_median_method
 from repro.privacy.rng import RngLike, ensure_rng
-from repro.queries.metrics import rank_error
 
 __all__ = [
     "per_node",
@@ -35,6 +34,7 @@ __all__ = [
     "median_from_noisy_cells",
     "noisy_mean_median",
     "make_sampled_median",
+    "rank_error",
     "fig4_rows",
 ]
 
@@ -118,6 +118,28 @@ def median_from_noisy_cells(noisy_counts: np.ndarray, edges: np.ndarray) -> floa
     frac = 0.5 if in_cell <= 0 else (half - prev) / in_cell
     frac = min(max(frac, 0.0), 1.0)
     return float(edges[idx] + frac * (edges[idx + 1] - edges[idx]))
+
+
+def rank_error(values: np.ndarray, estimate: float, lo: float, hi: float) -> float:
+    """Normalized rank error of a private median estimate (Figure 4a).
+
+    The error is ``|rank(estimate) - n/2| / n`` expressed as a fraction in
+    ``[0, 1]``; estimates falling outside the data range ``[x_1, x_n]`` are
+    assigned the worst-case error of 1.0 ("100 % relative error"), as the
+    paper specifies.  ``lo``/``hi`` bound the public domain and are used only
+    to validate the estimate.
+    """
+    vals = np.sort(np.asarray(values, dtype=float).ravel())
+    n = vals.size
+    if n == 0:
+        return 0.0
+    estimate = float(estimate)
+    if estimate < lo or estimate > hi:
+        return 1.0
+    if estimate < vals[0] or estimate > vals[-1]:
+        return 1.0
+    rank = float(np.searchsorted(vals, estimate, side="right"))
+    return abs(rank - n / 2.0) / n
 
 
 def fig4_rows(n_points: int, depth: int, epsilon_per_level: float, methods: Sequence[str],

@@ -5,9 +5,12 @@ fanout-4 grid in closed form.  The references are the frontier walk
 (:func:`repro.engine.batch._evaluate_frontier`) and the recursive oracle
 walk: ``n(Q)`` must be identical, and estimates and ``Err(Q)`` within
 ``1e-9 * max(|reference|, 1)`` -- the tolerance the sharded server and the
-benchmark check use, fixed before the closed form was written.  A query's
-answer must not change by a single bit with the batch it arrives in or its
-chunking, and every other engine must stay on the frontier, bit for bit.
+benchmark check use, fixed before the closed form was written.  The fused
+evaluator must equal the per-depth loop it replaced
+(:func:`oracle.evaluate_per_depth`) bit for bit.  A query's answer must not
+change by a single bit with the batch it arrives in, its chunking or the
+evaluator's blocks, and every other engine must stay on the frontier, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from repro.engine import (
     save_engine,
 )
 from repro.engine.batch import _evaluate_frontier, queries_to_arrays
-from repro.engine.grid import GridIndex, grid_index
+from repro.engine.grid import _EVALUATE_BLOCK_ROWS, GridIndex, grid_index
 from repro.geometry import TIGER_DOMAIN, Domain, Rect
 from repro.obs import disable_metrics, disable_tracing, enable_metrics, enable_tracing
 from repro.queries import random_query_rects
@@ -117,6 +120,16 @@ def _assert_bitwise(got, want) -> None:
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
+def _assert_fused_is_per_depth(index, rects, use_uniformity=True) -> None:
+    """The fused evaluator's four outputs equal the per-depth loop's, bit for bit."""
+    qlo, qhi = queries_to_arrays(rects, 2)
+    got = index.evaluate(qlo, qhi, use_uniformity)
+    want = oracle.evaluate_per_depth(index, qlo, qhi, use_uniformity)
+    for name, have, expected in zip(("estimates", "nodes_touched", "variances", "exact"), got, want):
+        assert have.dtype == expected.dtype, name
+        assert have.tobytes() == expected.tobytes(), name
+
+
 def _edge_cases(engine) -> np.ndarray:
     """Rects every batch carries: the whole domain, larger than the domain,
     outside it, a point and zero-width strips on leaf corners, and boxes
@@ -174,6 +187,7 @@ def test_closed_form_matches_frontier_and_oracle(engines, data, budget, height, 
 
     got = batch_query(engine, rects, use_uniformity=use_uniformity)
     _assert_parity(got, _frontier(engine, rects, use_uniformity))
+    _assert_fused_is_per_depth(index, rects, use_uniformity)
     if storage == "float64":
         view = _pointer_view(budget, height)
         for i, row in enumerate(rects.tolist()):
@@ -183,6 +197,19 @@ def test_closed_form_matches_frontier_and_oracle(engines, data, budget, height, 
                                 oracle.range_query(view, query, use_uniformity=use_uniformity)),
                                (got.variances[i], oracle.query_variance(view, query))):
                 assert abs(have - want) <= RTOL * max(abs(want), 1.0), (i, row, have, want)
+
+
+@pytest.mark.parametrize("storage", STORAGES)
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_fused_evaluator_is_the_per_depth_loop(engines, budget, storage):
+    """Every budget (leaf-only and level-skipping included), height 0-8 and
+    storage: the fused closed form is the per-depth loop, bit for bit."""
+    for height in range(9):
+        engine = engines(budget, height, storage)
+        rects = np.vstack([_edge_cases(engine), np.asarray(
+            [list(r.lo) + list(r.hi) for r in random_query_rects(TIGER_DOMAIN, 60, rng=height)])])
+        for use_uniformity in (True, False):
+            _assert_fused_is_per_depth(grid_index(engine), rects, use_uniformity)
 
 
 def test_empty_batch(engines):
@@ -208,6 +235,13 @@ def test_answers_do_not_change_with_batch_or_chunking(engines):
         alone = batch_query(engine, rects[i : i + 1])
         assert alone.estimates.tobytes() == whole.estimates[i : i + 1].tobytes()
         assert alone.variances.tobytes() == whole.variances[i : i + 1].tobytes()
+    # A batch longer than one evaluator block, chunked across block edges.
+    longer = np.vstack([rects, np.asarray([list(r.lo) + list(r.hi) for r in random_query_rects(
+        TIGER_DOMAIN, 2 * _EVALUATE_BLOCK_ROWS, rng=6)])])
+    whole_longer = batch_query(engine, longer)
+    _assert_bitwise(batch_query(engine, longer, chunk_queries=_EVALUATE_BLOCK_ROWS - 1), whole_longer)
+    for name in ("estimates", "nodes_touched", "variances"):
+        assert getattr(whole_longer, name)[: rects.shape[0]].tobytes() == getattr(whole, name).tobytes()
 
 
 def test_queries_that_sum_nothing_answer_exactly_zero(engines):
@@ -448,6 +482,7 @@ def test_serve_bulk_scale_parity(record_property):
     assert engine.n_nodes == 1_398_101 and grid_index(engine) is not None
     rects = np.asarray([list(r.lo) + list(r.hi) for r in random_query_rects(
         TIGER_DOMAIN, 4_096, rng=np.random.default_rng(14), min_frac=0.001, max_frac=0.3)])
+    _assert_fused_is_per_depth(grid_index(engine), rects)
     got = batch_query(engine, rects, chunk_queries=256)
     est_err = var_err = 0.0
     for start in range(0, rects.shape[0], 256):

@@ -386,16 +386,21 @@ class TestZeroCopyServing:
     def test_sharded_server_over_mapped_engine(self, points, domain, tmp_path):
         from repro.parallel import ShardedQueryServer
 
-        engine = compile_psd(_build("quad-opt", points, domain))
+        # Pruned, so the frontier walk answers it and the batch crosses the
+        # pool (a complete quadtree is answered in the caller).
+        psd = build_private_quadtree(points, domain, height=4, epsilon=1.0,
+                                     variant="quad-opt", prune_threshold=32, rng=0)
+        engine = compile_psd(psd)
         path = tmp_path / "engine.psdm"
         save_engine(engine, path, format="mmap")
         mapped = load_engine(path)
-        queries = _queries(_build("quad-opt", points, domain), n=60)
+        queries = _queries(psd, n=60)
         direct = batch_query(engine, queries)
         with ShardedQueryServer(mapped, workers=2, chunk_queries=16) as server:
             sharded = server.batch_query(queries)
             stats = server.stats()
         _assert_bitwise(direct, sharded)
+        assert stats["sharded_batches"] == 1
         assert stats["engine_mapped_bytes"] > 0
         assert stats["shm_segments"] == 0  # the file is the sharing mechanism
 

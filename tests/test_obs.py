@@ -371,9 +371,11 @@ class TestObsCLI:
         assert not metrics_enabled() and not tracing_enabled()
 
     def test_query_workers_stats_reports_serving(self, tmp_path, capsys):
+        # Pruned, so the frontier walk answers it and the batch fans out (a
+        # complete quadtree is answered in the caller by its closed form).
         release = tmp_path / "release.json"
         assert main(["build", "--synthetic", "500", "--height", "3", "--seed", "1",
-                     "--output", str(release)]) == 0
+                     "--prune", "32", "--output", str(release)]) == 0
         capsys.readouterr()
         rect = "--rect=-123,46,-121,48"
         assert main(["query", str(release), "--workers", "2",

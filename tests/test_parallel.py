@@ -10,13 +10,15 @@ Covers the four contracts of :mod:`repro.parallel`:
 * chunked ``batch_query`` matches the unchunked evaluator on all three
   outputs for any chunk size (property test over random sizes plus the 1 /
   Q / Q+1 and empty-workload edges), and the sharded server preserves it
-  end to end;
+  end to end: a frontier engine's batch fans out in chunks, while a complete
+  quadtree is answered in the caller by its closed form and starts no pool;
 * a sharded server survives its workers: a killed worker or a failed task
   costs latency, never an answer, and never leaks shared memory.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
 
 import numpy as np
@@ -48,6 +50,15 @@ def points():
 def engine(points):
     psd = build_private_quadtree(points, TIGER_DOMAIN, height=5, epsilon=0.5,
                                  rng=np.random.default_rng(7))
+    return psd.compile()
+
+
+@pytest.fixture(scope="module")
+def pruned_engine(points):
+    """The same points, pruned: 321 nodes at height 5, answered by the frontier
+    walk, so a sharded server fans its batches across the pool."""
+    psd = build_private_quadtree(points, TIGER_DOMAIN, height=5, epsilon=0.5,
+                                 prune_threshold=32, rng=np.random.default_rng(7))
     return psd.compile()
 
 
@@ -173,6 +184,70 @@ class TestArenaLeakGuard:
         segment.unlink()  # ...and is cleaned up here on the parent's behalf
 
 
+_ORPHANED_POOL_SCRIPT = """\
+import os
+import time
+
+from repro.parallel.pool import ResilientPool
+
+
+def pid(state):
+    return os.getpid()
+
+
+pool = ResilientPool({}, 2, name="orphan")
+pool.run(pid, {0: (), 1: ()})
+print(" ".join(str(worker) for worker in sorted(pool._executor._processes)), flush=True)
+time.sleep(600)
+"""
+
+
+def _process_alive(pid: int) -> bool:
+    """Whether ``pid`` runs: a zombie, never reaped by an init that does not
+    reap, counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestOrphanedWorkers:
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    def test_workers_exit_when_their_parent_is_killed(self, tmp_path):
+        """SIGKILL the process that holds a two-worker pool: both workers
+        notice their parent changed and exit within 5 s."""
+        import subprocess
+        import sys
+        import threading
+        import time
+
+        script = tmp_path / "orphaned.py"
+        script.write_text(_ORPHANED_POOL_SCRIPT)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.join(os.getcwd(), "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen([sys.executable, str(script)], env=env,
+                                stdout=subprocess.PIPE, text=True)
+        stuck = threading.Timer(120, proc.kill)  # a pool that never starts fails, not hangs
+        stuck.start()
+        try:
+            workers = [int(pid) for pid in proc.stdout.readline().split()]
+        finally:
+            stuck.cancel()
+            proc.kill()
+            proc.wait(timeout=60)
+        assert len(workers) == 2
+        deadline = time.monotonic() + 5.0
+        while any(_process_alive(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in workers if _process_alive(pid)]
+        for pid in survivors:  # leave nothing behind, then fail
+            os.kill(pid, 9)
+        assert not survivors
+
+
 # ----------------------------------------------------------------------
 # Process-parallel sweeps
 # ----------------------------------------------------------------------
@@ -278,9 +353,9 @@ class TestChunkedBatchQuery:
 class TestShardedResilience:
     """A dead pool must cost latency, never errors — and never leak shm."""
 
-    def test_worker_kill_is_survived_with_parity(self, engine, workload):
-        reference = batch_query(engine, workload.queries)
-        with ShardedQueryServer(engine, workers=2, chunk_queries=7) as server:
+    def test_worker_kill_is_survived_with_parity(self, pruned_engine, workload):
+        reference = batch_query(pruned_engine, workload.queries)
+        with ShardedQueryServer(pruned_engine, workers=2, chunk_queries=7) as server:
             first = server.batch_query(workload.queries)  # starts the pool
             assert np.array_equal(first.estimates, reference.estimates)
             server.drill("kill-worker")
@@ -303,8 +378,8 @@ class TestShardedResilience:
             again = server.batch_query(workload.queries)
             assert np.array_equal(again.estimates, reference.estimates)
 
-    def test_close_is_idempotent_and_safe_after_crash(self, engine, workload):
-        server = ShardedQueryServer(engine, workers=2, chunk_queries=7)
+    def test_close_is_idempotent_and_safe_after_crash(self, pruned_engine, workload):
+        server = ShardedQueryServer(pruned_engine, workers=2, chunk_queries=7)
         server.batch_query(workload.queries)
         server.drill("kill-worker")
         server.close()
@@ -314,14 +389,14 @@ class TestShardedResilience:
         assert len(result) == 3
         server.close()
 
-    def test_worker_task_exception_falls_back_in_process(self, engine, workload,
+    def test_worker_task_exception_falls_back_in_process(self, pruned_engine, workload,
                                                          monkeypatch):
         """A task raising in the worker (injected OOM) re-evaluates in the
         parent: the pool survives and the answers stay bitwise identical."""
         from repro.serve.faults import FaultInjector, FaultSpec
 
-        reference = batch_query(engine, workload.queries)
-        with ShardedQueryServer(engine, workers=2, chunk_queries=7) as server:
+        reference = batch_query(pruned_engine, workload.queries)
+        with ShardedQueryServer(pruned_engine, workers=2, chunk_queries=7) as server:
             # Every task the pool submits raises MemoryError in its worker.
             monkeypatch.setattr(server._pool, "faults",
                                 FaultInjector([FaultSpec("oom-worker", 1)]))
@@ -330,7 +405,7 @@ class TestShardedResilience:
             assert server.stats()["inproc_fallbacks"] >= 1
             assert server._pool.started  # the pool was never torn down
 
-    def test_pool_init_failure_unlinks_segments_and_degrades(self, engine, workload,
+    def test_pool_init_failure_unlinks_segments_and_degrades(self, pruned_engine, workload,
                                                              monkeypatch):
         """If the pool cannot start, the exported segments must be unlinked
         (no /dev/shm leak) and the batch served in-process."""
@@ -340,9 +415,9 @@ class TestShardedResilience:
             raise RuntimeError("fork failed (injected)")
 
         shm_before = _shm_entries()
-        reference = batch_query(engine, workload.queries)
+        reference = batch_query(pruned_engine, workload.queries)
         monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", broken_executor)
-        with ShardedQueryServer(engine, workers=2, chunk_queries=7) as server:
+        with ShardedQueryServer(pruned_engine, workers=2, chunk_queries=7) as server:
             result = server.batch_query(workload.queries)
             assert np.array_equal(result.estimates, reference.estimates)
             assert server._pool.arena.n_segments == 0
@@ -390,6 +465,36 @@ class TestShardedQueryServer:
             assert np.array_equal(result.estimates, reference.estimates)
             assert np.array_equal(result.nodes_touched, reference.nodes_touched)
             assert np.array_equal(result.variances, reference.variances)
+
+    def test_closed_form_engine_never_starts_its_pool(self, engine, workload):
+        """A complete quadtree is answered in the caller at any pool size:
+        batches larger than the chunk start no pool, and a kill drill is a
+        no-op."""
+        reference = batch_query(engine, workload.queries)
+        assert len(workload.queries) > 7
+        with ShardedQueryServer(engine, workers=2, chunk_queries=7) as server:
+            for _ in range(2):
+                result = server.batch_query(workload.queries)
+                for name in ("estimates", "nodes_touched", "variances"):
+                    assert getattr(result, name).tobytes() == getattr(reference, name).tobytes()
+                server.drill("kill-worker")
+            stats = server.stats()
+            assert not server._pool.started
+        assert stats["sharded_batches"] == 0 and stats["chunks"] == 0
+        assert stats["batches"] == 2
+        assert stats["pool_rebuilds"] == stats["inproc_fallbacks"] == 0
+
+    def test_frontier_engine_batch_fans_out(self, pruned_engine, workload):
+        reference = batch_query(pruned_engine, workload.queries)
+        n_queries = len(workload.queries)
+        with ShardedQueryServer(pruned_engine, workers=2, chunk_queries=7) as server:
+            result = server.batch_query(workload.queries)
+            stats = server.stats()
+            assert server._pool.started
+        for name in ("estimates", "nodes_touched", "variances"):
+            assert getattr(result, name).tobytes() == getattr(reference, name).tobytes()
+        assert stats["sharded_batches"] == 1
+        assert stats["chunks"] == -(-n_queries // 7)
 
     def test_single_worker_runs_in_process(self, engine, workload):
         with ShardedQueryServer(engine, workers=1, chunk_queries=16) as server:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from oracle import rank_error
 from repro.data import (
     MEDIAN_STUDY_DOMAIN,
     RoadNetworkConfig,
@@ -27,7 +28,6 @@ from repro.queries import (
     generate_workload,
     mean_relative_error,
     median_relative_error,
-    rank_error,
     relative_error,
     relative_errors,
     workload_error_summary,

@@ -47,10 +47,23 @@ ROWS = [
 
 
 @pytest.fixture(scope="module")
-def engine():
-    points = road_intersections(n=2_000, rng=0)
+def points():
+    return road_intersections(n=2_000, rng=0)
+
+
+@pytest.fixture(scope="module")
+def engine(points):
     psd = build_private_quadtree(points, TIGER_DOMAIN, height=4, epsilon=0.5,
                                  rng=np.random.default_rng(7))
+    return psd.compile()
+
+
+@pytest.fixture(scope="module")
+def pruned_engine(points):
+    """The same points, pruned (149 nodes): the frontier walk answers it, so
+    its batches cross the pool and worker faults reach a worker."""
+    psd = build_private_quadtree(points, TIGER_DOMAIN, height=4, epsilon=0.5,
+                                 prune_threshold=32, rng=np.random.default_rng(7))
     return psd.compile()
 
 
@@ -351,13 +364,13 @@ def test_invalid_rows_are_refused_before_the_charge(engine, tmp_path) -> None:
 # ----------------------------------------------------------------------
 # Worker supervision under deterministic faults
 # ----------------------------------------------------------------------
-def test_worker_kill_fault_costs_latency_not_errors(engine, tmp_path) -> None:
-    service = _service(engine, tmp_path, workers=2, chunk_queries=2,
+def test_worker_kill_fault_costs_latency_not_errors(pruned_engine, tmp_path) -> None:
+    service = _service(pruned_engine, tmp_path, workers=2, chunk_queries=2,
                        faults=parse_faults("kill-worker:3"))
     try:
         with ServiceThread(service) as thread:
             port = thread.address[1]
-            expected = batch_query(engine, np.asarray(ROWS, dtype=np.float64))
+            expected = batch_query(pruned_engine, np.asarray(ROWS, dtype=np.float64))
             for _ in range(7):  # faults fire on requests 3 and 6
                 status, body, _ = _request(port, "POST", "/query",
                                            {"analyst": "alice", "queries": ROWS})
@@ -373,13 +386,13 @@ def test_worker_kill_fault_costs_latency_not_errors(engine, tmp_path) -> None:
         _shutdown(service)
 
 
-def test_coincident_kill_and_oom_faults_are_survived(engine, tmp_path) -> None:
+def test_coincident_kill_and_oom_faults_are_survived(pruned_engine, tmp_path) -> None:
     """Both fault kinds firing on the same request must still answer 200.
 
     Regression: the oom probe used to submit into the pool the kill-worker
     drill had just crashed, and the ``BrokenProcessPool`` escaped as a 500.
     """
-    service = _service(engine, tmp_path, workers=2, chunk_queries=2,
+    service = _service(pruned_engine, tmp_path, workers=2, chunk_queries=2,
                        faults=parse_faults("kill-worker:2,oom-worker:2"))
     try:
         with ServiceThread(service) as thread:
@@ -395,8 +408,8 @@ def test_coincident_kill_and_oom_faults_are_survived(engine, tmp_path) -> None:
         _shutdown(service)
 
 
-def test_oom_worker_fault_is_survived(engine, tmp_path) -> None:
-    service = _service(engine, tmp_path, workers=2, chunk_queries=2,
+def test_oom_worker_fault_is_survived(pruned_engine, tmp_path) -> None:
+    service = _service(pruned_engine, tmp_path, workers=2, chunk_queries=2,
                        faults=parse_faults("oom-worker:2"))
     try:
         with ServiceThread(service) as thread:
