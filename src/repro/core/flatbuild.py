@@ -13,7 +13,10 @@ Every PSD lives in one representation: the breadth-first structure-of-arrays
   order; the cell-based kd split reads its medians off the noisy grid for
   blocks of nodes at once.  Every point lands in exactly one child (one node
   per level), and one level loop serves a single build and a stacked
-  multi-release sweep alike;
+  multi-release sweep alike.  The loop passes each level's points and child
+  indices on to the next level in the order the split returned them: the kd
+  and Hilbert rules hand them back grouped by child and sorted by value, the
+  quadtree and cell-based rules never read the order;
 * noise: each release's Laplace draws happen as **one batched
   standard-Laplace vector**, scaled per level afterwards — bitwise identical
   to per-node scalar draws at that scale from the same generator, since NumPy
@@ -471,7 +474,8 @@ def build_flat_structures_stacked(
     its own release's median budget, and the points array holds ``R`` copies
     of the dataset partitioned per release (the input itself when ``R`` is
     1).  Every point lands in exactly one child per level, so each release
-    partitions its ``n`` points at every level.  Because batched median
+    partitions its ``n`` points at every level; the next level receives them
+    in the order the split returned them.  Because batched median
     kernels are segment-local and consume their uniforms node-major, feeding
     them the releases' **pre-drawn** uniforms (via
     :class:`~repro.privacy.rng.ReplayRng`) reproduces every release bit for
@@ -514,11 +518,9 @@ def build_flat_structures_stacked(
                 f"split rule {split_rule!r} produced {child_lo.shape[0]} children "
                 f"for {cur_lo.shape[0]} nodes, expected fanout {fanout}"
             )
-        order = np.argsort(child_of_pt, kind="stable")
-        cur_pts = level_pts[order]
-        cur_node = child_of_pt[order]
         counts = np.bincount(child_of_pt, minlength=child_lo.shape[0]).astype(np.int64)
         cur_lo, cur_hi = child_lo, child_hi
+        cur_pts, cur_node = level_pts, child_of_pt
         level_lo.append(child_lo)
         level_hi.append(child_hi)
         level_counts.append(counts)

@@ -95,7 +95,7 @@ class BinaryMedianSplit(SplitRule):
         u, starts = _draw_level(method, eps, per_node, rng)
         # This rule hands each level back sorted by (child, value), so after
         # the first level the sort degenerates to an O(n) check.
-        order = _segment_sorted_order(vals, seg, offsets)
+        order = _segment_sorted_order(vals, seg)
         split = _median_stage(method, vals if order is None else vals[order], offsets,
                               lo[:, 0], hi[:, 0], eps, u, starts)
 

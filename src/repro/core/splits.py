@@ -58,8 +58,8 @@ __all__ = [
 #: child_of_point, points)`` where the bound arrays have ``n_nodes * fanout``
 #: rows (children of node ``j`` at rows ``j*fanout .. (j+1)*fanout - 1``),
 #: ``points`` holds the level's points, each exactly once (possibly
-#: reordered), and ``child_of_point[p]`` is the global child index of
-#: ``points[p]``.
+#: reordered; the next level receives them in this order), and
+#: ``child_of_point[p]`` is the global child index of ``points[p]``.
 LevelSplit = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 #: Upper bound on the bytes of one temporary of the cell-based split: its
@@ -67,39 +67,56 @@ LevelSplit = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 _CELL_BLOCK_BYTES = 2 * 1024 * 1024
 
 
-def _segment_sorted_order(values: np.ndarray, seg: np.ndarray,
-                          offsets: np.ndarray) -> Optional[np.ndarray]:
-    """The order sorting ``values`` within the segments of ``seg``.
+def _stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of integer keys, as a radix sort.
 
-    ``seg`` must be non-decreasing with segment boundaries at ``offsets``.
-    Returns ``None`` when the values are already sorted within every segment —
-    the level-batched builders hand each level's points back sorted by
-    ``(child, value)``, so after the first data-dependent level this O(n)
-    check replaces an O(n log n) sort.
+    Least-significant digit first over the 16-bit digits of ``keys -
+    keys.min()``: each pass is NumPy's stable sort of ``uint16``, which NumPy
+    runs as a radix sort, where int64 keys would take a timsort.  Node and
+    child indices need one or two passes.
     """
-    n = values.shape[0]
-    if n <= 1:
+    keys = np.asarray(keys, dtype=np.int64)
+    if keys.shape[0] == 0:
+        return np.argsort(keys, kind="stable")
+    low = keys.min()
+    span = int(keys.max()) - int(low)
+    rel = (keys - low).view(np.uint64)  # exact even where int64 wraps: span < 2**64
+    order = np.argsort(rel.astype(np.uint16), kind="stable")
+    for shift in range(16, span.bit_length(), 16):
+        digit = (rel >> np.uint64(shift)).astype(np.uint16)
+        order = order[np.argsort(digit[order], kind="stable")]
+    return order
+
+
+def _segment_sorted_order(values: np.ndarray, seg: np.ndarray) -> Optional[np.ndarray]:
+    """The order sorting a level's points by ``(seg, values)``.
+
+    Points arrive in whatever order the previous level's rule returned them.
+    Returns ``None`` when they are already grouped by segment (``seg``
+    non-decreasing) and sorted by value within each segment: the kd and
+    Hilbert rules hand each level back sorted by ``(child, value)``, so after
+    their first level two O(n) checks replace an O(n log n) sort.  Points in
+    any other order (a data-independent rule keeps its input's) are sorted.
+    """
+    if values.shape[0] <= 1:
         return None
-    within = np.ones(n - 1, dtype=bool)
-    boundary = offsets[1:-1]
-    boundary = boundary[(boundary > 0) & (boundary < n)]
-    within[boundary - 1] = False
-    if not np.any(np.diff(values)[within] < 0):
+    step = np.diff(seg)
+    if not np.any(step < 0) and not np.any(np.diff(values)[step == 0] < 0):
         return None
     by_value = np.argsort(values)  # stability irrelevant: equal floats are identical
-    return by_value[np.argsort(seg[by_value], kind="stable")]
+    return by_value[_stable_argsort(seg[by_value])]
 
 
 def _by_child(child_of_point: np.ndarray, points: np.ndarray,
               order: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """Hand a level back sorted by ``(child, value)``.
+    """Hand a level back grouped by child and sorted by value within each child.
 
-    ``order`` sorts the level by ``(node, value)`` (``None``: already sorted);
-    refining it by child is a cheap stable integer sort, and it lets the next
-    level's first median stage skip its value sort entirely.
+    ``order`` sorts the level by ``(node, value)`` (``None``: it arrived
+    sorted); refining it by child is a stable radix sort of the child indices,
+    and it lets the next level's first median stage skip its value sort.
     """
     base = np.arange(points.shape[0], dtype=np.int64) if order is None else order
-    ret = base[np.argsort(child_of_point[base], kind="stable")]
+    ret = base[_stable_argsort(child_of_point[base])]
     return child_of_point[ret], points[ret]
 
 
@@ -224,13 +241,15 @@ class SplitRule(ABC):
         """Split **every** node of a level in one vectorized call.
 
         ``lo`` / ``hi`` are the ``(n_nodes, d)`` bounds of the level's nodes,
-        ``points`` the concatenated points of the level (sorted so each node's
-        points are contiguous) and ``point_node[p]`` the node index of point
-        ``p``.  ``epsilon_median`` is the median budget of this level (zero
-        for data-independent levels), a scalar or one value per node.  Every
-        point is routed to exactly one child (``coordinate >= split`` goes
-        high), and data-dependent rules draw the level's randomness node-major
-        in BFS order — the stream a loop of per-node splits would consume.
+        ``points`` the level's points in the order the previous level's split
+        returned them (not necessarily grouped by node) and ``point_node[p]``
+        the node index of point ``p``; a rule that needs another order sorts
+        what it reads.  ``epsilon_median`` is the median budget of this level
+        (zero for data-independent levels), a scalar or one value per node.
+        Every point is routed to exactly one child (``coordinate >= split``
+        goes high), and data-dependent rules draw the level's randomness
+        node-major in BFS order — the stream a loop of per-node splits would
+        consume.
         """
 
     def data_dependent_levels(self, height: int) -> List[int]:
@@ -359,14 +378,14 @@ class KDSplit(SplitRule):
         # x-medians, one per node.  The points usually arrive sorted by
         # (node, x) — this rule hands them back that way — so the sort is an
         # O(n) check after the first level.
-        order_x = _segment_sorted_order(x, seg, offsets)
+        order_x = _segment_sorted_order(x, seg)
         split_x = _median_stage(method, x if order_x is None else x[order_x], offsets,
                                 lo[:, 0], hi[:, 0], eps_stage, u, start_x)
         half = 2 * seg + (x >= split_x[seg])
 
         # y-medians, one per half (low, then high)
         order_y = np.argsort(y)  # equal floats are identical: no stability needed
-        order_y = order_y[np.argsort(half[order_y], kind="stable")]
+        order_y = order_y[_stable_argsort(half[order_y])]
         counts_half = np.bincount(half, minlength=2 * k)
         start_y = np.empty(2 * k, dtype=np.int64)
         start_y[0::2] = start_x + per_value * counts + d

@@ -11,7 +11,8 @@ import pytest
 
 import oracle
 from repro.core.builder import BudgetSplit, build_psd, populate_noisy_counts
-from repro.core.splits import CellKDSplit, HybridSplit, KDSplit, QuadSplit
+from repro.core.hilbert_rtree import BinaryMedianSplit
+from repro.core.splits import CellKDSplit, HybridSplit, KDSplit, QuadSplit, _stable_argsort
 from repro.data import uniform_points
 from repro.geometry import Domain, Rect
 from repro.index import UniformGrid
@@ -151,6 +152,111 @@ class TestCellKDSplit:
 
     def test_not_data_dependent(self, noisy_grid):
         assert CellKDSplit(noisy_grid=noisy_grid).data_dependent_levels(5) == []
+
+
+# ----------------------------------------------------------------------
+# Point order: each level arrives in the order the previous one returned
+# ----------------------------------------------------------------------
+def _keys(case):
+    gen = np.random.default_rng(11)
+    return {
+        "empty": np.empty(0, dtype=np.int64),
+        "one key": np.array([9], dtype=np.int64),
+        "all equal": np.full(500, 2**33 + 5, dtype=np.int64),
+        "below 2^16": gen.integers(0, 2**16, 4_000),
+        "at 2^16": np.concatenate([gen.integers(2**16 - 3, 2**16 + 1, 4_000), [2**16]]),
+        "above 2^16": gen.integers(0, 40, 4_000) * 3_001,
+        "above 2^32": gen.integers(0, 40, 4_000) * (2**32 + 2**17 + 3),
+        "mixed sign": gen.integers(-30, 30, 4_000) * (2**40 + 1),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["empty", "one key", "all equal", "below 2^16", "at 2^16",
+                                  "above 2^16", "above 2^32", "mixed sign"])
+def test_stable_argsort_equals_numpy_stable_argsort(case):
+    keys = _keys(case)
+    order = _stable_argsort(keys)
+    expected = np.argsort(keys, kind="stable")
+    assert order.dtype == expected.dtype
+    assert np.array_equal(order, expected)
+
+
+class TestSplitRulesOwnPointOrder:
+    """The level loop hands a rule the points in the order the previous
+    level's rule returned them: grouped by node after a kd or Hilbert level,
+    in routing order after a quadtree or cell-based one.  A rule must split a
+    level the same way whatever that order."""
+
+    HEIGHT = 3
+
+    @pytest.fixture(scope="class")
+    def noisy_grid(self, domain, points):
+        grid = UniformGrid(domain=domain, shape=(32, 32)).fit(points)
+        return grid.noisy_counts(50.0, rng=np.random.default_rng(0))
+
+    def level(self, points, dims):
+        """Four nodes and their points, sorted by ``(node, x)`` as a kd level
+        hands them on."""
+        pts = points[:, :dims]
+        if dims == 1:
+            lo = np.array([[0.0], [0.25], [0.5], [0.75]])
+            hi = lo + 0.25
+            node = np.minimum((pts[:, 0] * 4).astype(np.int64), 3)
+        else:
+            lo = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5]])
+            hi = lo + 0.5
+            node = (pts[:, 0] >= 0.5).astype(np.int64) + 2 * (pts[:, 1] >= 0.5)
+        order = np.lexsort((pts[:, 0], node))
+        return lo, hi, pts[order], node[order]
+
+    def cases(self, noisy_grid):
+        """Each rule with its point dimension and the level it splits."""
+        h = self.HEIGHT
+        return {
+            "quad": (QuadSplit(), 2, h),
+            "kd-em": (KDSplit(median_method="em"), 2, h),
+            "kd-true": (KDSplit(median_method="true"), 2, h),
+            "kd-noisymean": (KDSplit(median_method="noisymean"), 2, h),
+            "hybrid-kd-side": (HybridSplit(kd_levels=1, median_method="em"), 2, h),
+            "hybrid-quad-side": (HybridSplit(kd_levels=1, median_method="em"), 2, h - 1),
+            "cell-kd": (CellKDSplit(noisy_grid=noisy_grid), 2, h),
+            "hilbert-binary": (BinaryMedianSplit(median_method="em"), 1, h),
+        }
+
+    def split(self, rule, lo, hi, pts, node, level):
+        eps = 0.5 if rule.is_data_dependent(level, self.HEIGHT) else 0.0
+        return rule.split_level(lo, hi, pts, node, level, self.HEIGHT, eps,
+                                rng=np.random.default_rng(21))
+
+    @staticmethod
+    def routed(child, pts):
+        """The (child, point) pairs, in one canonical order."""
+        rows = np.column_stack([child, pts])
+        return rows[np.lexsort(rows.T[::-1])]
+
+    @pytest.mark.parametrize("arrangement", ["shuffled", "sorted by x"])
+    @pytest.mark.parametrize("case", ["quad", "kd-em", "kd-true", "kd-noisymean",
+                                      "hybrid-kd-side", "hybrid-quad-side", "cell-kd",
+                                      "hilbert-binary"])
+    def test_split_does_not_depend_on_point_order(self, points, noisy_grid, arrangement, case):
+        rule, dims, level = self.cases(noisy_grid)[case]
+        lo, hi, pts, node = self.level(points, dims)
+        if arrangement == "shuffled":
+            perm = np.random.default_rng(3).permutation(pts.shape[0])
+        else:  # interleaves the nodes, yet leaves x sorted within any window
+            perm = np.argsort(pts[:, 0], kind="stable")
+        grouped = self.split(rule, lo, hi, pts, node, level)
+        moved = self.split(rule, lo, hi, pts[perm], node[perm], level)
+        for a, b in zip(grouped[:2], moved[:2]):
+            assert np.array_equal(a, b)  # child bounds, bitwise
+        n_children = grouped[0].shape[0]
+        assert np.array_equal(np.bincount(grouped[2], minlength=n_children),
+                              np.bincount(moved[2], minlength=n_children))
+        assert np.array_equal(self.routed(*grouped[2:]), self.routed(*moved[2:]))
+        if rule.is_data_dependent(level, self.HEIGHT):  # the kd and Hilbert rules
+            for child, out in (grouped[2:], moved[2:]):
+                assert np.all(np.diff(child) >= 0)  # grouped by child ...
+                assert np.all(np.diff(out[:, 0])[np.diff(child) == 0] >= 0)  # ... x sorted within
 
 
 # ----------------------------------------------------------------------

@@ -174,6 +174,20 @@ class TestLevelBatchedBuilds:
                                    postprocess=True)
         assert_engines_equal(oracle.compile_psd(pointer), compile_psd(flat))
 
+    def test_kd_level_below_a_quadtree_level(self):
+        """A kd level that receives its points in a quadtree level's routing
+        order (nodes interleaved, x still sorted) must sort them itself."""
+
+        class QuadAboveKD(HybridSplit):
+            def is_data_dependent(self, level, height):
+                return level < height
+
+        pts = POINTS[np.argsort(POINTS[:, 0])]
+        rule = QuadAboveKD(median_method="em")
+        pointer = oracle.build_psd(pts, DOMAIN, 3, rule, epsilon=1.0, rng=4)
+        flat = build_psd(pts, DOMAIN, 3, rule, epsilon=1.0, rng=4)
+        assert_engines_equal(oracle.compile_psd(pointer), compile_psd(flat))
+
     def test_kd_pure_variant_zero_fallback(self, no_per_node_fallback):
         pointer = oracle.build_private_kdtree(POINTS, DOMAIN, 3, 1.0, variant="kd-pure",
                                               rng=31)
