@@ -492,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="'tiger', 'auto', or explicit bounds lo1,lo2,hi1,hi2 (default: tiger)")
     build.add_argument("--variant", default="quad-opt",
                        help=f"one of {sorted(QUADTREE_VARIANTS) + sorted(KDTREE_VARIANTS) + ['hilbert-r']}")
-    build.add_argument("--epsilon", type=float, default=0.5, help="total privacy budget")
+    build.add_argument("--epsilon", type=_positive_finite, default=0.5,
+                       help="total privacy budget (positive and finite)")
     build.add_argument("--height", type=int, default=8, help="tree height")
     build.add_argument("--prune", type=float, default=None, help="optional pruning threshold")
     build.add_argument("--seed", type=int, default=0, help="random seed")
@@ -564,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="override the scale's quadtree height")
     experiment.add_argument("--kd-height", type=int, default=None,
                             help="override the scale's kd-tree height")
-    experiment.add_argument("--epsilons", type=float, nargs="+", default=(0.5,))
+    experiment.add_argument("--epsilons", type=_positive_finite, nargs="+", default=(0.5,))
     experiment.add_argument("--seed", type=int, default=0)
     experiment.add_argument("--workers", type=int, default=None,
                             help="fan work across this many processes (fig3/fig5/fig6 "

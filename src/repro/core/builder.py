@@ -32,6 +32,7 @@ the parity suites hold the two to identical bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -42,6 +43,7 @@ from ..privacy.accountant import PrivacyAccountant
 from ..privacy.rng import ReplayRng, RngLike, ensure_rng
 from .budget import BudgetStrategy, resolve_budget
 from .flatbuild import (
+    FlatTreeBatch,
     apply_ols_releases,
     batch_from_shared_structure,
     build_flat_structure,
@@ -411,7 +413,11 @@ def build_psd_releases(
     same configuration.  Structure work is shared — data-independent rules
     compute their geometry once; data-dependent rules build all releases'
     trees through stacked :meth:`~repro.core.splits.SplitRule.split_level`
-    calls — and all count noise is drawn as release-major batches.
+    calls, or build one tree for all of them when every release would split
+    it alike (no level draws a uniform and every release has the same median
+    budget, as for the exact-median baselines ``kd-pure`` and ``kd-true``)
+    — and all count noise is drawn as release-major batches.  Every release
+    keeps its own rows of the batch's geometry either way.
 
     Parameters
     ----------
@@ -464,6 +470,9 @@ def build_psd_releases(
     eps_list = [float(e) for e in epsilons]
     if not eps_list:
         raise ValueError("epsilons must be non-empty")
+    for e in eps_list:
+        if not math.isfinite(e):
+            raise ValueError(f"every epsilon must be finite, got {e}")
     if any(e <= 0 for e in eps_list):
         raise ValueError("every epsilon must be positive")
     gen = ensure_rng(rng)
@@ -523,9 +532,16 @@ def build_psd_releases(
                 std_laplace += _draw_count_noise(gen, count_eps[r:r + 1], level_sizes,
                                                  noiseless_counts)
             replay = ReplayRng([np.concatenate(chunks) for chunks in level_chunks if chunks])
-            flat_batch = build_flat_structures_stacked(
-                pts, domain, height, split_rule, eps_median_per_level, replay
+            # With no uniforms and one median budget, every release's
+            # split_level calls would see the same points, bounds and budget:
+            # one tree serves them all (kd-pure, kd-true).
+            alike = (not any(per_release.any() for per_release in plan)
+                     and bool(np.all(eps_median_per_level == eps_median_per_level[0])))
+            stacked = build_flat_structures_stacked(
+                pts, domain, height, split_rule,
+                eps_median_per_level[:1] if alike else eps_median_per_level, replay,
             )
+            flat_batch = _concat_releases([stacked] * n_releases) if alike else stacked
             if not replay.exhausted():
                 raise RuntimeError("stacked build consumed fewer uniforms than pre-drawn")
     if flat_batch is None:
@@ -538,13 +554,7 @@ def build_psd_releases(
                 pts, domain, height, split_rule, eps_median_per_level[r:r + 1], gen))
             std_laplace += _draw_count_noise(gen, count_eps[r:r + 1], level_sizes,
                                              noiseless_counts)
-        flat_batch = parts[0] if n_releases == 1 else replace(
-            parts[0],
-            lo=np.concatenate([p.lo for p in parts]),
-            hi=np.concatenate([p.hi for p in parts]),
-            true_count=np.concatenate([p.true_count for p in parts]),
-            noisy_count=np.concatenate([p.noisy_count for p in parts]),
-        )
+        flat_batch = _concat_releases(parts)
 
     populate_noisy_counts_releases(flat_batch, count_eps, std_laplace, noiseless_counts)
 
@@ -564,6 +574,19 @@ def build_psd_releases(
     if prune_threshold is not None:
         batch.prune(prune_threshold)
     return batch
+
+
+def _concat_releases(parts: List[FlatTreeBatch]) -> FlatTreeBatch:
+    """One batch of the releases of ``parts``, in order, in the per-release layout."""
+    if len(parts) == 1:
+        return parts[0]
+    return replace(
+        parts[0],
+        lo=np.concatenate([p.lo for p in parts]),
+        hi=np.concatenate([p.hi for p in parts]),
+        true_count=np.concatenate([p.true_count for p in parts]),
+        noisy_count=np.concatenate([p.noisy_count for p in parts]),
+    )
 
 
 def _draw_count_noise(

@@ -72,7 +72,10 @@ def _resolve_kdtree_config(
     return config
 
 
-#: The kd-tree variants of Figure 5, keyed by the paper's labels.
+#: The kd-tree variants of Figure 5, keyed by the paper's labels.  kd-pure and
+#: kd-true split at exact medians and give counts the whole budget, so they
+#: spend no median budget: every release of a batch splits alike, and
+#: :func:`~repro.core.builder.build_psd_releases` builds their tree once.
 KDTREE_VARIANTS: Dict[str, KDTreeConfig] = {
     "kd-pure": KDTreeConfig("kd-pure", median_method="true", noiseless_counts=True, count_fraction=1.0),
     "kd-true": KDTreeConfig("kd-true", median_method="true", count_fraction=1.0),

@@ -121,7 +121,7 @@ def _per_segment(x, k: int, name: str) -> np.ndarray:
 
 
 def _prepare_batch(sorted_values, offsets, los, his, validate: bool = True):
-    """Validate a ragged batch; returns clipped values plus segment geometry.
+    """Validate a ragged batch: ``(values, offsets, counts, los, his, k)``.
 
     Values must be sorted within each segment (the clip preserves that) and
     lie inside their segment's domain up to a 1e-9 slack.  ``validate=False``
@@ -139,24 +139,21 @@ def _prepare_batch(sorted_values, offsets, los, his, validate: bool = True):
     if np.any(hi < lo):
         raise ValueError("invalid domain: hi < lo in some segment")
     counts = np.diff(offs)
-    if vals.size:
+    if validate and vals.size:
         seg = np.repeat(np.arange(k, dtype=np.int64), counts)
-        if validate:
-            lo_v, hi_v = lo[seg], hi[seg]
-            if np.any(vals < lo_v - 1e-9) or np.any(vals > hi_v + 1e-9):
-                raise ValueError("values fall outside the declared domain [lo, hi]")
-            if vals.size > 1:
-                diffs = np.diff(vals)
-                within = np.ones(vals.size - 1, dtype=bool)
-                boundary = offs[1:-1]  # pairs straddling a segment boundary
-                boundary = boundary[(boundary > 0) & (boundary < vals.size)]
-                within[boundary - 1] = False
-                if np.any(diffs[within] < 0):
-                    raise ValueError("values must be sorted within each segment")
-            vals = np.clip(vals, lo_v, hi_v)
-    else:
-        seg = np.empty(0, dtype=np.int64)
-    return vals, offs, counts, seg, lo, hi, k
+        lo_v, hi_v = lo[seg], hi[seg]
+        if np.any(vals < lo_v - 1e-9) or np.any(vals > hi_v + 1e-9):
+            raise ValueError("values fall outside the declared domain [lo, hi]")
+        if vals.size > 1:
+            diffs = np.diff(vals)
+            within = np.ones(vals.size - 1, dtype=bool)
+            boundary = offs[1:-1]  # pairs straddling a segment boundary
+            boundary = boundary[(boundary > 0) & (boundary < vals.size)]
+            within[boundary - 1] = False
+            if np.any(diffs[within] < 0):
+                raise ValueError("values must be sorted within each segment")
+        vals = np.clip(vals, lo_v, hi_v)
+    return vals, offs, counts, lo, hi, k
 
 
 def _check_epsilons(epsilons, k: int) -> np.ndarray:
@@ -198,29 +195,29 @@ def _segment_reduce(ufunc, flat: np.ndarray, offsets: np.ndarray, empty):
 def _segment_cumsum(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Per-segment cumulative sum, bitwise equal to ``np.cumsum`` per segment.
 
-    Segments are scattered into zero-padded rows (bucketed by power-of-two
-    length so the padding stays linear in the input) and accumulated with one
-    row-wise ``cumsum``, whose left-to-right order matches the 1-D form
-    exactly.
+    Segments are bucketed by power-of-two length class, so a class's
+    zero-padded rows hold less than twice its values.  One boolean-mask
+    assignment lays a class's values into its rows, one row-wise ``cumsum``
+    accumulates them left to right, as the 1-D form does, and one mask read
+    takes them back.  With a single class, the usual kd level (siblings hold
+    near-equal counts), the values need no per-element class mask.
     """
     flat = np.asarray(flat, dtype=float)
-    out = np.empty(flat.size)
     counts = np.diff(offsets)
-    starts = offsets[:-1]
-    nz = np.flatnonzero(counts)
-    if nz.size == 0:
-        return out
-    sizes = counts[nz]
-    classes = np.frexp(sizes.astype(float))[1]  # ceil(log2) size buckets
-    for c in np.flatnonzero(np.bincount(classes)):
-        pick = nz[classes == c]
-        width = int(counts[pick].max())
-        local = np.arange(width)
-        idx = starts[pick][:, None] + local[None, :]
-        valid = local[None, :] < counts[pick][:, None]
-        rows = np.where(valid, flat[np.minimum(idx, flat.size - 1)], 0.0)
-        cs = np.cumsum(rows, axis=1)
-        out[idx[valid]] = cs[valid]
+    classes = np.frexp(counts.astype(float))[1]  # floor(log2 n) + 1; 0 when empty
+    present = np.unique(classes[counts > 0])
+    out = np.empty(flat.size)
+    for c in present:
+        in_class = classes == c
+        sizes = counts[in_class]
+        valid = np.arange(int(sizes.max())) < sizes[:, None]
+        rows = np.zeros(valid.shape)
+        if present.size == 1:  # every value is in this class
+            rows[valid] = flat
+            return np.cumsum(rows, axis=1, out=rows)[valid]
+        elements = np.repeat(in_class, counts)
+        rows[valid] = flat[elements]
+        out[elements] = np.cumsum(rows, axis=1, out=rows)[valid]
     return out
 
 
@@ -240,8 +237,8 @@ def true_median_batch(sorted_values, offsets, epsilons=0.0, los=0.0, his=1.0,
     has the signature of the private methods.  An empty segment returns its
     domain midpoint.
     """
-    vals, offs, counts, seg, lo, hi, k = _prepare_batch(sorted_values, offsets, los, his,
-                                                        validate=validate)
+    vals, offs, counts, lo, hi, k = _prepare_batch(sorted_values, offsets, los, his,
+                                                   validate=validate)
     safe, guard = _safe_values(vals)
     lo_idx = np.minimum(offs[:-1] + np.maximum(counts - 1, 0) // 2, guard)
     hi_idx = np.minimum(offs[:-1] + counts // 2, guard)
@@ -268,48 +265,56 @@ def exponential_mechanism_median_batch(
     segment, node-major: the first selects the interval (by inverting the
     normalized weight CDF, the same inversion ``Generator.choice`` performs),
     the second places the output inside it.
+
+    All segments' intervals lie in one flat array, segment by segment: two
+    ``np.insert`` calls give their left and right bounds, per-segment
+    constants are repeated across a segment's intervals, and the weight CDF
+    is :func:`_segment_cumsum`, so every segment's arithmetic is that of a
+    batch of one.  Zero-width domains are fixed up only when one occurs.
     """
-    vals, offs, counts, seg, lo, hi, k = _prepare_batch(sorted_values, offsets, los, his,
-                                                        validate=validate)
+    vals, offs, counts, lo, hi, k = _prepare_batch(sorted_values, offsets, los, his,
+                                                   validate=validate)
     eps = _check_epsilons(epsilons, k)
     u = _draw_uniforms(uniforms, rng, k, 2)
-    safe, guard = _safe_values(vals)
 
     # Segment i contributes n_i + 1 intervals I_0..I_n delimited by
-    # lo, x_1, ..., x_n, hi; a value in I_t has rank t.
+    # lo, x_1, ..., x_n, hi; a value in I_t has rank t.  I_t sits at flat
+    # position iv_off[i] + t, and per-segment constants are repeated n_i + 1
+    # times to line up with it.
     iv_counts = counts + 1
     iv_off = offs + np.arange(k + 1, dtype=np.int64)
-    total = int(iv_off[-1])
-    iv_seg = np.repeat(np.arange(k, dtype=np.int64), iv_counts)
-    t = np.arange(total, dtype=np.int64) - iv_off[:-1][iv_seg]
-
-    left = np.where(t == 0, lo[iv_seg],
-                    safe[np.minimum(np.maximum(offs[:-1][iv_seg] + t - 1, 0), guard)])
-    right = np.where(t == counts[iv_seg], hi[iv_seg],
-                     safe[np.minimum(offs[:-1][iv_seg] + t, guard)])
+    iv_start = iv_off[:-1]
+    left = np.insert(vals, offs[:-1], lo)
+    right = np.insert(vals, offs[1:], hi)
     lengths = right - left
 
-    log_weights = -(eps[iv_seg] / 2.0) * np.abs(t - counts[iv_seg] / 2.0)
-    positive = lengths > 0
-    log_w = np.where(positive, log_weights + np.log(np.where(positive, lengths, 1.0)), -np.inf)
-    seg_max = _segment_reduce(np.maximum, log_w, iv_off, -np.inf)
+    # |t - n/2| as |flat position - (iv_start + n/2)|: integers and
+    # half-integers far below 2**53, so both differences are exact.
+    log_w = np.abs(np.arange(left.size) - np.repeat(iv_start + counts / 2.0, iv_counts))
+    log_w *= np.repeat(-(eps / 2.0), iv_counts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_w += np.log(lengths)
+    log_w[~(lengths > 0)] = -np.inf
+    seg_max = np.maximum.reduceat(log_w, iv_start)  # every segment has an interval
     degenerate = ~np.isfinite(seg_max)  # zero-width domain: only one possible output
-    safe_max = np.where(degenerate, 0.0, seg_max)
-    shifted = np.where(degenerate[iv_seg], 0.0, log_w - safe_max[iv_seg])
-    weights = np.exp(shifted)
+    any_degenerate = bool(degenerate.any())
+    if any_degenerate:  # weight 1 everywhere; the output is fixed below
+        seg_max[degenerate] = 0.0
+        log_w[np.repeat(degenerate, iv_counts)] = 0.0
+    log_w -= np.repeat(seg_max, iv_counts)
+    weights = np.exp(log_w, out=log_w)
 
     cdf = _segment_cumsum(weights, iv_off)
-    cdf_last = cdf[iv_off[1:] - 1]
-    norm = cdf / cdf_last[iv_seg]
-    below = (norm <= u[:, 0][iv_seg]).astype(np.int64)
-    chosen = np.minimum(_segment_reduce(np.add, below, iv_off, 0), counts)
+    cdf /= np.repeat(cdf[iv_start + counts], iv_counts)
+    below = cdf <= np.repeat(u[:, 0], iv_counts)
+    chosen = np.minimum(np.add.reduceat(below, iv_start, dtype=np.int64), counts)
 
-    pos = iv_off[:-1] + chosen
+    pos = iv_start + chosen
     l_sel, r_sel = left[pos], right[pos]
     width = r_sel - l_sel
     res = np.where(width > 0, l_sel + width * u[:, 1], l_sel)
-    mid = np.where(counts > 0, safe[np.minimum(offs[:-1] + counts // 2, guard)], lo)
-    res = np.where(degenerate, mid, res)
+    if any_degenerate:  # x_{n//2} (right[iv_start + t] is x_{t+1} for t < n), or lo
+        res = np.where(degenerate, np.where(counts > 0, right[iv_start + counts // 2], lo), res)
     return _clamp_array(res, lo, hi)
 
 
@@ -369,8 +374,8 @@ def smooth_sensitivity_median_batch(
     domain midpoint; their uniform is discarded so the draw layout stays data
     independent.
     """
-    vals, offs, counts, seg, lo, hi, k = _prepare_batch(sorted_values, offsets, los, his,
-                                                        validate=validate)
+    vals, offs, counts, lo, hi, k = _prepare_batch(sorted_values, offsets, los, his,
+                                                   validate=validate)
     eps = _check_epsilons(epsilons, k)
     u = _draw_uniforms(uniforms, rng, k, 1)
     sigma = _smooth_sensitivity_kernel(vals, offs, counts, eps, lo, hi, SS_DELTA)
@@ -401,8 +406,8 @@ def cell_median_batch(
     """
     if n_cells < 1:
         raise ValueError("n_cells must be at least 1")
-    vals, offs, counts, seg, lo, hi, k = _prepare_batch(sorted_values, offsets, los, his,
-                                                        validate=validate)
+    vals, offs, counts, lo, hi, k = _prepare_batch(sorted_values, offsets, los, his,
+                                                   validate=validate)
     eps = _check_epsilons(epsilons, k)
     u = _draw_uniforms(uniforms, rng, k, n_cells)
 
@@ -412,6 +417,7 @@ def cell_median_batch(
     degenerate = hi <= lo
 
     if vals.size:
+        seg = np.repeat(np.arange(k, dtype=np.int64), counts)
         safe_step = np.where(step[seg] > 0, step[seg], 1.0)
         b = np.floor((vals - lo[seg]) / safe_step).astype(np.int64)
         b = np.clip(b, 0, n_cells - 1)
@@ -458,8 +464,8 @@ def noisy_mean_median_batch(
     clamped to the domain.  As the paper notes there is no guarantee this is
     close to the median, which is exactly the weakness Figure 4(a) exhibits.
     """
-    vals, offs, counts, seg, lo, hi, k = _prepare_batch(sorted_values, offsets, los, his,
-                                                        validate=validate)
+    vals, offs, counts, lo, hi, k = _prepare_batch(sorted_values, offsets, los, his,
+                                                   validate=validate)
     eps = _check_epsilons(epsilons, k)
     u = _draw_uniforms(uniforms, rng, k, 2)
     eps_half = eps / 2.0
@@ -516,8 +522,9 @@ def make_sampled_median(base: MedianMethod, sampling_rate: float) -> MedianMetho
 
     def sampled_batch(sorted_values, offsets, epsilons, los, his,
                       rng: RngLike = None, *, uniforms=None, validate: bool = True) -> np.ndarray:
-        vals, offs, counts, seg, lo, hi, k = _prepare_batch(sorted_values, offsets, los, his,
-                                                            validate=validate)
+        vals, offs, counts, lo, hi, k = _prepare_batch(sorted_values, offsets, los, his,
+                                                       validate=validate)
+        seg = np.repeat(np.arange(k, dtype=np.int64), counts)
         eps = _check_epsilons(epsilons, k)
         if uniforms is None:
             u = ensure_rng(rng).random(int(vals.size + d * k))

@@ -128,6 +128,104 @@ class TestBatchBitwiseParity:
                                                1.0, 0.0, 1.0)
 
 
+def cumsum_per_segment(flat, offsets):
+    return np.concatenate([np.cumsum(flat[a:b]) for a, b in zip(offsets[:-1], offsets[1:])]
+                          + [np.empty(0)])
+
+
+def em_from_definition(values, epsilon, lo, hi, u):
+    """One EM median straight from Definition 5, independent of the batch code.
+
+    Interval ``I_t`` runs from the t-th to the (t+1)-th order statistic (``lo``
+    and ``hi`` at the ends) and is picked with weight ``|I_t| exp(-eps/2 |t -
+    n/2|)`` by inverting its CDF at ``u[0]``; the output sits at ``u[1]``
+    across it.  A domain with no positive-width interval returns ``x_{n//2}``
+    (``lo`` when empty).
+    """
+    n = values.size
+    bounds = np.concatenate(([lo], values, [hi]))
+    left, right = bounds[:-1], bounds[1:]
+    lengths = right - left
+    positive = lengths > 0
+    if not positive.any():
+        out = values[n // 2] if n else lo
+    else:
+        score = -(epsilon / 2.0) * np.abs(np.arange(n + 1) - n / 2.0)
+        log_w = np.full(n + 1, -np.inf)
+        log_w[positive] = score[positive] + np.log(lengths[positive])
+        cdf = np.cumsum(np.exp(log_w - log_w.max()))
+        t = min(int(np.count_nonzero(cdf / cdf[-1] <= u[0])), n)
+        width = right[t] - left[t]
+        out = left[t] + width * u[1] if width > 0 else left[t]
+    return min(max(out, lo), hi)
+
+
+def em_level(shape: str, seed: int):
+    """A ragged EM level: sweep-kd's leaf-parent level (3,072 segments of about
+    60 values, one interval-length class) or one mixed with every edge case."""
+    gen = np.random.default_rng(seed)
+    k = 3072
+    counts = gen.integers(56, 62, k)
+    los = np.zeros(k)
+    his = gen.uniform(0.5, 2.0, k)
+    if shape == "edge-cases":
+        counts[::7] = 0  # empty segments
+        counts[1::11] = 1
+        counts[2::13] = gen.integers(100, 300, counts[2::13].size)
+        his[3::17] = los[3::17]  # lo == hi, with values
+        his[::29] = los[::29]  # lo == hi, some empty
+    segments = [np.sort(gen.uniform(los[i], his[i], counts[i])) for i in range(k)]
+    if shape == "edge-cases":
+        for i in range(4, k, 19):  # duplicates, and values on lo and hi
+            seg = segments[i]
+            if seg.size >= 4:
+                seg[: seg.size // 2] = seg[seg.size // 2]
+                seg[0], seg[-1] = los[i], his[i]
+                segments[i] = np.sort(seg)
+    values = np.concatenate(segments)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    eps = gen.uniform(0.01, 2.0, k)
+    return segments, values, offsets, eps, los, his
+
+
+class TestEMIntervalSweep:
+    """The EM batch builds every segment's intervals with two inserts and one
+    per-class cumsum; both must keep the bits of the per-segment forms."""
+
+    @pytest.mark.parametrize("lengths", [
+        [],
+        [0, 0, 0],
+        [0, 40, 50, 0, 63, 33],  # one class (32..63)
+        [0, 1, 2, 3, 4, 7, 8, 9, 16, 17, 0, 1000],  # several classes
+        [2 ** j for j in range(12)] + [2 ** j + 1 for j in range(12)],
+    ], ids=["no-segments", "all-empty", "one-class", "several-classes", "powers-of-two"])
+    def test_segment_cumsum_equals_numpy_per_segment(self, lengths):
+        from repro.privacy.median import _segment_cumsum
+
+        gen = np.random.default_rng(len(lengths))
+        offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+        flat = 10.0 ** gen.uniform(-12.0, 12.0, int(offsets[-1]))
+        got = _segment_cumsum(flat, offsets)
+        assert got.shape == flat.shape
+        assert np.array_equal(got, cumsum_per_segment(flat, offsets))
+
+    @pytest.mark.parametrize("shape", ["sweep-level", "edge-cases"])
+    def test_em_batch_equals_per_node_and_definition(self, shape):
+        segments, values, offsets, eps, los, his = em_level(shape, seed=5)
+        g_batch, g_seq = np.random.default_rng(3), np.random.default_rng(3)
+        batch = exponential_mechanism_median_batch(values, offsets, eps, los, his, rng=g_batch,
+                                                   validate=False)
+        em = per_node("em")
+        sequential = np.array([em(seg, eps[i], los[i], his[i], rng=g_seq)
+                               for i, seg in enumerate(segments)])
+        assert np.array_equal(batch, sequential)
+        assert g_batch.bit_generator.state == g_seq.bit_generator.state
+        u = np.random.default_rng(3).random((len(segments), 2))
+        reference = np.array([em_from_definition(seg, eps[i], los[i], his[i], u[i])
+                              for i, seg in enumerate(segments)])
+        assert np.array_equal(batch, reference)
+
+
 def build_pair(rule, height, seed, **kwargs):
     pointer = oracle.build_psd(POINTS, DOMAIN, height, rule, epsilon=1.0, rng=seed, **kwargs)
     flat = build_psd(POINTS, DOMAIN, height, rule, epsilon=1.0, rng=seed, **kwargs)

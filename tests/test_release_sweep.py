@@ -17,7 +17,12 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core.builder import build_psd, build_psd_releases, populate_noisy_counts
+from repro.core.builder import (
+    BudgetSplit,
+    build_psd,
+    build_psd_releases,
+    populate_noisy_counts,
+)
 from repro.core.flatbuild import _batch_topology, build_flat_structure, ols_beta
 from repro.core.hilbert_rtree import (
     build_private_hilbert_rtree,
@@ -144,6 +149,60 @@ class TestReleaseParity:
             flat = batch.release(r).flat_tree
             assert np.array_equal(flat.noisy_count, flat.true_count.astype(float))
 
+    @pytest.mark.parametrize("variant", ["kd-true", "kd-pure"])
+    def test_exact_median_baselines_match_sequential(self, points, variant):
+        """kd-true and kd-pure split every release alike: one tree is built
+        for all of them, and each release still equals its sequential build."""
+        epsilons = (0.1, 0.5, 1.0)
+        gen_seq = np.random.default_rng(17)
+        references = [
+            build_private_kdtree(points, TIGER_DOMAIN, HEIGHT, epsilon=e, variant=variant,
+                                 prune_threshold=32.0, rng=gen_seq)
+            for e in epsilons
+            for _ in range(REPETITIONS)
+        ]
+        gen_batch = np.random.default_rng(17)
+        batch = build_private_kdtree_releases(points, TIGER_DOMAIN, HEIGHT, epsilons,
+                                              REPETITIONS, variant=variant,
+                                              prune_threshold=32.0, rng=gen_batch)
+        assert gen_batch.bit_generator.state == gen_seq.bit_generator.state
+        assert batch.n_releases == len(references)
+        for r, reference in enumerate(references):
+            assert_release_equal(reference, batch.release(r), f"{variant} release {r}")
+
+    @pytest.mark.parametrize("method,count_fraction,epsilons,root_nodes", [
+        ("true", 1.0, EPSILONS, 1),  # kd-true's budget: no median budget
+        ("em", 1.0, EPSILONS, 1),  # a private method with no budget splits at midpoints
+        ("true", 0.7, (0.5,), 1),  # one epsilon: every release has the same budget
+        ("true", 0.7, (0.1, 0.5, 1.0), 3 * REPETITIONS),  # budgets differ
+        ("em", 0.7, (0.5,), REPETITIONS),  # EM draws uniforms
+    ])
+    def test_releases_that_split_alike_share_one_build(self, points, method, count_fraction,
+                                                       epsilons, root_nodes):
+        calls = []
+
+        class SpyKDSplit(KDSplit):
+            def split_level(self, lo, hi, *args, **kwargs):
+                calls.append(lo.shape[0])
+                return super().split_level(lo, hi, *args, **kwargs)
+
+        gen = np.random.default_rng(8)
+        batch = build_psd_releases(points, TIGER_DOMAIN, HEIGHT, SpyKDSplit(median_method=method),
+                                   epsilons, REPETITIONS,
+                                   budget_split=BudgetSplit(count_fraction=count_fraction),
+                                   rng=gen)
+        assert calls[0] == root_nodes
+        n_releases = len(epsilons) * REPETITIONS
+        flat = batch.flat_batch
+        assert flat.lo.shape == (n_releases, flat.n_nodes, 2) and not batch.shared_geometry
+        gen_seq = np.random.default_rng(8)
+        for r, e in enumerate(np.repeat(epsilons, REPETITIONS)):
+            reference = build_psd(points, TIGER_DOMAIN, HEIGHT, KDSplit(median_method=method),
+                                  epsilon=e, budget_split=BudgetSplit(count_fraction),
+                                  rng=gen_seq)
+            assert_release_equal(reference, batch.release(r), f"release {r}")
+        assert gen.bit_generator.state == gen_seq.bit_generator.state
+
     def test_cell_variant_falls_back_to_sequential(self, points):
         gen_seq = np.random.default_rng(9)
         references = [
@@ -199,6 +258,13 @@ class TestReleaseParity:
                                repetitions=0, rng=0)
         with pytest.raises(ValueError):
             build_psd_releases(points, TIGER_DOMAIN, HEIGHT, QuadSplit(), (0.0,), rng=0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("factory", [QuadSplit, KDSplit], ids=["quad", "kd"])
+    def test_non_finite_epsilon_refused(self, points, factory, value):
+        """An infinite budget would release exact counts; nan has no meaning."""
+        with pytest.raises(ValueError, match=f"every epsilon must be finite, got {value}"):
+            build_psd_releases(points, TIGER_DOMAIN, HEIGHT, factory(), (0.5, value), rng=0)
 
 
 class TestReleaseMetadata:

@@ -183,6 +183,27 @@ class TestCLI:
         assert rc == 0
         assert "err_uniform" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("command", ["build", "experiment"])
+    def test_bad_epsilon_refused_at_parse_time(self, tmp_path, capsys, command, value):
+        """A budget that is not a positive finite number writes nothing: an
+        infinite one would release exact counts."""
+        output = tmp_path / "out.json"
+        if command == "build":
+            argv = ["build", "--synthetic", "200", "--variant", "quad-baseline",
+                    "--height", "2", f"--epsilon={value}", "--output", str(output)]
+            option = "--epsilon"
+        else:
+            argv = ["experiment", "fig3", "--n-points", "200", "--quad-height", "2",
+                    "--epsilons", "0.5", value, "--json", str(output)]
+            option = "--epsilons"
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not output.exists()
+        err = capsys.readouterr().err
+        assert f"error: argument {option}: " in err and "Traceback" not in err
+
     def test_experiment_fig3_small(self, capsys):
         rc = main(["experiment", "fig3", "--n-points", "2000", "--n-queries", "5",
                    "--quad-height", "4", "--epsilons", "1.0"])
