@@ -534,7 +534,12 @@ def build_psd_releases(
             replay = ReplayRng([np.concatenate(chunks) for chunks in level_chunks if chunks])
             # With no uniforms and one median budget, every release's
             # split_level calls would see the same points, bounds and budget:
-            # one tree serves them all (kd-pure, kd-true).
+            # one tree serves them all (kd-pure, kd-true).  Its rows are
+            # copied per release rather than shared as
+            # batch_from_shared_structure shares them: release_workload_errors
+            # scores a shared-geometry batch through one query matrix, which
+            # sums node counts in another order than each release's engine and
+            # would move the last bits of unpruned kd-true and kd-pure rows.
             alike = (not any(per_release.any() for per_release in plan)
                      and bool(np.all(eps_median_per_level == eps_median_per_level[0])))
             stacked = build_flat_structures_stacked(

@@ -196,28 +196,28 @@ def _segment_cumsum(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Per-segment cumulative sum, bitwise equal to ``np.cumsum`` per segment.
 
     Segments are bucketed by power-of-two length class, so a class's
-    zero-padded rows hold less than twice its values.  One boolean-mask
-    assignment lays a class's values into its rows, one row-wise ``cumsum``
-    accumulates them left to right, as the 1-D form does, and one mask read
-    takes them back.  With a single class, the usual kd level (siblings hold
-    near-equal counts), the values need no per-element class mask.
+    zero-padded rows hold less than twice its values.  A class's values are
+    gathered by an index sized to the class, laid into its rows with one
+    boolean-mask assignment, accumulated left to right by one row-wise
+    ``cumsum``, as the 1-D form does, and scattered back.  Every pass is
+    sized to its class, so a call costs O(n) however many classes it spans:
+    siblings' counts differ widely once private splits leave the median, and
+    a deep kd level spans a dozen classes.
     """
     flat = np.asarray(flat, dtype=float)
     counts = np.diff(offsets)
     classes = np.frexp(counts.astype(float))[1]  # floor(log2 n) + 1; 0 when empty
-    present = np.unique(classes[counts > 0])
     out = np.empty(flat.size)
-    for c in present:
-        in_class = classes == c
-        sizes = counts[in_class]
+    for c in np.unique(classes[counts > 0]):
+        pick = np.flatnonzero(classes == c)
+        sizes = counts[pick]
+        # the class's flat positions, segment after segment
+        idx = (np.repeat(offsets[pick] - (np.cumsum(sizes) - sizes), sizes)
+               + np.arange(int(sizes.sum())))
         valid = np.arange(int(sizes.max())) < sizes[:, None]
         rows = np.zeros(valid.shape)
-        if present.size == 1:  # every value is in this class
-            rows[valid] = flat
-            return np.cumsum(rows, axis=1, out=rows)[valid]
-        elements = np.repeat(in_class, counts)
-        rows[valid] = flat[elements]
-        out[elements] = np.cumsum(rows, axis=1, out=rows)[valid]
+        rows[valid] = flat[idx]
+        out[idx] = np.cumsum(rows, axis=1, out=rows)[valid]
     return out
 
 

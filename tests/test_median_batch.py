@@ -161,11 +161,16 @@ def em_from_definition(values, epsilon, lo, hi, u):
 
 
 def em_level(shape: str, seed: int):
-    """A ragged EM level: sweep-kd's leaf-parent level (3,072 segments of about
-    60 values, one interval-length class) or one mixed with every edge case."""
+    """A ragged EM level, or one mixed with every edge case.
+
+    Shaped like a deep kd-standard level of the sweep-kd benchmark: 3,072
+    segments of about 60 values on average, but a median of about 18 and a
+    long tail, so they span a dozen power-of-two length classes.  Private
+    splits far from the top leave siblings with very different counts.
+    """
     gen = np.random.default_rng(seed)
     k = 3072
-    counts = gen.integers(56, 62, k)
+    counts = np.minimum(np.rint(np.exp(gen.normal(np.log(18.0), 1.55, k))), 4000).astype(int)
     los = np.zeros(k)
     his = gen.uniform(0.5, 2.0, k)
     if shape == "edge-cases":
