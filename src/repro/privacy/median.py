@@ -199,10 +199,10 @@ def _segment_cumsum(flat: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     zero-padded rows hold less than twice its values.  A class's values are
     gathered by an index sized to the class, laid into its rows with one
     boolean-mask assignment, accumulated left to right by one row-wise
-    ``cumsum``, as the 1-D form does, and scattered back.  Every pass is
-    sized to its class, so a call costs O(n) however many classes it spans:
-    siblings' counts differ widely once private splits leave the median, and
-    a deep kd level spans a dozen classes.
+    ``cumsum``, as the 1-D form does, and scattered back.  Every pass over
+    values is sized to its class, so they cost O(n) however many classes a
+    call spans: siblings' counts differ widely once private splits leave the
+    median, and a deep kd level spans a dozen classes.
     """
     flat = np.asarray(flat, dtype=float)
     counts = np.diff(offsets)
