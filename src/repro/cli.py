@@ -468,6 +468,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _positive_finite(text: str) -> float:
     """argparse type: a number above 0 that is neither inf nor nan."""
     try:
@@ -479,6 +490,17 @@ def _positive_finite(text: str) -> float:
     return value
 
 
+def _non_negative_finite(text: str) -> float:
+    """argparse type: a number of at least 0 that is neither inf nor nan."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -486,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     build = sub.add_parser("build", help="build a PSD and write the released JSON")
     build.add_argument("--input", help="input points (.npy or CSV, one point per row)")
-    build.add_argument("--synthetic", type=int, default=None,
+    build.add_argument("--synthetic", type=_non_negative_int, default=None,
                        help="generate this many synthetic road-intersection points instead of reading --input")
     build.add_argument("--domain", default="tiger",
                        help="'tiger', 'auto', or explicit bounds lo1,lo2,hi1,hi2 (default: tiger)")
@@ -494,8 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"one of {sorted(QUADTREE_VARIANTS) + sorted(KDTREE_VARIANTS) + ['hilbert-r']}")
     build.add_argument("--epsilon", type=_positive_finite, default=0.5,
                        help="total privacy budget (positive and finite)")
-    build.add_argument("--height", type=int, default=8, help="tree height")
-    build.add_argument("--prune", type=float, default=None, help="optional pruning threshold")
+    build.add_argument("--height", type=_non_negative_int, default=8, help="tree height")
+    build.add_argument("--prune", type=_non_negative_finite, default=None,
+                       help="optional pruning threshold")
     build.add_argument("--seed", type=int, default=0, help="random seed")
     build.add_argument("--output", required=True, help="path of the released JSON file")
     build.set_defaults(func=_cmd_build)
@@ -555,15 +578,15 @@ def build_parser() -> argparse.ArgumentParser:
                                  "paper's full-scale setup")
     experiment.add_argument("--json", dest="json_out", default=None,
                             help="also write the result rows (plus scale metadata) as JSON")
-    experiment.add_argument("--n-points", type=int, default=None,
+    experiment.add_argument("--n-points", type=_positive_int, default=None,
                             help="override the scale's dataset size")
-    experiment.add_argument("--n-queries", type=int, default=None,
+    experiment.add_argument("--n-queries", type=_positive_int, default=None,
                             help="override the scale's queries per shape")
-    experiment.add_argument("--repetitions", type=int, default=None,
+    experiment.add_argument("--repetitions", type=_positive_int, default=None,
                             help="override the scale's noisy releases per grid point")
-    experiment.add_argument("--quad-height", type=int, default=None,
+    experiment.add_argument("--quad-height", type=_non_negative_int, default=None,
                             help="override the scale's quadtree height")
-    experiment.add_argument("--kd-height", type=int, default=None,
+    experiment.add_argument("--kd-height", type=_non_negative_int, default=None,
                             help="override the scale's kd-tree height")
     experiment.add_argument("--epsilons", type=_positive_finite, nargs="+", default=(0.5,))
     experiment.add_argument("--seed", type=int, default=0)
@@ -579,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="deterministic sweep fault schedule kind:every[:param] — "
                                  "kinds: kill-worker, slow-case, oom-worker (repeatable; "
                                  "requires --workers > 1)")
-    experiment.add_argument("--case-timeout", type=float, default=None,
+    experiment.add_argument("--case-timeout", type=_positive_finite, default=None,
                             help="soft per-case timeout in seconds: an overdue case is "
                                  "resubmitted once, then runs in-process")
     _add_obs_args(experiment)

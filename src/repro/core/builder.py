@@ -43,10 +43,8 @@ from ..privacy.accountant import PrivacyAccountant
 from ..privacy.rng import ReplayRng, RngLike, ensure_rng
 from .budget import BudgetStrategy, resolve_budget
 from .flatbuild import (
-    FlatTreeBatch,
     apply_ols_releases,
     batch_from_shared_structure,
-    build_flat_structure,
     build_flat_structures_stacked,
     populate_noisy_counts_releases,
 )
@@ -362,31 +360,35 @@ class PSDReleaseBatch:
 def _structure_draw_plan(
     split_rule: SplitRule,
     height: int,
+    n_points: int,
     eps_median_per_level: np.ndarray,
-) -> Optional[List[np.ndarray]]:
-    """Per-level uniform draw counts of every release's structure, or ``None``.
+) -> List[np.ndarray]:
+    """Per-level uniform draw counts of every release's structure.
 
     Entry ``i`` of the result covers split level ``height - i`` and holds one
-    draw count per release.  ``None`` anywhere (a data-dependent draw layout,
-    e.g. sampled medians) or a level whose releases disagree on *whether*
-    they draw sends the build release by release down the live generator —
-    a mixed level has no single stacked layout, and ``split_level`` refuses
-    one.
+    draw count per release (:meth:`~repro.core.splits.SplitRule.level_random_draws`
+    of the release's ``n_points`` points and median budget).  A stacked
+    ``split_level`` call takes one draw layout, so releases that disagree on
+    whether a data-dependent level has median budget, and so on whether it
+    draws, are refused here, before anything is drawn: only a per-level
+    median share that underflows to zero (a subnormal epsilon) does that.
     """
+    funded = eps_median_per_level > 0
+    if funded.any() and not funded.all():
+        raise ValueError(
+            "releases disagree on whether their data-dependent levels draw: the "
+            f"per-level median budgets {eps_median_per_level.tolist()} are zero for "
+            "some releases but not all (a subnormal epsilon underflows)"
+        )
     plan: List[np.ndarray] = []
     for level in range(height, 0, -1):
         k = split_rule.fanout ** (height - level)
         dd = split_rule.is_data_dependent(level, height)
-        draws = []
-        for eps in eps_median_per_level:
-            count = split_rule.level_random_draws(level, height, k, float(eps) if dd else 0.0)
-            if count is None:
-                return None
-            draws.append(int(count))
-        arr = np.asarray(draws, dtype=np.int64)
-        if np.any(arr > 0) and np.any(arr == 0):
-            return None
-        plan.append(arr)
+        plan.append(np.asarray(
+            [split_rule.level_random_draws(level, height, k, n_points, float(eps) if dd else 0.0)
+             for eps in eps_median_per_level],
+            dtype=np.int64,
+        ))
     return plan
 
 
@@ -410,14 +412,17 @@ def build_psd_releases(
 
     The sweep is the paper's evaluation loop made first class: every
     ``(epsilon, repetition)`` pair yields an independent noisy release of the
-    same configuration.  Structure work is shared — data-independent rules
-    compute their geometry once; data-dependent rules build all releases'
-    trees through stacked :meth:`~repro.core.splits.SplitRule.split_level`
-    calls, or build one tree for all of them when every release would split
-    it alike (no level draws a uniform and every release has the same median
-    budget, as for the exact-median baselines ``kd-pure`` and ``kd-true``)
-    — and all count noise is drawn as release-major batches.  Every release
-    keeps its own rows of the batch's geometry either way.
+    same configuration.  There is one structure path: every release's
+    per-level uniforms are planned
+    (:meth:`~repro.core.splits.SplitRule.level_random_draws`), pre-drawn
+    release-major together with each release's count noise, and replayed
+    into one stacked level sweep whose
+    :meth:`~repro.core.splits.SplitRule.split_level` calls cover all
+    releases.  When every release would split alike (no level draws a
+    uniform and every release has the same median budget: data-independent
+    rules, and the exact-median baselines ``kd-pure`` and ``kd-true``), one
+    tree is built for all of them; data-independent releases share its
+    rows, data-dependent ones get copies of them.
 
     Parameters
     ----------
@@ -448,10 +453,10 @@ def build_psd_releases(
     order) is bitwise identical — structure, noisy counts, post-processed
     counts, and the generator's final state — to the ``r``-th build of the
     sequential loop over :func:`build_psd` with the same arguments and the
-    same seeded generator.  Split rules without a statically-known draw
-    layout (sampled medians draw one uniform per point) build their releases
-    one after another on the live generator, each followed by its count
-    noise, so the contract holds trivially.
+    same seeded generator: the pre-draw consumes the generator in the
+    sequential loop's order, and the median kernels are segment-local and
+    read their uniforms node-major.  A data-independent rule must draw
+    nothing, or the replay refuses the build.
 
     ``structure`` optionally hands in a prebuilt
     :class:`~repro.core.flatbuild.FlatTree` for a **data-independent** rule —
@@ -496,70 +501,51 @@ def build_psd_releases(
     )
     level_sizes = split_rule.fanout ** (height - np.arange(height + 1, dtype=np.int64))
 
-    if structure is not None and dd_levels:
-        raise ValueError("structure= applies only to data-independent split rules")
-    flat_batch = None
-    if not dd_levels:
-        if structure is not None:
-            if structure.height != height or structure.fanout != split_rule.fanout:
-                raise ValueError("prebuilt structure does not match this configuration")
-            tree = structure
-        else:
-            # Data-independent structure: one build serves every release.  The
-            # build must not touch the RNG (a rule that did would give each
-            # sequential release a *different* structure); verify by state
-            # snapshot and build release by release below if it did.
-            state_before = gen.bit_generator.state
-            tree = build_flat_structure(pts, domain, height, split_rule, 0.0, rng=gen)
-            if gen.bit_generator.state != state_before:
-                gen.bit_generator.state = state_before
-                tree = None
-        if tree is not None:
-            flat_batch = batch_from_shared_structure(tree, n_releases)
-            std_laplace = _draw_count_noise(gen, count_eps, level_sizes, noiseless_counts)
+    if structure is not None:
+        if dd_levels:
+            raise ValueError("structure= applies only to data-independent split rules")
+        if structure.height != height or structure.fanout != split_rule.fanout:
+            raise ValueError("prebuilt structure does not match this configuration")
+    plan = _structure_draw_plan(split_rule, height, pts.shape[0], eps_median_per_level)
+    # Pre-draw release-major: each release's structure uniforms (levels
+    # root-down), then its count noise — exactly the stream the sequential
+    # loop consumes, so the final generator state matches.
+    level_chunks: List[List[np.ndarray]] = [[] for _ in plan]
+    std_laplace: List[np.ndarray] = []
+    for r in range(n_releases):
+        for i, per_release in enumerate(plan):
+            if per_release[r] > 0:
+                level_chunks[i].append(gen.random(int(per_release[r])))
+        std_laplace += _draw_count_noise(gen, count_eps[r:r + 1], level_sizes, noiseless_counts)
+    replay = ReplayRng([np.concatenate(chunks) for chunks in level_chunks if chunks])
+    # With no uniforms and one median budget, every release's split_level
+    # calls would see the same points, bounds and budget: one tree serves
+    # them all.
+    alike = (not any(per_release.any() for per_release in plan)
+             and bool(np.all(eps_median_per_level == eps_median_per_level[0])))
+    if structure is not None:
+        flat_batch = batch_from_shared_structure(structure, n_releases)
     else:
-        plan = _structure_draw_plan(split_rule, height, eps_median_per_level)
-        if plan is not None:
-            # Pre-draw release-major: each release's structure uniforms (levels
-            # root-down), then its count noise — exactly the stream the
-            # sequential loop consumes, so the final generator state matches.
-            level_chunks: List[List[np.ndarray]] = [[] for _ in plan]
-            std_laplace = []
-            for r in range(n_releases):
-                for i, per_release in enumerate(plan):
-                    if per_release[r] > 0:
-                        level_chunks[i].append(gen.random(int(per_release[r])))
-                std_laplace += _draw_count_noise(gen, count_eps[r:r + 1], level_sizes,
-                                                 noiseless_counts)
-            replay = ReplayRng([np.concatenate(chunks) for chunks in level_chunks if chunks])
-            # With no uniforms and one median budget, every release's
-            # split_level calls would see the same points, bounds and budget:
-            # one tree serves them all (kd-pure, kd-true).  Its rows are
-            # copied per release rather than shared as
-            # batch_from_shared_structure shares them: release_workload_errors
-            # scores a shared-geometry batch through one query matrix, which
-            # sums node counts in another order than each release's engine and
-            # would move the last bits of unpruned kd-true and kd-pure rows.
-            alike = (not any(per_release.any() for per_release in plan)
-                     and bool(np.all(eps_median_per_level == eps_median_per_level[0])))
-            stacked = build_flat_structures_stacked(
-                pts, domain, height, split_rule,
-                eps_median_per_level[:1] if alike else eps_median_per_level, replay,
-            )
-            flat_batch = _concat_releases([stacked] * n_releases) if alike else stacked
-            if not replay.exhausted():
-                raise RuntimeError("stacked build consumed fewer uniforms than pre-drawn")
-    if flat_batch is None:
-        # No draw layout known up front (sampled medians, or a data-independent
-        # rule that draws): build the releases one after another on the live
-        # generator, each followed by its own count noise.
-        parts, std_laplace = [], []
-        for r in range(n_releases):
-            parts.append(build_flat_structures_stacked(
-                pts, domain, height, split_rule, eps_median_per_level[r:r + 1], gen))
-            std_laplace += _draw_count_noise(gen, count_eps[r:r + 1], level_sizes,
-                                             noiseless_counts)
-        flat_batch = _concat_releases(parts)
+        stacked = build_flat_structures_stacked(
+            pts, domain, height, split_rule,
+            eps_median_per_level[:1] if alike else eps_median_per_level, replay,
+        )
+        if not alike:
+            flat_batch = stacked
+        elif not dd_levels:
+            flat_batch = batch_from_shared_structure(stacked.tree(0), n_releases)
+        else:
+            # Data-dependent rows are copied per release rather than shared:
+            # release_workload_errors scores a shared-geometry batch through
+            # one query matrix, which sums node counts in another order than
+            # each release's engine and would move the last bits of unpruned
+            # kd-true and kd-pure rows.
+            flat_batch = replace(stacked, **{
+                name: np.repeat(getattr(stacked, name), n_releases, axis=0)
+                for name in ("lo", "hi", "true_count", "noisy_count")
+            })
+    if not replay.exhausted():
+        raise RuntimeError("the structure build consumed fewer uniforms than pre-drawn")
 
     populate_noisy_counts_releases(flat_batch, count_eps, std_laplace, noiseless_counts)
 
@@ -579,19 +565,6 @@ def build_psd_releases(
     if prune_threshold is not None:
         batch.prune(prune_threshold)
     return batch
-
-
-def _concat_releases(parts: List[FlatTreeBatch]) -> FlatTreeBatch:
-    """One batch of the releases of ``parts``, in order, in the per-release layout."""
-    if len(parts) == 1:
-        return parts[0]
-    return replace(
-        parts[0],
-        lo=np.concatenate([p.lo for p in parts]),
-        hi=np.concatenate([p.hi for p in parts]),
-        true_count=np.concatenate([p.true_count for p in parts]),
-        noisy_count=np.concatenate([p.noisy_count for p in parts]),
-    )
 
 
 def _draw_count_noise(

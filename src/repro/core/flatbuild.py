@@ -480,7 +480,7 @@ def build_flat_structures_stacked(
     them the releases' **pre-drawn** uniforms (via
     :class:`~repro.privacy.rng.ReplayRng`) reproduces every release bit for
     bit as if it had been built alone; that replay needs each level's draw
-    count up front, which the caller checks via
+    count up front, which the caller plans with
     :meth:`~repro.core.splits.SplitRule.level_random_draws`.
     """
     pts = np.asarray(points, dtype=float)

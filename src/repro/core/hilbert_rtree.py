@@ -67,9 +67,9 @@ class BinaryMedianSplit(SplitRule):
     def is_data_dependent(self, level: int, height: int) -> bool:
         return True
 
-    def level_random_draws(self, level, height, n_nodes, epsilon_median):
+    def level_random_draws(self, level, height, n_nodes, n_points, epsilon_median):
         return _method_level_draws(
-            resolve_median_method(self.median_method), n_nodes, 1, epsilon_median
+            resolve_median_method(self.median_method), n_nodes, 1, n_points, epsilon_median
         )
 
     def median_path_delta(self, level, height):

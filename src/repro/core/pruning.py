@@ -29,8 +29,8 @@ def prune_low_count_subtrees(psd: PrivateSpatialDecomposition, threshold: float)
     """
     from ..engine.flat import invalidate_compiled_engine
 
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
+    if not threshold >= 0:  # refuses nan, which every comparison would let through
+        raise ValueError(f"threshold must be a non-negative number, got {threshold!r}")
     # The tree structure is about to change: any memoised flat engine is stale.
     invalidate_compiled_engine(psd)
     return prune_flat(psd.flat_tree, threshold)

@@ -126,8 +126,8 @@ def _level_epsilons(epsilon_median, k: int) -> np.ndarray:
     The multi-release sweep passes one epsilon per stacked node (releases
     differ in budget); single builds pass a scalar.  The draw layout of a
     level must be uniform across its nodes, so a mixed zero/positive vector
-    raises — the sweep planner builds such releases one at a time, on the
-    live generator, before any stacked split runs.
+    raises; the release planner (``_structure_draw_plan`` in
+    :mod:`repro.core.builder`) refuses such a batch before anything is drawn.
     """
     eps = np.asarray(epsilon_median, dtype=float)
     if eps.ndim == 0:
@@ -141,19 +141,19 @@ def _level_epsilons(epsilon_median, k: int) -> np.ndarray:
 
 
 def _method_level_draws(method: MedianMethod, n_nodes: int, stages: int,
-                        epsilon_median: float) -> Optional[int]:
-    """Uniforms a ``split_level`` with ``stages`` median stages consumes, or ``None``.
+                        n_values: int, epsilon_median: float) -> int:
+    """Uniforms a ``split_level`` with ``stages`` median stages consumes.
 
+    ``stages * draws_per_call * n_nodes + draws_per_value * n_values``, where
+    ``n_values`` is the number of values the level's stages read in all.
     Shared by :meth:`KDSplit.level_random_draws` (three stages: one x-median
-    plus two y-medians per node) and the Hilbert binary split (one stage).
-    ``None`` marks a count that depends on the data: sampled methods draw one
-    uniform per point.
+    plus two y-medians per node, reading every point twice) and the Hilbert
+    binary split (one stage, every point once).  Zero without median budget;
+    the exact median's record draws nothing per call or per value.
     """
     if float(epsilon_median) <= 0:
         return 0
-    if method.draws_per_value:
-        return None
-    return stages * method.draws_per_call * n_nodes
+    return stages * method.draws_per_call * n_nodes + method.draws_per_value * n_values
 
 
 def _draw_level(method: MedianMethod, eps: np.ndarray, per_node: np.ndarray,
@@ -257,16 +257,18 @@ class SplitRule(ABC):
         return [level for level in range(1, height + 1) if self.is_data_dependent(level, height)]
 
     def level_random_draws(
-        self, level: int, height: int, n_nodes: int, epsilon_median: float
-    ) -> Optional[int]:
-        """Exact ``Generator.random`` uniforms :meth:`split_level` consumes, or ``None``.
+        self, level: int, height: int, n_nodes: int, n_points: int, epsilon_median: float
+    ) -> int:
+        """Exact ``Generator.random`` uniforms :meth:`split_level` consumes.
 
-        The multi-release builder pre-draws every release's uniforms in
-        sequential (release-major) order and replays them into level-stacked
-        calls, which is only possible when the per-level consumption is known
-        *before* any data is seen.  Rules whose consumption is data dependent
-        (sampled medians draw one uniform per point) return ``None``; the
-        builder then builds the releases one at a time on the live generator.
+        ``n_nodes`` and ``n_points`` are one release's node and point counts
+        at ``level``.  The multi-release builder pre-draws every release's
+        uniforms in sequential (release-major) order and replays them into
+        level-stacked calls, so the count must be known before the first
+        draw.  Exclusive routing makes it so: every point sits in exactly one
+        node per level, so even a sampled median's one uniform per value adds
+        up to a count fixed by ``n_points``.  Rules that draw nothing (the
+        data-independent ones) return 0.
         """
         return 0
 
@@ -334,11 +336,13 @@ class KDSplit(SplitRule):
     def is_data_dependent(self, level: int, height: int) -> bool:
         return True
 
-    def level_random_draws(self, level, height, n_nodes, epsilon_median):
+    def level_random_draws(self, level, height, n_nodes, n_points, epsilon_median):
         # Per node: one x-median plus two y-medians, each drawing
-        # ``draws_per_call`` uniforms — the exact layout of ``split_level``.
+        # ``draws_per_call`` uniforms; the x stage reads every point and the
+        # two halves' y stages read them again — the layout of ``split_level``.
         return _method_level_draws(
-            resolve_median_method(self.median_method), n_nodes, 3, epsilon_median
+            resolve_median_method(self.median_method), n_nodes, 3, 2 * n_points,
+            epsilon_median,
         )
 
     def median_path_delta(self, level, height):
@@ -430,9 +434,9 @@ class HybridSplit(SplitRule):
             return KDSplit(median_method=self.median_method)
         return QuadSplit()
 
-    def level_random_draws(self, level, height, n_nodes, epsilon_median):
+    def level_random_draws(self, level, height, n_nodes, n_points, epsilon_median):
         return self._rule(level, height).level_random_draws(level, height, n_nodes,
-                                                            epsilon_median)
+                                                            n_points, epsilon_median)
 
     def median_path_delta(self, level, height):
         return self._rule(level, height).median_path_delta(level, height)

@@ -352,9 +352,9 @@ def case_rows(
     The releases are built as one batch, scored on every workload, and the
     per-release median errors of releases sharing a row key are averaged.
     Rows carry the key's fields plus ``shape`` and ``median_rel_error_pct``.
-    This is the per-case unit of work of :func:`run_sweep`, shared verbatim
-    by the in-process loop and the process-parallel executor — which is what
-    makes ``workers=N`` bitwise identical to ``workers=1``.
+    This is the per-case unit of work of :func:`run_sweep`, run verbatim in
+    the parent and in pool workers — which is what makes ``workers=N``
+    bitwise identical to ``workers=1``.
     """
     import os
 
@@ -404,9 +404,11 @@ def run_sweep(
     :func:`repro.privacy.rng.spawn_generators`).  Because a case's stream no
     longer depends on what earlier cases drew, case execution order is
     irrelevant to the released bits: ``workers=N`` (cases fanned across a
-    process pool by :mod:`repro.parallel.sweep`, large inputs
-    shared via ``multiprocessing.shared_memory``) is **bitwise identical** to
-    ``workers=1`` (the in-process loop) for every N.
+    process pool, large inputs shared via ``multiprocessing.shared_memory``)
+    is **bitwise identical** to ``workers=1`` (every case in this process)
+    for every N.  Both run through the one case executor,
+    :func:`repro.parallel.sweep.run_cases_parallel`, which also owns the
+    checkpoint skip and the journal hook.
 
     .. note::
        The per-case spawn replaces the historical single generator threaded
@@ -435,13 +437,11 @@ def run_sweep(
     ``case_timeout=`` thread through to the fault-tolerant executor; faults
     require ``workers > 1``.
     """
+    from ..parallel.sweep import resolve_workers, run_cases_parallel
     from ..privacy.rng import spawn_generators
 
     gen = ensure_rng(rng)
     case_gens = spawn_generators(gen, len(cases))
-
-    from ..parallel.sweep import resolve_workers
-
     n_workers = resolve_workers(workers)
     fault_specs = _validated_sweep_faults(faults, n_workers)
 
@@ -459,38 +459,20 @@ def run_sweep(
                 pass
 
     try:
-        if n_workers > 1 and len(cases) > 1:
-            from ..parallel.sweep import run_cases_parallel
-
-            per_case = run_cases_parallel(
-                cases,
-                case_gens,
-                workloads,
-                n_workers,
-                skip=() if ck is None else tuple(ck.completed),
-                on_case_done=None if ck is None else ck.record,
-                faults=fault_specs,
-                case_timeout=case_timeout,
-            )
-            if ck is not None:
-                replayed = ck.completed
-                per_case = [
-                    replayed[i] if rows is None else rows
-                    for i, rows in enumerate(per_case)
-                ]
-            return [row for rows in per_case for row in rows]
-
-        rows: List[Dict[str, object]] = []
-        matrix_cache: Dict = {}  # shared across cases: same structure -> same matrices
-        replayed = {} if ck is None else ck.completed
-        for i, (case, case_gen) in enumerate(zip(cases, case_gens)):
-            case_result = replayed.get(i)
-            if case_result is None:
-                case_result = case_rows(case, case_gen, workloads, matrix_cache=matrix_cache)
-                if ck is not None:
-                    ck.record(i, case_result)
-            rows.extend(case_result)
-        return rows
+        per_case = run_cases_parallel(
+            cases,
+            case_gens,
+            workloads,
+            n_workers,
+            skip=() if ck is None else tuple(ck.completed),
+            on_case_done=None if ck is None else ck.record,
+            faults=fault_specs,
+            case_timeout=case_timeout,
+        )
+        if ck is not None:
+            replayed = ck.completed
+            per_case = [replayed[i] if rows is None else rows for i, rows in enumerate(per_case)]
+        return [row for rows in per_case for row in rows]
     finally:
         if ck is not None:
             ck.close()

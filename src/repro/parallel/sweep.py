@@ -3,11 +3,14 @@
 :func:`repro.experiments.common.run_sweep` gives every case its own child RNG
 stream (one ``SeedSequence.spawn`` per case, in case order) regardless of the
 ``workers`` setting — which makes case execution order irrelevant to the
-released bits.  This module is the ``workers > 1`` backend: it ships the
-cases and workloads to a process pool **once** per worker (large
-arrays ride :mod:`repro.parallel.shm` shared-memory views, not per-task
-pickles), runs each case under its spawned generator, and reassembles the
-per-case rows in case order — bitwise identical to the in-process path.
+released bits.  This module is the sweep's one case executor, for every
+worker count.  With one worker, or one case, it runs every case in the
+parent.  Otherwise it ships the cases and workloads to a process pool
+**once** per worker (large arrays ride :mod:`repro.parallel.shm`
+shared-memory views, not per-task pickles), runs each case under its
+spawned generator, and reassembles the per-case rows in case order —
+bitwise identical to running them all in the parent.  Checkpoint skips and
+the journal hook work the same either way.
 
 Three pieces keep the fan-out cheap:
 
@@ -75,13 +78,14 @@ def run_cases_parallel(
     faults=None,
     case_timeout: Optional[float] = None,
 ) -> List[Optional[List[Dict[str, object]]]]:
-    """Execute every case on a fault-tolerant process pool; rows in case order.
+    """Execute every case, on a fault-tolerant process pool; rows in case order.
 
     Each case runs under its pre-spawned generator ``case_gens[i]``, so the
     result is bitwise identical to running the cases sequentially with the
     same generators — including every recovery path of the pool, which only
-    ever *re-runs* a case under its original generator.  Unpicklable cases
-    execute in the parent (while the pool works on the rest) under the same
+    ever *re-runs* a case under its original generator.  With one worker or
+    one case no pool starts and every case runs in the parent; unpicklable
+    cases run there too (while the pool works on the rest), under the same
     contract.
 
     Parameters beyond the original four:
@@ -109,7 +113,8 @@ def run_cases_parallel(
         raise ValueError("one spawned generator per case is required")
     skipped = set(int(i) for i in skip)
     todo = [i for i in range(len(cases)) if i not in skipped]
-    shipped = {i: cases[i] for i in todo if _probe_picklable(cases[i])}
+    pooled = int(workers) > 1 and len(cases) > 1
+    shipped = {i: cases[i] for i in todo if pooled and _probe_picklable(cases[i])}
     rows_by_case: Dict[int, List[Dict[str, object]]] = {}
 
     def finish(i: int, rows: List[Dict[str, object]]) -> None:

@@ -12,6 +12,7 @@ from repro.analysis import quadtree_touched_bound
 from repro.core import build_psd, nodes_touched, nodes_touched_per_level, query_variance, range_query
 from repro.core.builder import BudgetSplit
 from repro.core.pruning import count_pruned_nodes, prune_low_count_subtrees
+from repro.core.quadtree import build_private_quadtree
 from repro.core.splits import KDSplit, QuadSplit
 from repro.data import uniform_points
 from repro.geometry import Domain, Rect
@@ -163,6 +164,19 @@ class TestPruning:
         psd = build_psd(points, domain, 2, QuadSplit(), epsilon=1.0, rng=8)
         with pytest.raises(ValueError):
             prune_low_count_subtrees(psd, threshold=-1.0)
+
+    def test_nan_threshold_rejected(self, domain, points):
+        """Every comparison with nan is false, so a nan threshold would prune
+        nothing, silently; it is refused on every route to the pruner."""
+        psd = build_psd(points, domain, 2, QuadSplit(), epsilon=1.0, rng=8)
+        nodes = psd.node_count()
+        with pytest.raises(ValueError, match="non-negative"):
+            prune_low_count_subtrees(psd, threshold=float("nan"))
+        with pytest.raises(ValueError, match="non-negative"):
+            psd.prune(float("nan"))
+        assert psd.node_count() == nodes
+        with pytest.raises(ValueError, match="non-negative"):
+            build_private_quadtree(points, domain, 2, 1.0, prune_threshold=float("nan"), rng=8)
 
     def test_queries_still_work_after_pruning(self, domain, points):
         psd = build_psd(points, domain, 4, QuadSplit(), epsilon=1.0, rng=9, postprocess=True,

@@ -12,10 +12,12 @@ supporting pieces (matrix OLS, matrix metrics, the sweep driver, the CLI).
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import oracle
 from repro.cli import main
 from repro.core.builder import (
     BudgetSplit,
@@ -25,17 +27,20 @@ from repro.core.builder import (
 )
 from repro.core.flatbuild import _batch_topology, build_flat_structure, ols_beta
 from repro.core.hilbert_rtree import (
+    BinaryMedianSplit,
     build_private_hilbert_rtree,
     build_private_hilbert_rtree_releases,
 )
 from repro.core.kdtree import build_private_kdtree, build_private_kdtree_releases
 from repro.core.quadtree import build_private_quadtree, build_private_quadtree_releases
-from repro.core.splits import HybridSplit, KDSplit, QuadSplit
+from repro.core.splits import CellKDSplit, HybridSplit, KDSplit, QuadSplit
 from repro.data.tiger import road_intersections
 from repro.engine.batch import batch_query, batch_range_query, compile_query_matrix
 from repro.experiments import ExperimentScale, make_workloads, run_fig3
 from repro.experiments.common import SweepCase, release_workload_errors, run_sweep
-from repro.geometry.domain import TIGER_DOMAIN
+from repro.geometry.domain import TIGER_DOMAIN, Domain
+from repro.index.grid import UniformGrid
+from repro.privacy import MEDIAN_METHODS
 from repro.privacy.rng import ReplayRng
 from repro.queries.metrics import (
     mean_relative_error,
@@ -90,8 +95,8 @@ class TestReleaseParity:
         (lambda: KDSplit(median_method="em"), dict(postprocess=True)),
         (lambda: KDSplit(median_method="ss"), dict(postprocess=False)),
         (lambda: KDSplit(median_method="noisymean"), dict(postprocess=True)),
-        # sampled EM draws one uniform per point: statically unknown layout,
-        # exercises the sequential-fallback path end to end
+        # sampled EM also draws one uniform per value: a count fixed by the
+        # level's points, pre-drawn and replayed like every other layout
         (lambda: KDSplit(median_method="ems"), dict(postprocess=True)),
     ])
     def test_bitwise_parity_and_rng_state(self, points, factory, kwargs):
@@ -265,6 +270,131 @@ class TestReleaseParity:
         """An infinite budget would release exact counts; nan has no meaning."""
         with pytest.raises(ValueError, match=f"every epsilon must be finite, got {value}"):
             build_psd_releases(points, TIGER_DOMAIN, HEIGHT, factory(), (0.5, value), rng=0)
+
+
+class CountingRng(np.random.Generator):
+    """A seeded generator that counts the uniforms drawn through ``random``."""
+
+    def __init__(self, seed: int) -> None:
+        super().__init__(np.random.PCG64(seed))
+        self.drawn = 0
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        self.drawn += 1 if size is None else int(np.prod(size))
+        return super().random(size, dtype, out)
+
+
+#: One-dimensional Hilbert-index values for the binary split.
+HILBERT_DOMAIN = Domain.from_bounds((0.0,), (1024.0,), name="hilbert-index")
+HILBERT_VALUES = np.random.default_rng(2).integers(0, 1024, 1_500).astype(float).reshape(-1, 1)
+
+
+def median_rule(family, method, spy_calls=None):
+    """A ``family`` split rule on median ``method``; with ``spy_calls`` a list,
+    every ``split_level`` call appends its node count to it."""
+    base = {"kd": KDSplit, "hybrid": HybridSplit, "binary": BinaryMedianSplit}[family]
+    kwargs = {"kd_levels": 2} if family == "hybrid" else {}
+    if spy_calls is None:
+        return base(median_method=method, **kwargs)
+
+    class Spy(base):
+        def split_level(self, lo, hi, *args, **kw):
+            spy_calls.append(lo.shape[0])
+            return super().split_level(lo, hi, *args, **kw)
+
+    return Spy(median_method=method, **kwargs)
+
+
+class TestOneStructurePath:
+    """Every batch is planned, pre-drawn and built by one stacked level sweep."""
+
+    @pytest.mark.parametrize("epsilon_median", [0.0, 0.05], ids=["no-budget", "budget"])
+    @pytest.mark.parametrize("rule", [
+        *(f"{family}-{method}" for family in ("kd", "hybrid", "binary")
+          for method in sorted(MEDIAN_METHODS)),
+        "quad", "cell-grid",
+    ])
+    def test_level_random_draws_counts_what_split_level_draws(self, points, rule,
+                                                              epsilon_median):
+        if rule == "quad":
+            split = QuadSplit()
+        elif rule == "cell-grid":
+            grid = UniformGrid(domain=TIGER_DOMAIN, shape=(16, 16)).fit(points)
+            split = CellKDSplit(noisy_grid=grid.noisy_counts(0.5, rng=0))
+        else:
+            family, method = rule.split("-", 1)
+            split = median_rule(family, method)
+        data, domain = ((HILBERT_VALUES, HILBERT_DOMAIN) if rule.startswith("binary")
+                        else (points, TIGER_DOMAIN))
+        lo = np.asarray(domain.rect.lo, dtype=float)[None, :]
+        hi = np.asarray(domain.rect.hi, dtype=float)[None, :]
+        level_points, node = data, np.zeros(data.shape[0], dtype=np.int64)
+        for level in range(HEIGHT, 0, -1):
+            eps = epsilon_median if split.is_data_dependent(level, HEIGHT) else 0.0
+            planned = split.level_random_draws(level, HEIGHT, lo.shape[0], data.shape[0], eps)
+            gen = CountingRng(level)
+            lo, hi, node, level_points = split.split_level(lo, hi, level_points, node, level,
+                                                           HEIGHT, eps, rng=gen)
+            assert isinstance(planned, int) and planned == gen.drawn, level
+            # and no draw went around random(): the stream moved by `planned` doubles
+            reference = np.random.Generator(np.random.PCG64(level))
+            reference.random(planned)
+            assert gen.bit_generator.state == reference.bit_generator.state, level
+
+    @pytest.mark.parametrize("method", ["ems", "sss"])
+    @pytest.mark.parametrize("family", ["kd", "hybrid", "binary"])
+    def test_sampled_medians_build_in_one_stacked_sweep(self, points, family, method):
+        """Sampled medians draw one uniform per value, a count fixed before the
+        first draw: their batches take one split_level call per level, and
+        every release equals its sequential build, generator included."""
+        data, domain, height = ((HILBERT_VALUES, HILBERT_DOMAIN, 2 * HEIGHT)
+                                if family == "binary" else (points, TIGER_DOMAIN, HEIGHT))
+        calls = []
+        gen = np.random.default_rng(21)
+        batch = build_psd_releases(data, domain, height, median_rule(family, method, calls),
+                                   EPSILONS, REPETITIONS, rng=gen, postprocess=True)
+        n_releases = len(EPSILONS) * REPETITIONS
+        assert calls == [n_releases * batch.fanout ** (height - level)
+                         for level in range(height, 0, -1)]
+        gen_seq = np.random.default_rng(21)
+        gen_pointer = np.random.default_rng(21)
+        for r, e in enumerate(np.repeat(EPSILONS, REPETITIONS)):
+            reference = build_psd(data, domain, height, median_rule(family, method),
+                                  epsilon=e, rng=gen_seq, postprocess=True)
+            assert_release_equal(reference, batch.release(r), f"release {r}")
+            pointer = oracle.build_psd(data, domain, height, median_rule(family, method),
+                                       epsilon=e, rng=gen_pointer, postprocess=True)
+            _, expected = oracle.flatten_tree(pointer)
+            assert_release_equal(SimpleNamespace(flat_tree=expected), batch.release(r),
+                                 f"pointer release {r}")
+        assert gen.bit_generator.state == gen_seq.bit_generator.state
+        assert gen.bit_generator.state == gen_pointer.bit_generator.state
+
+    @pytest.mark.parametrize("method", ["em", "ems", "true"])
+    def test_underflowing_median_budget_refused_before_any_draw(self, points, method):
+        """A subnormal epsilon's per-level median share is zero beside 0.5's:
+        one stacked level cannot both draw and not draw."""
+        gen = np.random.default_rng(4)
+        before = gen.bit_generator.state
+        with pytest.raises(ValueError, match="disagree on whether"):
+            build_psd_releases(points, TIGER_DOMAIN, HEIGHT, KDSplit(median_method=method),
+                               (5e-324, 0.5), rng=gen)
+        assert gen.bit_generator.state == before
+
+    def test_data_independent_rule_that_draws_is_refused(self, points):
+        """A rule that calls itself data-independent but draws would give each
+        sequential release another structure; the replay refuses it."""
+
+        class DrawingQuadSplit(QuadSplit):
+            def split_level(self, lo, hi, points, point_node, level, height,
+                            epsilon_median, rng=None):
+                rng.random(1)
+                return super().split_level(lo, hi, points, point_node, level, height,
+                                           epsilon_median, rng=rng)
+
+        with pytest.raises(RuntimeError, match="ReplayRng"):
+            build_psd_releases(points, TIGER_DOMAIN, HEIGHT, DrawingQuadSplit(), EPSILONS,
+                               REPETITIONS, rng=0)
 
 
 class TestReleaseMetadata:

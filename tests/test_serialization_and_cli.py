@@ -204,6 +204,50 @@ class TestCLI:
         err = capsys.readouterr().err
         assert f"error: argument {option}: " in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command,option,value", [
+        ("build", "--height", "-1"),
+        ("build", "--height", "2.5"),
+        ("build", "--prune", "nan"),
+        ("build", "--prune", "-1"),
+        ("build", "--prune", "inf"),
+        ("build", "--synthetic", "-5"),
+        ("experiment", "--repetitions", "0"),
+        ("experiment", "--n-points", "0"),
+        ("experiment", "--n-queries", "0"),
+        ("experiment", "--quad-height", "-2"),
+        ("experiment", "--kd-height", "-2"),
+        ("experiment", "--case-timeout", "nan"),
+        ("experiment", "--case-timeout", "0"),
+    ])
+    def test_bad_number_refused_at_parse_time(self, tmp_path, capsys, command, option, value):
+        """A size, height, threshold or timeout out of range exits 2 with one
+        error line and writes nothing, where it used to raise a traceback,
+        print nan rows, or (``--prune nan``) release an unpruned tree."""
+        output = tmp_path / "out.json"
+        if command == "build":
+            argv = ["build", "--synthetic", "200", "--height", "2", "--output", str(output)]
+        else:
+            argv = ["experiment", "fig3", "--n-points", "200", "--quad-height", "2",
+                    "--json", str(output)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [f"{option}={value}"])
+        assert exc.value.code == 2
+        assert not output.exists()
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"error: argument {option}: " in errors[0]
+        assert "Traceback" not in err
+
+    def test_zero_heights_prune_and_synthetic_accepted(self, tmp_path):
+        release = tmp_path / "zero.json"
+        assert main(["build", "--synthetic", "0", "--height", "0", "--prune", "0",
+                     "--output", str(release)]) == 0
+        assert json.loads(release.read_text())["height"] == 0
+        rows = tmp_path / "rows.json"
+        assert main(["experiment", "fig5", "--n-points", "200", "--n-queries", "3",
+                     "--kd-height", "0", "--json", str(rows)]) == 0
+        assert len(json.loads(rows.read_text())["figures"][0]["rows"]) == 18
+
     def test_experiment_fig3_small(self, capsys):
         rc = main(["experiment", "fig3", "--n-points", "2000", "--n-queries", "5",
                    "--quad-height", "4", "--epsilons", "1.0"])
