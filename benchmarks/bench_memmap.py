@@ -1,7 +1,7 @@
 """Zero-copy engine store: cold-attach latency, RSS, qps and float32 error.
 
 Not a paper figure — this benchmark gates the FLATPSD2 storage layer
-(:mod:`repro.engine.store`) against the ROADMAP's "attach in milliseconds,
+(:mod:`repro.engine.io`) against the ROADMAP's "attach in milliseconds,
 serve trees that don't fit in RAM" target, on a synthetic complete quadtree
 with >= 10^6 nodes:
 
@@ -123,6 +123,9 @@ def make_complete_quadtree(
         level_variance=_freeze(level_variances(eps)),
         height=height,
         fanout=4,
+        release={"ols": False, "metadata": {
+            "split_rule": "quad", "count_budget": "uniform", "epsilon": epsilon,
+            "epsilon_count": epsilon, "epsilon_median": 0.0, "structure_epsilon": 0.0}},
         name=f"synthetic-quad-h{height}",
         domain_lo=_freeze(np.zeros(2)),
         domain_hi=_freeze(np.ones(2)),

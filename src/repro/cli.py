@@ -1,16 +1,16 @@
 """Command-line interface for building, querying and benchmarking PSDs.
 
-Four sub-commands cover the life-cycle of a private release:
+Five sub-commands cover the life-cycle of a private release:
 
 * ``build``  — read a point dataset (``.npy`` or CSV with one point per row,
   or the built-in synthetic road data), build a chosen PSD variant under a
-  privacy budget, and write the released structure to a JSON file;
-* ``compile`` — compile a released JSON structure into a flat array engine
-  optimised for high-throughput query serving: the zero-copy memory-mapped
-  FLATPSD2 file (optionally with ``--precision float32`` storage);
-* ``query``  — load a released structure (JSON, compiled on load, or a
-  FLATPSD2 engine — detected from the file's magic bytes, not its suffix)
-  and answer rectangular range queries from it — one-off via
+  privacy budget, and write the release as a FLATPSD2 file;
+* ``compile`` — re-store a release (a FLATPSD2 file, or a nested JSON
+  release imported from :mod:`repro.core.serialization`) as FLATPSD2,
+  optionally with ``--precision float32`` storage;
+* ``query``  — load a release (FLATPSD2, or nested JSON compiled on import —
+  detected from the file's magic bytes, not its suffix) and answer
+  rectangular range queries from it — one-off via
   ``--rect`` or in bulk via ``--queries-file`` — through the same
   :class:`~repro.parallel.ShardedQueryServer` that ``serve`` uses:
   in-process by default, a sharded worker pool with ``--workers`` for
@@ -20,8 +20,8 @@ Four sub-commands cover the life-cycle of a private release:
   multi-release sweep pipeline at a named scale (``smoke`` / ``default`` /
   ``paper``) and print its series (optionally writing them as JSON), the same
   code path the benchmark suite uses;
-* ``serve`` — stand up the fault-tolerant HTTP query service on an engine
-  (JSON release or FLATPSD2 engine): per-analyst ε budgets
+* ``serve`` — stand up the fault-tolerant HTTP query service on a release
+  (read like ``query`` reads it): per-analyst ε budgets
   enforced through a crash-safe write-ahead ledger, a supervised worker pool
   that survives worker death, bounded admission with load shedding, and
   zero-downtime engine hot swap via ``POST /admin/swap``.  ``--fault``
@@ -33,10 +33,10 @@ Examples
 ::
 
     python -m repro.cli build --synthetic 100000 --variant quad-opt \
-        --epsilon 0.5 --height 8 --output release.json
-    python -m repro.cli compile release.json --output engine.psdm
-    python -m repro.cli query release.json --rect=-123,46,-121,48
-    python -m repro.cli query engine.psdm --queries-file workload.txt --workers 4
+        --epsilon 0.5 --height 8 --output release.psdm
+    python -m repro.cli query release.psdm --rect=-123,46,-121,48
+    python -m repro.cli query release.psdm --queries-file workload.txt --workers 4
+    python -m repro.cli compile release.psdm --precision float32 --output engine32.psdm
     python -m repro.cli experiment --figure 3 --scale smoke --json fig3.json
     python -m repro.cli experiment fig3 --epsilons 0.5 --n-points 20000
     python -m repro.cli serve engine.psdm --ledger budget.jsonl --port 8080 \
@@ -61,7 +61,6 @@ from .core import (
     build_private_kdtree,
     build_private_quadtree,
     load_psd,
-    save_psd,
 )
 from .core.kdtree import KDTREE_VARIANTS
 from .core.quadtree import QUADTREE_VARIANTS
@@ -194,26 +193,27 @@ def _cmd_build(args) -> int:
     domain = _resolve_domain(args, points)
     variant = args.variant
     start = time.perf_counter()
-    if variant in QUADTREE_VARIANTS:
-        psd = build_private_quadtree(points, domain, args.height, args.epsilon,
-                                     variant=variant, prune_threshold=args.prune,
-                                     rng=args.seed)
-    elif variant in KDTREE_VARIANTS:
-        psd = build_private_kdtree(points, domain, args.height, args.epsilon,
-                                   variant=variant, prune_threshold=args.prune,
-                                   rng=args.seed)
-    elif variant == "hilbert-r":
-        tree = build_private_hilbert_rtree(points, domain, 2 * args.height, args.epsilon,
-                                           prune_threshold=args.prune, rng=args.seed)
-        psd = tree.psd
-    else:
-        raise SystemExit(f"unknown variant {variant!r}")
+    try:
+        if variant in QUADTREE_VARIANTS:
+            psd = build_private_quadtree(points, domain, args.height, args.epsilon,
+                                         variant=variant, prune_threshold=args.prune,
+                                         rng=args.seed)
+        elif variant in KDTREE_VARIANTS:
+            psd = build_private_kdtree(points, domain, args.height, args.epsilon,
+                                       variant=variant, prune_threshold=args.prune,
+                                       rng=args.seed)
+        elif variant == "hilbert-r":
+            psd = build_private_hilbert_rtree(points, domain, 2 * args.height, args.epsilon,
+                                              prune_threshold=args.prune, rng=args.seed).psd
+        else:
+            raise SystemExit(f"unknown variant {variant!r}")
+    except ValueError as exc:
+        raise SystemExit(f"cannot build {variant}: {exc}")
     build_time = time.perf_counter() - start
-    psd.strip_private_fields()
-    save_psd(psd, args.output)
+    save_engine(psd.compile(), args.output)
     print(f"released {psd.name}: {psd.node_count()} nodes, height {psd.height}, "
           f"epsilon {args.epsilon}, built in {build_time:.3f}s, "
-          f"written to {args.output}")
+          f"written to {args.output} (FLATPSD2)")
     return 0
 
 
@@ -232,29 +232,23 @@ def _read_queries_file(path: str) -> List[str]:
     return specs
 
 
-def _load_release(path: str):
-    """Load a released JSON structure, exiting with a one-line reason (no
-    traceback) when the file is unreadable, truncated or fails validation."""
+def _load_engine(path: str, verify: bool):
+    """The release at ``path`` as a flat engine, for ``query``, ``serve`` and
+    ``compile``: a FLATPSD2 file (recognised by its magic bytes, so any file
+    name works) is attached, a nested JSON release is imported and compiled.
+    Exits with a one-line reason (no traceback) when the file is unreadable,
+    truncated or fails validation."""
     try:
-        return load_psd(path)
+        if is_engine_file(path):
+            return load_engine(path, verify=verify)
+        return compile_psd(load_psd(path))
     except Exception as exc:
         raise SystemExit(f"cannot load release {path!r}: {exc}")
 
 
-def _load_engine(path: str, verify: bool):
-    """The flat engine to serve from ``path``: a FLATPSD2 engine file
-    (recognised by magic bytes, so any file name works) or a released JSON
-    structure, compiled on load."""
-    if not is_engine_file(path):
-        return compile_psd(_load_release(path))
-    try:
-        return load_engine(path, verify=verify)
-    except Exception as exc:
-        raise SystemExit(f"cannot load compiled engine {path!r}: {exc}")
-
-
 def _cmd_compile(args) -> int:
-    engine = compile_psd(_load_release(args.release))
+    # Verified: a re-store must not stamp fresh checksums over rotten bytes.
+    engine = _load_engine(args.release, verify=True)
     save_engine(engine, args.output, precision=args.precision)
     print(f"compiled {engine.name}: {engine.n_nodes} nodes, "
           f"{engine.nbytes() / 1024:.1f} KiB of arrays, written to {args.output} "
@@ -506,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    build = sub.add_parser("build", help="build a PSD and write the released JSON")
+    build = sub.add_parser("build", help="build a PSD and write its FLATPSD2 release")
     build.add_argument("--input", help="input points (.npy or CSV, one point per row)")
     build.add_argument("--synthetic", type=_non_negative_int, default=None,
                        help="generate this many synthetic road-intersection points instead of reading --input")
@@ -520,15 +514,17 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--prune", type=_non_negative_finite, default=None,
                        help="optional pruning threshold")
     build.add_argument("--seed", type=int, default=0, help="random seed")
-    build.add_argument("--output", required=True, help="path of the released JSON file")
+    build.add_argument("--output", required=True,
+                       help="path of the FLATPSD2 release (suggested suffix .psdm)")
     build.set_defaults(func=_cmd_build)
 
     compile_ = sub.add_parser("compile",
-                              help="compile a released JSON structure into a zero-copy "
-                                   "FLATPSD2 engine file")
-    compile_.add_argument("release", help="path of the released JSON file")
+                              help="re-store a release (FLATPSD2, or nested JSON to "
+                                   "import) as a FLATPSD2 file")
+    compile_.add_argument("release", help="path of the release (FLATPSD2 or nested JSON; "
+                                          "detected by magic bytes)")
     compile_.add_argument("--output", required=True,
-                          help="path of the compiled engine (suggested suffix .psdm)")
+                          help="path of the FLATPSD2 file to write (suggested suffix .psdm)")
     compile_.add_argument("--precision", choices=PRECISIONS, default="float64",
                           help="storage precision: float32 halves count/offset storage "
                                "(geometry stays float64; rounding error sits below the "
@@ -536,9 +532,9 @@ def build_parser() -> argparse.ArgumentParser:
     compile_.set_defaults(func=_cmd_compile)
 
     query = sub.add_parser("query",
-                           help="answer range queries from a released JSON structure or compiled engine")
-    query.add_argument("release", help="path of the released JSON file (or a FLATPSD2 "
-                                       "engine; detected by magic bytes)")
+                           help="answer range queries from a release")
+    query.add_argument("release", help="path of the release (FLATPSD2 or nested JSON; "
+                                       "detected by magic bytes)")
     query.add_argument("--rect", action="append", default=None,
                        help="query rectangle as lo1,lo2,...,hi1,hi2,... (repeatable)")
     query.add_argument("--queries-file", default=None,
@@ -612,8 +608,8 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve range queries over HTTP with per-analyst budgets and "
              "fault-tolerant workers",
-        description="Stand up the asyncio HTTP query service on an engine "
-                    "(JSON release or FLATPSD2 engine file). Every "
+        description="Stand up the asyncio HTTP query service on a release "
+                    "(FLATPSD2, or nested JSON compiled on import). Every "
                     "answer is preceded by a durable charge against the "
                     "analyst's epsilon account in the write-ahead ledger; an "
                     "exhausted account gets 429, an overloaded server sheds "
@@ -621,8 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "latency, not errors. POST /admin/swap hot-swaps the "
                     "engine with zero downtime.",
     )
-    serve.add_argument("release", help="engine to serve: released JSON (compiled "
-                                       "on startup) or a FLATPSD2 engine file")
+    serve.add_argument("release", help="release to serve: a FLATPSD2 file, or nested "
+                                       "JSON (compiled on startup)")
     serve.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=0,
                        help="bind port (default 0 = ephemeral; the bound port is printed)")
@@ -646,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--timeout", type=_positive_finite, default=30.0,
                        help="per-request timeout in seconds (default 30)")
     serve.add_argument("--no-verify", action="store_true",
-                       help="skip the checksum verification of compiled engine files "
+                       help="skip the checksum verification of FLATPSD2 files "
                             "(verification is the serve default; saves one O(bytes) "
                             "scan at startup)")
     serve.add_argument("--fault", action="append", default=None,

@@ -308,19 +308,18 @@ class PSDReleaseBatch:
     def released_matrix(self) -> np.ndarray:
         """The ``(n_nodes, R)`` released counts every query path consumes.
 
-        Post-processed counts when present, raw noisy counts where the level
-        funded one, ``0.0`` elsewhere — the same predicate as the compiled
-        engine's ``released`` array, so ``S @ released_matrix()`` equals the
-        per-release engine answers.
+        The compiled engine's ``released`` array for every release
+        (:func:`~repro.engine.flat.released_counts`), so
+        ``S @ released_matrix()`` equals the per-release engine answers.
         """
+        from ..engine.flat import released_counts
+
         flat = self._flat
         if flat is None:
             raise ValueError("released_matrix requires the batched array form (not pruned/listed)")
-        if flat.post_count is not None:
-            return np.ascontiguousarray(flat.post_count.T)
-        eps_node = self.count_epsilons[:, flat.level]  # (R, n)
-        usable = (eps_node > 0) & np.isfinite(flat.noisy_count)
-        return np.ascontiguousarray(np.where(usable, flat.noisy_count, 0.0).T)
+        released, _ = released_counts(flat.noisy_count, flat.post_count,
+                                      self.count_epsilons[:, flat.level])
+        return np.ascontiguousarray(released.T)
 
     def query_engine(self):
         """A compiled engine of the shared structure (release 0's counts).
@@ -507,6 +506,7 @@ def build_psd_releases(
         if structure.height != height or structure.fanout != split_rule.fanout:
             raise ValueError("prebuilt structure does not match this configuration")
     plan = _structure_draw_plan(split_rule, height, pts.shape[0], eps_median_per_level)
+    _refuse_unrepresentable_budgets(strategy, height, release_eps, count_eps, postprocess)
     # Pre-draw release-major: each release's structure uniforms (levels
     # root-down), then its count noise — exactly the stream the sequential
     # loop consumes, so the final generator state matches.
@@ -565,6 +565,27 @@ def build_psd_releases(
     if prune_threshold is not None:
         batch.prune(prune_threshold)
     return batch
+
+
+def _refuse_unrepresentable_budgets(
+    strategy: BudgetStrategy, height: int, release_eps: np.ndarray, count_eps: np.ndarray,
+    postprocess: bool,
+) -> None:
+    """Refuse, before any draw, count budgets that floating point cannot carry:
+    every level the strategy funds needs a positive share, a finite Laplace
+    scale ``1 / eps_i`` and, under OLS, a positive weight ``eps_i ** 2``."""
+    funded = np.asarray(strategy.allocate(height, 1.0)) > 0
+    eps = count_eps[:, funded]
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        checks = [(eps == 0, "is zero"),
+                  (1.0 / eps == np.inf, "has a Laplace scale 1/eps_i that overflows"),
+                  (postprocess & (eps * eps == 0), "has an OLS weight eps_i**2 that underflows")]
+    for bad, what in checks:
+        if bad.any():
+            r, i = np.argwhere(bad)[0]
+            level = int(np.flatnonzero(funded)[i])
+            raise ValueError(f"epsilon {float(release_eps[r])!r} is too small for floating point: "
+                             f"the count budget {float(count_eps[r, level])!r} of level {level} {what}")
 
 
 def _draw_count_noise(

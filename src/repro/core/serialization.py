@@ -1,13 +1,16 @@
-"""Serialisation of released private spatial decompositions.
+"""Nested JSON import and export of released private spatial decompositions.
 
-A PSD is something a data owner computes once and then *publishes*; consumers
-need to load it without access to the original data.  This module converts a
+A PSD is something a data owner computes once and then *publishes*; the
+published file is FLATPSD2 (:mod:`repro.engine.io`), which ``repro build``
+writes.  This module keeps the human-readable form for inspection and for
+the golden files: it converts a
 :class:`~repro.core.tree.PrivateSpatialDecomposition` to and from a plain
 JSON-compatible dictionary containing only released information: the node
-rectangles, the released (noisy / post-processed) counts and the per-level
-count parameters, with every node nested inside its parent.  True counts and
-the accountant's internal ledger are intentionally *not* serialised — the
-output is exactly what a privacy-conscious publisher would hand out.
+rectangles, the released (noisy / post-processed) counts, the per-level
+count parameters and the build metadata, with every node nested inside its
+parent.  True counts and the accountant's internal ledger are intentionally
+*not* serialised.  ``repro query``, ``repro serve`` and ``repro compile``
+import such a file as well as FLATPSD2.
 
 The nested JSON is converted straight to and from the breadth-first arrays of
 :class:`~repro.core.flatbuild.FlatTree`.  The loader fails closed: structural
@@ -64,7 +67,7 @@ def psd_to_dict(psd: PrivateSpatialDecomposition) -> Dict:
             "hi": list(psd.domain.rect.hi),
             "name": psd.domain.name,
         },
-        "metadata": {k: v for k, v in psd.metadata.items() if _is_jsonable(v)},
+        "metadata": dict(psd.metadata),
         "root": nodes[0],
     }
 
@@ -194,11 +197,3 @@ def load_psd(source: Union[str, IO[str]]) -> PrivateSpatialDecomposition:
         with open(source, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
     return psd_from_dict(payload)
-
-
-def _is_jsonable(value) -> bool:
-    try:
-        json.dumps(value)
-        return True
-    except (TypeError, ValueError):
-        return False

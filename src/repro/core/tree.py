@@ -62,6 +62,10 @@ class PrivateSpatialDecomposition:
         The privacy accountant recording every charge made while building.
     name:
         Label used in experiment output (e.g. ``"quad-opt"``).
+    metadata:
+        Release facts only: split rule, count budget and the ε split.
+    compiled_engines:
+        Memoised compiled engines (:mod:`repro.engine.flat`).
     """
 
     def __init__(
@@ -81,6 +85,7 @@ class PrivateSpatialDecomposition:
         self.accountant = accountant
         self.name = name
         self.metadata: Dict[str, object] = {} if metadata is None else metadata
+        self.compiled_engines: Dict[str, object] = {}
         if len(self.count_epsilons) != self.height + 1:
             raise ValueError("count_epsilons must have exactly height + 1 entries (levels 0..h)")
         if self.fanout < 2:

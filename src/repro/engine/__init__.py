@@ -26,12 +26,14 @@ PSD has:
   intersection / leaf-fraction logic expressed as NumPy masks.  Both match
   the recursive pointer walk kept as the test oracle (identical ``n(Q)``,
   estimates and ``Err(Q)`` equal up to float summation order).
-* :mod:`repro.engine.io` — save/load so a compiled engine can be shipped to
-  query servers without re-compiling (or even without the JSON release).
-  The one file format is FLATPSD2, the page-aligned zero-copy layout of
-  :mod:`repro.engine.store`, which attaches via ``np.memmap`` in
-  microseconds and optionally stores counts in reduced precision (float32
-  counts / int32 child offsets).
+* :mod:`repro.engine.io` — the release file.  FLATPSD2 is the one release
+  artifact: ``repro build`` writes it and every consumer attaches it.
+  :func:`save_engine` and :func:`load_engine` are its one writer and one
+  reader.  Arrays sit uncompressed at page-aligned offsets and attach via
+  ``np.memmap`` in microseconds, counts may be stored in reduced precision
+  (float32 counts / int32 child offsets), and the header's ``release``
+  block says whether the counts are OLS estimates and how the budget was
+  split.
 
 Every PSD query method (``range_query``, ``nodes_touched``,
 ``query_variance``, ``batch_range_query``) answers from the engine memoised
@@ -58,15 +60,15 @@ from .flat import (
     compiled_engine,
     invalidate_compiled_engine,
 )
-from .io import is_engine_file, load_engine, save_engine
-from .points import CellJoinIndex, PointGrid, matching_cell_layout
-from .store import (
+from .io import (
     PRECISIONS,
     EngineIntegrityError,
     engine_with_precision,
-    load_engine_mmap,
-    save_engine_mmap,
+    is_engine_file,
+    load_engine,
+    save_engine,
 )
+from .points import CellJoinIndex, PointGrid, matching_cell_layout
 
 __all__ = [
     "FlatPSD",
@@ -88,6 +90,4 @@ __all__ = [
     "PRECISIONS",
     "EngineIntegrityError",
     "engine_with_precision",
-    "save_engine_mmap",
-    "load_engine_mmap",
 ]

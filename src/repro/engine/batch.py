@@ -33,7 +33,7 @@ Equation (1) — partial leaves contribute ``fraction^2 * Var``.
 
 Both evaluators are **storage-dtype agnostic**: the engine's counts may be
 stored as float32 and its child offsets as int32 (the reduced-precision
-format-v2 layout of :mod:`repro.engine.store`), possibly as read-only
+FLATPSD2 layout of :mod:`repro.engine.io`), possibly as read-only
 ``np.memmap`` views.  Counts are upcast *per element* and all accumulation
 happens in float64, so narrowing the storage never compounds — a float32
 engine's answers differ from float64 only by the one-time rounding of each

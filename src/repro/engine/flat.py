@@ -16,8 +16,8 @@ attached to the PSD is dropped via :func:`invalidate_compiled_engine`.
 The container is **dtype-generic**: the compiler always produces the
 canonical dtypes (float64 counts/geometry, int64 child offsets), but the
 arrays may equally be float32 counts with int32 child offsets (the
-reduced-precision storage of :mod:`repro.engine.store`) or read-only
-``np.memmap`` views of a format-v2 file — the batch evaluator accumulates in
+reduced-precision storage of :mod:`repro.engine.io`) or read-only
+``np.memmap`` views of a FLATPSD2 file — the batch evaluator accumulates in
 float64 regardless of what dtype the storage arrays carry, and the OS page
 cache, not this object, owns mapped bytes.
 """
@@ -44,14 +44,15 @@ __all__ = [
     "invalidate_compiled_engine",
     "expand_ranges",
     "level_variances",
+    "released_counts",
     "COMPILED_ENGINE_KEY",
     "PLANAR_ENGINE_KEY",
 ]
 
-#: Metadata key under which :func:`compiled_engine` memoises the compiled form.
+#: ``psd.compiled_engines`` key of the memoised compiled form.
 COMPILED_ENGINE_KEY = "_compiled_flat_engine"
 
-#: Metadata key for the planar (bounding-box) view of a Hilbert R-tree.
+#: Key of the planar (bounding-box) view of a Hilbert R-tree.
 PLANAR_ENGINE_KEY = "_compiled_planar_engine"
 
 
@@ -89,6 +90,9 @@ class FlatPSD:
     level_variance:
         ``(height + 1,)`` per-level count variance ``2 / eps_i^2`` (zero for
         unreleased levels), the per-node term of Equation (1).
+    release:
+        ``{"ols": bool, "metadata": {...}}``: whether ``released`` holds OLS
+        estimates, and the build metadata (split rule, count budget, ε split).
     """
 
     lo: np.ndarray
@@ -104,13 +108,13 @@ class FlatPSD:
     level_variance: np.ndarray
     height: int
     fanout: int
+    release: Dict[str, object]
     name: str = "psd"
     domain_lo: np.ndarray = field(default=None)  # type: ignore[assignment]
     domain_hi: np.ndarray = field(default=None)  # type: ignore[assignment]
     domain_name: str = "domain"
-    #: Path of the on-disk engine file this instance was loaded from (set by
-    #: the loaders in :mod:`repro.engine.io` / :mod:`repro.engine.store`);
-    #: ``None`` for engines compiled in RAM.
+    #: Path of the FLATPSD2 file this instance was attached from (set by
+    #: :func:`repro.engine.io.load_engine`); ``None`` if compiled in RAM.
     source_path: str = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
@@ -155,8 +159,8 @@ class FlatPSD:
     def mapped_nbytes(self) -> int:
         """Bytes served from memory-mapped storage rather than process heap.
 
-        Non-zero exactly when the engine was attached from a format-v2 file
-        (:func:`repro.engine.store.load_engine_mmap`); those bytes live in
+        Non-zero exactly when the engine was attached from a FLATPSD2 file
+        (:func:`repro.engine.io.load_engine`); those bytes live in
         the OS page cache and are shared with every process mapping the
         same file.
         """
@@ -266,6 +270,17 @@ def expand_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return np.repeat(starts, counts) + offsets
 
 
+def released_counts(noisy: np.ndarray, post, eps_node: np.ndarray):
+    """Fresh ``(released, has_count)``: post-processed counts when present,
+    else noisy counts where the level is funded and the count finite, else
+    0.  Elementwise, so a tree's ``(n,)`` and a batch's ``(R, n)`` arrays
+    take the same call."""
+    if post is not None:
+        return np.array(post, dtype=np.float64), np.ones(post.shape, dtype=bool)
+    has_count = (eps_node > 0) & np.isfinite(noisy)
+    return np.where(has_count, noisy, 0.0), has_count
+
+
 def compile_psd(psd: "PrivateSpatialDecomposition") -> FlatPSD:
     """Compile a built PSD into its frozen flat structure-of-arrays form.
 
@@ -302,19 +317,10 @@ def compile_hilbert_rtree(tree) -> FlatPSD:
 
 def _snapshot(psd: "PrivateSpatialDecomposition", lo: np.ndarray, hi: np.ndarray,
               domain, name: str) -> FlatPSD:
-    """Freeze a PSD's arrays, with the given node rectangles, into an engine.
-
-    Released-count predicate: post-processed counts are always usable, raw
-    noisy counts only where the level released one.
-    """
+    """Freeze a PSD's arrays, with the given node rectangles, into an engine."""
     tree = psd.flat_tree
     eps = np.asarray(psd.count_epsilons, dtype=np.float64)
-    if tree.post_count is not None:
-        released = tree.post_count.astype(np.float64, copy=True)
-        has_count = np.ones(tree.n_nodes, dtype=bool)
-    else:
-        has_count = (eps[tree.level] > 0) & np.isfinite(tree.noisy_count)
-        released = np.where(has_count, tree.noisy_count, 0.0)
+    released, has_count = released_counts(tree.noisy_count, tree.post_count, eps[tree.level])
     return FlatPSD(
         lo=_freeze(lo),
         hi=_freeze(hi),
@@ -329,6 +335,7 @@ def _snapshot(psd: "PrivateSpatialDecomposition", lo: np.ndarray, hi: np.ndarray
         level_variance=_freeze(level_variances(eps)),
         height=psd.height,
         fanout=psd.fanout,
+        release={"ols": tree.post_count is not None, "metadata": dict(psd.metadata)},
         name=name,
         domain_lo=_freeze(np.asarray(domain.rect.lo, dtype=np.float64)),
         domain_hi=_freeze(np.asarray(domain.rect.hi, dtype=np.float64)),
@@ -339,33 +346,29 @@ def _snapshot(psd: "PrivateSpatialDecomposition", lo: np.ndarray, hi: np.ndarray
 def compiled_engine(psd: "PrivateSpatialDecomposition") -> FlatPSD:
     """The memoised compiled engine for ``psd``, compiling on first use.
 
-    The engine is cached in ``psd.metadata`` so repeated queries pay the
-    compile once.  Post-processing and pruning drop the cache
-    (see :func:`invalidate_compiled_engine`); the cache entry is also skipped
-    by serialisation, which only keeps JSON-compatible metadata.
+    The engine is cached in ``psd.compiled_engines`` so repeated queries pay
+    the compile once.  Post-processing and pruning drop the cache (see
+    :func:`invalidate_compiled_engine`).
     """
-    cached = psd.metadata.get(COMPILED_ENGINE_KEY)
-    if isinstance(cached, FlatPSD):
-        return cached
-    engine = compile_psd(psd)
-    psd.metadata[COMPILED_ENGINE_KEY] = engine
+    engine = psd.compiled_engines.get(COMPILED_ENGINE_KEY)
+    if engine is None:
+        engine = psd.compiled_engines[COMPILED_ENGINE_KEY] = compile_psd(psd)
     return engine
 
 
 def compiled_planar_engine(tree) -> FlatPSD:
     """The memoised planar engine of a Hilbert R-tree, compiling on first use.
 
-    Memoised in the underlying PSD's metadata (like :func:`compiled_engine`)
-    so that a mutation of the 1-D tree — whether through the
+    Memoised on the underlying PSD (like :func:`compiled_engine`) so that a
+    mutation of the 1-D tree — whether through the
     :class:`~repro.core.hilbert_rtree.PrivateHilbertRTree` wrappers or by
     calling ``apply_ols`` / ``prune_low_count_subtrees`` on ``tree.psd``
     directly — drops both compiled views at once.
     """
-    cached = tree.psd.metadata.get(PLANAR_ENGINE_KEY)
-    if isinstance(cached, FlatPSD):
-        return cached
-    engine = compile_hilbert_rtree(tree)
-    tree.psd.metadata[PLANAR_ENGINE_KEY] = engine
+    memo = tree.psd.compiled_engines
+    engine = memo.get(PLANAR_ENGINE_KEY)
+    if engine is None:
+        engine = memo[PLANAR_ENGINE_KEY] = compile_hilbert_rtree(tree)
     return engine
 
 
@@ -377,6 +380,4 @@ def invalidate_compiled_engine(psd: "PrivateSpatialDecomposition") -> None:
     transformations that change query answers.  Clears both the direct view
     and, for Hilbert R-trees, the planar bounding-box view.
     """
-    metadata: Dict[str, object] = getattr(psd, "metadata", None) or {}
-    metadata.pop(COMPILED_ENGINE_KEY, None)
-    metadata.pop(PLANAR_ENGINE_KEY, None)
+    psd.compiled_engines.clear()

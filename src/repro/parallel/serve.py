@@ -20,7 +20,7 @@ the caller, one unchunked ``batch_query`` per batch, and its pool never
 starts (fault drills are no-ops, as at ``workers=1``).  Pruned trees,
 kd-trees and Hilbert R-trees fan out.
 
-A *memory-mapped* engine (format v2, :mod:`repro.engine.store`) needs no
+A *memory-mapped* engine (FLATPSD2, :mod:`repro.engine.io`) needs no
 shared-memory export at all: its arrays pickle as
 :class:`~repro.parallel.shm.MappedArrayHandle` file references, so every
 worker re-maps the same engine file and the OS page cache holds the single

@@ -24,7 +24,7 @@ non-writeable because everything shared this way is released, immutable
 data — a worker must never be able to mutate another worker's inputs.
 
 Arrays that are already file-backed need no segment at all.  A read-only
-``np.memmap`` (a format-v2 engine attached by :mod:`repro.engine.store`)
+``np.memmap`` (a FLATPSD2 engine attached by :mod:`repro.engine.io`)
 pickles as a :class:`MappedArrayHandle` — just the file path, offset, dtype
 and shape — and every worker re-maps the same file region.  The OS page
 cache is then the sharing mechanism: one physical copy of the engine's pages

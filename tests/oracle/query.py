@@ -178,6 +178,7 @@ def _compile(psd: PointerPSD, rect_of, domain, name: str) -> FlatPSD:
         level_variance=_freeze(level_variances(eps)),
         height=psd.height,
         fanout=psd.fanout,
+        release={"ols": order[0].post_count is not None, "metadata": dict(psd.metadata)},
         name=name,
         domain_lo=_freeze(np.asarray(domain.rect.lo, dtype=np.float64)),
         domain_hi=_freeze(np.asarray(domain.rect.hi, dtype=np.float64)),

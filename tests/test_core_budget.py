@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,10 @@ from repro.core.budget import (
     resolve_budget,
     uniform_level_epsilons,
 )
+from repro.core.builder import build_psd, build_psd_releases
+from repro.core.splits import KDSplit, QuadSplit
+from repro.data import uniform_points
+from repro.geometry import Domain
 
 HEIGHT = 8
 EPSILON = 0.5
@@ -142,3 +148,48 @@ class TestBudgetProperties:
         uni = uniform_level_epsilons(height, epsilon)
         assert geo[0] > uni[0]
         assert geo[height] < uni[height]
+
+
+# ----------------------------------------------------------------------
+# Budgets too small for floating point
+# ----------------------------------------------------------------------
+class TestUnrepresentableBudgets:
+    """A total budget so small that a funded level's share is zero, its
+    Laplace scale ``1 / eps_i`` overflows or (under OLS) its weight
+    ``eps_i ** 2`` underflows is refused before the generator is touched."""
+
+    DOMAIN = Domain.unit(2)
+    POINTS = uniform_points(200, Domain.unit(2), rng=np.random.default_rng(8))
+
+    @pytest.mark.parametrize("split,epsilon,postprocess,reason", [
+        (QuadSplit(), 5e-324, False, "is zero"),
+        (QuadSplit(), 1e-310, False, "Laplace scale 1/eps_i that overflows"),
+        (QuadSplit(), 1e-200, True, "eps_i\\*\\*2 that underflows"),
+        (KDSplit(), 1e-300, True, "eps_i\\*\\*2 that underflows"),
+    ])
+    def test_refused_before_any_draw(self, split, epsilon, postprocess, reason):
+        gen = np.random.default_rng(5)
+        state = copy.deepcopy(gen.bit_generator.state)
+        with pytest.raises(ValueError, match=f"too small for floating point.*{reason}"):
+            build_psd(self.POINTS, self.DOMAIN, 4, split, epsilon=epsilon,
+                      postprocess=postprocess, rng=gen)
+        assert gen.bit_generator.state == state
+
+    def test_one_tiny_epsilon_refuses_the_batch(self):
+        gen = np.random.default_rng(6)
+        state = copy.deepcopy(gen.bit_generator.state)
+        with pytest.raises(ValueError, match="epsilon 1e-310 is too small"):
+            build_psd_releases(self.POINTS, self.DOMAIN, 3, QuadSplit(), (0.5, 1e-310),
+                               rng=gen)
+        assert gen.bit_generator.state == state
+
+    def test_levels_the_strategy_leaves_unfunded_are_not_refused(self):
+        psd = build_psd(self.POINTS, self.DOMAIN, 3, QuadSplit(), epsilon=1e-160,
+                        count_budget="leaf-only", postprocess=True, rng=0)
+        assert np.all(np.isfinite(psd.compile().released))
+
+    @pytest.mark.parametrize("epsilon,postprocess", [(1e-160, True), (1e-200, False)])
+    def test_smallest_workable_budgets_still_build(self, epsilon, postprocess):
+        psd = build_psd(self.POINTS, self.DOMAIN, 4, QuadSplit(), epsilon=epsilon,
+                        postprocess=postprocess, rng=0)
+        assert np.all(np.isfinite(psd.compile().released))

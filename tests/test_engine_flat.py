@@ -196,10 +196,10 @@ class TestBackendDispatch:
         psd = _build("kd-hybrid", points, domain)
         first = compiled_engine(psd)
         assert compiled_engine(psd) is first
-        assert psd.metadata[COMPILED_ENGINE_KEY] is first
+        assert psd.compiled_engines[COMPILED_ENGINE_KEY] is first
         assert psd.compile() is first
         psd.prune(5.0)
-        assert COMPILED_ENGINE_KEY not in psd.metadata
+        assert COMPILED_ENGINE_KEY not in psd.compiled_engines
         assert compiled_engine(psd) is not first
 
     def test_compiled_engine_not_serialised(self, points, domain, tmp_path):

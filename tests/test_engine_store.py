@@ -1,4 +1,4 @@
-"""Tests for the zero-copy format-v2 engine store (:mod:`repro.engine.store`).
+"""Tests for the FLATPSD2 release file (:mod:`repro.engine.io`).
 
 The load-bearing contracts:
 
@@ -29,8 +29,10 @@ from repro.core import (
     build_private_hilbert_rtree,
     build_private_kdtree,
     build_private_quadtree,
+    load_psd,
+    save_psd,
 )
-from repro.data import uniform_points
+from repro.data import road_intersections, uniform_points
 from repro.engine import (
     FlatPSD,
     batch_query,
@@ -40,8 +42,7 @@ from repro.engine import (
     load_engine,
     save_engine,
 )
-from repro.engine.store import load_engine_mmap, save_engine_mmap
-from repro.geometry import Domain, Rect
+from repro.geometry import TIGER_DOMAIN, Domain, Rect
 from repro.privacy.mechanisms import laplace_variance
 from repro.queries import random_query_rects
 
@@ -201,11 +202,24 @@ class TestFloat32Precision:
 # ----------------------------------------------------------------------
 # Validation of the v2 file format
 # ----------------------------------------------------------------------
+def _rewrite_header(path, edit):
+    """Apply ``edit`` to the parsed JSON header in place, padding the header
+    to its original length so every region offset stays valid."""
+    blob = path.read_bytes()
+    header_len = struct.unpack("<Q", blob[8:16])[0]
+    header = json.loads(blob[16:16 + header_len].decode())
+    edit(header)
+    packed = json.dumps(header).encode()
+    assert len(packed) <= header_len
+    packed += b" " * (header_len - len(packed))
+    path.write_bytes(blob[:16] + packed + blob[16 + header_len:])
+
+
 @pytest.fixture()
 def v2_file(points, domain, tmp_path):
     engine = compile_psd(_build("quad-opt", points, domain))
     path = tmp_path / "engine.psdm"
-    save_engine_mmap(engine, path)
+    save_engine(engine, path)
     return path
 
 
@@ -215,12 +229,12 @@ class TestV2Validation:
         blob[:8] = b"NOTMAGIC"
         v2_file.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="bad magic"):
-            load_engine_mmap(v2_file)
+            load_engine(v2_file)
 
     def test_truncated_header(self, v2_file):
         v2_file.write_bytes(v2_file.read_bytes()[:12])
         with pytest.raises(ValueError, match="truncated"):
-            load_engine_mmap(v2_file)
+            load_engine(v2_file)
 
     def test_truncated_array_region_names_the_field(self, v2_file):
         # Chop the file mid-data: the *last* stored field's region now falls
@@ -232,20 +246,12 @@ class TestV2Validation:
         cut = header["arrays"][last]["offset"] + 1
         v2_file.write_bytes(blob[:cut])
         with pytest.raises(ValueError, match=rf"{last}.*truncated|truncated.*{last}"):
-            load_engine_mmap(v2_file)
+            load_engine(v2_file)
 
     def test_missing_field_named(self, v2_file):
-        blob = v2_file.read_bytes()
-        header_len = struct.unpack("<Q", blob[8:16])[0]
-        header = json.loads(blob[16:16 + header_len].decode())
-        del header["arrays"]["released"]
-        # Re-encode padded to the original length so offsets stay valid.
-        packed = json.dumps(header).encode()
-        assert len(packed) <= header_len
-        packed += b" " * (header_len - len(packed))
-        v2_file.write_bytes(blob[:16] + packed + blob[16 + header_len:])
+        _rewrite_header(v2_file, lambda header: header["arrays"].pop("released"))
         with pytest.raises(ValueError, match="missing array field 'released'"):
-            load_engine_mmap(v2_file)
+            load_engine(v2_file)
 
     def test_format_version_mismatch(self, v2_file):
         blob = v2_file.read_bytes()
@@ -254,14 +260,14 @@ class TestV2Validation:
         v2_file.write_bytes(blob.replace(b'"format_version": 2',
                                          b'"format_version": 9', 1))
         with pytest.raises(ValueError, match="format version 9"):
-            load_engine_mmap(v2_file)
+            load_engine(v2_file)
 
     def test_corrupt_header_json(self, v2_file):
         blob = bytearray(v2_file.read_bytes())
         blob[16] = ord("!")  # breaks the leading '{'
         v2_file.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="corrupt v2 header"):
-            load_engine_mmap(v2_file)
+            load_engine(v2_file)
 
     def test_int32_overflow_guard_message(self, points, domain):
         engine = compile_psd(_build("quad-opt", points, domain))
@@ -275,9 +281,92 @@ class TestV2Validation:
             "lo", "hi", "level", "released", "has_count", "is_leaf",
             "child_start", "child_end", "area", "count_epsilons",
             "level_variance", "domain_lo", "domain_hi")},
-            height=engine.height, fanout=engine.fanout)
+            height=engine.height, fanout=engine.fanout, release=engine.release)
         with pytest.raises(ValueError, match="int32 child offsets"):
             engine_with_precision(huge, "float32")
+
+
+# ----------------------------------------------------------------------
+# The release block: meta.release
+# ----------------------------------------------------------------------
+class TestReleaseBlock:
+    @pytest.mark.parametrize("variant,ols", [("quad-opt", True), ("kd-pure", False),
+                                             ("hilbert-r", True)])
+    def test_block_roundtrips_and_survives_float32(self, variant, ols, points, domain,
+                                                   tmp_path):
+        if variant == "kd-pure":
+            psd = build_private_kdtree(points, domain, height=4, epsilon=1.0,
+                                       variant="kd-pure", rng=3)
+        else:
+            psd = _build(variant, points, domain, seed=3)
+        engine = compile_psd(psd)
+        assert engine.release == {"ols": ols, "metadata": psd.metadata}
+        assert psd.metadata["split_rule"] and psd.metadata["epsilon"] == 1.0
+        path, path32 = tmp_path / "engine.psdm", tmp_path / "engine32.psdm"
+        save_engine(engine, path)
+        loaded = load_engine(path)
+        assert loaded.release == engine.release
+        assert engine_with_precision(loaded, "float32").release == engine.release
+        save_engine(loaded, path32, precision="float32")
+        assert load_engine(path32).release == engine.release
+
+    def test_cli_float32_restore_keeps_block(self, v2_file, tmp_path, capsys):
+        out = tmp_path / "engine32.psdm"
+        assert main(["compile", str(v2_file), "--precision", "float32",
+                     "--output", str(out)]) == 0
+        narrowed = load_engine(out)
+        assert narrowed.storage_precision == "float32"
+        assert narrowed.release == load_engine(v2_file).release
+
+    def test_restore_in_place_over_the_mapped_file(self, v2_file, points, domain, capsys):
+        before = load_engine(v2_file)
+        queries = _queries(_build("quad-opt", points, domain))
+        reference = batch_query(before, queries)
+        assert main(["compile", str(v2_file), "--precision", "float32",
+                     "--output", str(v2_file)]) == 0
+        # The mapped engine still reads the bytes it was attached to.
+        _assert_bitwise(reference, batch_query(before, queries))
+        assert load_engine(v2_file).storage_precision == "float32"
+
+    @pytest.mark.parametrize("release,field", [
+        (None, "'meta.release' block"),
+        ([], "'meta.release' must be an object"),
+        ({"ols": 1, "metadata": {}}, "'meta.release.ols' must be a bool"),
+        ({"ols": True}, "'meta.release.metadata' must be an object"),
+        ({"ols": True, "metadata": []}, "'meta.release.metadata' must be an object"),
+    ])
+    def test_malformed_block_refused_by_name(self, v2_file, release, field):
+        def edit(header):
+            header["meta"].pop("release")
+            if release is not None:
+                header["meta"]["release"] = release
+
+        _rewrite_header(v2_file, edit)
+        with pytest.raises(ValueError, match=field):
+            load_engine(v2_file)
+
+    @pytest.mark.parametrize("variant", ["quad-opt", "kd-hybrid", "hilbert-r"])
+    def test_built_file_answers_as_the_imported_json(self, variant, tmp_path, capsys):
+        built, exported = tmp_path / "built.psdm", tmp_path / "release.json"
+        assert main(["build", "--synthetic", "3000", "--variant", variant, "--height", "4",
+                     "--epsilon", "0.5", "--prune", "32", "--seed", "4",
+                     "--output", str(built)]) == 0
+        # The same seeded build in the library, exported as nested JSON.
+        points = road_intersections(n=3000, rng=4)
+        if variant == "hilbert-r":
+            psd = build_private_hilbert_rtree(points, TIGER_DOMAIN, 8, 0.5,
+                                              prune_threshold=32.0, rng=4).psd
+        else:
+            build = build_private_quadtree if variant == "quad-opt" else build_private_kdtree
+            psd = build(points, TIGER_DOMAIN, 4, 0.5, variant=variant,
+                        prune_threshold=32.0, rng=4)
+        save_psd(psd, str(exported))
+        imported = compile_psd(load_psd(str(exported)))
+        engine = load_engine(built)
+        assert engine.release == imported.release
+        space = Domain.from_bounds(engine.domain_lo.tolist(), engine.domain_hi.tolist())
+        queries = random_query_rects(space, 60, rng=np.random.default_rng(9))
+        _assert_bitwise(batch_query(imported, queries), batch_query(engine, queries))
 
 
 # ----------------------------------------------------------------------
@@ -317,15 +406,11 @@ class TestArtifactIntegrity:
     def test_v2_missing_crc_stamp_refused(self, v2_file):
         from repro.engine import EngineIntegrityError
 
-        blob = v2_file.read_bytes()
-        header_len = struct.unpack("<Q", blob[8:16])[0]
-        header = json.loads(blob[16:16 + header_len].decode())
-        for entry in header["arrays"].values():
-            entry.pop("crc32", None)
-        packed = json.dumps(header).encode()
-        assert len(packed) <= header_len
-        packed += b" " * (header_len - len(packed))
-        v2_file.write_bytes(blob[:16] + packed + blob[16 + header_len:])
+        def strip_stamps(header):
+            for entry in header["arrays"].values():
+                entry.pop("crc32", None)
+
+        _rewrite_header(v2_file, strip_stamps)
         load_engine(v2_file)  # pre-integrity files still load unverified
         with pytest.raises(EngineIntegrityError, match="no crc32 stamp"):
             load_engine(v2_file, verify=True)
@@ -334,6 +419,13 @@ class TestArtifactIntegrity:
         self._corrupt_region(v2_file, "released")
         with pytest.raises(SystemExit, match="corrupted"):
             main(["serve", str(v2_file), "--ledger", str(v2_file) + ".ledger"])
+
+    def test_compile_cli_refuses_corrupted_engine(self, v2_file, tmp_path):
+        self._corrupt_region(v2_file, "released")
+        out = tmp_path / "restamped.psdm"
+        with pytest.raises(SystemExit, match="corrupted"):
+            main(["compile", str(v2_file), "--output", str(out)])
+        assert not out.exists()
 
     def test_query_cli_verify_flag(self, v2_file, capsys):
         rc = main(["query", str(v2_file), "--rect", "0.1,0.1,0.6,0.6", "--verify"])
@@ -411,7 +503,7 @@ class TestZeroCopyServing:
 class TestCliMmap:
     @pytest.fixture(scope="class")
     def release_path(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("cli") / "release.json"
+        path = tmp_path_factory.mktemp("cli") / "release.psdm"
         main(["build", "--synthetic", "4000", "--variant", "quad-opt",
               "--height", "5", "--epsilon", "0.5", "--output", str(path)])
         return path

@@ -192,9 +192,9 @@ class TestStaleEngineRegression:
         psd = build_psd(POINTS, DOMAIN, 3, QuadSplit(), epsilon=1.0, rng=0)
         q = Rect((0.1, 0.1), (0.9, 0.9))
         before = psd.range_query(q)
-        assert COMPILED_ENGINE_KEY in psd.metadata
+        assert COMPILED_ENGINE_KEY in psd.compiled_engines
         populate_noisy_counts(psd, rng=12345)
-        assert COMPILED_ENGINE_KEY not in psd.metadata
+        assert COMPILED_ENGINE_KEY not in psd.compiled_engines
         after = psd.range_query(q)
         assert after != before
         # and the re-compiled engine agrees with the recursive reference

@@ -27,10 +27,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core import build_private_quadtree, build_psd, load_psd, psd_to_dict, save_psd
 from repro.core.splits import KDSplit
 from repro.data import uniform_points
-from repro.engine import compile_psd
+from repro.engine import compile_psd, load_engine
 from repro.geometry import Domain
 from repro.parallel.checkpoint import SweepCheckpoint
 from repro.serve.ledger import BudgetLedger
@@ -163,3 +164,16 @@ def test_todays_release_dict_is_the_golden_one(name: str) -> None:
     # The constant "layout" metadata key had no readers and is no longer written.
     del golden["metadata"]["layout"]
     assert psd_to_dict(RELEASES[name]()) == golden
+
+
+@pytest.mark.parametrize("name", sorted(RELEASES))
+def test_golden_release_compiles_with_its_metadata(name: str, tmp_path: Path) -> None:
+    """``repro compile`` imports a nested JSON release into FLATPSD2 whose
+    release block carries the file's metadata verbatim, ``layout`` included."""
+    out = tmp_path / "golden.psdm"
+    assert main(["compile", str(GOLDEN / name), "--output", str(out)]) == 0
+    golden = json.loads((GOLDEN / name).read_text())
+    release = load_engine(out).release
+    assert release["metadata"] == golden["metadata"]
+    assert "layout" in release["metadata"]
+    assert release["ols"] is (golden["root"]["post_count"] is not None)

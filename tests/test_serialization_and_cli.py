@@ -22,6 +22,7 @@ from repro.core import (
     save_psd,
 )
 from repro.core.splits import QuadSplit
+from repro.engine import load_engine
 from repro.data import uniform_points
 from repro.geometry import Domain, Rect
 
@@ -161,8 +162,7 @@ class TestCLI:
         rc = main(["build", "--input", str(csv_path), "--domain", "auto", "--variant", "kd-hybrid",
                    "--height", "3", "--epsilon", "1.0", "--output", str(release)])
         assert rc == 0
-        psd = load_psd(str(release))
-        assert psd.height == 3
+        assert load_engine(str(release)).height == 3
 
     def test_build_requires_input_or_synthetic(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -238,11 +238,40 @@ class TestCLI:
         assert len(errors) == 1 and f"error: argument {option}: " in errors[0]
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("variant", ["quad-opt", "kd-standard"])
+    @pytest.mark.parametrize("epsilon", ["5e-324", "1e-300", "1e-200"])
+    def test_budget_too_small_for_floats_refused(self, tmp_path, variant, epsilon):
+        """A budget that passes the parser but underflows or overflows a
+        level's count parameters exits with one reason and writes nothing,
+        where it used to raise a traceback from OLS."""
+        output = tmp_path / "out.psdm"
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "--synthetic", "500", "--variant", variant, "--height", "4",
+                  f"--epsilon={epsilon}", "--output", str(output)])
+        message = str(exc.value.code)
+        assert message.startswith(f"cannot build {variant}: epsilon ")
+        assert "too small for floating point" in message and "\n" not in message
+        assert not output.exists()
+
+    def test_budget_refusal_is_one_line_without_traceback(self, tmp_path):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        output = tmp_path / "out.psdm"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "build", "--synthetic", "200",
+             "--height", "3", "--epsilon=1e-310", "--output", str(output)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1
+        assert done.stderr.count("\n") == 1 and "too small for floating point" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not output.exists()
+
     def test_zero_heights_prune_and_synthetic_accepted(self, tmp_path):
         release = tmp_path / "zero.json"
         assert main(["build", "--synthetic", "0", "--height", "0", "--prune", "0",
                      "--output", str(release)]) == 0
-        assert json.loads(release.read_text())["height"] == 0
+        assert load_engine(str(release)).height == 0
         rows = tmp_path / "rows.json"
         assert main(["experiment", "fig5", "--n-points", "200", "--n-queries", "3",
                      "--kd-height", "0", "--json", str(rows)]) == 0
