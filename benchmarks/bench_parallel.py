@@ -8,9 +8,9 @@ per (variant, epsilon) and executed twice through the same
 :func:`~repro.experiments.common.run_sweep` driver —
 
 * ``workers=1`` — the in-process loop over the spawned per-case RNG streams;
-* ``workers=N`` — the same cases fanned across a ``ProcessPoolExecutor``
-  with the points array, shared structure and precompiled query-matrix CSR
-  buffers riding ``multiprocessing.shared_memory`` views.
+* ``workers=N`` — the same cases fanned across the one process pool,
+  ``ResilientPool``, which ships the points array and the shared structure
+  to its workers as one pickle per pool start.
 
 **Bitwise parity is asserted before any timing**: the `workers=N` rows must
 equal the `workers=1` rows float for float (the per-case ``SeedSequence``

@@ -146,8 +146,7 @@ def main() -> None:
           f"(answers bitwise equal to the compiled engine)")
     print(f"  sharded serve  : {serve_stats['workers']} workers re-map the pruned engine "
           f"({pruned.n_nodes:,} nodes) in {serve_stats['chunks']} chunks — "
-          f"{serve_stats['engine_mapped_bytes']:,} engine bytes mapped, "
-          f"{serve_stats['shm_segments']} shm segments")
+          f"{serve_stats['engine_mapped_bytes']:,} engine bytes mapped")
     print(f"  obs registry   : engine.bytes_mapped={gauges.get('engine.bytes_mapped', 0):,.0f}, "
           f"example.rss_kb={gauges.get('example.rss_kb', -1):,.0f}")
 

@@ -271,7 +271,7 @@ def _cmd_query(args) -> int:
     # its closed form at any --workers, the whole file in one batch.  Any
     # other engine is evaluated in-process with one worker (the default);
     # with --workers N > 1 a batch larger than --chunk-queries fans out in
-    # chunks across a pool that shares the engine's arrays.
+    # chunks across a pool of workers that map the same release file.
     with ShardedQueryServer(engine, workers=args.workers or 1,
                             chunk_queries=args.chunk_queries) as server:
         answers = server.batch_range_query(rects)
@@ -282,8 +282,6 @@ def _cmd_query(args) -> int:
         print(f"serve stats: {stats['workers']} workers, "
               f"{stats['queries']} queries in {stats['batches']} batches "
               f"({stats['sharded_batches']} sharded, {stats['chunks']} chunks), "
-              f"{stats['shm_bytes_exported']} shm bytes in "
-              f"{stats['shm_segments']} segments, "
               f"{stats['engine_mapped_bytes']} engine bytes memory-mapped",
               file=sys.stderr)
     return 0
@@ -473,6 +471,17 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _port(text: str) -> int:
+    """argparse type: a TCP port, 0 (ephemeral) to 65535."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must be a port from 0 to 65535, got {text!r}")
+    return value
+
+
 def _positive_finite(text: str) -> float:
     """argparse type: a number above 0 that is neither inf nor nan."""
     try:
@@ -544,10 +553,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "the FLATPSD2 header before answering")
     query.add_argument("--stats", action="store_true",
                        help="report the serving counters (workers, batches, chunks, "
-                            "shared and mapped bytes) on stderr")
+                            "memory-mapped engine bytes) on stderr")
     query.add_argument("--workers", type=int, default=None,
-                       help="shard the frontier walk across this many processes over a "
-                            "shared-memory engine (-1 = all cores); a complete quadtree "
+                       help="shard the frontier walk across this many processes, each "
+                            "mapping the release (-1 = all cores); a complete quadtree "
                             "is answered in-process by its closed form")
     query.add_argument("--chunk-queries", type=_positive_int, default=1024,
                        help="queries per fanned-out chunk of a frontier engine's batch "
@@ -620,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("release", help="release to serve: a FLATPSD2 file, or nested "
                                        "JSON (compiled on startup)")
     serve.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
-    serve.add_argument("--port", type=int, default=0,
+    serve.add_argument("--port", type=_port, default=0,
                        help="bind port (default 0 = ephemeral; the bound port is printed)")
     serve.add_argument("--ledger", required=True,
                        help="path of the append-only budget WAL (JSON lines); replayed "

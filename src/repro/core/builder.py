@@ -546,6 +546,8 @@ def build_psd_releases(
             })
     if not replay.exhausted():
         raise RuntimeError("the structure build consumed fewer uniforms than pre-drawn")
+    if dd_levels:
+        _refuse_non_finite_splits(flat_batch, release_eps, eps_median_per_level)
 
     populate_noisy_counts_releases(flat_batch, count_eps, std_laplace, noiseless_counts)
 
@@ -586,6 +588,25 @@ def _refuse_unrepresentable_budgets(
             level = int(np.flatnonzero(funded)[i])
             raise ValueError(f"epsilon {float(release_eps[r])!r} is too small for floating point: "
                              f"the count budget {float(count_eps[r, level])!r} of level {level} {what}")
+
+
+def _refuse_non_finite_splits(
+    flat_batch, release_eps: np.ndarray, eps_median_per_level: np.ndarray
+) -> None:
+    """Refuse a batch whose private medians left a non-finite split point.
+
+    A median budget too small for floating point overflows the Laplace
+    scale of the noisy-mean and cell medians, and their splits come out
+    nan or infinite.  The first such node in BFS order got its bounds from
+    its parent's split, one level up.
+    """
+    bad = ~(np.isfinite(flat_batch.lo).all(axis=-1) & np.isfinite(flat_batch.hi).all(axis=-1))
+    if bad.any():
+        r, node = np.argwhere(bad)[0]
+        level = int(flat_batch.level[node]) + 1
+        raise ValueError(f"epsilon {float(release_eps[r])!r} is too small for floating point: "
+                         f"the median budget {float(eps_median_per_level[r])!r} of level {level} "
+                         f"gives a non-finite split point")
 
 
 def _draw_count_noise(

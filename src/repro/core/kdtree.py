@@ -167,6 +167,10 @@ def _build_cell_kdtree(
 
     grid = UniformGrid(domain=domain, shape=(cell_resolution,) * domain.dims).fit(points)
     noisy_grid = grid.noisy_counts(eps_grid, rng=gen)
+    # The medians read prefix sums of the clipped counts: all finite iff the total is.
+    if not np.isfinite(np.clip(noisy_grid.counts, 0.0, None).sum()):
+        raise ValueError(f"epsilon {epsilon!r} is too small for floating point: the grid "
+                         f"budget {eps_grid!r} gives noisy cell counts whose sum overflows")
 
     return build_psd(
         points=points,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Dict, Tuple
 
 import numpy as np
 
@@ -113,18 +113,31 @@ class FlatPSD:
     domain_lo: np.ndarray = field(default=None)  # type: ignore[assignment]
     domain_hi: np.ndarray = field(default=None)  # type: ignore[assignment]
     domain_name: str = "domain"
-    #: Path of the FLATPSD2 file this instance was attached from (set by
+    #: Path of the FLATPSD2 file this instance was attached from, and that
+    #: file's identity at attach time (both set by
     #: :func:`repro.engine.io.load_engine`); ``None`` if compiled in RAM.
-    source_path: str = None  # type: ignore[assignment]
+    #: Not constructor fields, so ``dataclasses.replace`` gives an engine
+    #: that no file backs.
+    source_path: str = field(default=None, init=False)  # type: ignore[assignment]
+    source_identity: Tuple[int, ...] = field(default=None, init=False, repr=False)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         # Guards the one-time derivation of the closed-form index of
         # repro.engine.grid, memoised on the instance as ``_grid``.
         self._grid_lock = threading.Lock()
 
+    def __reduce_ex__(self, protocol):
+        # An engine attached from a file pickles as that file's path and
+        # identity; the receiving process attaches the same file again
+        # (refused if it was replaced), so every process maps one copy.
+        if self.source_path is not None:
+            from .io import _reattach_engine
+
+            return _reattach_engine, (self.source_path, self.source_identity)
+        return super().__reduce_ex__(protocol)
+
     def __getstate__(self) -> Dict[str, object]:
-        # The derived index stays behind: a mapped engine pickles as file
-        # handles only, and every process derives its own index.
+        # The derived index stays behind: every process derives its own.
         return {k: v for k, v in self.__dict__.items() if k not in ("_grid", "_grid_lock")}
 
     def __setstate__(self, state: Dict[str, object]) -> None:

@@ -14,6 +14,14 @@ Opening an engine is a header parse plus a handful of ``mmap`` calls —
 microseconds regardless of node count — and the OS page cache, not process
 heaps, holds the one physical copy that every serving process shares.
 
+An attached engine pickles as its path plus the file identity (device,
+inode, size, modification time) that :func:`load_engine` recorded, about a
+hundred bytes.  Unpickling it, in a pool worker say, attaches the same file
+again without a CRC pass, and refuses with :class:`EngineIntegrityError` a
+file replaced since: a process never answers from a release other than the
+one its sender attached.  This module is the only one that knows how
+FLATPSD2 bytes map to arrays.
+
 File layout::
 
     bytes 0..7    magic  b"FLATPSD2"
@@ -60,7 +68,7 @@ import struct
 import zlib
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, Union
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
@@ -181,7 +189,6 @@ def engine_with_precision(engine: FlatPSD, precision: str) -> FlatPSD:
         level_variance=_freeze(level_variances(eps)),
         child_start=_freeze(np.asarray(engine.child_start, dtype=np.dtype(spec["child_start"]))),
         child_end=_freeze(np.asarray(engine.child_end, dtype=np.dtype(spec["child_end"]))),
-        source_path=None,
     )
 
 
@@ -265,25 +272,30 @@ def save_engine(
         raise
 
 
-def _parse_header(path: Path, size: int):
-    with open(path, "rb") as handle:
-        magic = handle.read(len(FORMAT_MAGIC))
-        if magic != FORMAT_MAGIC:
-            raise ValueError(f"{path}: not a FlatPSD v2 engine file (bad magic)")
-        raw_len = handle.read(8)
-        if len(raw_len) != 8:
-            raise ValueError(f"{path}: truncated before the header length field")
-        (header_len,) = struct.unpack("<Q", raw_len)
-        if 16 + header_len > size:
-            raise ValueError(
-                f"{path}: truncated header (needs {16 + header_len} bytes, "
-                f"file has {size})"
-            )
-        try:
-            header = json.loads(handle.read(header_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValueError(f"{path}: corrupt v2 header: {exc}")
-    return header
+def _parse_header(path: Path, handle, size: int):
+    magic = handle.read(len(FORMAT_MAGIC))
+    if magic != FORMAT_MAGIC:
+        raise ValueError(f"{path}: not a FlatPSD v2 engine file (bad magic)")
+    raw_len = handle.read(8)
+    if len(raw_len) != 8:
+        raise ValueError(f"{path}: truncated before the header length field")
+    (header_len,) = struct.unpack("<Q", raw_len)
+    if 16 + header_len > size:
+        raise ValueError(
+            f"{path}: truncated header (needs {16 + header_len} bytes, "
+            f"file has {size})"
+        )
+    try:
+        return json.loads(handle.read(header_len).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: corrupt v2 header: {exc}")
+
+
+def _file_identity(handle) -> Tuple[int, int, int, int]:
+    """Device, inode, size and modification time of an open file: what tells
+    the file attached from a path apart from one written there later."""
+    st = os.fstat(handle.fileno())
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
 
 
 def _release_block(path: Path, meta: Dict[str, object]) -> Dict[str, object]:
@@ -323,93 +335,14 @@ def load_engine(
     Raises :class:`ValueError` for a file that is not FLATPSD2 (bad magic),
     an unknown version, a missing or malformed release block, missing or
     truncated arrays, or structural-invariant violations.
+
+    The engine records the file's path and identity, and pickles as them
+    (see :func:`_reattach_engine`).
     """
     path = Path(source)
     with trace_span("engine.load", verify=verify):
-        size = path.stat().st_size
-        header = _parse_header(path, size)
-        meta = header.get("meta") or {}
-        version = meta.get("format_version")
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported engine format version {version!r} (expected 2)")
-        precision = meta.get("precision")
-        if precision not in _FIELD_DTYPES:
-            raise ValueError(f"{path}: unknown storage precision {precision!r}")
-        release = _release_block(path, meta)
-        spec = _FIELD_DTYPES[precision]
-        table = header.get("arrays") or {}
-
-        views: Dict[str, np.ndarray] = {}
-        for name in _V2_FIELDS:
-            entry = table.get(name)
-            if entry is None:
-                raise ValueError(f"{path}: engine file is missing array field {name!r}")
-            dtype = np.dtype(str(entry["dtype"]))
-            shape = tuple(int(v) for v in entry["shape"])
-            offset = int(entry["offset"])
-            nbytes = int(entry["nbytes"])
-            if dtype != np.dtype(spec[name]):
-                raise ValueError(
-                    f"{path}: field {name!r} stored as {dtype.str}, but precision "
-                    f"{precision!r} requires {spec[name]}"
-                )
-            expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-            if nbytes != expected:
-                raise ValueError(
-                    f"{path}: field {name!r} advertises {nbytes} bytes but its "
-                    f"shape {shape} needs {expected}"
-                )
-            if offset < 0 or offset + nbytes > size:
-                raise ValueError(
-                    f"{path}: field {name!r} is truncated: bytes "
-                    f"[{offset}, {offset + nbytes}) exceed the {size}-byte file"
-                )
-            if nbytes == 0:
-                views[name] = _freeze(np.empty(shape, dtype=dtype))
-            else:
-                # mode="r" views are read-only; each field maps the same file,
-                # so the page cache holds one physical copy system-wide.
-                views[name] = np.memmap(path, dtype=dtype, mode="r",
-                                        offset=offset, shape=shape)
-            if verify:
-                recorded = entry.get("crc32")
-                if recorded is None:
-                    raise EngineIntegrityError(
-                        f"{path}: field {name!r} carries no crc32 stamp; "
-                        f"re-save the engine to enable verified loads"
-                    )
-                actual = zlib.crc32(np.ascontiguousarray(views[name]).tobytes()) & 0xFFFFFFFF
-                if actual != int(recorded):
-                    raise EngineIntegrityError(
-                        f"{path}: array {name!r} is corrupted (crc32 "
-                        f"{actual:#010x} != recorded {int(recorded):#010x})"
-                    )
-
-        # Cheap (O(1)-per-field) shape consistency so the evaluator can trust
-        # the arrays without paging anything in.
-        if views["lo"].ndim != 2 or views["lo"].shape != views["hi"].shape:
-            raise ValueError(f"{path}: lo/hi must be matching (n_nodes, dims) arrays")
-        n = views["lo"].shape[0]
-        for name in ("level", "released", "has_count", "is_leaf",
-                     "child_start", "child_end", "area"):
-            if views[name].shape != (n,):
-                raise ValueError(f"{path}: field {name!r} must have shape ({n},)")
-        height = int(meta.get("height", -1))
-        for name in ("count_epsilons", "level_variance"):
-            if views[name].shape != (height + 1,):
-                raise ValueError(
-                    f"{path}: field {name!r} must have height + 1 = {height + 1} entries"
-                )
-
-        engine = FlatPSD(
-            height=height,
-            fanout=int(meta.get("fanout", 0)),
-            release=release,
-            name=str(meta.get("name", "psd")),
-            domain_name=str(meta.get("domain_name", "domain")),
-            source_path=str(path),
-            **views,
-        )
+        with open(path, "rb") as handle:
+            engine = _attach(path, handle, _file_identity(handle), verify)
     if verify:
         counter_add("engine.verified_loads")
     counter_add("engine.loads")
@@ -418,4 +351,115 @@ def load_engine(
         gauge_max("engine.bytes_mapped", mapped)
     if deep_validate:
         engine.validate()
+    return engine
+
+
+def _reattach_engine(source_path: str, identity: Tuple[int, ...]) -> FlatPSD:
+    """Unpickle an engine that :func:`load_engine` attached: attach the same
+    file again, without a CRC pass.
+
+    Raises :class:`EngineIntegrityError` when the file at ``source_path`` is
+    no longer the one attached (another device, inode, size or modification
+    time): a release rewritten in place or replaced by a rename would
+    otherwise answer with other counts than the sender's engine.
+    """
+    path = Path(source_path)
+    with open(path, "rb") as handle:
+        now = _file_identity(handle)
+        if now != identity:
+            raise EngineIntegrityError(
+                f"{path}: the release file was replaced after it was attached "
+                f"(file identity {now} != {identity})"
+            )
+        return _attach(path, handle, now, verify=False)
+
+
+def _attach(path: Path, handle, identity: Tuple[int, int, int, int], verify: bool) -> FlatPSD:
+    """Map the FLATPSD2 file open as ``handle``, whose identity is ``identity``."""
+    size = identity[2]
+    header = _parse_header(path, handle, size)
+    meta = header.get("meta") or {}
+    version = meta.get("format_version")
+    if version != _FORMAT_VERSION:
+        raise ValueError(f"unsupported engine format version {version!r} (expected 2)")
+    precision = meta.get("precision")
+    if precision not in _FIELD_DTYPES:
+        raise ValueError(f"{path}: unknown storage precision {precision!r}")
+    release = _release_block(path, meta)
+    spec = _FIELD_DTYPES[precision]
+    table = header.get("arrays") or {}
+
+    views: Dict[str, np.ndarray] = {}
+    for name in _V2_FIELDS:
+        entry = table.get(name)
+        if entry is None:
+            raise ValueError(f"{path}: engine file is missing array field {name!r}")
+        dtype = np.dtype(str(entry["dtype"]))
+        shape = tuple(int(v) for v in entry["shape"])
+        offset = int(entry["offset"])
+        nbytes = int(entry["nbytes"])
+        if dtype != np.dtype(spec[name]):
+            raise ValueError(
+                f"{path}: field {name!r} stored as {dtype.str}, but precision "
+                f"{precision!r} requires {spec[name]}"
+            )
+        expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        if nbytes != expected:
+            raise ValueError(
+                f"{path}: field {name!r} advertises {nbytes} bytes but its "
+                f"shape {shape} needs {expected}"
+            )
+        if offset < 0 or offset + nbytes > size:
+            raise ValueError(
+                f"{path}: field {name!r} is truncated: bytes "
+                f"[{offset}, {offset + nbytes}) exceed the {size}-byte file"
+            )
+        if nbytes == 0:
+            views[name] = _freeze(np.empty(shape, dtype=dtype))
+        else:
+            # mode="r" views are read-only; each field maps the open file
+            # whose identity was taken, so the page cache holds one physical
+            # copy system-wide.
+            views[name] = np.memmap(handle, dtype=dtype, mode="r",
+                                    offset=offset, shape=shape)
+        if verify:
+            recorded = entry.get("crc32")
+            if recorded is None:
+                raise EngineIntegrityError(
+                    f"{path}: field {name!r} carries no crc32 stamp; "
+                    f"re-save the engine to enable verified loads"
+                )
+            actual = zlib.crc32(np.ascontiguousarray(views[name]).tobytes()) & 0xFFFFFFFF
+            if actual != int(recorded):
+                raise EngineIntegrityError(
+                    f"{path}: array {name!r} is corrupted (crc32 "
+                    f"{actual:#010x} != recorded {int(recorded):#010x})"
+                )
+
+    # Cheap (O(1)-per-field) shape consistency so the evaluator can trust
+    # the arrays without paging anything in.
+    if views["lo"].ndim != 2 or views["lo"].shape != views["hi"].shape:
+        raise ValueError(f"{path}: lo/hi must be matching (n_nodes, dims) arrays")
+    n = views["lo"].shape[0]
+    for name in ("level", "released", "has_count", "is_leaf",
+                 "child_start", "child_end", "area"):
+        if views[name].shape != (n,):
+            raise ValueError(f"{path}: field {name!r} must have shape ({n},)")
+    height = int(meta.get("height", -1))
+    for name in ("count_epsilons", "level_variance"):
+        if views[name].shape != (height + 1,):
+            raise ValueError(
+                f"{path}: field {name!r} must have height + 1 = {height + 1} entries"
+            )
+
+    engine = FlatPSD(
+        height=height,
+        fanout=int(meta.get("fanout", 0)),
+        release=release,
+        name=str(meta.get("name", "psd")),
+        domain_name=str(meta.get("domain_name", "domain")),
+        **views,
+    )
+    engine.source_path = str(path)
+    engine.source_identity = identity
     return engine

@@ -404,7 +404,7 @@ def run_sweep(
     :func:`repro.privacy.rng.spawn_generators`).  Because a case's stream no
     longer depends on what earlier cases drew, case execution order is
     irrelevant to the released bits: ``workers=N`` (cases fanned across a
-    process pool, large inputs shared via ``multiprocessing.shared_memory``)
+    process pool, the inputs shipped once per pool start)
     is **bitwise identical** to ``workers=1`` (every case in this process)
     for every N.  Both run through the one case executor,
     :func:`repro.parallel.sweep.run_cases_parallel`, which also owns the

@@ -44,9 +44,8 @@ class QuadtreeSweepBuild:
     """The (picklable) release builder behind one Figure-3 sweep case.
 
     A module-level callable rather than a closure so the process-parallel
-    sweep can ship cases to workers; the points array and the shared
-    structure ride :mod:`repro.parallel.shm` shared-memory views instead of
-    being re-pickled per case.
+    sweep can ship cases to workers; cases that share the points array and
+    the structure pickle them once per pool start, not once per case.
     """
 
     points: np.ndarray

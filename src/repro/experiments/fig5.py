@@ -39,7 +39,7 @@ class KDTreeSweepBuild:
     """The (picklable) release builder behind one Figure-5 sweep case.
 
     Module-level so the process-parallel sweep can ship kd-tree cases to
-    workers; the points array is shared across cases via shared memory.
+    workers; cases that share the points array pickle it once per pool start.
     """
 
     points: np.ndarray

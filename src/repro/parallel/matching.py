@@ -14,8 +14,7 @@ runs, never what it computes.
 
 The chunks run on a :class:`~repro.parallel.pool.ResilientPool`: worker
 state (the seeker array, the expanded leaf rects, the holder join index and
-surviving mask) ships once per pool start with large arrays riding
-:mod:`repro.parallel.shm` shared-memory segments, so a task is just a
+surviving mask) ships as one pickle per pool start, so a task is just a
 ``(start, stop)`` slice — and a chunk lost to a crashed worker is simply
 scored again.
 """

@@ -24,11 +24,13 @@ a task is overdue          (``task_timeout``) resubmitted once, then run in
 A worker exits within ``PARENT_POLL_S`` of its parent's death, however the
 parent died: a SIGKILLed sweep or server leaves no worker behind.
 
-The worker state ships **once per pool start**: one initializer payload whose
-large arrays ride :mod:`repro.parallel.shm` shared memory, so a task carries
-only its own small arguments.  The pool starts lazily, on the first task it
-has to submit; once it is given up on, its shared segments are released
-until the next start exports them again.
+The worker state ships **once per pool start**: one ``pickle.dumps`` of it
+is the initializer payload, so a task carries only its own small arguments.
+An engine attached from a FLATPSD2 file pickles as its path and file
+identity (:mod:`repro.engine.io`), so every worker maps the same pages; a
+worker that finds the file replaced fails to start, and the recovery paths
+below answer from the parent's mapping.  The pool starts lazily, on the
+first task it has to submit.
 
 Deterministic faults are keyed on the pool's monotone submission counter:
 a :class:`~repro.serve.faults.FaultInjector` passed as ``faults`` decides, for
@@ -41,6 +43,7 @@ recurring fault cannot pin one task into an endless crash loop.
 from __future__ import annotations
 
 import os
+import pickle
 import signal
 import threading
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, ProcessPoolExecutor, wait
@@ -59,7 +62,6 @@ from ..obs import (
     trace_span,
     tracing_enabled,
 )
-from .shm import SharedArena, dumps_shared, loads_shared
 
 __all__ = ["BACKOFF_BASE_S", "BACKOFF_MAX_S", "MAX_REBUILDS", "PARENT_POLL_S", "ResilientPool"]
 
@@ -114,7 +116,7 @@ def _init_worker(payload: bytes, obs_flags: Dict[str, bool]) -> None:
         except (ValueError, OSError):  # pragma: no cover
             pass
     _STATE.clear()
-    _STATE.update(loads_shared(payload))
+    _STATE.update(pickle.loads(payload))
     # Forked workers inherit the parent's active registry/tracer *object* —
     # including whatever the parent recorded before the fork — so each worker
     # starts fresh: it then reports only its own increments and the parent's
@@ -168,8 +170,8 @@ class ResilientPool:
         Optional :class:`~repro.serve.faults.FaultInjector` keyed on the
         submission counter.
 
-    Use as a context manager (or call :meth:`close`) so the workers and the
-    shared segments are reclaimed deterministically.
+    Use as a context manager (or call :meth:`close`) so the workers are
+    reclaimed deterministically.
     """
 
     def __init__(
@@ -186,7 +188,6 @@ class ResilientPool:
         self.name = name
         self.task_timeout = task_timeout
         self.faults = faults
-        self.arena = SharedArena()
         self._executor: Optional[ProcessPoolExecutor] = None
         # Tasks abandoned by a timeout may still be running; closing must not
         # wait on them.
@@ -205,7 +206,7 @@ class ResilientPool:
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_init_worker,
-                initargs=(dumps_shared(self.state, self.arena),
+                initargs=(pickle.dumps(self.state, protocol=pickle.HIGHEST_PROTOCOL),
                           {"metrics": metrics_enabled(), "trace": tracing_enabled()}),
             )
         return self._executor
@@ -217,7 +218,7 @@ class ResilientPool:
         sleep(min(BACKOFF_MAX_S, BACKOFF_BASE_S * 2 ** (attempt - 1)))
 
     def stop(self, wait: bool = True) -> None:
-        """Stop the workers; shared segments stay exported.
+        """Stop the workers.
 
         The next task starts fresh workers, which receive the state as it is
         then — how a caller changes the worker state between runs.
@@ -336,8 +337,6 @@ class ResilientPool:
                 with trace_span(f"{self.name}.degraded", tasks=len(lost)):
                     for task_id in lost:
                         inproc(task_id)
-                # No worker needs the segments until a later start re-exports them.
-                self.arena.close()
                 return results
             self._backoff(rebuilds)
             self.rebuilds += 1
@@ -361,13 +360,11 @@ class ResilientPool:
             pass  # absorbed, or a kill drill landed first; the next run rebuilds
 
     def close(self) -> None:
-        """Stop the workers and unlink the shared segments (idempotent).
+        """Stop the workers (idempotent).
 
-        Safe after a worker crash: a broken pool shuts down without error and
-        the arena tolerates segments a dead twin already unlinked.
+        Safe after a worker crash: a broken pool shuts down without error.
         """
         self.stop()
-        self.arena.close()
 
     def __enter__(self) -> "ResilientPool":
         return self

@@ -1,11 +1,9 @@
-"""Sharded query serving: one shared compiled engine, many worker processes.
+"""Sharded query serving: one compiled engine, many worker processes.
 
-A compiled :class:`~repro.engine.flat.FlatPSD` is a read-only bundle of
-arrays — exactly the shape of thing :mod:`repro.parallel.shm` shares for
-free.  :class:`ShardedQueryServer` exports the engine into shared memory
-once, starts a process pool whose workers attach the same pages, and serves
-every query batch that the **frontier walk** answers by fanning fixed-size
-**chunks** across the pool (the ``chunk_queries=`` path of
+:class:`ShardedQueryServer` ships a compiled
+:class:`~repro.engine.flat.FlatPSD` to a process pool once per pool start,
+and serves every query batch that the **frontier walk** answers by fanning
+fixed-size **chunks** across the pool (the ``chunk_queries=`` path of
 :func:`repro.engine.batch.batch_query`, which also caps each worker's peak
 frontier memory).  Results come back in input order; per-query outputs are
 identical to the single-process evaluator because chunking never changes
@@ -20,13 +18,14 @@ the caller, one unchunked ``batch_query`` per batch, and its pool never
 starts (fault drills are no-ops, as at ``workers=1``).  Pruned trees,
 kd-trees and Hilbert R-trees fan out.
 
-A *memory-mapped* engine (FLATPSD2, :mod:`repro.engine.io`) needs no
-shared-memory export at all: its arrays pickle as
-:class:`~repro.parallel.shm.MappedArrayHandle` file references, so every
-worker re-maps the same engine file and the OS page cache holds the single
-physical copy.  Serving a mapped engine to N workers therefore costs N tiny
-mmap calls, not N (or even 1) array copies — check
-``stats()["engine_mapped_bytes"]`` to confirm the zero-copy path is active.
+A *memory-mapped* engine (FLATPSD2, :mod:`repro.engine.io`) pickles as
+its file's path and identity, about a hundred bytes: every worker maps the
+same engine file and the OS page cache holds the single physical copy —
+``stats()["engine_mapped_bytes"]`` shows it.  A worker that finds the file
+replaced since the parent attached it refuses to start, and the pool's
+in-process fallback answers from the parent's mapping, so every answer
+comes from the release the server was given.  An engine compiled in RAM
+pickles its arrays, one copy per worker.
 
 It is the one path from a serving front-end to
 :func:`~repro.engine.batch.batch_query`: ``repro query`` answers through it
@@ -68,8 +67,8 @@ class ShardedQueryServer:
     Parameters
     ----------
     engine:
-        The compiled engine to serve.  Its arrays are exported to shared
-        memory once; workers attach views instead of receiving copies.
+        The compiled engine to serve, shipped to the workers once per pool
+        start.
     workers:
         Pool size; ``None``/negative means all cores.
     chunk_queries:
@@ -79,8 +78,8 @@ class ShardedQueryServer:
     The pool is a :class:`~repro.parallel.pool.ResilientPool`, started on
     the first sharded batch; an engine with a closed form never starts it
     and answers every batch in the caller, unchunked.  Use the server as a
-    context manager (or call :meth:`close`) so the pool and the shared
-    segments are reclaimed deterministically.
+    context manager (or call :meth:`close`) so the pool is reclaimed
+    deterministically.
     """
 
     def __init__(
@@ -177,7 +176,7 @@ class ShardedQueryServer:
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:
         """Serving counters: batches, queries, chunks fanned out, pool
-        recovery and shm traffic.
+        recovery and memory-mapped engine bytes.
 
         Always available (plain ints, no registry needed) so the CLI's
         ``--stats`` can report them.
@@ -187,14 +186,12 @@ class ShardedQueryServer:
         out["inproc_fallbacks"] = self._pool.inproc_fallbacks
         out["backoff_sleeps"] = self._pool.backoff_sleeps
         out["workers"] = self.workers
-        out["shm_bytes_exported"] = int(self._pool.arena.nbytes())
-        out["shm_segments"] = int(self._pool.arena.n_segments)
         out["engine_mapped_bytes"] = int(self.engine.mapped_nbytes())
         return out
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut the pool down and unlink the shared segments.
+        """Shut the pool down.
 
         Idempotent, and safe after a worker crash — so a server can always
         be closed, whatever state its pool died in.

@@ -6,18 +6,17 @@ stream (one ``SeedSequence.spawn`` per case, in case order) regardless of the
 released bits.  This module is the sweep's one case executor, for every
 worker count.  With one worker, or one case, it runs every case in the
 parent.  Otherwise it ships the cases and workloads to a process pool
-**once** per worker (large arrays ride :mod:`repro.parallel.shm`
-shared-memory views, not per-task pickles), runs each case under its
-spawned generator, and reassembles the per-case rows in case order —
-bitwise identical to running them all in the parent.  Checkpoint skips and
-the journal hook work the same either way.
+**once** per pool start, runs each case under its spawned generator, and
+reassembles the per-case rows in case order — bitwise identical to running
+them all in the parent.  Checkpoint skips and the journal hook work the
+same either way.
 
 Three pieces keep the fan-out cheap:
 
-* the whole worker state (cases, workloads, an empty matrix cache) ships
-  once per pool start, so a task is just ``(case index, generator)``;
-* cases that share one immutable points array or structure export it to
-  shared memory once (identity dedupe in the arena);
+* the whole worker state (cases, workloads, an empty matrix cache) ships as
+  one pickle per pool start, so a task is just ``(case index, generator)``;
+* cases that share one points array or structure object pickle it once
+  (pickle's memo keeps one copy per object);
 * each worker keeps its own query-matrix cache across the cases it runs, so
   a decomposition is compiled at most once per worker (e.g. the four
   Figure-3 quadtree variants share one geometry).
@@ -147,12 +146,10 @@ def run_cases_parallel(
 class _StubArrayPickler(pickle.Pickler):
     """A picklability probe that skips ndarray payloads entirely.
 
-    Arrays always pickle (and the real payload diverts the large ones into
-    shared memory anyway), so the only question a probe needs answered is
+    Arrays always pickle, so the only question a probe needs answered is
     whether the case's *object shell* — typically its build callable — can
-    cross a process boundary.  Stubbing every array keeps the probe O(shell)
-    and, crucially, allocates no shared-memory segments for cases that turn
-    out to be closure-built and must run in the parent.
+    cross a process boundary.  Stubbing every array keeps the probe
+    O(shell), not O(data).
     """
 
     def persistent_id(self, obj):

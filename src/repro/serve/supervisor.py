@@ -14,7 +14,7 @@ Swap protocol (the zero-downtime invariant):
 2. ``swap()`` builds the *new* state first (a failed load leaves the old
    engine serving untouched), then atomically redirects the current-state
    pointer and marks the old state retired;
-3. a retired state is closed — pool shut down, shared segments unlinked —
+3. a retired state is closed — its pool shut down —
    only when its ``inflight`` drains to zero, by whichever request releases
    the last pin.  Queries racing the swap therefore complete on whichever
    engine they pinned; none observe a half-closed pool.
@@ -141,8 +141,7 @@ class EngineSupervisor:
 
         The new state is built *before* the pointer moves, so a failure here
         leaves the old engine serving.  The old state drains: in-flight
-        queries finish on it, and the last one out closes its pool and
-        unlinks its segments.
+        queries finish on it, and the last one out closes its pool.
         """
         with self._lock:
             generation = self._state.generation + 1

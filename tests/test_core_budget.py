@@ -21,9 +21,10 @@ from repro.core.budget import (
     uniform_level_epsilons,
 )
 from repro.core.builder import build_psd, build_psd_releases
+from repro.core.kdtree import build_private_kdtree
 from repro.core.splits import KDSplit, QuadSplit
-from repro.data import uniform_points
-from repro.geometry import Domain
+from repro.data import road_intersections, uniform_points
+from repro.geometry import TIGER_DOMAIN, Domain
 
 HEIGHT = 8
 EPSILON = 0.5
@@ -193,3 +194,22 @@ class TestUnrepresentableBudgets:
         psd = build_psd(self.POINTS, self.DOMAIN, 4, QuadSplit(), epsilon=epsilon,
                         postprocess=postprocess, rng=0)
         assert np.all(np.isfinite(psd.compile().released))
+
+    @pytest.mark.parametrize("variant,median_method,budget", [
+        ("kd-noisymean", None, "median budget"),
+        ("kd-noisymean", "cell", "median budget"),
+        ("kd-cell", None, "grid budget"),
+    ])
+    def test_median_budget_too_small_is_refused(self, variant, median_method, budget):
+        """Noisy-mean and cell medians overflow their Laplace scale at this
+        budget and used to release nan or infinite node bounds."""
+        with pytest.raises(ValueError, match=f"1e-306 is too small for floating point: the {budget}"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            build_private_kdtree(road_intersections(n=2000, rng=1), TIGER_DOMAIN, 4, 1e-306,
+                                 variant=variant, median_method=median_method,
+                                 postprocess=False, rng=2)
+
+    def test_em_median_at_the_same_budget_still_builds(self):
+        psd = build_private_kdtree(road_intersections(n=2000, rng=1), TIGER_DOMAIN, 4, 1e-306,
+                                   variant="kd-standard", postprocess=False, rng=2)
+        assert np.isfinite(psd.flat_tree.lo).all() and np.isfinite(psd.flat_tree.hi).all()

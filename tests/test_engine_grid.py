@@ -423,23 +423,18 @@ def test_threads_sharing_a_fresh_engine_build_the_index_once(monkeypatch):
 
 
 def test_index_is_never_pickled(tmp_path):
-    from repro.parallel.shm import SharedArena, detach_all, dumps_shared, loads_shared
-
     path = tmp_path / "engine.psdm"
     save_engine(compile_psd(_psd("quad-opt", 6)), path, format="mmap")
     mapped = load_engine(path)
     assert grid_index(mapped) is not None
-    try:
-        with SharedArena() as arena:
-            payload = dumps_shared({"engine": mapped}, arena)
-            assert arena.n_segments == 0
-            assert len(payload) < 4096
-            attached = loads_shared(payload)["engine"]
-            assert "_grid" not in attached.__dict__
-            rects = [list(r.lo) + list(r.hi) for r in random_query_rects(TIGER_DOMAIN, 40, rng=11)]
-            _assert_bitwise(batch_query(attached, rects), batch_query(mapped, rects))
-    finally:
-        detach_all()
+    payload = pickle.dumps(mapped)
+    assert len(payload) < 1024  # the path and file identity only
+    attached = pickle.loads(payload)
+    assert "_grid" not in attached.__dict__
+    assert isinstance(attached.released, np.memmap)
+    assert attached.released.filename == mapped.released.filename
+    rects = [list(r.lo) + list(r.hi) for r in random_query_rects(TIGER_DOMAIN, 40, rng=11)]
+    _assert_bitwise(batch_query(attached, rects), batch_query(mapped, rects))
     copy = pickle.loads(pickle.dumps(compile_psd(_psd("quad-opt", 3))))
     assert "_grid" not in copy.__dict__ and grid_index(copy) is not None
 

@@ -11,14 +11,17 @@ The load-bearing contracts:
   estimate error stays below the per-leaf Laplace standard deviation;
 * **validation** — a missing, truncated or wrongly-versioned file fails
   loudly, naming the offending field;
-* **zero-copy serving** — a mapped engine pickles as file references (no
-  shared-memory segments), and :class:`ShardedQueryServer` workers re-map
-  the same file with bitwise-identical sharded answers.
+* **zero-copy serving** — a mapped engine pickles as its path and file
+  identity, :class:`ShardedQueryServer` workers re-map the same file with
+  bitwise-identical sharded answers, and a worker refuses a file replaced
+  since the parent attached it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import pickle
 import struct
 
 import numpy as np
@@ -436,44 +439,56 @@ class TestArtifactIntegrity:
 
 
 # ----------------------------------------------------------------------
-# Zero-copy serving: pickling, sharded workers, the answer cache
+# Zero-copy serving: pickling, sharded workers
 # ----------------------------------------------------------------------
 class TestZeroCopyServing:
-    def test_mapped_engine_pickles_without_segments(self, points, domain, tmp_path):
-        from repro.parallel.shm import SharedArena, detach_all, dumps_shared, loads_shared
-
-        engine = compile_psd(_build("quad-opt", points, domain))
+    def test_mapped_engine_pickles_as_its_file(self, points, domain, tmp_path):
+        psd = _build("quad-opt", points, domain)
         path = tmp_path / "engine.psdm"
-        save_engine(engine, path, format="mmap")
+        save_engine(compile_psd(psd), path, format="mmap")
         mapped = load_engine(path)
-        queries = _queries(_build("quad-opt", points, domain))
-        try:
-            with SharedArena() as arena:
-                payload = dumps_shared({"engine": mapped}, arena)
-                # Every array rides as a file reference: no segments, and the
-                # payload is header-sized, not engine-sized.
-                assert arena.n_segments == 0
-                assert len(payload) < 4096
-                attached = loads_shared(payload)["engine"]
-                assert attached.mapped_nbytes() == mapped.mapped_nbytes()
-                _assert_bitwise(batch_query(mapped, queries),
-                                batch_query(attached, queries))
-        finally:
-            detach_all()
+        payload = pickle.dumps(mapped)
+        # The path and the file identity, not the arrays.
+        assert len(payload) < 1024
+        attached = pickle.loads(payload)
+        for name in ("lo", "released", "child_start", "domain_hi"):
+            view = getattr(attached, name)
+            assert isinstance(view, np.memmap)
+            assert view.filename == getattr(mapped, name).filename == str(path)
+            assert view.offset == getattr(mapped, name).offset
+        assert attached.mapped_nbytes() == mapped.mapped_nbytes()
+        queries = _queries(psd)
+        _assert_bitwise(batch_query(mapped, queries), batch_query(attached, queries))
 
-    def test_sliced_memmap_not_diverted(self, points, domain, tmp_path):
-        # A sliced view inherits its parent's .offset unadjusted — shipping it
-        # as a file reference would map the wrong bytes, so it must fall back
-        # to the ordinary pickle/shm path.
-        from repro.parallel.shm import mapped_handle
+    def test_replaced_file_is_refused_on_unpickle(self, points, domain, tmp_path):
+        from repro.engine import EngineIntegrityError
 
-        engine = compile_psd(_build("quad-opt", points, domain))
+        first, second = (compile_psd(_build("kd-hybrid", points, domain, seed=s)) for s in (1, 2))
         path = tmp_path / "engine.psdm"
-        save_engine(engine, path, format="mmap")
+        save_engine(first, path)
         mapped = load_engine(path)
-        assert mapped_handle(mapped.released) is not None
-        assert mapped_handle(mapped.released[1:]) is None
-        assert mapped_handle(np.asarray([1.0, 2.0])) is None
+        payload = pickle.dumps(mapped)
+        save_engine(second, path)  # the same layout and size, other counts
+        with pytest.raises(EngineIntegrityError, match="replaced after it was attached"):
+            pickle.loads(payload)
+        queries = _queries(_build("kd-hybrid", points, domain))
+        _assert_bitwise(batch_query(mapped, queries), batch_query(first, queries))
+
+    def test_engine_no_file_backs_pickles_its_arrays(self, points, domain, tmp_path):
+        # An engine derived from a mapped one holds arrays the file does not,
+        # so it ships them, never the path.
+        psd = _build("quad-opt", points, domain)
+        path = tmp_path / "engine.psdm"
+        save_engine(compile_psd(psd), path, format="mmap")
+        mapped = load_engine(path)
+        queries = _queries(psd)
+        for derived in (engine_with_precision(mapped, "float32"),
+                        dataclasses.replace(mapped, name="renamed")):
+            assert derived.source_path is None
+            payload = pickle.dumps(derived)
+            assert len(payload) > derived.nbytes()
+            _assert_bitwise(batch_query(derived, queries),
+                            batch_query(pickle.loads(payload), queries))
 
     def test_sharded_server_over_mapped_engine(self, points, domain, tmp_path):
         from repro.parallel import ShardedQueryServer
@@ -494,7 +509,36 @@ class TestZeroCopyServing:
         _assert_bitwise(direct, sharded)
         assert stats["sharded_batches"] == 1
         assert stats["engine_mapped_bytes"] > 0
-        assert stats["shm_segments"] == 0  # the file is the sharing mechanism
+
+    def test_release_replaced_under_a_running_server(self, tmp_path):
+        """Rewriting the served path with a release of the same size and
+        layout must not reach the answers: the workers rebuilt after a kill
+        refuse the new file, and the pool answers from the parent's mapping."""
+        from repro.parallel import ShardedQueryServer
+
+        path = tmp_path / "release.psdm"
+        build = ["build", "--synthetic", "4000", "--variant", "kd-hybrid", "--height", "6",
+                 "--output", str(path)]
+        assert main(build + ["--epsilon", "0.5"]) == 0
+        served = load_engine(path)
+        queries = [list(r.lo) + list(r.hi)
+                   for r in random_query_rects(TIGER_DOMAIN, 600, rng=np.random.default_rng(3))]
+        reference = batch_query(served, queries)
+        with ShardedQueryServer(served, workers=2, chunk_queries=100) as server:
+            _assert_bitwise(server.batch_query(queries), reference)  # the pool starts
+            size = path.stat().st_size
+            assert main(build + ["--epsilon", "0.2"]) == 0
+            assert path.stat().st_size == size
+            replaced = batch_query(load_engine(path), queries)
+            assert not np.array_equal(replaced.estimates, reference.estimates)
+            # A dead worker may be noticed mid-batch or between batches;
+            # re-kill until the pool has rebuilt and fallen back.
+            for _ in range(5):
+                server.drill("kill-worker")
+                _assert_bitwise(server.batch_query(queries), reference)
+                if server.stats()["inproc_fallbacks"]:
+                    break
+            assert server.stats()["inproc_fallbacks"] >= 1
 
 
 # ----------------------------------------------------------------------

@@ -377,14 +377,17 @@ class TestObsCLI:
         assert main(["build", "--synthetic", "500", "--height", "3", "--seed", "1",
                      "--prune", "32", "--output", str(release)]) == 0
         capsys.readouterr()
-        rect = "--rect=-123,46,-121,48"
+        rects = ["--rect=-123,46,-121,48", "--rect=-123,46,-121,48", "--rect=-122,45,-120,47"]
+        assert main(["query", str(release), *rects]) == 0
+        in_process = capsys.readouterr().out
         assert main(["query", str(release), "--workers", "2",
-                     "--chunk-queries", "1", "--stats", rect, rect,
-                     "--rect=-122,45,-120,47"]) == 0
-        err = capsys.readouterr().err
+                     "--chunk-queries", "1", "--stats", *rects]) == 0
+        out, err = capsys.readouterr()
+        assert out == in_process
         assert "cache" not in err
         assert "serve stats: 2 workers, 3 queries in 1 batches (1 sharded, 3 chunks)" in err
-        assert "sharded" in err and "shm bytes" in err
+        mapped = int(err.split("chunks), ")[1].split(" engine bytes memory-mapped")[0])
+        assert mapped > 0 and "shm" not in err
 
 
 # ----------------------------------------------------------------------

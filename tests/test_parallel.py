@@ -2,8 +2,8 @@
 
 Covers the four contracts of :mod:`repro.parallel`:
 
-* the shared-memory pickler round-trips object graphs with large arrays as
-  attached read-only views (exported once per object, not per reference);
+* a pool ships its worker state as one plain pickle: no ``/dev/shm`` entry
+  appears while a sweep, a sharded server or seeker scoring runs;
 * ``run_sweep(..., workers=N)`` is bitwise identical to ``workers=1`` for
   every N — including for cases that cannot be pickled and fall back to the
   parent process;
@@ -13,13 +13,12 @@ Covers the four contracts of :mod:`repro.parallel`:
   end to end: a frontier engine's batch fans out in chunks, while a complete
   quadtree is answered in the caller by its closed form and starts no pool;
 * a sharded server survives its workers: a killed worker or a failed task
-  costs latency, never an answer, and never leaks shared memory.
+  costs latency, never an answer.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 
 import numpy as np
 import pytest
@@ -33,8 +32,7 @@ from repro.experiments import ExperimentScale, make_workloads, run_fig3
 from repro.experiments.common import SweepCase, run_sweep
 from repro.experiments.fig3 import quadtree_sweep_case
 from repro.geometry import Rect, TIGER_DOMAIN
-from repro.parallel import ShardedQueryServer, SharedArena, dumps_shared, loads_shared
-from repro.parallel.shm import SharedArrayHandle, detach_all
+from repro.parallel import ShardedQueryServer
 from repro.privacy.rng import spawn_generators
 from repro.queries import KD_QUERY_SHAPES
 
@@ -66,122 +64,6 @@ def pruned_engine(points):
 def workload(points):
     workloads = make_workloads(points, KD_QUERY_SHAPES[:1], SCALE, rng=1)
     return next(iter(workloads.values()))
-
-
-# ----------------------------------------------------------------------
-# Shared-memory plumbing
-# ----------------------------------------------------------------------
-class TestSharedArena:
-    def test_roundtrip_and_identity_dedupe(self):
-        big = np.arange(32_768, dtype=np.float64)  # 256 KiB, above threshold
-        small = np.arange(8, dtype=np.float64)
-        payload = {"a": big, "b": big, "small": small, "n": 3}
-        try:
-            with SharedArena() as arena:
-                blob = dumps_shared(payload, arena)
-                assert arena.n_segments == 1  # big exported once despite two refs
-                restored = loads_shared(blob)
-                assert np.array_equal(restored["a"], big)
-                assert np.array_equal(restored["small"], small)
-                assert restored["n"] == 3
-                # both references resolve to one shared view, which is frozen
-                assert restored["a"] is restored["b"]
-                assert not restored["a"].flags.writeable
-                # small arrays ride the pickle stream as ordinary copies
-                assert restored["small"].flags.writeable
-        finally:
-            detach_all()
-
-    def test_attach_after_unlink_fails(self):
-        arena = SharedArena()
-        handle = arena.export(np.zeros(1))
-        arena.close()
-        detach_all()
-        with pytest.raises(Exception):
-            loads_shared(dumps_shared_handle(handle))
-
-    def test_non_array_persistent_id_rejected(self):
-        import io
-
-        from repro.parallel.shm import _AttachingUnpickler
-
-        class FakePickler(pickle.Pickler):
-            def persistent_id(self, obj):
-                return "bogus" if obj is marker else None
-
-        marker = object()
-        buffer = io.BytesIO()
-        FakePickler(buffer).dump([marker])
-        with pytest.raises(pickle.UnpicklingError):
-            _AttachingUnpickler(io.BytesIO(buffer.getvalue())).load()
-
-
-def dumps_shared_handle(handle: SharedArrayHandle) -> bytes:
-    """A minimal payload whose only content is one persistent handle."""
-    import io
-
-    from repro.parallel.shm import _SharingPickler
-
-    class HandleOnly(_SharingPickler):
-        def persistent_id(self, obj):
-            return obj if isinstance(obj, SharedArrayHandle) else None
-
-    buffer = io.BytesIO()
-    HandleOnly(buffer, SharedArena()).dump(handle)
-    return buffer.getvalue()
-
-
-_INTERRUPTED_ARENA_SCRIPT = """\
-import json
-import numpy as np
-from repro.parallel.shm import SharedArena, dumps_shared
-
-arena = SharedArena()
-dumps_shared({"a": np.arange(100_000, dtype=np.float64)}, arena)
-print(json.dumps([seg.name for seg in arena._segments]), flush=True)
-raise KeyboardInterrupt  # Ctrl-C mid-sweep: the atexit guard must unlink
-"""
-
-
-class TestArenaLeakGuard:
-    def test_interrupted_process_leaks_no_segments(self, tmp_path):
-        """A process dying with a live arena must leave /dev/shm clean —
-        unlinked by the atexit sweep itself, not mopped up (with warnings)
-        by the multiprocessing resource tracker."""
-        import os
-        import subprocess
-        import sys
-        from multiprocessing import shared_memory
-
-        script = tmp_path / "interrupted.py"
-        script.write_text(_INTERRUPTED_ARENA_SCRIPT)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (os.path.join(os.getcwd(), "src"), env.get("PYTHONPATH")) if p
-        )
-        result = subprocess.run([sys.executable, str(script)], env=env,
-                                capture_output=True, text=True, timeout=120)
-        assert result.returncode != 0  # the interrupt escaped
-        names = __import__("json").loads(result.stdout)
-        assert names, "the arena exported no segment"
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-        assert "leaked shared_memory" not in result.stderr
-
-    def test_forked_child_close_never_unlinks_parent_segments(self):
-        """A pool worker inherits the parent's arena object; its exit-time
-        close must drop local references only, never the shared names."""
-        from multiprocessing import shared_memory
-
-        arena = SharedArena()
-        handle = arena.export(np.arange(9_000, dtype=np.float64))
-        arena._owner_pid += 1  # simulate running inside a forked child
-        arena.close()
-        # the segment survives the child's close...
-        segment = shared_memory.SharedMemory(name=handle.shm_name)
-        segment.close()
-        segment.unlink()  # ...and is cleaned up here on the parent's behalf
 
 
 _ORPHANED_POOL_SCRIPT = """\
@@ -351,7 +233,7 @@ class TestChunkedBatchQuery:
 
 
 class TestShardedResilience:
-    """A dead pool must cost latency, never errors — and never leak shm."""
+    """A dead pool must cost latency, never errors."""
 
     def test_worker_kill_is_survived_with_parity(self, pruned_engine, workload):
         reference = batch_query(pruned_engine, workload.queries)
@@ -405,56 +287,85 @@ class TestShardedResilience:
             assert server.stats()["inproc_fallbacks"] >= 1
             assert server._pool.started  # the pool was never torn down
 
-    def test_pool_init_failure_unlinks_segments_and_degrades(self, pruned_engine, workload,
-                                                             monkeypatch):
-        """If the pool cannot start, the exported segments must be unlinked
-        (no /dev/shm leak) and the batch served in-process."""
+    def test_pool_init_failure_degrades_in_process(self, pruned_engine, workload,
+                                                   monkeypatch):
+        """If the pool cannot start, the batch is served in-process."""
         import repro.parallel.pool as pool_mod
 
         def broken_executor(*args, **kwargs):
             raise RuntimeError("fork failed (injected)")
 
-        shm_before = _shm_entries()
         reference = batch_query(pruned_engine, workload.queries)
         monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", broken_executor)
         with ShardedQueryServer(pruned_engine, workers=2, chunk_queries=7) as server:
             result = server.batch_query(workload.queries)
             assert np.array_equal(result.estimates, reference.estimates)
-            assert server._pool.arena.n_segments == 0
             assert server.stats()["inproc_fallbacks"] >= 1
-        assert _shm_entries() == shm_before
-
-    def test_export_failure_unlinks_segment(self, monkeypatch):
-        """SharedArena.export must not leak a segment when the copy into it
-        raises."""
-        from repro.parallel.shm import SharedArena as Arena
-
-        shm_before = _shm_entries()
-        real_ndarray = np.ndarray
-
-        def exploding_ndarray(*args, **kwargs):
-            raise MemoryError("copy failed (injected)")
-
-        arena = Arena()
-        monkeypatch.setattr(np, "ndarray", exploding_ndarray)
-        try:
-            with pytest.raises(MemoryError):
-                arena.export(real_ndarray.__new__(real_ndarray, (4,), dtype=np.float64))
-        finally:
-            monkeypatch.undo()
-        assert arena.n_segments == 0
-        assert _shm_entries() == shm_before
-        arena.close()
 
 
 def _shm_entries() -> set:
-    """The current /dev/shm segment names (empty off-Linux)."""
-    import os
-
+    """The current /dev/shm names, less the named semaphores of a non-fork
+    start method (empty off-Linux)."""
     try:
-        return set(os.listdir("/dev/shm"))
+        return {name for name in os.listdir("/dev/shm") if not name.startswith("sem.")}
     except OSError:
         return set()
+
+
+class TestNoSharedMemory:
+    """The worker state ships as one pickle per pool start, so no pool
+    creates a /dev/shm entry, even with state above 64 KiB."""
+
+    @pytest.fixture
+    def entries_at_close(self, monkeypatch):
+        """The /dev/shm names seen as each started pool closes, its workers
+        still alive."""
+        import repro.parallel.pool as pool_mod
+
+        seen = []
+        close = pool_mod.ResilientPool.close
+
+        def recording_close(pool):
+            if pool.started:
+                seen.append(_shm_entries())
+            close(pool)
+
+        monkeypatch.setattr(pool_mod.ResilientPool, "close", recording_close)
+        return seen
+
+    def test_sweep(self, entries_at_close):
+        points = road_intersections(n=10_000, rng=3)  # 160 KB of points
+        before = _shm_entries()
+        rows_2 = run_fig3(scale=SCALE, epsilons=(0.5,), points=points, rng=2, workers=2)
+        assert entries_at_close and all(seen <= before for seen in entries_at_close)
+        assert rows_2 == run_fig3(scale=SCALE, epsilons=(0.5,), points=points, rng=2, workers=1)
+
+    def test_frontier_server_batch(self, points, workload, entries_at_close):
+        # A kd-tree of 8,191 nodes: its bounds alone take 256 KB.
+        from repro.core import build_private_kdtree
+
+        engine = build_private_kdtree(points, TIGER_DOMAIN, 12, 0.5, rng=4).compile()
+        before = _shm_entries()
+        with ShardedQueryServer(engine, workers=2, chunk_queries=7) as server:
+            result = server.batch_query(workload.queries)
+            assert server.stats()["sharded_batches"] == 1
+        assert entries_at_close and all(seen <= before for seen in entries_at_close)
+        assert result.estimates.tobytes() == batch_query(engine, workload.queries).estimates.tobytes()
+
+    def test_seeker_chunks(self, entries_at_close):
+        from repro.engine.points import CellJoinIndex, matching_cell_layout
+        from repro.parallel.matching import score_seeker_chunks
+
+        rng = np.random.default_rng(5)
+        holders, seekers = rng.random((2_000, 2)), rng.random((20_000, 2))  # 320 KB of seekers
+        lo, hi = np.array([[0.0, 0.0], [0.5, 0.5]]), np.array([[0.5, 0.5], [1.0, 1.0]])
+        origin, side, extents = matching_cell_layout(holders, seekers, 0.01)
+        args = (lo, hi, CellJoinIndex.build(holders, origin, side, extents), seekers, 0.01, None)
+        before = _shm_entries()
+        two = score_seeker_chunks(*args, workers=2, chunk=4_096)
+        assert entries_at_close and all(seen <= before for seen in entries_at_close)
+        one = score_seeker_chunks(*args, workers=1, chunk=4_096)
+        assert np.array_equal(two[0], one[0]) and two[1:] == one[1:]
 
 
 class TestShardedQueryServer:

@@ -218,14 +218,18 @@ class TestCLI:
         ("experiment", "--kd-height", "-2"),
         ("experiment", "--case-timeout", "nan"),
         ("experiment", "--case-timeout", "0"),
+        ("serve", "--port", "70000"),
     ])
     def test_bad_number_refused_at_parse_time(self, tmp_path, capsys, command, option, value):
-        """A size, height, threshold or timeout out of range exits 2 with one
-        error line and writes nothing, where it used to raise a traceback,
-        print nan rows, or (``--prune nan``) release an unpruned tree."""
+        """A size, height, threshold, timeout or port out of range exits 2 with
+        one error line and writes nothing (for ``serve``, no ledger), where it
+        used to raise a traceback, print nan rows, or (``--prune nan``)
+        release an unpruned tree."""
         output = tmp_path / "out.json"
         if command == "build":
             argv = ["build", "--synthetic", "200", "--height", "2", "--output", str(output)]
+        elif command == "serve":
+            argv = ["serve", str(tmp_path / "release.psdm"), "--ledger", str(output)]
         else:
             argv = ["experiment", "fig3", "--n-points", "200", "--quad-height", "2",
                     "--json", str(output)]
