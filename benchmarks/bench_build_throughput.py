@@ -59,7 +59,6 @@ from repro.core import build_private_kdtree, build_private_quadtree
 from repro.core.hilbert_rtree import build_private_hilbert_rtree
 from repro.data import road_intersections
 from repro.engine import batch_query, compile_psd
-from repro.engine.flat import compile_hilbert_rtree
 from repro.geometry import Domain, TIGER_DOMAIN
 from repro.queries import random_query_rects
 
@@ -174,15 +173,16 @@ def _check_hilbert_parity(pointer_tree, flat_tree, domain: Domain, n_queries: in
                           seed: int) -> Dict[str, object]:
     """Bitwise parity of a Hilbert R-tree across builders, index and planar views.
 
-    The 1-D index engines must match bitwise; the planar bounding-box engines
-    (oracle pointer walk vs flat vectorized compile) must match bitwise too;
-    planar query estimates are compared against the oracle's recursive walk
-    within the engine's float-summation tolerance.
+    The 1-D index intervals must match bitwise; the planar bounding-box
+    engines (oracle pointer walk vs flat vectorized compile) must match
+    bitwise too; planar query estimates are compared against the oracle's
+    recursive walk within the engine's float-summation tolerance.
     """
-    exact = _arrays_equal(oracle.compile_psd(pointer_tree.psd), compile_psd(flat_tree.psd),
-                          PARITY_ARRAYS)
-    planar_a = oracle.compile_hilbert_rtree(pointer_tree)
-    planar_b = compile_hilbert_rtree(flat_tree)
+    _, index_tree = oracle.flatten_tree(pointer_tree)
+    exact = (np.array_equal(index_tree.lo, flat_tree.flat_tree.lo)
+             and np.array_equal(index_tree.hi, flat_tree.flat_tree.hi))
+    planar_a = oracle.compile_psd(pointer_tree)
+    planar_b = compile_psd(flat_tree)
     exact = exact and _arrays_equal(planar_a, planar_b, PARITY_ARRAYS + ("area",))
     queries = random_query_rects(domain, n_queries, rng=seed)
     result = batch_query(planar_b, queries)
@@ -225,10 +225,9 @@ def run_build_throughput(
         if variant == "hilbert-r":
             parity = _check_hilbert_parity(pointer_psd, flat_psd, domain,
                                            n_parity_queries, rng + 1)
-            n_nodes = flat_psd.psd.node_count()
         else:
             parity = _check_parity(pointer_psd, flat_psd, domain, n_parity_queries, rng + 1)
-            n_nodes = flat_psd.node_count()
+        n_nodes = flat_psd.node_count()
         rows.append({
             "variant": variant,
             "n_points": n_points,
@@ -282,11 +281,11 @@ def run_median_bench(
 
             if variant == "hilbert-r":
                 start = time.perf_counter()
-                oracle.compile_hilbert_rtree(pointer_psd)
+                oracle.compile_psd(pointer_psd)
                 elapsed = time.perf_counter() - start
                 compile_pointer = elapsed if compile_pointer is None else min(compile_pointer, elapsed)
                 start = time.perf_counter()
-                compile_hilbert_rtree(flat_psd)
+                compile_psd(flat_psd)
                 elapsed = time.perf_counter() - start
                 compile_flat = elapsed if compile_flat is None else min(compile_flat, elapsed)
 

@@ -42,7 +42,7 @@ import numpy as np
 from hostmeta import write_bench_json
 from repro.core import build_private_hilbert_rtree, build_private_kdtree, build_private_quadtree
 from repro.data import road_intersections
-from repro.engine import batch_query, batch_range_query, compile_hilbert_rtree, compile_psd
+from repro.engine import batch_query, batch_range_query, compile_psd
 from repro.engine.batch import _evaluate_frontier, queries_to_arrays
 from repro.engine.grid import grid_index
 from repro.geometry import Domain, TIGER_DOMAIN
@@ -120,10 +120,7 @@ def run_engine_throughput(
         recursive_sec = time.perf_counter() - start
 
         start = time.perf_counter()
-        if variant == "hilbert-r":
-            engine = compile_hilbert_rtree(tree)
-        else:
-            engine = compile_psd(tree)
+        engine = compile_psd(tree)
         compile_sec = time.perf_counter() - start
 
         start = time.perf_counter()

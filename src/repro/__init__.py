@@ -33,7 +33,6 @@ Quick start::
 from .core import (
     KDTREE_VARIANTS,
     QUADTREE_VARIANTS,
-    PrivateHilbertRTree,
     PrivateSpatialDecomposition,
     build_private_hilbert_rtree,
     build_private_kdtree,
@@ -50,7 +49,6 @@ __version__ = "1.0.0"
 __all__ = [
     "__version__",
     "PrivateSpatialDecomposition",
-    "PrivateHilbertRTree",
     "build_psd",
     "build_private_quadtree",
     "build_private_kdtree",

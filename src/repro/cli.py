@@ -204,7 +204,7 @@ def _cmd_build(args) -> int:
                                        rng=args.seed)
         elif variant == "hilbert-r":
             psd = build_private_hilbert_rtree(points, domain, 2 * args.height, args.epsilon,
-                                              prune_threshold=args.prune, rng=args.seed).psd
+                                              prune_threshold=args.prune, rng=args.seed)
         else:
             raise SystemExit(f"unknown variant {variant!r}")
     except ValueError as exc:
@@ -522,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--height", type=_non_negative_int, default=8, help="tree height")
     build.add_argument("--prune", type=_non_negative_finite, default=None,
                        help="optional pruning threshold")
-    build.add_argument("--seed", type=int, default=0, help="random seed")
+    build.add_argument("--seed", type=_non_negative_int, default=0, help="random seed")
     build.add_argument("--output", required=True,
                        help="path of the FLATPSD2 release (suggested suffix .psdm)")
     build.set_defaults(func=_cmd_build)
@@ -594,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--kd-height", type=_non_negative_int, default=None,
                             help="override the scale's kd-tree height")
     experiment.add_argument("--epsilons", type=_positive_finite, nargs="+", default=(0.5,))
-    experiment.add_argument("--seed", type=int, default=0)
+    experiment.add_argument("--seed", type=_non_negative_int, default=0)
     experiment.add_argument("--workers", type=int, default=None,
                             help="fan work across this many processes (fig3/fig5/fig6 "
                                  "sweep cases, fig7b seeker chunks; -1 = all cores; rows "

@@ -30,8 +30,6 @@ from .flatbuild import (
 )
 from .hilbert_rtree import (
     BinaryMedianSplit,
-    HilbertRTreeReleases,
-    PrivateHilbertRTree,
     build_private_hilbert_rtree,
     build_private_hilbert_rtree_releases,
 )
@@ -107,8 +105,6 @@ __all__ = [
     "KDTreeConfig",
     "build_private_hilbert_rtree",
     "build_private_hilbert_rtree_releases",
-    "HilbertRTreeReleases",
-    "PrivateHilbertRTree",
     "BinaryMedianSplit",
     "psd_to_dict",
     "psd_from_dict",

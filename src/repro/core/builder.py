@@ -186,7 +186,11 @@ class PSDReleaseBatch:
     root level and its metadata reports it.  ``median_path_deltas`` maps each
     data-dependent level to the δ a root-to-leaf path spends on its medians
     (set by :func:`build_psd_releases`; non-zero for smooth-sensitivity
-    medians), charged wherever the level has median budget.
+    medians), charged wherever the level has median budget.  ``curve`` and
+    ``planar_domain`` are the public Hilbert curve and planar domain of a
+    Hilbert R-tree batch (set by
+    :func:`~repro.core.hilbert_rtree.build_private_hilbert_rtree_releases`;
+    ``None`` otherwise), handed to every release.
     """
 
     def __init__(
@@ -218,6 +222,8 @@ class PSDReleaseBatch:
         self._dd_levels = tuple(dd_levels)
         self.structure_epsilon = 0.0
         self.median_path_deltas: Dict[int, float] = {}
+        self.curve = None
+        self.planar_domain: Optional[Domain] = None
         self._flat = flat
         self._psds = psds
         self.metadata: Dict[str, object] = {} if metadata is None else metadata
@@ -281,6 +287,7 @@ class PSDReleaseBatch:
                 structure_epsilon=self.structure_epsilon,
             ),
         )
+        psd.curve, psd.planar_domain = self.curve, self.planar_domain
         self._cache[r] = psd
         return psd
 

@@ -8,25 +8,26 @@ strategy), and node regions in the plane are the bounding boxes of the Hilbert
 cells each node's index interval spans — a quantity that depends only on the
 interval, so releasing it is free.
 
-Internally the structure reuses the generic PSD machinery over a
-one-dimensional domain of Hilbert indices: budget strategies, OLS
-post-processing and pruning all apply unchanged.  Each level is split by one
-batched private-median call (:class:`BinaryMedianSplit`), and every index
-lands in exactly one child (the right one when it is ``>=`` the split).
-Planar range queries are answered R-tree style over the node bounding boxes
-by the compiled planar engine (:func:`repro.engine.flat.compile_hilbert_rtree`).
+A release is an ordinary :class:`~repro.core.tree.PrivateSpatialDecomposition`
+(and a batch an ordinary :class:`~repro.core.builder.PSDReleaseBatch`) whose
+tree lives over the one-dimensional domain of Hilbert indices: budget
+strategies, OLS post-processing and pruning all apply unchanged.  Each level
+is split by one batched private-median call (:class:`BinaryMedianSplit`), and
+every index lands in exactly one child (the right one when it is ``>=`` the
+split).  The release carries the public curve and the planar domain, so its
+compiled engine (:func:`repro.engine.flat.compile_psd`) holds the planar node
+bounding boxes and answers planar range queries R-tree style.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ..geometry.domain import Domain
 from ..geometry.hilbert import HilbertCurve
-from ..geometry.rect import Rect
 from ..privacy.median import resolve_median_method
 from ..privacy.rng import RngLike, ensure_rng
 from .builder import BudgetSplit, PSDReleaseBatch, build_psd_releases
@@ -41,9 +42,8 @@ from .splits import (
 )
 from .tree import PrivateSpatialDecomposition
 
-__all__ = ["BinaryMedianSplit", "PrivateHilbertRTree", "HilbertRTreeReleases",
-           "build_private_hilbert_rtree", "build_private_hilbert_rtree_releases",
-           "hilbert_interval_bounds"]
+__all__ = ["BinaryMedianSplit", "build_private_hilbert_rtree",
+           "build_private_hilbert_rtree_releases", "hilbert_interval_bounds"]
 
 
 @dataclass(frozen=True)
@@ -112,88 +112,13 @@ def hilbert_interval_bounds(lo_vals, hi_vals, curve: HilbertCurve):
 
     The single source of the floor/ceil-1 derivation (with clamps into the
     curve's index range) behind the planar engine's node boxes
-    (:func:`repro.engine.flat.compile_hilbert_rtree`), which
-    :meth:`PrivateHilbertRTree.node_bboxes` also lists.
+    (:func:`repro.engine.flat.compile_psd`).
     """
     lo_idx = np.clip(np.floor(np.asarray(lo_vals, dtype=float)).astype(np.int64),
                      0, curve.max_index)
     hi_idx = np.ceil(np.asarray(hi_vals, dtype=float)).astype(np.int64) - 1
     hi_idx = np.maximum(lo_idx, np.minimum(hi_idx, curve.max_index))
     return lo_idx, hi_idx
-
-
-@dataclass
-class PrivateHilbertRTree:
-    """A released private Hilbert R-tree.
-
-    Attributes
-    ----------
-    psd:
-        The underlying one-dimensional PSD over Hilbert indices.
-    curve:
-        The (public) Hilbert curve used for the mapping.
-    domain:
-        The planar data domain.
-    """
-
-    psd: PrivateSpatialDecomposition
-    curve: HilbertCurve
-    domain: Domain
-    name: str = "hilbert-r"
-
-    # ------------------------------------------------------------------
-    @property
-    def height(self) -> int:
-        return self.psd.height
-
-    def node_count(self) -> int:
-        return self.psd.node_count()
-
-    def postprocess(self) -> "PrivateHilbertRTree":
-        """Apply the OLS post-processing to the underlying 1-D tree."""
-        self.psd.postprocess()
-        return self
-
-    def prune(self, threshold: float) -> "PrivateHilbertRTree":
-        """Prune low-count subtrees of the underlying 1-D tree."""
-        self.psd.prune(threshold)
-        return self
-
-    def compile(self):
-        """The memoised planar flat engine over the node bounding boxes.
-
-        The node rectangles are the planar bounding boxes of every node's
-        Hilbert-index interval; the engine is rebuilt automatically after the
-        1-D tree is post-processed or pruned (through these wrappers or
-        directly).
-        """
-        from ..engine.flat import compiled_planar_engine
-
-        return compiled_planar_engine(self)
-
-    # ------------------------------------------------------------------
-    def range_query(self, query: Rect) -> float:
-        """Estimated number of points inside a planar query rectangle.
-
-        R-tree-style canonical decomposition over the node bounding boxes: a
-        node whose box lies inside the query contributes its whole released
-        count; boxes that merely intersect are descended into; partially
-        covered leaves contribute under a uniformity assumption proportional
-        to the overlapped fraction of their box.  Served from the compiled
-        planar engine (see :meth:`compile`).
-        """
-        return self.compile().range_query(query)
-
-    def node_bboxes(self) -> List[Tuple[int, Rect]]:
-        """The planar bounding boxes of every node's Hilbert interval.
-
-        These are the R-tree rectangles the paper describes releasing; they
-        depend only on the intervals, never on the data.  They are the node
-        rectangles of the planar engine (:meth:`compile`), in BFS node order.
-        """
-        engine = self.compile()
-        return [(int(level), Rect(tuple(b_lo), tuple(b_hi)))
-                for level, b_lo, b_hi in zip(engine.level, engine.lo, engine.hi)]
 
 
 def build_private_hilbert_rtree(
@@ -208,7 +133,7 @@ def build_private_hilbert_rtree(
     postprocess: bool = True,
     prune_threshold: Optional[float] = None,
     rng: RngLike = None,
-) -> PrivateHilbertRTree:
+) -> PrivateSpatialDecomposition:
     """Build a private Hilbert R-tree.
 
     Parameters
@@ -231,34 +156,6 @@ def build_private_hilbert_rtree(
     ).release(0)
 
 
-@dataclass
-class HilbertRTreeReleases:
-    """``R`` private Hilbert R-tree releases over one (shared) Hilbert encoding.
-
-    Thin planar wrapper over a :class:`~repro.core.builder.PSDReleaseBatch` of
-    the underlying 1-D index trees: the curve, the encoded values and the
-    planar domain are public and identical across releases, so only the index
-    tree carries the release axis.  :meth:`release` wraps one release back
-    into a :class:`PrivateHilbertRTree` for planar serving.
-    """
-
-    batch: PSDReleaseBatch
-    curve: HilbertCurve
-    domain: Domain
-    name: str = "hilbert-r"
-
-    @property
-    def n_releases(self) -> int:
-        return self.batch.n_releases
-
-    def release(self, r: int) -> PrivateHilbertRTree:
-        return PrivateHilbertRTree(psd=self.batch.release(r), curve=self.curve,
-                                   domain=self.domain, name=self.name)
-
-    def releases(self) -> List[PrivateHilbertRTree]:
-        return [self.release(r) for r in range(self.n_releases)]
-
-
 def build_private_hilbert_rtree_releases(
     points: np.ndarray,
     domain: Domain,
@@ -272,7 +169,7 @@ def build_private_hilbert_rtree_releases(
     postprocess: bool = True,
     prune_threshold: Optional[float] = None,
     rng: RngLike = None,
-) -> HilbertRTreeReleases:
+) -> PSDReleaseBatch:
     """Build ``len(epsilons) * repetitions`` Hilbert R-tree releases in one pass.
 
     The (public, deterministic) Hilbert encoding of the points is computed
@@ -280,6 +177,8 @@ def build_private_hilbert_rtree_releases(
     :func:`~repro.core.builder.build_psd_releases`, so release ``r`` is
     bitwise identical to the ``r``-th sequential
     :func:`build_private_hilbert_rtree` call with the same seeded generator.
+    The curve and the planar domain are attached to the batch before it is
+    pruned, so every release carries them.
     """
     if domain.dims != 2:
         raise ValueError("the private Hilbert R-tree is defined for two-dimensional data")
@@ -301,6 +200,6 @@ def build_private_hilbert_rtree_releases(
         rng=gen,
         name="hilbert-r",
         postprocess=postprocess,
-        prune_threshold=prune_threshold,
     )
-    return HilbertRTreeReleases(batch=batch, curve=curve, domain=domain)
+    batch.curve, batch.planar_domain = curve, domain
+    return batch if prune_threshold is None else batch.prune(prune_threshold)

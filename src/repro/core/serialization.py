@@ -8,9 +8,13 @@ the golden files: it converts a
 JSON-compatible dictionary containing only released information: the node
 rectangles, the released (noisy / post-processed) counts, the per-level
 count parameters and the build metadata, with every node nested inside its
-parent.  True counts and the accountant's internal ledger are intentionally
-*not* serialised.  ``repro query``, ``repro serve`` and ``repro compile``
-import such a file as well as FLATPSD2.
+parent.  A Hilbert R-tree keeps its one-dimensional index intervals and adds
+a ``curve`` block (order and planar domain), so an imported release compiles
+to the same planar engine as the one exported; the planar boxes themselves
+are never written (a child box may exceed its parent's by rounding).  True
+counts and the accountant's internal ledger are intentionally *not*
+serialised.  ``repro query``, ``repro serve`` and ``repro compile`` import
+such a file as well as FLATPSD2.
 
 The nested JSON is converted straight to and from the breadth-first arrays of
 :class:`~repro.core.flatbuild.FlatTree`.  The loader fails closed: structural
@@ -29,6 +33,8 @@ from typing import Dict, IO, List, Union
 import numpy as np
 
 from ..geometry.domain import Domain
+from ..geometry.hilbert import HilbertCurve
+from ..geometry.rect import Rect
 from .flatbuild import FlatTree
 from .tree import PrivateSpatialDecomposition
 
@@ -56,20 +62,20 @@ def psd_to_dict(psd: PrivateSpatialDecomposition) -> Dict:
     for node, start, stop in zip(nodes, tree.child_start.tolist(), tree.child_end.tolist()):
         if stop > start:
             node["children"] = nodes[start:stop]
-    return {
+    payload = {
         "format_version": _FORMAT_VERSION,
         "name": psd.name,
         "height": psd.height,
         "fanout": psd.fanout,
         "count_epsilons": list(psd.count_epsilons),
-        "domain": {
-            "lo": list(psd.domain.rect.lo),
-            "hi": list(psd.domain.rect.hi),
-            "name": psd.domain.name,
-        },
+        "domain": _domain_to_dict(psd.domain),
         "metadata": dict(psd.metadata),
         "root": nodes[0],
     }
+    if psd.curve is not None:
+        payload["curve"] = {"order": psd.curve.order,
+                            "domain": _domain_to_dict(psd.planar_domain)}
+    return payload
 
 
 def psd_from_dict(payload: Dict) -> PrivateSpatialDecomposition:
@@ -81,9 +87,13 @@ def psd_from_dict(payload: Dict) -> PrivateSpatialDecomposition:
     version = payload.get("format_version")
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported PSD format version {version!r}")
-    domain_payload = payload["domain"]
-    domain = Domain.from_bounds(domain_payload["lo"], domain_payload["hi"],
-                                name=domain_payload.get("name", "domain"))
+    domain = _domain_from_dict(payload["domain"])
+    curve = planar_domain = None
+    if "curve" in payload:
+        planar_domain = _domain_from_dict(payload["curve"]["domain"])
+        curve = HilbertCurve(order=int(payload["curve"]["order"]), domain=planar_domain.rect)
+        if domain.rect != Rect((0.0,), (curve.max_index + 1.0,)):
+            raise ValueError("a Hilbert release's domain must be its curve's index range")
     height = int(payload["height"])
     fanout = int(payload["fanout"])
     count_epsilons = np.asarray([float(e) for e in payload["count_epsilons"]])
@@ -157,7 +167,7 @@ def psd_from_dict(payload: Dict) -> PrivateSpatialDecomposition:
         height=height,
         fanout=fanout,
     )
-    return PrivateSpatialDecomposition(
+    psd = PrivateSpatialDecomposition(
         flat=tree,
         domain=domain,
         count_epsilons=tuple(count_epsilons.tolist()),
@@ -165,6 +175,16 @@ def psd_from_dict(payload: Dict) -> PrivateSpatialDecomposition:
         name=str(payload.get("name", "psd")),
         metadata=dict(payload.get("metadata", {})),
     )
+    psd.curve, psd.planar_domain = curve, planar_domain
+    return psd
+
+
+def _domain_to_dict(domain: Domain) -> Dict:
+    return {"lo": list(domain.rect.lo), "hi": list(domain.rect.hi), "name": domain.name}
+
+
+def _domain_from_dict(payload: Dict) -> Domain:
+    return Domain.from_bounds(payload["lo"], payload["hi"], name=payload.get("name", "domain"))
 
 
 def _bounds(order: List[Dict], key: str, dims: int) -> np.ndarray:

@@ -15,6 +15,12 @@ transforms on it, and queries are answered by the compiled flat engine of
 :mod:`repro.engine`, memoised on the PSD and dropped whenever the counts
 change.
 
+A private Hilbert R-tree (Sections 3.2-3.3) is the same object: its tree is
+the binary index tree over one-dimensional Hilbert values, which post-processing
+and pruning act on, and it carries the public ``curve`` and the ``planar_domain``
+beside it.  Its compiled engine's node rectangles are then the planar
+bounding boxes of each node's index interval, so queries are planar.
+
 The arrays also carry the *true* counts (``FlatTree.true_count``); they exist
 so the test-suite and the non-private baselines (``kd-pure`` / ``kd-true``)
 can compute ground truth, and they are explicitly **not** part of the private
@@ -33,6 +39,7 @@ from ..geometry.rect import Rect
 from ..privacy.accountant import PrivacyAccountant
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..geometry.hilbert import HilbertCurve
     from .flatbuild import FlatTree
 
 __all__ = ["PrivateSpatialDecomposition"]
@@ -64,6 +71,10 @@ class PrivateSpatialDecomposition:
         Label used in experiment output (e.g. ``"quad-opt"``).
     metadata:
         Release facts only: split rule, count budget and the ε split.
+    curve, planar_domain:
+        For a Hilbert R-tree, the public Hilbert curve that maps the plane
+        onto ``domain`` (the index space) and the planar data domain, both
+        attached by its builder; ``None`` for every other tree.
     compiled_engines:
         Memoised compiled engines (:mod:`repro.engine.flat`).
     """
@@ -85,6 +96,8 @@ class PrivateSpatialDecomposition:
         self.accountant = accountant
         self.name = name
         self.metadata: Dict[str, object] = {} if metadata is None else metadata
+        self.curve: Optional["HilbertCurve"] = None
+        self.planar_domain: Optional[Domain] = None
         self.compiled_engines: Dict[str, object] = {}
         if len(self.count_epsilons) != self.height + 1:
             raise ValueError("count_epsilons must have exactly height + 1 entries (levels 0..h)")
@@ -123,7 +136,8 @@ class PrivateSpatialDecomposition:
         return self.compile().query_variance(query)
 
     def compile(self):
-        """The memoised flat array engine for this tree (see :mod:`repro.engine`)."""
+        """The memoised flat array engine for this tree (see :mod:`repro.engine`);
+        planar for a Hilbert R-tree."""
         from ..engine.flat import compiled_engine
 
         return compiled_engine(self)

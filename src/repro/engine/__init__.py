@@ -16,7 +16,9 @@ PSD has:
   query purposes: the arrays capture exactly the released information the
   canonical decomposition of Section 4.1 consumes.  A PSD already *is* BFS
   arrays (:mod:`repro.core.flatbuild`), so compiling one is a cheap array
-  snapshot; the planar Hilbert view adds one vectorised bounding-box pass.
+  snapshot.  A Hilbert R-tree compiles to its planar engine, whose node
+  rectangles are the planar bounding boxes of the nodes' Hilbert-index
+  intervals (one vectorised pass), so it answers planar queries.
 * :mod:`repro.engine.batch` — the evaluator.  Many queries are answered at
   once.  Engines whose arrays form a complete 2-D quadtree grid take the
   closed form of :mod:`repro.engine.grid`: per-level prefix-sum tables give
@@ -55,7 +57,6 @@ from .batch import (
 )
 from .flat import (
     FlatPSD,
-    compile_hilbert_rtree,
     compile_psd,
     compiled_engine,
     invalidate_compiled_engine,
@@ -73,7 +74,6 @@ from .points import CellJoinIndex, PointGrid, matching_cell_layout
 __all__ = [
     "FlatPSD",
     "compile_psd",
-    "compile_hilbert_rtree",
     "compiled_engine",
     "invalidate_compiled_engine",
     "BatchQueryResult",

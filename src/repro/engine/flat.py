@@ -7,6 +7,9 @@ batch evaluator a loop of array operations — a query frontier expands into the
 next wavefront with one ``np.repeat`` instead of per-node pointer chasing.
 A PSD's build-side :class:`~repro.core.flatbuild.FlatTree` already has this
 layout, so compiling is an array snapshot plus the released-count predicate.
+A Hilbert R-tree compiles to its planar engine: the same snapshot, with each
+node's Hilbert-index interval replaced by the interval's bounding box in the
+plane (one vectorised pass), so the engine answers planar queries.
 
 All arrays are read-only (``writeable=False``): a compiled engine is a view of
 a *released* artifact and must never drift from the tree it was compiled from.
@@ -38,22 +41,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = [
     "FlatPSD",
     "compile_psd",
-    "compile_hilbert_rtree",
     "compiled_engine",
-    "compiled_planar_engine",
     "invalidate_compiled_engine",
     "expand_ranges",
     "level_variances",
     "released_counts",
     "COMPILED_ENGINE_KEY",
-    "PLANAR_ENGINE_KEY",
 ]
 
 #: ``psd.compiled_engines`` key of the memoised compiled form.
 COMPILED_ENGINE_KEY = "_compiled_flat_engine"
-
-#: Key of the planar (bounding-box) view of a Hilbert R-tree.
-PLANAR_ENGINE_KEY = "_compiled_planar_engine"
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
@@ -297,41 +294,29 @@ def released_counts(noisy: np.ndarray, post, eps_node: np.ndarray):
 def compile_psd(psd: "PrivateSpatialDecomposition") -> FlatPSD:
     """Compile a built PSD into its frozen flat structure-of-arrays form.
 
-    Works for any of the three tree families (quadtree, kd-tree, Hilbert
-    R-tree — for the latter this is the 1-D index tree; see
-    :func:`compile_hilbert_rtree` for the planar view) and for pruned /
-    incomplete trees.  The PSD's arrays are already in BFS order, so this is
-    an array snapshot: copies, so later build-side mutations can never alias
-    into a released engine.
+    Works for any of the three tree families and for pruned / incomplete
+    trees.  The PSD's arrays are already in BFS order, so this is an array
+    snapshot: copies, so later build-side mutations can never alias into a
+    released engine.
+
+    A Hilbert R-tree (a PSD carrying a ``curve``) compiles to its planar
+    engine: the node rectangles are the planar bounding boxes of each node's
+    Hilbert-index interval -- the R-tree rectangles the paper releases --
+    produced by one vectorised
+    :meth:`~repro.geometry.hilbert.HilbertCurve.range_bboxes` pass.  Unlike
+    the other tree families, sibling boxes may overlap; the evaluator never
+    assumes disjointness, so nothing changes.
     """
     tree = psd.flat_tree
-    return _snapshot(psd, tree.lo.astype(np.float64, copy=True),
-                     tree.hi.astype(np.float64, copy=True), psd.domain, psd.name)
+    if psd.curve is None:
+        lo, hi = tree.lo.astype(np.float64, copy=True), tree.hi.astype(np.float64, copy=True)
+        domain = psd.domain
+    else:
+        from ..core.hilbert_rtree import hilbert_interval_bounds
 
-
-def compile_hilbert_rtree(tree) -> FlatPSD:
-    """Compile the planar (bounding-box) view of a private Hilbert R-tree.
-
-    The node rectangles of the compiled engine are the planar bounding boxes
-    of each node's Hilbert-index interval — the R-tree rectangles the paper
-    releases — so the engine answers **planar** queries.  Unlike the other
-    tree families, sibling boxes may overlap; the evaluator never assumes
-    disjointness, so nothing changes.  The interval bounds come straight from
-    the BFS arrays and all bounding boxes are produced by one vectorised
-    :meth:`~repro.geometry.hilbert.HilbertCurve.range_bboxes` pass.
-    """
-    from ..core.hilbert_rtree import hilbert_interval_bounds
-
-    ft = tree.psd.flat_tree
-    lo_idx, hi_idx = hilbert_interval_bounds(ft.lo[:, 0], ft.hi[:, 0], tree.curve)
-    lo, hi = tree.curve.range_bboxes(lo_idx, hi_idx)
-    return _snapshot(tree.psd, lo, hi, tree.domain, tree.name)
-
-
-def _snapshot(psd: "PrivateSpatialDecomposition", lo: np.ndarray, hi: np.ndarray,
-              domain, name: str) -> FlatPSD:
-    """Freeze a PSD's arrays, with the given node rectangles, into an engine."""
-    tree = psd.flat_tree
+        lo_idx, hi_idx = hilbert_interval_bounds(tree.lo[:, 0], tree.hi[:, 0], psd.curve)
+        lo, hi = psd.curve.range_bboxes(lo_idx, hi_idx)
+        domain = psd.planar_domain
     eps = np.asarray(psd.count_epsilons, dtype=np.float64)
     released, has_count = released_counts(tree.noisy_count, tree.post_count, eps[tree.level])
     return FlatPSD(
@@ -349,7 +334,7 @@ def _snapshot(psd: "PrivateSpatialDecomposition", lo: np.ndarray, hi: np.ndarray
         height=psd.height,
         fanout=psd.fanout,
         release={"ols": tree.post_count is not None, "metadata": dict(psd.metadata)},
-        name=name,
+        name=psd.name,
         domain_lo=_freeze(np.asarray(domain.rect.lo, dtype=np.float64)),
         domain_hi=_freeze(np.asarray(domain.rect.hi, dtype=np.float64)),
         domain_name=domain.name,
@@ -369,28 +354,11 @@ def compiled_engine(psd: "PrivateSpatialDecomposition") -> FlatPSD:
     return engine
 
 
-def compiled_planar_engine(tree) -> FlatPSD:
-    """The memoised planar engine of a Hilbert R-tree, compiling on first use.
-
-    Memoised on the underlying PSD (like :func:`compiled_engine`) so that a
-    mutation of the 1-D tree — whether through the
-    :class:`~repro.core.hilbert_rtree.PrivateHilbertRTree` wrappers or by
-    calling ``apply_ols`` / ``prune_low_count_subtrees`` on ``tree.psd``
-    directly — drops both compiled views at once.
-    """
-    memo = tree.psd.compiled_engines
-    engine = memo.get(PLANAR_ENGINE_KEY)
-    if engine is None:
-        engine = memo[PLANAR_ENGINE_KEY] = compile_hilbert_rtree(tree)
-    return engine
-
-
 def invalidate_compiled_engine(psd: "PrivateSpatialDecomposition") -> None:
     """Drop the memoised compiled engines after a mutation of the tree.
 
     Called by :func:`repro.core.postprocess.apply_ols` and
     :func:`repro.core.pruning.prune_low_count_subtrees`, the two released-data
-    transformations that change query answers.  Clears both the direct view
-    and, for Hilbert R-trees, the planar bounding-box view.
+    transformations that change query answers.
     """
     psd.compiled_engines.clear()

@@ -24,9 +24,9 @@ fastest route available per batch:
 * releases sharing one query structure (data-independent trees, unpruned) are
   scored through a single sparse query-to-node matrix per workload — one
   ``S @ counts`` product replaces one tree traversal per release;
-* everything else (per-release geometry, pruned trees, Hilbert planar views)
-  compiles one flat engine per release and evaluates each workload as one
-  vectorized batch.
+* everything else (per-release geometry, pruned trees, Hilbert R-trees)
+  compiles one flat engine per release -- planar for a Hilbert R-tree --
+  and evaluates each workload as one vectorized batch.
 
 Per-release workload errors come out as matrices and are reduced by the
 matrix-form :func:`repro.queries.metrics.median_relative_error`; the driver
@@ -152,11 +152,8 @@ def evaluate_psd(
 class SweepCase:
     """One grid point of a sweep: a release builder plus per-release row keys.
 
-    ``build(gen)`` returns a release collection — a
-    :class:`~repro.core.builder.PSDReleaseBatch`, a
-    :class:`~repro.core.hilbert_rtree.HilbertRTreeReleases`, or any object
-    with ``n_releases`` and ``release(r)`` (releases must expose
-    ``compile()``); a plain sequence of built PSDs also works.  ``keys[r]``
+    ``build(gen)`` returns a :class:`~repro.core.builder.PSDReleaseBatch`
+    (every tree family builds one).  ``keys[r]``
     is the row-identifying dict of release ``r`` (e.g. ``{"epsilon": 0.5,
     "variant": "quad-opt"}``); releases sharing a key are that grid point's
     repetitions and their errors are averaged into one row.
@@ -165,30 +162,6 @@ class SweepCase:
     label: str
     keys: Tuple[Mapping[str, object], ...]
     build: Callable[[np.random.Generator], object]
-
-
-class _SequenceReleases:
-    """Adapter giving a plain list of releases the collection protocol."""
-
-    def __init__(self, items: Sequence) -> None:
-        self._items = list(items)
-
-    @property
-    def n_releases(self) -> int:
-        return len(self._items)
-
-    def release(self, r: int):
-        return self._items[r]
-
-
-def _as_release_collection(obj):
-    if hasattr(obj, "n_releases") and hasattr(obj, "release"):
-        return obj
-    if isinstance(obj, (list, tuple)):
-        return _SequenceReleases(obj)
-    raise TypeError(
-        f"a SweepCase build must return a release collection or a sequence, got {type(obj)!r}"
-    )
 
 
 def _structure_fingerprint(engine) -> Tuple:
@@ -291,11 +264,12 @@ def _validated_sweep_faults(faults, n_workers: int):
 
 
 def release_workload_errors(
-    releases,
+    batch,
     workloads: Dict[str, QueryWorkload],
     matrix_cache: Optional[Dict] = None,
 ) -> Dict[str, np.ndarray]:
-    """Median relative error of every release on every workload.
+    """Median relative error of every release of ``batch`` (a
+    :class:`~repro.core.builder.PSDReleaseBatch`) on every workload.
 
     Returns ``{shape label: (R,) per-release medians}``.  Batches whose
     releases share one query structure are evaluated through a single
@@ -307,13 +281,11 @@ def release_workload_errors(
     over the *same* geometry share a matrix (e.g. the four quadtree variants
     of one sweep on its fixed workloads).
     """
-    from ..core.builder import PSDReleaseBatch
     from ..engine.batch import batch_range_query, compile_query_matrix
 
-    collection = _as_release_collection(releases)
-    if isinstance(collection, PSDReleaseBatch) and collection.supports_shared_queries():
-        engine = collection.query_engine()
-        counts = collection.released_matrix()  # (n_nodes, R)
+    if batch.supports_shared_queries():
+        engine = batch.query_engine()
+        counts = batch.released_matrix()  # (n_nodes, R)
         fingerprint = None if matrix_cache is None else _structure_fingerprint(engine)
         out: Dict[str, np.ndarray] = {}
         for label, workload in workloads.items():
@@ -331,10 +303,10 @@ def release_workload_errors(
             )
         return out
 
-    n = collection.n_releases
+    n = batch.n_releases
     out = {label: np.empty(n) for label in workloads}
     for r in range(n):
-        engine = collection.release(r).compile()
+        engine = batch.release(r).compile()
         for label, workload in workloads.items():
             estimates = batch_range_query(engine, workload.queries)
             out[label][r] = median_relative_error(estimates, workload.true_answers)
@@ -360,16 +332,15 @@ def case_rows(
 
     counter_add("sweep.cases", worker=os.getpid())
     with trace_span("sweep.build_case", case=case.label):
-        releases = case.build(gen)
-    collection = _as_release_collection(releases)
-    if len(case.keys) != collection.n_releases:
+        batch = case.build(gen)
+    if len(case.keys) != batch.n_releases:
         raise ValueError(
             f"case {case.label!r} declares {len(case.keys)} release keys but "
-            f"built {collection.n_releases} releases"
+            f"built {batch.n_releases} releases"
         )
-    counter_add("sweep.releases", collection.n_releases)
+    counter_add("sweep.releases", batch.n_releases)
     with trace_span("sweep.evaluate_case", case=case.label):
-        errors = release_workload_errors(collection, workloads, matrix_cache=matrix_cache)
+        errors = release_workload_errors(batch, workloads, matrix_cache=matrix_cache)
     rows: List[Dict[str, object]] = []
     groups: Dict[Tuple, Tuple[Dict[str, object], List[int]]] = {}
     for r, key in enumerate(case.keys):

@@ -16,6 +16,9 @@ a worker dies              ``BrokenProcessPool``: results that already
                            tasks are resubmitted
 the pool cannot start      handled as a broken pool
 ``MAX_REBUILDS`` exceeded  the remaining tasks run in the parent
+a run has degraded         later runs run every task in the parent, and
+                           drills are no-ops: no worker starts and no
+                           backoff sleeps until :meth:`~ResilientPool.stop`
 a task raises              that task runs in the parent; the pool lives on
 a task is overdue          (``task_timeout``) resubmitted once, then run in
                            the parent
@@ -196,6 +199,9 @@ class ResilientPool:
         self.rebuilds = 0
         self.inproc_fallbacks = 0
         self.backoff_sleeps = 0
+        #: Set once a run exhausts ``MAX_REBUILDS``: a pool that keeps
+        #: failing to start would otherwise restart on every later run.
+        self.degraded = False
 
     @property
     def started(self) -> bool:
@@ -221,8 +227,10 @@ class ResilientPool:
         """Stop the workers.
 
         The next task starts fresh workers, which receive the state as it is
-        then — how a caller changes the worker state between runs.
+        then — how a caller changes the worker state between runs.  A
+        degraded pool tries workers again.
         """
+        self.degraded = False
         executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=wait and not self._abandoned, cancel_futures=True)
@@ -266,6 +274,18 @@ class ResilientPool:
             futures[future] = task_id
             if self.task_timeout is not None:
                 deadlines[future] = monotonic() + self.task_timeout
+
+        def degrade(task_ids) -> Dict[Hashable, object]:
+            self.degraded = True
+            with trace_span(f"{self.name}.degraded", tasks=len(task_ids)):
+                for task_id in task_ids:
+                    inproc(task_id)
+            return results
+
+        if self.degraded:
+            if meanwhile is not None:
+                meanwhile()
+            return degrade(list(tasks))
 
         def settle(future: Future, timeout: Optional[float] = None) -> bool:
             """Take one future's outcome; True when it was lost with the pool."""
@@ -334,10 +354,7 @@ class ResilientPool:
             self.stop(wait=False)
             rebuilds += 1
             if rebuilds > MAX_REBUILDS:
-                with trace_span(f"{self.name}.degraded", tasks=len(lost)):
-                    for task_id in lost:
-                        inproc(task_id)
-                return results
+                return degrade(lost)
             self._backoff(rebuilds)
             self.rebuilds += 1
             counter_add(f"{self.name}.pool_rebuilds")
@@ -349,9 +366,11 @@ class ResilientPool:
         ``kill-worker`` hard-exits whichever worker picks the drill up (the
         next :meth:`run` finds the pool broken and rebuilds it);
         ``oom-worker`` raises ``MemoryError`` in a worker and returns once
-        the pool has absorbed it.
+        the pool has absorbed it.  A degraded pool has no workers to drill.
         """
         counter_add(f"{self.name}.drills")
+        if self.degraded:
+            return
         try:
             future = self._start().submit(_run_task, _noop, (), ((kind, 0.0),))
             if kind == "oom-worker":

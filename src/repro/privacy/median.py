@@ -372,7 +372,8 @@ def smooth_sensitivity_median_batch(
 
     (ε, δ)-DP with ``δ = SS_DELTA``.  Empty segments return the (clamped)
     domain midpoint; their uniform is discarded so the draw layout stays data
-    independent.
+    independent.  A noise scale that overflows returns nan, never a clamped
+    domain edge, so the builder refuses the budget.
     """
     vals, offs, counts, lo, hi, k = _prepare_batch(sorted_values, offsets, los, his,
                                                    validate=validate)
@@ -383,7 +384,7 @@ def smooth_sensitivity_median_batch(
     med = safe[np.minimum(offs[:-1] + np.maximum(counts - 1, 0) // 2, guard)]
     noise = laplace_from_uniform(u[:, 0])
     res = np.where(counts > 0, med + (2.0 * sigma / eps) * noise, (lo + hi) / 2.0)
-    return _clamp_array(res, lo, hi)
+    return np.where(np.isfinite(res), _clamp_array(res, lo, hi), np.nan)
 
 
 # ----------------------------------------------------------------------

@@ -52,7 +52,6 @@ from .matching import blocking_reference, reference_blocking
 from .median import fig4_rows, per_node, rank_error
 from .query import (
     HilbertPointerView,
-    compile_hilbert_rtree,
     compile_psd,
     contributing_nodes,
     hilbert_range_query,
@@ -111,7 +110,6 @@ __all__ = [
     "nodes_touched_per_level",
     "query_variance",
     "compile_psd",
-    "compile_hilbert_rtree",
     "HilbertPointerView",
     "hilbert_view",
     "node_bbox",

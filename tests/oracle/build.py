@@ -122,17 +122,27 @@ def build_psd(
 
 
 class PointerReleases:
-    """The pointer trees of a sequential build loop, indexed like a release batch."""
+    """The pointer trees of a sequential build loop, indexed like a release
+    batch: a Hilbert curve set on it rides along with every release, and
+    :meth:`prune` prunes each tree."""
 
     def __init__(self, psds: List[PointerPSD]) -> None:
         self.psds = psds
+        self.curve = self.planar_domain = None
 
     @property
     def n_releases(self) -> int:
         return len(self.psds)
 
     def release(self, r: int) -> PointerPSD:
-        return self.psds[r]
+        psd = self.psds[r]
+        psd.curve, psd.planar_domain = self.curve, self.planar_domain
+        return psd
+
+    def prune(self, threshold: float) -> "PointerReleases":
+        for psd in self.psds:
+            prune_low_count_subtrees(psd, threshold)
+        return self
 
 
 def build_psd_releases(
@@ -369,8 +379,8 @@ def build_private_kdtree(*args, **kwargs) -> PointerPSD:
         return _kdtree.build_private_kdtree(*args, **kwargs)
 
 
-def build_private_hilbert_rtree(*args, **kwargs):
-    """A :class:`~repro.core.hilbert_rtree.PrivateHilbertRTree` whose ``psd``
-    is a :class:`PointerPSD`; query it with :mod:`oracle.query`."""
+def build_private_hilbert_rtree(*args, **kwargs) -> PointerPSD:
+    """A Hilbert R-tree as a :class:`PointerPSD` carrying its curve; query it
+    with :mod:`oracle.query`."""
     with pointer_builds():
         return _hilbert_rtree.build_private_hilbert_rtree(*args, **kwargs)

@@ -1,7 +1,7 @@
 """The Hilbert-interval formulation of a planar range query.
 
 A Hilbert R-tree answers a planar query in production R-tree style, over the
-bounding boxes of its nodes (:func:`repro.engine.flat.compile_hilbert_rtree`).
+bounding boxes of its nodes (:func:`repro.engine.flat.compile_psd`).
 The alternative the paper also describes decomposes the query rectangle into
 contiguous Hilbert-index intervals (:func:`rect_to_ranges`) and sums the 1-D
 canonical-decomposition answers over them (:func:`range_query_intervals`).
@@ -14,6 +14,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.core.tree import PrivateSpatialDecomposition
 from repro.geometry.hilbert import HilbertCurve
 from repro.geometry.rect import Rect
 
@@ -116,4 +117,6 @@ def range_query_intervals(tree, query: Rect, max_ranges: int = 1024) -> float:
     """
     intervals = rect_to_ranges(tree.curve, query, max_ranges=max_ranges)
     rects = [Rect((float(lo),), (float(hi) + 1.0,)) for lo, hi in intervals]
-    return float(sum(tree.psd.batch_range_query(rects).tolist()))
+    # The 1-D index tree alone, without the curve, answers index intervals.
+    index_tree = PrivateSpatialDecomposition(tree.flat_tree, tree.domain, tree.count_epsilons)
+    return float(sum(index_tree.batch_range_query(rects).tolist()))

@@ -2,12 +2,13 @@
 
 Seed-era reference for every query answer the compiled engine of
 :mod:`repro.engine` serves: estimates, ``n(Q)``, its per-level breakdown and
-``Err(Q)`` for quad / kd trees, the planar R-tree walk over a Hilbert
-R-tree's node bounding boxes, and the pointer-walking engine compiler the
-array snapshot replaced.  Every function accepts a production PSD (its
-pointer view is materialised) or a :class:`~oracle.tree.PointerPSD`; the
-Hilbert functions accept a production tree or a :class:`HilbertPointerView`
-(materialise one with :func:`hilbert_view` to reuse it across queries).
+``Err(Q)``, the planar R-tree walk over a Hilbert R-tree's node bounding
+boxes, and the pointer-walking engine compiler the array snapshot replaced.
+Every function accepts a production PSD (its pointer view is materialised)
+or a :class:`~oracle.tree.PointerPSD`.  A Hilbert R-tree (a PSD carrying a
+``curve``) is walked over its planar node boxes, as its engine is compiled;
+the Hilbert functions also accept a :class:`HilbertPointerView` (materialise
+one with :func:`hilbert_view` to reuse it across queries).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "nodes_touched_per_level",
     "query_variance",
     "compile_psd",
-    "compile_hilbert_rtree",
     "HilbertPointerView",
     "hilbert_view",
     "node_bbox",
@@ -53,14 +53,16 @@ def contributing_nodes(psd, query: Rect) -> Tuple[List[PSDNode], List[Tuple[PSDN
     uniformity assumption.
     """
     psd = pointer_view(psd)
+    rect_of = _rect_of(psd)
     full: List[PSDNode] = []
     partial: List[Tuple[PSDNode, float]] = []
     stack = [psd.root]
     while stack:
         node = stack.pop()
-        if not node.rect.intersects(query):
+        rect = rect_of(node)
+        if not rect.intersects(query):
             continue
-        contained = query.contains_rect(node.rect)
+        contained = query.contains_rect(rect)
         if contained and _has_released_count(psd, node):
             full.append(node)
             continue
@@ -69,8 +71,8 @@ def contributing_nodes(psd, query: Rect) -> Tuple[List[PSDNode], List[Tuple[PSDN
                 continue
             if contained:
                 full.append(node)
-            elif node.rect.area > 0:
-                fraction = node.rect.intersection_area(query) / node.rect.area
+            elif rect.area > 0:
+                fraction = rect.intersection_area(query) / rect.area
                 if fraction > 0:
                     partial.append((node, fraction))
             continue
@@ -123,10 +125,20 @@ def query_variance(psd, query: Rect) -> float:
 # ----------------------------------------------------------------------
 # The pointer-walking engine compiler
 # ----------------------------------------------------------------------
+def _rect_of(psd: PointerPSD):
+    """A node's query rectangle: its own, or a Hilbert R-tree's planar box."""
+    if psd.curve is None:
+        return lambda node: node.rect
+    view = hilbert_view(psd)
+    return lambda node: node_bbox(view, node)
+
+
 def compile_psd(psd) -> FlatPSD:
-    """Compile a pointer tree into the engine arrays by walking its nodes."""
+    """Compile a pointer tree into the engine arrays by walking its nodes
+    (one ``node_bbox`` per node for a Hilbert R-tree)."""
     psd = pointer_view(psd)
-    return _compile(psd, lambda node: node.rect, psd.domain, psd.name)
+    domain = psd.domain if psd.curve is None else psd.planar_domain
+    return _compile(psd, _rect_of(psd), domain, psd.name)
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
@@ -193,16 +205,22 @@ class HilbertPointerView:
     """A Hilbert R-tree as a pointer tree plus its per-node bounding-box cache."""
 
     def __init__(self, tree) -> None:
-        self.psd = pointer_view(tree.psd)
-        self.curve = tree.curve
-        self.domain = tree.domain
-        self.name = tree.name
+        self.psd = pointer_view(tree)
+        self.curve = self.psd.curve
         self.bbox_cache: Dict[int, Rect] = {}
 
 
 def hilbert_view(tree) -> HilbertPointerView:
-    """The pointer view of a Hilbert R-tree (returned unchanged if it is one)."""
-    return tree if isinstance(tree, HilbertPointerView) else HilbertPointerView(tree)
+    """The pointer view of a Hilbert R-tree (returned unchanged if it is one).
+
+    A pointer tree keeps its view, so its box cache serves every query."""
+    if isinstance(tree, HilbertPointerView):
+        return tree
+    psd = pointer_view(tree)
+    view = getattr(psd, "_hilbert_view", None)
+    if view is None:
+        view = psd._hilbert_view = HilbertPointerView(psd)
+    return view
 
 
 def node_bbox(tree, node: PSDNode) -> Rect:
@@ -228,12 +246,6 @@ def node_bboxes(tree) -> List[Tuple[int, Rect]]:
     """``(level, planar box)`` of every node in BFS order, one node at a time."""
     view = hilbert_view(tree)
     return [(node.level, node_bbox(view, node)) for node in bfs_order(view.psd.root)]
-
-
-def compile_hilbert_rtree(tree) -> FlatPSD:
-    """The planar engine of a Hilbert R-tree, one ``node_bbox`` per node."""
-    view = hilbert_view(tree)
-    return _compile(view.psd, lambda node: node_bbox(view, node), view.domain, view.name)
 
 
 def hilbert_range_query(tree, query: Rect) -> float:

@@ -90,8 +90,9 @@ class PointerPSD:
 
     Same attributes as :class:`repro.core.tree.PrivateSpatialDecomposition`
     with ``root`` in place of ``flat_tree``; its queries run the recursive
-    walk of :mod:`oracle.query`, and :mod:`oracle.build` post-processes and
-    prunes it.
+    walk of :mod:`oracle.query` (over the planar node boxes when it carries
+    a Hilbert ``curve``), and :mod:`oracle.build` post-processes and prunes
+    it.
     """
 
     def __init__(
@@ -113,6 +114,7 @@ class PointerPSD:
         self.accountant = accountant
         self.name = name
         self.metadata: Dict[str, object] = {} if metadata is None else metadata
+        self.curve = self.planar_domain = None
 
     # ------------------------------------------------------------------
     def nodes(self) -> Iterator[PSDNode]:
@@ -167,7 +169,7 @@ def pointer_view(psd) -> PointerPSD:
     """
     if isinstance(psd, PointerPSD):
         return psd
-    return PointerPSD(
+    view = PointerPSD(
         root=materialize_nodes(psd.flat_tree),
         domain=psd.domain,
         height=psd.height,
@@ -177,6 +179,8 @@ def pointer_view(psd) -> PointerPSD:
         name=psd.name,
         metadata=dict(psd.metadata),
     )
+    view.curve, view.planar_domain = psd.curve, psd.planar_domain
+    return view
 
 
 def root(psd) -> PSDNode:

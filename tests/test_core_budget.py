@@ -198,11 +198,14 @@ class TestUnrepresentableBudgets:
     @pytest.mark.parametrize("variant,median_method,budget", [
         ("kd-noisymean", None, "median budget"),
         ("kd-noisymean", "cell", "median budget"),
+        ("kd-noisymean", "ss", "median budget"),
         ("kd-cell", None, "grid budget"),
     ])
     def test_median_budget_too_small_is_refused(self, variant, median_method, budget):
-        """Noisy-mean and cell medians overflow their Laplace scale at this
-        budget and used to release nan or infinite node bounds."""
+        """Noisy-mean, cell and smooth-sensitivity medians overflow their
+        Laplace scale at this budget and used to release nan or infinite
+        node bounds, or (smooth sensitivity) zero-width nodes at the domain
+        edges its clamp made of infinite splits."""
         with pytest.raises(ValueError, match=f"1e-306 is too small for floating point: the {budget}"), \
                 np.errstate(over="ignore", invalid="ignore"):
             build_private_kdtree(road_intersections(n=2000, rng=1), TIGER_DOMAIN, 4, 1e-306,

@@ -180,17 +180,20 @@ class TestPrivateHilbertRTree:
         return build_private_hilbert_rtree(clustered_points, domain, height=8, epsilon=EPSILON,
                                            order=8, rng=17)
 
-    def test_binary_structure_over_hilbert_domain(self, tree):
-        assert tree.psd.fanout == 2
-        assert tree.psd.is_complete()
-        assert tree.psd.domain.dims == 1
+    def test_binary_structure_over_hilbert_domain(self, tree, domain):
+        assert tree.fanout == 2
+        assert tree.is_complete()
+        assert tree.domain.dims == 1
+        assert tree.planar_domain is domain and tree.curve.domain == domain.rect
 
     def test_budget_respected(self, tree):
-        assert tree.psd.accountant.path_epsilon == pytest.approx(EPSILON)
+        assert tree.accountant.path_epsilon == pytest.approx(EPSILON)
 
     def test_bboxes_inside_domain(self, tree, domain):
-        for level, bbox in tree.node_bboxes():
-            assert domain.rect.contains_rect(bbox)
+        engine = tree.compile()
+        assert engine.dims == 2
+        for lo, hi in zip(engine.lo, engine.hi):
+            assert domain.rect.contains_rect(Rect(tuple(lo), tuple(hi)))
 
     def test_query_accuracy_reasonable(self, tree, clustered_points, domain):
         query = Rect((0.1, 0.1), (0.9, 0.9))
@@ -211,9 +214,10 @@ class TestPrivateHilbertRTree:
     def test_postprocess_and_prune_chain(self, domain, clustered_points):
         tree = build_private_hilbert_rtree(clustered_points, domain, height=6, epsilon=EPSILON,
                                            order=8, postprocess=False, rng=18)
-        assert all(n.post_count is None for n in oracle.nodes(tree.psd))
+        assert all(n.post_count is None for n in oracle.nodes(tree))
         tree.postprocess().prune(50.0)
-        assert any(n.post_count is not None for n in oracle.nodes(tree.psd))
+        assert any(n.post_count is not None for n in oracle.nodes(tree))
+        assert tree.curve is not None and tree.compile().dims == 2
 
     def test_rejects_non_2d_domain(self, clustered_points):
         with pytest.raises(ValueError):

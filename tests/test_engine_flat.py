@@ -30,7 +30,6 @@ from repro.engine import (
     FlatPSD,
     batch_query,
     batch_range_query,
-    compile_hilbert_rtree,
     compile_psd,
     compiled_engine,
     load_engine,
@@ -55,7 +54,7 @@ def points(domain):
 
 
 def _build(variant: str, points, domain, seed: int = 0):
-    """One released PSD per family (the Hilbert entry is the 1-D index tree)."""
+    """One released PSD per family (the Hilbert entry answers planar queries)."""
     if variant == "quad-opt":
         return build_private_quadtree(points, domain, height=4, epsilon=1.0,
                                       variant="quad-opt", rng=seed)
@@ -63,7 +62,7 @@ def _build(variant: str, points, domain, seed: int = 0):
         return build_private_kdtree(points, domain, height=4, epsilon=1.0,
                                     variant="kd-hybrid", rng=seed)
     if variant == "hilbert-r":
-        return build_private_hilbert_rtree(points, domain, height=6, epsilon=1.0, rng=seed).psd
+        return build_private_hilbert_rtree(points, domain, height=6, epsilon=1.0, rng=seed)
     raise AssertionError(variant)
 
 
@@ -71,10 +70,12 @@ VARIANTS = ("quad-opt", "kd-hybrid", "hilbert-r")
 
 
 def _random_queries(psd, rng, n=120):
-    """Random rects over the PSD's own domain (1-D for the Hilbert index tree),
-    plus the always-tricky whole-domain query (all-full path)."""
-    whole = Rect(psd.domain.rect.lo, psd.domain.rect.hi)
-    return [whole] + random_query_rects(psd.domain, n, rng=rng,
+    """Random rects over the space the PSD's engine answers in (the plane for
+    a Hilbert R-tree), plus the always-tricky whole-domain query (all-full
+    path)."""
+    space = psd.domain if psd.curve is None else psd.planar_domain
+    whole = Rect(space.rect.lo, space.rect.hi)
+    return [whole] + random_query_rects(space, n, rng=rng,
                                         min_frac=0.005, max_frac=0.5)
 
 
@@ -123,7 +124,7 @@ class TestFlatRecursiveParity:
 
     def test_hilbert_planar_parity(self, points, domain):
         tree = build_private_hilbert_rtree(points, domain, height=6, epsilon=1.0, rng=13)
-        engine = compile_hilbert_rtree(tree).validate()
+        engine = compile_psd(tree).validate()
         rng = np.random.default_rng(41)
         queries = []
         for _ in range(60):
@@ -131,8 +132,9 @@ class TestFlatRecursiveParity:
             hi = lo + 0.02 + rng.random(2) * 0.3
             queries.append(Rect(tuple(lo), tuple(np.minimum(hi, 1.0))))
         estimates = batch_range_query(engine, queries)
+        view = oracle.hilbert_view(tree)
         for i, query in enumerate(queries):
-            expected = oracle.hilbert_range_query(tree, query)
+            expected = oracle.hilbert_range_query(view, query)
             assert estimates[i] == pytest.approx(expected, rel=1e-9, abs=1e-9)
             assert tree.range_query(query) == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
@@ -143,7 +145,7 @@ class TestFlatRecursiveParity:
                                            postprocess=False, rng=53)
         query = Rect((0.2, 0.2), (0.7, 0.8))
         _ = tree.range_query(query)  # warm the planar engine
-        apply_ols(tree.psd)  # mutate the 1-D tree *without* the wrapper method
+        apply_ols(tree)  # mutate the 1-D tree *without* the method
         assert tree.range_query(query) == pytest.approx(
             oracle.hilbert_range_query(tree, query), rel=1e-9, abs=1e-9
         )

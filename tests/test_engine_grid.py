@@ -43,7 +43,6 @@ from repro.core.splits import QuadSplit
 from repro.data import road_intersections, uniform_points
 from repro.engine import (
     batch_query,
-    compile_hilbert_rtree,
     compile_psd,
     engine_with_precision,
     load_engine,
@@ -326,8 +325,8 @@ INELIGIBLE = {
     "pruned-quad": lambda: build_private_quadtree(_points(), TIGER_DOMAIN, 5, 0.5,
                                                   prune_threshold=30.0, rng=1).compile(),
     "kd": lambda: build_private_kdtree(_points(), TIGER_DOMAIN, 6, 0.5, rng=1).compile(),
-    "hilbert-planar": lambda: compile_hilbert_rtree(
-        build_private_hilbert_rtree(_points(), TIGER_DOMAIN, 8, 0.5, rng=1)),
+    "hilbert-planar": lambda: build_private_hilbert_rtree(_points(), TIGER_DOMAIN, 8, 0.5,
+                                                          rng=1).compile(),
     "nudged-bound": _nudged,
     "swapped-children": _swapped,
     "area-changed": _area_changed,

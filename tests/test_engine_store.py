@@ -33,6 +33,8 @@ from repro.core import (
     build_private_kdtree,
     build_private_quadtree,
     load_psd,
+    psd_from_dict,
+    psd_to_dict,
     save_psd,
 )
 from repro.data import road_intersections, uniform_points
@@ -71,8 +73,7 @@ def _build(variant: str, points, domain, seed: int = 0):
         return build_private_kdtree(points, domain, height=4, epsilon=1.0,
                                     variant="kd-hybrid", rng=seed)
     if variant == "hilbert-r":
-        return build_private_hilbert_rtree(points, domain, height=6, epsilon=1.0,
-                                           rng=seed).psd
+        return build_private_hilbert_rtree(points, domain, height=6, epsilon=1.0, rng=seed)
     raise AssertionError(variant)
 
 
@@ -80,8 +81,11 @@ VARIANTS = ("quad-opt", "kd-hybrid", "hilbert-r")
 
 
 def _queries(psd, n=80, seed=47):
-    whole = Rect(psd.domain.rect.lo, psd.domain.rect.hi)
-    return [whole] + random_query_rects(psd.domain, n, rng=np.random.default_rng(seed),
+    """Random rects over the space the PSD's engine answers in (the plane for
+    a Hilbert R-tree), plus the whole-domain query."""
+    space = psd.domain if psd.curve is None else psd.planar_domain
+    whole = Rect(space.rect.lo, space.rect.hi)
+    return [whole] + random_query_rects(space, n, rng=np.random.default_rng(seed),
                                         min_frac=0.005, max_frac=0.5)
 
 
@@ -358,7 +362,7 @@ class TestReleaseBlock:
         points = road_intersections(n=3000, rng=4)
         if variant == "hilbert-r":
             psd = build_private_hilbert_rtree(points, TIGER_DOMAIN, 8, 0.5,
-                                              prune_threshold=32.0, rng=4).psd
+                                              prune_threshold=32.0, rng=4)
         else:
             build = build_private_quadtree if variant == "quad-opt" else build_private_kdtree
             psd = build(points, TIGER_DOMAIN, 4, 0.5, variant=variant,
@@ -370,6 +374,44 @@ class TestReleaseBlock:
         space = Domain.from_bounds(engine.domain_lo.tolist(), engine.domain_hi.tolist())
         queries = random_query_rects(space, 60, rng=np.random.default_rng(9))
         _assert_bitwise(batch_query(imported, queries), batch_query(engine, queries))
+
+
+# ----------------------------------------------------------------------
+# A Hilbert R-tree release is its planar engine
+# ----------------------------------------------------------------------
+class TestHilbertRelease:
+    @pytest.fixture(scope="class")
+    def psd(self):
+        return build_private_hilbert_rtree(road_intersections(n=5_000, rng=2), TIGER_DOMAIN, 12,
+                                           0.5, order=16, prune_threshold=32.0, rng=3)
+
+    def test_file_and_json_hold_the_planar_engine(self, psd, tmp_path):
+        """The file is the planar engine, read back whole with no rebuild;
+        the nested JSON keeps the index intervals plus the curve, so an
+        import compiles to the same engine (the JSON loader never sees the
+        planar boxes, whose children can exceed their parents by rounding)."""
+        engine = psd.compile()
+        path, exported = tmp_path / "hilbert.psdm", tmp_path / "hilbert.json"
+        save_engine(engine, path)
+        save_psd(psd, str(exported))
+        loaded = load_engine(path, verify=True).validate()
+        imported = compile_psd(load_psd(str(exported)))
+        queries = random_query_rects(TIGER_DOMAIN, 60, rng=np.random.default_rng(5))
+        for other in (loaded, imported):
+            for name in ("lo", "hi", "level", "released", "has_count", "is_leaf",
+                         "child_start", "child_end", "area", "count_epsilons",
+                         "level_variance", "domain_lo", "domain_hi"):
+                assert np.array_equal(getattr(other, name), getattr(engine, name)), name
+            assert ((other.name, other.domain_name, other.release)
+                    == (engine.name, engine.domain_name, engine.release))
+            _assert_bitwise(batch_query(engine, queries), batch_query(other, queries))
+
+    def test_json_curve_must_match_the_index_domain(self, psd):
+        payload = psd_to_dict(psd)
+        assert payload["curve"]["order"] == 16
+        payload["curve"]["order"] = 15
+        with pytest.raises(ValueError, match="index range"):
+            psd_from_dict(payload)
 
 
 # ----------------------------------------------------------------------

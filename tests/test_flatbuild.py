@@ -135,8 +135,8 @@ class TestLayoutParity:
         kwargs = dict(height=6, epsilon=1.0, order=10, postprocess=True)
         pointer_tree = oracle.build_private_hilbert_rtree(POINTS, DOMAIN, rng=3, **kwargs)
         flat_tree = build_private_hilbert_rtree(POINTS, DOMAIN, rng=3, **kwargs)
-        assert isinstance(flat_tree.psd.flat_tree, FlatTree)
-        assert_same_tree(pointer_tree.psd, flat_tree.psd)
+        assert isinstance(flat_tree.flat_tree, FlatTree)
+        assert_same_tree(pointer_tree, flat_tree)
         q = Rect((0.2, 0.1), (0.7, 0.8))
         reference = oracle.hilbert_range_query(pointer_tree, q)
         assert oracle.hilbert_range_query(flat_tree, q) == reference

@@ -28,7 +28,7 @@ from repro.core.hilbert_rtree import build_private_hilbert_rtree
 from repro.core.kdtree import build_private_kdtree
 from repro.core.splits import CellKDSplit, HybridSplit, KDSplit
 from repro.data import uniform_points
-from repro.engine.flat import compile_hilbert_rtree, compile_psd
+from repro.engine.flat import compile_psd
 from repro.geometry import TIGER_DOMAIN, Domain, Rect
 from repro.geometry.hilbert import HilbertCurve
 from repro.index import NoisyGrid, UniformGrid
@@ -243,6 +243,16 @@ def assert_engines_equal(a, b, names=("lo", "hi", "level", "released", "has_coun
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
+def assert_index_trees_equal(pointer, flat):
+    """The 1-D Hilbert-index trees of two Hilbert R-trees, bitwise on the
+    raw arrays."""
+    _, expected = oracle.flatten_tree(pointer)
+    for name in ("lo", "hi", "level", "child_start", "child_end", "noisy_count",
+                 "post_count"):
+        a, b = getattr(expected, name), getattr(flat.flat_tree, name)
+        assert (a is None and b is None) or np.array_equal(a, b, equal_nan=True), name
+
+
 @pytest.fixture()
 def no_per_node_fallback():
     """The build has no per-node split path left to fall back to."""
@@ -310,8 +320,9 @@ class TestLevelBatchedBuilds:
         kwargs = dict(height=height, epsilon=1.0, order=10, postprocess=True)
         pointer = oracle.build_private_hilbert_rtree(POINTS, DOMAIN, rng=seed, **kwargs)
         flat = build_private_hilbert_rtree(POINTS, DOMAIN, rng=seed, **kwargs)
-        assert isinstance(flat.psd.flat_tree, FlatTree)
-        assert_engines_equal(oracle.compile_psd(pointer.psd), compile_psd(flat.psd))
+        assert isinstance(flat.flat_tree, FlatTree)
+        assert_index_trees_equal(pointer, flat)
+        assert_engines_equal(oracle.compile_psd(pointer), compile_psd(flat))
 
     @pytest.mark.slow
     @pytest.mark.parametrize("method", ["ss", "noisymean", "true", "ems"])
@@ -320,7 +331,8 @@ class TestLevelBatchedBuilds:
                       postprocess=True)
         pointer = oracle.build_private_hilbert_rtree(POINTS, DOMAIN, rng=13, **kwargs)
         flat = build_private_hilbert_rtree(POINTS, DOMAIN, rng=13, **kwargs)
-        assert_engines_equal(oracle.compile_psd(pointer.psd), compile_psd(flat.psd))
+        assert_index_trees_equal(pointer, flat)
+        assert_engines_equal(oracle.compile_psd(pointer), compile_psd(flat))
 
     def test_boundary_points_still_exact(self):
         """Points exactly on the domain's top face keep both layouts identical
@@ -439,10 +451,11 @@ class TestHilbertPlanarCompile:
         kwargs = dict(height=6, epsilon=1.0, order=10, postprocess=True)
         pointer = oracle.build_private_hilbert_rtree(POINTS, DOMAIN, rng=3, **kwargs)
         flat = build_private_hilbert_rtree(POINTS, DOMAIN, rng=3, **kwargs)
-        a = oracle.compile_hilbert_rtree(pointer)
-        b = compile_hilbert_rtree(flat)
-        assert isinstance(flat.psd.flat_tree, FlatTree)
+        a = oracle.compile_psd(pointer)
+        b = compile_psd(flat)
+        assert isinstance(flat.flat_tree, FlatTree)
         assert_engines_equal(a, b)
+        assert (a.name, a.domain_name, a.release) == (b.name, b.domain_name, b.release)
         b.validate()
 
     def test_planar_queries_match_recursive(self):
@@ -458,15 +471,12 @@ class TestHilbertPlanarCompile:
 
     def test_node_bboxes_flat_equals_pointer(self):
         kwargs = dict(height=5, epsilon=1.0, order=8, rng=6)
-        flat = build_private_hilbert_rtree(POINTS, DOMAIN, **kwargs)
-        boxes_flat = flat.node_bboxes()
-        assert isinstance(flat.psd.flat_tree, FlatTree)
+        engine = build_private_hilbert_rtree(POINTS, DOMAIN, **kwargs).compile()
         pointer = oracle.build_private_hilbert_rtree(POINTS, DOMAIN, **kwargs)
         boxes_pointer = oracle.node_bboxes(pointer)
-        assert len(boxes_flat) == len(boxes_pointer)
-        for (level_a, rect_a), (level_b, rect_b) in zip(boxes_flat, boxes_pointer):
-            assert level_a == level_b
-            assert rect_a.lo == rect_b.lo and rect_a.hi == rect_b.hi
+        assert engine.level.tolist() == [level for level, _ in boxes_pointer]
+        assert np.array_equal(engine.lo, [rect.lo for _, rect in boxes_pointer])
+        assert np.array_equal(engine.hi, [rect.hi for _, rect in boxes_pointer])
 
     def test_range_bboxes_matches_scalar(self):
         curve = HilbertCurve(order=7, domain=Rect((0.0, 0.0), (4.0, 2.0)))

@@ -83,8 +83,6 @@ def assert_same_release(pointer_psd, flat_psd):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_builds_are_bitwise_equal(variant, height, prune):
     pointer, flat = build_both(variant, height, prune_threshold=prune)
-    if variant == "hilbert-r":
-        pointer, flat = pointer.psd, flat.psd
     assert_same_release(pointer, flat)
 
 
@@ -94,21 +92,18 @@ def test_builds_are_bitwise_equal(variant, height, prune):
 @pytest.mark.parametrize("variant", ["kd-standard", "hilbert-r"])
 def test_budgets_are_bitwise_equal(variant, budget, postprocess):
     pointer, flat = build_both(variant, 3, count_budget=budget, postprocess=postprocess)
-    if variant == "hilbert-r":
-        pointer, flat = pointer.psd, flat.psd
     assert_same_release(pointer, flat)
 
 
 @pytest.mark.parametrize("variant", ["quad-opt", "kd-hybrid", "hilbert-r"])
 def test_height_six(variant):
     pointer, flat = build_both(variant, 6 if variant == "hilbert-r" else 5)
-    if variant == "hilbert-r":
-        pointer, flat = pointer.psd, flat.psd
     assert_same_release(pointer, flat)
 
 
 @pytest.mark.parametrize("prune", [None, 30.0], ids=["unpruned", "pruned"])
-@pytest.mark.parametrize("variant", ["quad-baseline", "quad-opt", "kd-standard", "kd-cell"])
+@pytest.mark.parametrize("variant", ["quad-baseline", "quad-opt", "kd-standard", "kd-cell",
+                                     "hilbert-r"])
 def test_queries_match_the_recursive_walk(variant, prune):
     pointer, flat = build_both(variant, 3, prune_threshold=prune)
     queries = random_query_rects(DOMAIN, 40, rng=np.random.default_rng(17))
@@ -149,7 +144,7 @@ def build_routed(lib, rule, points, domain, height, gen):
         return kdtree(points, domain, height, 0.1, variant="kd-cell", cell_resolution=16, rng=gen)
     if rule == "hilbert-r":
         hilbert = oracle.build_private_hilbert_rtree if lib is oracle else build_private_hilbert_rtree
-        return hilbert(points, domain, 2 * height, 0.1, order=10, rng=gen).psd
+        return hilbert(points, domain, 2 * height, 0.1, order=10, rng=gen)
     if rule == "quad":
         split = QuadSplit()
     elif rule == "hybrid":

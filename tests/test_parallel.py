@@ -287,6 +287,38 @@ class TestShardedResilience:
             assert server.stats()["inproc_fallbacks"] >= 1
             assert server._pool.started  # the pool was never torn down
 
+    def test_degraded_pool_starts_no_workers_until_stopped(self, pruned_engine, workload,
+                                                           monkeypatch):
+        """Once a batch has fallen back after MAX_REBUILDS, later batches and
+        drills start no workers and sleep no backoff; stop() tries again."""
+        import repro.parallel.pool as pool_mod
+
+        starts = []
+
+        def broken_executor(*args, **kwargs):
+            starts.append(1)
+            raise RuntimeError("fork failed (injected)")
+
+        reference = batch_query(pruned_engine, workload.queries)
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", broken_executor)
+        monkeypatch.setattr(pool_mod, "BACKOFF_BASE_S", 0.0)
+        with ShardedQueryServer(pruned_engine, workers=2, chunk_queries=7) as server:
+            server.batch_query(workload.queries)
+            degraded = server.stats()
+            assert len(starts) == pool_mod.MAX_REBUILDS + 1
+            for _ in range(3):
+                server.drill("kill-worker")
+                result = server.batch_query(workload.queries)
+                assert result.estimates.tobytes() == reference.estimates.tobytes()
+            stats = server.stats()
+            assert len(starts) == pool_mod.MAX_REBUILDS + 1
+            assert stats["pool_rebuilds"] == degraded["pool_rebuilds"]
+            assert stats["backoff_sleeps"] == degraded["backoff_sleeps"]
+            assert stats["inproc_fallbacks"] == 4 * degraded["inproc_fallbacks"]
+            server._pool.stop()
+            server.batch_query(workload.queries)
+            assert len(starts) == 2 * (pool_mod.MAX_REBUILDS + 1)
+
     def test_pool_init_failure_degrades_in_process(self, pruned_engine, workload,
                                                    monkeypatch):
         """If the pool cannot start, the batch is served in-process."""
@@ -341,10 +373,12 @@ class TestNoSharedMemory:
         assert rows_2 == run_fig3(scale=SCALE, epsilons=(0.5,), points=points, rng=2, workers=1)
 
     def test_frontier_server_batch(self, points, workload, entries_at_close):
-        # A kd-tree of 8,191 nodes: its bounds alone take 256 KB.
+        # A kd-tree of height 6 has 5,461 nodes: its bounds alone take 175 KB,
+        # well above the 64 KiB a shared-memory path would kick in at.
         from repro.core import build_private_kdtree
 
-        engine = build_private_kdtree(points, TIGER_DOMAIN, 12, 0.5, rng=4).compile()
+        engine = build_private_kdtree(points, TIGER_DOMAIN, 6, 0.5, rng=4).compile()
+        assert engine.n_nodes == 5_461 and engine.lo.nbytes + engine.hi.nbytes > 64 * 1024
         before = _shm_entries()
         with ShardedQueryServer(engine, workers=2, chunk_queries=7) as server:
             result = server.batch_query(workload.queries)

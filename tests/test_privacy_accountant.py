@@ -245,7 +245,7 @@ class TestMedianDelta:
     def test_hilbert(self, points):
         tree = build_private_hilbert_rtree(points, TIGER_DOMAIN, height=5, epsilon=0.5,
                                            order=10, median_method="ss", rng=0)
-        assert tree.psd.accountant.path_delta == pytest.approx(5e-4, rel=1e-12)
+        assert tree.accountant.path_delta == pytest.approx(5e-4, rel=1e-12)
 
     def test_no_median_budget_no_delta(self, points):
         psd = build_psd(points, TIGER_DOMAIN, HEIGHT, KDSplit(median_method="ss"), epsilon=0.5,

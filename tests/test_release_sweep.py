@@ -126,7 +126,9 @@ class TestReleaseParity:
         queries = random_query_rects(TIGER_DOMAIN, 8, rng=np.random.default_rng(3))
         for r, reference in enumerate(references):
             release = releases.release(r)
-            assert_release_equal(reference.psd, release.psd, f"hilbert release {r}")
+            assert_release_equal(reference, release, f"hilbert release {r}")
+            assert release.curve == reference.curve
+            assert release.planar_domain is reference.planar_domain
             expected = [reference.range_query(q) for q in queries]
             got = batch_range_query(release.compile(), queries)
             assert np.allclose(got, expected, rtol=0, atol=0)
@@ -582,11 +584,14 @@ class TestSweepDriver:
         batch = build_private_quadtree_releases(points, TIGER_DOMAIN, HEIGHT,
                                                 EPSILONS, REPETITIONS,
                                                 variant="quad-opt", rng=3)
+        assert batch.supports_shared_queries()
         fast = release_workload_errors(batch, workloads)
-        slow = release_workload_errors(batch.releases(), workloads)
-        assert set(fast) == set(slow)
-        for label in fast:
-            assert np.allclose(fast[label], slow[label], rtol=1e-9, atol=1e-12)
+        assert set(fast) == set(workloads)
+        for label, workload in workloads.items():
+            slow = [median_relative_error(batch_range_query(psd.compile(), workload.queries),
+                                          workload.true_answers)
+                    for psd in batch.releases()]
+            assert np.allclose(fast[label], slow, rtol=1e-9, atol=1e-12)
 
     def test_run_sweep_groups_repetitions(self, points):
         scale = ExperimentScale.smoke()

@@ -211,6 +211,8 @@ class TestCLI:
         ("build", "--prune", "-1"),
         ("build", "--prune", "inf"),
         ("build", "--synthetic", "-5"),
+        ("build", "--seed", "-1"),
+        ("experiment", "--seed", "-3"),
         ("experiment", "--repetitions", "0"),
         ("experiment", "--n-points", "0"),
         ("experiment", "--n-queries", "0"),
@@ -221,7 +223,7 @@ class TestCLI:
         ("serve", "--port", "70000"),
     ])
     def test_bad_number_refused_at_parse_time(self, tmp_path, capsys, command, option, value):
-        """A size, height, threshold, timeout or port out of range exits 2 with
+        """A size, height, seed, threshold, timeout or port out of range exits 2 with
         one error line and writes nothing (for ``serve``, no ledger), where it
         used to raise a traceback, print nan rows, or (``--prune nan``)
         release an unpruned tree."""
